@@ -25,9 +25,9 @@ from .analysis import (CertificateReport, RadiusAllocation, certificate_constant
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
 from .highlevel import (GainDesign, HLDesign, SlowModel, design_gain, lift,
-                        solve_hl, terminal_cost)
-from .lowlevel import LLGain, apply_correction, design_ll_gain, \
-    simulate_auxiliary, solve_ll
+                        solve_hl, terminal_cost, tube_qp)
+from .lowlevel import LLGain, apply_correction, correction_qp, \
+    design_ll_gain, simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
 from .reduction import ReducedModel, reduce_model, verify_reduction
 from .sets import BallSet, EllipsoidSet, RPIApproximation, rpi_outer, terminal_set
@@ -243,12 +243,6 @@ class TraceArchive:
     final_state: np.ndarray
     wall_clock: float
 
-    def fast_col(self, name: str) -> np.ndarray:
-        return self.fast[:, self.fast_cols.index(name)]
-
-    def slow_col(self, name: str) -> np.ndarray:
-        return self.slow[:, self.slow_cols.index(name)]
-
     def fast_block(self, prefix: str, count: int) -> np.ndarray:
         start = self.fast_cols.index(f"{prefix}0")
         return self.fast[:, start:start + count]
@@ -265,7 +259,9 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     """Execute the two-rate loop for `cfg.n_slow_steps` slow steps.
 
     Any slow- or fast-layer infeasibility aborts the run with the slow-step
-    index attached to the exception diagnostics; nothing is clipped.
+    index attached to the exception diagnostics; nothing is clipped.  The
+    data of each layer's QP that does not change between ticks is built once
+    here, before the first tick.
     """
     start = time.perf_counter()
     if bundle is None:
@@ -284,10 +280,17 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     fast_rows = np.empty((cfg.n_slow_steps * N, len(f_cols)))
     slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
 
+    hl_qp = tube_qp(hl, slow)
+    ll_qps = [correction_qp(model, reduced, i,
+                            BallSet(model.subsystems[i].n_inputs,
+                                    float(bundle.radii.rho_delta_u_hat[i])),
+                            bundle.ll_Q[i], bundle.ll_R[i], N)
+              for i in range(M)]
+
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
         try:
-            sol = solve_hl(hl, slow, x_proj, cfg.tol_primal, cfg.tol_dual,
+            sol = solve_hl(hl_qp, x_proj, cfg.tol_primal, cfg.tol_dual,
                            cfg.max_iters, first_step=(k == 0))
         except InfeasibleHL as exc:
             exc.diagnostics["slow_step"] = k
@@ -298,12 +301,9 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
         plans = []
         for i in range(M):
-            budget = BallSet(model.subsystems[i].n_inputs,
-                             float(bundle.radii.rho_delta_u_hat[i]))
             try:
                 plans.append(solve_ll(
-                    model, reduced, i, x_bar_pred[reduced.block_slice(i)],
-                    aux.terminal, budget, bundle.ll_Q[i], bundle.ll_R[i], N,
+                    ll_qps[i], x_bar_pred[reduced.block_slice(i)], aux.terminal,
                     cfg.tol_primal, cfg.tol_dual, cfg.max_iters))
             except InfeasibleLL as exc:
                 exc.diagnostics["slow_step"] = k

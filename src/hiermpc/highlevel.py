@@ -38,23 +38,21 @@ class SlowModel:
         return self.B.shape[1]
 
 
-def lift(reduced: ReducedModel, period: int) -> SlowModel:
-    """A_slow = A^period, B_slow = sum_{j<period} A^j B (held input)."""
-    if period < 1:
-        raise DesignFailed(f"period must be >= 1, got {period}")
-    A_slow = np.linalg.matrix_power(reduced.A, period)
-    B_slow = reduced.B.copy()
-    for _ in range(period - 1):
-        B_slow = reduced.A @ B_slow + reduced.B
-    return SlowModel(A_slow, B_slow, period)
-
-
 def lifted_input_matrix(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:
     """sum_{j<period} A^j B for any state-space pair."""
     out = B.copy()
     for _ in range(period - 1):
         out = A @ out + B
     return out
+
+
+def lift(reduced: ReducedModel, period: int) -> SlowModel:
+    """A_slow = A^period, B_slow = sum_{j<period} A^j B (held input)."""
+    if period < 1:
+        raise DesignFailed(f"period must be >= 1, got {period}")
+    A_slow = np.linalg.matrix_power(reduced.A, period)
+    return SlowModel(A_slow, lifted_input_matrix(reduced.A, reduced.B, period),
+                     period)
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,25 @@ class HLSolution:
     dual_residual: float
 
 
-def _transcribe(design: HLDesign, slow: SlowModel, x_proj: np.ndarray):
+@dataclass(frozen=True)
+class TubeQP:
+    """The part of the slow-layer QP that is fixed for a run.
+
+    Decision vector: nominal states x_0..x_N, then inputs u_0..u_{N-1}.  Per
+    tick only the centre of the tube ball around x_0 changes; cost, dynamics
+    equalities, the stacked input balls and the terminal ellipsoid are built
+    once by `tube_qp`.
+    """
+
+    design: HLDesign
+    slow: SlowModel
+    H: np.ndarray
+    A_eq: np.ndarray
+    inputs: BallConstraint        # one ball per step, stacked (N, m)
+    terminal: EllipsoidConstraint
+
+
+def tube_qp(design: HLDesign, slow: SlowModel) -> TubeQP:
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
     d = n * (N + 1) + m * N
 
@@ -162,44 +178,50 @@ def _transcribe(design: HLDesign, slow: SlowModel, x_proj: np.ndarray):
         A_eq[rows, x_idx(k + 1)] = np.eye(n)
         A_eq[rows, x_idx(k)] = -slow.A
         A_eq[rows, u_idx(k)] = -slow.B
-    b_eq = np.zeros(n * N)
 
-    cons = [BallConstraint(x_idx(0), design.tube.radius, center=np.asarray(x_proj))]
-    for k in range(N):
-        cons.append(BallConstraint(u_idx(k), design.input_tight.radius))
-    cons.append(EllipsoidConstraint(x_idx(N), design.terminal.shape,
-                                    design.terminal.level))
-    return H, A_eq, b_eq, cons, x_idx, u_idx
+    inputs = BallConstraint(np.arange(n * (N + 1), d).reshape(N, m),
+                            design.input_tight.radius)
+    terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
+                                   design.terminal.level)
+    return TubeQP(design, slow, H, A_eq, inputs, terminal)
 
 
-def feasibility_gap(design: HLDesign, slow: SlowModel, x_proj: np.ndarray) -> float:
+def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
     """Distance from the projected state to the set of admissible first
-    nominal states; infeasibility means this exceeds the tube radius."""
-    H, A_eq, b_eq, cons, x_idx, _ = _transcribe(design, slow, x_proj)
-    d = H.shape[0]
+    nominal states, with the status of the QP that computed it;
+    infeasibility means the distance exceeds the tube radius."""
+    d, n = qp.H.shape[0], qp.slow.n_states
+    x0 = np.arange(n)
     H_gap = 1e-12 * np.eye(d)
-    H_gap[np.ix_(x_idx(0), x_idx(0))] += np.eye(slow.n_states)
+    H_gap[np.ix_(x0, x0)] += np.eye(n)
     g = np.zeros(d)
-    g[x_idx(0)] = -np.asarray(x_proj, dtype=float)
-    res = solve_qp(QuadraticProgram(H_gap, g, A_eq, b_eq, tuple(cons[1:])))
-    return float(np.linalg.norm(res.x[x_idx(0)] - x_proj))
+    g[x0] = -np.asarray(x_proj, dtype=float)
+    res = solve_qp(QuadraticProgram(H_gap, g, qp.A_eq, np.zeros(qp.A_eq.shape[0]),
+                                    (qp.inputs, qp.terminal)))
+    return float(np.linalg.norm(res.x[x0] - x_proj)), res.status
 
 
-def solve_hl(design: HLDesign, slow: SlowModel, x_proj: np.ndarray,
+def solve_hl(qp: TubeQP, x_proj: np.ndarray,
              tol_primal: float = 1e-8, tol_dual: float = 1e-8,
              max_iters: int = 50_000,
-             warm_start: np.ndarray | None = None,
              first_step: bool = False) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
     Raises InfeasibleHL with a tube-gap diagnostic when no admissible plan
     exists; on the first step the gap is always computed so the failure
-    report can say how far the start is from the feasible set.
+    report can say how far the start is from the feasible set.  The status
+    of the gap QP is reported beside the gap, since the gap is read from
+    that QP's last iterate whether or not it converged.
     """
+    design, slow = qp.design, qp.slow
+    n, m, N = slow.n_states, slow.n_inputs, design.horizon
     x_proj = np.asarray(x_proj, dtype=float)
-    H, A_eq, b_eq, cons, x_idx, u_idx = _transcribe(design, slow, x_proj)
-    prob = QuadraticProgram(H, np.zeros(H.shape[0]), A_eq, b_eq, tuple(cons))
-    res = solve_qp(prob, tol_primal, tol_dual, max_iters, x0=warm_start)
+    x0 = np.arange(n)
+    tube = BallConstraint(x0, design.tube.radius, center=x_proj)
+    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
+                            np.zeros(qp.A_eq.shape[0]),
+                            (tube, qp.inputs, qp.terminal))
+    res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
         diagnostics = {
             "status": res.status.value,
@@ -208,36 +230,16 @@ def solve_hl(design: HLDesign, slow: SlowModel, x_proj: np.ndarray,
             "dual_residual": res.dual_residual,
         }
         if first_step or res.status is Status.INFEASIBLE:
-            gap = feasibility_gap(design, slow, x_proj)
+            gap, gap_status = feasibility_gap(qp, x_proj)
             diagnostics["tube_gap"] = gap
+            diagnostics["tube_gap_status"] = gap_status.value
             diagnostics["tube_radius"] = design.tube.radius
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)
-    n, m, N = slow.n_states, slow.n_inputs, design.horizon
-    x_nom = res.x[x_idx(0)]
+    x_nom = res.x[x0]
     u_seq = res.x[n * (N + 1):].reshape(N, m)
     u_applied = u_seq[0] + design.K @ (x_proj - x_nom)
-    x_next = res.x[x_idx(1)]
+    x_next = res.x[n:2 * n]
     return HLSolution(x_nom, u_seq, u_applied, x_next, res.objective,
                       res.iterations, res.primal_residual, res.dual_residual)
-
-
-def run_tube_soak(design: HLDesign, slow: SlowModel, x_proj0: np.ndarray,
-                  disturbance: BallSet, n_steps: int, seed: int = 0):
-    """Closed slow loop with worst-case disturbances on the boundary of the
-    disturbance ball; returns the per-step tube errors.  Used to exercise
-    recursive feasibility."""
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x_proj0, dtype=float)
-    errors = []
-    warm = None
-    for _ in range(n_steps):
-        sol = solve_hl(design, slow, x, warm_start=warm)
-        errors.append(float(np.linalg.norm(x - sol.x_nominal)))
-        w = rng.normal(size=slow.n_states)
-        norm = float(np.linalg.norm(w))
-        w = w * (disturbance.radius / norm) if norm > 0 else w
-        x = slow.A @ x + slow.B @ sol.u_applied + w
-        warm = None
-    return errors

@@ -106,56 +106,79 @@ def correction_prediction(A: np.ndarray, B: np.ndarray, period: int):
     return Gamma, reach
 
 
-def solve_ll(model: InterconnectedModel, reduced: ReducedModel, i: int,
-             x_bar_pred_i: np.ndarray, aux_terminal: np.ndarray,
-             budget: BallSet, Q_i: np.ndarray, R_i: np.ndarray, period: int,
-             tol_primal: float = 1e-8, tol_dual: float = 1e-8,
-             max_iters: int = 50_000) -> DeltaPlan:
-    """Correction plan for subsystem i over one slow period.
+@dataclass(frozen=True)
+class CorrectionQP:
+    """The part of subsystem i's correction QP that is fixed for a run.
 
-    Decision: the per-step correction sequence; the planned deviation starts
-    at zero (slow-tick reset), its projection must land exactly on the slow
-    layer's prediction gap, and each step stays inside `budget`.
+    Per tick only the terminal target b_eq changes; the cost, the terminal
+    map and the per-step budget balls are built once by `correction_qp`.
     """
-    sub = model.subsystems[i]
-    n_i, m_i = sub.n_states, sub.n_inputs
-    beta_i = reduced.beta_block(i, model)
-    aux_term_i = np.asarray(aux_terminal, dtype=float)
-    if aux_term_i.shape == (model.n_states,):
-        aux_term_i = aux_term_i[model.state_slice(i)]
-    rhs = np.asarray(x_bar_pred_i, dtype=float) - beta_i @ aux_term_i
 
+    subsystem: int
+    A: np.ndarray              # subsystem dynamics, for the planned rollout
+    B: np.ndarray
+    state_slice: slice         # subsystem i's states in the full state
+    beta: np.ndarray           # projection block beta_i
+    H: np.ndarray
+    A_eq: np.ndarray           # beta_i times the period-step reachability row
+    budget: BallConstraint     # one ball per step, stacked (period, m_i)
+
+
+def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
+                  budget: BallSet, Q_i: np.ndarray, R_i: np.ndarray,
+                  period: int) -> CorrectionQP:
+    """Build subsystem i's correction QP data for a slow period `period`."""
+    sub = model.subsystems[i]
+    m_i = sub.n_inputs
+    beta_i = reduced.beta_block(i, model)
     Q_i = np.atleast_2d(np.asarray(Q_i, dtype=float))
     R_i = np.atleast_2d(np.asarray(R_i, dtype=float))
     Gamma, reach = correction_prediction(sub.A, sub.B, period)
-    d = period * m_i
     Qbar = np.kron(np.eye(period - 1), Q_i)
     Rbar = np.kron(np.eye(period), R_i)
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
-    A_eq = beta_i @ reach
-    b_eq = rhs
-    cons = [BallConstraint(np.arange(r * m_i, (r + 1) * m_i), budget.radius)
-            for r in range(period)]
-    prob = QuadraticProgram(H, np.zeros(d), A_eq, b_eq, tuple(cons))
+    steps = np.arange(period * m_i).reshape(period, m_i)
+    return CorrectionQP(i, sub.A, sub.B, model.state_slice(i), beta_i, H,
+                        beta_i @ reach, BallConstraint(steps, budget.radius))
+
+
+def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
+             aux_terminal: np.ndarray,
+             tol_primal: float = 1e-8, tol_dual: float = 1e-8,
+             max_iters: int = 50_000) -> DeltaPlan:
+    """Correction plan for subsystem `qp.subsystem` over one slow period.
+
+    Decision: the per-step correction sequence; the planned deviation starts
+    at zero (slow-tick reset), its projection must land exactly on the slow
+    layer's prediction gap `x_bar_pred_i - beta_i aux_terminal[i]` (the
+    auxiliary terminal is the full state), and each step stays inside the
+    budget ball.
+    """
+    i = qp.subsystem
+    aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
+    rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
+    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
+                            (qp.budget,))
     res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
         # Smallest-total-energy sequence hitting the target, for diagnosis.
-        H_pinv = np.linalg.pinv(A_eq)
+        H_pinv = np.linalg.pinv(qp.A_eq)
         min_norm = float(np.linalg.norm(H_pinv @ rhs))
+        radius = qp.budget.radius
         raise InfeasibleLL(
             f"subsystem {i}: correction target unreachable within budget "
-            f"(|target|={np.linalg.norm(rhs):.6g}, per-step budget={budget.radius:.6g}, "
+            f"(|target|={np.linalg.norm(rhs):.6g}, per-step budget={radius:.6g}, "
             f"least-norm sequence={min_norm:.6g})",
             subsystem=i,
             diagnostics={"status": res.status.value,
                          "target_norm": float(np.linalg.norm(rhs)),
-                         "budget": budget.radius,
+                         "budget": radius,
                          "least_norm_sequence": min_norm})
-    u_steps = res.x.reshape(period, m_i)
-    states = np.zeros((period + 1, n_i))
-    for j in range(period):
-        states[j + 1] = sub.A @ states[j] + sub.B @ u_steps[j]
-    terminal_residual = float(np.max(np.abs(beta_i @ states[-1] - rhs)))
+    u_steps = res.x.reshape(qp.budget.indices.shape)
+    states = np.zeros((u_steps.shape[0] + 1, qp.A.shape[0]))
+    for j in range(u_steps.shape[0]):
+        states[j + 1] = qp.A @ states[j] + qp.B @ u_steps[j]
+    terminal_residual = float(np.max(np.abs(qp.beta @ states[-1] - rhs)))
     return DeltaPlan(i, u_steps, states, terminal_residual, res.objective,
                      res.iterations)
 

@@ -2,8 +2,13 @@
 
 The QP path is ADMM with exact equality handling: equalities live inside the
 x-update KKT system (factored once per penalty value), set memberships are
-enforced by Euclidean projection in the z-update.  Consequences that the
-controllers rely on:
+enforced by Euclidean projection in the z-update.  The splitting state z, u
+is one flat vector over the concatenated index sets of all constraints, so
+scatters into the x-update and the residuals are single array operations,
+and each iteration projects once per constraint.  A `BallConstraint` whose
+`indices` have shape (k, s) is a family of k balls of one radius on the rows
+(the per-step input budgets of a horizon); it projects all rows in one
+vectorized call.  Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
   * set constraints are satisfied to tol_primal at termination,
@@ -32,7 +37,12 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class BallConstraint:
-    """||x[indices] - center|| <= radius."""
+    """||x[indices] - center|| <= radius.
+
+    `indices` of shape (s,) is one ball; of shape (k, s) it is k balls of the
+    same radius, one per row, with `center` None or of the same shape.
+    `project` and `violation` take values shaped like `indices`.
+    """
 
     indices: np.ndarray
     radius: float
@@ -40,11 +50,13 @@ class BallConstraint:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
+        if idx.ndim not in (1, 2):
+            raise DimensionMismatch("ball indices must have shape (s,) or (k, s)")
         object.__setattr__(self, "indices", idx)
         if self.center is not None:
             c = np.asarray(self.center, dtype=float)
-            if c.shape != (idx.size,):
-                raise DimensionMismatch("ball center length must match index count")
+            if c.shape != idx.shape:
+                raise DimensionMismatch("ball center shape must match the indices")
             object.__setattr__(self, "center", c)
         if self.radius < 0:
             raise DimensionMismatch("ball radius must be >= 0")
@@ -52,16 +64,18 @@ class BallConstraint:
     def project(self, v: np.ndarray) -> np.ndarray:
         c = self.center if self.center is not None else 0.0
         d = v - c
-        norm = float(np.linalg.norm(d))
-        if norm <= self.radius:
+        norm = np.linalg.norm(d, axis=-1, keepdims=True)
+        outside = norm > self.radius
+        if not outside.any():
             return v
-        if norm == 0.0:
-            return np.asarray(c, dtype=float) + np.zeros_like(v)
-        return c + d * (self.radius / norm)
+        scale = np.divide(self.radius, norm, out=np.ones_like(norm), where=outside)
+        return np.where(outside, c + d * scale, v)
 
     def violation(self, v: np.ndarray) -> float:
+        """Largest distance of a row to its ball."""
         c = self.center if self.center is not None else 0.0
-        return max(0.0, float(np.linalg.norm(v - c)) - self.radius)
+        norm = np.linalg.norm(v - c, axis=-1)
+        return max(0.0, float(np.max(norm)) - self.radius)
 
 
 @dataclass(frozen=True)
@@ -235,9 +249,7 @@ def solve_qp(problem: QuadraticProgram,
              tol_dual: float = 1e-8,
              max_iters: int = 50_000,
              over_relaxation: float = 1.6,
-             x0: np.ndarray | None = None,
-             z0: list | None = None,
-             u0: list | None = None) -> SolveResult:
+             x0: np.ndarray | None = None) -> SolveResult:
     """ADMM solve; see module docstring for the splitting and its guarantees.
 
     Infeasibility is declared when the iterate displacement settles on a
@@ -264,63 +276,57 @@ def solve_qp(problem: QuadraticProgram,
         return SolveResult(x, obj, Status.OPTIMAL, eq_res,
                            float(np.max(np.abs(grad))), 0)
 
-    S_terms = np.zeros((d, d))
-    for c in cons:
-        S_terms[c.indices, c.indices] += 1.0
+    # Flat splitting state: constraint c owns z[bounds[c]:bounds[c + 1]],
+    # laid out like its (raveled) indices.
+    idx = np.concatenate([c.indices.ravel() for c in cons])
+    bounds = np.cumsum([0] + [c.indices.size for c in cons])
+    parts = [(c, slice(lo, hi)) for c, lo, hi in zip(cons, bounds[:-1], bounds[1:])]
+    S_terms = np.diag(np.bincount(idx, minlength=d).astype(float))
 
     def factorize(rho_val):
         return _kkt_factor(problem.H + rho_val * S_terms, problem.A_eq)
 
-    factor, r = _kkt_factor(problem.H + rho * S_terms, problem.A_eq)
+    factor, r = factorize(rho)
 
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
-    z = ([x[c.indices].copy() for c in cons] if z0 is None
-         else [np.array(v, dtype=float) for v in z0])
-    u = ([np.zeros(c.indices.size) for c in cons] if u0 is None
-         else [np.array(v, dtype=float) for v in u0])
+    z = x[idx]
+    u = np.zeros(idx.size)
 
     alpha = over_relaxation
     stall_count = 0
     prev_disp = None
-    prev_z_flat = np.concatenate(z)
     status = Status.MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        rhs_top = -problem.g.copy()
-        for c, zc, uc in zip(cons, z, u):
-            rhs_top[c.indices] += rho * (zc - uc)
+        rhs_top = np.bincount(idx, weights=rho * (z - u), minlength=d) - problem.g
         rhs = np.concatenate([rhs_top, problem.b_eq]) if r else rhs_top
         x = scipy.linalg.lu_solve(factor, rhs)[:d]
 
-        new_z = []
-        for c, zc, uc in zip(cons, z, u):
-            sx = x[c.indices]
-            h = alpha * sx + (1.0 - alpha) * zc
-            znew = c.project(h + uc)
-            new_z.append(znew)
-            uc += h - znew
-        z = new_z
+        sx = x[idx]
+        h = alpha * sx + (1.0 - alpha) * z
+        v = h + u
+        z_new = np.empty_like(z)
+        for c, part in parts:
+            z_new[part] = c.project(v[part].reshape(c.indices.shape)).ravel()
+        u += h - z_new
 
-        z_flat = np.concatenate(z)
-        primal = float(np.sqrt(sum(
-            float(np.sum((x[c.indices] - zc) ** 2)) for c, zc in zip(cons, z))))
-        dual = rho * float(np.linalg.norm(z_flat - prev_z_flat))
-        prev_z_flat = z_flat
+        primal = float(np.linalg.norm(sx - z_new))
+        dual = rho * float(np.linalg.norm(z_new - z))
+        z = z_new
 
         if primal <= tol_primal and dual <= tol_dual:
             status = Status.OPTIMAL
             break
 
         if it % 5 == 0:
-            cur = z_flat.copy()
             if prev_disp is not None:
-                move = float(np.linalg.norm(cur - prev_disp))
-                if (move <= 1e-10 * (1.0 + float(np.linalg.norm(cur)))
+                move = float(np.linalg.norm(z - prev_disp))
+                if (move <= 1e-10 * (1.0 + float(np.linalg.norm(z)))
                         and primal > 1e3 * tol_primal):
                     stall_count += 5
                 else:
                     stall_count = 0
-            prev_disp = cur
+            prev_disp = z
         if stall_count >= 500:
             status = Status.INFEASIBLE
             break
@@ -330,21 +336,19 @@ def solve_qp(problem: QuadraticProgram,
         if it % 25 == 0 and stall_count == 0:
             if primal > 10.0 * dual and dual > 0 and rho < 1e8 * rho_init:
                 rho *= 2.0
-                u = [uc / 2.0 for uc in u]
+                u /= 2.0
                 factor, r = factorize(rho)
             elif dual > 10.0 * primal and primal >= 0 and rho > 1e-8 * rho_init:
                 rho /= 2.0
-                u = [uc * 2.0 for uc in u]
+                u *= 2.0
                 factor, r = factorize(rho)
 
     obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
-    set_violation = max((c.violation(x[c.indices]) for c in cons), default=0.0)
+    set_violation = max(c.violation(x[c.indices]) for c in cons)
     eq_violation = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
                     if r else 0.0)
     primal_res = max(set_violation, eq_violation)
-    grad = problem.H @ x + problem.g
-    for c, uc in zip(cons, u):
-        grad[c.indices] += rho * uc
+    grad = problem.H @ x + problem.g + np.bincount(idx, weights=rho * u, minlength=d)
     if r:
         # Recover equality multipliers by least squares on the stationarity gap.
         nu, *_ = np.linalg.lstsq(problem.A_eq.T, -grad, rcond=None)

@@ -4,8 +4,8 @@ import pytest
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
 from hiermpc.highlevel import (GainDesign, HLDesign, SlowModel, design_gain,
-                               feasibility_gap, lift, run_tube_soak, solve_hl,
-                               terminal_cost)
+                               feasibility_gap, lift, solve_hl, terminal_cost,
+                               tube_qp)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
@@ -38,6 +38,25 @@ def make_design(rng, period=5, horizon=6, w_radius=0.01):
     design = HLDesign(gd.K, gd.F_red, gd.F_full, P, tube, term, u_tight, Q, R,
                       horizon)
     return model, red, slow, design
+
+
+def run_tube_soak(design: HLDesign, slow: SlowModel, x_proj0: np.ndarray,
+                  disturbance: BallSet, n_steps: int, seed: int = 0):
+    """Closed slow loop with worst-case disturbances on the boundary of the
+    disturbance ball; returns the per-step tube errors.  Used to exercise
+    recursive feasibility."""
+    rng = np.random.default_rng(seed)
+    qp = tube_qp(design, slow)
+    x = np.asarray(x_proj0, dtype=float)
+    errors = []
+    for _ in range(n_steps):
+        sol = solve_hl(qp, x)
+        errors.append(float(np.linalg.norm(x - sol.x_nominal)))
+        w = rng.normal(size=slow.n_states)
+        norm = float(np.linalg.norm(w))
+        w = w * (disturbance.radius / norm) if norm > 0 else w
+        x = slow.A @ x + slow.B @ sol.u_applied + w
+    return errors
 
 
 def test_lift_scalar_hand_case():
@@ -112,7 +131,7 @@ def test_solve_hl_dp_oracle_pinned_start():
                      BallSet(2, 0.0), EllipsoidSet(design.P, 1e12),
                      BallSet(2, 1e6), design.Q, design.R, design.horizon)
     x_proj = np.array([0.4, -0.3])
-    sol = solve_hl(loose, slow, x_proj)
+    sol = solve_hl(tube_qp(loose, slow), x_proj)
     P = design.P.copy()
     for _ in range(design.horizon):
         S = design.R + slow.B.T @ P @ slow.B
@@ -129,7 +148,7 @@ def test_solve_hl_respects_constraints():
     rng = np.random.default_rng(25)
     model, red, slow, design = make_design(rng)
     x_proj = np.array([0.5, 0.5])
-    sol = solve_hl(design, slow, x_proj)
+    sol = solve_hl(tube_qp(design, slow), x_proj)
     assert np.linalg.norm(x_proj - sol.x_nominal) <= design.tube.radius + 1e-6
     for u in sol.u_nominal_seq:
         assert np.linalg.norm(u) <= design.input_tight.radius + 1e-6
@@ -142,15 +161,16 @@ def test_solve_hl_infeasible_reports_gap():
                      BallSet(2, 1e-3), EllipsoidSet(design.P, 1e-14),
                      BallSet(2, 1e-6), design.Q, design.R, design.horizon)
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tight, slow, np.array([500.0, 500.0]), first_step=True)
+        solve_hl(tube_qp(tight, slow), np.array([500.0, 500.0]), first_step=True)
     assert "tube_gap" in err.value.diagnostics
+    assert "tube_gap_status" in err.value.diagnostics
     assert err.value.diagnostics["tube_gap"] > tight.tube.radius
 
 
 def test_feasibility_gap_zero_when_feasible():
     rng = np.random.default_rng(27)
     model, red, slow, design = make_design(rng)
-    gap = feasibility_gap(design, slow, np.array([0.2, -0.1]))
+    gap, _ = feasibility_gap(tube_qp(design, slow), np.array([0.2, -0.1]))
     assert gap <= design.tube.radius
 
 

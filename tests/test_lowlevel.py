@@ -3,7 +3,8 @@ import pytest
 
 from hiermpc.errors import InfeasibleLL
 from hiermpc.lowlevel import (apply_correction, correction_prediction,
-                              design_ll_gain, simulate_auxiliary, solve_ll)
+                              correction_qp, design_ll_gain, simulate_auxiliary,
+                              solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
@@ -80,8 +81,9 @@ def test_solve_ll_scalar_hand_kkt():
     u_hand = np.linalg.solve(D, cvec) * (rhs / (cvec @ np.linalg.solve(D, cvec)))
 
     aux_terminal = np.zeros(2)  # zero rollout: gap equals the target itself
-    plan = solve_ll(model, red, 0, np.array([target]), aux_terminal,
-                    BallSet(1, 100.0), [[q]], [[r]], period=2)
+    plan = solve_ll(correction_qp(model, red, 0, BallSet(1, 100.0), [[q]], [[r]],
+                                  period=2),
+                    np.array([target]), aux_terminal)
     assert np.allclose(plan.u_steps.ravel(), u_hand, atol=1e-6)
     assert plan.terminal_residual <= 1e-7
 
@@ -91,8 +93,9 @@ def test_solve_ll_budget_and_reset():
     model = scalar_pair(couple=0.05)
     red = reduce_model(model, [1, 1])
     budget = BallSet(1, 0.4)
-    plan = solve_ll(model, red, 1, np.array([0.5]), rng.normal(size=2),
-                    budget, np.eye(1), [[10.0]], period=8)
+    plan = solve_ll(correction_qp(model, red, 1, budget, np.eye(1), [[10.0]],
+                                  period=8),
+                    np.array([0.5]), rng.normal(size=2))
     assert np.allclose(plan.states[0], 0.0)
     assert all(np.linalg.norm(u) <= budget.radius + 1e-7 for u in plan.u_steps)
     assert plan.terminal_residual <= 1e-7
@@ -102,8 +105,9 @@ def test_solve_ll_infeasible_when_target_too_far():
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
     with pytest.raises(InfeasibleLL) as err:
-        solve_ll(model, red, 0, np.array([50.0]), np.zeros(2),
-                 BallSet(1, 0.1), np.eye(1), np.eye(1), period=2)
+        solve_ll(correction_qp(model, red, 0, BallSet(1, 0.1), np.eye(1),
+                               np.eye(1), period=2),
+                 np.array([50.0]), np.zeros(2))
     assert err.value.subsystem == 0
     assert err.value.diagnostics["target_norm"] > 0
 
@@ -111,8 +115,9 @@ def test_solve_ll_infeasible_when_target_too_far():
 def test_apply_correction_feedback_form():
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
-    plan = solve_ll(model, red, 0, np.array([0.3]), np.zeros(2),
-                    BallSet(1, 10.0), np.eye(1), np.eye(1), period=3)
+    plan = solve_ll(correction_qp(model, red, 0, BallSet(1, 10.0), np.eye(1),
+                                  np.eye(1), period=3),
+                    np.array([0.3]), np.zeros(2))
     K_i = np.array([[-0.4]])
     measured = np.array([0.25])
     out = apply_correction(plan, K_i, measured, 1)
@@ -132,8 +137,9 @@ def test_decoupled_correction_reproduces_prediction():
     i = 0
     beta_i = red.beta_block(i, model)
     x_bar_pred = beta_i @ aux.terminal[model.state_slice(i)] + 0.15
-    plan = solve_ll(model, red, i, x_bar_pred, aux.terminal,
-                    BallSet(1, 10.0), np.eye(1), np.eye(1), period)
+    plan = solve_ll(correction_qp(model, red, i, BallSet(1, 10.0), np.eye(1),
+                                  np.eye(1), period),
+                    x_bar_pred, aux.terminal)
     x = x0.copy()
     for j in range(period):
         u = u_bar.copy()

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hiermpc.errors import UnboundedProblem
+from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
                             QuadraticProgram, Status, solve_lp, solve_qp)
 
@@ -224,6 +226,72 @@ def test_qp_zero_radius_ball():
     res = solve_qp(prob)
     assert abs(res.x[0]) <= 1e-8
     assert np.isclose(res.x[1], 1.0, atol=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), s=st.integers(1, 4),
+       radius=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       centred=st.booleans(),
+       places=st.lists(st.sampled_from(["inside", "on", "outside", "centre"]),
+                       min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_ball_matches_single_balls(k, s, radius, centred, places, seed):
+    # A (k, s) family projects and reports violation exactly as k separate
+    # balls do, row by row, whatever side of its ball each row is on.
+    rng = np.random.default_rng(seed)
+    indices = np.arange(k * s).reshape(k, s)
+    center = rng.normal(size=(k, s)) if centred else None
+    c = center if centred else np.zeros((k, s))
+    scale = {"inside": 0.5, "on": 1.0, "outside": 3.0, "centre": 0.0}
+    v = np.empty((k, s))
+    for row, place in enumerate(places[:k]):
+        direction = rng.normal(size=s)
+        direction /= np.linalg.norm(direction)
+        v[row] = c[row] + scale[place] * max(radius, 1e-3) * direction
+    stacked = BallConstraint(indices, radius, center)
+    singles = [BallConstraint(indices[row], radius,
+                              None if center is None else center[row])
+               for row in range(k)]
+    projected = stacked.project(v)
+    assert projected.shape == (k, s)
+    for row, ball in enumerate(singles):
+        assert np.array_equal(projected[row], ball.project(v[row]))
+        one_row = BallConstraint(indices[row:row + 1], radius,
+                                 None if center is None else center[row:row + 1])
+        assert one_row.violation(v[row:row + 1]) == ball.violation(v[row])
+    assert stacked.violation(v) == max(ball.violation(v[row])
+                                       for row, ball in enumerate(singles))
+
+
+def test_stacked_ball_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        BallConstraint(np.arange(6).reshape(3, 2), 1.0, center=np.zeros(6))
+    with pytest.raises(DimensionMismatch):
+        BallConstraint(np.arange(8).reshape(2, 2, 2), 1.0)
+
+
+def test_qp_stacked_budget_balls_match_single_balls():
+    # Lower-layer shape: one terminal equality row and one budget ball per
+    # step.  One stacked constraint and k single ones give the same solve.
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        k, s = int(rng.integers(2, 9)), int(rng.integers(1, 3))
+        d = k * s
+        M = rng.normal(size=(d, d))
+        H = M @ M.T + np.eye(d)
+        g = rng.normal(size=d) * 5.0
+        radius = float(rng.uniform(0.2, 1.0))
+        A_eq = rng.normal(size=(1, d))
+        b_eq = A_eq @ (0.5 * radius * rng.uniform(-1.0, 1.0, size=d) / np.sqrt(s))
+        steps = np.arange(d).reshape(k, s)
+        stacked = QuadraticProgram(H, g, A_eq, b_eq,
+                                   [BallConstraint(steps, radius)])
+        singles = QuadraticProgram(H, g, A_eq, b_eq,
+                                   [BallConstraint(row, radius) for row in steps])
+        res_stacked, res_singles = solve_qp(stacked), solve_qp(singles)
+        assert res_stacked.status is res_singles.status, f"trial {trial}"
+        assert res_stacked.status is Status.OPTIMAL, f"trial {trial}"
+        assert np.max(np.abs(res_stacked.x - res_singles.x)) <= 1e-10, f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
