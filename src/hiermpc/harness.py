@@ -231,6 +231,12 @@ def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
     return tuple(cols)
 
 
+def column_block(cols: tuple, rows: np.ndarray, prefix: str, count: int) -> np.ndarray:
+    """View of the `count` columns of `rows` named prefix0, prefix1, ..."""
+    start = cols.index(f"{prefix}0")
+    return rows[:, start:start + count]
+
+
 @dataclass(frozen=True)
 class TraceArchive:
     """One closed-loop run: per-rate records plus the design context."""
@@ -244,12 +250,10 @@ class TraceArchive:
     wall_clock: float
 
     def fast_block(self, prefix: str, count: int) -> np.ndarray:
-        start = self.fast_cols.index(f"{prefix}0")
-        return self.fast[:, start:start + count]
+        return column_block(self.fast_cols, self.fast, prefix, count)
 
     def slow_block(self, prefix: str, count: int) -> np.ndarray:
-        start = self.slow_cols.index(f"{prefix}0")
-        return self.slow[:, start:start + count]
+        return column_block(self.slow_cols, self.slow, prefix, count)
 
 
 # ---------------------------------------------------------------- run loop
@@ -260,8 +264,10 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
     Any slow- or fast-layer infeasibility aborts the run with the slow-step
     index attached to the exception diagnostics; nothing is clipped.  The
-    data of each layer's QP that does not change between ticks is built once
-    here, before the first tick.
+    data of each layer's QP that does not change between ticks, with its KKT
+    factors, is built once here, before the first tick.  The fast sub-loop
+    runs on the subsystem plans stacked side by side: one correction with
+    the decentralized gain and one plant step per fast step.
     """
     start = time.perf_counter()
     if bundle is None:
@@ -279,6 +285,14 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     s_cols = slow_columns(reduced.n_states, m, cfg.horizon)
     fast_rows = np.empty((cfg.n_slow_steps * N, len(f_cols)))
     slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
+    fast_rows[:, 0] = np.arange(fast_rows.shape[0])
+    # Column-block views of fast_rows; tick k fills rows k*N .. k*N + N-1.
+    fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
+            for prefix, width in (("x", n), ("xhat", n), ("dx", n), ("dxhat", n),
+                                  ("ubar", m), ("duhat", m), ("du", m), ("u", m),
+                                  ("margin", M))}
+    in_slices = [model.input_slice(i) for i in range(M)]
+    state_slices = [model.state_slice(i) for i in range(M)]
 
     hl_qp = tube_qp(hl, slow)
     ll_qps = [correction_qp(model, reduced, i,
@@ -309,25 +323,24 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                 exc.diagnostics["slow_step"] = k
                 raise
 
+        # The tick's rows, written as column blocks.
+        rows = slice(k * N, (k + 1) * N)
+        xs, dxhat, duhat, du = (fast[p][rows] for p in ("x", "dxhat", "duhat", "du"))
+        for i, plan in enumerate(plans):
+            duhat[:, in_slices[i]] = plan.u_steps
+            dxhat[:, state_slices[i]] = plan.states[:N]
         x_cur = x
         for j in range(N):
-            dx = x_cur - aux.states[j]
-            duhat = np.empty(m)
-            du = np.empty(m)
-            dxhat = np.empty(n)
-            for i in range(M):
-                su, sx = model.input_slice(i), model.state_slice(i)
-                duhat[su] = plans[i].u_steps[j]
-                dxhat[sx] = plans[i].states[j]
-                du[su] = apply_correction(plans[i], bundle.ll_gain.blocks[i],
-                                          dx[sx], j)
-            u = u_bar + du
-            margins = np.array([rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
-                                for i in range(M)])
-            fast_rows[k * N + j] = np.concatenate(
-                [[k * N + j], x_cur, aux.states[j], dx, dxhat, u_bar, duhat,
-                 du, u, margins])
-            x_cur = model.A @ x_cur + model.B @ u
+            xs[j] = x_cur
+            du[j] = apply_correction(duhat, dxhat, bundle.ll_gain,
+                                     x_cur - aux.states[j], j)
+            x_cur = model.A @ x_cur + model.B @ (u_bar + du[j])
+        u = fast["u"][rows] = u_bar + du
+        fast["xhat"][rows] = aux.states[:N]
+        fast["dx"][rows] = xs - aux.states[:N]
+        fast["ubar"][rows] = u_bar
+        fast["margin"][rows] = rho_u - np.column_stack(
+            [np.linalg.norm(u[:, s], axis=1) for s in in_slices])
 
         w_bar = reduced.beta @ x_cur - x_bar_pred
         tube_err = float(np.linalg.norm(x_proj - sol.x_nominal))

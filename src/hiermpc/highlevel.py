@@ -17,8 +17,8 @@ from .gains import dlqr, dlyap
 from .lti import InterconnectedModel
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet
-from .solver import (BallConstraint, EllipsoidConstraint, QuadraticProgram,
-                     Status, solve_qp)
+from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
+                     QuadraticProgram, Status, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class TubeQP:
 
     Decision vector: nominal states x_0..x_N, then inputs u_0..u_{N-1}.  Per
     tick only the centre of the tube ball around x_0 changes; cost, dynamics
-    equalities, the stacked input balls and the terminal ellipsoid are built
-    once by `tube_qp`.
+    equalities, the stacked input balls, the terminal ellipsoid and the KKT
+    factors of the slow solve are built once by `tube_qp`.
     """
 
     design: HLDesign
@@ -153,6 +153,7 @@ class TubeQP:
     A_eq: np.ndarray
     inputs: BallConstraint        # one ball per step, stacked (N, m)
     terminal: EllipsoidConstraint
+    factors: KKTFactors           # for the layout (tube, inputs, terminal)
 
 
 def tube_qp(design: HLDesign, slow: SlowModel) -> TubeQP:
@@ -183,7 +184,8 @@ def tube_qp(design: HLDesign, slow: SlowModel) -> TubeQP:
                             design.input_tight.radius)
     terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
                                    design.terminal.level)
-    return TubeQP(design, slow, H, A_eq, inputs, terminal)
+    factors = KKTFactors(H, A_eq, (x_idx(0), inputs.indices, terminal.indices))
+    return TubeQP(design, slow, H, A_eq, inputs, terminal, factors)
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
@@ -220,7 +222,7 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     tube = BallConstraint(x0, design.tube.radius, center=x_proj)
     prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
                             np.zeros(qp.A_eq.shape[0]),
-                            (tube, qp.inputs, qp.terminal))
+                            (tube, qp.inputs, qp.terminal), qp.factors)
     res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
         diagnostics = {

@@ -9,7 +9,7 @@ which is reset to the measured state at every slow tick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,7 @@ from .gains import dlqr
 from .lti import InterconnectedModel
 from .reduction import ReducedModel
 from .sets import BallSet
-from .solver import BallConstraint, QuadraticProgram, Status, solve_qp
+from .solver import BallConstraint, KKTFactors, QuadraticProgram, Status, solve_qp
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,39 @@ def simulate_auxiliary(model: InterconnectedModel, x_start: np.ndarray,
 
 @dataclass(frozen=True)
 class LLGain:
+    """Decentralized fast gain.  `gain @ x` is K @ x computed block by block,
+    one batched product per block shape, so that each u_i is bitwise the
+    K_i @ x_i of subsystem i alone (a dense product with K sums the zeros
+    in and may round differently)."""
+
     blocks: tuple          # per-subsystem K_i, u_i = K_i x_i
     K: np.ndarray          # block diagonal collective gain
     F: np.ndarray          # A + B K, Schur by construction
     rho: float
     rounds: int
+    # (state indices, input indices, blocks) per block shape, each stacked
+    # over the subsystems of that shape.
+    stacks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        groups = {}
+        row = col = 0
+        for blk in self.blocks:
+            m_i, n_i = blk.shape
+            states, inputs, blocks = groups.setdefault(blk.shape, ([], [], []))
+            states.append(np.arange(col, col + n_i))
+            inputs.append(np.arange(row, row + m_i))
+            blocks.append(blk)
+            row, col = row + m_i, col + n_i
+        object.__setattr__(self, "stacks", tuple(
+            (np.array(states), np.array(inputs), np.array(blocks))
+            for states, inputs, blocks in groups.values()))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(self.K.shape[0])
+        for states, inputs, blocks in self.stacks:
+            out[inputs] = (blocks @ x[states][..., None])[..., 0]
+        return out
 
 
 def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
@@ -111,7 +139,8 @@ class CorrectionQP:
     """The part of subsystem i's correction QP that is fixed for a run.
 
     Per tick only the terminal target b_eq changes; the cost, the terminal
-    map and the per-step budget balls are built once by `correction_qp`.
+    map, the per-step budget balls and the KKT factors are built once by
+    `correction_qp`.
     """
 
     subsystem: int
@@ -122,6 +151,7 @@ class CorrectionQP:
     H: np.ndarray
     A_eq: np.ndarray           # beta_i times the period-step reachability row
     budget: BallConstraint     # one ball per step, stacked (period, m_i)
+    factors: KKTFactors
 
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
@@ -138,8 +168,10 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
     Rbar = np.kron(np.eye(period), R_i)
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
     steps = np.arange(period * m_i).reshape(period, m_i)
-    return CorrectionQP(i, sub.A, sub.B, model.state_slice(i), beta_i, H,
-                        beta_i @ reach, BallConstraint(steps, budget.radius))
+    A_eq = beta_i @ reach
+    return CorrectionQP(i, sub.A, sub.B, model.state_slice(i), beta_i, H, A_eq,
+                        BallConstraint(steps, budget.radius),
+                        KKTFactors(H, A_eq, (steps,)))
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
@@ -158,7 +190,7 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
     rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
     prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
-                            (qp.budget,))
+                            (qp.budget,), qp.factors)
     res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
         # Smallest-total-energy sequence hitting the target, for diagnosis.
@@ -183,11 +215,14 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
                      res.iterations)
 
 
-def apply_correction(plan: DeltaPlan, gain_block: np.ndarray,
-                     delta_x_i: np.ndarray, j: int) -> np.ndarray:
-    """Correction input at fast offset j: planned step plus local feedback on
-    the measured-minus-planned deviation gap."""
-    if not 0 <= j < plan.u_steps.shape[0]:
+def apply_correction(u_plan: np.ndarray, x_plan: np.ndarray, gain: np.ndarray,
+                     delta_x: np.ndarray, j: int) -> np.ndarray:
+    """Correction input at fast offset j: planned step plus feedback on the
+    measured-minus-planned deviation gap, u_plan[j] + gain (delta_x - x_plan[j]).
+
+    Takes one subsystem's plan with its gain block K_i, or the plans of all
+    subsystems stacked side by side with their `LLGain`; the two are the same
+    decentralized law, to the bit."""
+    if not 0 <= j < u_plan.shape[0]:
         raise DimensionMismatch(f"fast offset {j} outside the plan horizon")
-    return plan.u_steps[j] + gain_block @ (np.asarray(delta_x_i, dtype=float)
-                                           - plan.states[j])
+    return u_plan[j] + gain @ (np.asarray(delta_x, dtype=float) - x_plan[j])

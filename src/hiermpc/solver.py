@@ -1,14 +1,18 @@
 """In-house convex solvers: operator-splitting QP and dense simplex LP.
 
 The QP path is ADMM with exact equality handling: equalities live inside the
-x-update KKT system (factored once per penalty value), set memberships are
-enforced by Euclidean projection in the z-update.  The splitting state z, u
-is one flat vector over the concatenated index sets of all constraints, so
-scatters into the x-update and the residuals are single array operations,
-and each iteration projects once per constraint.  A `BallConstraint` whose
-`indices` have shape (k, s) is a family of k balls of one radius on the rows
-(the per-step input budgets of a horizon); it projects all rows in one
-vectorized call.  Consequences that the controllers rely on:
+x-update KKT system, set memberships are enforced by Euclidean projection in
+the z-update.  The KKT matrix depends only on H, A_eq, the constraint index
+layout and the penalty rho, so it is factored once per penalty value per
+run, cached on the constant QP (`KKTFactors`); an iteration then costs one
+LAPACK triangular solve on the cached factors plus vector arithmetic.  The
+splitting state z, u is one flat vector over the concatenated index sets of
+all constraints, so scatters into the x-update and the residuals are single
+array operations, and each iteration projects once per constraint.  A
+`BallConstraint` whose `indices` have shape (k, s) is a family of k balls of
+one radius on the rows (the per-step input budgets of a horizon); it
+projects all rows in one vectorized call.  Consequences that the controllers
+rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
   * set constraints are satisfied to tol_primal at termination,
@@ -21,10 +25,12 @@ optimizer when the optimal face is not a single vertex.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrs
 
 from .errors import DimensionMismatch, UnboundedProblem
 
@@ -64,7 +70,7 @@ class BallConstraint:
     def project(self, v: np.ndarray) -> np.ndarray:
         c = self.center if self.center is not None else 0.0
         d = v - c
-        norm = np.linalg.norm(d, axis=-1, keepdims=True)
+        norm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
         outside = norm > self.radius
         if not outside.any():
             return v
@@ -190,13 +196,18 @@ SetConstraint = BallConstraint | BoxConstraint | EllipsoidConstraint
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 1/2 x'Hx + g'x  s.t.  A_eq x = b_eq, x[S_c] in C_c for each c."""
+    """min 1/2 x'Hx + g'x  s.t.  A_eq x = b_eq, x[S_c] in C_c for each c.
+
+    `factors` are the KKT factors of the problem's constant part; a problem
+    without them gets a fresh, private `KKTFactors` when it is solved.
+    """
 
     H: np.ndarray
     g: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     constraints: tuple = ()
+    factors: KKTFactors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -234,14 +245,72 @@ class SolveResult:
 
 def _kkt_factor(H_aug: np.ndarray, A_eq: np.ndarray | None):
     if A_eq is None:
-        return scipy.linalg.lu_factor(H_aug), 0
+        return scipy.linalg.lu_factor(H_aug)
     r = A_eq.shape[0]
     d = H_aug.shape[0]
     K = np.zeros((d + r, d + r))
     K[:d, :d] = H_aug
     K[:d, d:] = A_eq.T
     K[d:, :d] = A_eq
-    return scipy.linalg.lu_factor(K), r
+    return scipy.linalg.lu_factor(K)
+
+
+def _kkt_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK getrs on LU factors; what `scipy.linalg.lu_solve` calls,
+    without its argument checks."""
+    lu, piv = factor
+    return dgetrs(lu, piv, rhs)[0]
+
+
+def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector, as `np.linalg.norm` computes it."""
+    return math.sqrt(v @ v)
+
+
+class KKTFactors:
+    """LU factors of the ADMM x-update KKT matrix of one constant QP.
+
+    The matrix [[H + rho S'S, A_eq'], [A_eq, 0]] depends on H, A_eq, the
+    constraint index layout (through S'S) and the penalty rho, but not on
+    g, b_eq or the constraint sets' radii and centres.  A controller that
+    solves the same QP every tick builds one `KKTFactors` and passes it with
+    each problem; `solve_qp` factors once per penalty value it has not seen
+    and refuses a problem whose H, A_eq or layout differ from the record.
+    """
+
+    def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
+        self.H = np.atleast_2d(np.asarray(H, dtype=float))
+        self.A_eq = None if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
+        self.layout = tuple(np.asarray(s, dtype=int) for s in layout)
+        d = self.H.shape[0]
+        # Flat splitting state: constraint c owns z[bounds[c]:bounds[c + 1]],
+        # laid out like its (raveled) indices.
+        self.idx = np.concatenate([s.ravel() for s in self.layout]
+                                  or [np.zeros(0, dtype=int)])
+        self.bounds = np.cumsum([0] + [s.size for s in self.layout])
+        self.S_terms = np.diag(np.bincount(self.idx, minlength=d).astype(float))
+        diag_scale = float(np.mean(np.abs(np.diag(self.H))))
+        self.rho_init = diag_scale if diag_scale > 0 else 1.0
+        self.by_rho = {}
+
+    def check(self, problem: QuadraticProgram) -> None:
+        cons = problem.constraints
+        if not (_same(problem.H, self.H) and _same(problem.A_eq, self.A_eq)
+                and len(cons) == len(self.layout)
+                and all(_same(c.indices, s) for c, s in zip(cons, self.layout))):
+            raise DimensionMismatch("KKT factors were built for another H, A_eq "
+                                    "or constraint index layout")
+
+    def factor(self, rho: float):
+        factor = self.by_rho.get(rho)
+        if factor is None:
+            H_aug = self.H + rho * self.S_terms if self.layout else self.H
+            factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
+        return factor
 
 
 def solve_qp(problem: QuadraticProgram,
@@ -255,17 +324,21 @@ def solve_qp(problem: QuadraticProgram,
     Infeasibility is declared when the iterate displacement settles on a
     nonzero direction while residuals stay above 1e3*tol for 500 consecutive
     iterations (the standard divergence certificate for splitting methods).
+    Raises DimensionMismatch when `problem.factors` were built for another
+    H, A_eq or constraint layout.
     """
     d = problem.dim
     cons = problem.constraints
-    diag_scale = float(np.mean(np.abs(np.diag(problem.H))))
-    rho = diag_scale if diag_scale > 0 else 1.0
-    rho_init = rho
+    kkt = problem.factors
+    if kkt is None:
+        kkt = KKTFactors(problem.H, problem.A_eq, [c.indices for c in cons])
+    kkt.check(problem)
+    r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
+    rho = rho_init = kkt.rho_init
 
     if not cons:
-        factor, r = _kkt_factor(problem.H, problem.A_eq)
         rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
-        sol = scipy.linalg.lu_solve(factor, rhs)
+        sol = _kkt_solve(kkt.factor(rho), rhs)
         x = sol[:d]
         obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
         eq_res = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
@@ -276,17 +349,13 @@ def solve_qp(problem: QuadraticProgram,
         return SolveResult(x, obj, Status.OPTIMAL, eq_res,
                            float(np.max(np.abs(grad))), 0)
 
-    # Flat splitting state: constraint c owns z[bounds[c]:bounds[c + 1]],
-    # laid out like its (raveled) indices.
-    idx = np.concatenate([c.indices.ravel() for c in cons])
-    bounds = np.cumsum([0] + [c.indices.size for c in cons])
-    parts = [(c, slice(lo, hi)) for c, lo, hi in zip(cons, bounds[:-1], bounds[1:])]
-    S_terms = np.diag(np.bincount(idx, minlength=d).astype(float))
-
-    def factorize(rho_val):
-        return _kkt_factor(problem.H + rho_val * S_terms, problem.A_eq)
-
-    factor, r = factorize(rho)
+    idx = kkt.idx
+    parts = [(c, slice(lo, hi))
+             for c, lo, hi in zip(cons, kkt.bounds[:-1], kkt.bounds[1:])]
+    factor = kkt.factor(rho)
+    rhs = np.empty(d + r)
+    if r:
+        rhs[d:] = problem.b_eq
 
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
     z = x[idx]
@@ -298,9 +367,9 @@ def solve_qp(problem: QuadraticProgram,
     status = Status.MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        rhs_top = np.bincount(idx, weights=rho * (z - u), minlength=d) - problem.g
-        rhs = np.concatenate([rhs_top, problem.b_eq]) if r else rhs_top
-        x = scipy.linalg.lu_solve(factor, rhs)[:d]
+        np.subtract(np.bincount(idx, weights=rho * (z - u), minlength=d),
+                    problem.g, out=rhs[:d])
+        x = _kkt_solve(factor, rhs)[:d]
 
         sx = x[idx]
         h = alpha * sx + (1.0 - alpha) * z
@@ -310,8 +379,8 @@ def solve_qp(problem: QuadraticProgram,
             z_new[part] = c.project(v[part].reshape(c.indices.shape)).ravel()
         u += h - z_new
 
-        primal = float(np.linalg.norm(sx - z_new))
-        dual = rho * float(np.linalg.norm(z_new - z))
+        primal = _norm(sx - z_new)
+        dual = rho * _norm(z_new - z)
         z = z_new
 
         if primal <= tol_primal and dual <= tol_dual:
@@ -320,8 +389,8 @@ def solve_qp(problem: QuadraticProgram,
 
         if it % 5 == 0:
             if prev_disp is not None:
-                move = float(np.linalg.norm(z - prev_disp))
-                if (move <= 1e-10 * (1.0 + float(np.linalg.norm(z)))
+                move = _norm(z - prev_disp)
+                if (move <= 1e-10 * (1.0 + _norm(z))
                         and primal > 1e3 * tol_primal):
                     stall_count += 5
                 else:
@@ -337,11 +406,11 @@ def solve_qp(problem: QuadraticProgram,
             if primal > 10.0 * dual and dual > 0 and rho < 1e8 * rho_init:
                 rho *= 2.0
                 u /= 2.0
-                factor, r = factorize(rho)
+                factor = kkt.factor(rho)
             elif dual > 10.0 * primal and primal >= 0 and rho > 1e-8 * rho_init:
                 rho /= 2.0
                 u *= 2.0
-                factor, r = factorize(rho)
+                factor = kkt.factor(rho)
 
     obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
     set_violation = max(c.violation(x[c.indices]) for c in cons)

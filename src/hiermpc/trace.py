@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harness import (DesignBundle, RunConfig, TraceArchive, config_digest,
-                      config_from_dict, config_to_dict, design_from_dict,
-                      design_to_dict, report_from_dict, report_to_dict)
+from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
+                      config_digest, config_from_dict, config_to_dict,
+                      design_from_dict, design_to_dict, report_from_dict,
+                      report_to_dict)
 from .highlevel import lifted_input_matrix
 from .lti import InterconnectedModel
 from .model_io import load_model, save_model
@@ -152,15 +153,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _col(cols: tuple, rows: np.ndarray, name: str) -> np.ndarray:
-    return rows[:, cols.index(name)]
-
-
-def _block(cols: tuple, rows: np.ndarray, prefix: str, count: int) -> np.ndarray:
-    start = cols.index(f"{prefix}0")
-    return rows[:, start:start + count]
-
-
 def verify_archive(path) -> VerifyReport:
     """Re-check every runtime invariant of a stored run from first
     principles: nothing recorded is trusted except the raw states, inputs
@@ -191,11 +183,11 @@ def verify_archive(path) -> VerifyReport:
     hash_ok = arc.metadata.get("config_sha256") == config_digest(cfg)
     add("config_hash", 0.0 if hash_ok else 1.0, 0)
 
-    x = _block(arc.fast_cols, arc.fast, "x", n)
-    u = _block(arc.fast_cols, arc.fast, "u", m)
-    ubar_f = _block(arc.fast_cols, arc.fast, "ubar", m)
-    du = _block(arc.fast_cols, arc.fast, "du", m)
-    duhat = _block(arc.fast_cols, arc.fast, "duhat", m)
+    x = column_block(arc.fast_cols, arc.fast, "x", n)
+    u = column_block(arc.fast_cols, arc.fast, "u", m)
+    ubar_f = column_block(arc.fast_cols, arc.fast, "ubar", m)
+    du = column_block(arc.fast_cols, arc.fast, "du", m)
+    duhat = column_block(arc.fast_cols, arc.fast, "duhat", m)
     states_next = np.vstack([x[1:], arc.final_state[None, :]])
 
     # Every recorded transition must be reproduced by the model.
@@ -221,25 +213,25 @@ def verify_archive(path) -> VerifyReport:
     beta = bundle.reduced.beta
     xk = np.vstack([x[::N], arc.final_state[None, :]])  # slow boundary states
     proj = xk @ beta.T
-    ubar_s = _block(arc.slow_cols, arc.slow, "ubar", m)
+    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
     w_meas = proj[1:] - proj[:-1] @ bundle.slow.A.T - ubar_s @ bundle.slow.B.T
-    w_rec = _block(arc.slow_cols, arc.slow, "wbar", n_red)
+    w_rec = column_block(arc.slow_cols, arc.slow, "wbar", n_red)
     add("disturbance_record", float(np.max(np.abs(w_meas - w_rec))), 1e-9)
     add("disturbance_bound",
         float(np.max(np.linalg.norm(w_meas, axis=1))),
         bundle.report.rho_w + 1e-12)
 
     # Projection consistency and tube containment at every slow tick.
-    xproj_rec = _block(arc.slow_cols, arc.slow, "xproj", n_red)
+    xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
     add("projection_record", float(np.max(np.abs(proj[:-1] - xproj_rec))), 1e-12)
-    xnom = _block(arc.slow_cols, arc.slow, "xnom", n_red)
+    xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
     tube_err = np.linalg.norm(xproj_rec - xnom, axis=1)
     add("tube_containment", float(np.max(tube_err)),
         bundle.hl.tube.radius + 1e-7)
 
     # Nominal plan internally consistent: xnext = A xnom + B useq[0].
-    xnext = _block(arc.slow_cols, arc.slow, "xnext", n_red)
-    useq0 = _block(arc.slow_cols, arc.slow, "useq0_", m)
+    xnext = column_block(arc.slow_cols, arc.slow, "xnext", n_red)
+    useq0 = column_block(arc.slow_cols, arc.slow, "useq0_", m)
     plan_res = xnext - xnom @ bundle.slow.A.T - useq0 @ bundle.slow.B.T
     add("nominal_plan_residual", float(np.max(np.abs(plan_res))), 1e-7)
 

@@ -12,6 +12,9 @@ from hiermpc.harness import (RunConfig, config_digest, config_from_dict,
                              config_to_dict, design_from_dict, design_pipeline,
                              design_to_dict, report_from_dict, report_to_dict,
                              run_closed_loop)
+from hiermpc.highlevel import solve_hl, tube_qp
+from hiermpc.lowlevel import correction_qp, simulate_auxiliary, solve_ll
+from hiermpc.sets import BallSet
 from hiermpc.thermal import build_thermal_model, default_building
 from hiermpc.trace import archive_digest, load_archive, verify_archive, \
     write_archive
@@ -81,6 +84,60 @@ def test_decoupled_disturbance_vanishes():
     arc = run_closed_loop(model, cfg)
     n_red = sum(cfg.retained_orders)
     assert np.max(np.abs(arc.slow_block("wbar", n_red))) <= 1e-12
+
+
+def per_subsystem_run(model, cfg, bundle):
+    """Reference closed loop whose fast sub-loop is written per subsystem:
+    one correction per subsystem and one record row at a time.  Returns the
+    fast records and the final state."""
+    reduced, slow, N, M = bundle.reduced, bundle.slow, cfg.period, model.n_subsystems
+    n, m = model.n_states, model.n_inputs
+    rho_u = model.input_radii()
+    hl_qp = tube_qp(bundle.hl, slow)
+    ll_qps = [correction_qp(model, reduced, i,
+                            BallSet(model.subsystems[i].n_inputs,
+                                    float(bundle.radii.rho_delta_u_hat[i])),
+                            bundle.ll_Q[i], bundle.ll_R[i], N)
+              for i in range(M)]
+    x = np.asarray(cfg.x0, dtype=float)
+    rows = []
+    for k in range(cfg.n_slow_steps):
+        x_proj = reduced.beta @ x
+        sol = solve_hl(hl_qp, x_proj, cfg.tol_primal, cfg.tol_dual,
+                       cfg.max_iters, first_step=(k == 0))
+        u_bar = sol.u_applied
+        x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
+        aux = simulate_auxiliary(model, x, u_bar, N)
+        plans = [solve_ll(ll_qps[i], x_bar_pred[reduced.block_slice(i)],
+                          aux.terminal, cfg.tol_primal, cfg.tol_dual,
+                          cfg.max_iters) for i in range(M)]
+        for j in range(N):
+            dx = x - aux.states[j]
+            duhat, du, dxhat = np.empty(m), np.empty(m), np.empty(n)
+            for i, plan in enumerate(plans):
+                su, sx = model.input_slice(i), model.state_slice(i)
+                duhat[su] = plan.u_steps[j]
+                dxhat[sx] = plan.states[j]
+                du[su] = plan.u_steps[j] + bundle.ll_gain.blocks[i] @ (
+                    dx[sx] - plan.states[j])
+            u = u_bar + du
+            margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
+                       for i in range(M)]
+            rows.append(np.concatenate([[k * N + j], x, aux.states[j], dx, dxhat,
+                                        u_bar, duhat, du, u, margins]))
+            x = model.A @ x + model.B @ u
+    return np.array(rows), x
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled):
+    model = build_thermal_model(default_building(decoupled=decoupled))
+    cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
+    bundle = design_pipeline(model, cfg)
+    arc = run_closed_loop(model, cfg, bundle)
+    fast, final_state = per_subsystem_run(model, cfg, bundle)
+    assert np.array_equal(arc.fast, fast)
+    assert np.array_equal(arc.final_state, final_state)
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):

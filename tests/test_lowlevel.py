@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hiermpc.errors import InfeasibleLL
-from hiermpc.lowlevel import (apply_correction, correction_prediction,
+from hiermpc.lowlevel import (LLGain, apply_correction, correction_prediction,
                               correction_qp, design_ll_gain, simulate_auxiliary,
                               solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
@@ -120,9 +121,26 @@ def test_apply_correction_feedback_form():
                     np.array([0.3]), np.zeros(2))
     K_i = np.array([[-0.4]])
     measured = np.array([0.25])
-    out = apply_correction(plan, K_i, measured, 1)
+    out = apply_correction(plan.u_steps, plan.states, K_i, measured, 1)
     expected = plan.u_steps[1] + K_i @ (measured - plan.states[1])
     assert np.allclose(out, expected)
+
+
+def test_ll_gain_product_is_blockwise():
+    # Blocks of two shapes, interleaved: each u_i is bitwise K_i x_i, as a
+    # subsystem computes it alone, and the whole is the dense K x.
+    rng = np.random.default_rng(5)
+    blocks = tuple(rng.normal(size=shape)
+                   for shape in [(1, 5), (2, 3), (1, 5), (2, 3)])
+    K = scipy.linalg.block_diag(*blocks)
+    gain = LLGain(blocks, K, np.eye(K.shape[1]), 0.5, 1)
+    cols = np.cumsum([0] + [blk.shape[1] for blk in blocks])
+    for _ in range(50):
+        x = rng.normal(size=K.shape[1])
+        expected = np.concatenate([blk @ x[lo:hi] for blk, lo, hi
+                                   in zip(blocks, cols[:-1], cols[1:])])
+        assert np.array_equal(gain @ x, expected)
+        assert np.allclose(gain @ x, K @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_decoupled_correction_reproduces_prediction():

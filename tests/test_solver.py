@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
-                            QuadraticProgram, Status, solve_lp, solve_qp)
+                            KKTFactors, QuadraticProgram, Status, solve_lp,
+                            solve_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,72 @@ def test_qp_stacked_budget_balls_match_single_balls():
         assert res_stacked.status is res_singles.status, f"trial {trial}"
         assert res_stacked.status is Status.OPTIMAL, f"trial {trial}"
         assert np.max(np.abs(res_stacked.x - res_singles.x)) <= 1e-10, f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# KKT factor cache
+
+
+def ll_shaped_instance(seed):
+    """Lower-layer shape (two terminal equality rows, one budget ball per
+    step) with 20 right-hand sides (g, b_eq); the budget is tight enough
+    that residual balancing moves rho."""
+    rng = np.random.default_rng(seed)
+    k, s = 6, 2
+    d = k * s
+    M = rng.normal(size=(d, d))
+    H = M @ M.T + np.eye(d)
+    A_eq = rng.normal(size=(2, d))
+    steps = np.arange(d).reshape(k, s)
+    rhs = [(rng.normal(size=d), A_eq @ (0.4 * rng.uniform(-1.0, 1.0, size=d)))
+           for _ in range(20)]
+    return H, A_eq, BallConstraint(steps, 0.5), rhs
+
+
+def test_factor_cache_reuse_is_bitwise_identical(monkeypatch):
+    H, A_eq, ball, rhs = ll_shaped_instance(0)
+    shared = KKTFactors(H, A_eq, (ball.indices,))
+    lu_factor = scipy.linalg.lu_factor
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a: calls.append(a.shape) or lu_factor(a))
+    shared_calls = 0
+    for g, b_eq in rhs:
+        before = len(calls)
+        res_shared = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (ball,), shared))
+        shared_calls += len(calls) - before
+        res_fresh = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (ball,)))
+        assert np.array_equal(res_shared.x, res_fresh.x)
+        for name in ("status", "iterations", "objective", "primal_residual",
+                     "dual_residual"):
+            assert getattr(res_shared, name) == getattr(res_fresh, name), name
+    # Residual balancing visited several penalties; each was factored once.
+    assert len(shared.by_rho) >= 2
+    assert shared_calls == len(shared.by_rho)
+
+
+def test_factor_cache_refuses_other_problem_data():
+    H, A_eq, ball, rhs = ll_shaped_instance(1)
+    g, b_eq = rhs[0]
+    kkt = KKTFactors(H, A_eq, (ball.indices,))
+    # Equal data in other arrays, and another radius, are the same KKT.
+    same = QuadraticProgram(H.copy(), g, A_eq.copy(), b_eq,
+                            (BallConstraint(ball.indices.copy(), 0.9),), kkt)
+    assert solve_qp(same).status is Status.OPTIMAL
+    steps = ball.indices
+    others = [
+        QuadraticProgram(2.0 * H, g, A_eq, b_eq, (ball,), kkt),
+        QuadraticProgram(H, g, -A_eq, b_eq, (ball,), kkt),
+        QuadraticProgram(H, g, A_eq[:1], b_eq[:1], (ball,), kkt),
+        QuadraticProgram(H, g, None, None, (ball,), kkt),
+        QuadraticProgram(H, g, A_eq, b_eq, (BallConstraint(steps[:, ::-1], 0.5),), kkt),
+        QuadraticProgram(H, g, A_eq, b_eq, (BallConstraint(steps.ravel(), 0.5),), kkt),
+        QuadraticProgram(H, g, A_eq, b_eq, (ball, BallConstraint(steps[0], 1.0)), kkt),
+        QuadraticProgram(H, g, A_eq, b_eq, (), kkt),
+    ]
+    for other in others:
+        with pytest.raises(DimensionMismatch):
+            solve_qp(other)
 
 
 # ---------------------------------------------------------------------------
