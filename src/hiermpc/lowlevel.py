@@ -139,13 +139,12 @@ class CorrectionQP:
     """The part of subsystem i's correction QP that is fixed for a run.
 
     Per tick only the terminal target b_eq changes; the cost, the terminal
-    map, the per-step budget balls and the KKT factors are built once by
-    `correction_qp`.
+    map, the per-step budget balls, the plan rollout and the KKT factors are
+    built once by `correction_qp`.
     """
 
     subsystem: int
-    A: np.ndarray              # subsystem dynamics, for the planned rollout
-    B: np.ndarray
+    rollout: np.ndarray        # [Gamma; reach]: inputs -> states 1..period
     state_slice: slice         # subsystem i's states in the full state
     beta: np.ndarray           # projection block beta_i
     H: np.ndarray
@@ -169,7 +168,8 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
     steps = np.arange(period * m_i).reshape(period, m_i)
     A_eq = beta_i @ reach
-    return CorrectionQP(i, sub.A, sub.B, model.state_slice(i), beta_i, H, A_eq,
+    return CorrectionQP(i, np.vstack([Gamma, reach]), model.state_slice(i),
+                        beta_i, H, A_eq,
                         BallConstraint(steps, budget.radius),
                         KKTFactors(H, A_eq, (steps,)))
 
@@ -207,9 +207,8 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
                          "budget": radius,
                          "least_norm_sequence": min_norm})
     u_steps = res.x.reshape(qp.budget.indices.shape)
-    states = np.zeros((u_steps.shape[0] + 1, qp.A.shape[0]))
-    for j in range(u_steps.shape[0]):
-        states[j + 1] = qp.A @ states[j] + qp.B @ u_steps[j]
+    states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
+    states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
     terminal_residual = float(np.max(np.abs(qp.beta @ states[-1] - rhs)))
     return DeltaPlan(i, u_steps, states, terminal_residual, res.objective,
                      res.iterations)

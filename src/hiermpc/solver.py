@@ -11,8 +11,16 @@ all constraints, so scatters into the x-update and the residuals are single
 array operations, and each iteration projects once per constraint.  A
 `BallConstraint` whose `indices` have shape (k, s) is a family of k balls of
 one radius on the rows (the per-step input budgets of a horizon); it
-projects all rows in one vectorized call.  Consequences that the controllers
-rely on:
+projects all rows in one vectorized call.
+
+Before ADMM, every solve tries the empty active set (the guess of OSQP's
+solution polishing, tried first instead of last): one solve on the rho = 0
+factors, [[H, A_eq'], [A_eq, 0]], gives the optimum of the equality-only
+problem.  If it is finite, lies inside every set (violation exactly 0.0)
+and meets tol_primal on the equality residual and tol_dual on stationarity,
+the KKT conditions hold with zero set multipliers: it is returned as
+OPTIMAL with 0 iterations.  Otherwise ADMM runs from the usual start.
+Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
   * set constraints are satisfied to tol_primal at termination,
@@ -25,7 +33,9 @@ optimizer when the optimal face is not a single vertex.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,7 +289,8 @@ class KKTFactors:
     g, b_eq or the constraint sets' radii and centres.  A controller that
     solves the same QP every tick builds one `KKTFactors` and passes it with
     each problem; `solve_qp` factors once per penalty value it has not seen
-    and refuses a problem whose H, A_eq or layout differ from the record.
+    (rho = 0 is the equality-only system of the first solve) and refuses a
+    problem whose H, A_eq or layout differ from the record.
     """
 
     def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
@@ -309,8 +320,20 @@ class KKTFactors:
         factor = self.by_rho.get(rho)
         if factor is None:
             H_aug = self.H + rho * self.S_terms if self.layout else self.H
-            factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
+            with warnings.catch_warnings():
+                if rho == 0.0 and self.layout:
+                    # Only a guess: when the sets are what make the problem
+                    # well posed, a singular system just sends the solve to
+                    # ADMM.
+                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
         return factor
+
+    @functools.cached_property
+    def multiplier_map(self) -> np.ndarray:
+        """Least-squares operator of A_eq', pinv(A_eq'): the equality
+        multipliers that best close a stationarity gap are map @ (-gap)."""
+        return np.linalg.pinv(self.A_eq.T)
 
 
 def solve_qp(problem: QuadraticProgram,
@@ -319,13 +342,18 @@ def solve_qp(problem: QuadraticProgram,
              max_iters: int = 50_000,
              over_relaxation: float = 1.6,
              x0: np.ndarray | None = None) -> SolveResult:
-    """ADMM solve; see module docstring for the splitting and its guarantees.
+    """Equality-first solve, then ADMM; see module docstring for the
+    splitting and its guarantees.  `iterations` is 0 when the equality-only
+    optimum was the answer.
 
     Infeasibility is declared when the iterate displacement settles on a
     nonzero direction while residuals stay above 1e3*tol for 500 consecutive
-    iterations (the standard divergence certificate for splitting methods).
-    Raises DimensionMismatch when `problem.factors` were built for another
-    H, A_eq or constraint layout.
+    iterations.  That is a stall heuristic, not a certificate, and it gives
+    false positives on feasible, ill-conditioned problems: the
+    `highlevel.feasibility_gap` QP of `test_solve_hl_infeasible_reports_gap`
+    is feasible at x = 0 and comes back INFEASIBLE.  Raises DimensionMismatch
+    when `problem.factors` were built for another H, A_eq or constraint
+    layout.
     """
     d = problem.dim
     cons = problem.constraints
@@ -334,21 +362,25 @@ def solve_qp(problem: QuadraticProgram,
         kkt = KKTFactors(problem.H, problem.A_eq, [c.indices for c in cons])
     kkt.check(problem)
     r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
-    rho = rho_init = kkt.rho_init
 
-    if not cons:
-        rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
-        sol = _kkt_solve(kkt.factor(rho), rhs)
-        x = sol[:d]
-        obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
+    # Equality-first: the optimum with no set active, multipliers included;
+    # without sets it is the answer, since there is nothing else to try.
+    rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
+    sol = _kkt_solve(kkt.factor(0.0), rhs)
+    x = sol[:d]
+    if not cons or (np.isfinite(sol).all()
+                    and all(c.violation(x[c.indices]) == 0.0 for c in cons)):
         eq_res = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
                   if r else 0.0)
         grad = problem.H @ x + problem.g
         if r:
             grad = grad + problem.A_eq.T @ sol[d:]
-        return SolveResult(x, obj, Status.OPTIMAL, eq_res,
-                           float(np.max(np.abs(grad))), 0)
+        dual_res = float(np.max(np.abs(grad)))
+        if not cons or (eq_res <= tol_primal and dual_res <= tol_dual):
+            obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
+            return SolveResult(x, obj, Status.OPTIMAL, eq_res, dual_res, 0)
 
+    rho = rho_init = kkt.rho_init
     idx = kkt.idx
     parts = [(c, slice(lo, hi))
              for c, lo, hi in zip(cons, kkt.bounds[:-1], kkt.bounds[1:])]
@@ -420,8 +452,7 @@ def solve_qp(problem: QuadraticProgram,
     grad = problem.H @ x + problem.g + np.bincount(idx, weights=rho * u, minlength=d)
     if r:
         # Recover equality multipliers by least squares on the stationarity gap.
-        nu, *_ = np.linalg.lstsq(problem.A_eq.T, -grad, rcond=None)
-        grad = grad + problem.A_eq.T @ nu
+        grad = grad + problem.A_eq.T @ (kkt.multiplier_map @ -grad)
     dual_res = float(np.max(np.abs(grad)))
     if status is Status.OPTIMAL and primal_res > 10 * tol_primal:
         status = Status.MAX_ITERS

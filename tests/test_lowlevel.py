@@ -113,6 +113,27 @@ def test_solve_ll_infeasible_when_target_too_far():
     assert err.value.diagnostics["target_norm"] > 0
 
 
+def test_plan_states_follow_subsystem_dynamics():
+    # The plan's states come from one product with the stacked prediction
+    # maps; they are the subsystem's own recursion x+ = A_i x + B_i u.
+    subs = [SubsystemModel(A=[[0.5, 0.1], [0.0, 0.6]], B=[[1.0, 0.0], [0.5, 1.0]],
+                           E=[[1.0], [0.0]], C_z=[[1.0, 0.0]],
+                           input_set=BallSet(2, 10.0)) for _ in range(2)]
+    model = assemble(subs, CouplingMap(((None, [[0.05]]), ([[0.05]], None))))
+    red = reduce_model(model, [1, 1])
+    for budget, binds in ((10.0, False), (0.3, True)):
+        plan = solve_ll(correction_qp(model, red, 1, BallSet(2, budget), np.eye(2),
+                                      np.eye(2), period=7),
+                        np.array([0.4]), np.zeros(4))
+        assert (plan.iterations > 0) is binds
+        assert plan.states.shape == (8, 2)
+        assert np.array_equal(plan.states[0], np.zeros(2))
+        sub = model.subsystems[1]
+        for j in range(7):
+            step = sub.A @ plan.states[j] + sub.B @ plan.u_steps[j]
+            assert np.max(np.abs(plan.states[j + 1] - step)) <= 1e-12
+
+
 def test_apply_correction_feedback_form():
     model = scalar_pair()
     red = reduce_model(model, [1, 1])

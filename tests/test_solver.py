@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def lp_oracle_vertices(c, A_in, b_in, lb):
             if best is None or val > best[0]:
                 best = (val, v)
     return best
+
+
+def assert_projected_kkt(H, g, x, balls):
+    """The gradient is a nonnegative combination of the normals of the
+    active balls (centred at 0) and vanishes on the inactive ones."""
+    grad = H @ x + g
+    for c in balls:
+        v = x[c.indices]
+        nv = np.linalg.norm(v)
+        if nv >= c.radius - 1e-6:  # active: gradient anti-parallel to normal
+            normal = v / nv
+            tangential = grad[c.indices] - (grad[c.indices] @ normal) * normal
+            assert np.linalg.norm(tangential) <= 1e-5
+            assert grad[c.indices] @ normal <= 1e-7
+        else:
+            assert np.linalg.norm(grad[c.indices]) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +193,7 @@ def test_qp_two_balls_projection_fixed_point():
     b2 = BallConstraint(np.array([2, 3]), 0.25)
     res = solve_qp(QuadraticProgram(H, g, constraints=[b1, b2]))
     assert res.status is Status.OPTIMAL
-    x = res.x
-    grad = H @ x + g
-    for c in (b1, b2):
-        v = x[c.indices]
-        nv = np.linalg.norm(v)
-        if nv >= c.radius - 1e-6:  # active: gradient anti-parallel to normal
-            normal = v / nv
-            tangential = grad[c.indices] - (grad[c.indices] @ normal) * normal
-            assert np.linalg.norm(tangential) <= 1e-5
-            assert grad[c.indices] @ normal <= 1e-7
-        else:
-            assert np.linalg.norm(grad[c.indices]) <= 1e-5
+    assert_projected_kkt(H, g, res.x, (b1, b2))
 
 
 def test_qp_infeasible_divergence_certificate():
@@ -332,8 +338,9 @@ def test_factor_cache_reuse_is_bitwise_identical(monkeypatch):
         for name in ("status", "iterations", "objective", "primal_residual",
                      "dual_residual"):
             assert getattr(res_shared, name) == getattr(res_fresh, name), name
-    # Residual balancing visited several penalties; each was factored once.
-    assert len(shared.by_rho) >= 2
+    # Residual balancing visited several penalties; each was factored once,
+    # as was the equality-only system (rho = 0) of the first solve.
+    assert len([rho for rho in shared.by_rho if rho > 0]) >= 2
     assert shared_calls == len(shared.by_rho)
 
 
@@ -359,6 +366,96 @@ def test_factor_cache_refuses_other_problem_data():
     for other in others:
         with pytest.raises(DimensionMismatch):
             solve_qp(other)
+
+
+# ---------------------------------------------------------------------------
+# Equality-first solves
+
+
+def kkt_oracle(H, g, A_eq, b_eq):
+    r = A_eq.shape[0]
+    K = np.block([[H, A_eq.T], [A_eq, np.zeros((r, r))]])
+    return np.linalg.solve(K, np.concatenate([-g, b_eq]))[:H.shape[0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 19),
+       slack=st.floats(1.0 + 1e-6, 1e3))
+def test_equality_first_when_no_budget_binds(seed, which, slack):
+    # Budgets wider than every step of the equality-only optimum: no set is
+    # active, so one KKT solve is the answer, with no ADMM iteration.
+    H, A_eq, ball, rhs = ll_shaped_instance(seed)
+    g, b_eq = rhs[which]
+    oracle = kkt_oracle(H, g, A_eq, b_eq)
+    radius = slack * float(np.max(np.linalg.norm(oracle[ball.indices], axis=1)))
+    res = solve_qp(QuadraticProgram(H, g, A_eq, b_eq,
+                                    (BallConstraint(ball.indices, radius),)))
+    assert res.status is Status.OPTIMAL
+    assert res.iterations == 0
+    assert np.max(np.abs(res.x - oracle)) <= 1e-12
+    assert res.primal_residual <= 1e-8 and res.dual_residual <= 1e-8
+
+
+def test_equality_first_hair_outside_a_ball_runs_admm():
+    # The unconstrained optimum (4, 0, -2, 2) lies 4e-12 outside the first
+    # ball, far inside tol_primal: it is not feasible, so ADMM decides.
+    H = np.diag([1.0, 2.0, 1.0, 0.5])
+    g = np.array([-4.0, 0.0, 2.0, -1.0])
+    b1 = BallConstraint(np.array([0, 1]), 4.0 * (1.0 - 1e-12))
+    b2 = BallConstraint(np.array([2, 3]), 10.0)
+    assert b1.violation(-g[:2] / np.diag(H)[:2]) > 0.0
+    res = solve_qp(QuadraticProgram(H, g, constraints=[b1, b2]))
+    assert res.status is Status.OPTIMAL
+    assert res.iterations > 0
+    assert_projected_kkt(H, g, res.x, (b1, b2))
+
+
+@pytest.mark.parametrize("case", ["ball", "ellipsoid", "ball_with_equality"])
+def test_equality_first_singular_system_falls_back_silently(case):
+    # H = 0: the rho = 0 KKT matrix is singular and its solve is not
+    # finite; ADMM, whose matrix carries rho on the constrained
+    # coordinates, solves the problem, and nothing warns on the way.
+    if case == "ball_with_equality":
+        H, g = np.zeros((3, 3)), np.array([0.0, -1.0, -1.0])
+        A_eq, b_eq = np.array([[1.0, 0.0, 0.0]]), np.array([0.5])
+        con = BallConstraint(np.array([1, 2]), 1.0)
+        expected = np.array([0.5, np.sqrt(0.5), np.sqrt(0.5)])
+    else:
+        H, g, A_eq, b_eq = np.zeros((2, 2)), np.array([-1.0, -1.0]), None, None
+        con = (BallConstraint(np.arange(2), 1.0) if case == "ball"
+               else EllipsoidConstraint(np.arange(2), np.eye(2), 1.0))
+        expected = np.full(2, np.sqrt(0.5))
+    kkt = KKTFactors(H, A_eq, (con.indices,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (con,), kkt))
+        lu, piv = kkt.by_rho[0.0]
+        assert np.any(np.diag(lu) == 0.0)
+        rhs = -g if A_eq is None else np.concatenate([-g, b_eq])
+        assert not np.isfinite(scipy.linalg.lu_solve((lu, piv), rhs,
+                                                     check_finite=False)).all()
+    assert res.status is Status.OPTIMAL
+    assert res.iterations > 0
+    assert np.max(np.abs(res.x - expected)) <= 1e-6
+
+
+def test_equality_first_factors_rho_zero_once(monkeypatch):
+    H, A_eq, ball, rhs = ll_shaped_instance(2)
+    K0 = np.block([[H, A_eq.T], [A_eq, np.zeros((2, 2))]])
+    lu_factor = scipy.linalg.lu_factor
+    matrices = []
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a: matrices.append(a.copy()) or lu_factor(a))
+    iterations = []
+    for _ in range(2):
+        kkt = KKTFactors(H, A_eq, (ball.indices,))
+        for g, b_eq in rhs:
+            iterations.append(solve_qp(QuadraticProgram(
+                H, g, A_eq, b_eq, (ball,), kkt)).iterations)
+        assert 0.0 in kkt.by_rho
+    # Both branches were taken, and each cache factored rho = 0 once.
+    assert 0 in iterations and max(iterations) > 0
+    assert sum(np.array_equal(a, K0) for a in matrices) == 2
 
 
 # ---------------------------------------------------------------------------
