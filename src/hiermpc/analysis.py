@@ -70,6 +70,14 @@ def projected_reachability_sigma(model: InterconnectedModel, reduced: ReducedMod
     return sigma
 
 
+def _powers(F: np.ndarray, period: int) -> list:
+    """[I, F, F^2, ..., F^period], each power one product from the last."""
+    pows = [np.eye(F.shape[0])]
+    for _ in range(period):
+        pows.append(F @ pows[-1])
+    return pows
+
+
 def _step_norm_table(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:
     """t(j) = sum_{r<j} ||A^r B||, j = 0..period."""
     out = np.zeros(period + 1)
@@ -100,9 +108,7 @@ def interaction_matrix(model: InterconnectedModel, ll_gain: LLGain,
     if period <= 2:
         return lam
     # front(r) = ||K_i S_i F^{period-r-1} A_c|| for r = 2..period-1
-    F_pows = [np.eye(model.n_states)]
-    for _ in range(period):
-        F_pows.append(ll_gain.F @ F_pows[-1])
+    F_pows = _powers(ll_gain.F, period)
     inner = [_step_norm_table(sub.A, sub.B, period) for sub in model.subsystems]
     for i in range(M):
         Ki_Si = ll_gain.blocks[i] @ model.state_selector(i)
@@ -121,9 +127,7 @@ def delta_input_bounds(model: InterconnectedModel, ll_gain: LLGain,
     state_tbl = delta_state_bounds(model, rho_delta_u_hat, period)
     rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))  # collective deviation bound
     A_c = model.A - model.block_diagonal_A()
-    F_pows = [np.eye(model.n_states)]
-    for _ in range(period):
-        F_pows.append(ll_gain.F @ F_pows[-1])
+    F_pows = _powers(ll_gain.F, period)
     out = np.zeros((M, period + 1))
     for i in range(M):
         Ki_Si = ll_gain.blocks[i] @ model.state_selector(i)
@@ -144,9 +148,7 @@ def disturbance_radius(model: InterconnectedModel, reduced: ReducedModel,
     state_tbl = delta_state_bounds(model, rho_delta_u_hat, period)
     rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))
     A_c = model.A - model.block_diagonal_A()
-    F_pows = [np.eye(model.n_states)]
-    for _ in range(period):
-        F_pows.append(ll_gain.F @ F_pows[-1])
+    F_pows = _powers(ll_gain.F, period)
     total = 0.0
     for j in range(2, period + 1):
         front = float(np.linalg.norm(reduced.beta @ F_pows[period - j] @ A_c, 2))
@@ -164,17 +166,13 @@ def correction_gain_norm(model: InterconnectedModel, ll_gain: LLGain,
     A_c = A - A_d
     reach_rev = np.hstack([np.linalg.matrix_power(A, period - 1 - r) @ model.B
                            for r in range(period)])
-    F_pows = [np.eye(n)]
-    for _ in range(period):
-        F_pows.append(ll_gain.F @ F_pows[-1])
+    F_pows = _powers(ll_gain.F, period)
     F_blk = np.zeros((period * n, period * n))
     for j in range(period):
         for r in range(j):
             F_blk[j * n:(j + 1) * n, r * n:(r + 1) * n] = F_pows[j - 1 - r]
     B_dec = np.zeros((period * n, period * m))
-    Ad_pows = [np.eye(n)]
-    for _ in range(period):
-        Ad_pows.append(A_d @ Ad_pows[-1])
+    Ad_pows = _powers(A_d, period)
     for j in range(period):
         for c in range(j):
             B_dec[j * n:(j + 1) * n, c * m:(c + 1) * m] = Ad_pows[j - 1 - c] @ model.B
@@ -264,7 +262,7 @@ class CertificateReport:
     rho_x: float
     delta_state_table: np.ndarray
     delta_input_table: np.ndarray
-    clauses: dict
+    clauses: dict[str, bool]
     radii: RadiusAllocation
     x0_bound_ok: bool | None
 

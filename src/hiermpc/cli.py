@@ -28,14 +28,11 @@ import numpy as np
 from .analysis import (certificate_constants, interaction_matrix,
                        sweep_constants, tune_radii)
 from .errors import DesignIncomplete, HierMPCError
-from .harness import (RunConfig, config_from_dict, config_to_dict,
-                      design_pipeline, design_to_dict, report_to_dict,
-                      run_closed_loop)
+from .harness import config_from_dict, design_pipeline, run_closed_loop
 from .lowlevel import design_ll_gain
-from .model_io import save_model
 from .reduction import reduce_model
 from .thermal import build_thermal_model, building_from_dict, default_building
-from .trace import verify_archive, write_archive
+from .trace import verify_archive, write_archive, write_design
 
 
 class _UsageError(Exception):
@@ -166,13 +163,7 @@ def _design_parts(model, cfg):
 def _cmd_design(args) -> int:
     cfg, _, model = _load_setup(args)
     bundle = design_pipeline(model, cfg)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
-    (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=1))
-    (out / "design.json").write_text(json.dumps(design_to_dict(bundle), indent=1))
-    (out / "certificate.json").write_text(
-        json.dumps(report_to_dict(bundle.report), indent=1))
+    out = write_design(bundle, cfg, _out_dir(args))
     print(f"design complete: reduction, slow gain ({bundle.slow_gain.rounds} "
           f"round(s)), fast gain ({bundle.ll_gain.rounds} round(s)), radii, "
           f"certificate, disturbance set, tube, terminal cost and set")

@@ -22,7 +22,7 @@ class NotContractive(HierMPCError):
 
 
 class EmptyResult(HierMPCError):
-    """A set difference produced the empty set."""
+    """A set with a negative radius or level, which would be empty."""
 
 
 class ComplexDominantMode(HierMPCError):

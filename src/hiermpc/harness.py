@@ -15,11 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .analysis import (CertificateReport, RadiusAllocation, certificate_constants,
                        disturbance_set, tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
@@ -29,8 +28,9 @@ from .highlevel import (GainDesign, HLDesign, SlowModel, design_gain, lift,
 from .lowlevel import LLGain, apply_correction, correction_qp, \
     design_ll_gain, simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
+from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
-from .sets import BallSet, EllipsoidSet, RPIApproximation, rpi_outer, terminal_set
+from .sets import BallSet, RPIApproximation, rpi_outer, terminal_set
 
 
 # --------------------------------------------------------------- run config
@@ -48,7 +48,7 @@ class RunConfig:
     period: int = 20
     horizon: int = 10
     n_slow_steps: int = 100
-    retained_orders: tuple = (1, 1)
+    retained_orders: tuple[int, ...] = (1, 1)
     q_slow: float = 1.0
     r_slow: float = 0.1
     q_fast: float = 1.0
@@ -56,7 +56,7 @@ class RunConfig:
     gamma1: float = 50.0
     gamma2: float = 1.0
     u_bar_floor: float = 1.0
-    x0: tuple = (-2.0,) * 10
+    x0: tuple[float, ...] = (-2.0,) * 10
     seed: int = 0
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
@@ -83,23 +83,11 @@ class RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    return to_json(cfg)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown run-config keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("retained_orders", "x0"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return RunConfig(**kwargs)
+    return from_json(RunConfig, data)
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -120,12 +108,15 @@ class DesignBundle:
     slow_gain: GainDesign
     hl: HLDesign
     ll_gain: LLGain
-    ll_Q: tuple
-    ll_R: tuple
-    radii: RadiusAllocation
+    ll_Q: tuple[np.ndarray, ...]
+    ll_R: tuple[np.ndarray, ...]
     report: CertificateReport
     tube: RPIApproximation
     input_conservatism: float
+
+    @property
+    def radii(self) -> RadiusAllocation:
+        return self.report.radii
 
 
 def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
@@ -199,7 +190,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
                   terminal, input_tight, Q_slow, R_slow, cfg.horizon)
     conservatism = float(np.max(radii.rho_u_bar) / np.min(radii.rho_u_bar))
     return DesignBundle(model, reduced, slow, slow_gain, hl, ll_gain, ll_Q,
-                        ll_R, radii, report, tube, conservatism)
+                        ll_R, report, tube, conservatism)
 
 
 # ------------------------------------------------------------- trace layout
@@ -353,142 +344,3 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
     wall = time.perf_counter() - start
     return TraceArchive(cfg, f_cols, s_cols, fast_rows, slow_rows, x, wall)
-
-
-# ------------------------------------------------------------ serialization
-
-def _mat(value) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(np.asarray(value, dtype=float))]
-
-
-def _vec(value) -> list:
-    return [float(v) for v in np.asarray(value, dtype=float).ravel()]
-
-
-def report_to_dict(report: CertificateReport) -> dict:
-    return {
-        "period": report.period,
-        "kappa": report.kappa,
-        "kappa_bound": report.kappa_bound,
-        "defect_norm": report.defect_norm,
-        "reach_norm": report.reach_norm,
-        "al_power_norm": report.al_power_norm,
-        "sigma": _vec(report.sigma),
-        "chi": _vec(report.chi),
-        "lambda_margins": _vec(report.lambda_margins),
-        "rho_w": report.rho_w,
-        "rho_x": report.rho_x,
-        "delta_state_table": _mat(report.delta_state_table),
-        "delta_input_table": _mat(report.delta_input_table),
-        "clauses": {k: bool(v) for k, v in report.clauses.items()},
-        "radii": {
-            "rho_delta_u_hat": _vec(report.radii.rho_delta_u_hat),
-            "rho_u_bar": _vec(report.radii.rho_u_bar),
-            "objective": report.radii.objective,
-            "gamma1": report.radii.gamma1,
-            "gamma2": report.radii.gamma2,
-            "slack": report.radii.slack,
-        },
-        "x0_bound_ok": report.x0_bound_ok,
-    }
-
-
-def report_from_dict(data: dict) -> CertificateReport:
-    radii = RadiusAllocation(
-        np.array(data["radii"]["rho_delta_u_hat"], dtype=float),
-        np.array(data["radii"]["rho_u_bar"], dtype=float),
-        float(data["radii"]["objective"]),
-        float(data["radii"]["gamma1"]),
-        float(data["radii"]["gamma2"]),
-        float(data["radii"]["slack"]))
-    return CertificateReport(
-        int(data["period"]), float(data["kappa"]), float(data["kappa_bound"]),
-        float(data["defect_norm"]), float(data["reach_norm"]),
-        float(data["al_power_norm"]),
-        np.array(data["sigma"], dtype=float), np.array(data["chi"], dtype=float),
-        np.array(data["lambda_margins"], dtype=float),
-        float(data["rho_w"]), float(data["rho_x"]),
-        np.array(data["delta_state_table"], dtype=float),
-        np.array(data["delta_input_table"], dtype=float),
-        dict(data["clauses"]), radii, data.get("x0_bound_ok"))
-
-
-def design_to_dict(bundle: DesignBundle) -> dict:
-    hl = bundle.hl
-    return {
-        "reduced": {
-            "A": _mat(bundle.reduced.A), "B": _mat(bundle.reduced.B),
-            "beta": _mat(bundle.reduced.beta),
-            "orders": list(bundle.reduced.orders),
-            "offsets": list(bundle.reduced.offsets),
-        },
-        "slow": {"A": _mat(bundle.slow.A), "B": _mat(bundle.slow.B),
-                 "period": bundle.slow.period},
-        "slow_gain": {
-            "K": _mat(bundle.slow_gain.K), "F_red": _mat(bundle.slow_gain.F_red),
-            "F_full": _mat(bundle.slow_gain.F_full),
-            "rho_red": bundle.slow_gain.rho_red,
-            "rho_full": bundle.slow_gain.rho_full,
-            "rounds": bundle.slow_gain.rounds,
-            "R_final": _mat(bundle.slow_gain.R_final),
-        },
-        "hl": {
-            "P": _mat(hl.P), "tube_radius": hl.tube.radius,
-            "terminal_shape": _mat(hl.terminal.shape),
-            "terminal_level": hl.terminal.level,
-            "input_tight_radius": hl.input_tight.radius,
-            "Q": _mat(hl.Q), "R": _mat(hl.R), "horizon": hl.horizon,
-        },
-        "ll_gain": {"blocks": [_mat(blk) for blk in bundle.ll_gain.blocks],
-                    "rho": bundle.ll_gain.rho, "rounds": bundle.ll_gain.rounds},
-        "ll_weights": {"Q": [_mat(Q) for Q in bundle.ll_Q],
-                       "R": [_mat(R) for R in bundle.ll_R]},
-        "tube": {"radius": bundle.tube.ball.radius,
-                 "horizon_terms": bundle.tube.horizon_terms,
-                 "contraction": bundle.tube.contraction,
-                 "certificate_gap": bundle.tube.certificate_gap},
-        "input_conservatism": bundle.input_conservatism,
-    }
-
-
-def design_from_dict(data: dict, model: InterconnectedModel,
-                     report: CertificateReport) -> DesignBundle:
-    import scipy.linalg
-
-    red = data["reduced"]
-    reduced = ReducedModel(np.array(red["A"], dtype=float),
-                           np.array(red["B"], dtype=float),
-                           np.array(red["beta"], dtype=float),
-                           tuple(int(o) for o in red["orders"]),
-                           tuple(int(o) for o in red["offsets"]))
-    slow = SlowModel(np.array(data["slow"]["A"], dtype=float),
-                     np.array(data["slow"]["B"], dtype=float),
-                     int(data["slow"]["period"]))
-    sg = data["slow_gain"]
-    slow_gain = GainDesign(np.array(sg["K"], dtype=float),
-                           np.array(sg["F_red"], dtype=float),
-                           np.array(sg["F_full"], dtype=float),
-                           float(sg["rho_red"]), float(sg["rho_full"]),
-                           int(sg["rounds"]), np.array(sg["R_final"], dtype=float))
-    blocks = tuple(np.array(blk, dtype=float) for blk in data["ll_gain"]["blocks"])
-    K_ll = scipy.linalg.block_diag(*blocks)
-    ll_gain = LLGain(blocks, K_ll, model.A + model.B @ K_ll,
-                     float(data["ll_gain"]["rho"]), int(data["ll_gain"]["rounds"]))
-    hl_d = data["hl"]
-    hl = HLDesign(slow_gain.K, slow_gain.F_red, slow_gain.F_full,
-                  np.array(hl_d["P"], dtype=float),
-                  BallSet(reduced.n_states, float(hl_d["tube_radius"])),
-                  EllipsoidSet(np.array(hl_d["terminal_shape"], dtype=float),
-                               float(hl_d["terminal_level"])),
-                  BallSet(slow.n_inputs, float(hl_d["input_tight_radius"])),
-                  np.array(hl_d["Q"], dtype=float),
-                  np.array(hl_d["R"], dtype=float), int(hl_d["horizon"]))
-    ll_Q = tuple(np.array(Q, dtype=float) for Q in data["ll_weights"]["Q"])
-    ll_R = tuple(np.array(R, dtype=float) for R in data["ll_weights"]["R"])
-    tube = RPIApproximation(BallSet(reduced.n_states, float(data["tube"]["radius"])),
-                            int(data["tube"]["horizon_terms"]),
-                            float(data["tube"]["contraction"]),
-                            float(data["tube"]["certificate_gap"]))
-    return DesignBundle(model, reduced, slow, slow_gain, hl, ll_gain, ll_Q,
-                        ll_R, report.radii, report, tube,
-                        float(data["input_conservatism"]))

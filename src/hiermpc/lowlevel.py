@@ -55,9 +55,9 @@ class LLGain:
     K_i @ x_i of subsystem i alone (a dense product with K sums the zeros
     in and may round differently)."""
 
-    blocks: tuple          # per-subsystem K_i, u_i = K_i x_i
-    K: np.ndarray          # block diagonal collective gain
-    F: np.ndarray          # A + B K, Schur by construction
+    blocks: tuple[np.ndarray, ...]  # per-subsystem K_i, u_i = K_i x_i
+    K: np.ndarray                   # block diagonal collective gain
+    F: np.ndarray                   # A + B K, Schur by construction
     rho: float
     rounds: int
     # (state indices, input indices, blocks) per block shape, each stacked

@@ -74,7 +74,7 @@ class CouplingMap:
     Diagonal blocks must be zero (no self-coupling through the network).
     """
 
-    blocks: tuple
+    blocks: tuple[tuple[np.ndarray | None, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(None if blk is None else np.atleast_2d(np.asarray(blk, dtype=float))
@@ -99,14 +99,53 @@ class CouplingMap:
 
 @dataclass(frozen=True)
 class InterconnectedModel:
-    """Assembled collective model with per-subsystem block bookkeeping."""
+    """Assembled collective model with per-subsystem block bookkeeping.
 
-    subsystems: tuple
+    Only the subsystems and the coupling map are constructor arguments; the
+    collective (A, B) and the block offsets are built from them, with cross
+    blocks A_ij = E_i L_ij C_zj and a block-diagonal B.
+    """
+
+    subsystems: tuple[SubsystemModel, ...]
     coupling: CouplingMap
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-    state_offsets: tuple
-    input_offsets: tuple
+    A: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
+    state_offsets: tuple[int, ...] = field(init=False)
+    input_offsets: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        subsystems = tuple(self.subsystems)
+        m = len(subsystems)
+        if self.coupling.n_subsystems != m:
+            raise DimensionMismatch(
+                f"coupling grid is {self.coupling.n_subsystems}x"
+                f"{self.coupling.n_subsystems}, model has {m} subsystems")
+        state_offsets = np.concatenate([[0], np.cumsum([s.n_states for s in subsystems])])
+        input_offsets = np.concatenate([[0], np.cumsum([s.n_inputs for s in subsystems])])
+        n = int(state_offsets[-1])
+        p = int(input_offsets[-1])
+        A = np.zeros((n, n))
+        B = np.zeros((n, p))
+        for i, sub in enumerate(subsystems):
+            si = slice(state_offsets[i], state_offsets[i + 1])
+            A[si, si] = sub.A
+            B[si, input_offsets[i]:input_offsets[i + 1]] = sub.B
+            for j, other in enumerate(subsystems):
+                if j == i:
+                    continue
+                blk = self.coupling.block(i, j)
+                if blk is None:
+                    continue
+                if blk.shape != (sub.n_coupling_in, other.n_coupling_out):
+                    raise DimensionMismatch(
+                        f"coupling block ({i},{j}) has shape {blk.shape}, expected "
+                        f"({sub.n_coupling_in},{other.n_coupling_out})")
+                sj = slice(state_offsets[j], state_offsets[j + 1])
+                A[si, sj] = sub.E @ blk @ other.C_z
+        for attr, value in (("subsystems", subsystems), ("A", A), ("B", B),
+                            ("state_offsets", tuple(int(v) for v in state_offsets)),
+                            ("input_offsets", tuple(int(v) for v in input_offsets))):
+            object.__setattr__(self, attr, value)
 
     @property
     def n_subsystems(self) -> int:
@@ -183,41 +222,8 @@ class ModelValidation:
 
 
 def assemble(subsystems, coupling: CouplingMap) -> InterconnectedModel:
-    """Build the collective (A, B) from subsystem data and the coupling map.
-
-    Cross blocks are A_ij = E_i L_ij C_zj; B is block diagonal.
-    """
-    subsystems = tuple(subsystems)
-    m = len(subsystems)
-    if coupling.n_subsystems != m:
-        raise DimensionMismatch(
-            f"coupling grid is {coupling.n_subsystems}x{coupling.n_subsystems}, "
-            f"model has {m} subsystems")
-    state_offsets = np.concatenate([[0], np.cumsum([s.n_states for s in subsystems])])
-    input_offsets = np.concatenate([[0], np.cumsum([s.n_inputs for s in subsystems])])
-    n = int(state_offsets[-1])
-    p = int(input_offsets[-1])
-    A = np.zeros((n, n))
-    B = np.zeros((n, p))
-    for i, sub in enumerate(subsystems):
-        si = slice(state_offsets[i], state_offsets[i + 1])
-        A[si, si] = sub.A
-        B[si, input_offsets[i]:input_offsets[i + 1]] = sub.B
-        for j, other in enumerate(subsystems):
-            if j == i:
-                continue
-            blk = coupling.block(i, j)
-            if blk is None:
-                continue
-            if blk.shape != (sub.n_coupling_in, other.n_coupling_out):
-                raise DimensionMismatch(
-                    f"coupling block ({i},{j}) has shape {blk.shape}, expected "
-                    f"({sub.n_coupling_in},{other.n_coupling_out})")
-            sj = slice(state_offsets[j], state_offsets[j + 1])
-            A[si, sj] = sub.E @ blk @ other.C_z
-    return InterconnectedModel(subsystems, coupling, A, B,
-                               tuple(int(v) for v in state_offsets),
-                               tuple(int(v) for v in input_offsets))
+    """Build the collective (A, B) from subsystem data and the coupling map."""
+    return InterconnectedModel(tuple(subsystems), coupling)
 
 
 def reachability_matrix(A: np.ndarray, B: np.ndarray, steps: int | None = None) -> np.ndarray:

@@ -1,66 +1,90 @@
-"""Serialization of models and reduced models.
+"""One JSON codec for the package's frozen dataclasses.
 
-JSON is the structured text format; floats are written with Python's repr,
-the shortest decimal string (at most 17 significant digits) that round-trips
-to the exact same binary value, so save/load is bit-stable.
+`to_json` writes a dataclass as its constructor (`init`) fields: arrays and
+tuples become lists, nested dataclasses become objects.  `from_json` reads
+the same data back by calling the constructor, converting each value by the
+field's type annotation, so every `__post_init__` check also runs on input
+read from disk.  A value is converted only when nothing is lost (a list to a
+tuple or a float array, a JSON integer to a float); an unknown key, a
+missing key without a default or a value of the wrong type raises
+ConfigInvalid naming the class and the key.
+
+Floats are written by `json` with Python's repr, the shortest decimal string
+that round-trips to the same binary value, so save/load is bit-stable.
 """
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import functools
+import reprlib
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
-from .lti import CouplingMap, InterconnectedModel, SubsystemModel, assemble
-from .sets import BallSet
+from .errors import ConfigInvalid
 
-FORMAT_VERSION = 1
-
-
-def _matrix_out(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(M)]
+# Resolved field annotations, once per class.
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def model_to_dict(model: InterconnectedModel) -> dict:
-    subs = []
-    for sub in model.subsystems:
-        subs.append({
-            "A": _matrix_out(sub.A),
-            "B": _matrix_out(sub.B),
-            "E": _matrix_out(sub.E),
-            "C_z": _matrix_out(sub.C_z),
-            "input_radius": float(sub.input_set.radius),
-        })
-    m = model.n_subsystems
-    coupling = [[None if (i == j or model.coupling.block(i, j) is None)
-                 else _matrix_out(model.coupling.block(i, j))
-                 for j in range(m)] for i in range(m)]
-    return {"format_version": FORMAT_VERSION, "subsystems": subs, "coupling": coupling}
+def to_json(obj):
+    """JSON-ready form of a dataclass, array, tuple, dict or scalar."""
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.init}
+    if isinstance(obj, np.ndarray):
+        return np.asarray(obj, dtype=float).tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
-def model_from_dict(data: dict) -> InterconnectedModel:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {data.get('format_version')}")
-    subs = []
-    for entry in data["subsystems"]:
-        B = np.array(entry["B"], dtype=float)
-        subs.append(SubsystemModel(
-            A=np.array(entry["A"], dtype=float),
-            B=B,
-            E=np.array(entry["E"], dtype=float),
-            C_z=np.array(entry["C_z"], dtype=float),
-            input_set=BallSet(B.shape[1], float(entry["input_radius"])),
-        ))
-    m = len(subs)
-    blocks = tuple(tuple(None if data["coupling"][i][j] is None
-                         else np.array(data["coupling"][i][j], dtype=float)
-                         for j in range(m)) for i in range(m))
-    return assemble(subs, CouplingMap(blocks))
+def from_json(cls, data):
+    """Build `cls` from the output of `to_json`, checking every value."""
+    return _decode(cls, data, cls.__name__)
 
 
-def save_model(model: InterconnectedModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=1))
-
-
-def load_model(path) -> InterconnectedModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+def _decode(tp, value, where: str):
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"{where}: expected an object, got "
+                                f"{reprlib.repr(value)}")
+        init = {f.name: f for f in fields(tp) if f.init}
+        for key in value:
+            if key not in init:
+                raise ConfigInvalid(f"{tp.__name__}: unknown key {key!r}")
+        for name, f in init.items():
+            if name not in value and f.default is MISSING \
+                    and f.default_factory is MISSING:
+                raise ConfigInvalid(f"{tp.__name__}: missing key {name!r}")
+        hints = _field_types(tp)
+        return tp(**{key: _decode(hints[key], item, f"{tp.__name__}.{key}")
+                     for key, item in value.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value, where)
+    if origin is tuple and isinstance(value, list):
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v, where) for v in value)
+        if len(value) == len(args):
+            return tuple(_decode(a, v, where) for a, v in zip(args, value))
+    elif origin is dict and isinstance(value, dict):
+        return {k: _decode(args[1], v, where) for k, v in value.items()}
+    elif tp is np.ndarray and isinstance(value, list):
+        try:
+            arr = np.array(value)
+        except ValueError:
+            arr = None
+        if arr is not None and arr.dtype.kind in "if":
+            return arr.astype(float)
+    elif tp is float and type(value) in (int, float):
+        return float(value)
+    elif tp in (int, bool, str) and type(value) is tp:
+        return value
+    name = tp.__name__ if isinstance(tp, type) else str(tp)
+    raise ConfigInvalid(f"{where}: expected {name}, got {reprlib.repr(value)}")

@@ -29,8 +29,8 @@ class ReducedModel:
     A: np.ndarray
     B: np.ndarray
     beta: np.ndarray
-    orders: tuple
-    offsets: tuple
+    orders: tuple[int, ...]
+    offsets: tuple[int, ...]
 
     @property
     def n_states(self) -> int:

@@ -2,9 +2,9 @@
 
 All robust-invariance bookkeeping in this package runs on two set families:
 Euclidean balls (disturbance sets, input sets, tube cross-sections) and
-origin-centered ellipsoids (terminal sets).  Minkowski sums and differences
-of concentric balls are exact; every other operation returns a certified
-outer or inner approximation, never an unsound one.
+origin-centered ellipsoids (terminal sets).  The two constructions here, the
+outer robust positively invariant ball and the input-admissible terminal
+ellipsoid, return certified approximations, never unsound ones.
 """
 from __future__ import annotations
 
@@ -87,31 +87,6 @@ class RPIApproximation:
     horizon_terms: int
     contraction: float
     certificate_gap: float
-
-
-def minkowski_sum(a: BallSet, b: BallSet) -> BallSet:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"cannot sum balls of dimensions {a.dim} and {b.dim}")
-    return BallSet(a.dim, a.radius + b.radius)
-
-
-def minkowski_diff(a: BallSet, b: BallSet) -> BallSet:
-    """Pontryagin difference a (-) b; exact for concentric balls."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"cannot subtract balls of dimensions {a.dim} and {b.dim}")
-    radius = a.radius - b.radius
-    if radius < 0:
-        raise EmptyResult(
-            f"Pontryagin difference is empty: {a.radius} - {b.radius} < 0")
-    return BallSet(a.dim, radius)
-
-
-def linear_image_outer(K: np.ndarray, a: BallSet) -> BallSet:
-    """Tightest ball containing K * a; radius ||K||_2 * radius (exact as a ball bound)."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[1] != a.dim:
-        raise DimensionMismatch(f"map has {K.shape[1]} columns, ball has dimension {a.dim}")
-    return BallSet(K.shape[0], float(np.linalg.norm(K, 2)) * a.radius)
 
 
 def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6,

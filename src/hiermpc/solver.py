@@ -77,10 +77,15 @@ class BallConstraint:
         if self.radius < 0:
             raise DimensionMismatch("ball radius must be >= 0")
 
-    def project(self, v: np.ndarray) -> np.ndarray:
+    def _offsets(self, v: np.ndarray):
+        """The centre, each row's offset from it and the row norms (kept as
+        a trailing axis of length 1)."""
         c = self.center if self.center is not None else 0.0
         d = v - c
-        norm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+        return c, d, np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        c, d, norm = self._offsets(v)
         outside = norm > self.radius
         if not outside.any():
             return v
@@ -89,9 +94,7 @@ class BallConstraint:
 
     def violation(self, v: np.ndarray) -> float:
         """Largest distance of a row to its ball."""
-        c = self.center if self.center is not None else 0.0
-        norm = np.linalg.norm(v - c, axis=-1)
-        return max(0.0, float(np.max(norm)) - self.radius)
+        return max(0.0, float(self._offsets(v)[2].max()) - self.radius)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ fitted values are frozen in default_building().
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigInvalid, UnstableDiscretization
 from .lti import CouplingMap, InterconnectedModel, SubsystemModel, assemble
+from .model_io import from_json
 from .sets import BallSet
 
 # Reference calibration data: steady-state room temperatures (deg C above
@@ -54,8 +55,8 @@ class RoomSpec:
 
 @dataclass(frozen=True)
 class ApartmentSpec:
-    rooms: tuple
-    walls: tuple  # (room index, room index, area in m^2)
+    rooms: tuple[RoomSpec, ...]
+    walls: tuple[tuple[int, int, float], ...]  # (room, room, area in m^2)
 
     def __post_init__(self):
         n = len(self.rooms)
@@ -66,8 +67,9 @@ class ApartmentSpec:
 
 @dataclass(frozen=True)
 class BuildingConfig:
-    apartments: tuple
-    shared_walls: tuple  # (apt, room, apt, room, area in m^2)
+    apartments: tuple[ApartmentSpec, ...]
+    # (apt, room, apt, room, area in m^2)
+    shared_walls: tuple[tuple[int, int, int, int, float], ...] = ()
     conductance_interior: float = 2.5   # W / m^2 K
     conductance_shared: float = 1.0
     conductance_exterior: float = 0.5
@@ -215,45 +217,8 @@ def dropped_input_coupling(cfg: BuildingConfig) -> float:
     return float(np.linalg.norm(B_d - kept, 2) / np.linalg.norm(B_d, 2))
 
 
-def building_to_dict(cfg: BuildingConfig) -> dict:
-    return {
-        "apartments": [
-            {
-                "rooms": [{"name": r.name, "volume": r.volume,
-                           "exterior_wall_area": r.exterior_wall_area,
-                           "heater": r.heater} for r in apt.rooms],
-                "walls": [list(w) for w in apt.walls],
-            } for apt in cfg.apartments],
-        "shared_walls": [list(w) for w in cfg.shared_walls],
-        "conductance_interior": cfg.conductance_interior,
-        "conductance_shared": cfg.conductance_shared,
-        "conductance_exterior": cfg.conductance_exterior,
-        "exterior_temp": cfg.exterior_temp,
-        "air_density": cfg.air_density,
-        "heat_capacity": cfg.heat_capacity,
-        "sample_time": cfg.sample_time,
-    }
-
-
 def building_from_dict(data: dict) -> BuildingConfig:
-    try:
-        apartments = tuple(
-            ApartmentSpec(
-                tuple(RoomSpec(r["name"], float(r["volume"]),
-                               float(r["exterior_wall_area"]),
-                               bool(r.get("heater", False)))
-                      for r in apt["rooms"]),
-                tuple((int(a), int(b), float(area)) for a, b, area in apt["walls"]))
-            for apt in data["apartments"])
-        shared = tuple((int(a), int(ra), int(b), int(rb), float(area))
-                       for a, ra, b, rb, area in data.get("shared_walls", ()))
-        extras = {key: float(data[key]) for key in (
-            "conductance_interior", "conductance_shared", "conductance_exterior",
-            "exterior_temp", "air_density", "heat_capacity", "sample_time")
-            if key in data}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"malformed building config: {exc}") from exc
-    return BuildingConfig(apartments, shared, **extras)
+    return from_json(BuildingConfig, data)
 
 
 def default_building(decoupled: bool = False) -> BuildingConfig:

@@ -2,10 +2,14 @@
 
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
-Floats are written with repr, the shortest decimal string that round-trips
-to the same binary value, so every file except `metadata.json` is a pure
-function of config and seed; `metadata.json` records wall clock and is the
-only file excluded from the determinism digest.
+The four JSON files hold constructor arguments written by the `model_io`
+codec: `model.json` the subsystems and the coupling map, `design.json` the
+design bundle without the model and the certificate, which are the other
+two.  Floats are written with repr, the shortest decimal string that
+round-trips to the same binary value, so every file except `metadata.json`
+is a pure function of config and seed; `metadata.json` records wall clock
+and the archive version, and is the only file excluded from the determinism
+digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
@@ -23,15 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import ConfigInvalid
 from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
-                      config_digest, config_from_dict, config_to_dict,
-                      design_from_dict, design_to_dict, report_from_dict,
-                      report_to_dict)
+                      config_digest)
 from .highlevel import lifted_input_matrix
-from .lti import InterconnectedModel
-from .model_io import load_model, save_model
+from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 FAST_SCHEMA = "hiermpc.trace.fast.v1"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
@@ -58,15 +60,21 @@ def _read_csv(path: Path, schema: str):
     return columns, rows
 
 
-def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
+def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
+    """Write model.json, config.json, design.json and certificate.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(bundle.model, out / "model.json")
-    (out / "config.json").write_text(
-        json.dumps(config_to_dict(archive.config), indent=1))
-    (out / "design.json").write_text(json.dumps(design_to_dict(bundle), indent=1))
-    (out / "certificate.json").write_text(
-        json.dumps(report_to_dict(bundle.report), indent=1))
+    design = to_json(bundle)
+    for name, data in (("model.json", design.pop("model")),
+                       ("config.json", to_json(cfg)),
+                       ("certificate.json", design.pop("report")),
+                       ("design.json", design)):
+        (out / name).write_text(json.dumps(data, indent=1))
+    return out
+
+
+def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
+    out = write_design(bundle, archive.config, out_dir)
     _write_csv(out / "fast.csv", FAST_SCHEMA, archive.fast_cols, archive.fast)
     _write_csv(out / "slow.csv", SLOW_SCHEMA, archive.slow_cols, archive.slow)
     meta = {
@@ -75,7 +83,7 @@ def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
         "config_sha256": config_digest(archive.config),
         "wall_clock_s": archive.wall_clock,
         "created_unix": time.time(),
-        "final_state": [float(v) for v in archive.final_state],
+        "final_state": to_json(archive.final_state),
         "n_slow_steps": archive.config.n_slow_steps,
         "period": archive.config.period,
     }
@@ -86,7 +94,6 @@ def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
 @dataclass(frozen=True)
 class LoadedArchive:
     config: RunConfig
-    model: InterconnectedModel
     bundle: DesignBundle
     fast_cols: tuple
     slow_cols: tuple
@@ -101,16 +108,26 @@ class LoadedArchive:
 
 def load_archive(path) -> LoadedArchive:
     root = Path(path)
-    config = config_from_dict(json.loads((root / "config.json").read_text()))
-    model = load_model(root / "model.json")
-    report = report_from_dict(json.loads((root / "certificate.json").read_text()))
-    bundle = design_from_dict(json.loads((root / "design.json").read_text()),
-                              model, report)
+
+    def read(name):
+        try:
+            return json.loads((root / name).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read {name}: {exc}") from exc
+
+    metadata = read("metadata.json")
+    version = metadata.get("archive_version")
+    if version != ARCHIVE_VERSION:
+        raise ConfigInvalid(f"{root}: archive_version {version!r} cannot be "
+                            f"read; this package reads version {ARCHIVE_VERSION}")
+    config = from_json(RunConfig, read("config.json"))
+    bundle = from_json(DesignBundle, {**read("design.json"),
+                                      "model": read("model.json"),
+                                      "report": read("certificate.json")})
     fast_cols, fast = _read_csv(root / "fast.csv", FAST_SCHEMA)
     slow_cols, slow = _read_csv(root / "slow.csv", SLOW_SCHEMA)
-    metadata = json.loads((root / "metadata.json").read_text())
-    return LoadedArchive(config, model, bundle, fast_cols, slow_cols, fast,
-                         slow, metadata)
+    return LoadedArchive(config, bundle, fast_cols, slow_cols, fast, slow,
+                         metadata)
 
 
 def archive_digest(path) -> str:
@@ -163,7 +180,8 @@ def verify_archive(path) -> VerifyReport:
     runs of the certified scenario length; archives cut short before the
     nominal settles fail `nominal_convergence` by construction."""
     arc = load_archive(path)
-    model, bundle, cfg = arc.model, arc.bundle, arc.config
+    bundle, cfg = arc.bundle, arc.config
+    model = bundle.model
     n, m, M = model.n_states, model.n_inputs, model.n_subsystems
     N, n_red = cfg.period, bundle.reduced.n_states
     checks = []

@@ -7,17 +7,19 @@ import shutil
 import numpy as np
 import pytest
 
+from hiermpc.analysis import CertificateReport
+from hiermpc.cli import main
 from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
-from hiermpc.harness import (RunConfig, config_digest, config_from_dict,
-                             config_to_dict, design_from_dict, design_pipeline,
-                             design_to_dict, report_from_dict, report_to_dict,
+from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
+                             config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
 from hiermpc.highlevel import solve_hl, tube_qp
 from hiermpc.lowlevel import correction_qp, simulate_auxiliary, solve_ll
+from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
 from hiermpc.thermal import build_thermal_model, default_building
 from hiermpc.trace import archive_digest, load_archive, verify_archive, \
-    write_archive
+    write_archive, write_design
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +183,8 @@ def test_design_fails_fast_on_drained_held_budget(model, short_cfg):
 
 
 def test_report_dict_round_trip(bundle):
-    again = report_from_dict(json.loads(json.dumps(report_to_dict(bundle.report))))
+    again = from_json(CertificateReport,
+                      json.loads(json.dumps(to_json(bundle.report))))
     assert again.period == bundle.report.period
     assert again.kappa == bundle.report.kappa
     assert again.rho_w == bundle.report.rho_w
@@ -193,9 +196,9 @@ def test_report_dict_round_trip(bundle):
                                   bundle.report.radii.rho_u_bar)
 
 
-def test_design_dict_round_trip(model, bundle):
-    data = json.loads(json.dumps(design_to_dict(bundle)))
-    again = design_from_dict(data, model, bundle.report)
+def test_design_dict_round_trip(bundle):
+    data = json.loads(json.dumps(to_json(bundle)))
+    again = from_json(DesignBundle, data)
     np.testing.assert_array_equal(again.slow_gain.K, bundle.slow_gain.K)
     np.testing.assert_array_equal(again.hl.P, bundle.hl.P)
     np.testing.assert_array_equal(again.ll_gain.K, bundle.ll_gain.K)
@@ -226,6 +229,62 @@ def test_archive_bitwise_determinism(model, bundle, tmp_path):
     for name in ("model.json", "config.json", "design.json",
                  "certificate.json", "fast.csv", "slow.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_loaded_archive_re_encodes_to_the_same_bytes(decoupled, tmp_path):
+    """Every JSON file of an archive is the codec's encoding of what
+    load_archive decodes from it, byte for byte."""
+    cfg = dataclasses.replace(RunConfig(), n_slow_steps=2, decoupled=decoupled)
+    plant = build_thermal_model(default_building(decoupled))
+    design = design_pipeline(plant, cfg)
+    written = write_archive(run_closed_loop(plant, cfg, design), design,
+                            tmp_path / "run")
+    blocks = json.loads((written / "model.json").read_text())["coupling"]["blocks"]
+    assert all(blk is None for row in blocks for blk in row) == decoupled
+    loaded = load_archive(written)
+    again = write_design(loaded.bundle, loaded.config, tmp_path / "again")
+    for name in ("model.json", "config.json", "design.json", "certificate.json"):
+        assert (again / name).read_bytes() == (written / name).read_bytes(), name
+
+
+def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
+    bad = tmp_path / "old"
+    shutil.copytree(archive_dir, bad)
+    meta = json.loads((bad / "metadata.json").read_text())
+    meta["archive_version"] = 1
+    (bad / "metadata.json").write_text(json.dumps(meta))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "archive_version 1" in err and "version 2" in err
+
+
+@pytest.mark.parametrize("name, key, owner", [
+    ("design.json", "tube", "DesignBundle"),
+    ("certificate.json", "rho_w", "CertificateReport"),
+    ("model.json", "coupling", "InterconnectedModel"),
+])
+def test_verify_names_a_missing_key(archive_dir, tmp_path, capsys, name, key,
+                                    owner):
+    bad = tmp_path / "cut"
+    shutil.copytree(archive_dir, bad)
+    data = json.loads((bad / name).read_text())
+    del data[key]
+    (bad / name).write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{owner}: missing key '{key}'" in err
+
+
+def test_verify_names_an_unreadable_file(archive_dir, tmp_path, capsys):
+    bad = tmp_path / "torn"
+    shutil.copytree(archive_dir, bad)
+    text = (bad / "design.json").read_text()
+    (bad / "design.json").write_text(text[:len(text) // 2])
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read design.json")
 
 
 def _tamper_csv_cell(path, column, row, delta):

@@ -1,0 +1,87 @@
+"""The dataclass <-> JSON codec: lossless conversions only, and every
+rejection names the class and the key."""
+import json
+
+import numpy as np
+import pytest
+
+from hiermpc.analysis import RadiusAllocation
+from hiermpc.errors import ConfigInvalid, DimensionMismatch, EmptyResult
+from hiermpc.harness import RunConfig
+from hiermpc.lti import CouplingMap, InterconnectedModel
+from hiermpc.model_io import from_json, to_json
+from hiermpc.sets import BallSet, EllipsoidSet
+from hiermpc.thermal import build_thermal_model, default_building
+
+
+def _round_trip(obj):
+    return from_json(type(obj), json.loads(json.dumps(to_json(obj))))
+
+
+def test_json_int_becomes_float_and_lists_become_tuples():
+    cfg = from_json(RunConfig, {"q_slow": 2, "x0": [1, 2.5], "retained_orders": [1, 2]})
+    assert type(cfg.q_slow) is float and cfg.q_slow == 2.0
+    assert cfg.x0 == (1.0, 2.5) and all(type(v) is float for v in cfg.x0)
+    assert cfg.retained_orders == (1, 2)
+    alloc = from_json(RadiusAllocation, {
+        "rho_delta_u_hat": [1, 2], "rho_u_bar": [0.5, 0.25], "objective": 3,
+        "gamma1": 1.0, "gamma2": 1.0, "slack": 0.0})
+    assert alloc.rho_delta_u_hat.dtype == float
+    np.testing.assert_array_equal(alloc.rho_delta_u_hat, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"period": 20.5}, "RunConfig.period"),       # never truncated
+    ({"period": True}, "RunConfig.period"),       # a bool is not an int
+    ({"q_slow": "1.0"}, "RunConfig.q_slow"),
+    ({"q_slow": None}, "RunConfig.q_slow"),       # not annotated | None
+    ({"x0": 1.0}, "RunConfig.x0"),
+    ({"retained_orders": [1, 1.5]}, "RunConfig.retained_orders"),
+    ({"decoupled": 1}, "RunConfig.decoupled"),
+    ({"typo_key": 1}, "'typo_key'"),
+])
+def test_wrong_types_and_unknown_keys_name_class_and_key(data, where):
+    with pytest.raises(ConfigInvalid, match="RunConfig") as exc_info:
+        from_json(RunConfig, data)
+    assert where in str(exc_info.value)
+
+
+def test_missing_key_without_default_is_named():
+    with pytest.raises(ConfigInvalid, match="BallSet: missing key 'radius'"):
+        from_json(BallSet, {"dim": 2})
+    assert from_json(EllipsoidSet, {"shape": [[1.0]], "level": 1}).degenerate is False
+
+
+@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], [["a"]], [[None]],
+                                   [[True]], 1.0, {"0": 1.0}])
+def test_arrays_accept_only_rectangular_numbers(value):
+    with pytest.raises(ConfigInvalid, match="EllipsoidSet.shape"):
+        from_json(EllipsoidSet, {"shape": value, "level": 1.0})
+
+
+def test_none_only_where_annotated_optional():
+    grid = from_json(CouplingMap, {"blocks": [[None, [[1]]], [None, None]]})
+    assert grid.block(0, 0) is None
+    np.testing.assert_array_equal(grid.block(0, 1), [[1.0]])
+    with pytest.raises(ConfigInvalid, match="BallSet.radius"):
+        from_json(BallSet, {"dim": 2, "radius": None})
+
+
+def test_constructor_checks_run_on_decoded_input():
+    with pytest.raises(EmptyResult):
+        from_json(BallSet, {"dim": 2, "radius": -1.0})
+    with pytest.raises(DimensionMismatch):
+        from_json(EllipsoidSet, {"shape": [[1.0, 2.0], [0.0, 1.0]], "level": 1.0})
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_model_is_written_as_assemble_arguments(decoupled):
+    model = build_thermal_model(default_building(decoupled))
+    data = to_json(model)
+    assert list(data) == ["subsystems", "coupling"]
+    again = _round_trip(model)
+    np.testing.assert_array_equal(again.A, model.A)
+    np.testing.assert_array_equal(again.B, model.B)
+    assert again.state_offsets == model.state_offsets
+    assert again.input_offsets == model.input_offsets
+    assert isinstance(again, InterconnectedModel)

@@ -1,68 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hiermpc.errors import EmptyResult, NotContractive
-from hiermpc.sets import (BallSet, EllipsoidSet, linear_image_outer,
-                          minkowski_diff, minkowski_sum, rpi_outer, terminal_set)
-
-radii = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-
-
-@given(radii, radii)
-def test_ball_sum_exact(r1, r2):
-    out = minkowski_sum(BallSet(3, r1), BallSet(3, r2))
-    assert out.radius == r1 + r2
-
-
-@given(radii, radii)
-def test_ball_diff_exact_or_empty(r1, r2):
-    if r1 >= r2:
-        assert minkowski_diff(BallSet(2, r1), BallSet(2, r2)).radius == r1 - r2
-    else:
-        with pytest.raises(EmptyResult):
-            minkowski_diff(BallSet(2, r1), BallSet(2, r2))
-
-
-def test_ball_sum_sampling_oracle():
-    # 1000 sampled sums of members must land inside the computed sum.
-    rng = np.random.default_rng(0)
-    a, b = BallSet(4, 1.3), BallSet(4, 0.4)
-    out = minkowski_sum(a, b)
-    for _ in range(1000):
-        pa = rng.normal(size=4)
-        pa *= rng.uniform(0, a.radius) / np.linalg.norm(pa)
-        pb = rng.normal(size=4)
-        pb *= rng.uniform(0, b.radius) / np.linalg.norm(pb)
-        assert out.contains(pa + pb, tol=1e-12)
-
-
-def test_ball_diff_sampling_oracle():
-    # Every member of the difference, summed with any member of b, stays in a.
-    rng = np.random.default_rng(1)
-    a, b = BallSet(3, 2.0), BallSet(3, 0.75)
-    diff = minkowski_diff(a, b)
-    assert diff.radius == 1.25
-    for _ in range(1000):
-        pd = rng.normal(size=3)
-        pd *= rng.uniform(0, diff.radius) / np.linalg.norm(pd)
-        pb = rng.normal(size=3)
-        pb *= rng.uniform(0, b.radius) / np.linalg.norm(pb)
-        assert a.contains(pd + pb, tol=1e-12)
-
-
-def test_linear_image_outer_norm_bound():
-    rng = np.random.default_rng(2)
-    K = rng.normal(size=(2, 5))
-    ball = BallSet(5, 0.7)
-    img = linear_image_outer(K, ball)
-    assert img.dim == 2
-    assert np.isclose(img.radius, np.linalg.norm(K, 2) * 0.7)
-    for _ in range(1000):
-        p = rng.normal(size=5)
-        p *= rng.uniform(0, ball.radius) / np.linalg.norm(p)
-        assert img.contains(K @ p, tol=1e-12)
+from hiermpc.errors import NotContractive
+from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
 
 
 def test_rpi_outer_scalar_geometric():

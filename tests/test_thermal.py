@@ -7,6 +7,7 @@ import pytest
 
 from hiermpc.errors import ConfigInvalid, UnstableDiscretization
 from hiermpc.lti import reachability_matrix
+from hiermpc.model_io import from_json, to_json
 from hiermpc.reduction import reduce_model, verify_reduction
 from hiermpc.thermal import (
     CALIBRATION_HEAT,
@@ -19,7 +20,6 @@ from hiermpc.thermal import (
     RoomSpec,
     build_thermal_model,
     building_from_dict,
-    building_to_dict,
     default_building,
     discretize,
     dropped_input_coupling,
@@ -128,8 +128,26 @@ def test_reduction_keeps_dominant_modes():
 
 def test_building_dict_round_trip():
     cfg = default_building()
-    data = json.loads(json.dumps(building_to_dict(cfg)))
-    assert building_from_dict(data) == cfg
+    data = json.loads(json.dumps(to_json(cfg)))
+    assert from_json(BuildingConfig, data) == cfg
+
+
+@pytest.mark.parametrize("where, typo", [
+    ("top", "conductance_interiour"),
+    ("room", "volumne"),
+])
+def test_building_rejects_unknown_keys(where, typo):
+    data = to_json(default_building())
+    target = data if where == "top" else data["apartments"][1]["rooms"][2]
+    target[typo] = 1.0
+    with pytest.raises(ConfigInvalid, match=f"unknown key '{typo}'"):
+        building_from_dict(data)
+
+
+def test_building_shared_walls_stay_optional():
+    data = to_json(default_building(decoupled=True))
+    del data["shared_walls"]
+    assert building_from_dict(data) == default_building(decoupled=True)
 
 
 def test_malformed_building_configs():
