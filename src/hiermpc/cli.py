@@ -28,7 +28,8 @@ import numpy as np
 from .analysis import (certificate_constants, interaction_matrix,
                        sweep_constants, tune_radii)
 from .errors import DesignIncomplete, HierMPCError
-from .harness import config_from_dict, design_pipeline, run_closed_loop
+from .harness import (config_from_dict, design_pipeline, run_closed_loop,
+                      start_state)
 from .lowlevel import design_ll_gain
 from .reduction import reduce_model
 from .thermal import build_thermal_model, building_from_dict, default_building
@@ -164,7 +165,7 @@ def _cmd_design(args) -> int:
     cfg, _, model = _load_setup(args)
     bundle = design_pipeline(model, cfg)
     out = write_design(bundle, cfg, _out_dir(args))
-    print(f"design complete: reduction, slow gain ({bundle.slow_gain.rounds} "
+    print(f"design complete: reduction, slow gain ({bundle.hl.gain.rounds} "
           f"round(s)), fast gain ({bundle.ll_gain.rounds} round(s)), radii, "
           f"certificate, disturbance set, tube, terminal cost and set")
     print(f"files written to {out}")
@@ -187,12 +188,13 @@ def _parse_periods(text: str) -> list[int]:
 def _cmd_analyze(args) -> int:
     periods = _parse_periods(args.sweep) if args.sweep else None
     cfg, _, model = _load_setup(args)
+    x0 = start_state(model, cfg)
     reduced, ll_gain = _design_parts(model, cfg)
     radii = tune_radii(model, reduced, ll_gain, cfg.period, cfg.gamma1,
                        cfg.gamma2, cfg.u_bar_floor)
-    x0_norm = float(np.linalg.norm(cfg.x0))
+    x0_norm = float(np.linalg.norm(x0))
     report = certificate_constants(model, reduced, ll_gain, radii, cfg.period,
-                                   x0=np.asarray(cfg.x0))
+                                   x0=x0)
     _print_rows(_report_rows(report, x0_norm))
     ok = report.assumptions_ok and report.x0_bound_ok is not False
 
@@ -222,12 +224,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tune(args) -> int:
     cfg, _, model = _load_setup(args)
-    gamma1 = cfg.gamma1 if args.gamma1 is None else args.gamma1
-    gamma2 = cfg.gamma2 if args.gamma2 is None else args.gamma2
-    floor = cfg.u_bar_floor if args.u_bar_floor is None else args.u_bar_floor
+    cfg = dataclasses.replace(cfg, **{
+        name: getattr(args, name) for name in ("gamma1", "gamma2", "u_bar_floor")
+        if getattr(args, name) is not None})
     reduced, ll_gain = _design_parts(model, cfg)
-    alloc = tune_radii(model, reduced, ll_gain, cfg.period, gamma1, gamma2,
-                       floor)
+    alloc = tune_radii(model, reduced, ll_gain, cfg.period, cfg.gamma1,
+                       cfg.gamma2, cfg.u_bar_floor)
     report = certificate_constants(model, reduced, ll_gain, alloc, cfg.period)
     lam_mat = interaction_matrix(model, ll_gain, cfg.period)
     strict = alloc.rho_delta_u_hat \
@@ -236,8 +238,8 @@ def _cmd_tune(args) -> int:
     budget = model.input_radii() - (
         (np.eye(model.n_subsystems) + lam_mat) @ alloc.rho_delta_u_hat
         + alloc.rho_u_bar)
-    print(f"allocation (gamma1={gamma1:g}, gamma2={gamma2:g}, "
-          f"floor={floor:g}, objective={alloc.objective:.6g})")
+    print(f"allocation (gamma1={cfg.gamma1:g}, gamma2={cfg.gamma2:g}, "
+          f"floor={cfg.u_bar_floor:g}, objective={alloc.objective:.6g})")
     print(f"{'subsystem':>9}  {'correction':>12}  {'held':>12}  "
           f"{'strict slack':>13}  {'budget slack':>13}")
     for i in range(model.n_subsystems):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,14 +24,14 @@ from .analysis import (CertificateReport, RadiusAllocation, certificate_constant
                        disturbance_set, tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
-from .highlevel import (GainDesign, HLDesign, SlowModel, design_gain, lift,
-                        solve_hl, terminal_cost, tube_qp)
+from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
+                        tube_qp)
 from .lowlevel import LLGain, apply_correction, correction_qp, \
     design_ll_gain, simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
 from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
-from .sets import BallSet, RPIApproximation, rpi_outer, terminal_set
+from .sets import BallSet, rpi_outer, terminal_set
 
 
 # --------------------------------------------------------------- run config
@@ -73,8 +74,9 @@ class RunConfig:
             if not float(getattr(self, name)) > 0:
                 raise ConfigInvalid(f"{name} must be positive")
         for name in ("gamma1", "gamma2", "u_bar_floor"):
-            if float(getattr(self, name)) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
+            value = float(getattr(self, name))
+            if not 0 <= value < math.inf:
+                raise ConfigInvalid(f"{name} must be finite and >= 0, got {value!r}")
         orders = tuple(int(o) for o in self.retained_orders)
         if not orders or any(o < 1 for o in orders):
             raise ConfigInvalid(f"retained_orders must be positive, got {orders}")
@@ -104,24 +106,34 @@ class DesignBundle:
 
     model: InterconnectedModel
     reduced: ReducedModel
-    slow: SlowModel
-    slow_gain: GainDesign
     hl: HLDesign
     ll_gain: LLGain
     ll_Q: tuple[np.ndarray, ...]
     ll_R: tuple[np.ndarray, ...]
     report: CertificateReport
-    tube: RPIApproximation
-    input_conservatism: float
 
     @property
     def radii(self) -> RadiusAllocation:
         return self.report.radii
 
+    @property
+    def input_conservatism(self) -> float:
+        """Largest over smallest held-input budget."""
+        return float(np.max(self.radii.rho_u_bar) / np.min(self.radii.rho_u_bar))
+
+
+def start_state(model: InterconnectedModel, cfg: RunConfig) -> np.ndarray:
+    """The configured start state, checked against the plant's state count."""
+    x = np.asarray(cfg.x0, dtype=float)
+    if x.shape != (model.n_states,):
+        raise ConfigInvalid(f"x0 must have length {model.n_states}, got {x.shape}")
+    return x
+
 
 def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     """Run the offline checklist; raise DesignIncomplete naming the first
     failing stage so a misconfigured run is rejected before any simulation."""
+    x0 = start_state(model, cfg)
 
     def stage(name):
         def wrap(fn):
@@ -146,7 +158,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     n_red, m = slow.n_states, slow.n_inputs
     Q_slow = cfg.q_slow * np.eye(n_red)
     R_slow = cfg.r_slow * np.eye(m)
-    slow_gain = stage("slow_gain")(
+    gain = stage("slow_gain")(
         lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
 
     ll_Q = tuple(cfg.q_fast * np.eye(sub.n_states) for sub in model.subsystems)
@@ -159,7 +171,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     def _certificate():
         report = certificate_constants(model, reduced, ll_gain, radii,
-                                       cfg.period, x0=np.asarray(cfg.x0))
+                                       cfg.period, x0=x0)
         if not report.assumptions_ok:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise HierMPCError(f"certificate clauses failed: {failing}")
@@ -167,14 +179,14 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     report = stage("certificate")(_certificate)
     w_ball = stage("disturbance_set")(lambda: disturbance_set(reduced, report))
-    tube = stage("tube")(lambda: rpi_outer(slow_gain.F_red, w_ball, cfg.rpi_tol))
+    tube = stage("tube")(lambda: rpi_outer(gain.F_red, w_ball, cfg.rpi_tol))
     P = stage("terminal_cost")(
-        lambda: terminal_cost(slow_gain.F_red, slow_gain.K, Q_slow, R_slow))
+        lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
 
     def _input_tightening():
         # The held-input plan lives in one collective ball; the inscribed
         # radius of the per-subsystem budget product is the smallest budget.
-        k_norm = float(np.linalg.norm(slow_gain.K, 2))
+        k_norm = float(np.linalg.norm(gain.K, 2))
         tight = float(np.min(radii.rho_u_bar)) - k_norm * tube.ball.radius
         if tight <= 0:
             raise HierMPCError(
@@ -184,13 +196,11 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     input_tight = stage("input_tightening")(_input_tightening)
     terminal = stage("terminal_set")(
-        lambda: terminal_set(slow_gain.F_red, P, slow_gain.K, input_tight))
+        lambda: terminal_set(gain.F_red, P, gain.K, input_tight))
 
-    hl = HLDesign(slow_gain.K, slow_gain.F_red, slow_gain.F_full, P, tube.ball,
-                  terminal, input_tight, Q_slow, R_slow, cfg.horizon)
-    conservatism = float(np.max(radii.rho_u_bar) / np.min(radii.rho_u_bar))
-    return DesignBundle(model, reduced, slow, slow_gain, hl, ll_gain, ll_Q,
-                        ll_R, report, tube, conservatism)
+    hl = HLDesign(slow, gain, tube, P, terminal, input_tight, Q_slow, R_slow,
+                  cfg.horizon)
+    return DesignBundle(model, reduced, hl, ll_gain, ll_Q, ll_R, report)
 
 
 # ------------------------------------------------------------- trace layout
@@ -261,15 +271,12 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     the decentralized gain and one plant step per fast step.
     """
     start = time.perf_counter()
+    x = start_state(model, cfg)
     if bundle is None:
         bundle = design_pipeline(model, cfg)
-    reduced, slow, hl = bundle.reduced, bundle.slow, bundle.hl
+    reduced, hl, slow = bundle.reduced, bundle.hl, bundle.hl.slow
     N, M = cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
-
-    x = np.asarray(cfg.x0, dtype=float)
-    if x.shape != (n,):
-        raise ConfigInvalid(f"x0 must have length {n}, got {x.shape}")
     rho_u = model.input_radii()
 
     f_cols = fast_columns(n, m, M)
@@ -285,7 +292,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     in_slices = [model.input_slice(i) for i in range(M)]
     state_slices = [model.state_slice(i) for i in range(M)]
 
-    hl_qp = tube_qp(hl, slow)
+    hl_qp = tube_qp(hl)
     ll_qps = [correction_qp(model, reduced, i,
                             BallSet(model.subsystems[i].n_inputs,
                                     float(bundle.radii.rho_delta_u_hat[i])),

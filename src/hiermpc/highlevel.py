@@ -16,7 +16,7 @@ from .errors import DesignFailed, InfeasibleHL
 from .gains import dlqr, dlyap
 from .lti import InterconnectedModel
 from .reduction import ReducedModel
-from .sets import BallSet, EllipsoidSet
+from .sets import BallSet, EllipsoidSet, RPIApproximation
 from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
                      QuadraticProgram, Status, solve_qp)
 
@@ -57,9 +57,12 @@ def lift(reduced: ReducedModel, period: int) -> SlowModel:
 
 @dataclass(frozen=True)
 class GainDesign:
+    """Slow feedback u = K x on the reduced model.  The full lifted closed
+    loop A^period + (sum A^j B) K beta is not kept: it is rebuilt from the
+    model wherever it is needed, and rho_full is its spectral radius."""
+
     K: np.ndarray
     F_red: np.ndarray
-    F_full: np.ndarray
     rho_red: float
     rho_full: float
     rounds: int
@@ -85,7 +88,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
         if rho_red >= 1.0:
             raise DesignFailed("zero input authority and unstable slow dynamics")
         rho_full = float(np.max(np.abs(np.linalg.eigvals(A_full_lift))))
-        return GainDesign(K, slow.A.copy(), A_full_lift, rho_red, rho_full, 0, R_cur)
+        return GainDesign(K, slow.A.copy(), rho_red, rho_full, 0, R_cur)
 
     for rounds in range(1, max_rounds + 1):
         K, _ = dlqr(slow.A, slow.B, Q, R_cur)
@@ -94,7 +97,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
         rho_red = float(np.max(np.abs(np.linalg.eigvals(F_red))))
         rho_full = float(np.max(np.abs(np.linalg.eigvals(F_full))))
         if rho_red < 1.0 and rho_full < 1.0:
-            return GainDesign(K, F_red, F_full, rho_red, rho_full, rounds, R_cur)
+            return GainDesign(K, F_red, rho_red, rho_full, rounds, R_cur)
         R_cur = 4.0 * R_cur
     raise DesignFailed(
         f"no gain made both lifted loops Schur within {max_rounds} detuning rounds")
@@ -111,13 +114,18 @@ def terminal_cost(F: np.ndarray, K: np.ndarray, Q: np.ndarray, R: np.ndarray,
 
 @dataclass(frozen=True)
 class HLDesign:
-    """Everything the slow layer needs online."""
+    """The slow layer: a robust tube MPC designed on the reduced model.
 
-    K: np.ndarray
-    F_red: np.ndarray
-    F_full: np.ndarray
+    It owns every slow-layer design quantity, each stored once: the lifted
+    reduced model, the tube feedback gain, the invariant tube (its ball is
+    the tube cross-section), the terminal cost and set, the tightened input
+    ball, the stage weights and the horizon.
+    """
+
+    slow: SlowModel
+    gain: GainDesign
+    tube: RPIApproximation
     P: np.ndarray
-    tube: BallSet
     terminal: EllipsoidSet
     input_tight: BallSet
     Q: np.ndarray
@@ -148,7 +156,6 @@ class TubeQP:
     """
 
     design: HLDesign
-    slow: SlowModel
     H: np.ndarray
     A_eq: np.ndarray
     inputs: BallConstraint        # one ball per step, stacked (N, m)
@@ -156,7 +163,8 @@ class TubeQP:
     factors: KKTFactors           # for the layout (tube, inputs, terminal)
 
 
-def tube_qp(design: HLDesign, slow: SlowModel) -> TubeQP:
+def tube_qp(design: HLDesign) -> TubeQP:
+    slow = design.slow
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
     d = n * (N + 1) + m * N
 
@@ -185,14 +193,14 @@ def tube_qp(design: HLDesign, slow: SlowModel) -> TubeQP:
     terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
                                    design.terminal.level)
     factors = KKTFactors(H, A_eq, (x_idx(0), inputs.indices, terminal.indices))
-    return TubeQP(design, slow, H, A_eq, inputs, terminal, factors)
+    return TubeQP(design, H, A_eq, inputs, terminal, factors)
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
     """Distance from the projected state to the set of admissible first
     nominal states, with the status of the QP that computed it;
     infeasibility means the distance exceeds the tube radius."""
-    d, n = qp.H.shape[0], qp.slow.n_states
+    d, n = qp.H.shape[0], qp.design.slow.n_states
     x0 = np.arange(n)
     H_gap = 1e-12 * np.eye(d)
     H_gap[np.ix_(x0, x0)] += np.eye(n)
@@ -215,11 +223,11 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     of the gap QP is reported beside the gap, since the gap is read from
     that QP's last iterate whether or not it converged.
     """
-    design, slow = qp.design, qp.slow
+    design, slow = qp.design, qp.design.slow
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
     x_proj = np.asarray(x_proj, dtype=float)
     x0 = np.arange(n)
-    tube = BallConstraint(x0, design.tube.radius, center=x_proj)
+    tube = BallConstraint(x0, design.tube.ball.radius, center=x_proj)
     prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
                             np.zeros(qp.A_eq.shape[0]),
                             (tube, qp.inputs, qp.terminal), qp.factors)
@@ -235,13 +243,13 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
             gap, gap_status = feasibility_gap(qp, x_proj)
             diagnostics["tube_gap"] = gap
             diagnostics["tube_gap_status"] = gap_status.value
-            diagnostics["tube_radius"] = design.tube.radius
+            diagnostics["tube_radius"] = design.tube.ball.radius
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)
     x_nom = res.x[x0]
     u_seq = res.x[n * (N + 1):].reshape(N, m)
-    u_applied = u_seq[0] + design.K @ (x_proj - x_nom)
+    u_applied = u_seq[0] + design.gain.K @ (x_proj - x_nom)
     x_next = res.x[n:2 * n]
     return HLSolution(x_nom, u_seq, u_applied, x_next, res.objective,
                       res.iterations, res.primal_residual, res.dual_residual)

@@ -56,7 +56,7 @@ class LLGain:
     in and may round differently)."""
 
     blocks: tuple[np.ndarray, ...]  # per-subsystem K_i, u_i = K_i x_i
-    K: np.ndarray                   # block diagonal collective gain
+    K: np.ndarray = field(init=False, repr=False)  # block_diag(*blocks)
     F: np.ndarray                   # A + B K, Schur by construction
     rho: float
     rounds: int
@@ -65,6 +65,7 @@ class LLGain:
     stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "K", scipy.linalg.block_diag(*self.blocks))
         groups = {}
         row = col = 0
         for blk in self.blocks:
@@ -99,11 +100,10 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
         for sub, Q, R in zip(model.subsystems, Q_blocks, R_blocks):
             K_i, _ = dlqr(sub.A, sub.B, Q, scale * R)
             blocks.append(K_i)
-        K = scipy.linalg.block_diag(*blocks)
-        F = model.A + model.B @ K
+        F = model.A + model.B @ scipy.linalg.block_diag(*blocks)
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))
         if rho < 1.0:
-            return LLGain(tuple(blocks), K, F, rho, rounds)
+            return LLGain(tuple(blocks), F, rho, rounds)
         scale *= 4.0
     raise DesignFailed(
         f"coupled fast loop not Schur after {max_rounds} detuning rounds")

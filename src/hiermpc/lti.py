@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonzeroSelfCoupling, NotSchur
+from .errors import DimensionMismatch, NonzeroSelfCoupling
 from .sets import BallSet
 
 
@@ -183,44 +183,6 @@ class InterconnectedModel:
         return np.array([sub.input_set.radius for sub in self.subsystems])
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Sampled trajectory; states has one more row than inputs."""
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-
-    def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        times = np.asarray(self.times)
-        if states.shape[0] != inputs.shape[0] + 1:
-            raise DimensionMismatch("need exactly one more state sample than input sample")
-        if times.shape[0] != states.shape[0]:
-            raise DimensionMismatch("times must align with state samples")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "times", times)
-
-    def dynamics_residual(self, model: InterconnectedModel) -> float:
-        pred = self.states[:-1] @ model.A.T + self.inputs @ model.B.T
-        return float(np.max(np.abs(pred - self.states[1:]))) if len(self.inputs) else 0.0
-
-
-@dataclass(frozen=True)
-class ModelValidation:
-    spectral_radius: float
-    schur_ok: bool
-    reachability_ranks: tuple
-    reachable: bool
-    subsystem_eigenvalues: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.schur_ok and self.reachable
-
-
 def assemble(subsystems, coupling: CouplingMap) -> InterconnectedModel:
     """Build the collective (A, B) from subsystem data and the coupling map."""
     return InterconnectedModel(tuple(subsystems), coupling)
@@ -236,54 +198,3 @@ def reachability_matrix(A: np.ndarray, B: np.ndarray, steps: int | None = None) 
         blocks.append(term)
         term = A @ term
     return np.hstack(blocks)
-
-
-def validate_model(model: InterconnectedModel, schur_margin: float = 1e-9,
-                   rank_tol: float = 1e-10, strict: bool = False) -> ModelValidation:
-    """Check collective stability and per-subsystem reachability.
-
-    With strict=True a failing check raises NotSchur / DimensionMismatch
-    instead of returning a failing report.
-    """
-    eigvals = np.linalg.eigvals(model.A)
-    spectral_radius = float(np.max(np.abs(eigvals)))
-    schur_ok = spectral_radius < 1.0 - schur_margin
-    ranks = []
-    sub_eigs = []
-    for sub in model.subsystems:
-        R = reachability_matrix(sub.A, sub.B)
-        sv = np.linalg.svd(R, compute_uv=False)
-        scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-        ranks.append(int(np.sum(sv > rank_tol * max(1.0, scale))))
-        sub_eigs.append(tuple(sorted(np.linalg.eigvals(sub.A).tolist(),
-                                     key=lambda v: (-abs(v), -v.real))))
-    reachable = all(r == sub.n_states for r, sub in zip(ranks, model.subsystems))
-    report = ModelValidation(spectral_radius, schur_ok, tuple(ranks), reachable,
-                             tuple(sub_eigs))
-    if strict and not report.passed:
-        if not schur_ok:
-            raise NotSchur(
-                f"collective spectral radius {spectral_radius:.9f} >= 1 - {schur_margin}")
-        raise NotSchur(f"subsystem reachability ranks {ranks} below state dimensions")
-    return report
-
-
-def step(model: InterconnectedModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (model.n_states,):
-        raise DimensionMismatch(f"state must have length {model.n_states}, got {x.shape}")
-    if u.shape != (model.n_inputs,):
-        raise DimensionMismatch(f"input must have length {model.n_inputs}, got {u.shape}")
-    return model.A @ x + model.B @ u
-
-
-def simulate(model: InterconnectedModel, x0: np.ndarray, inputs: np.ndarray,
-             t0: int = 0) -> StateTrajectory:
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    states = np.empty((inputs.shape[0] + 1, model.n_states))
-    states[0] = np.asarray(x0, dtype=float)
-    for h, u in enumerate(inputs):
-        states[h + 1] = step(model, states[h], u)
-    times = np.arange(t0, t0 + states.shape[0])
-    return StateTrajectory(times, states, inputs)

@@ -42,12 +42,6 @@ class ReducedModel:
     def beta_block(self, i: int, model: InterconnectedModel) -> np.ndarray:
         return self.beta[self.block_slice(i), model.state_slice(i)]
 
-    def selector(self, i: int) -> np.ndarray:
-        """Selector picking subsystem i's reduced coordinates."""
-        S = np.zeros((self.orders[i], self.n_states))
-        S[:, self.block_slice(i)] = np.eye(self.orders[i])
-        return S
-
 
 @dataclass(frozen=True)
 class ReductionValidation:

@@ -3,18 +3,23 @@
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
 The four JSON files hold constructor arguments written by the `model_io`
-codec: `model.json` the subsystems and the coupling map, `design.json` the
-design bundle without the model and the certificate, which are the other
-two.  Floats are written with repr, the shortest decimal string that
-round-trips to the same binary value, so every file except `metadata.json`
-is a pure function of config and seed; `metadata.json` records wall clock
-and the archive version, and is the only file excluded from the determinism
-digest.
+codec: `model.json` the subsystems and the coupling map, `certificate.json`
+the certificate report, and `design.json` the rest of the design bundle: the
+reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
+cost and set, tightened inputs, weights, horizon) and the fast gain blocks
+with their weights.  Each design quantity is stored once; what can be built
+from the stored ones (the collective A and B, the block-diagonal fast gain)
+is built by the constructors on load, never read.  Floats are written with
+repr, the shortest decimal string that round-trips to the same binary value,
+so every file except `metadata.json` is a pure function of config and seed;
+`metadata.json` records wall clock and the archive version, and is the only
+file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
 slow-step disturbance bound, tube containment, nominal convergence, and the
-closed-loop norm-tail envelope.
+closed-loop norm-tail envelope, whose lifted closed-loop matrix it
+recomputes from the model and the slow gain.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
 from .highlevel import lifted_input_matrix
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 FAST_SCHEMA = "hiermpc.trace.fast.v1"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
@@ -228,11 +233,11 @@ def verify_archive(path) -> VerifyReport:
     add("correction_budgets", budget_excess, 1e-8)
 
     # Slow-step disturbance: recompute from boundary states and held inputs.
-    beta = bundle.reduced.beta
+    beta, slow = bundle.reduced.beta, bundle.hl.slow
     xk = np.vstack([x[::N], arc.final_state[None, :]])  # slow boundary states
     proj = xk @ beta.T
     ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
-    w_meas = proj[1:] - proj[:-1] @ bundle.slow.A.T - ubar_s @ bundle.slow.B.T
+    w_meas = proj[1:] - proj[:-1] @ slow.A.T - ubar_s @ slow.B.T
     w_rec = column_block(arc.slow_cols, arc.slow, "wbar", n_red)
     add("disturbance_record", float(np.max(np.abs(w_meas - w_rec))), 1e-9)
     add("disturbance_bound",
@@ -245,12 +250,12 @@ def verify_archive(path) -> VerifyReport:
     xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
     tube_err = np.linalg.norm(xproj_rec - xnom, axis=1)
     add("tube_containment", float(np.max(tube_err)),
-        bundle.hl.tube.radius + 1e-7)
+        bundle.hl.tube.ball.radius + 1e-7)
 
     # Nominal plan internally consistent: xnext = A xnom + B useq[0].
     xnext = column_block(arc.slow_cols, arc.slow, "xnext", n_red)
     useq0 = column_block(arc.slow_cols, arc.slow, "useq0_", m)
-    plan_res = xnext - xnom @ bundle.slow.A.T - useq0 @ bundle.slow.B.T
+    plan_res = xnext - xnom @ slow.A.T - useq0 @ slow.B.T
     add("nominal_plan_residual", float(np.max(np.abs(plan_res))), 1e-7)
 
     # Nominal convergence to the origin within the run.  Meaningful for
@@ -262,10 +267,12 @@ def verify_archive(path) -> VerifyReport:
     add("nominal_convergence", float(np.min(nom_norms)), 1e-6, detail)
 
     # Closed-loop norm-tail envelope at the slow boundaries: the loop matrix
-    # is the lifted closed loop, forced by the nominal feedforward and the
-    # certified correction radius.
-    F = bundle.slow_gain.F_full
+    # is the lifted closed loop, rebuilt here from the model and the slow
+    # gain as `design_gain` builds it, forced by the nominal feedforward and
+    # the certified correction radius.
+    K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
+    F = np.linalg.matrix_power(model.A, N) + B_lift @ K @ beta
     K_steps = cfg.n_slow_steps
     pow_norms = np.empty(K_steps + 1)
     P_ = np.eye(n)
@@ -273,7 +280,7 @@ def verify_archive(path) -> VerifyReport:
         pow_norms[k] = np.linalg.norm(P_, 2)
         P_ = F @ P_
     forcing = np.linalg.norm(
-        (useq0 - xnom @ bundle.slow_gain.K.T) @ B_lift.T, axis=1) \
+        (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \
         + bundle.report.rho_x
     x0_norm = float(np.linalg.norm(xk[0]))
     worst_gap = -np.inf

@@ -35,6 +35,33 @@ def test_analyze_decoupled_prints_zero_disturbance(capsys):
     assert "0" in row.split()
 
 
+@pytest.mark.parametrize("overrides, name", [
+    (["--u-bar-floor", "-100", "--gamma2", "-1"], "gamma2"),
+    (["--u-bar-floor", "-100"], "u_bar_floor"),
+    (["--gamma1", "nan"], "gamma1"),
+])
+def test_tune_overrides_are_validated(overrides, name, capsys):
+    assert main(["tune", *overrides]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert "re-substitution" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
+def test_wrong_length_x0_rejected_before_design(command, tmp_path, capsys):
+    config = tmp_path / "short_x0.json"
+    config.write_text(json.dumps({"run": {"x0": [-2, -2, -2]}}))
+    out = tmp_path / "out"
+    args = [command, "--config", str(config)]
+    if command != "analyze":
+        args += ["--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "x0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_tune_resubstitution_passes(capsys):
     assert main(["tune", "--gamma1", "1", "--gamma2", "1"]) == 0
     assert "re-substitution: pass" in capsys.readouterr().out

@@ -2,7 +2,9 @@
 round trips, bitwise determinism, and tamper detection."""
 import dataclasses
 import json
+import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
 from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
                              config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
-from hiermpc.highlevel import solve_hl, tube_qp
+from hiermpc.highlevel import lifted_input_matrix, solve_hl, tube_qp
 from hiermpc.lowlevel import correction_qp, simulate_auxiliary, solve_ll
 from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
-from hiermpc.thermal import build_thermal_model, default_building
+from hiermpc.thermal import (build_thermal_model, building_from_dict,
+                             default_building)
 from hiermpc.trace import archive_digest, load_archive, verify_archive, \
     write_archive, write_design
 
@@ -72,6 +75,13 @@ def test_config_rejects_unknown_and_invalid():
         RunConfig(retained_orders=(1, 0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "u_bar_floor"])
+def test_config_rejects_non_finite_budget_weights(name, value):
+    with pytest.raises(ConfigInvalid, match=name):
+        RunConfig(**{name: value})
+
+
 def test_zero_start_stays_at_zero(model):
     cfg = dataclasses.replace(RunConfig(), x0=(0.0,) * 10, n_slow_steps=3)
     arc = run_closed_loop(model, cfg)
@@ -92,10 +102,10 @@ def per_subsystem_run(model, cfg, bundle):
     """Reference closed loop whose fast sub-loop is written per subsystem:
     one correction per subsystem and one record row at a time.  Returns the
     fast records and the final state."""
-    reduced, slow, N, M = bundle.reduced, bundle.slow, cfg.period, model.n_subsystems
+    reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
     rho_u = model.input_radii()
-    hl_qp = tube_qp(bundle.hl, slow)
+    hl_qp = tube_qp(bundle.hl)
     ll_qps = [correction_qp(model, reduced, i,
                             BallSet(model.subsystems[i].n_inputs,
                                     float(bundle.radii.rho_delta_u_hat[i])),
@@ -146,6 +156,8 @@ def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
     cfg = dataclasses.replace(short_cfg, x0=(1.0, 2.0))
     with pytest.raises(ConfigInvalid):
         run_closed_loop(model, cfg, bundle)
+    with pytest.raises(ConfigInvalid, match="x0"):
+        design_pipeline(model, cfg)
 
 
 def test_infeasible_start_reports_slow_step(model, bundle, short_cfg):
@@ -199,10 +211,10 @@ def test_report_dict_round_trip(bundle):
 def test_design_dict_round_trip(bundle):
     data = json.loads(json.dumps(to_json(bundle)))
     again = from_json(DesignBundle, data)
-    np.testing.assert_array_equal(again.slow_gain.K, bundle.slow_gain.K)
+    np.testing.assert_array_equal(again.hl.gain.K, bundle.hl.gain.K)
     np.testing.assert_array_equal(again.hl.P, bundle.hl.P)
     np.testing.assert_array_equal(again.ll_gain.K, bundle.ll_gain.K)
-    assert again.hl.tube.radius == bundle.hl.tube.radius
+    assert again.hl.tube.ball.radius == bundle.hl.tube.ball.radius
     assert again.hl.terminal.level == bundle.hl.terminal.level
     assert again.input_conservatism == bundle.input_conservatism
 
@@ -248,20 +260,67 @@ def test_loaded_archive_re_encodes_to_the_same_bytes(decoupled, tmp_path):
         assert (again / name).read_bytes() == (written / name).read_bytes(), name
 
 
+CHAIN4 = Path(__file__).resolve().parents[1] / "perfbench" / "chain4_n40.json"
+
+
+def _json_nodes(node):
+    yield node
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _json_nodes(child)
+
+
+@pytest.mark.parametrize("plant", ["coupled", "chain4"])
+def test_design_json_stores_each_quantity_once(plant, tmp_path):
+    if plant == "chain4":
+        data = json.loads(CHAIN4.read_text())
+        cfg = config_from_dict(data["run"])
+        building = building_from_dict(data["building"])
+    else:
+        cfg, building = RunConfig(), default_building()
+    cfg = dataclasses.replace(cfg, n_slow_steps=2)
+    model = build_thermal_model(building)
+    design = design_pipeline(model, cfg)
+    written = write_archive(run_closed_loop(model, cfg, design), design,
+                            tmp_path / "run")
+    nodes = list(_json_nodes(json.loads((written / "design.json").read_text())))
+
+    def count(value):
+        target = json.loads(json.dumps(to_json(value)))
+        return sum(node == target for node in nodes)
+
+    gain = design.hl.gain
+    assert count(gain.K) == count(gain.F_red) == 1
+    assert design.hl.tube.ball.radius > 0
+    assert count(design.hl.tube.ball.radius) == 1
+    assert not any(isinstance(node, dict) and "F_full" in node for node in nodes)
+    assert count(design.ll_gain.K) == 0
+
+    loaded = load_archive(written).bundle
+    np.testing.assert_array_equal(loaded.ll_gain.K, design.ll_gain.K)
+    assert loaded.input_conservatism == design.input_conservatism
+    # The lifted closed loop as verify_archive rebuilds it from the archive.
+    plant_A, N = loaded.model.A, cfg.period
+    F = np.linalg.matrix_power(plant_A, N) \
+        + lifted_input_matrix(plant_A, loaded.model.B, N) \
+        @ loaded.hl.gain.K @ loaded.reduced.beta
+    assert float(np.max(np.abs(np.linalg.eigvals(F)))) == gain.rho_full
+
+
 def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     bad = tmp_path / "old"
     shutil.copytree(archive_dir, bad)
     meta = json.loads((bad / "metadata.json").read_text())
-    meta["archive_version"] = 1
+    meta["archive_version"] = 2
     (bad / "metadata.json").write_text(json.dumps(meta))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 1" in err and "version 2" in err
+    assert "archive_version 2" in err and "version 3" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
-    ("design.json", "tube", "DesignBundle"),
+    ("design.json", "hl", "DesignBundle"),
     ("certificate.json", "rho_w", "CertificateReport"),
     ("model.json", "coupling", "InterconnectedModel"),
 ])

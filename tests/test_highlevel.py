@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,22 +33,30 @@ def make_design(rng, period=5, horizon=6, w_radius=0.01):
     Q = np.eye(2)
     R = 0.1 * np.eye(2)
     gd = design_gain(slow, model, red, Q, R)
-    tube = rpi_outer(gd.F_red, BallSet(2, w_radius)).ball
+    tube = rpi_outer(gd.F_red, BallSet(2, w_radius))
     P = terminal_cost(gd.F_red, gd.K, Q, R)
-    u_tight = BallSet(2, 5.0 - float(np.linalg.norm(gd.K, 2)) * tube.radius)
+    u_tight = BallSet(2, 5.0 - float(np.linalg.norm(gd.K, 2)) * tube.ball.radius)
     term = terminal_set(gd.F_red, P, gd.K, u_tight)
-    design = HLDesign(gd.K, gd.F_red, gd.F_full, P, tube, term, u_tight, Q, R,
-                      horizon)
+    design = HLDesign(slow, gd, tube, P, term, u_tight, Q, R, horizon)
     return model, red, slow, design
 
 
-def run_tube_soak(design: HLDesign, slow: SlowModel, x_proj0: np.ndarray,
+def with_sets(design: HLDesign, tube: BallSet, terminal: EllipsoidSet,
+              input_tight: BallSet) -> HLDesign:
+    """The design with its tube ball, terminal set and input ball replaced."""
+    return dataclasses.replace(
+        design, tube=dataclasses.replace(design.tube, ball=tube),
+        terminal=terminal, input_tight=input_tight)
+
+
+def run_tube_soak(design: HLDesign, x_proj0: np.ndarray,
                   disturbance: BallSet, n_steps: int, seed: int = 0):
     """Closed slow loop with worst-case disturbances on the boundary of the
     disturbance ball; returns the per-step tube errors.  Used to exercise
     recursive feasibility."""
     rng = np.random.default_rng(seed)
-    qp = tube_qp(design, slow)
+    slow = design.slow
+    qp = tube_qp(design)
     x = np.asarray(x_proj0, dtype=float)
     errors = []
     for _ in range(n_steps):
@@ -127,11 +137,10 @@ def test_solve_hl_dp_oracle_pinned_start():
     # terminal sets the objective must match the finite-horizon recursion.
     rng = np.random.default_rng(24)
     model, red, slow, design = make_design(rng)
-    loose = HLDesign(design.K, design.F_red, design.F_full, design.P,
-                     BallSet(2, 0.0), EllipsoidSet(design.P, 1e12),
-                     BallSet(2, 1e6), design.Q, design.R, design.horizon)
+    loose = with_sets(design, BallSet(2, 0.0), EllipsoidSet(design.P, 1e12),
+                      BallSet(2, 1e6))
     x_proj = np.array([0.4, -0.3])
-    sol = solve_hl(tube_qp(loose, slow), x_proj)
+    sol = solve_hl(tube_qp(loose), x_proj)
     P = design.P.copy()
     for _ in range(design.horizon):
         S = design.R + slow.B.T @ P @ slow.B
@@ -148,8 +157,8 @@ def test_solve_hl_respects_constraints():
     rng = np.random.default_rng(25)
     model, red, slow, design = make_design(rng)
     x_proj = np.array([0.5, 0.5])
-    sol = solve_hl(tube_qp(design, slow), x_proj)
-    assert np.linalg.norm(x_proj - sol.x_nominal) <= design.tube.radius + 1e-6
+    sol = solve_hl(tube_qp(design), x_proj)
+    assert np.linalg.norm(x_proj - sol.x_nominal) <= design.tube.ball.radius + 1e-6
     for u in sol.u_nominal_seq:
         assert np.linalg.norm(u) <= design.input_tight.radius + 1e-6
 
@@ -157,21 +166,20 @@ def test_solve_hl_respects_constraints():
 def test_solve_hl_infeasible_reports_gap():
     rng = np.random.default_rng(26)
     model, red, slow, design = make_design(rng)
-    tight = HLDesign(design.K, design.F_red, design.F_full, design.P,
-                     BallSet(2, 1e-3), EllipsoidSet(design.P, 1e-14),
-                     BallSet(2, 1e-6), design.Q, design.R, design.horizon)
+    tight = with_sets(design, BallSet(2, 1e-3), EllipsoidSet(design.P, 1e-14),
+                      BallSet(2, 1e-6))
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(tight, slow), np.array([500.0, 500.0]), first_step=True)
+        solve_hl(tube_qp(tight), np.array([500.0, 500.0]), first_step=True)
     assert "tube_gap" in err.value.diagnostics
     assert "tube_gap_status" in err.value.diagnostics
-    assert err.value.diagnostics["tube_gap"] > tight.tube.radius
+    assert err.value.diagnostics["tube_gap"] > tight.tube.ball.radius
 
 
 def test_feasibility_gap_zero_when_feasible():
     rng = np.random.default_rng(27)
     model, red, slow, design = make_design(rng)
-    gap, _ = feasibility_gap(tube_qp(design, slow), np.array([0.2, -0.1]))
-    assert gap <= design.tube.radius
+    gap, _ = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
+    assert gap <= design.tube.ball.radius
 
 
 def test_tube_soak_recursive_feasibility():
@@ -180,7 +188,7 @@ def test_tube_soak_recursive_feasibility():
     rng = np.random.default_rng(28)
     w_radius = 0.01
     model, red, slow, design = make_design(rng, w_radius=w_radius)
-    errors = run_tube_soak(design, slow, np.zeros(2), BallSet(2, w_radius),
+    errors = run_tube_soak(design, np.zeros(2), BallSet(2, w_radius),
                            n_steps=200, seed=7)
     assert len(errors) == 200
-    assert max(errors) <= design.tube.radius + 1e-6
+    assert max(errors) <= design.tube.ball.radius + 1e-6

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hiermpc.errors import DimensionMismatch, NonzeroSelfCoupling
 from hiermpc.lti import (CouplingMap, SubsystemModel, assemble,
-                         reachability_matrix, simulate, step, validate_model)
+                         reachability_matrix)
 from hiermpc.sets import BallSet
 
 
@@ -43,66 +41,6 @@ def test_assemble_dimension_mismatch():
     bad = CouplingMap(((None, np.ones((2, 1))), ([[0.1]], None)))
     with pytest.raises(DimensionMismatch):
         assemble(subs, bad)
-
-
-def test_validate_spectral_radius_oracle():
-    # Independent oracle: characteristic polynomial coefficients from the
-    # Faddeev-LeVerrier trace recursion, roots via the companion matrix.
-    model = two_by_two_pair(0.5, 0.6, 0.1)
-    n = model.n_states
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    Mk = np.eye(n)
-    for k in range(1, n + 1):
-        Mk = model.A @ Mk
-        coeffs[k] = -np.trace(Mk) / k
-        Mk += coeffs[k] * np.eye(n)
-    oracle = float(np.max(np.abs(np.roots(coeffs))))
-    report = validate_model(model)
-    assert np.isclose(report.spectral_radius, oracle, atol=1e-12)
-    assert report.schur_ok and report.reachable
-
-
-def test_validate_flags_marginal():
-    subs = [SubsystemModel(A=[[1.0]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
-                           input_set=BallSet(1, 1.0))]
-    model = assemble(subs, CouplingMap(((None,),)))
-    report = validate_model(model)
-    assert not report.schur_ok
-
-
-def test_validate_unreachable():
-    subs = [SubsystemModel(A=np.diag([0.5, 0.5]), B=[[1.0], [0.0]],
-                           E=np.zeros((2, 1)), C_z=np.zeros((1, 2)),
-                           input_set=BallSet(1, 1.0))]
-    model = assemble(subs, CouplingMap(((None,),)))
-    report = validate_model(model)
-    # Repeated eigenvalue with rank-1 input: unreachable.
-    assert report.reachability_ranks == (1,)
-    assert not report.reachable
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-2, 2), st.floats(-2, 2))
-def test_step_linearity(x1, x2, u1, u2):
-    model = two_by_two_pair()
-    xa = np.array([x1, x2])
-    ua = np.array([u1, u2])
-    xb = np.array([x2, -x1])
-    ub = np.array([-u2, u1])
-    lhs = step(model, xa + xb, ua + ub)
-    rhs = step(model, xa, ua) + step(model, xb, ub)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_simulate_matches_matrix_power_oracle():
-    model = two_by_two_pair()
-    x0 = np.array([1.0, -1.0])
-    steps = 7
-    traj = simulate(model, x0, np.zeros((steps, 2)))
-    oracle = np.linalg.matrix_power(model.A, steps) @ x0
-    assert np.allclose(traj.states[-1], oracle, atol=1e-12)
-    assert traj.dynamics_residual(model) <= 1e-10
 
 
 def test_reachability_matrix_layout():
