@@ -78,66 +78,75 @@ def _powers(F: np.ndarray, period: int) -> list:
     return pows
 
 
-def _step_norm_table(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:
-    """t(j) = sum_{r<j} ||A^r B||, j = 0..period."""
-    out = np.zeros(period + 1)
-    term = B.copy()
-    for j in range(1, period + 1):
-        out[j] = out[j - 1] + float(np.linalg.norm(term, 2))
-        term = A @ term
-    return out
+def _fast_loop_powers(model: InterconnectedModel, ll_gain: LLGain,
+                      period: int) -> list:
+    """Powers [I, F, ..., F^period] of the coupled fast closed loop
+    F = A + B K, formed as `design_ll_gain` forms it; nothing stores F."""
+    return _powers(model.A + model.B @ ll_gain.K, period)
+
+
+def _leakage_norms(model: InterconnectedModel, ll_gain: LLGain, left_maps,
+                   period: int) -> np.ndarray:
+    """Row l, column p: ||L_l F^p A_c|| for p = 0..period-2, with A_c the
+    coupling part of A.  Every leakage bound is a sum over this table, so
+    each norm is evaluated once."""
+    A_c = model.A - model.block_diagonal_A()
+    F_pows = _fast_loop_powers(model, ll_gain, period - 2)[:period - 1]
+    return np.array([[float(np.linalg.norm(L @ P @ A_c, 2)) for P in F_pows]
+                     for L in left_maps])
+
+
+def _feedback_maps(model: InterconnectedModel, ll_gain: LLGain) -> list:
+    """K_i S_i: the full state to subsystem i's feedback correction."""
+    return [ll_gain.blocks[i] @ model.state_selector(i)
+            for i in range(model.n_subsystems)]
 
 
 def delta_state_bounds(model: InterconnectedModel, rho_delta_u_hat: np.ndarray,
                        period: int) -> np.ndarray:
     """Per-subsystem deviation bounds: row i, column j holds the worst-case
-    norm of subsystem i's planned deviation after j fast steps."""
-    rows = []
+    norm of subsystem i's planned deviation after j fast steps,
+    rho_i sum_{r<j} ||A_ii^r B_ii||."""
+    out = np.zeros((model.n_subsystems, period + 1))
     for i, sub in enumerate(model.subsystems):
-        rows.append(rho_delta_u_hat[i] * _step_norm_table(sub.A, sub.B, period))
-    return np.array(rows)
+        term = sub.B.copy()
+        for j in range(1, period + 1):
+            out[i, j] = out[i, j - 1] + float(np.linalg.norm(term, 2))
+            term = sub.A @ term
+    return rho_delta_u_hat[:, None] * out
 
 
 def interaction_matrix(model: InterconnectedModel, ll_gain: LLGain,
                        period: int) -> np.ndarray:
     """Lambda[i, j]: worst-case leakage of subsystem j's planned deviations
     into subsystem i's feedback correction, per unit of j's step budget."""
-    M = model.n_subsystems
-    A_c = model.A - model.block_diagonal_A()
-    lam = np.zeros((M, M))
-    if period <= 2:
-        return lam
-    # front(r) = ||K_i S_i F^{period-r-1} A_c|| for r = 2..period-1
-    F_pows = _powers(ll_gain.F, period)
-    inner = [_step_norm_table(sub.A, sub.B, period) for sub in model.subsystems]
-    for i in range(M):
-        Ki_Si = ll_gain.blocks[i] @ model.state_selector(i)
-        for r in range(2, period):
-            front = float(np.linalg.norm(Ki_Si @ F_pows[period - r - 1] @ A_c, 2))
-            for j in range(M):
-                lam[i, j] += front * inner[j][r - 1]
+    front = _leakage_norms(model, ll_gain, _feedback_maps(model, ll_gain), period)
+    inner = delta_state_bounds(model, np.ones(model.n_subsystems), period)
+    lam = np.zeros((model.n_subsystems,) * 2)
+    for r in range(2, period):
+        lam += front[:, period - r - 1, None] * inner[None, :, r - 1]
     return lam
+
+
+def _leakage_sums(model: InterconnectedModel, ll_gain: LLGain, left_maps,
+                  state_tbl: np.ndarray, period: int) -> np.ndarray:
+    """Row l, column j: sum_{r=2..j} ||L_l F^{j-r} A_c|| d(r-1), summed in
+    r order, where d is the collective deviation bound (root sum of squares
+    of the rows of `state_tbl`)."""
+    rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))
+    front = _leakage_norms(model, ll_gain, left_maps, period)
+    out = np.zeros((len(left_maps), period + 1))
+    for r in range(2, period + 1):
+        out[:, r:] += front[:, :period - r + 1] * rss[r - 1]
+    return out
 
 
 def delta_input_bounds(model: InterconnectedModel, ll_gain: LLGain,
                        rho_delta_u_hat: np.ndarray, period: int) -> np.ndarray:
     """Worst-case feedback-correction magnitude per subsystem and fast step
     (zero at steps 0 and 1; the feedback term needs two steps to build up)."""
-    M = model.n_subsystems
-    state_tbl = delta_state_bounds(model, rho_delta_u_hat, period)
-    rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))  # collective deviation bound
-    A_c = model.A - model.block_diagonal_A()
-    F_pows = _powers(ll_gain.F, period)
-    out = np.zeros((M, period + 1))
-    for i in range(M):
-        Ki_Si = ll_gain.blocks[i] @ model.state_selector(i)
-        for j in range(2, period + 1):
-            total = 0.0
-            for r in range(2, j + 1):
-                front = float(np.linalg.norm(Ki_Si @ F_pows[j - r] @ A_c, 2))
-                total += front * rss[r - 1]
-            out[i, j] = total
-    return out
+    return _leakage_sums(model, ll_gain, _feedback_maps(model, ll_gain),
+                         delta_state_bounds(model, rho_delta_u_hat, period), period)
 
 
 def disturbance_radius(model: InterconnectedModel, reduced: ReducedModel,
@@ -146,14 +155,8 @@ def disturbance_radius(model: InterconnectedModel, reduced: ReducedModel,
     """Worst-case slow-step prediction mismatch caused by the corrections
     acting through the coupling; exactly zero for a decoupled plant."""
     state_tbl = delta_state_bounds(model, rho_delta_u_hat, period)
-    rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))
-    A_c = model.A - model.block_diagonal_A()
-    F_pows = _powers(ll_gain.F, period)
-    total = 0.0
-    for j in range(2, period + 1):
-        front = float(np.linalg.norm(reduced.beta @ F_pows[period - j] @ A_c, 2))
-        total += front * rss[j - 1]
-    return total
+    leak = _leakage_sums(model, ll_gain, [reduced.beta], state_tbl, period)
+    return float(leak[0, period])
 
 
 def correction_gain_norm(model: InterconnectedModel, ll_gain: LLGain,
@@ -166,7 +169,7 @@ def correction_gain_norm(model: InterconnectedModel, ll_gain: LLGain,
     A_c = A - A_d
     reach_rev = np.hstack([np.linalg.matrix_power(A, period - 1 - r) @ model.B
                            for r in range(period)])
-    F_pows = _powers(ll_gain.F, period)
+    F_pows = _fast_loop_powers(model, ll_gain, period)
     F_blk = np.zeros((period * n, period * n))
     for j in range(period):
         for r in range(j):
@@ -302,8 +305,9 @@ def certificate_constants(model: InterconnectedModel, reduced: ReducedModel,
         np.inf)
 
     state_tbl = delta_state_bounds(model, rho_du, period)
-    input_tbl = delta_input_bounds(model, ll_gain, rho_du, period)
-    rho_w = disturbance_radius(model, reduced, ll_gain, rho_du, period)
+    leak = _leakage_sums(model, ll_gain, _feedback_maps(model, ll_gain)
+                         + [reduced.beta], state_tbl, period)
+    input_tbl, rho_w = leak[:M], float(leak[M, period])
     kd = correction_gain_norm(model, ll_gain, period)
     rho_x = kd * float(np.sqrt(period)) * float(np.sqrt(np.sum(rho_du ** 2)))
 

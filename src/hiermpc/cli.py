@@ -25,13 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (certificate_constants, interaction_matrix,
-                       sweep_constants, tune_radii)
+from .analysis import interaction_matrix, sweep_constants
 from .errors import DesignIncomplete, HierMPCError
-from .harness import (config_from_dict, design_pipeline, run_closed_loop,
-                      start_state)
-from .lowlevel import design_ll_gain
-from .reduction import reduce_model
+from .harness import certify, config_from_dict, design_pipeline, run_closed_loop
 from .thermal import build_thermal_model, building_from_dict, default_building
 from .trace import verify_archive, write_archive, write_design
 
@@ -153,14 +149,6 @@ def _report_rows(report, x0_norm=None):
     return rows
 
 
-def _design_parts(model, cfg):
-    reduced = reduce_model(model, cfg.retained_orders)
-    ll_Q = [cfg.q_fast * np.eye(s.n_states) for s in model.subsystems]
-    ll_R = [cfg.r_fast * np.eye(s.n_inputs) for s in model.subsystems]
-    ll_gain = design_ll_gain(model, ll_Q, ll_R)
-    return reduced, ll_gain
-
-
 def _cmd_design(args) -> int:
     cfg, _, model = _load_setup(args)
     bundle = design_pipeline(model, cfg)
@@ -188,19 +176,13 @@ def _parse_periods(text: str) -> list[int]:
 def _cmd_analyze(args) -> int:
     periods = _parse_periods(args.sweep) if args.sweep else None
     cfg, _, model = _load_setup(args)
-    x0 = start_state(model, cfg)
-    reduced, ll_gain = _design_parts(model, cfg)
-    radii = tune_radii(model, reduced, ll_gain, cfg.period, cfg.gamma1,
-                       cfg.gamma2, cfg.u_bar_floor)
-    x0_norm = float(np.linalg.norm(x0))
-    report = certificate_constants(model, reduced, ll_gain, radii, cfg.period,
-                                   x0=x0)
-    _print_rows(_report_rows(report, x0_norm))
+    reduced, ll_gain, report = certify(model, cfg)
+    _print_rows(_report_rows(report, float(np.linalg.norm(cfg.x0))))
     ok = report.assumptions_ok and report.x0_bound_ok is not False
 
     if periods is not None:
-        reports = sweep_constants(model, reduced, lambda _n: ll_gain, radii,
-                                  periods)
+        reports = sweep_constants(model, reduced, lambda _n: ll_gain,
+                                  report.radii, periods)
         print("\nslow-period sweep (radii held fixed)")
         print(f"{'N':>4}  {'|A^N|':>12}  {'kappa':>12}  {'series bound':>12}  "
               f"{'min lambda':>12}  {'max chi':>12}")
@@ -227,10 +209,8 @@ def _cmd_tune(args) -> int:
     cfg = dataclasses.replace(cfg, **{
         name: getattr(args, name) for name in ("gamma1", "gamma2", "u_bar_floor")
         if getattr(args, name) is not None})
-    reduced, ll_gain = _design_parts(model, cfg)
-    alloc = tune_radii(model, reduced, ll_gain, cfg.period, cfg.gamma1,
-                       cfg.gamma2, cfg.u_bar_floor)
-    report = certificate_constants(model, reduced, ll_gain, alloc, cfg.period)
+    _, ll_gain, report = certify(model, cfg)
+    alloc = report.radii
     lam_mat = interaction_matrix(model, ll_gain, cfg.period)
     strict = alloc.rho_delta_u_hat \
         - (report.kappa / (np.sqrt(cfg.period) * report.sigma)) \

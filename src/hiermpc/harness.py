@@ -1,14 +1,15 @@
 """Offline design pipeline and the online two-rate closed loop.
 
-`design_pipeline` walks the offline checklist in dependency order (order
-reduction, slow and fast gain synthesis, input-budget allocation, certificate
-constants, disturbance set, invariant tube, terminal cost and set) and fails
-fast naming the first unmet item.  `run_closed_loop` then executes the slow
-loop around the full plant: one tube-tightened slow solve per tick, the
-shared constant-input auxiliary rollout, one correction plan per subsystem,
-and the fast sub-loop applying held input plus corrections.  Every quantity
-the runtime invariants need is recorded; persistence and re-verification
-live in `trace`.
+`design_pipeline` walks the offline checklist in dependency order and fails
+fast naming the first unmet item: first `certify` (order reduction, fast
+gain, input-budget allocation, certificate constants; `hiermpc analyze` and
+`tune` run it too), then, once every clause passes, the slow layer (slow
+gain, disturbance set, invariant tube, terminal cost and set).
+`run_closed_loop` then executes the slow loop around the full plant: one
+tube-tightened slow solve per tick, the shared constant-input auxiliary
+rollout, one correction plan per subsystem, and the fast sub-loop applying
+held input plus corrections.  Every quantity the runtime invariants need is
+recorded; persistence and re-verification live in `trace`.
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ class RunConfig:
     gamma2: float = 1.0
     u_bar_floor: float = 1.0
     x0: tuple[float, ...] = (-2.0,) * 10
-    seed: int = 0
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     max_iters: int = 200_000
@@ -66,13 +66,15 @@ class RunConfig:
     decoupled: bool = False
 
     def __post_init__(self):
-        for name in ("period", "horizon", "n_slow_steps"):
+        for name in ("period", "horizon", "n_slow_steps", "max_iters"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer, got {value!r}")
-        for name in ("q_slow", "r_slow", "q_fast", "r_fast"):
-            if not float(getattr(self, name)) > 0:
-                raise ConfigInvalid(f"{name} must be positive")
+        for name in ("q_slow", "r_slow", "q_fast", "r_fast", "tol_primal",
+                     "tol_dual", "rpi_tol"):
+            value = float(getattr(self, name))
+            if not 0 < value < math.inf:
+                raise ConfigInvalid(f"{name} must be finite and > 0, got {value!r}")
         for name in ("gamma1", "gamma2", "u_bar_floor"):
             value = float(getattr(self, name))
             if not 0 <= value < math.inf:
@@ -130,18 +132,26 @@ def start_state(model: InterconnectedModel, cfg: RunConfig) -> np.ndarray:
     return x
 
 
-def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
-    """Run the offline checklist; raise DesignIncomplete naming the first
-    failing stage so a misconfigured run is rejected before any simulation."""
-    x0 = start_state(model, cfg)
+def _stage(name: str, fn):
+    """Run one design stage; a package error becomes DesignIncomplete(name)."""
+    try:
+        return fn()
+    except HierMPCError as exc:
+        raise DesignIncomplete(name, str(exc)) from exc
 
-    def stage(name):
-        def wrap(fn):
-            try:
-                return fn()
-            except HierMPCError as exc:
-                raise DesignIncomplete(name, str(exc)) from exc
-        return wrap
+
+def _fast_weights(model: InterconnectedModel, cfg: RunConfig) -> tuple:
+    """Per-subsystem state and input weights of the fast layer."""
+    return (tuple(cfg.q_fast * np.eye(sub.n_states) for sub in model.subsystems),
+            tuple(cfg.r_fast * np.eye(sub.n_inputs) for sub in model.subsystems))
+
+
+def certify(model: InterconnectedModel,
+            cfg: RunConfig) -> tuple[ReducedModel, LLGain, CertificateReport]:
+    """The certificate stages of the offline checklist, up to the constants
+    at the configured start.  Raises DesignIncomplete naming the first stage
+    that fails; the report's clauses are graded, not enforced."""
+    x0 = start_state(model, cfg)
 
     def _reduction():
         reduced = reduce_model(model, cfg.retained_orders)
@@ -152,36 +162,37 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
                 f"full_rank={check.full_rank}, dc_residual={check.dc_residual:.3e})")
         return reduced
 
-    reduced = stage("reduction")(_reduction)
+    reduced = _stage("reduction", _reduction)
+    ll_gain = _stage("fast_gain",
+                     lambda: design_ll_gain(model, *_fast_weights(model, cfg)))
+    radii = _stage("radii", lambda: tune_radii(
+        model, reduced, ll_gain, cfg.period, cfg.gamma1, cfg.gamma2,
+        cfg.u_bar_floor))
+    report = _stage("certificate", lambda: certificate_constants(
+        model, reduced, ll_gain, radii, cfg.period, x0=x0))
+    return reduced, ll_gain, report
 
-    slow = stage("slow_gain")(lambda: lift(reduced, cfg.period))
+
+def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
+    """Run the offline checklist; raise DesignIncomplete naming the first
+    failing stage so a misconfigured run is rejected before any simulation.
+    The slow layer is designed only once `certify` has passed every clause."""
+    reduced, ll_gain, report = certify(model, cfg)
+    radii = report.radii
+    if not report.assumptions_ok:
+        failing = [k for k, ok in report.clauses.items() if not ok]
+        raise DesignIncomplete("certificate", f"certificate clauses failed: {failing}")
+
+    slow = _stage("slow_gain", lambda: lift(reduced, cfg.period))
     n_red, m = slow.n_states, slow.n_inputs
     Q_slow = cfg.q_slow * np.eye(n_red)
     R_slow = cfg.r_slow * np.eye(m)
-    gain = stage("slow_gain")(
-        lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
-
-    ll_Q = tuple(cfg.q_fast * np.eye(sub.n_states) for sub in model.subsystems)
-    ll_R = tuple(cfg.r_fast * np.eye(sub.n_inputs) for sub in model.subsystems)
-    ll_gain = stage("fast_gain")(lambda: design_ll_gain(model, ll_Q, ll_R))
-
-    radii = stage("radii")(
-        lambda: tune_radii(model, reduced, ll_gain, cfg.period,
-                           cfg.gamma1, cfg.gamma2, cfg.u_bar_floor))
-
-    def _certificate():
-        report = certificate_constants(model, reduced, ll_gain, radii,
-                                       cfg.period, x0=x0)
-        if not report.assumptions_ok:
-            failing = [k for k, ok in report.clauses.items() if not ok]
-            raise HierMPCError(f"certificate clauses failed: {failing}")
-        return report
-
-    report = stage("certificate")(_certificate)
-    w_ball = stage("disturbance_set")(lambda: disturbance_set(reduced, report))
-    tube = stage("tube")(lambda: rpi_outer(gain.F_red, w_ball, cfg.rpi_tol))
-    P = stage("terminal_cost")(
-        lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
+    gain = _stage("slow_gain",
+                  lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
+    w_ball = _stage("disturbance_set", lambda: disturbance_set(reduced, report))
+    tube = _stage("tube", lambda: rpi_outer(gain.F_red, w_ball, cfg.rpi_tol))
+    P = _stage("terminal_cost",
+               lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
 
     def _input_tightening():
         # The held-input plan lives in one collective ball; the inscribed
@@ -194,13 +205,14 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
                 f"absorb the tube feedback {k_norm * tube.ball.radius:.6g}")
         return BallSet(m, tight)
 
-    input_tight = stage("input_tightening")(_input_tightening)
-    terminal = stage("terminal_set")(
-        lambda: terminal_set(gain.F_red, P, gain.K, input_tight))
+    input_tight = _stage("input_tightening", _input_tightening)
+    terminal = _stage("terminal_set",
+                      lambda: terminal_set(gain.F_red, P, gain.K, input_tight))
 
     hl = HLDesign(slow, gain, tube, P, terminal, input_tight, Q_slow, R_slow,
                   cfg.horizon)
-    return DesignBundle(model, reduced, hl, ll_gain, ll_Q, ll_R, report)
+    return DesignBundle(model, reduced, hl, ll_gain, *_fast_weights(model, cfg),
+                        report)
 
 
 # ------------------------------------------------------------- trace layout

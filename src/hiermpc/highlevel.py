@@ -66,7 +66,6 @@ class GainDesign:
     rho_red: float
     rho_full: float
     rounds: int
-    R_final: np.ndarray
 
 
 def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedModel,
@@ -88,7 +87,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
         if rho_red >= 1.0:
             raise DesignFailed("zero input authority and unstable slow dynamics")
         rho_full = float(np.max(np.abs(np.linalg.eigvals(A_full_lift))))
-        return GainDesign(K, slow.A.copy(), rho_red, rho_full, 0, R_cur)
+        return GainDesign(K, slow.A.copy(), rho_red, rho_full, 0)
 
     for rounds in range(1, max_rounds + 1):
         K, _ = dlqr(slow.A, slow.B, Q, R_cur)
@@ -97,7 +96,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
         rho_red = float(np.max(np.abs(np.linalg.eigvals(F_red))))
         rho_full = float(np.max(np.abs(np.linalg.eigvals(F_full))))
         if rho_red < 1.0 and rho_full < 1.0:
-            return GainDesign(K, F_red, rho_red, rho_full, rounds, R_cur)
+            return GainDesign(K, F_red, rho_red, rho_full, rounds)
         R_cur = 4.0 * R_cur
     raise DesignFailed(
         f"no gain made both lifted loops Schur within {max_rounds} detuning rounds")

@@ -57,8 +57,7 @@ class LLGain:
 
     blocks: tuple[np.ndarray, ...]  # per-subsystem K_i, u_i = K_i x_i
     K: np.ndarray = field(init=False, repr=False)  # block_diag(*blocks)
-    F: np.ndarray                   # A + B K, Schur by construction
-    rho: float
+    rho: float                      # spectral radius of A + B K, below 1
     rounds: int
     # (state indices, input indices, blocks) per block shape, each stacked
     # over the subsystems of that shape.
@@ -103,7 +102,7 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
         F = model.A + model.B @ scipy.linalg.block_diag(*blocks)
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))
         if rho < 1.0:
-            return LLGain(tuple(blocks), F, rho, rounds)
+            return LLGain(tuple(blocks), rho, rounds)
         scale *= 4.0
     raise DesignFailed(
         f"coupled fast loop not Schur after {max_rounds} detuning rounds")

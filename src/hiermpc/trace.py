@@ -7,13 +7,15 @@ codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
 reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
 cost and set, tightened inputs, weights, horizon) and the fast gain blocks
-with their weights.  Each design quantity is stored once; what can be built
-from the stored ones (the collective A and B, the block-diagonal fast gain)
-is built by the constructors on load, never read.  Floats are written with
-repr, the shortest decimal string that round-trips to the same binary value,
-so every file except `metadata.json` is a pure function of config and seed;
-`metadata.json` records wall clock and the archive version, and is the only
-file excluded from the determinism digest.
+with their weights and the spectral radius of the coupled fast closed loop.
+Each design quantity is stored once; what can be built from the stored ones
+(the collective A and B, the block-diagonal fast gain) is built by the
+constructors on load, never read, and the full-order closed loops (the fast
+A + B K, the lifted slow loop) are rebuilt where they are used.  Floats are
+written with repr, the shortest decimal string that round-trips to the same
+binary value, so every file except `metadata.json` is a pure function of the
+config; `metadata.json` records wall clock and the archive version, and is
+the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
@@ -38,7 +40,7 @@ from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
 from .highlevel import lifted_input_matrix
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
 FAST_SCHEMA = "hiermpc.trace.fast.v1"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",

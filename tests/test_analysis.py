@@ -1,11 +1,15 @@
 """Certificate constants against hand values, closed forms, and sampled
 trajectories (every bound must dominate what a simulated correction run
 actually produces)."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hiermpc.analysis import (
     CertificateReport,
+    RadiusAllocation,
     certificate_constants,
     correction_gain_norm,
     delta_input_bounds,
@@ -21,10 +25,15 @@ from hiermpc.analysis import (
     tune_radii,
 )
 from hiermpc.errors import InfeasibleTuning, RankDeficient
+from hiermpc.harness import RunConfig, certify, config_from_dict
 from hiermpc.lowlevel import design_ll_gain
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
+from hiermpc.thermal import (build_thermal_model, building_from_dict,
+                             default_building)
+
+CHAIN4 = Path(__file__).resolve().parents[1] / "perfbench" / "chain4_n40.json"
 
 
 def make_pair(coupling=0.08, radius=5.0, n_i=2):
@@ -154,13 +163,14 @@ def _leakage_rollout(model, gain, delta_u_hat):
     n = model.n_states
     A_d = model.block_diagonal_A()
     A_c = model.A - A_d
+    F = model.A + model.B @ gain.K
     dx_hat = np.zeros((period + 1, n))
     eps = np.zeros((period + 1, n))
     du = np.zeros_like(delta_u_hat)
     for j in range(period):
         du[j] = delta_u_hat[j] + gain.K @ eps[j]
         dx_hat[j + 1] = A_d @ dx_hat[j] + model.B @ delta_u_hat[j]
-        eps[j + 1] = gain.F @ eps[j] + A_c @ dx_hat[j]
+        eps[j + 1] = F @ eps[j] + A_c @ dx_hat[j]
     return dx_hat, eps, du
 
 
@@ -213,6 +223,80 @@ def test_disturbance_radius_is_attained_for_single_leak_path():
     # beta rows have unit magnitude, so the single-path bound is tight up to
     # the row-direction alignment, which is exact in the scalar case
     assert rho_w == pytest.approx(leak, rel=1e-9)
+
+
+def _per_step_leakage(model, reduced, gain, rho, period):
+    """Lambda, the input table and rho_w from per-(j, r) loops that evaluate
+    every norm ||L F^p A_c|| again inside each sum that uses it: the form the
+    bounds were first written in, kept as a bit-for-bit reference."""
+    M = model.n_subsystems
+    A_c = model.A - model.block_diagonal_A()
+    F = model.A + model.B @ gain.K
+    F_pows = [np.eye(model.n_states)]
+    for _ in range(period):
+        F_pows.append(F @ F_pows[-1])
+    inner = []
+    for sub in model.subsystems:
+        steps, term = np.zeros(period + 1), sub.B.copy()
+        for j in range(1, period + 1):
+            steps[j] = steps[j - 1] + float(np.linalg.norm(term, 2))
+            term = sub.A @ term
+        inner.append(steps)
+    rss = np.sqrt(np.sum(np.array([rho[i] * inner[i] for i in range(M)]) ** 2,
+                         axis=0))
+    lam, inputs = np.zeros((M, M)), np.zeros((M, period + 1))
+    for i in range(M):
+        Ki_Si = gain.blocks[i] @ model.state_selector(i)
+        for r in range(2, period):
+            front = float(np.linalg.norm(Ki_Si @ F_pows[period - r - 1] @ A_c, 2))
+            for j in range(M):
+                lam[i, j] += front * inner[j][r - 1]
+        for j in range(2, period + 1):
+            total = 0.0
+            for r in range(2, j + 1):
+                front = float(np.linalg.norm(Ki_Si @ F_pows[j - r] @ A_c, 2))
+                total += front * rss[r - 1]
+            inputs[i, j] = total
+    rho_w = 0.0
+    for j in range(2, period + 1):
+        front = float(np.linalg.norm(reduced.beta @ F_pows[period - j] @ A_c, 2))
+        rho_w += front * rss[j - 1]
+    return lam, inputs, rho_w
+
+
+def _leakage_cases(case):
+    """(model, reduced, gain, radii, periods) for one plant."""
+    if case in ("coupled", "decoupled", "scalar"):
+        model = make_pair(coupling=0.0 if case == "decoupled" else 0.08,
+                          n_i=1 if case == "scalar" else 2)
+        radii = RadiusAllocation(np.array([0.9, 0.4]), np.array([1.0, 1.5]),
+                                 0.0, 1.0, 1.0, 0.0)
+        return (model, reduce_model(model, [1, 1]), ll_gain_for(model), radii,
+                (1, 2, 3, 7))
+    if case == "chain4_n40":
+        data = json.loads(CHAIN4.read_text())
+        cfg, building = config_from_dict(data["run"]), building_from_dict(data["building"])
+    else:
+        cfg, building = RunConfig(), default_building()
+    model = build_thermal_model(building)
+    reduced, gain, report = certify(model, cfg)
+    return model, reduced, gain, report.radii, (cfg.period,)
+
+
+@pytest.mark.parametrize("case", ["coupled", "decoupled", "scalar",
+                                  "thermal_n20", "chain4_n40"])
+def test_leakage_bounds_match_per_step_loops_bitwise(case):
+    model, reduced, gain, radii, periods = _leakage_cases(case)
+    rho = radii.rho_delta_u_hat
+    for period in periods:
+        lam, inputs, rho_w = _per_step_leakage(model, reduced, gain, rho, period)
+        np.testing.assert_array_equal(interaction_matrix(model, gain, period), lam)
+        np.testing.assert_array_equal(
+            delta_input_bounds(model, gain, rho, period), inputs)
+        assert disturbance_radius(model, reduced, gain, rho, period) == rho_w
+        rep = certificate_constants(model, reduced, gain, radii, period)
+        np.testing.assert_array_equal(rep.delta_input_table, inputs)
+        assert rep.rho_w == rho_w
 
 
 # ------------------------------------------------------------- tuning LP

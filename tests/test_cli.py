@@ -1,8 +1,11 @@
 """Command-line entry points: exit codes, file emission, table output."""
+import dataclasses
 import json
+import math
 
 import pytest
 
+from hiermpc import harness
 from hiermpc.cli import main
 
 
@@ -60,6 +63,36 @@ def test_wrong_length_x0_rejected_before_design(command, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "x0" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r_fast", math.inf), ("q_slow", math.inf), ("rpi_tol", -1.0),
+    ("tol_primal", -1.0), ("max_iters", 0),
+])
+def test_out_of_range_settings_rejected_before_design(key, value, tmp_path,
+                                                      capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"run": {key: value}}))
+    out = tmp_path / "out"
+    assert main(["design", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_analyze_runs_the_reduction_checks(monkeypatch, capsys):
+    checked = harness.verify_reduction
+
+    def failing(reduced, model):
+        return dataclasses.replace(checked(reduced, model), dc_ok=False)
+
+    monkeypatch.setattr(harness, "verify_reduction", failing)
+    assert main(["analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("design incomplete: ")
+    assert "'reduction'" in captured.err
+    assert captured.out == ""
 
 
 def test_tune_resubstitution_passes(capsys):

@@ -76,8 +76,19 @@ def test_config_rejects_unknown_and_invalid():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["gamma1", "gamma2", "u_bar_floor"])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "u_bar_floor", "q_slow",
+                                  "r_slow", "q_fast", "r_fast", "tol_primal",
+                                  "tol_dual", "rpi_tol"])
 def test_config_rejects_non_finite_budget_weights(name, value):
+    with pytest.raises(ConfigInvalid, match=name):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("q_fast", 0.0), ("r_slow", -1.0), ("tol_primal", -1.0), ("tol_dual", 0.0),
+    ("rpi_tol", -1.0), ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5),
+])
+def test_config_rejects_out_of_range_settings(name, value):
     with pytest.raises(ConfigInvalid, match=name):
         RunConfig(**{name: value})
 
@@ -293,8 +304,10 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
     assert count(gain.K) == count(gain.F_red) == 1
     assert design.hl.tube.ball.radius > 0
     assert count(design.hl.tube.ball.radius) == 1
-    assert not any(isinstance(node, dict) and "F_full" in node for node in nodes)
+    assert not any(isinstance(node, dict) and ("F_full" in node or "R_final" in node)
+                   for node in nodes)
     assert count(design.ll_gain.K) == 0
+    assert "F" not in json.loads((written / "design.json").read_text())["ll_gain"]
 
     loaded = load_archive(written).bundle
     np.testing.assert_array_equal(loaded.ll_gain.K, design.ll_gain.K)
@@ -305,18 +318,21 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
         + lifted_input_matrix(plant_A, loaded.model.B, N) \
         @ loaded.hl.gain.K @ loaded.reduced.beta
     assert float(np.max(np.abs(np.linalg.eigvals(F)))) == gain.rho_full
+    # The coupled fast closed loop, rebuilt from the archive as analysis does.
+    F_fast = loaded.model.A + loaded.model.B @ loaded.ll_gain.K
+    assert float(np.max(np.abs(np.linalg.eigvals(F_fast)))) == design.ll_gain.rho
 
 
 def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     bad = tmp_path / "old"
     shutil.copytree(archive_dir, bad)
     meta = json.loads((bad / "metadata.json").read_text())
-    meta["archive_version"] = 2
+    meta["archive_version"] = 3
     (bad / "metadata.json").write_text(json.dumps(meta))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 2" in err and "version 3" in err
+    assert "archive_version 3" in err and "version 4" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -383,7 +399,7 @@ def test_tampered_config_hash_detected(archive_dir, tmp_path):
     bad = tmp_path / "badcfg"
     shutil.copytree(archive_dir, bad)
     cfg = json.loads((bad / "config.json").read_text())
-    cfg["seed"] = 999
+    cfg["rpi_tol"] = 2e-6
     (bad / "config.json").write_text(json.dumps(cfg))
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
     assert "config_hash" in failed

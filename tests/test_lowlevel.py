@@ -154,7 +154,7 @@ def test_ll_gain_product_is_blockwise():
     blocks = tuple(rng.normal(size=shape)
                    for shape in [(1, 5), (2, 3), (1, 5), (2, 3)])
     K = scipy.linalg.block_diag(*blocks)
-    gain = LLGain(blocks, np.eye(K.shape[1]), 0.5, 1)
+    gain = LLGain(blocks, 0.5, 1)
     cols = np.cumsum([0] + [blk.shape[1] for blk in blocks])
     for _ in range(50):
         x = rng.normal(size=K.shape[1])
