@@ -231,6 +231,12 @@ def fast_columns(n: int, m: int, n_sub: int) -> tuple:
     return tuple(cols)
 
 
+# The fast blocks an archive stores, in `fast_columns` order: the states and
+# inputs `verify_archive` reads.  The other fast columns are functions of
+# these and the design, and are not stored (see `trace`).
+RECORDED_FAST = ("x", "ubar", "duhat", "du", "u")
+
+
 def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
     cols = ["k"]
     cols += [f"xproj{i}" for i in range(n_red)]

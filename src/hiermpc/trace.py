@@ -2,6 +2,13 @@
 
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
+`fast.csv` stores the recorded fast blocks `harness.RECORDED_FAST`: the
+states `x`, the held input `ubar`, the planned corrections `duhat`, the
+applied corrections `du` and the plant input `u`.  The other fast columns of
+the in-memory `TraceArchive` are functions of these and the design and are
+not stored: the row index `h`, the auxiliary rollout `xhat`, the deviation
+`dx = x - xhat`, the plan rollout `dxhat` and the input margins `margin`;
+the `correction_law` check re-derives `xhat` and `dxhat`.
 The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
@@ -14,20 +21,22 @@ constructors on load, never read, and the full-order closed loops (the fast
 A + B K, the lifted slow loop) are rebuilt where they are used.  Floats are
 written with repr, the shortest decimal string that round-trips to the same
 binary value, so every file except `metadata.json` is a pure function of the
-config; `metadata.json` records wall clock and the archive version, and is
-the only file excluded from the determinism digest.
+config; `metadata.json` records wall clock and the archive version (5), and
+is the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
-slow-step disturbance bound, tube containment, nominal convergence, and the
-closed-loop norm-tail envelope, whose lifted closed-loop matrix it
-recomputes from the model and the slow gain.
+fast correction law, the slow-step disturbance bound, tube containment,
+nominal convergence, and the closed-loop norm-tail envelope, whose lifted
+closed-loop matrix it recomputes from the model and the slow gain.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,36 +44,66 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid
-from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
-                      config_digest)
+from .harness import (RECORDED_FAST, DesignBundle, RunConfig, TraceArchive,
+                      column_block, config_digest, fast_columns, slow_columns)
 from .highlevel import lifted_input_matrix
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 4
-FAST_SCHEMA = "hiermpc.trace.fast.v1"
+ARCHIVE_VERSION = 5
+FAST_SCHEMA = "hiermpc.trace.fast.v2"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
 
 
+def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
+    return f"# schema={schema} columns={n_columns} rows={n_rows}"
+
+
 def _write_csv(path: Path, schema: str, columns, rows: np.ndarray) -> None:
-    lines = [f"# schema={schema} columns={len(columns)} rows={rows.shape[0]}"]
+    lines = [_csv_header(schema, len(columns), rows.shape[0])]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path, schema: str):
-    lines = path.read_text().splitlines()
-    header = lines[0]
-    if not header.startswith(f"# schema={schema} "):
-        raise ValueError(f"{path.name}: expected schema {schema}, got {header!r}")
-    columns = tuple(lines[1].split(","))
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+def _read_csv(path: Path, schema: str, columns: tuple) -> np.ndarray:
+    """Parse a CSV that `_write_csv` wrote with these columns.  Its header
+    and names must be what `_write_csv` writes for the parsed block, and its
+    last row must end in a newline, so a torn or foreign file raises
+    ConfigInvalid."""
+    try:
+        with path.open("rb") as fh:
+            header = fh.readline().decode()
+            names = fh.readline().decode().rstrip("\n").split(",")
+            with warnings.catch_warnings():
+                # A block of no rows is valid; loadtxt warns about it.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                raise ValueError("the last row is cut short")
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read {path.name}: {exc}") from exc
     if rows.size == 0:
         rows = rows.reshape(0, len(columns))
-    return columns, rows
+    expected = _csv_header(schema, len(columns), rows.shape[0])
+    if header != expected + "\n" or rows.shape[1] != len(columns):
+        raise ConfigInvalid(
+            f"cannot read {path.name}: header {header.rstrip()!r} does not "
+            f"describe its {rows.shape[0]} rows of {rows.shape[1]} values "
+            f"(expected {expected!r})")
+    if tuple(names) != tuple(columns):
+        raise ConfigInvalid(f"cannot read {path.name}: its column names are "
+                            f"not the {len(columns)} of this archive version")
+    return rows
+
+
+def _recorded_columns(fast_cols) -> tuple:
+    """The columns of the fast trace that `fast.csv` stores, in order."""
+    return tuple(name for name in fast_cols
+                 if name.rstrip("0123456789") in RECORDED_FAST)
 
 
 def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
@@ -82,7 +121,9 @@ def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
 
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
     out = write_design(bundle, archive.config, out_dir)
-    _write_csv(out / "fast.csv", FAST_SCHEMA, archive.fast_cols, archive.fast)
+    columns = _recorded_columns(archive.fast_cols)
+    keep = [archive.fast_cols.index(name) for name in columns]
+    _write_csv(out / "fast.csv", FAST_SCHEMA, columns, archive.fast[:, keep])
     _write_csv(out / "slow.csv", SLOW_SCHEMA, archive.slow_cols, archive.slow)
     meta = {
         "archive_version": ARCHIVE_VERSION,
@@ -131,8 +172,13 @@ def load_archive(path) -> LoadedArchive:
     bundle = from_json(DesignBundle, {**read("design.json"),
                                       "model": read("model.json"),
                                       "report": read("certificate.json")})
-    fast_cols, fast = _read_csv(root / "fast.csv", FAST_SCHEMA)
-    slow_cols, slow = _read_csv(root / "slow.csv", SLOW_SCHEMA)
+    model = bundle.model
+    fast_cols = _recorded_columns(fast_columns(
+        model.n_states, model.n_inputs, model.n_subsystems))
+    slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,
+                             config.horizon)
+    fast = _read_csv(root / "fast.csv", FAST_SCHEMA, fast_cols)
+    slow = _read_csv(root / "slow.csv", SLOW_SCHEMA, slow_cols)
     return LoadedArchive(config, bundle, fast_cols, slow_cols, fast, slow,
                          metadata)
 
@@ -177,6 +223,17 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _rollouts(A: np.ndarray, start: np.ndarray,
+              forcing: np.ndarray) -> np.ndarray:
+    """States 0..N-1 of s+ = A s + forcing[:, j] from `start`, one rollout
+    per slow step: start (K, n), forcing (K, N, n); returns the K N rows."""
+    states = np.empty(forcing.shape)
+    states[:, 0] = start
+    for j in range(1, forcing.shape[1]):
+        states[:, j] = states[:, j - 1] @ A.T + forcing[:, j - 1]
+    return states.reshape(-1, forcing.shape[2])
+
+
 def verify_archive(path) -> VerifyReport:
     """Re-check every runtime invariant of a stored run from first
     principles: nothing recorded is trusted except the raw states, inputs
@@ -207,6 +264,9 @@ def verify_archive(path) -> VerifyReport:
     # Stored hash vs the loaded config.
     hash_ok = arc.metadata.get("config_sha256") == config_digest(cfg)
     add("config_hash", 0.0 if hash_ok else 1.0, 0)
+    if count_err:
+        # The other checks align the records by slow step.
+        return VerifyReport(tuple(checks))
 
     x = column_block(arc.fast_cols, arc.fast, "x", n)
     u = column_block(arc.fast_cols, arc.fast, "u", m)
@@ -233,6 +293,21 @@ def verify_archive(path) -> VerifyReport:
         float(np.max(np.linalg.norm(duhat[:, model.input_slice(i)], axis=1)
                      - bundle.radii.rho_delta_u_hat[i])) for i in range(M))
     add("correction_budgets", budget_excess, 1e-8)
+
+    # The fast correction law du = duhat + K_i (x - xhat - dxhat), with the
+    # auxiliary rollout xhat (from each boundary state under the held input)
+    # and each subsystem's plan rollout dxhat (of duhat, from 0) rebuilt here.
+    K_steps = cfg.n_slow_steps
+    xhat = _rollouts(model.A, x[::N],
+                     (ubar_f @ model.B.T).reshape(K_steps, N, n))
+    law = np.empty_like(du)
+    for i, (sub, K_i) in enumerate(zip(model.subsystems,
+                                       bundle.ll_gain.blocks)):
+        si, ui = model.state_slice(i), model.input_slice(i)
+        dxhat = _rollouts(sub.A, np.zeros((K_steps, sub.n_states)),
+                          (duhat[:, ui] @ sub.B.T).reshape(K_steps, N, -1))
+        law[:, ui] = duhat[:, ui] + (x[:, si] - xhat[:, si] - dxhat) @ K_i.T
+    add("correction_law", float(np.max(np.abs(du - law))), 1e-12)
 
     # Slow-step disturbance: recompute from boundary states and held inputs.
     beta, slow = bundle.reduced.beta, bundle.hl.slow
@@ -275,7 +350,6 @@ def verify_archive(path) -> VerifyReport:
     K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
     F = np.linalg.matrix_power(model.A, N) + B_lift @ K @ beta
-    K_steps = cfg.n_slow_steps
     pow_norms = np.empty(K_steps + 1)
     P_ = np.eye(n)
     for k in range(K_steps + 1):

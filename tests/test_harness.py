@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hiermpc.analysis import CertificateReport
 from hiermpc.cli import main
@@ -21,8 +24,8 @@ from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
-from hiermpc.trace import archive_digest, load_archive, verify_archive, \
-    write_archive, write_design
+from hiermpc.trace import (_read_csv, _write_csv, archive_digest, load_archive,
+                           verify_archive, write_archive, write_design)
 
 
 @pytest.fixture(scope="module")
@@ -230,14 +233,41 @@ def test_design_dict_round_trip(bundle):
     assert again.input_conservatism == bundle.input_conservatism
 
 
-def test_archive_round_trip_and_verify(archive, archive_dir):
+def test_archive_round_trip_and_verify(model, archive, archive_dir):
+    n, m = model.n_states, model.n_inputs
+    widths = {"x": n, "ubar": m, "duhat": m, "du": m, "u": m}
     loaded = load_archive(archive_dir)
     assert loaded.config == archive.config
-    np.testing.assert_array_equal(loaded.fast, archive.fast)
-    np.testing.assert_array_equal(loaded.slow, archive.slow)
+    assert loaded.fast_cols == tuple(f"{prefix}{i}" for prefix, width
+                                     in widths.items() for i in range(width))
+    recorded = np.hstack([archive.fast_block(prefix, width)
+                          for prefix, width in widths.items()])
+    assert loaded.fast.tobytes() == recorded.tobytes()
+    assert loaded.slow.tobytes() == archive.slow.tobytes()
     np.testing.assert_array_equal(loaded.final_state, archive.final_state)
     report = verify_archive(archive_dir)
     assert report.passed, report.table()
+    assert "correction_law" in {c.name for c in report.checks}
+
+
+_EDGE_VALUES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308,
+                          np.finfo(float).max, -np.finfo(float).max, 0.1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(rows=_EDGE_VALUES)
+@example(rows=_EDGE_VALUES.T)
+@example(rows=np.empty((0, 3)))
+@example(rows=np.empty((0, 1)))
+def test_csv_codec_round_trips_bitwise(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "block.csv"
+    columns = tuple(f"c{j}" for j in range(rows.shape[1]))
+    _write_csv(path, "test.v1", columns, rows)
+    got = _read_csv(path, "test.v1", columns)
+    assert got.dtype == np.float64 and got.shape == rows.shape
+    assert got.tobytes() == rows.tobytes()
 
 
 def test_archive_bitwise_determinism(model, bundle, tmp_path):
@@ -327,12 +357,12 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     bad = tmp_path / "old"
     shutil.copytree(archive_dir, bad)
     meta = json.loads((bad / "metadata.json").read_text())
-    meta["archive_version"] = 3
+    meta["archive_version"] = 4
     (bad / "metadata.json").write_text(json.dumps(meta))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 3" in err and "version 4" in err
+    assert "archive_version 4" in err and "version 5" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -362,6 +392,38 @@ def test_verify_names_an_unreadable_file(archive_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read design.json")
 
 
+def _cut_mid_line(text):
+    return text[:len(text) // 2]
+
+
+def _cut_at_line_boundary(text):
+    return "".join(text.splitlines(keepends=True)[:-2])
+
+
+def _cut_last_digit(text):
+    return text[:-2]
+
+
+def _foreign_schema(text):
+    return text.replace("hiermpc.trace.fast.", "other.fast.", 1)
+
+
+def _renamed_column(text):
+    return text.replace(",du0,", ",dv0,", 1)
+
+
+@pytest.mark.parametrize("damage", [_cut_mid_line, _cut_at_line_boundary,
+                                    _cut_last_digit, _foreign_schema,
+                                    _renamed_column])
+def test_verify_names_an_unreadable_fast_csv(archive_dir, tmp_path, capsys,
+                                             damage):
+    bad = tmp_path / "torn"
+    shutil.copytree(archive_dir, bad)
+    (bad / "fast.csv").write_text(damage((bad / "fast.csv").read_text()))
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read fast.csv")
+
+
 def _tamper_csv_cell(path, column, row, delta):
     lines = path.read_text().splitlines()
     header = lines[1].split(",")
@@ -381,6 +443,14 @@ def test_tampered_input_detected(archive_dir, tmp_path):
     failed = {c.name for c in report.checks if not c.passed}
     assert "transition_residual" in failed
     assert "input_composition" in failed
+
+
+def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "fast.csv", "duhat1", 7, 1e-6)
+    failed = {c.name for c in verify_archive(bad).checks if not c.passed}
+    assert failed == {"correction_law"}
 
 
 def test_tampered_certificate_detected(archive_dir, tmp_path):
@@ -403,3 +473,14 @@ def test_tampered_config_hash_detected(archive_dir, tmp_path):
     (bad / "config.json").write_text(json.dumps(cfg))
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
     assert "config_hash" in failed
+
+
+def test_record_count_mismatch_is_reported(archive_dir, tmp_path):
+    bad = tmp_path / "longer"
+    shutil.copytree(archive_dir, bad)
+    cfg = json.loads((bad / "config.json").read_text())
+    cfg["n_slow_steps"] += 1
+    (bad / "config.json").write_text(json.dumps(cfg))
+    report = verify_archive(bad)
+    assert {c.name for c in report.checks if not c.passed} == {"record_counts",
+                                                               "config_hash"}
