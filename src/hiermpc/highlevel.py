@@ -4,7 +4,10 @@ The reduced model is lifted to the slow clock (one slow step = `period` fast
 steps), a disturbance-rejecting gain is designed against both the reduced
 and the full lifted loop, and each slow step solves a tube-tightened QP
 whose first nominal state is a free variable anchored to the projected
-plant state by the invariant-ball constraint.
+plant state by the invariant-ball constraint.  A tube of radius 0 (no
+coupling, so no disturbance on the reduced model) is a single point: the
+robust MPC is then nominal MPC from the projected state, and each solve
+first tries the optimum with that point pinned by equality rows.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .lti import InterconnectedModel
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
 from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
-                     QuadraticProgram, Status, solve_qp)
+                     QuadraticProgram, Status, equality_first, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,10 @@ class TubeQP:
     Decision vector: nominal states x_0..x_N, then inputs u_0..u_{N-1}.  Per
     tick only the centre of the tube ball around x_0 changes; cost, dynamics
     equalities, the stacked input balls, the terminal ellipsoid and the KKT
-    factors of the slow solve are built once by `tube_qp`.
+    factors of the slow solve are built once by `tube_qp`.  `pinned` is set
+    only for a tube of radius 0: the factors of the same QP with the tube
+    ball written as the equality rows x_0 = x_proj, stacked under the
+    dynamics, for the layout (inputs, terminal).
     """
 
     design: HLDesign
@@ -160,6 +166,7 @@ class TubeQP:
     inputs: BallConstraint        # one ball per step, stacked (N, m)
     terminal: EllipsoidConstraint
     factors: KKTFactors           # for the layout (tube, inputs, terminal)
+    pinned: KKTFactors | None    # point tube only: layout (inputs, terminal)
 
 
 def tube_qp(design: HLDesign) -> TubeQP:
@@ -192,7 +199,13 @@ def tube_qp(design: HLDesign) -> TubeQP:
     terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
                                    design.terminal.level)
     factors = KKTFactors(H, A_eq, (x_idx(0), inputs.indices, terminal.indices))
-    return TubeQP(design, H, A_eq, inputs, terminal, factors)
+    pinned = None
+    if design.tube.ball.radius == 0.0:
+        pin = np.zeros((n, d))
+        pin[:, x_idx(0)] = np.eye(n)
+        pinned = KKTFactors(H, np.vstack([A_eq, pin]),
+                            (inputs.indices, terminal.indices))
+    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned)
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
@@ -216,6 +229,13 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
              first_step: bool = False) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
+    On a point tube (`qp.pinned` set) the solve first tries the optimum of
+    the QP with x_0 = x_proj as equality rows and no set active
+    (`solver.equality_first`).  If that optimum lies inside the input balls
+    and the terminal ellipsoid it is the optimum of the tube QP, whose tube
+    is that same point, and it is returned with 0 iterations; otherwise the
+    ball-formulation solve below runs as on any other tube.
+
     Raises InfeasibleHL with a tube-gap diagnostic when no admissible plan
     exists; on the first step the gap is always computed so the failure
     report can say how far the start is from the feasible set.  The status
@@ -226,11 +246,18 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
     x_proj = np.asarray(x_proj, dtype=float)
     x0 = np.arange(n)
-    tube = BallConstraint(x0, design.tube.ball.radius, center=x_proj)
-    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
-                            np.zeros(qp.A_eq.shape[0]),
-                            (tube, qp.inputs, qp.terminal), qp.factors)
-    res = solve_qp(prob, tol_primal, tol_dual, max_iters)
+    g, b_dyn = np.zeros(qp.H.shape[0]), np.zeros(qp.A_eq.shape[0])
+    res = None
+    if qp.pinned is not None:
+        pinned = QuadraticProgram(qp.H, g, qp.pinned.A_eq,
+                                  np.concatenate([b_dyn, x_proj]),
+                                  (qp.inputs, qp.terminal), qp.pinned)
+        res = equality_first(pinned, qp.pinned, tol_primal, tol_dual)
+    if res is None:
+        tube = BallConstraint(x0, design.tube.ball.radius, center=x_proj)
+        prob = QuadraticProgram(qp.H, g, qp.A_eq, b_dyn,
+                                (tube, qp.inputs, qp.terminal), qp.factors)
+        res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
         diagnostics = {
             "status": res.status.value,

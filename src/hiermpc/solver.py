@@ -14,12 +14,15 @@ one radius on the rows (the per-step input budgets of a horizon); it
 projects all rows in one vectorized call.
 
 Before ADMM, every solve tries the empty active set (the guess of OSQP's
-solution polishing, tried first instead of last): one solve on the rho = 0
-factors, [[H, A_eq'], [A_eq, 0]], gives the optimum of the equality-only
-problem.  If it is finite, lies inside every set (violation exactly 0.0)
-and meets tol_primal on the equality residual and tol_dual on stationarity,
-the KKT conditions hold with zero set multipliers: it is returned as
-OPTIMAL with 0 iterations.  Otherwise ADMM runs from the usual start.
+solution polishing, tried first instead of last) through `equality_first`:
+one solve on the rho = 0 factors, [[H, A_eq'], [A_eq, 0]], gives the
+optimum of the equality-only problem.  If it is finite, lies inside every
+set (violation exactly 0.0) and meets tol_primal on the equality residual
+and tol_dual on stationarity, the KKT conditions hold with zero set
+multipliers: it is returned as OPTIMAL with 0 iterations.  Otherwise ADMM
+runs from the usual start.  A caller that knows an equivalent problem with
+more equalities (a set that is a single point, written as equality rows)
+can call `equality_first` on that problem before `solve_qp`.
 Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
@@ -339,15 +342,52 @@ class KKTFactors:
         return np.linalg.pinv(self.A_eq.T)
 
 
+def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
+                   tol_primal: float = 1e-8,
+                   tol_dual: float = 1e-8) -> SolveResult | None:
+    """The optimum of `problem` with no set active, if it is the optimum.
+
+    One solve on the rho = 0 factors of `kkt`, [[H, A_eq'], [A_eq, 0]],
+    gives the equality-only optimum and its multipliers.  Without sets it is
+    the answer, since there is nothing else to try.  With sets it is
+    returned only if it is finite, lies inside every set (violation exactly
+    0.0) and meets tol_primal on the equality residual and tol_dual on
+    stationarity: then the KKT conditions hold with zero set multipliers.
+    The result has 0 iterations; None means the sets matter.  Raises
+    DimensionMismatch when `kkt` was built for another H, A_eq or
+    constraint layout.
+    """
+    kkt.check(problem)
+    d = problem.dim
+    cons = problem.constraints
+    r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
+    rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
+    sol = _kkt_solve(kkt.factor(0.0), rhs)
+    x = sol[:d]
+    if cons and not (np.isfinite(sol).all()
+                     and all(c.violation(x[c.indices]) == 0.0 for c in cons)):
+        return None
+    eq_res = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
+              if r else 0.0)
+    grad = problem.H @ x + problem.g
+    if r:
+        grad = grad + problem.A_eq.T @ sol[d:]
+    dual_res = float(np.max(np.abs(grad)))
+    if cons and not (eq_res <= tol_primal and dual_res <= tol_dual):
+        return None
+    obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
+    return SolveResult(x, obj, Status.OPTIMAL, eq_res, dual_res, 0)
+
+
 def solve_qp(problem: QuadraticProgram,
              tol_primal: float = 1e-8,
              tol_dual: float = 1e-8,
              max_iters: int = 50_000,
              over_relaxation: float = 1.6,
              x0: np.ndarray | None = None) -> SolveResult:
-    """Equality-first solve, then ADMM; see module docstring for the
-    splitting and its guarantees.  `iterations` is 0 when the equality-only
-    optimum was the answer.
+    """`equality_first`, then ADMM; see module docstring for the splitting
+    and its guarantees.  `iterations` is 0 when the equality-only optimum
+    was the answer.
 
     Infeasibility is declared when the iterate displacement settles on a
     nonzero direction while residuals stay above 1e3*tol for 500 consecutive
@@ -363,25 +403,10 @@ def solve_qp(problem: QuadraticProgram,
     kkt = problem.factors
     if kkt is None:
         kkt = KKTFactors(problem.H, problem.A_eq, [c.indices for c in cons])
-    kkt.check(problem)
+    first = equality_first(problem, kkt, tol_primal, tol_dual)
+    if first is not None:
+        return first
     r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
-
-    # Equality-first: the optimum with no set active, multipliers included;
-    # without sets it is the answer, since there is nothing else to try.
-    rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
-    sol = _kkt_solve(kkt.factor(0.0), rhs)
-    x = sol[:d]
-    if not cons or (np.isfinite(sol).all()
-                    and all(c.violation(x[c.indices]) == 0.0 for c in cons)):
-        eq_res = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
-                  if r else 0.0)
-        grad = problem.H @ x + problem.g
-        if r:
-            grad = grad + problem.A_eq.T @ sol[d:]
-        dual_res = float(np.max(np.abs(grad)))
-        if not cons or (eq_res <= tol_primal and dual_res <= tol_dual):
-            obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
-            return SolveResult(x, obj, Status.OPTIMAL, eq_res, dual_res, 0)
 
     rho = rho_init = kkt.rho_init
     idx = kkt.idx

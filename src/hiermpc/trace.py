@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import matrix_powers, spectral_norms
 from .errors import ConfigInvalid
 from .harness import (RECORDED_FAST, DesignBundle, RunConfig, TraceArchive,
                       column_block, config_digest, fast_columns, slow_columns)
@@ -63,8 +64,9 @@ def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
 def _write_csv(path: Path, schema: str, columns, rows: np.ndarray) -> None:
     lines = [_csv_header(schema, len(columns), rows.shape[0])]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    # tolist() turns a row into Python floats, whose repr is the codec; one
+    # row at a time, so no list of the whole block is held.
+    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -350,11 +352,7 @@ def verify_archive(path) -> VerifyReport:
     K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
     F = np.linalg.matrix_power(model.A, N) + B_lift @ K @ beta
-    pow_norms = np.empty(K_steps + 1)
-    P_ = np.eye(n)
-    for k in range(K_steps + 1):
-        pow_norms[k] = np.linalg.norm(P_, 2)
-        P_ = F @ P_
+    pow_norms = spectral_norms(matrix_powers(F, K_steps))
     forcing = np.linalg.norm(
         (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \
         + bundle.report.rho_x

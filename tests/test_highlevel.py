@@ -5,12 +5,16 @@ import pytest
 
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
+from hiermpc.harness import RunConfig, design_pipeline, run_closed_loop
 from hiermpc.highlevel import (GainDesign, HLDesign, SlowModel, design_gain,
                                feasibility_gap, lift, solve_hl, terminal_cost,
                                tube_qp)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
+from hiermpc.solver import (BallConstraint, QuadraticProgram, Status,
+                            equality_first, solve_qp)
+from hiermpc.thermal import build_thermal_model, default_building
 
 
 def make_model(rng, couple=0.02):
@@ -192,3 +196,87 @@ def test_tube_soak_recursive_feasibility():
                            n_steps=200, seed=7)
     assert len(errors) == 200
     assert max(errors) <= design.tube.ball.radius + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Point tube: the pinned-start guess
+
+
+@pytest.fixture(scope="module")
+def decoupled():
+    """The thermal plant without the shared wall and its design, whose
+    tube is the single point of radius 0."""
+    model = build_thermal_model(default_building(decoupled=True))
+    cfg = dataclasses.replace(RunConfig(), decoupled=True)
+    return model, cfg, design_pipeline(model, cfg)
+
+
+def ball_path(qp, x_proj):
+    """The slow QP with its point tube as a ball of radius 0, solved by
+    `solve_qp` as on any other tube."""
+    tube = BallConstraint(np.arange(qp.design.slow.n_states),
+                          qp.design.tube.ball.radius, center=x_proj)
+    return solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
+                                     np.zeros(qp.A_eq.shape[0]),
+                                     (tube, qp.inputs, qp.terminal), qp.factors))
+
+
+def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled):
+    # Inactive input balls and terminal set: one KKT solve with x_0 pinned.
+    _, _, bundle = decoupled
+    assert bundle.hl.tube.ball.radius == 0.0
+    qp = tube_qp(bundle.hl)
+    x_proj = np.array([0.6, -0.4])
+    sol = solve_hl(qp, x_proj)
+    assert sol.iterations == 0
+    assert np.linalg.norm(sol.x_nominal - x_proj) <= 1e-12
+    ref = ball_path(qp, x_proj)
+    assert ref.status is Status.OPTIMAL and ref.iterations > 0
+    n, N = qp.design.slow.n_states, qp.design.horizon
+    assert np.max(np.abs(sol.x_nominal - ref.x[:n])) <= 1e-7
+    assert np.max(np.abs(sol.u_nominal_seq.ravel() - ref.x[n * (N + 1):])) <= 1e-7
+    assert abs(sol.objective - ref.objective) <= 1e-7 * max(1.0, abs(ref.objective))
+
+
+def test_point_tube_binding_input_falls_back_to_the_ball_path(decoupled):
+    # A far start saturates the input balls: the pinned optimum is outside
+    # them, so the ball formulation is solved exactly as without the guess.
+    _, _, bundle = decoupled
+    qp = tube_qp(bundle.hl)
+    x_proj = 50.0 * np.ones(qp.design.slow.n_states)
+    n, N = qp.design.slow.n_states, qp.design.horizon
+    pinned = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.pinned.A_eq,
+                              np.concatenate([np.zeros(qp.A_eq.shape[0]), x_proj]),
+                              (qp.inputs, qp.terminal), qp.pinned)
+    assert equality_first(pinned, qp.pinned) is None
+    sol = solve_hl(qp, x_proj)
+    ref = ball_path(qp, x_proj)
+    assert sol.iterations == ref.iterations > 0
+    assert np.array_equal(sol.x_nominal, ref.x[:n])
+    assert np.array_equal(sol.u_nominal_seq.ravel(), ref.x[n * (N + 1):])
+    assert sol.objective == ref.objective
+
+
+def test_tube_qp_pins_only_a_point_tube(decoupled):
+    rng = np.random.default_rng(29)
+    _, _, _, design = make_design(rng)
+    assert design.tube.ball.radius > 0.0
+    assert tube_qp(design).pinned is None
+    qp = tube_qp(decoupled[2].hl)
+    n, d = qp.design.slow.n_states, qp.H.shape[0]
+    assert qp.pinned.A_eq.shape == (qp.A_eq.shape[0] + n, d)
+    assert np.array_equal(qp.pinned.A_eq[:-n], qp.A_eq)
+    assert np.array_equal(qp.pinned.A_eq[-n:], np.eye(n, d))
+    assert [s.shape for s in qp.pinned.layout] == [qp.inputs.indices.shape,
+                                                   qp.terminal.indices.shape]
+
+
+def test_decoupled_run_leaves_admm_after_two_ticks(decoupled):
+    model, cfg, bundle = decoupled
+    arc = run_closed_loop(model, dataclasses.replace(cfg, n_slow_steps=8),
+                          bundle)
+    iterations = arc.slow[:, arc.slow_cols.index("iterations")]
+    assert np.all(iterations[:2] > 0)
+    assert np.all(iterations[2:] == 0)
+    tube_err = arc.slow[:, arc.slow_cols.index("tube_error")]
+    assert np.max(tube_err[2:]) <= 1e-12
