@@ -6,7 +6,7 @@ projection defect), how much correction authority a subsystem has through
 its projected reachability row (sigma), how the corrections of one
 subsystem leak into the input budget of another (the interaction matrix),
 and the resulting disturbance, input-leakage and state-tail radii.  All
-norms are spectral.
+norms are spectral; the powers, impulse responses and lifts come from `lti`.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleTuning, RankDeficient
-from .highlevel import lifted_input_matrix
 from .lowlevel import LLGain
-from .lti import InterconnectedModel, reachability_matrix
+from .lti import (InterconnectedModel, impulse_response, lifted_input_matrix,
+                  matrix_powers, reachability_matrix)
 from .reduction import ReducedModel
 from .sets import BallSet
 from .solver import Status, solve_lp
@@ -70,26 +70,16 @@ def projected_reachability_sigma(model: InterconnectedModel, reduced: ReducedMod
     return sigma
 
 
-def matrix_powers(F: np.ndarray, period: int) -> np.ndarray:
-    """[I, F, F^2, ..., F^period] stacked, each power one product from the
-    last."""
-    pows = [np.eye(F.shape[0])]
-    for _ in range(period):
-        pows.append(F @ pows[-1])
-    return np.array(pows)
-
-
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """||M||_2 of each matrix M of a stack, in one LAPACK call per stack;
     bitwise what `np.linalg.norm(M, 2)` computes for each."""
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _fast_loop_powers(model: InterconnectedModel, ll_gain: LLGain,
-                      period: int) -> np.ndarray:
-    """Powers [I, F, ..., F^period] of the coupled fast closed loop
-    F = A + B K, formed as `design_ll_gain` forms it; nothing stores F."""
-    return matrix_powers(model.A + model.B @ ll_gain.K, period)
+def _fast_loop(model: InterconnectedModel, ll_gain: LLGain) -> np.ndarray:
+    """The coupled fast closed loop F = A + B K, formed as `design_ll_gain`
+    forms it; nothing stores F."""
+    return model.A + model.B @ ll_gain.K
 
 
 def _leakage_norms(model: InterconnectedModel, ll_gain: LLGain, left_maps,
@@ -98,7 +88,7 @@ def _leakage_norms(model: InterconnectedModel, ll_gain: LLGain, left_maps,
     coupling part of A.  Every leakage bound is a sum over this table, so
     each norm is evaluated once."""
     A_c = model.A - model.block_diagonal_A()
-    F_pows = _fast_loop_powers(model, ll_gain, period - 2)[:period - 1]
+    F_pows = matrix_powers(_fast_loop(model, ll_gain), period - 2)[:period - 1]
     return np.array([spectral_norms(L @ F_pows @ A_c) for L in left_maps]
                     ).reshape(len(left_maps), len(F_pows))
 
@@ -116,10 +106,8 @@ def delta_state_bounds(model: InterconnectedModel, rho_delta_u_hat: np.ndarray,
     rho_i sum_{r<j} ||A_ii^r B_ii||."""
     out = np.zeros((model.n_subsystems, period + 1))
     for i, sub in enumerate(model.subsystems):
-        terms = [sub.B]
-        for _ in range(period - 1):
-            terms.append(sub.A @ terms[-1])
-        out[i, 1:] = np.cumsum(spectral_norms(np.array(terms)))
+        out[i, 1:] = np.cumsum(spectral_norms(
+            impulse_response(sub.A, sub.B, period)))
     return rho_delta_u_hat[:, None] * out
 
 
@@ -169,27 +157,25 @@ def disturbance_radius(model: InterconnectedModel, reduced: ReducedModel,
 def correction_gain_norm(model: InterconnectedModel, ll_gain: LLGain,
                          period: int) -> float:
     """Norm of the map from stacked planned corrections to the slow-step
-    state increment they cause, feedback loop included."""
-    n, m = model.n_states, model.n_inputs
-    A = model.A
+    state increment they cause, feedback loop included.
+
+    The map is [H_{period-1} ... H_0]: a unit correction planned t steps
+    before the period ends moves the slow step by H_t = A^t B + Q_t, where
+    the planned deviation A_d^s B leaks through the coupling A_c into the
+    fast loop F as the tracking error P_s, which the feedback returns:
+        P_s = F P_{s-1} + A_c A_d^s B,  P_0 = A_c B,
+        Q_t = A Q_{t-1} + B K P_{t-2},  Q_0 = Q_1 = 0."""
+    A, B = model.A, model.B
     A_d = model.block_diagonal_A()
-    A_c = A - A_d
-    reach_rev = np.hstack([np.linalg.matrix_power(A, period - 1 - r) @ model.B
-                           for r in range(period)])
-    F_pows = _fast_loop_powers(model, ll_gain, period)
-    F_blk = np.zeros((period * n, period * n))
-    for j in range(period):
-        for r in range(j):
-            F_blk[j * n:(j + 1) * n, r * n:(r + 1) * n] = F_pows[j - 1 - r]
-    B_dec = np.zeros((period * n, period * m))
-    Ad_pows = matrix_powers(A_d, period)
-    for j in range(period):
-        for c in range(j):
-            B_dec[j * n:(j + 1) * n, c * m:(c + 1) * m] = Ad_pows[j - 1 - c] @ model.B
-    K_blk = np.kron(np.eye(period), ll_gain.K)
-    Ac_blk = np.kron(np.eye(period), A_c)
-    total_map = reach_rev @ (np.eye(period * m) + K_blk @ F_blk @ Ac_blk @ B_dec)
-    return float(np.linalg.norm(total_map, 2))
+    F = _fast_loop(model, ll_gain)
+    leak = (A - A_d) @ impulse_response(A_d, B, max(period - 2, 0))
+    H = impulse_response(A, B, period)
+    P, Q = np.zeros_like(B), np.zeros_like(B)
+    for t in range(2, period):
+        P = F @ P + leak[t - 2]
+        Q = A @ Q + B @ (ll_gain.K @ P)
+        H[t] += Q
+    return float(np.linalg.norm(np.hstack(H[::-1]), 2))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DesignFailed, InfeasibleHL
 from .gains import dlqr, dlyap
-from .lti import InterconnectedModel
+from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
 from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
@@ -39,14 +39,6 @@ class SlowModel:
     @property
     def n_inputs(self) -> int:
         return self.B.shape[1]
-
-
-def lifted_input_matrix(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:
-    """sum_{j<period} A^j B for any state-space pair."""
-    out = B.copy()
-    for _ in range(period - 1):
-        out = A @ out + B
-    return out
 
 
 def lift(reduced: ReducedModel, period: int) -> SlowModel:
@@ -79,25 +71,25 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
     Detuning multiplies R by 4 each round; a zero input matrix is accepted
     with K = 0 when the open loop is already Schur.
     """
-    A_full_lift = np.linalg.matrix_power(model.A, slow.period)
-    B_full_lift = lifted_input_matrix(model.A, model.B, slow.period)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R_cur = np.atleast_2d(np.asarray(R, dtype=float))
+
+    def full_loop_radius(K):
+        return float(np.max(np.abs(np.linalg.eigvals(lifted_closed_loop(
+            model.A, model.B, K, reduced.beta, slow.period)))))
 
     if float(np.max(np.abs(slow.B))) <= 1e-14:
         K = np.zeros((slow.n_inputs, slow.n_states))
         rho_red = float(np.max(np.abs(np.linalg.eigvals(slow.A))))
         if rho_red >= 1.0:
             raise DesignFailed("zero input authority and unstable slow dynamics")
-        rho_full = float(np.max(np.abs(np.linalg.eigvals(A_full_lift))))
-        return GainDesign(K, slow.A.copy(), rho_red, rho_full, 0)
+        return GainDesign(K, slow.A.copy(), rho_red, full_loop_radius(K), 0)
 
     for rounds in range(1, max_rounds + 1):
         K, _ = dlqr(slow.A, slow.B, Q, R_cur)
         F_red = slow.A + slow.B @ K
-        F_full = A_full_lift + B_full_lift @ K @ reduced.beta
         rho_red = float(np.max(np.abs(np.linalg.eigvals(F_red))))
-        rho_full = float(np.max(np.abs(np.linalg.eigvals(F_full))))
+        rho_full = full_loop_radius(K)
         if rho_red < 1.0 and rho_full < 1.0:
             return GainDesign(K, F_red, rho_red, rho_full, rounds)
         R_cur = 4.0 * R_cur

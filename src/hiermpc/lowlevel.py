@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import DesignFailed, DimensionMismatch, InfeasibleLL
 from .gains import dlqr
-from .lti import InterconnectedModel
+from .lti import InterconnectedModel, matrix_powers
 from .reduction import ReducedModel
 from .sets import BallSet
 from .solver import BallConstraint, KKTFactors, QuadraticProgram, Status, solve_qp
@@ -120,17 +120,14 @@ class DeltaPlan:
 
 def correction_prediction(A: np.ndarray, B: np.ndarray, period: int):
     """Stacked prediction maps: states j=1..period-1 for the cost, the
-    period-step reachability row for the terminal equality."""
+    period-step reachability row for the terminal equality.  Both are block
+    Toeplitz in the responses A^p B, p < period, each a power times B."""
     n, m = B.shape
-    powers = [np.eye(n)]
-    for _ in range(period):
-        powers.append(A @ powers[-1])
+    response = matrix_powers(A, period - 1) @ B
     Gamma = np.zeros(((period - 1) * n, period * m))
     for j in range(1, period):
-        for r in range(j):
-            Gamma[(j - 1) * n:j * n, r * m:(r + 1) * m] = powers[j - 1 - r] @ B
-    reach = np.hstack([powers[period - 1 - r] @ B for r in range(period)])
-    return Gamma, reach
+        Gamma[(j - 1) * n:j * n, :j * m] = np.hstack(response[j - 1::-1])
+    return Gamma, np.hstack(response[::-1])
 
 
 @dataclass(frozen=True)

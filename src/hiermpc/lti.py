@@ -188,13 +188,36 @@ def assemble(subsystems, coupling: CouplingMap) -> InterconnectedModel:
     return InterconnectedModel(tuple(subsystems), coupling)
 
 
+def impulse_response(A: np.ndarray, B: np.ndarray, steps: int) -> np.ndarray:
+    """[B, AB, ..., A^{steps-1}B] stacked, each term A times the last."""
+    out = np.empty((steps, *B.shape))
+    for k in range(steps):
+        out[k] = A @ out[k - 1] if k else B
+    return out
+
+
+def matrix_powers(A: np.ndarray, k: int) -> np.ndarray:
+    """[I, A, A^2, ..., A^k] stacked: the impulse response of (A, I), each
+    power A times the last."""
+    return impulse_response(A, np.eye(A.shape[0]), k + 1)
+
+
 def reachability_matrix(A: np.ndarray, B: np.ndarray, steps: int | None = None) -> np.ndarray:
-    """[B, AB, ..., A^{steps-1}B]; defaults to the state dimension."""
-    n = A.shape[0]
-    steps = n if steps is None else steps
-    blocks = []
-    term = B
-    for _ in range(steps):
-        blocks.append(term)
-        term = A @ term
-    return np.hstack(blocks)
+    """[B, AB, ..., A^{steps-1}B] side by side; defaults to the state dimension."""
+    return np.hstack(impulse_response(A, B, A.shape[0] if steps is None else steps))
+
+
+def lifted_input_matrix(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:
+    """sum_{j<period} A^j B, the response to an input held over the period."""
+    out = B.copy()
+    for _ in range(period - 1):
+        out = A @ out + B
+    return out
+
+
+def lifted_closed_loop(A: np.ndarray, B: np.ndarray, K: np.ndarray,
+                       beta: np.ndarray, period: int) -> np.ndarray:
+    """A^period + (sum_{j<period} A^j B) K beta: the full plant over one slow
+    period under the slow feedback K on the projected state beta x."""
+    return (np.linalg.matrix_power(A, period)
+            + lifted_input_matrix(A, B, period) @ K @ beta)

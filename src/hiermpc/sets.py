@@ -55,8 +55,8 @@ class EllipsoidSet:
         eigvals = np.linalg.eigvalsh(shape)
         if eigvals[0] <= 0:
             raise DimensionMismatch("ellipsoid shape matrix must be positive definite")
-        if self.level < 0:
-            raise EmptyResult(f"ellipsoid level must be >= 0, got {self.level}")
+        if not np.isfinite(self.level) or self.level < 0:
+            raise EmptyResult(f"ellipsoid level must be finite and >= 0, got {self.level}")
         object.__setattr__(self, "shape", shape)
 
     @property

@@ -28,7 +28,7 @@ is the only file excluded from the determinism digest.
 state transitions against the model, input limits, correction budgets, the
 fast correction law, the slow-step disturbance bound, tube containment,
 nominal convergence, and the closed-loop norm-tail envelope, whose lifted
-closed-loop matrix it recomputes from the model and the slow gain.
+closed loop `lti.lifted_closed_loop` rebuilds from the model and slow gain.
 """
 from __future__ import annotations
 
@@ -43,11 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import matrix_powers, spectral_norms
+from .analysis import spectral_norms
 from .errors import ConfigInvalid
 from .harness import (RECORDED_FAST, DesignBundle, RunConfig, TraceArchive,
                       column_block, config_digest, fast_columns, slow_columns)
-from .highlevel import lifted_input_matrix
+from .lti import lifted_closed_loop, lifted_input_matrix, matrix_powers
 from .model_io import from_json, to_json
 
 ARCHIVE_VERSION = 5
@@ -345,13 +345,13 @@ def verify_archive(path) -> VerifyReport:
     detail = f"reached at slow step {hit[0]}" if hit.size else "never reached"
     add("nominal_convergence", float(np.min(nom_norms)), 1e-6, detail)
 
-    # Closed-loop norm-tail envelope at the slow boundaries: the loop matrix
-    # is the lifted closed loop, rebuilt here from the model and the slow
-    # gain as `design_gain` builds it, forced by the nominal feedforward and
-    # the certified correction radius.
+    # Closed-loop norm-tail envelope at the slow boundaries: the lifted
+    # closed loop, rebuilt from the model and the slow gain as `design_gain`
+    # builds it (`lti.lifted_closed_loop`), forced by the nominal feedforward
+    # and the certified correction radius.
     K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
-    F = np.linalg.matrix_power(model.A, N) + B_lift @ K @ beta
+    F = lifted_closed_loop(model.A, model.B, K, beta, N)
     pow_norms = spectral_norms(matrix_powers(F, K_steps))
     forcing = np.linalg.norm(
         (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \

@@ -26,8 +26,9 @@ from hiermpc.analysis import (
 )
 from hiermpc.errors import InfeasibleTuning, RankDeficient
 from hiermpc.harness import RunConfig, certify, config_from_dict
-from hiermpc.lowlevel import design_ll_gain
-from hiermpc.lti import CouplingMap, SubsystemModel, assemble
+from hiermpc.lowlevel import correction_prediction, design_ll_gain
+from hiermpc.lti import (CouplingMap, SubsystemModel, assemble,
+                         reachability_matrix)
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
@@ -297,6 +298,77 @@ def test_leakage_bounds_match_per_step_loops_bitwise(case):
         rep = certificate_constants(model, reduced, gain, radii, period)
         np.testing.assert_array_equal(rep.delta_input_table, inputs)
         assert rep.rho_w == rho_w
+
+
+
+def _dense_correction_gain_norm(model, gain, period):
+    """The correction-gain map as dense (period n)-square block matrices:
+    decentralized prediction B_dec, fast closed loop F_blk, coupling and
+    feedback as Kronecker products, all pulled back through the reversed
+    reachability row; the reference for the recursion."""
+    n, m = model.n_states, model.n_inputs
+    A_d = model.block_diagonal_A()
+    F = model.A + model.B @ gain.K
+    power = np.linalg.matrix_power
+    reach_rev = np.hstack([power(model.A, period - 1 - r) @ model.B
+                           for r in range(period)])
+    F_blk = np.zeros((period * n, period * n))
+    B_dec = np.zeros((period * n, period * m))
+    for j in range(period):
+        for r in range(j):
+            F_blk[j * n:(j + 1) * n, r * n:(r + 1) * n] = power(F, j - 1 - r)
+            B_dec[j * n:(j + 1) * n, r * m:(r + 1) * m] = \
+                power(A_d, j - 1 - r) @ model.B
+    K_blk = np.kron(np.eye(period), gain.K)
+    Ac_blk = np.kron(np.eye(period), model.A - A_d)
+    total = reach_rev @ (np.eye(period * m) + K_blk @ F_blk @ Ac_blk @ B_dec)
+    return float(np.linalg.norm(total, 2))
+
+
+@pytest.mark.parametrize("case,period", [("coupled", 1), ("coupled", 2),
+                                         ("coupled", 3), ("coupled", 7),
+                                         ("coupled", 20), ("chain4_n40", 40)])
+def test_correction_gain_norm_matches_dense_map(case, period):
+    # periods 1 and 2 leave the feedback sums of the recursion empty
+    model, _, gain, _, _ = _leakage_cases(case)
+    dense = _dense_correction_gain_norm(model, gain, period)
+    assert correction_gain_norm(model, gain, period) == pytest.approx(dense, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["coupled", "thermal_n20", "chain4_n40"])
+def test_prediction_maps_keep_their_arithmetic(case):
+    # Each map keeps one rounding convention, checked to the bit against
+    # explicit loops: the reachability row and the deviation bounds multiply
+    # A into the last term, the correction prediction multiplies powers of A
+    # into B.
+    model, _, _, _, periods = _leakage_cases(case)
+    rho = np.linspace(0.5, 1.5, model.n_subsystems)
+    for period in sorted({1, 2, 7, *periods}):
+        state_tbl = np.zeros((model.n_subsystems, period + 1))
+        for i, sub in enumerate(model.subsystems):
+            A, B = sub.A, sub.B
+            blocks, term = [], B
+            for _ in range(period):
+                blocks.append(term)
+                term = A @ term
+            assert np.array_equal(reachability_matrix(A, B, period), np.hstack(blocks))
+            state_tbl[i, 1:] = np.cumsum(
+                np.linalg.svd(np.array(blocks), compute_uv=False)[:, 0])
+
+            n, m = B.shape
+            powers = [np.eye(n)]
+            for _ in range(period):
+                powers.append(A @ powers[-1])
+            Gamma = np.zeros(((period - 1) * n, period * m))
+            for j in range(1, period):
+                for r in range(j):
+                    Gamma[(j - 1) * n:j * n, r * m:(r + 1) * m] = powers[j - 1 - r] @ B
+            reach = np.hstack([powers[period - 1 - r] @ B for r in range(period)])
+            got_Gamma, got_reach = correction_prediction(A, B, period)
+            assert np.array_equal(got_Gamma, Gamma)
+            assert np.array_equal(got_reach, reach)
+        assert np.array_equal(delta_state_bounds(model, rho, period),
+                              rho[:, None] * state_tbl)
 
 
 # ------------------------------------------------------------- tuning LP

@@ -18,8 +18,9 @@ from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
 from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
                              config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
-from hiermpc.highlevel import lifted_input_matrix, solve_hl, tube_qp
+from hiermpc.highlevel import solve_hl, tube_qp
 from hiermpc.lowlevel import correction_qp, simulate_auxiliary, solve_ll
+from hiermpc.lti import lifted_closed_loop
 from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
@@ -344,9 +345,8 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
     assert loaded.input_conservatism == design.input_conservatism
     # The lifted closed loop as verify_archive rebuilds it from the archive.
     plant_A, N = loaded.model.A, cfg.period
-    F = np.linalg.matrix_power(plant_A, N) \
-        + lifted_input_matrix(plant_A, loaded.model.B, N) \
-        @ loaded.hl.gain.K @ loaded.reduced.beta
+    F = lifted_closed_loop(plant_A, loaded.model.B, loaded.hl.gain.K,
+                           loaded.reduced.beta, N)
     assert float(np.max(np.abs(np.linalg.eigvals(F)))) == gain.rho_full
     # The coupled fast closed loop, rebuilt from the archive as analysis does.
     F_fast = loaded.model.A + loaded.model.B @ loaded.ll_gain.K

@@ -70,6 +70,9 @@ def test_none_only_where_annotated_optional():
 def test_constructor_checks_run_on_decoded_input():
     with pytest.raises(EmptyResult):
         from_json(BallSet, {"dim": 2, "radius": -1.0})
+    for level in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(EmptyResult):
+            from_json(EllipsoidSet, {"shape": [[1.0]], "level": level})
     with pytest.raises(DimensionMismatch):
         from_json(EllipsoidSet, {"shape": [[1.0, 2.0], [0.0, 1.0]], "level": 1.0})
 
