@@ -19,7 +19,6 @@ from .lowlevel import LLGain
 from .lti import (InterconnectedModel, impulse_response, lifted_input_matrix,
                   matrix_powers, reachability_matrix)
 from .reduction import ReducedModel
-from .sets import BallSet
 from .solver import Status, solve_lp
 
 _SIGMA_FLOOR = 1e-12
@@ -134,24 +133,6 @@ def _leakage_sums(model: InterconnectedModel, ll_gain: LLGain, left_maps,
     for r in range(2, period + 1):
         out[:, r:] += front[:, :period - r + 1] * rss[r - 1]
     return out
-
-
-def delta_input_bounds(model: InterconnectedModel, ll_gain: LLGain,
-                       rho_delta_u_hat: np.ndarray, period: int) -> np.ndarray:
-    """Worst-case feedback-correction magnitude per subsystem and fast step
-    (zero at steps 0 and 1; the feedback term needs two steps to build up)."""
-    return _leakage_sums(model, ll_gain, _feedback_maps(model, ll_gain),
-                         delta_state_bounds(model, rho_delta_u_hat, period), period)
-
-
-def disturbance_radius(model: InterconnectedModel, reduced: ReducedModel,
-                       ll_gain: LLGain, rho_delta_u_hat: np.ndarray,
-                       period: int) -> float:
-    """Worst-case slow-step prediction mismatch caused by the corrections
-    acting through the coupling; exactly zero for a decoupled plant."""
-    state_tbl = delta_state_bounds(model, rho_delta_u_hat, period)
-    leak = _leakage_sums(model, ll_gain, [reduced.beta], state_tbl, period)
-    return float(leak[0, period])
 
 
 def correction_gain_norm(model: InterconnectedModel, ll_gain: LLGain,
@@ -319,10 +300,6 @@ def certificate_constants(model: InterconnectedModel, reduced: ReducedModel,
     return CertificateReport(period, kappa, kappa_bnd, defect_norm, reach_norm,
                              al_pow, sigma, chi, lambda_margins, rho_w, rho_x,
                              state_tbl, input_tbl, clauses, radii, x0_ok)
-
-
-def disturbance_set(reduced: ReducedModel, report: CertificateReport) -> BallSet:
-    return BallSet(reduced.n_states, report.rho_w)
 
 
 def sweep_constants(model: InterconnectedModel, reduced: ReducedModel,

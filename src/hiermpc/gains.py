@@ -6,6 +6,14 @@ import scipy.linalg
 
 from .errors import DesignFailed, NotSchur
 
+# Both layers' gain designs detune the input weight by a factor of 4 per
+# round, for at most this many rounds.
+DETUNING_ROUNDS = 12
+# `dlyap` stops once the residual of F'PF - P + Q is this small relative to
+# max(1, max|P|), after at most this many doublings.
+_LYAP_RESIDUAL_TOL = 1e-8
+_LYAP_MAX_DOUBLINGS = 200
+
 
 def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray):
     """Stabilizing gain K with closed loop A + B K (note the plus convention).
@@ -24,8 +32,7 @@ def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray):
     return K, P
 
 
-def dlyap(F: np.ndarray, Q: np.ndarray, residual_tol: float = 1e-8,
-          max_doublings: int = 200) -> np.ndarray:
+def dlyap(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve P = F'PF + Q by series doubling.
 
     P = sum_k (F')^k Q F^k; the partial sum doubles its horizon each pass,
@@ -38,10 +45,10 @@ def dlyap(F: np.ndarray, Q: np.ndarray, residual_tol: float = 1e-8,
         raise NotSchur(f"Lyapunov series diverges: spectral radius {rho:.6g} >= 1")
     P = Q.copy()
     M = F.copy()
-    for _ in range(max_doublings):
+    for _ in range(_LYAP_MAX_DOUBLINGS):
         P = P + M.T @ P @ M
         M = M @ M
         residual = float(np.max(np.abs(F.T @ P @ F - P + Q)))
-        if residual <= residual_tol * max(1.0, float(np.max(np.abs(P)))):
+        if residual <= _LYAP_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(P)))):
             return 0.5 * (P + P.T)
-    raise NotSchur(f"Lyapunov doubling did not reach residual {residual_tol}")
+    raise NotSchur(f"Lyapunov doubling did not reach residual {_LYAP_RESIDUAL_TOL}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (CertificateReport, RadiusAllocation, certificate_constants,
-                       disturbance_set, tune_radii)
+                       tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
@@ -118,11 +118,6 @@ class DesignBundle:
     def radii(self) -> RadiusAllocation:
         return self.report.radii
 
-    @property
-    def input_conservatism(self) -> float:
-        """Largest over smallest held-input budget."""
-        return float(np.max(self.radii.rho_u_bar) / np.min(self.radii.rho_u_bar))
-
 
 def start_state(model: InterconnectedModel, cfg: RunConfig) -> np.ndarray:
     """The configured start state, checked against the plant's state count."""
@@ -189,7 +184,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     R_slow = cfg.r_slow * np.eye(m)
     gain = _stage("slow_gain",
                   lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
-    w_ball = _stage("disturbance_set", lambda: disturbance_set(reduced, report))
+    w_ball = _stage("disturbance_set", lambda: BallSet(n_red, report.rho_w))
     tube = _stage("tube", lambda: rpi_outer(gain.F_red, w_ball, cfg.rpi_tol))
     P = _stage("terminal_cost",
                lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
@@ -217,24 +212,16 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
 # ------------------------------------------------------------- trace layout
 
-def fast_columns(n: int, m: int, n_sub: int) -> tuple:
-    cols = ["h"]
-    cols += [f"x{i}" for i in range(n)]
-    cols += [f"xhat{i}" for i in range(n)]
-    cols += [f"dx{i}" for i in range(n)]
-    cols += [f"dxhat{i}" for i in range(n)]
+def fast_columns(n: int, m: int) -> tuple:
+    """The fast blocks an archive stores: the states and inputs that
+    `verify_archive` reads.  The in-memory trace of `run_closed_loop`
+    appends the input margins `margin`, which are not stored."""
+    cols = [f"x{i}" for i in range(n)]
     cols += [f"ubar{i}" for i in range(m)]
     cols += [f"duhat{i}" for i in range(m)]
     cols += [f"du{i}" for i in range(m)]
     cols += [f"u{i}" for i in range(m)]
-    cols += [f"margin{i}" for i in range(n_sub)]
     return tuple(cols)
-
-
-# The fast blocks an archive stores, in `fast_columns` order: the states and
-# inputs `verify_archive` reads.  The other fast columns are functions of
-# these and the design, and are not stored (see `trace`).
-RECORDED_FAST = ("x", "ubar", "duhat", "du", "u")
 
 
 def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
@@ -297,16 +284,15 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     n, m = model.n_states, model.n_inputs
     rho_u = model.input_radii()
 
-    f_cols = fast_columns(n, m, M)
+    f_cols = fast_columns(n, m) + tuple(f"margin{i}" for i in range(M))
     s_cols = slow_columns(reduced.n_states, m, cfg.horizon)
     fast_rows = np.empty((cfg.n_slow_steps * N, len(f_cols)))
     slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
-    fast_rows[:, 0] = np.arange(fast_rows.shape[0])
     # Column-block views of fast_rows; tick k fills rows k*N .. k*N + N-1.
     fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
-            for prefix, width in (("x", n), ("xhat", n), ("dx", n), ("dxhat", n),
-                                  ("ubar", m), ("duhat", m), ("du", m), ("u", m),
-                                  ("margin", M))}
+            for prefix, width in (("x", n), ("ubar", m), ("duhat", m),
+                                  ("du", m), ("u", m), ("margin", M))}
+    dxhat = np.empty((N, n))  # the tick's stacked plan rollouts
     in_slices = [model.input_slice(i) for i in range(M)]
     state_slices = [model.state_slice(i) for i in range(M)]
 
@@ -341,7 +327,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
         # The tick's rows, written as column blocks.
         rows = slice(k * N, (k + 1) * N)
-        xs, dxhat, duhat, du = (fast[p][rows] for p in ("x", "dxhat", "duhat", "du"))
+        xs, duhat, du = (fast[p][rows] for p in ("x", "duhat", "du"))
         for i, plan in enumerate(plans):
             duhat[:, in_slices[i]] = plan.u_steps
             dxhat[:, state_slices[i]] = plan.states[:N]
@@ -352,8 +338,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                      x_cur - aux.states[j], j)
             x_cur = model.A @ x_cur + model.B @ (u_bar + du[j])
         u = fast["u"][rows] = u_bar + du
-        fast["xhat"][rows] = aux.states[:N]
-        fast["dx"][rows] = xs - aux.states[:N]
         fast["ubar"][rows] = u_bar
         fast["margin"][rows] = rho_u - np.column_stack(
             [np.linalg.norm(u[:, s], axis=1) for s in in_slices])

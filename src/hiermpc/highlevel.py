@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFailed, InfeasibleHL
-from .gains import dlqr, dlyap
+from .gains import DETUNING_ROUNDS, dlqr, dlyap
 from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
@@ -64,7 +64,7 @@ class GainDesign:
 
 
 def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedModel,
-                Q: np.ndarray, R: np.ndarray, max_rounds: int = 12) -> GainDesign:
+                Q: np.ndarray, R: np.ndarray) -> GainDesign:
     """Riccati gain on the lifted reduced pair, detuned until the full lifted
     closed loop A^period + (sum A^j B) K beta is Schur as well.
 
@@ -85,7 +85,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
             raise DesignFailed("zero input authority and unstable slow dynamics")
         return GainDesign(K, slow.A.copy(), rho_red, full_loop_radius(K), 0)
 
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, DETUNING_ROUNDS + 1):
         K, _ = dlqr(slow.A, slow.B, Q, R_cur)
         F_red = slow.A + slow.B @ K
         rho_red = float(np.max(np.abs(np.linalg.eigvals(F_red))))
@@ -94,16 +94,17 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
             return GainDesign(K, F_red, rho_red, rho_full, rounds)
         R_cur = 4.0 * R_cur
     raise DesignFailed(
-        f"no gain made both lifted loops Schur within {max_rounds} detuning rounds")
+        f"no gain made both lifted loops Schur within {DETUNING_ROUNDS} "
+        "detuning rounds")
 
 
-def terminal_cost(F: np.ndarray, K: np.ndarray, Q: np.ndarray, R: np.ndarray,
-                  residual_tol: float = 1e-8) -> np.ndarray:
+def terminal_cost(F: np.ndarray, K: np.ndarray, Q: np.ndarray,
+                  R: np.ndarray) -> np.ndarray:
     """P solving F'PF - P = -(Q + K'RK) for the tube-ancillary loop."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    return dlyap(np.asarray(F, dtype=float), Q + K.T @ R @ K, residual_tol)
+    return dlyap(np.asarray(F, dtype=float), Q + K.T @ R @ K)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DesignFailed, DimensionMismatch, InfeasibleLL
-from .gains import dlqr
+from .gains import DETUNING_ROUNDS, dlqr
 from .lti import InterconnectedModel, matrix_powers
 from .reduction import ReducedModel
 from .sets import BallSet
@@ -27,7 +27,6 @@ class AuxiliaryState:
     """Centralized constant-input rollout from a slow-tick measurement."""
 
     states: np.ndarray  # (period+1, n)
-    u_held: np.ndarray
 
     @property
     def terminal(self) -> np.ndarray:
@@ -45,7 +44,7 @@ def simulate_auxiliary(model: InterconnectedModel, x_start: np.ndarray,
     Bu = model.B @ u_held
     for j in range(period):
         states[j + 1] = model.A @ states[j] + Bu
-    return AuxiliaryState(states, u_held)
+    return AuxiliaryState(states)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ class LLGain:
         return out
 
 
-def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
-                   max_rounds: int = 12) -> LLGain:
+def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks) -> LLGain:
     """Per-subsystem Riccati gains, detuned jointly until the coupled
     closed loop A + B diag(K_i) is Schur."""
     Q_blocks = [np.atleast_2d(np.asarray(Q, dtype=float)) for Q in Q_blocks]
@@ -94,7 +92,7 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
     if len(Q_blocks) != model.n_subsystems or len(R_blocks) != model.n_subsystems:
         raise DimensionMismatch("need one weight pair per subsystem")
     scale = 1.0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, DETUNING_ROUNDS + 1):
         blocks = []
         for sub, Q, R in zip(model.subsystems, Q_blocks, R_blocks):
             K_i, _ = dlqr(sub.A, sub.B, Q, scale * R)
@@ -105,7 +103,7 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks,
             return LLGain(tuple(blocks), rho, rounds)
         scale *= 4.0
     raise DesignFailed(
-        f"coupled fast loop not Schur after {max_rounds} detuning rounds")
+        f"coupled fast loop not Schur after {DETUNING_ROUNDS} detuning rounds")
 
 
 @dataclass(frozen=True)

@@ -202,9 +202,9 @@ def matrix_powers(A: np.ndarray, k: int) -> np.ndarray:
     return impulse_response(A, np.eye(A.shape[0]), k + 1)
 
 
-def reachability_matrix(A: np.ndarray, B: np.ndarray, steps: int | None = None) -> np.ndarray:
-    """[B, AB, ..., A^{steps-1}B] side by side; defaults to the state dimension."""
-    return np.hstack(impulse_response(A, B, A.shape[0] if steps is None else steps))
+def reachability_matrix(A: np.ndarray, B: np.ndarray, steps: int) -> np.ndarray:
+    """[B, AB, ..., A^{steps-1}B] side by side."""
+    return np.hstack(impulse_response(A, B, steps))
 
 
 def lifted_input_matrix(A: np.ndarray, B: np.ndarray, period: int) -> np.ndarray:

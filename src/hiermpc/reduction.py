@@ -20,6 +20,10 @@ from .errors import ComplexDominantMode, DimensionMismatch, SingularDCGain
 from .lti import InterconnectedModel
 
 _REAL_TOL = 1e-9
+# `verify_reduction`: largest DC-gain residual, and the singular-value cut
+# (relative to max(1, largest)) below which a projection row counts as lost.
+_DC_TOL = 1e-8
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,11 @@ def _dominant_real_left_eigenvectors(A: np.ndarray, order: int, sub_index: int):
     return np.array(lams), np.array(rows)
 
 
-def reduce_model(model: InterconnectedModel, orders,
-                 negative_convention: bool = False) -> ReducedModel:
+def reduce_model(model: InterconnectedModel, orders) -> ReducedModel:
     """Project each subsystem onto its `orders[i]` dominant real modes.
 
     Row signs: the largest-magnitude entry of each projection row is made
-    positive, or negative when `negative_convention` is set.
+    positive.
     """
     orders = tuple(int(o) for o in orders)
     if len(orders) != model.n_subsystems:
@@ -106,9 +109,7 @@ def reduce_model(model: InterconnectedModel, orders,
     for i, sub in enumerate(model.subsystems):
         lams, rows = _dominant_real_left_eigenvectors(sub.A, orders[i], i)
         for k in range(orders[i]):
-            lead = rows[k, np.argmax(np.abs(rows[k]))]
-            flip = (lead > 0) if negative_convention else (lead < 0)
-            if flip:
+            if rows[k, np.argmax(np.abs(rows[k]))] < 0:
                 rows[k] = -rows[k]
         sl = slice(offsets[i], offsets[i + 1])
         A_red[sl, sl] = np.diag(lams)
@@ -133,8 +134,8 @@ def dc_gain_residual(reduced: ReducedModel, model: InterconnectedModel) -> float
     return float(np.max(np.abs(g_full - g_red)))
 
 
-def verify_reduction(reduced: ReducedModel, model: InterconnectedModel,
-                     dc_tol: float = 1e-8, rank_tol: float = 1e-10) -> ReductionValidation:
+def verify_reduction(reduced: ReducedModel,
+                     model: InterconnectedModel) -> ReductionValidation:
     eigvals = np.linalg.eigvals(reduced.A)
     spectral_radius = float(np.max(np.abs(eigvals)))
     ranks = []
@@ -142,9 +143,9 @@ def verify_reduction(reduced: ReducedModel, model: InterconnectedModel,
         blk = reduced.beta_block(i, model)
         sv = np.linalg.svd(blk, compute_uv=False)
         scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-        ranks.append(int(np.sum(sv > rank_tol * max(1.0, scale))))
+        ranks.append(int(np.sum(sv > _RANK_TOL * max(1.0, scale))))
     full_rank = all(r == o for r, o in zip(ranks, reduced.orders))
     residual = dc_gain_residual(reduced, model)
     return ReductionValidation(spectral_radius, spectral_radius < 1.0,
                                tuple(ranks), full_rank, residual,
-                               residual <= dc_tol)
+                               residual <= _DC_TOL)

@@ -28,12 +28,6 @@ class BallSet:
         if not np.isfinite(self.radius) or self.radius < 0:
             raise EmptyResult(f"ball radius must be finite and >= 0, got {self.radius}")
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {x.shape}")
-        return float(np.linalg.norm(x)) <= self.radius + tol
-
 
 @dataclass(frozen=True)
 class EllipsoidSet:
@@ -63,12 +57,6 @@ class EllipsoidSet:
     def dim(self) -> int:
         return self.shape.shape[0]
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {x.shape}")
-        return float(x @ self.shape @ x) <= self.level + tol
-
 
 @dataclass(frozen=True)
 class RPIApproximation:
@@ -89,8 +77,13 @@ class RPIApproximation:
     certificate_gap: float
 
 
-def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6,
-              max_power: int = 10_000) -> RPIApproximation:
+# `rpi_outer` sums at most this many powers of F before it gives up.
+_RPI_MAX_POWER = 10_000
+# `terminal_set` caps the level at this value (a zero gain admits any level).
+_TERMINAL_LEVEL_CAP = 1e9
+
+
+def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6) -> RPIApproximation:
     """Outer RPI ball for e+ = F e + w, w in the given ball.
 
     Radius is sum_{h<s} ||F^h|| * rho_w / (1 - ||F^s||) with s the smallest
@@ -124,11 +117,11 @@ def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6,
         partial += q
         power = power @ F
         s += 1
-        if s > max_power:
+        if s > _RPI_MAX_POWER:
             q = float(np.linalg.norm(power, 2))
             if q >= 1.0:
-                raise NotContractive(
-                    f"||F^{s}||_2 = {q:.6g} did not contract within {max_power} powers")
+                raise NotContractive(f"||F^{s}||_2 = {q:.6g} did not contract "
+                                     f"within {_RPI_MAX_POWER} powers")
             break
     q = float(np.linalg.norm(power, 2))
     radius = partial * w.radius / (1.0 - q)
@@ -140,8 +133,8 @@ def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6,
     return RPIApproximation(BallSet(w.dim, radius), s, q, gap)
 
 
-def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray, u_budget: BallSet,
-                 level_cap: float = 1e9) -> EllipsoidSet:
+def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray,
+                 u_budget: BallSet) -> EllipsoidSet:
     """Largest {x : x'Px <= alpha} with K x inside u_budget for every member.
 
     Invariance under F comes for free when P solves the closed-loop Lyapunov
@@ -162,7 +155,7 @@ def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray, u_budget: BallSet,
     gram = K.T @ K
     if float(np.linalg.norm(gram, 2)) <= 1e-14:
         # Zero gain: any level is input-admissible, cap it.
-        return EllipsoidSet(P, float(level_cap))
+        return EllipsoidSet(P, _TERMINAL_LEVEL_CAP)
     if u_budget.radius == 0.0:
         import warnings
 
@@ -173,5 +166,5 @@ def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray, u_budget: BallSet,
     from scipy.linalg import eigh
 
     lam_max = float(eigh(gram, P, eigvals_only=True)[-1])
-    alpha = min(u_budget.radius ** 2 / lam_max, float(level_cap))
+    alpha = min(u_budget.radius ** 2 / lam_max, _TERMINAL_LEVEL_CAP)
     return EllipsoidSet(P, alpha)

@@ -20,17 +20,17 @@ optimum of the equality-only problem.  If it is finite, lies inside every
 set (violation exactly 0.0) and meets tol_primal on the equality residual
 and tol_dual on stationarity, the KKT conditions hold with zero set
 multipliers: it is returned as OPTIMAL with 0 iterations.  Otherwise ADMM
-runs from the usual start.  A caller that knows an equivalent problem with
+runs from x = 0.  A caller that knows an equivalent problem with
 more equalities (a set that is a single point, written as equality rows)
 can call `equality_first` on that problem before `solve_qp`.
 Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
   * set constraints are satisfied to tol_primal at termination,
-  * the iterate sequence is a deterministic function of (problem, start).
+  * the iterate sequence is a deterministic function of the problem.
 
-The LP path is a two-phase tableau simplex with Bland's rule, plus an
-optional constraint-pinning pass that selects the lexicographically smallest
+The LP path is a two-phase tableau simplex with Bland's rule, then a
+constraint-pinning pass that selects the lexicographically smallest
 optimizer when the optimal face is not a single vertex.
 """
 from __future__ import annotations
@@ -46,6 +46,11 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from .errors import DimensionMismatch, UnboundedProblem
+
+# ADMM over-relaxation factor.
+_OVER_RELAXATION = 1.6
+# The ellipsoid projection's Newton stop, relative to max(level, 1).
+_NEWTON_TOL = 1e-12
 
 
 class Status(enum.Enum):
@@ -77,8 +82,9 @@ class BallConstraint:
             if c.shape != idx.shape:
                 raise DimensionMismatch("ball center shape must match the indices")
             object.__setattr__(self, "center", c)
-        if self.radius < 0:
-            raise DimensionMismatch("ball radius must be >= 0")
+        if not math.isfinite(self.radius) or self.radius < 0:
+            raise DimensionMismatch(
+                f"ball radius must be finite and >= 0, got {self.radius}")
 
     def _offsets(self, v: np.ndarray):
         """The centre, each row's offset from it and the row norms (kept as
@@ -141,8 +147,9 @@ class EllipsoidConstraint:
         P = np.atleast_2d(np.asarray(self.shape, dtype=float))
         if P.shape != (idx.size, idx.size):
             raise DimensionMismatch("ellipsoid shape must match index count")
-        if self.level < 0:
-            raise DimensionMismatch("ellipsoid level must be >= 0")
+        if not math.isfinite(self.level) or self.level < 0:
+            raise DimensionMismatch(
+                f"ellipsoid level must be finite and >= 0, got {self.level}")
         lam, V = np.linalg.eigh(0.5 * (P + P.T))
         if lam[0] <= 0:
             raise DimensionMismatch("ellipsoid shape must be positive definite")
@@ -156,7 +163,7 @@ class EllipsoidConstraint:
                 raise DimensionMismatch("ellipsoid center length must match index count")
             object.__setattr__(self, "center", c)
 
-    def project(self, v: np.ndarray, newton_tol: float = 1e-12) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         c = self.center if self.center is not None else np.zeros(self.indices.size)
         d = v - c
         value = float(d @ self.shape @ d)
@@ -186,7 +193,7 @@ class EllipsoidConstraint:
         lo = 0.0
         for _ in range(200):
             f = phi(mu)
-            if abs(f) <= newton_tol * max(self.level, 1.0):
+            if abs(f) <= _NEWTON_TOL * max(self.level, 1.0):
                 break
             if f > 0:
                 lo = mu
@@ -382,9 +389,7 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
 def solve_qp(problem: QuadraticProgram,
              tol_primal: float = 1e-8,
              tol_dual: float = 1e-8,
-             max_iters: int = 50_000,
-             over_relaxation: float = 1.6,
-             x0: np.ndarray | None = None) -> SolveResult:
+             max_iters: int = 50_000) -> SolveResult:
     """`equality_first`, then ADMM; see module docstring for the splitting
     and its guarantees.  `iterations` is 0 when the equality-only optimum
     was the answer.
@@ -417,11 +422,11 @@ def solve_qp(problem: QuadraticProgram,
     if r:
         rhs[d:] = problem.b_eq
 
-    x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(d)
     z = x[idx]
     u = np.zeros(idx.size)
 
-    alpha = over_relaxation
+    alpha = _OVER_RELAXATION
     stall_count = 0
     prev_disp = None
     status = Status.MAX_ITERS
@@ -594,8 +599,7 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
 
 
 def solve_lp(c: np.ndarray, A_in: np.ndarray, b_in: np.ndarray,
-             lower_bounds: np.ndarray,
-             lexicographic: bool = True) -> SolveResult:
+             lower_bounds: np.ndarray) -> SolveResult:
     """max c'x s.t. A_in x <= b_in, x >= lower_bounds.
 
     On a non-unique optimal face, the lexicographically smallest optimizer is
@@ -623,27 +627,25 @@ def solve_lp(c: np.ndarray, A_in: np.ndarray, b_in: np.ndarray,
         return SolveResult(np.full(d, np.nan), np.nan, Status.INFEASIBLE,
                            np.nan, np.nan, 0)
     x, duals = out
-    objective = float(c @ x)
 
-    if lexicographic:
-        # Pin the objective, then minimize coordinates one at a time.  Pins
-        # are exact; roundoff-level violations are absorbed by the phase-1
-        # feasibility tolerance.
-        A_aug = np.vstack([A_in, -c[None, :]])
-        b_aug = np.concatenate([b_in, [-objective]])
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = -1.0  # maximize -x_j == minimize x_j
-            out_j = solve_shifted(e, A_aug, b_aug)
-            if out_j is None:
-                break
-            xj = out_j[0]
-            pin = np.zeros(d)
-            pin[j] = 1.0
-            A_aug = np.vstack([A_aug, pin[None, :]])
-            b_aug = np.concatenate([b_aug, [xj[j]]])
-            x = xj
-        objective = float(c @ x)
+    # Pin the objective, then minimize coordinates one at a time.  Pins are
+    # exact; roundoff-level violations are absorbed by the phase-1
+    # feasibility tolerance.
+    A_aug = np.vstack([A_in, -c[None, :]])
+    b_aug = np.concatenate([b_in, [-float(c @ x)]])
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = -1.0  # maximize -x_j == minimize x_j
+        out_j = solve_shifted(e, A_aug, b_aug)
+        if out_j is None:
+            break
+        xj = out_j[0]
+        pin = np.zeros(d)
+        pin[j] = 1.0
+        A_aug = np.vstack([A_aug, pin[None, :]])
+        b_aug = np.concatenate([b_aug, [xj[j]]])
+        x = xj
+    objective = float(c @ x)
 
     slack = b_in - A_in @ x
     primal = float(max(np.max(-slack, initial=0.0), np.max(lb - x, initial=0.0)))

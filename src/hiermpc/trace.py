@@ -2,13 +2,12 @@
 
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
-`fast.csv` stores the recorded fast blocks `harness.RECORDED_FAST`: the
-states `x`, the held input `ubar`, the planned corrections `duhat`, the
-applied corrections `du` and the plant input `u`.  The other fast columns of
-the in-memory `TraceArchive` are functions of these and the design and are
-not stored: the row index `h`, the auxiliary rollout `xhat`, the deviation
-`dx = x - xhat`, the plan rollout `dxhat` and the input margins `margin`;
-the `correction_law` check re-derives `xhat` and `dxhat`.
+`fast.csv` stores the fast blocks of `harness.fast_columns`: the states
+`x`, the held input `ubar`, the planned corrections `duhat`, the applied
+corrections `du` and the plant input `u`.  The in-memory `TraceArchive` also
+holds the input margins `margin`, a function of `u` and the input limits,
+which is not stored.  The auxiliary rollout `xhat` and the plan rollouts
+`dxhat` are recorded nowhere; the `correction_law` check re-derives both.
 The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
@@ -45,8 +44,8 @@ import numpy as np
 from . import __version__
 from .analysis import spectral_norms
 from .errors import ConfigInvalid
-from .harness import (RECORDED_FAST, DesignBundle, RunConfig, TraceArchive,
-                      column_block, config_digest, fast_columns, slow_columns)
+from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
+                      config_digest, fast_columns, slow_columns)
 from .lti import lifted_closed_loop, lifted_input_matrix, matrix_powers
 from .model_io import from_json, to_json
 
@@ -102,12 +101,6 @@ def _read_csv(path: Path, schema: str, columns: tuple) -> np.ndarray:
     return rows
 
 
-def _recorded_columns(fast_cols) -> tuple:
-    """The columns of the fast trace that `fast.csv` stores, in order."""
-    return tuple(name for name in fast_cols
-                 if name.rstrip("0123456789") in RECORDED_FAST)
-
-
 def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
     """Write model.json, config.json, design.json and certificate.json."""
     out = Path(out_dir)
@@ -123,9 +116,9 @@ def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
 
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
     out = write_design(bundle, archive.config, out_dir)
-    columns = _recorded_columns(archive.fast_cols)
-    keep = [archive.fast_cols.index(name) for name in columns]
-    _write_csv(out / "fast.csv", FAST_SCHEMA, columns, archive.fast[:, keep])
+    columns = fast_columns(bundle.model.n_states, bundle.model.n_inputs)
+    _write_csv(out / "fast.csv", FAST_SCHEMA, columns,
+               archive.fast[:, :len(columns)])
     _write_csv(out / "slow.csv", SLOW_SCHEMA, archive.slow_cols, archive.slow)
     meta = {
         "archive_version": ARCHIVE_VERSION,
@@ -175,8 +168,7 @@ def load_archive(path) -> LoadedArchive:
                                       "model": read("model.json"),
                                       "report": read("certificate.json")})
     model = bundle.model
-    fast_cols = _recorded_columns(fast_columns(
-        model.n_states, model.n_inputs, model.n_subsystems))
+    fast_cols = fast_columns(model.n_states, model.n_inputs)
     slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,
                              config.horizon)
     fast = _read_csv(root / "fast.csv", FAST_SCHEMA, fast_cols)
@@ -356,13 +348,20 @@ def verify_archive(path) -> VerifyReport:
     forcing = np.linalg.norm(
         (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \
         + bundle.report.rho_x
+    # At k = 0 the envelope is exactly |x_0|, so the worst gap is never below
+    # 0; how close the run came is the relative slack over the later steps.
     x0_norm = float(np.linalg.norm(xk[0]))
-    worst_gap = -np.inf
+    worst_gap, slack = -np.inf, np.inf
     for k in range(K_steps + 1):
         env = pow_norms[k] * x0_norm
         if k:
             env += float(np.dot(pow_norms[k - 1::-1][:k], forcing[:k]))
-        worst_gap = max(worst_gap, float(np.linalg.norm(xk[k]) - env))
-    add("tail_envelope", worst_gap, 1e-9, detail="state norm minus envelope")
+        gap = float(np.linalg.norm(xk[k]) - env)
+        worst_gap = max(worst_gap, gap)
+        if k:
+            slack = min(slack, float(-gap / env))
+    add("tail_envelope", worst_gap, 1e-9,
+        detail=f"state norm minus envelope; smallest relative slack over "
+               f"k >= 1: {slack:.6g}")
 
     return VerifyReport(tuple(checks))

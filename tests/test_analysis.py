@@ -12,10 +12,7 @@ from hiermpc.analysis import (
     RadiusAllocation,
     certificate_constants,
     correction_gain_norm,
-    delta_input_bounds,
     delta_state_bounds,
-    disturbance_radius,
-    disturbance_set,
     interaction_matrix,
     kappa_exponential_bound,
     lifted_input_mismatch,
@@ -58,6 +55,14 @@ def ll_gain_for(model):
     Qs = [np.eye(s.n_states) for s in model.subsystems]
     Rs = [np.eye(s.n_inputs) for s in model.subsystems]
     return design_ll_gain(model, Qs, Rs)
+
+
+def leakage_report(model, reduced, gain, rho, period):
+    """The certificate for correction radii `rho`: its `delta_input_table`
+    and `rho_w` are the input-leakage table and the disturbance radius."""
+    radii = RadiusAllocation(np.asarray(rho, dtype=float), np.ones(len(rho)),
+                             0.0, 1.0, 1.0, 0.0)
+    return certificate_constants(model, reduced, gain, radii, period)
 
 
 # ---------------------------------------------------------------- kappa
@@ -138,10 +143,11 @@ def test_bound_tables_monotone_in_step_index():
     # budgets accumulate leakage, so columns never shrink as the fast step
     # advances, and the last input column is the whole-period budget
     model = make_pair(coupling=0.08)
+    reduced = reduce_model(model, [1, 1])
     gain = ll_gain_for(model)
     rho = np.array([0.9, 0.4])
     state_tbl = delta_state_bounds(model, rho, 7)
-    input_tbl = delta_input_bounds(model, gain, rho, 7)
+    input_tbl = leakage_report(model, reduced, gain, rho, 7).delta_input_table
     assert np.all(np.diff(state_tbl, axis=1) >= 0.0)
     assert np.all(np.diff(input_tbl, axis=1) >= 0.0)
     assert np.all(input_tbl <= input_tbl[:, -1:])
@@ -153,8 +159,9 @@ def test_interaction_and_leakage_vanish_when_decoupled():
     gain = ll_gain_for(model)
     rho = np.array([0.5, 0.7])
     assert np.all(interaction_matrix(model, gain, 8) == 0.0)
-    assert np.all(delta_input_bounds(model, gain, rho, 8) == 0.0)
-    assert disturbance_radius(model, reduced, gain, rho, 8) == 0.0
+    rep = leakage_report(model, reduced, gain, rho, 8)
+    assert np.all(rep.delta_input_table == 0.0)
+    assert rep.rho_w == 0.0
 
 
 def _leakage_rollout(model, gain, delta_u_hat):
@@ -181,11 +188,9 @@ def test_bound_tables_dominate_sampled_rollouts():
     gain = ll_gain_for(model)
     period = 7
     rho = np.array([0.9, 0.4])
-    state_tbl = delta_state_bounds(model, rho, period)
-    input_tbl = delta_input_bounds(model, gain, rho, period)
-    rho_w = disturbance_radius(model, reduced, gain, rho, period)
-    kd = correction_gain_norm(model, gain, period)
-    rho_x = kd * np.sqrt(period) * np.sqrt(np.sum(rho ** 2))
+    rep = leakage_report(model, reduced, gain, rho, period)
+    state_tbl, input_tbl = rep.delta_state_table, rep.delta_input_table
+    rho_w, rho_x = rep.rho_w, rep.rho_x
     reach_rev = np.hstack([
         np.linalg.matrix_power(model.A, period - 1 - r) @ model.B
         for r in range(period)])
@@ -216,7 +221,7 @@ def test_disturbance_radius_is_attained_for_single_leak_path():
     gain = ll_gain_for(model)
     rho = np.array([1.0, 0.0])
     period = 2
-    rho_w = disturbance_radius(model, reduced, gain, rho, period)
+    rho_w = leakage_report(model, reduced, gain, rho, period).rho_w
     plan = np.zeros((period, model.n_inputs))
     plan[0, 0] = 1.0
     _, eps, _ = _leakage_rollout(model, gain, plan)
@@ -292,9 +297,6 @@ def test_leakage_bounds_match_per_step_loops_bitwise(case):
     for period in periods:
         lam, inputs, rho_w = _per_step_leakage(model, reduced, gain, rho, period)
         np.testing.assert_array_equal(interaction_matrix(model, gain, period), lam)
-        np.testing.assert_array_equal(
-            delta_input_bounds(model, gain, rho, period), inputs)
-        assert disturbance_radius(model, reduced, gain, rho, period) == rho_w
         rep = certificate_constants(model, reduced, gain, radii, period)
         np.testing.assert_array_equal(rep.delta_input_table, inputs)
         assert rep.rho_w == rho_w
@@ -435,8 +437,6 @@ def test_certificate_decoupled_report():
     assert np.all(rep.lambda_margins > 1e6)
     assert rep.assumptions_ok
     assert rep.x0_bound_ok
-    ball = disturbance_set(reduced, rep)
-    assert ball.dim == reduced.n_states and ball.radius == 0.0
 
 
 def test_certificate_coupled_clauses_and_x0_gate():

@@ -118,7 +118,7 @@ def per_subsystem_run(model, cfg, bundle):
     one correction per subsystem and one record row at a time.  Returns the
     fast records and the final state."""
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
-    n, m = model.n_states, model.n_inputs
+    m = model.n_inputs
     rho_u = model.input_radii()
     hl_qp = tube_qp(bundle.hl)
     ll_qps = [correction_qp(model, reduced, i,
@@ -140,18 +140,16 @@ def per_subsystem_run(model, cfg, bundle):
                           cfg.max_iters) for i in range(M)]
         for j in range(N):
             dx = x - aux.states[j]
-            duhat, du, dxhat = np.empty(m), np.empty(m), np.empty(n)
+            duhat, du = np.empty(m), np.empty(m)
             for i, plan in enumerate(plans):
                 su, sx = model.input_slice(i), model.state_slice(i)
                 duhat[su] = plan.u_steps[j]
-                dxhat[sx] = plan.states[j]
                 du[su] = plan.u_steps[j] + bundle.ll_gain.blocks[i] @ (
                     dx[sx] - plan.states[j])
             u = u_bar + du
             margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
                        for i in range(M)]
-            rows.append(np.concatenate([[k * N + j], x, aux.states[j], dx, dxhat,
-                                        u_bar, duhat, du, u, margins]))
+            rows.append(np.concatenate([x, u_bar, duhat, du, u, margins]))
             x = model.A @ x + model.B @ u
     return np.array(rows), x
 
@@ -231,7 +229,7 @@ def test_design_dict_round_trip(bundle):
     np.testing.assert_array_equal(again.ll_gain.K, bundle.ll_gain.K)
     assert again.hl.tube.ball.radius == bundle.hl.tube.ball.radius
     assert again.hl.terminal.level == bundle.hl.terminal.level
-    assert again.input_conservatism == bundle.input_conservatism
+    assert again.radii.rho_u_bar.tobytes() == bundle.radii.rho_u_bar.tobytes()
 
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
@@ -342,7 +340,7 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
 
     loaded = load_archive(written).bundle
     np.testing.assert_array_equal(loaded.ll_gain.K, design.ll_gain.K)
-    assert loaded.input_conservatism == design.input_conservatism
+    assert loaded.radii.rho_u_bar.tobytes() == design.radii.rho_u_bar.tobytes()
     # The lifted closed loop as verify_archive rebuilds it from the archive.
     plant_A, N = loaded.model.A, cfg.period
     F = lifted_closed_loop(plant_A, loaded.model.B, loaded.hl.gain.K,
@@ -351,6 +349,65 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
     # The coupled fast closed loop, rebuilt from the archive as analysis does.
     F_fast = loaded.model.A + loaded.model.B @ loaded.ll_gain.K
     assert float(np.max(np.abs(np.linalg.eigvals(F_fast)))) == design.ll_gain.rho
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _assert_close(got, want, where):
+    """Same JSON structure, every non-float equal, every float within 1e-9
+    relative or 1e-12 absolute (the floor covers values that are roundoff
+    of an exact zero, such as the decoupled plant's kappa)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
+def test_design_constants_match_the_pinned_files(name):
+    """`design.json` and `certificate.json` of the default plant, the
+    decoupled plant and perfbench/chain4_n40.json, as `hiermpc design`
+    writes them, match the files pinned under tests/data."""
+    if name == "chain4_n40":
+        data = json.loads(CHAIN4.read_text())
+        cfg = config_from_dict(data["run"])
+        building = building_from_dict(data["building"])
+    else:
+        decoupled = name == "decoupled_n20"
+        cfg, building = RunConfig(decoupled=decoupled), default_building(decoupled)
+    design = to_json(design_pipeline(build_thermal_model(building), cfg))
+    design.pop("model")
+    report = design.pop("report")
+    pinned = json.loads((DATA / name / "certificate.json").read_text())
+    if pinned["defect_norm"] <= 1e-12:
+        # The projection commutes with the dynamics: the defect norm is
+        # roundoff, and the start margins divided by it carry no digits.
+        for rep in (report, pinned):
+            assert min(rep.pop("lambda_margins")) > 1e12
+    _assert_close(report, pinned, "certificate")
+    _assert_close(design, json.loads((DATA / name / "design.json").read_text()),
+                  "design")
+
+
+def test_tail_envelope_reports_its_slack(archive_dir):
+    # The worst gap is attained at k = 0, where the envelope is |x_0|; the
+    # relative slack over the later slow steps says how close the run came.
+    (check,) = [c for c in verify_archive(archive_dir).checks
+                if c.name == "tail_envelope"]
+    slack = float(check.detail.rsplit(": ", 1)[1])
+    assert check.passed and check.worst == 0.0
+    assert 0.0 < slack < 1.0
 
 
 def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):

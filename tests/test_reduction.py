@@ -41,14 +41,6 @@ def test_reduce_diagonal_hand_case():
     assert np.allclose(red.B, [[1.0]], atol=1e-12)
 
 
-def test_reduce_negative_convention_flag():
-    model = single(np.diag([0.9, 0.2]), [[1.0], [1.0]])
-    red = reduce_model(model, [1], negative_convention=True)
-    assert red.beta[0, 0] < 0
-    # DC matching must hold under either sign choice.
-    assert dc_gain_residual(red, model) <= 1e-12
-
-
 def test_reduce_left_eigenvector_rows():
     # Invariant: beta_i A_ii = A_red,i beta_i row by row, rows unit norm.
     rng = np.random.default_rng(15)

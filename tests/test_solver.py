@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -205,15 +206,27 @@ def test_qp_infeasible_divergence_certificate():
     assert res.status is Status.INFEASIBLE
 
 
-def test_qp_warm_start_determinism():
+def test_qp_determinism():
     rng = np.random.default_rng(10)
     H = np.eye(3)
     g = rng.normal(size=3)
     prob = QuadraticProgram(H, g, constraints=[BallConstraint(np.arange(3), 0.5)])
-    r1 = solve_qp(prob, x0=np.ones(3))
-    r2 = solve_qp(prob, x0=np.ones(3))
-    assert r1.iterations == r2.iterations
+    r1 = solve_qp(prob)
+    r2 = solve_qp(prob)
+    assert r1.iterations == r2.iterations > 0
     assert np.array_equal(r1.x, r2.x)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+def test_set_constraints_reject_a_bad_radius_or_level(size):
+    # A NaN radius or level would make a set that projects nothing and
+    # reports no violation.
+    with pytest.raises(DimensionMismatch):
+        BallConstraint(np.arange(2), size)
+    with pytest.raises(DimensionMismatch):
+        EllipsoidConstraint(np.arange(2), np.eye(2), size)
+    box = BoxConstraint(np.arange(2), -np.inf, np.inf)
+    assert np.array_equal(box.project(np.array([-3.0, 4.0])), [-3.0, 4.0])
 
 
 def test_qp_scaling_invariance():
@@ -482,7 +495,7 @@ def test_lp_infeasible():
 def test_lp_unbounded():
     with pytest.raises(UnboundedProblem):
         solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]),
-                 np.zeros(1), lexicographic=False)
+                 np.zeros(1))
 
 
 def test_lp_random_against_vertex_oracle():
@@ -501,7 +514,7 @@ def test_lp_random_against_vertex_oracle():
         c = rng.normal(size=d)
         best = lp_oracle_vertices(c, A_full, b_full, lb)
         assert best is not None
-        res = solve_lp(c, A_full, b_full, lb, lexicographic=False)
+        res = solve_lp(c, A_full, b_full, lb)
         assert res.status is Status.OPTIMAL
         scale = max(1.0, abs(best[0]))
         assert abs(res.objective - best[0]) <= 1e-8 * scale, f"trial {trial}"
