@@ -7,9 +7,12 @@ gain, input-budget allocation, certificate constants; `hiermpc analyze` and
 gain, disturbance set, invariant tube, terminal cost and set).
 `run_closed_loop` then executes the slow loop around the full plant: one
 tube-tightened slow solve per tick, the shared constant-input auxiliary
-rollout, one correction plan per subsystem, and the fast sub-loop applying
-held input plus corrections.  Every quantity the runtime invariants need is
-recorded; persistence and re-verification live in `trace`.
+rollout, one correction plan per subsystem, and the tick's fast block of
+held input plus corrections.  The fast block is affine in the tick's start
+state, held input and planned corrections, so it is computed from maps
+built once per run, a few matrix products per tick, not stepped fast step by
+fast step.  Every quantity the runtime invariants need is recorded;
+persistence and re-verification live in `trace`.
 """
 from __future__ import annotations
 
@@ -27,8 +30,9 @@ from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL,
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
                         tube_qp)
-from .lowlevel import LLGain, apply_correction, correction_qp, \
-    design_ll_gain, simulate_auxiliary, solve_ll
+from .lowlevel import LLGain, apply_correction, auxiliary_maps, \
+    correction_qp, coupling_error_map, design_ll_gain, simulate_auxiliary, \
+    solve_ll
 from .lti import InterconnectedModel
 from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
@@ -271,9 +275,12 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     Any slow- or fast-layer infeasibility aborts the run with the slow-step
     index attached to the exception diagnostics; nothing is clipped.  The
     data of each layer's QP that does not change between ticks, with its KKT
-    factors, is built once here, before the first tick.  The fast sub-loop
-    runs on the subsystem plans stacked side by side: one correction with
-    the decentralized gain and one plant step per fast step.
+    factors, is built once here, before the first tick, and so are the maps
+    of the fast block: the auxiliary rollout of `lowlevel.auxiliary_maps`
+    and the coupling error Xi of `lowlevel.coupling_error_map`.  A tick's
+    states are then the auxiliary rollout plus the stacked plan rollouts
+    plus Xi times the planned corrections, and its corrections one
+    `apply_correction` on the whole block.
     """
     start = time.perf_counter()
     x = start_state(model, cfg)
@@ -292,7 +299,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
             for prefix, width in (("x", n), ("ubar", m), ("duhat", m),
                                   ("du", m), ("u", m), ("margin", M))}
-    dxhat = np.empty((N, n))  # the tick's stacked plan rollouts
+    dxhat = np.empty((N + 1, n))  # the tick's stacked plan rollouts
     in_slices = [model.input_slice(i) for i in range(M)]
     state_slices = [model.state_slice(i) for i in range(M)]
 
@@ -302,6 +309,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                     float(bundle.radii.rho_delta_u_hat[i])),
                             bundle.ll_Q[i], bundle.ll_R[i], N)
               for i in range(M)]
+    aux_maps = auxiliary_maps(model, N)
+    Xi = coupling_error_map(model, bundle.ll_gain, N)
 
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
@@ -313,43 +322,40 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
             raise
         u_bar = sol.u_applied
         x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
-        aux = simulate_auxiliary(model, x, u_bar, N)
-
-        plans = []
-        for i in range(M):
-            try:
-                plans.append(solve_ll(
-                    ll_qps[i], x_bar_pred[reduced.block_slice(i)], aux.terminal,
-                    cfg.tol_primal, cfg.tol_dual, cfg.max_iters))
-            except InfeasibleLL as exc:
-                exc.diagnostics["slow_step"] = k
-                raise
+        xhat = simulate_auxiliary(aux_maps, x, u_bar)
 
         # The tick's rows, written as column blocks.
         rows = slice(k * N, (k + 1) * N)
-        xs, duhat, du = (fast[p][rows] for p in ("x", "duhat", "du"))
-        for i, plan in enumerate(plans):
+        duhat = fast["duhat"][rows]
+        for i in range(M):
+            try:
+                plan = solve_ll(ll_qps[i], x_bar_pred[reduced.block_slice(i)],
+                                xhat[N], cfg.tol_primal, cfg.tol_dual,
+                                cfg.max_iters)
+            except InfeasibleLL as exc:
+                exc.diagnostics["slow_step"] = k
+                raise
             duhat[:, in_slices[i]] = plan.u_steps
-            dxhat[:, state_slices[i]] = plan.states[:N]
-        x_cur = x
-        for j in range(N):
-            xs[j] = x_cur
-            du[j] = apply_correction(duhat, dxhat, bundle.ll_gain,
-                                     x_cur - aux.states[j], j)
-            x_cur = model.A @ x_cur + model.B @ (u_bar + du[j])
+            dxhat[:, state_slices[i]] = plan.states
+
+        xs = xhat + dxhat + (Xi @ duhat.ravel()).reshape(N + 1, n)
+        fast["x"][rows] = xs[:N]
+        du = fast["du"][rows] = apply_correction(duhat, dxhat[:N],
+                                                 bundle.ll_gain,
+                                                 xs[:N] - xhat[:N])
         u = fast["u"][rows] = u_bar + du
         fast["ubar"][rows] = u_bar
         fast["margin"][rows] = rho_u - np.column_stack(
             [np.linalg.norm(u[:, s], axis=1) for s in in_slices])
 
-        w_bar = reduced.beta @ x_cur - x_bar_pred
+        x = xs[N]
+        w_bar = reduced.beta @ x - x_bar_pred
         tube_err = float(np.linalg.norm(x_proj - sol.x_nominal))
         slow_rows[k] = np.concatenate(
             [[k], x_proj, sol.x_nominal, sol.x_nominal_next, u_bar,
              sol.u_nominal_seq.ravel(),
              [sol.objective, float(sol.iterations), sol.primal_residual,
               sol.dual_residual], w_bar, [tube_err]])
-        x = x_cur
 
     wall = time.perf_counter() - start
     return TraceArchive(cfg, f_cols, s_cols, fast_rows, slow_rows, x, wall)

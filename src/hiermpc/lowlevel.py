@@ -6,6 +6,15 @@ one-step-ahead prediction (a hard terminal equality), then applies it with
 local feedback on the gap between measured and planned deviations.  All
 cross-subsystem information enters through the shared auxiliary simulation,
 which is reset to the measured state at every slow tick.
+
+Everything a tick needs that does not depend on the tick is built once per
+run: the auxiliary rollout is one product with the stacked maps of
+`auxiliary_maps`, and each subsystem's `CorrectionQP` carries its
+equality-only optimum per unit target, so a plan whose budgets do not bind
+is one matrix product (`solve_ll` falls back to the QP solver when one
+does).  `coupling_error_map` gives the fast loop's deviation from auxiliary
+plus plan rollout as a linear map of the planned corrections, which is what
+lets the harness run a whole fast block without stepping it.
 """
 from __future__ import annotations
 
@@ -16,71 +25,66 @@ import scipy.linalg
 
 from .errors import DesignFailed, DimensionMismatch, InfeasibleLL
 from .gains import DETUNING_ROUNDS, dlqr
-from .lti import InterconnectedModel, matrix_powers
+from .lti import InterconnectedModel, impulse_response, matrix_powers
 from .reduction import ReducedModel
 from .sets import BallSet
-from .solver import BallConstraint, KKTFactors, QuadraticProgram, Status, solve_qp
+from .solver import (BallConstraint, KKTFactors, QuadraticProgram, SolveResult,
+                     Status, solve_qp)
 
 
 @dataclass(frozen=True)
-class AuxiliaryState:
-    """Centralized constant-input rollout from a slow-tick measurement."""
+class AuxiliaryMaps:
+    """Stacked maps of the constant-input rollout over one slow period:
+    states j = 0..period are Phi[j] x + Psi[j] u, with Phi[j] = A^j and
+    Psi[j] = sum_{l<j} A^l B, stacked row block by row block."""
 
-    states: np.ndarray  # (period+1, n)
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
+    Phi: np.ndarray  # ((period+1) n, n)
+    Psi: np.ndarray  # ((period+1) n, m)
 
 
-def simulate_auxiliary(model: InterconnectedModel, x_start: np.ndarray,
-                       u_held: np.ndarray, period: int) -> AuxiliaryState:
+def auxiliary_maps(model: InterconnectedModel, period: int) -> AuxiliaryMaps:
+    n, m = model.n_states, model.n_inputs
+    Psi = np.zeros((period + 1, n, m))
+    np.cumsum(impulse_response(model.A, model.B, period), axis=0, out=Psi[1:])
+    return AuxiliaryMaps(matrix_powers(model.A, period).reshape(-1, n),
+                         Psi.reshape(-1, m))
+
+
+def simulate_auxiliary(maps: AuxiliaryMaps, x_start: np.ndarray,
+                       u_held: np.ndarray) -> np.ndarray:
+    """Centralized constant-input rollout from a slow-tick measurement:
+    states 0..period, shape (period+1, n)."""
     x_start = np.asarray(x_start, dtype=float)
     u_held = np.asarray(u_held, dtype=float)
-    if x_start.shape != (model.n_states,) or u_held.shape != (model.n_inputs,):
+    n, m = maps.Phi.shape[1], maps.Psi.shape[1]
+    if x_start.shape != (n,) or u_held.shape != (m,):
         raise DimensionMismatch("auxiliary rollout dimensions inconsistent")
-    states = np.empty((period + 1, model.n_states))
-    states[0] = x_start
-    Bu = model.B @ u_held
-    for j in range(period):
-        states[j + 1] = model.A @ states[j] + Bu
-    return AuxiliaryState(states)
+    return (maps.Phi @ x_start + maps.Psi @ u_held).reshape(-1, n)
 
 
 @dataclass(frozen=True)
 class LLGain:
-    """Decentralized fast gain.  `gain @ x` is K @ x computed block by block,
-    one batched product per block shape, so that each u_i is bitwise the
-    K_i @ x_i of subsystem i alone (a dense product with K sums the zeros
-    in and may round differently)."""
+    """Decentralized fast gain.  `gain @ rows` applies K to each row of a
+    block of full states, (..., n) -> (..., m), one product per subsystem:
+    u_i = x_i K_i', which a subsystem computes from its own columns alone
+    (a dense product with K would sum the zeros in and may round
+    differently)."""
 
     blocks: tuple[np.ndarray, ...]  # per-subsystem K_i, u_i = K_i x_i
     K: np.ndarray = field(init=False, repr=False)  # block_diag(*blocks)
     rho: float                      # spectral radius of A + B K, below 1
     rounds: int
-    # (state indices, input indices, blocks) per block shape, each stacked
-    # over the subsystems of that shape.
-    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "K", scipy.linalg.block_diag(*self.blocks))
-        groups = {}
+
+    def __matmul__(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(rows.shape[:-1] + (self.K.shape[0],))
         row = col = 0
         for blk in self.blocks:
             m_i, n_i = blk.shape
-            states, inputs, blocks = groups.setdefault(blk.shape, ([], [], []))
-            states.append(np.arange(col, col + n_i))
-            inputs.append(np.arange(row, row + m_i))
-            blocks.append(blk)
+            out[..., row:row + m_i] = rows[..., col:col + n_i] @ blk.T
             row, col = row + m_i, col + n_i
-        object.__setattr__(self, "stacks", tuple(
-            (np.array(states), np.array(inputs), np.array(blocks))
-            for states, inputs, blocks in groups.values()))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(self.K.shape[0])
-        for states, inputs, blocks in self.stacks:
-            out[inputs] = (blocks @ x[states][..., None])[..., 0]
         return out
 
 
@@ -112,7 +116,6 @@ class DeltaPlan:
     u_steps: np.ndarray        # (period, m_i) planned corrections
     states: np.ndarray         # (period+1, n_i) planned deviations, start 0
     terminal_residual: float
-    objective: float
     iterations: int
 
 
@@ -134,7 +137,10 @@ class CorrectionQP:
 
     Per tick only the terminal target b_eq changes; the cost, the terminal
     map, the per-step budget balls, the plan rollout and the KKT factors are
-    built once by `correction_qp`.
+    built once by `correction_qp`.  So are the equality-only optimum and its
+    multipliers per unit target, read off the rho = 0 KKT factors: the
+    optimum for a target b is `G @ b`, its multipliers `multipliers @ b`,
+    and its planned states `plan_rollout @ b`.
     """
 
     subsystem: int
@@ -145,6 +151,9 @@ class CorrectionQP:
     A_eq: np.ndarray           # beta_i times the period-step reachability row
     budget: BallConstraint     # one ball per step, stacked (period, m_i)
     factors: KKTFactors
+    G: np.ndarray              # equality-only optimum per unit target
+    multipliers: np.ndarray    # its equality multipliers per unit target
+    plan_rollout: np.ndarray   # rollout @ G: target -> states 1..period
 
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
@@ -162,10 +171,31 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
     steps = np.arange(period * m_i).reshape(period, m_i)
     A_eq = beta_i @ reach
-    return CorrectionQP(i, np.vstack([Gamma, reach]), model.state_slice(i),
-                        beta_i, H, A_eq,
-                        BallConstraint(steps, budget.radius),
-                        KKTFactors(H, A_eq, (steps,)))
+    factors = KKTFactors(H, A_eq, (steps,))
+    d, r = H.shape[0], A_eq.shape[0]
+    # [[H, A_eq'], [A_eq, 0]] [G; multipliers] = [0; I]
+    unit = scipy.linalg.lu_solve(factors.factor(0.0),
+                                 np.vstack([np.zeros((d, r)), np.eye(r)]))
+    rollout = np.vstack([Gamma, reach])
+    return CorrectionQP(i, rollout, model.state_slice(i), beta_i, H, A_eq,
+                        BallConstraint(steps, budget.radius), factors,
+                        unit[:d], unit[d:], rollout @ unit[:d])
+
+
+def _closed_form(qp: CorrectionQP, rhs: np.ndarray, tol_primal: float,
+                 tol_dual: float) -> np.ndarray | None:
+    """The equality-only optimum for target `rhs`, if it is the optimum:
+    accepted under the rule of `solver.equality_first` (finite, inside every
+    budget ball, equality residual within tol_primal, stationarity within
+    tol_dual), else None."""
+    x = qp.G @ rhs
+    lam = qp.multipliers @ rhs
+    if not (np.isfinite(x).all() and np.isfinite(lam).all()
+            and qp.budget.violation(x[qp.budget.indices]) == 0.0):
+        return None
+    eq_res = float(np.max(np.abs(qp.A_eq @ x - rhs)))
+    dual_res = float(np.max(np.abs(qp.H @ x + qp.A_eq.T @ lam)))
+    return x if eq_res <= tol_primal and dual_res <= tol_dual else None
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
@@ -178,44 +208,81 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     at zero (slow-tick reset), its projection must land exactly on the slow
     layer's prediction gap `x_bar_pred_i - beta_i aux_terminal[i]` (the
     auxiliary terminal is the full state), and each step stays inside the
-    budget ball.
+    budget ball.  When no budget binds the plan is the precomputed
+    equality-only optimum times the gap (0 iterations); otherwise the QP is
+    solved by `solve_qp`.
     """
     i = qp.subsystem
     aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
     rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
-    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
-                            (qp.budget,), qp.factors)
-    res = solve_qp(prob, tol_primal, tol_dual, max_iters)
-    if res.status is not Status.OPTIMAL:
-        # Smallest-total-energy sequence hitting the target, for diagnosis.
-        H_pinv = np.linalg.pinv(qp.A_eq)
-        min_norm = float(np.linalg.norm(H_pinv @ rhs))
-        radius = qp.budget.radius
-        raise InfeasibleLL(
-            f"subsystem {i}: correction target unreachable within budget "
-            f"(|target|={np.linalg.norm(rhs):.6g}, per-step budget={radius:.6g}, "
-            f"least-norm sequence={min_norm:.6g})",
-            subsystem=i,
-            diagnostics={"status": res.status.value,
-                         "target_norm": float(np.linalg.norm(rhs)),
-                         "budget": radius,
-                         "least_norm_sequence": min_norm})
-    u_steps = res.x.reshape(qp.budget.indices.shape)
-    states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
-    states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
+    steps = qp.budget.indices.shape
+    x = _closed_form(qp, rhs, tol_primal, tol_dual)
+    if x is not None:
+        iterations, rollout = 0, qp.plan_rollout @ rhs
+    else:
+        prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
+                                (qp.budget,), qp.factors)
+        res = solve_qp(prob, tol_primal, tol_dual, max_iters)
+        if res.status is not Status.OPTIMAL:
+            raise _infeasible(qp, rhs, res)
+        x, iterations, rollout = res.x, res.iterations, qp.rollout @ res.x
+    states = np.zeros((steps[0] + 1, qp.beta.shape[1]))
+    states[1:] = rollout.reshape(steps[0], -1)
     terminal_residual = float(np.max(np.abs(qp.beta @ states[-1] - rhs)))
-    return DeltaPlan(i, u_steps, states, terminal_residual, res.objective,
-                     res.iterations)
+    return DeltaPlan(i, x.reshape(steps), states, terminal_residual, iterations)
 
 
-def apply_correction(u_plan: np.ndarray, x_plan: np.ndarray, gain: np.ndarray,
-                     delta_x: np.ndarray, j: int) -> np.ndarray:
-    """Correction input at fast offset j: planned step plus feedback on the
-    measured-minus-planned deviation gap, u_plan[j] + gain (delta_x - x_plan[j]).
+def _infeasible(qp: CorrectionQP, rhs: np.ndarray,
+                res: SolveResult) -> InfeasibleLL:
+    """The error for a correction QP whose solve ended without OPTIMAL; the
+    message names the solver status it ended with."""
+    i = qp.subsystem
+    # Smallest-total-energy sequence hitting the target, for diagnosis.
+    min_norm = float(np.linalg.norm(np.linalg.pinv(qp.A_eq) @ rhs))
+    radius = qp.budget.radius
+    cause = ("correction target unreachable within budget"
+             if res.status is Status.INFEASIBLE else "correction QP not solved")
+    return InfeasibleLL(
+        f"subsystem {i}: {cause} (solver status {res.status.value} after "
+        f"{res.iterations} iterations, |target|={np.linalg.norm(rhs):.6g}, "
+        f"per-step budget={radius:.6g}, least-norm sequence={min_norm:.6g})",
+        subsystem=i,
+        diagnostics={"status": res.status.value,
+                     "target_norm": float(np.linalg.norm(rhs)),
+                     "budget": radius,
+                     "least_norm_sequence": min_norm})
 
-    Takes one subsystem's plan with its gain block K_i, or the plans of all
-    subsystems stacked side by side with their `LLGain`; the two are the same
-    decentralized law, to the bit."""
-    if not 0 <= j < u_plan.shape[0]:
-        raise DimensionMismatch(f"fast offset {j} outside the plan horizon")
-    return u_plan[j] + gain @ (np.asarray(delta_x, dtype=float) - x_plan[j])
+
+def coupling_error_map(model: InterconnectedModel, gain: LLGain,
+                       period: int) -> np.ndarray:
+    """Xi: the fast loop's deviation e = x - xhat - dxhat from the auxiliary
+    plus plan rollout at fast steps 0..period, as a linear map of the
+    planned corrections duhat (period, m) raveled row by row.
+
+    With du = duhat + K e, the plant x+ = A x + B (u_held + du), the
+    auxiliary xhat+ = A xhat + B u_held and the plans dxhat+ = A_d dxhat +
+    B duhat (A_d the block-diagonal A; B is block-diagonal by construction),
+    e+ = (A + B K) e + (A - A_d) dxhat from e = 0."""
+    n, m = model.n_states, model.n_inputs
+    A_d = model.block_diagonal_A()
+    F, leak = model.A + model.B @ gain.K, model.A - A_d
+    dxhat = np.zeros((n, period * m))  # plan rollout map at step j
+    Xi = np.zeros((period + 1, n, period * m))
+    for j in range(period):
+        Xi[j + 1] = F @ Xi[j] + leak @ dxhat
+        dxhat = A_d @ dxhat
+        dxhat[:, j * m:(j + 1) * m] += model.B
+    return Xi.reshape(-1, period * m)
+
+
+def apply_correction(u_plan: np.ndarray, x_plan: np.ndarray, gain: LLGain,
+                     delta_x: np.ndarray) -> np.ndarray:
+    """Corrections of a fast block: the planned steps plus feedback on the
+    measured-minus-planned deviation gap, u_plan + gain (delta_x - x_plan),
+    row by row.  Rows are fast steps; the columns are all subsystems' plans
+    side by side, and `gain` applies each subsystem's block K_i to its own
+    columns."""
+    delta_x = np.asarray(delta_x, dtype=float)
+    if x_plan.shape != delta_x.shape or u_plan.shape[0] != delta_x.shape[0]:
+        raise DimensionMismatch("correction block dimensions inconsistent")
+    return u_plan + gain @ (delta_x - x_plan)

@@ -7,7 +7,8 @@ model, the run config, the design, the certificate, and a metadata file.
 corrections `du` and the plant input `u`.  The in-memory `TraceArchive` also
 holds the input margins `margin`, a function of `u` and the input limits,
 which is not stored.  The auxiliary rollout `xhat` and the plan rollouts
-`dxhat` are recorded nowhere; the `correction_law` check re-derives both.
+`dxhat` are recorded nowhere; the `correction_law` and `ll_terminal` checks
+re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
@@ -25,7 +26,8 @@ is the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
-fast correction law, the slow-step disturbance bound, tube containment,
+fast correction law, each plan's terminal hit on the slow layer's prediction
+(`ll_terminal`), the slow-step disturbance bound, tube containment,
 nominal convergence, and the closed-loop norm-tail envelope, whose lifted
 closed loop `lti.lifted_closed_loop` rebuilds from the model and slow gain.
 """
@@ -219,13 +221,14 @@ class VerifyReport:
 
 def _rollouts(A: np.ndarray, start: np.ndarray,
               forcing: np.ndarray) -> np.ndarray:
-    """States 0..N-1 of s+ = A s + forcing[:, j] from `start`, one rollout
-    per slow step: start (K, n), forcing (K, N, n); returns the K N rows."""
-    states = np.empty(forcing.shape)
+    """States 0..N of s+ = A s + forcing[:, j] from `start`, one rollout
+    per slow step: start (K, n), forcing (K, N, n); returns (K, N + 1, n)."""
+    K_steps, N, n = forcing.shape
+    states = np.empty((K_steps, N + 1, n))
     states[:, 0] = start
-    for j in range(1, forcing.shape[1]):
+    for j in range(1, N + 1):
         states[:, j] = states[:, j - 1] @ A.T + forcing[:, j - 1]
-    return states.reshape(-1, forcing.shape[2])
+    return states
 
 
 def verify_archive(path) -> VerifyReport:
@@ -290,24 +293,39 @@ def verify_archive(path) -> VerifyReport:
 
     # The fast correction law du = duhat + K_i (x - xhat - dxhat), with the
     # auxiliary rollout xhat (from each boundary state under the held input)
-    # and each subsystem's plan rollout dxhat (of duhat, from 0) rebuilt here.
+    # and each subsystem's plan rollout dxhat (of duhat, from 0) rebuilt here,
+    # one step past the period for the terminal check below.
     K_steps = cfg.n_slow_steps
     xhat = _rollouts(model.A, x[::N],
                      (ubar_f @ model.B.T).reshape(K_steps, N, n))
+    fast_xhat = xhat[:, :N].reshape(-1, n)
+    reduced, slow = bundle.reduced, bundle.hl.slow
+    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
+    xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
+    x_bar_pred = xproj_rec @ slow.A.T + ubar_s @ slow.B.T
     law = np.empty_like(du)
+    terminal_miss = 0.0
     for i, (sub, K_i) in enumerate(zip(model.subsystems,
                                        bundle.ll_gain.blocks)):
         si, ui = model.state_slice(i), model.input_slice(i)
         dxhat = _rollouts(sub.A, np.zeros((K_steps, sub.n_states)),
                           (duhat[:, ui] @ sub.B.T).reshape(K_steps, N, -1))
-        law[:, ui] = duhat[:, ui] + (x[:, si] - xhat[:, si] - dxhat) @ K_i.T
+        law[:, ui] = duhat[:, ui] + (
+            x[:, si] - fast_xhat[:, si]
+            - dxhat[:, :N].reshape(-1, sub.n_states)) @ K_i.T
+        # Each plan's projected terminal deviation lands on the slow layer's
+        # prediction gap: beta_i dxhat_N = x_bar_pred_i - beta_i xhat_N.
+        beta_i = reduced.beta_block(i, model)
+        gap = x_bar_pred[:, reduced.block_slice(i)] - xhat[:, N, si] @ beta_i.T
+        terminal_miss = max(terminal_miss, float(np.max(np.abs(
+            dxhat[:, N] @ beta_i.T - gap))))
     add("correction_law", float(np.max(np.abs(du - law))), 1e-12)
+    add("ll_terminal", terminal_miss, 1e-9)
 
     # Slow-step disturbance: recompute from boundary states and held inputs.
-    beta, slow = bundle.reduced.beta, bundle.hl.slow
+    beta = reduced.beta
     xk = np.vstack([x[::N], arc.final_state[None, :]])  # slow boundary states
     proj = xk @ beta.T
-    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
     w_meas = proj[1:] - proj[:-1] @ slow.A.T - ubar_s @ slow.B.T
     w_rec = column_block(arc.slow_cols, arc.slow, "wbar", n_red)
     add("disturbance_record", float(np.max(np.abs(w_meas - w_rec))), 1e-9)
@@ -316,7 +334,6 @@ def verify_archive(path) -> VerifyReport:
         bundle.report.rho_w + 1e-12)
 
     # Projection consistency and tube containment at every slow tick.
-    xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
     add("projection_record", float(np.max(np.abs(proj[:-1] - xproj_rec))), 1e-12)
     xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
     tube_err = np.linalg.norm(xproj_rec - xnom, axis=1)

@@ -19,10 +19,11 @@ from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
                              config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
 from hiermpc.highlevel import solve_hl, tube_qp
-from hiermpc.lowlevel import correction_qp, simulate_auxiliary, solve_ll
+from hiermpc.lowlevel import correction_qp
 from hiermpc.lti import lifted_closed_loop
 from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
+from hiermpc.solver import QuadraticProgram, Status, solve_qp
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
 from hiermpc.trace import (_read_csv, _write_csv, archive_digest, load_archive,
@@ -114,8 +115,12 @@ def test_decoupled_disturbance_vanishes():
 
 
 def per_subsystem_run(model, cfg, bundle):
-    """Reference closed loop whose fast sub-loop is written per subsystem:
-    one correction per subsystem and one record row at a time.  Returns the
+    """Reference closed loop stepped fast step by fast step and subsystem by
+    subsystem.  Below the slow solve it shares nothing with the affine tick
+    of `run_closed_loop`: the auxiliary rollout is its own step recursion,
+    each plan comes from `solve_qp` on the subsystem's correction QP with
+    its states stepped under the subsystem's dynamics, and each fast step
+    applies one correction per subsystem and one plant step.  Returns the
     fast records and the final state."""
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     m = model.n_inputs
@@ -134,18 +139,30 @@ def per_subsystem_run(model, cfg, bundle):
                        cfg.max_iters, first_step=(k == 0))
         u_bar = sol.u_applied
         x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
-        aux = simulate_auxiliary(model, x, u_bar, N)
-        plans = [solve_ll(ll_qps[i], x_bar_pred[reduced.block_slice(i)],
-                          aux.terminal, cfg.tol_primal, cfg.tol_dual,
-                          cfg.max_iters) for i in range(M)]
+        aux = [x]
+        for _ in range(N):
+            aux.append(model.A @ aux[-1] + model.B @ u_bar)
+        plans = []
+        for i, qp in enumerate(ll_qps):
+            sub, sx = model.subsystems[i], model.state_slice(i)
+            rhs = x_bar_pred[reduced.block_slice(i)] - qp.beta @ aux[N][sx]
+            res = solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]),
+                                            qp.A_eq, rhs, (qp.budget,)),
+                           cfg.tol_primal, cfg.tol_dual, cfg.max_iters)
+            assert res.status is Status.OPTIMAL
+            u_steps = res.x.reshape(N, sub.n_inputs)
+            states = [np.zeros(sub.n_states)]
+            for j in range(N):
+                states.append(sub.A @ states[-1] + sub.B @ u_steps[j])
+            plans.append((u_steps, states))
         for j in range(N):
-            dx = x - aux.states[j]
+            dx = x - aux[j]
             duhat, du = np.empty(m), np.empty(m)
-            for i, plan in enumerate(plans):
+            for i, (u_steps, states) in enumerate(plans):
                 su, sx = model.input_slice(i), model.state_slice(i)
-                duhat[su] = plan.u_steps[j]
-                du[su] = plan.u_steps[j] + bundle.ll_gain.blocks[i] @ (
-                    dx[sx] - plan.states[j])
+                duhat[su] = u_steps[j]
+                du[su] = u_steps[j] + bundle.ll_gain.blocks[i] @ (
+                    dx[sx] - states[j])
             u = u_bar + du
             margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
                        for i in range(M)]
@@ -156,13 +173,16 @@ def per_subsystem_run(model, cfg, bundle):
 
 @pytest.mark.parametrize("decoupled", [False, True])
 def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled):
+    # The affine tick and the stepped oracle round differently; they agree
+    # to the `correction_law` threshold.
     model = build_thermal_model(default_building(decoupled=decoupled))
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
     bundle = design_pipeline(model, cfg)
     arc = run_closed_loop(model, cfg, bundle)
     fast, final_state = per_subsystem_run(model, cfg, bundle)
-    assert np.array_equal(arc.fast, fast)
-    assert np.array_equal(arc.final_state, final_state)
+    assert arc.fast.shape == fast.shape
+    assert np.max(np.abs(arc.fast - fast)) <= 1e-12
+    assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
@@ -507,7 +527,14 @@ def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "fast.csv", "duhat1", 7, 1e-6)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"correction_law"}
+    # The changed plan no longer lands on the slow layer's prediction either.
+    assert failed == {"correction_law", "ll_terminal"}
+
+
+def test_plans_hit_the_terminal_target(archive_dir):
+    (check,) = [c for c in verify_archive(archive_dir).checks
+                if c.name == "ll_terminal"]
+    assert check.passed and check.worst <= 1e-13
 
 
 def test_tampered_certificate_detected(archive_dir, tmp_path):

@@ -3,12 +3,15 @@ import pytest
 import scipy.linalg
 
 from hiermpc.errors import InfeasibleLL
-from hiermpc.lowlevel import (LLGain, apply_correction, correction_prediction,
-                              correction_qp, design_ll_gain, simulate_auxiliary,
-                              solve_ll)
+from hiermpc.harness import RunConfig, design_pipeline
+from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
+                              correction_prediction, correction_qp,
+                              design_ll_gain, simulate_auxiliary, solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
+from hiermpc.solver import QuadraticProgram, Status, solve_qp
+from hiermpc.thermal import build_thermal_model, default_building
 
 
 def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
@@ -27,11 +30,13 @@ def test_auxiliary_matrix_power_oracle():
     x0 = np.array([1.0, -2.0])
     u = np.array([0.3, 0.4])
     period = 6
-    aux = simulate_auxiliary(model, x0, u, period)
-    oracle = np.linalg.matrix_power(model.A, period) @ x0
-    oracle += sum(np.linalg.matrix_power(model.A, j) for j in range(period)) @ model.B @ u
-    assert np.allclose(aux.terminal, oracle, atol=1e-12)
-    assert aux.states.shape == (period + 1, 2)
+    states = simulate_auxiliary(auxiliary_maps(model, period), x0, u)
+    assert states.shape == (period + 1, 2)
+    for j in range(period + 1):
+        oracle = np.linalg.matrix_power(model.A, j) @ x0
+        oracle += sum((np.linalg.matrix_power(model.A, l) for l in range(j)),
+                      np.zeros((2, 2))) @ model.B @ u
+        assert np.allclose(states[j], oracle, atol=1e-12)
 
 
 def test_design_ll_gain_decoupled():
@@ -111,6 +116,50 @@ def test_solve_ll_infeasible_when_target_too_far():
                  np.array([50.0]), np.zeros(2))
     assert err.value.subsystem == 0
     assert err.value.diagnostics["target_norm"] > 0
+    assert err.value.diagnostics["status"] == "infeasible"
+    assert "target unreachable within budget" in str(err.value)
+    assert "status infeasible" in str(err.value)
+
+
+def test_solve_ll_names_the_iteration_limit():
+    # A binding budget needs ADMM; stopped after 3 iterations the QP is not
+    # solved, and the error says so instead of calling the target unreachable.
+    model = scalar_pair()
+    red = reduce_model(model, [1, 1])
+    with pytest.raises(InfeasibleLL) as err:
+        solve_ll(correction_qp(model, red, 0, BallSet(1, 0.3), np.eye(1),
+                               np.eye(1), period=4),
+                 np.array([0.5]), np.zeros(2), max_iters=3)
+    assert err.value.diagnostics["status"] == "max_iters"
+    assert "status max_iters after 3 iterations" in str(err.value)
+    assert "unreachable" not in str(err.value)
+
+
+def test_closed_form_plan_matches_the_qp():
+    # Targets of the size a run meets on the coupled plant bind no budget:
+    # solve_ll's product with the precomputed equality-only optimum is the
+    # QP's answer, with 0 iterations.
+    model = build_thermal_model(default_building())
+    cfg = RunConfig()
+    bundle = design_pipeline(model, cfg)
+    rng = np.random.default_rng(3)
+    for i in range(model.n_subsystems):
+        qp = correction_qp(model, bundle.reduced, i,
+                           BallSet(model.subsystems[i].n_inputs,
+                                   float(bundle.radii.rho_delta_u_hat[i])),
+                           bundle.ll_Q[i], bundle.ll_R[i], cfg.period)
+        for _ in range(20):
+            target = rng.normal(scale=0.1, size=qp.beta.shape[0])
+            aux_terminal = rng.normal(scale=0.1, size=model.n_states)
+            plan = solve_ll(qp, target, aux_terminal)
+            rhs = target - qp.beta @ aux_terminal[qp.state_slice]
+            ref = solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]),
+                                            qp.A_eq, rhs, (qp.budget,),
+                                            qp.factors))
+            assert ref.status is Status.OPTIMAL and ref.iterations == 0
+            assert plan.iterations == 0
+            scale = np.max(np.abs(ref.x))
+            assert np.max(np.abs(plan.u_steps.ravel() - ref.x)) <= 1e-12 * scale
 
 
 def test_plan_states_follow_subsystem_dynamics():
@@ -141,27 +190,31 @@ def test_apply_correction_feedback_form():
                                   np.eye(1), period=3),
                     np.array([0.3]), np.zeros(2))
     K_i = np.array([[-0.4]])
-    measured = np.array([0.25])
-    out = apply_correction(plan.u_steps, plan.states, K_i, measured, 1)
-    expected = plan.u_steps[1] + K_i @ (measured - plan.states[1])
-    assert np.allclose(out, expected)
+    measured = np.array([[0.1], [0.25], [-0.2]])
+    out = apply_correction(plan.u_steps, plan.states[:3], LLGain((K_i,), 0.5, 1),
+                           measured)
+    for j in range(3):
+        expected = plan.u_steps[j] + K_i @ (measured[j] - plan.states[j])
+        assert np.allclose(out[j], expected)
 
 
 def test_ll_gain_product_is_blockwise():
-    # Blocks of two shapes, interleaved: each u_i is bitwise K_i x_i, as a
-    # subsystem computes it alone, and the whole is the dense K x.
+    # Blocks of two shapes, interleaved: on a block of rows each u_i is
+    # bitwise x_i K_i', as a subsystem computes it from its own columns
+    # alone, and the whole is the dense product with K.
     rng = np.random.default_rng(5)
     blocks = tuple(rng.normal(size=shape)
                    for shape in [(1, 5), (2, 3), (1, 5), (2, 3)])
     K = scipy.linalg.block_diag(*blocks)
     gain = LLGain(blocks, 0.5, 1)
     cols = np.cumsum([0] + [blk.shape[1] for blk in blocks])
-    for _ in range(50):
-        x = rng.normal(size=K.shape[1])
-        expected = np.concatenate([blk @ x[lo:hi] for blk, lo, hi
-                                   in zip(blocks, cols[:-1], cols[1:])])
+    for rows in (1, 20):
+        x = rng.normal(size=(rows, K.shape[1]))
+        expected = np.hstack([x[:, lo:hi] @ blk.T for blk, lo, hi
+                              in zip(blocks, cols[:-1], cols[1:])])
         assert np.array_equal(gain @ x, expected)
-        assert np.allclose(gain @ x, K @ x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gain @ x, x @ K.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gain @ x[0], K @ x[0], rtol=1e-12, atol=1e-12)
 
 
 def test_decoupled_correction_reproduces_prediction():
@@ -172,13 +225,13 @@ def test_decoupled_correction_reproduces_prediction():
     period = 5
     x0 = np.array([1.0, -1.0])
     u_bar = np.array([0.2, -0.1])
-    aux = simulate_auxiliary(model, x0, u_bar, period)
+    aux_terminal = simulate_auxiliary(auxiliary_maps(model, period), x0, u_bar)[-1]
     i = 0
     beta_i = red.beta_block(i, model)
-    x_bar_pred = beta_i @ aux.terminal[model.state_slice(i)] + 0.15
+    x_bar_pred = beta_i @ aux_terminal[model.state_slice(i)] + 0.15
     plan = solve_ll(correction_qp(model, red, i, BallSet(1, 10.0), np.eye(1),
                                   np.eye(1), period),
-                    x_bar_pred, aux.terminal)
+                    x_bar_pred, aux_terminal)
     x = x0.copy()
     for j in range(period):
         u = u_bar.copy()
