@@ -9,12 +9,13 @@ which is reset to the measured state at every slow tick.
 
 Everything a tick needs that does not depend on the tick is built once per
 run: the auxiliary rollout is one product with the stacked maps of
-`auxiliary_maps`, and each subsystem's `CorrectionQP` carries its
-equality-only optimum per unit target, so a plan whose budgets do not bind
-is one matrix product (`solve_ll` falls back to the QP solver when one
-does).  `coupling_error_map` gives the fast loop's deviation from auxiliary
-plus plan rollout as a linear map of the planned corrections, which is what
-lets the harness run a whole fast block without stepping it.
+`auxiliary_maps`, and each subsystem's `CorrectionQP` carries the constant
+QP data and KKT factors, so per tick only the terminal target changes (a
+plan whose budgets do not bind is one solve on the cached rho = 0 factors,
+through `solver.equality_first`).  `coupling_error_map` gives the fast
+loop's deviation from auxiliary plus plan rollout as a linear map of the
+planned corrections, which is what lets the harness run a whole fast block
+without stepping it.
 """
 from __future__ import annotations
 
@@ -137,10 +138,7 @@ class CorrectionQP:
 
     Per tick only the terminal target b_eq changes; the cost, the terminal
     map, the per-step budget balls, the plan rollout and the KKT factors are
-    built once by `correction_qp`.  So are the equality-only optimum and its
-    multipliers per unit target, read off the rho = 0 KKT factors: the
-    optimum for a target b is `G @ b`, its multipliers `multipliers @ b`,
-    and its planned states `plan_rollout @ b`.
+    built once by `correction_qp`.
     """
 
     subsystem: int
@@ -151,9 +149,6 @@ class CorrectionQP:
     A_eq: np.ndarray           # beta_i times the period-step reachability row
     budget: BallConstraint     # one ball per step, stacked (period, m_i)
     factors: KKTFactors
-    G: np.ndarray              # equality-only optimum per unit target
-    multipliers: np.ndarray    # its equality multipliers per unit target
-    plan_rollout: np.ndarray   # rollout @ G: target -> states 1..period
 
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
@@ -171,31 +166,10 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
     steps = np.arange(period * m_i).reshape(period, m_i)
     A_eq = beta_i @ reach
-    factors = KKTFactors(H, A_eq, (steps,))
-    d, r = H.shape[0], A_eq.shape[0]
-    # [[H, A_eq'], [A_eq, 0]] [G; multipliers] = [0; I]
-    unit = scipy.linalg.lu_solve(factors.factor(0.0),
-                                 np.vstack([np.zeros((d, r)), np.eye(r)]))
-    rollout = np.vstack([Gamma, reach])
-    return CorrectionQP(i, rollout, model.state_slice(i), beta_i, H, A_eq,
-                        BallConstraint(steps, budget.radius), factors,
-                        unit[:d], unit[d:], rollout @ unit[:d])
-
-
-def _closed_form(qp: CorrectionQP, rhs: np.ndarray, tol_primal: float,
-                 tol_dual: float) -> np.ndarray | None:
-    """The equality-only optimum for target `rhs`, if it is the optimum:
-    accepted under the rule of `solver.equality_first` (finite, inside every
-    budget ball, equality residual within tol_primal, stationarity within
-    tol_dual), else None."""
-    x = qp.G @ rhs
-    lam = qp.multipliers @ rhs
-    if not (np.isfinite(x).all() and np.isfinite(lam).all()
-            and qp.budget.violation(x[qp.budget.indices]) == 0.0):
-        return None
-    eq_res = float(np.max(np.abs(qp.A_eq @ x - rhs)))
-    dual_res = float(np.max(np.abs(qp.H @ x + qp.A_eq.T @ lam)))
-    return x if eq_res <= tol_primal and dual_res <= tol_dual else None
+    return CorrectionQP(i, np.vstack([Gamma, reach]), model.state_slice(i),
+                        beta_i, H, A_eq,
+                        BallConstraint(steps, budget.radius),
+                        KKTFactors(H, A_eq, (steps,)))
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
@@ -208,28 +182,21 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     at zero (slow-tick reset), its projection must land exactly on the slow
     layer's prediction gap `x_bar_pred_i - beta_i aux_terminal[i]` (the
     auxiliary terminal is the full state), and each step stays inside the
-    budget ball.  When no budget binds the plan is the precomputed
-    equality-only optimum times the gap (0 iterations); otherwise the QP is
-    solved by `solve_qp`.
+    budget ball.
     """
     i = qp.subsystem
     aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
     rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
-    steps = qp.budget.indices.shape
-    x = _closed_form(qp, rhs, tol_primal, tol_dual)
-    if x is not None:
-        iterations, rollout = 0, qp.plan_rollout @ rhs
-    else:
-        prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
-                                (qp.budget,), qp.factors)
-        res = solve_qp(prob, tol_primal, tol_dual, max_iters)
-        if res.status is not Status.OPTIMAL:
-            raise _infeasible(qp, rhs, res)
-        x, iterations, rollout = res.x, res.iterations, qp.rollout @ res.x
-    states = np.zeros((steps[0] + 1, qp.beta.shape[1]))
-    states[1:] = rollout.reshape(steps[0], -1)
+    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
+                            (qp.budget,), qp.factors)
+    res = solve_qp(prob, tol_primal, tol_dual, max_iters)
+    if res.status is not Status.OPTIMAL:
+        raise _infeasible(qp, rhs, res)
+    u_steps = res.x.reshape(qp.budget.indices.shape)
+    states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
+    states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
     terminal_residual = float(np.max(np.abs(qp.beta @ states[-1] - rhs)))
-    return DeltaPlan(i, x.reshape(steps), states, terminal_residual, iterations)
+    return DeltaPlan(i, u_steps, states, terminal_residual, res.iterations)
 
 
 def _infeasible(qp: CorrectionQP, rhs: np.ndarray,

@@ -3,15 +3,12 @@ import pytest
 import scipy.linalg
 
 from hiermpc.errors import InfeasibleLL
-from hiermpc.harness import RunConfig, design_pipeline
 from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
                               correction_prediction, correction_qp,
                               design_ll_gain, simulate_auxiliary, solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
-from hiermpc.solver import QuadraticProgram, Status, solve_qp
-from hiermpc.thermal import build_thermal_model, default_building
 
 
 def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
@@ -133,33 +130,6 @@ def test_solve_ll_names_the_iteration_limit():
     assert err.value.diagnostics["status"] == "max_iters"
     assert "status max_iters after 3 iterations" in str(err.value)
     assert "unreachable" not in str(err.value)
-
-
-def test_closed_form_plan_matches_the_qp():
-    # Targets of the size a run meets on the coupled plant bind no budget:
-    # solve_ll's product with the precomputed equality-only optimum is the
-    # QP's answer, with 0 iterations.
-    model = build_thermal_model(default_building())
-    cfg = RunConfig()
-    bundle = design_pipeline(model, cfg)
-    rng = np.random.default_rng(3)
-    for i in range(model.n_subsystems):
-        qp = correction_qp(model, bundle.reduced, i,
-                           BallSet(model.subsystems[i].n_inputs,
-                                   float(bundle.radii.rho_delta_u_hat[i])),
-                           bundle.ll_Q[i], bundle.ll_R[i], cfg.period)
-        for _ in range(20):
-            target = rng.normal(scale=0.1, size=qp.beta.shape[0])
-            aux_terminal = rng.normal(scale=0.1, size=model.n_states)
-            plan = solve_ll(qp, target, aux_terminal)
-            rhs = target - qp.beta @ aux_terminal[qp.state_slice]
-            ref = solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]),
-                                            qp.A_eq, rhs, (qp.budget,),
-                                            qp.factors))
-            assert ref.status is Status.OPTIMAL and ref.iterations == 0
-            assert plan.iterations == 0
-            scale = np.max(np.abs(ref.x))
-            assert np.max(np.abs(plan.u_steps.ravel() - ref.x)) <= 1e-12 * scale
 
 
 def test_plan_states_follow_subsystem_dynamics():
