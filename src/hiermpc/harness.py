@@ -302,6 +302,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     dxhat = np.empty((N + 1, n))  # the tick's stacked plan rollouts
     in_slices = [model.input_slice(i) for i in range(M)]
     state_slices = [model.state_slice(i) for i in range(M)]
+    red_slices = [reduced.block_slice(i) for i in range(M)]
+    in_starts = np.asarray(model.input_offsets[:-1])
 
     hl_qp = tube_qp(hl)
     ll_qps = [correction_qp(model, reduced, i,
@@ -329,7 +331,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         duhat = fast["duhat"][rows]
         for i in range(M):
             try:
-                plan = solve_ll(ll_qps[i], x_bar_pred[reduced.block_slice(i)],
+                plan = solve_ll(ll_qps[i], x_bar_pred[red_slices[i]],
                                 xhat[N], cfg.tol_primal, cfg.tol_dual,
                                 cfg.max_iters)
             except InfeasibleLL as exc:
@@ -345,8 +347,9 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                                  xs[:N] - xhat[:N])
         u = fast["u"][rows] = u_bar + du
         fast["ubar"][rows] = u_bar
-        fast["margin"][rows] = rho_u - np.column_stack(
-            [np.linalg.norm(u[:, s], axis=1) for s in in_slices])
+        # Each subsystem's input norm per fast step, one segment sum each.
+        fast["margin"][rows] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,
+                                                               axis=1))
 
         x = xs[N]
         w_bar = reduced.beta @ x - x_bar_pred

@@ -160,6 +160,8 @@ class TubeQP:
     terminal: EllipsoidConstraint
     factors: KKTFactors           # for the layout (tube, inputs, terminal)
     pinned: KKTFactors | None    # point tube only: layout (inputs, terminal)
+    g: np.ndarray                 # the zero linear cost, read-only
+    b_dyn: np.ndarray             # the dynamics' zero right-hand side, read-only
 
 
 def tube_qp(design: HLDesign) -> TubeQP:
@@ -198,7 +200,9 @@ def tube_qp(design: HLDesign) -> TubeQP:
         pin[:, x_idx(0)] = np.eye(n)
         pinned = KKTFactors(H, np.vstack([A_eq, pin]),
                             (inputs.indices, terminal.indices))
-    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned)
+    g, b_dyn = np.zeros(d), np.zeros(n * N)
+    g.flags.writeable = b_dyn.flags.writeable = False
+    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned, g, b_dyn)
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
@@ -238,17 +242,16 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     design, slow = qp.design, qp.design.slow
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
     x_proj = np.asarray(x_proj, dtype=float)
-    x0 = np.arange(n)
-    g, b_dyn = np.zeros(qp.H.shape[0]), np.zeros(qp.A_eq.shape[0])
     res = None
     if qp.pinned is not None:
-        pinned = QuadraticProgram(qp.H, g, qp.pinned.A_eq,
-                                  np.concatenate([b_dyn, x_proj]),
+        pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq,
+                                  np.concatenate([qp.b_dyn, x_proj]),
                                   (qp.inputs, qp.terminal), qp.pinned)
         res = equality_first(pinned, qp.pinned, tol_primal, tol_dual)
     if res is None:
-        tube = BallConstraint(x0, design.tube.ball.radius, center=x_proj)
-        prob = QuadraticProgram(qp.H, g, qp.A_eq, b_dyn,
+        tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
+                              center=x_proj)
+        prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
                                 (tube, qp.inputs, qp.terminal), qp.factors)
         res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
@@ -266,7 +269,7 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)
-    x_nom = res.x[x0]
+    x_nom = res.x[:n]
     u_seq = res.x[n * (N + 1):].reshape(N, m)
     u_applied = u_seq[0] + design.gain.K @ (x_proj - x_nom)
     x_next = res.x[n:2 * n]

@@ -146,6 +146,7 @@ class CorrectionQP:
     state_slice: slice         # subsystem i's states in the full state
     beta: np.ndarray           # projection block beta_i
     H: np.ndarray
+    g: np.ndarray              # the zero linear cost, read-only
     A_eq: np.ndarray           # beta_i times the period-step reachability row
     budget: BallConstraint     # one ball per step, stacked (period, m_i)
     factors: KKTFactors
@@ -166,8 +167,10 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
     H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
     steps = np.arange(period * m_i).reshape(period, m_i)
     A_eq = beta_i @ reach
+    g = np.zeros(H.shape[0])
+    g.flags.writeable = False
     return CorrectionQP(i, np.vstack([Gamma, reach]), model.state_slice(i),
-                        beta_i, H, A_eq,
+                        beta_i, H, g, A_eq,
                         BallConstraint(steps, budget.radius),
                         KKTFactors(H, A_eq, (steps,)))
 
@@ -187,7 +190,7 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     i = qp.subsystem
     aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
     rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
-    prob = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq, rhs,
+    prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs,
                             (qp.budget,), qp.factors)
     res = solve_qp(prob, tol_primal, tol_dual, max_iters)
     if res.status is not Status.OPTIMAL:
@@ -195,7 +198,7 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     u_steps = res.x.reshape(qp.budget.indices.shape)
     states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
     states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
-    terminal_residual = float(np.max(np.abs(qp.beta @ states[-1] - rhs)))
+    terminal_residual = float(np.abs(qp.beta @ states[-1] - rhs).max())
     return DeltaPlan(i, u_steps, states, terminal_residual, res.iterations)
 
 

@@ -19,10 +19,16 @@ one solve on the rho = 0 factors, [[H, A_eq'], [A_eq, 0]], gives the
 optimum of the equality-only problem.  If it is finite, lies inside every
 set (violation exactly 0.0) and meets tol_primal on the equality residual
 and tol_dual on stationarity, the KKT conditions hold with zero set
-multipliers: it is returned as OPTIMAL with 0 iterations.  Otherwise ADMM
-runs from x = 0.  A caller that knows an equivalent problem with
-more equalities (a set that is a single point, written as equality rows)
-can call `equality_first` on that problem before `solve_qp`.
+multipliers: it is returned as OPTIMAL with 0 iterations and a read-only x.
+Otherwise ADMM runs from x = 0.  `KKTFactors` keeps the last equality-only
+solve with its residuals and objective, keyed on the bytes of g and b_eq,
+so a controller whose g and b_eq stay the same from tick to tick (only a
+set's centre moves) solves that system once and then only checks the sets.
+A problem without sets whose equality-only solve is not finite (a singular
+KKT system) raises UnboundedProblem: there is no other solve to fall back
+on.  A caller that knows an equivalent problem with more equalities (a set
+that is a single point, written as equality rows) can call
+`equality_first` on that problem before `solve_qp`.
 Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
@@ -86,24 +92,30 @@ class BallConstraint:
             raise DimensionMismatch(
                 f"ball radius must be finite and >= 0, got {self.radius}")
 
-    def _offsets(self, v: np.ndarray):
-        """The centre, each row's offset from it and the row norms (kept as
-        a trailing axis of length 1)."""
-        c = self.center if self.center is not None else 0.0
-        d = v - c
-        return c, d, np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
-
     def project(self, v: np.ndarray) -> np.ndarray:
-        c, d, norm = self._offsets(v)
-        outside = norm > self.radius
-        if not outside.any():
+        d = v if self.center is None else v - self.center
+        sq = np.add.reduce(d * d, axis=-1, keepdims=True)
+        # The root of the largest squared norm is the largest row norm (a
+        # NaN row, never outside, is passed over as the comparison would).
+        largest = math.sqrt(float(np.fmax.reduce(sq, axis=None)))
+        if not largest > self.radius:
             return v
-        scale = np.divide(self.radius, norm, out=np.ones_like(norm), where=outside)
-        return np.where(outside, c + d * scale, v)
+        c = self.center if self.center is not None else 0.0
+        if v.ndim == 1:
+            return c + d * (self.radius / largest)
+        norm = np.sqrt(sq)
+        # Rows outside have norm > radius >= 0; the others, whose scale is
+        # not used, get radius / radius, or 0 on a ball of radius 0.
+        scale = (self.radius / np.maximum(norm, self.radius) if self.radius
+                 else 0.0)
+        return np.where(norm > self.radius, c + d * scale, v)
 
     def violation(self, v: np.ndarray) -> float:
-        """Largest distance of a row to its ball."""
-        return max(0.0, float(self._offsets(v)[2].max()) - self.radius)
+        """Largest distance of a row to its ball (the root of the largest
+        squared distance to the centre: the largest root, bit for bit)."""
+        d = v if self.center is None else v - self.center
+        return max(0.0, math.sqrt(float(np.add.reduce(d * d, axis=-1).max()))
+                   - self.radius)
 
 
 @dataclass(frozen=True)
@@ -164,11 +176,11 @@ class EllipsoidConstraint:
             object.__setattr__(self, "center", c)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        c = self.center if self.center is not None else np.zeros(self.indices.size)
-        d = v - c
+        d = v if self.center is None else v - self.center
         value = float(d @ self.shape @ d)
         if value <= self.level:
             return v
+        c = self.center if self.center is not None else np.zeros(self.indices.size)
         if self.level == 0.0:
             return np.array(c, dtype=float)
         # Projection solves y = (I + mu P)^{-1} d with mu > 0 the root of
@@ -205,8 +217,7 @@ class EllipsoidConstraint:
         return c + y
 
     def violation(self, v: np.ndarray) -> float:
-        c = self.center if self.center is not None else 0.0
-        d = v - c
+        d = v if self.center is None else v - self.center
         value = float(d @ self.shape @ d)
         if value <= self.level:
             return 0.0
@@ -215,6 +226,16 @@ class EllipsoidConstraint:
 
 
 SetConstraint = BallConstraint | BoxConstraint | EllipsoidConstraint
+
+
+def _float_array(a, ndim: int) -> np.ndarray:
+    """`a` as a float64 array; `ndim` 2 promotes a vector or scalar to a
+    matrix.  An array that already is float64 of rank `ndim` is returned as
+    it is."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == ndim:
+        return a
+    a = np.asarray(a, dtype=float)
+    return np.atleast_2d(a) if ndim == 2 else a
 
 
 @dataclass(frozen=True)
@@ -233,8 +254,8 @@ class QuadraticProgram:
     factors: KKTFactors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        g = np.asarray(self.g, dtype=float)
+        H = _float_array(self.H, 2)
+        g = _float_array(self.g, 1)
         d = g.shape[0]
         if H.shape != (d, d):
             raise DimensionMismatch(f"H must be {d}x{d}, got {H.shape}")
@@ -243,13 +264,14 @@ class QuadraticProgram:
         if (self.A_eq is None) != (self.b_eq is None):
             raise DimensionMismatch("A_eq and b_eq must be given together")
         if self.A_eq is not None:
-            A = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-            b = np.asarray(self.b_eq, dtype=float)
+            A = _float_array(self.A_eq, 2)
+            b = _float_array(self.b_eq, 1)
             if A.shape[1] != d or A.shape[0] != b.shape[0]:
                 raise DimensionMismatch("equality constraint dimensions inconsistent")
             object.__setattr__(self, "A_eq", A)
             object.__setattr__(self, "b_eq", b)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        if type(self.constraints) is not tuple:
+            object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @property
     def dim(self) -> int:
@@ -258,6 +280,10 @@ class QuadraticProgram:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """`x` is read-only when the equality-only optimum was the answer
+    (`iterations` 0): it is the solve kept by `KKTFactors`, shared by every
+    problem with the same g and b_eq."""
+
     x: np.ndarray
     objective: float
     status: Status
@@ -294,6 +320,22 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+@dataclass(frozen=True)
+class EqualityOnly:
+    """The rho = 0 solve of one (g, b_eq), as `KKTFactors` keeps it: the
+    equality-only optimum `x` (read-only), whether the whole solve, x and
+    the equality multipliers, is finite, and, only if it is, the largest
+    equality residual, the largest stationarity residual and the
+    objective."""
+
+    key: bytes
+    x: np.ndarray
+    finite: bool
+    eq_res: float = math.nan
+    dual_res: float = math.nan
+    objective: float = math.nan
+
+
 class KKTFactors:
     """LU factors of the ADMM x-update KKT matrix of one constant QP.
 
@@ -303,7 +345,10 @@ class KKTFactors:
     solves the same QP every tick builds one `KKTFactors` and passes it with
     each problem; `solve_qp` factors once per penalty value it has not seen
     (rho = 0 is the equality-only system of the first solve) and refuses a
-    problem whose H, A_eq or layout differ from the record.
+    problem whose H, A_eq or layout differ from the record.  The last
+    equality-only solve is kept as well (`equality_only`), keyed on the
+    bytes of g and b_eq: a controller whose g and b_eq do not change, and
+    whose sets do, solves and checks that system once.
     """
 
     def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
@@ -320,6 +365,7 @@ class KKTFactors:
         diag_scale = float(np.mean(np.abs(np.diag(self.H))))
         self.rho_init = diag_scale if diag_scale > 0 else 1.0
         self.by_rho = {}
+        self._equality_only = None
 
     def check(self, problem: QuadraticProgram) -> None:
         cons = problem.constraints
@@ -342,6 +388,33 @@ class KKTFactors:
                 factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
         return factor
 
+    def equality_only(self, problem: QuadraticProgram) -> EqualityOnly:
+        """The rho = 0 solve of `problem`, whose H and A_eq are those of the
+        record.  The last one is kept: a problem with the same bytes of g
+        and b_eq gets it back without a solve.  Residuals and objective are
+        computed only for a finite solve."""
+        g, b = problem.g, problem.b_eq
+        key = g.tobytes() if b is None else g.tobytes() + b.tobytes()
+        last = self._equality_only
+        if last is not None and last.key == key:
+            return last
+        d = g.shape[0]
+        r = 0 if b is None else b.shape[0]
+        sol = _kkt_solve(self.factor(0.0), np.concatenate([-g, b]) if r else -g)
+        x = sol[:d]
+        x.flags.writeable = False
+        if not np.isfinite(sol).all():
+            last = EqualityOnly(key, x, False)
+        else:
+            eq_res = float(np.abs(problem.A_eq @ x - b).max()) if r else 0.0
+            grad = problem.H @ x + g
+            if r:
+                grad = grad + problem.A_eq.T @ sol[d:]
+            last = EqualityOnly(key, x, True, eq_res, float(np.abs(grad).max()),
+                                0.5 * float(x @ problem.H @ x) + float(g @ x))
+        self._equality_only = last
+        return last
+
     @functools.cached_property
     def multiplier_map(self) -> np.ndarray:
         """Least-squares operator of A_eq', pinv(A_eq'): the equality
@@ -355,35 +428,38 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
     """The optimum of `problem` with no set active, if it is the optimum.
 
     One solve on the rho = 0 factors of `kkt`, [[H, A_eq'], [A_eq, 0]],
-    gives the equality-only optimum and its multipliers.  Without sets it is
-    the answer, since there is nothing else to try.  With sets it is
-    returned only if it is finite, lies inside every set (violation exactly
-    0.0) and meets tol_primal on the equality residual and tol_dual on
-    stationarity: then the KKT conditions hold with zero set multipliers.
-    The result has 0 iterations; None means the sets matter.  Raises
+    gives the equality-only optimum and its multipliers; `kkt` keeps the
+    last such solve (`KKTFactors.equality_only`), so a problem with the
+    g and b_eq of the previous call costs no solve, only the set checks.
+    Without sets the optimum is the answer, since there is nothing else to
+    try.  With sets it is returned only if it is finite, lies inside every
+    set (violation exactly 0.0; the sets are checked in turn, up to the
+    first violated one) and meets tol_primal on the equality residual and
+    tol_dual on stationarity: then the KKT conditions hold with zero set
+    multipliers.  The result has 0 iterations and a read-only x; None means
+    the sets matter.  Raises UnboundedProblem for a problem without sets
+    whose solve is not finite (a singular KKT system), and
     DimensionMismatch when `kkt` was built for another H, A_eq or
     constraint layout.
     """
     kkt.check(problem)
-    d = problem.dim
     cons = problem.constraints
-    r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
-    rhs = np.concatenate([-problem.g, problem.b_eq]) if r else -problem.g
-    sol = _kkt_solve(kkt.factor(0.0), rhs)
-    x = sol[:d]
-    if cons and not (np.isfinite(sol).all()
-                     and all(c.violation(x[c.indices]) == 0.0 for c in cons)):
+    first = kkt.equality_only(problem)
+    if not first.finite:
+        if cons:
+            return None
+        raise UnboundedProblem(
+            "the equality-only KKT system [[H, A_eq'], [A_eq, 0]] is singular "
+            "(H is not positive definite on the null space of A_eq, or A_eq "
+            "has dependent rows) and the QP has no set to bound it")
+    x = first.x
+    for c in cons:
+        if c.violation(x[c.indices]) != 0.0:
+            return None
+    if cons and not (first.eq_res <= tol_primal and first.dual_res <= tol_dual):
         return None
-    eq_res = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
-              if r else 0.0)
-    grad = problem.H @ x + problem.g
-    if r:
-        grad = grad + problem.A_eq.T @ sol[d:]
-    dual_res = float(np.max(np.abs(grad)))
-    if cons and not (eq_res <= tol_primal and dual_res <= tol_dual):
-        return None
-    obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
-    return SolveResult(x, obj, Status.OPTIMAL, eq_res, dual_res, 0)
+    return SolveResult(x, first.objective, Status.OPTIMAL, first.eq_res,
+                       first.dual_res, 0)
 
 
 def solve_qp(problem: QuadraticProgram,
@@ -392,7 +468,8 @@ def solve_qp(problem: QuadraticProgram,
              max_iters: int = 50_000) -> SolveResult:
     """`equality_first`, then ADMM; see module docstring for the splitting
     and its guarantees.  `iterations` is 0 when the equality-only optimum
-    was the answer.
+    was the answer; its x is then read-only.  A problem without sets whose
+    KKT system is singular raises UnboundedProblem.
 
     Infeasibility is declared when the iterate displacement settles on a
     nonzero direction while residuals stay above 1e3*tol for 500 consecutive
@@ -415,10 +492,11 @@ def solve_qp(problem: QuadraticProgram,
 
     rho = rho_init = kkt.rho_init
     idx = kkt.idx
-    parts = [(c, slice(lo, hi))
+    parts = [(c.project, c.indices.shape, slice(lo, hi))
              for c, lo, hi in zip(cons, kkt.bounds[:-1], kkt.bounds[1:])]
     factor = kkt.factor(rho)
     rhs = np.empty(d + r)
+    rhs_top = rhs[:d]
     if r:
         rhs[d:] = problem.b_eq
 
@@ -433,15 +511,15 @@ def solve_qp(problem: QuadraticProgram,
     it = 0
     for it in range(1, max_iters + 1):
         np.subtract(np.bincount(idx, weights=rho * (z - u), minlength=d),
-                    problem.g, out=rhs[:d])
+                    problem.g, out=rhs_top)
         x = _kkt_solve(factor, rhs)[:d]
 
         sx = x[idx]
         h = alpha * sx + (1.0 - alpha) * z
         v = h + u
         z_new = np.empty_like(z)
-        for c, part in parts:
-            z_new[part] = c.project(v[part].reshape(c.indices.shape)).ravel()
+        for project, shape, part in parts:
+            z_new[part] = project(v[part].reshape(shape)).ravel()
         u += h - z_new
 
         primal = _norm(sx - z_new)
@@ -479,14 +557,14 @@ def solve_qp(problem: QuadraticProgram,
 
     obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
     set_violation = max(c.violation(x[c.indices]) for c in cons)
-    eq_violation = (float(np.max(np.abs(problem.A_eq @ x - problem.b_eq)))
+    eq_violation = (float(np.abs(problem.A_eq @ x - problem.b_eq).max())
                     if r else 0.0)
     primal_res = max(set_violation, eq_violation)
     grad = problem.H @ x + problem.g + np.bincount(idx, weights=rho * u, minlength=d)
     if r:
         # Recover equality multipliers by least squares on the stationarity gap.
         grad = grad + problem.A_eq.T @ (kkt.multiplier_map @ -grad)
-    dual_res = float(np.max(np.abs(grad)))
+    dual_res = float(np.abs(grad).max())
     if status is Status.OPTIMAL and primal_res > 10 * tol_primal:
         status = Status.MAX_ITERS
     return SolveResult(x, obj, status, primal_res, dual_res, it)
@@ -535,10 +613,13 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
         piv = T[row, col]
         T[row] /= piv
         rhs[row] /= piv
-        for i in range(T.shape[0]):
-            if i != row and T[i, col] != 0.0:
-                rhs[i] -= T[i, col] * rhs[row]
-                T[i] -= T[i, col] * T[row]
+        # Every other row with a nonzero entry in the pivot column, at once;
+        # each is updated from the pivot row as a row by row loop would.
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        factors = T[rows, col]
+        rhs[rows] -= factors * rhs[row]
+        T[rows] -= factors[:, None] * T[row]
         basis[row] = col
 
     def run_phase(cost):
@@ -546,31 +627,26 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
             # Reduced costs via the basic cost row.
             cb = cost[basis]
             reduced = cost - cb @ T
-            entering = -1
-            for j in range(total):
-                if j in blocked:
-                    continue
-                if reduced[j] < -tol:
-                    entering = j
-                    break  # Bland: smallest index
-            if entering < 0:
+            # Bland: the smallest index with a negative reduced cost.
+            candidates = np.flatnonzero((reduced < -tol) & ~blocked)
+            if not candidates.size:
                 return cb @ rhs
-            ratios = np.full(m, np.inf)
-            pos = T[:, entering] > tol
-            ratios[pos] = rhs[pos] / T[pos, entering]
-            if not np.any(pos):
+            entering = candidates[0]
+            pos = np.flatnonzero(T[:, entering] > tol)
+            if not pos.size:
                 raise UnboundedProblem("objective unbounded below on the feasible set")
             row = -1
             best = np.inf
-            for i in range(m):
-                if pos[i] and (ratios[i] < best - tol
-                               or (abs(ratios[i] - best) <= tol
-                                   and (row < 0 or basis[i] < basis[row]))):
-                    best = ratios[i]
+            for i, ratio in zip(pos.tolist(),
+                                (rhs[pos] / T[pos, entering]).tolist()):
+                if (ratio < best - tol
+                        or (abs(ratio - best) <= tol
+                            and (row < 0 or basis[i] < basis[row]))):
+                    best = ratio
                     row = i
             pivot(T, rhs, basis, row, entering)
 
-    blocked: set = set()
+    blocked = np.zeros(total, dtype=bool)
     if n_art:
         phase1 = np.zeros(total)
         phase1[art_cols] = 1.0
@@ -584,7 +660,7 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
                     if abs(T[i, j]) > tol:
                         pivot(T, rhs, basis, i, j)
                         break
-        blocked = set(art_cols)
+        blocked[art_cols] = True
 
     cost = np.zeros(total)
     cost[:n] = c_min

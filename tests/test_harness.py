@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hiermpc import harness
 from hiermpc.analysis import CertificateReport
 from hiermpc.cli import main
 from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
@@ -183,6 +184,22 @@ def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled):
     assert arc.fast.shape == fast.shape
     assert np.max(np.abs(arc.fast - fast)) <= 1e-12
     assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
+
+
+def test_ball_formulation_solves_its_equality_only_system_once(
+        model, bundle, short_cfg, monkeypatch, kkt_solves):
+    # Over the 100 ticks of the default run the slow layer's g and b_eq
+    # stay zero: its rho = 0 system is solved on the first tick that tries
+    # it, and every later tick only checks the sets.
+    qps = []
+    monkeypatch.setattr(harness, "tube_qp",
+                        lambda design: qps.append(tube_qp(design)) or qps[-1])
+    cfg = dataclasses.replace(short_cfg, n_slow_steps=100)
+    arc = run_closed_loop(model, cfg, bundle)
+    (qp,) = qps
+    iterations = arc.slow[:, arc.slow_cols.index("iterations")]
+    assert np.sum(iterations == 0) >= 90
+    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 1
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
@@ -394,18 +411,22 @@ def _assert_close(got, want, where):
         assert type(got) is type(want) and got == want, where
 
 
+def _pinned_workload(name):
+    """Run config and building of a workload pinned under tests/data: the
+    default plant, the decoupled plant or perfbench/chain4_n40.json."""
+    if name == "chain4_n40":
+        data = json.loads(CHAIN4.read_text())
+        return config_from_dict(data["run"]), building_from_dict(data["building"])
+    decoupled = name == "decoupled_n20"
+    return RunConfig(decoupled=decoupled), default_building(decoupled)
+
+
 @pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
 def test_design_constants_match_the_pinned_files(name):
     """`design.json` and `certificate.json` of the default plant, the
     decoupled plant and perfbench/chain4_n40.json, as `hiermpc design`
     writes them, match the files pinned under tests/data."""
-    if name == "chain4_n40":
-        data = json.loads(CHAIN4.read_text())
-        cfg = config_from_dict(data["run"])
-        building = building_from_dict(data["building"])
-    else:
-        decoupled = name == "decoupled_n20"
-        cfg, building = RunConfig(decoupled=decoupled), default_building(decoupled)
+    cfg, building = _pinned_workload(name)
     design = to_json(design_pipeline(build_thermal_model(building), cfg))
     design.pop("model")
     report = design.pop("report")
@@ -418,6 +439,41 @@ def test_design_constants_match_the_pinned_files(name):
     _assert_close(report, pinned, "certificate")
     _assert_close(design, json.loads((DATA / name / "design.json").read_text()),
                   "design")
+
+
+# Slow steps of the pinned traces: the first tick that takes the
+# equality-only optimum follows the ticks that run ADMM.
+PINNED_STEPS = {"coupled_n20": 5, "decoupled_n20": 3, "chain4_n40": 2}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STEPS))
+def test_short_traces_match_the_pinned_files(name, tmp_path):
+    """The first slow steps of each workload's run, from its ADMM ticks to
+    its first equality-only tick, match `fast.csv` and `slow.csv` pinned
+    under tests/data to 1e-9, and pass `verify_archive`."""
+    cfg, building = _pinned_workload(name)
+    cfg = dataclasses.replace(cfg, n_slow_steps=PINNED_STEPS[name])
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path / name)
+    for f in ("fast.csv", "slow.csv"):
+        got, want = (out / f).read_text(), (DATA / name / f).read_text()
+        assert got.splitlines()[:2] == want.splitlines()[:2], f
+        rows = np.loadtxt(out / f, delimiter=",", skiprows=2)
+        np.testing.assert_allclose(
+            rows, np.loadtxt(DATA / name / f, delimiter=",", skiprows=2),
+            rtol=1e-9, atol=1e-9, err_msg=f)
+    iterations = rows[:, got.splitlines()[1].split(",").index("iterations")]
+    assert iterations[:-1].min() > 0 and iterations[-1] == 0
+    failing = [c for c in verify_archive(out).checks if not c.passed]
+    if name == "decoupled_n20":
+        # The decoupled nominal settles at slow step 31: a run cut before
+        # it fails this one check, as `verify_archive` documents.
+        assert [(c.name, c.detail) for c in failing] == [
+            ("nominal_convergence", "never reached")]
+    else:
+        assert failing == []
 
 
 def test_tail_envelope_reports_its_slack(archive_dir):

@@ -280,3 +280,24 @@ def test_decoupled_run_leaves_admm_after_two_ticks(decoupled):
     assert np.all(iterations[2:] == 0)
     tube_err = arc.slow[:, arc.slow_cols.index("tube_error")]
     assert np.max(tube_err[2:]) <= 1e-12
+
+
+def test_kept_solve_with_a_moved_tube_runs_admm_as_fresh_factors(kkt_solves):
+    # The ball formulation's g and b_eq are zero on every tick: its
+    # equality-only optimum (x = 0) is solved once and kept.  A tick whose
+    # tube centre is out of its reach falls back to ADMM, which runs as it
+    # does on a TubeQP that never kept anything.
+    _, _, _, design = make_design(np.random.default_rng(31))
+    qp = tube_qp(design)
+    r, n = design.tube.ball.radius, design.slow.n_states
+    for scale in (0.5, -0.25):
+        near = solve_hl(qp, scale * r * np.eye(n)[0])
+        assert near.iterations == 0 and not near.x_nominal.any()
+    x_far = np.full(n, 1.0)
+    sol = solve_hl(qp, x_far)
+    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 1
+    ref = solve_hl(tube_qp(design), x_far)
+    assert sol.iterations == ref.iterations > 0
+    for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert sol.objective == ref.objective

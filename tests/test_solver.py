@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 
 from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
-                            KKTFactors, QuadraticProgram, Status, solve_lp,
-                            solve_qp)
+                            KKTFactors, QuadraticProgram, Status,
+                            equality_first, solve_lp, solve_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +469,80 @@ def test_equality_first_factors_rho_zero_once(monkeypatch):
     # Both branches were taken, and each cache factored rho = 0 once.
     assert 0 in iterations and max(iterations) > 0
     assert sum(np.array_equal(a, K0) for a in matrices) == 2
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("case", ["zero_hessian", "flat_direction"])
+def test_qp_without_sets_on_a_singular_system_raises(case):
+    # Without sets the equality-only solve is the only one; when the KKT
+    # system is singular it is not finite, and that is an error, not an
+    # OPTIMAL NaN.
+    if case == "zero_hessian":
+        prob = QuadraticProgram(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    else:  # x_1 is free and carries a linear cost: unbounded below
+        prob = QuadraticProgram(np.diag([1.0, 0.0]), np.array([1.0, 1.0]),
+                                np.array([[1.0, 0.0]]), np.array([2.0]))
+    with pytest.raises(UnboundedProblem, match="KKT system .* is singular"):
+        solve_qp(prob)
+
+
+def assert_same_result(res, ref):
+    assert res.x.tobytes() == ref.x.tobytes()
+    for name in ("status", "iterations", "objective", "primal_residual",
+                 "dual_residual"):
+        assert getattr(res, name) == getattr(ref, name), name
+
+
+def test_equality_first_keeps_its_last_solve(kkt_solves):
+    # Equal bytes of g and b_eq, in other arrays, make no second rho = 0
+    # solve, and the kept result is bitwise what fresh factors give.
+    H, A_eq, ball, rhs = ll_shaped_instance(3)
+    g, b_eq = rhs[0]
+    wide = BallConstraint(ball.indices, 1e6)
+    kkt = KKTFactors(H, A_eq, (ball.indices,))
+    results = [equality_first(QuadraticProgram(H, g_, A_eq, b_, (wide,), kkt), kkt)
+               for g_, b_ in ((g, b_eq), (g.copy(), b_eq.copy()))]
+    assert kkt_solves == [kkt.by_rho[0.0]]
+    fresh = KKTFactors(H, A_eq, (ball.indices,))
+    ref = equality_first(QuadraticProgram(H, g, A_eq, b_eq, (wide,), fresh), fresh)
+    assert ref.iterations == 0
+    for res in results:
+        assert_same_result(res, ref)
+    # The kept x is shared by every hit: it is read-only.
+    assert results[1].x is results[0].x
+    with pytest.raises(ValueError):
+        results[0].x[0] = 1.0
+
+
+def test_equality_first_one_ulp_in_b_eq_misses(kkt_solves):
+    H, A_eq, ball, rhs = ll_shaped_instance(4)
+    g, b_eq = rhs[0]
+    wide = BallConstraint(ball.indices, 1e6)
+    kkt = KKTFactors(H, A_eq, (ball.indices,))
+    b_next = b_eq.copy()
+    b_next[-1] = np.nextafter(b_next[-1], np.inf)
+    for b_ in (b_eq, b_next):
+        res = equality_first(QuadraticProgram(H, g, A_eq, b_, (wide,), kkt), kkt)
+        fresh = KKTFactors(H, A_eq, (ball.indices,))
+        assert_same_result(res, equality_first(
+            QuadraticProgram(H, g, A_eq, b_, (wide,), fresh), fresh))
+    assert sum(f is kkt.by_rho[0.0] for f in kkt_solves) == 2
+
+
+def test_equality_first_hit_outside_a_moved_set_returns_none(kkt_solves):
+    # Same g and b_eq, a ball whose centre moved away from the kept
+    # optimum: no solve, and the sets decide.
+    H, A_eq, ball, rhs = ll_shaped_instance(5)
+    g, b_eq = rhs[0]
+    kkt = KKTFactors(H, A_eq, (ball.indices,))
+    x = kkt_oracle(H, g, A_eq, b_eq)
+    near = BallConstraint(ball.indices, 0.5, center=x[ball.indices])
+    far = BallConstraint(ball.indices, 0.5, center=x[ball.indices] + 1.0)
+    assert equality_first(QuadraticProgram(H, g, A_eq, b_eq, (near,), kkt),
+                          kkt) is not None
+    assert equality_first(QuadraticProgram(H, g, A_eq, b_eq, (far,), kkt),
+                          kkt) is None
+    assert len(kkt_solves) == 1
 
 
 # ---------------------------------------------------------------------------
