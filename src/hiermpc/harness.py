@@ -217,11 +217,13 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 # ------------------------------------------------------------- trace layout
 
 def fast_columns(n: int, m: int) -> tuple:
-    """The fast blocks an archive stores: the states and inputs that
-    `verify_archive` reads.  The in-memory trace of `run_closed_loop`
-    appends the input margins `margin`, which are not stored."""
+    """The fast blocks an archive stores: the states `x`, the planned and
+    applied corrections `duhat`, `du` and the plant input `u`.  The held
+    input `ubar` is stored once, in the slow columns: on the fast rows it is
+    the slow step's `ubar` repeated over the period.  The in-memory trace of
+    `run_closed_loop` appends the input margins `margin`, which are not
+    stored."""
     cols = [f"x{i}" for i in range(n)]
-    cols += [f"ubar{i}" for i in range(m)]
     cols += [f"duhat{i}" for i in range(m)]
     cols += [f"du{i}" for i in range(m)]
     cols += [f"u{i}" for i in range(m)]
@@ -297,8 +299,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
     # Column-block views of fast_rows; tick k fills rows k*N .. k*N + N-1.
     fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
-            for prefix, width in (("x", n), ("ubar", m), ("duhat", m),
-                                  ("du", m), ("u", m), ("margin", M))}
+            for prefix, width in (("x", n), ("duhat", m), ("du", m),
+                                  ("u", m), ("margin", M))}
     dxhat = np.empty((N + 1, n))  # the tick's stacked plan rollouts
     in_slices = [model.input_slice(i) for i in range(M)]
     state_slices = [model.state_slice(i) for i in range(M)]
@@ -346,7 +348,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                                  bundle.ll_gain,
                                                  xs[:N] - xhat[:N])
         u = fast["u"][rows] = u_bar + du
-        fast["ubar"][rows] = u_bar
         # Each subsystem's input norm per fast step, one segment sum each.
         fast["margin"][rows] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,
                                                                axis=1))

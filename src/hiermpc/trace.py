@@ -3,12 +3,13 @@
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
 `fast.csv` stores the fast blocks of `harness.fast_columns`: the states
-`x`, the held input `ubar`, the planned corrections `duhat`, the applied
-corrections `du` and the plant input `u`.  The in-memory `TraceArchive` also
-holds the input margins `margin`, a function of `u` and the input limits,
-which is not stored.  The auxiliary rollout `xhat` and the plan rollouts
-`dxhat` are recorded nowhere; the `correction_law` and `ll_terminal` checks
-re-derive both.
+`x`, the planned corrections `duhat`, the applied corrections `du` and the
+plant input `u`.  Each value is stored once: the held input `ubar` is in
+`slow.csv` only, and `verify_archive` repeats it over the period.  The
+in-memory `TraceArchive` also holds the input margins `margin`, a function
+of `u` and the input limits, which is not stored.  The auxiliary rollout
+`xhat` and the plan rollouts `dxhat` are recorded nowhere; the
+`correction_law` and `ll_terminal` checks re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
@@ -18,11 +19,14 @@ with their weights and the spectral radius of the coupled fast closed loop.
 Each design quantity is stored once; what can be built from the stored ones
 (the collective A and B, the block-diagonal fast gain) is built by the
 constructors on load, never read, and the full-order closed loops (the fast
-A + B K, the lifted slow loop) are rebuilt where they are used.  Floats are
-written with repr, the shortest decimal string that round-trips to the same
-binary value, so every file except `metadata.json` is a pure function of the
-config; `metadata.json` records wall clock and the archive version (5), and
-is the only file excluded from the determinism digest.
+A + B K, the lifted slow loop) are rebuilt where they are used.  JSON
+floats are written with repr.  CSV cells are written by `numpy.savetxt` as
+"%.17g": 17 significant digits, formatted by CPython's correctly rounded
+conversion, which `numpy.loadtxt` reads back to the same float64 bits
+(`-0.0` is written `-0`, `-2.0` is `-2`, infinities `inf`/`-inf`).  So
+every file except `metadata.json` is a pure function of the config;
+`metadata.json` records wall clock, the archive version (6) and the final
+state, and is the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
@@ -36,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import reprlib
 import time
 import warnings
 from dataclasses import dataclass
@@ -51,8 +56,8 @@ from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
 from .lti import lifted_closed_loop, lifted_input_matrix, matrix_powers
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 5
-FAST_SCHEMA = "hiermpc.trace.fast.v2"
+ARCHIVE_VERSION = 6
+FAST_SCHEMA = "hiermpc.trace.fast.v3"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
@@ -63,12 +68,11 @@ def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
 
 
 def _write_csv(path: Path, schema: str, columns, rows: np.ndarray) -> None:
-    lines = [_csv_header(schema, len(columns), rows.shape[0])]
-    lines.append(",".join(columns))
-    # tolist() turns a row into Python floats, whose repr is the codec; one
-    # row at a time, so no list of the whole block is held.
-    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(_csv_header(schema, len(columns), rows.shape[0]) + "\n")
+        fh.write(",".join(columns) + "\n")
+        # One formatted line per row, streamed: no text of the whole block.
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
 
 def _read_csv(path: Path, schema: str, columns: tuple) -> np.ndarray:
@@ -145,10 +149,21 @@ class LoadedArchive:
     fast: np.ndarray
     slow: np.ndarray
     metadata: dict
+    final_state: np.ndarray
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return np.array(self.metadata["final_state"], dtype=float)
+
+def _final_state(metadata: dict, n_states: int) -> np.ndarray:
+    value = metadata.get("final_state")
+    try:
+        state = from_json(np.ndarray, value)
+    except ConfigInvalid:
+        state = None
+    if state is None or state.shape != (n_states,) \
+            or not np.all(np.isfinite(state)):
+        raise ConfigInvalid(f"cannot read metadata.json: final_state must be "
+                            f"{n_states} finite numbers, got "
+                            f"{reprlib.repr(value)}")
+    return state
 
 
 def load_archive(path) -> LoadedArchive:
@@ -161,6 +176,9 @@ def load_archive(path) -> LoadedArchive:
             raise ConfigInvalid(f"cannot read {name}: {exc}") from exc
 
     metadata = read("metadata.json")
+    if not isinstance(metadata, dict):
+        raise ConfigInvalid(f"cannot read metadata.json: expected an object, "
+                            f"got {reprlib.repr(metadata)}")
     version = metadata.get("archive_version")
     if version != ARCHIVE_VERSION:
         raise ConfigInvalid(f"{root}: archive_version {version!r} cannot be "
@@ -176,7 +194,7 @@ def load_archive(path) -> LoadedArchive:
     fast = _read_csv(root / "fast.csv", FAST_SCHEMA, fast_cols)
     slow = _read_csv(root / "slow.csv", SLOW_SCHEMA, slow_cols)
     return LoadedArchive(config, bundle, fast_cols, slow_cols, fast, slow,
-                         metadata)
+                         metadata, _final_state(metadata, model.n_states))
 
 
 def archive_digest(path) -> str:
@@ -267,7 +285,9 @@ def verify_archive(path) -> VerifyReport:
 
     x = column_block(arc.fast_cols, arc.fast, "x", n)
     u = column_block(arc.fast_cols, arc.fast, "u", m)
-    ubar_f = column_block(arc.fast_cols, arc.fast, "ubar", m)
+    # The held input is stored once, per slow step; each fast step holds it.
+    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
+    ubar_f = np.repeat(ubar_s, N, axis=0)
     du = column_block(arc.fast_cols, arc.fast, "du", m)
     duhat = column_block(arc.fast_cols, arc.fast, "duhat", m)
     states_next = np.vstack([x[1:], arc.final_state[None, :]])
@@ -300,7 +320,6 @@ def verify_archive(path) -> VerifyReport:
                      (ubar_f @ model.B.T).reshape(K_steps, N, n))
     fast_xhat = xhat[:, :N].reshape(-1, n)
     reduced, slow = bundle.reduced, bundle.hl.slow
-    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
     xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
     x_bar_pred = xproj_rec @ slow.A.T + ubar_s @ slow.B.T
     law = np.empty_like(du)

@@ -167,7 +167,7 @@ def per_subsystem_run(model, cfg, bundle):
             u = u_bar + du
             margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
                        for i in range(M)]
-            rows.append(np.concatenate([x, u_bar, duhat, du, u, margins]))
+            rows.append(np.concatenate([x, duhat, du, u, margins]))
             x = model.A @ x + model.B @ u
     return np.array(rows), x
 
@@ -271,7 +271,7 @@ def test_design_dict_round_trip(bundle):
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
     n, m = model.n_states, model.n_inputs
-    widths = {"x": n, "ubar": m, "duhat": m, "du": m, "u": m}
+    widths = {"x": n, "duhat": m, "du": m, "u": m}
     loaded = load_archive(archive_dir)
     assert loaded.config == archive.config
     assert loaded.fast_cols == tuple(f"{prefix}{i}" for prefix, width
@@ -292,7 +292,7 @@ _EDGE_VALUES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308,
 
 @settings(max_examples=200, deadline=None)
 @given(rows=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 6)),
-                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+                   elements=st.floats(allow_nan=False)))
 @example(rows=_EDGE_VALUES)
 @example(rows=_EDGE_VALUES.T)
 @example(rows=np.empty((0, 3)))
@@ -303,6 +303,17 @@ def test_csv_codec_round_trips_bitwise(rows, tmp_path_factory):
     _write_csv(path, "test.v1", columns, rows)
     got = _read_csv(path, "test.v1", columns)
     assert got.dtype == np.float64 and got.shape == rows.shape
+    assert got.tobytes() == rows.tobytes()
+
+
+def test_csv_codec_writes_seventeen_significant_digits(tmp_path):
+    rows = np.array([[-0.0, 5e-324, -2.0, np.inf, -np.inf]])
+    columns = tuple(f"c{j}" for j in range(rows.shape[1]))
+    _write_csv(tmp_path / "block.csv", "test.v1", columns, rows)
+    assert (tmp_path / "block.csv").read_text().splitlines() == [
+        "# schema=test.v1 columns=5 rows=1", "c0,c1,c2,c3,c4",
+        "-0,4.9406564584124654e-324,-2,inf,-inf"]
+    got = _read_csv(tmp_path / "block.csv", "test.v1", columns)
     assert got.tobytes() == rows.tobytes()
 
 
@@ -490,12 +501,12 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     bad = tmp_path / "old"
     shutil.copytree(archive_dir, bad)
     meta = json.loads((bad / "metadata.json").read_text())
-    meta["archive_version"] = 4
+    meta["archive_version"] = 5
     (bad / "metadata.json").write_text(json.dumps(meta))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 4" in err and "version 5" in err
+    assert "archive_version 5" in err and "version 6" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -514,6 +525,36 @@ def test_verify_names_a_missing_key(archive_dir, tmp_path, capsys, name, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"{owner}: missing key '{key}'" in err
+
+
+def _drop_final_state(meta):
+    del meta["final_state"]
+    return meta
+
+
+def _short_final_state(meta):
+    meta["final_state"] = meta["final_state"][:-1]
+    return meta
+
+
+def _text_final_state(meta):
+    meta["final_state"] = ["warm"] * len(meta["final_state"])
+    return meta
+
+
+def _metadata_as_list(meta):
+    return [meta]
+
+
+@pytest.mark.parametrize("damage", [_drop_final_state, _short_final_state,
+                                    _text_final_state, _metadata_as_list])
+def test_verify_names_damaged_metadata(archive_dir, tmp_path, capsys, damage):
+    bad = tmp_path / "damaged"
+    shutil.copytree(archive_dir, bad)
+    meta = json.loads((bad / "metadata.json").read_text())
+    (bad / "metadata.json").write_text(json.dumps(damage(meta)))
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read metadata.json")
 
 
 def test_verify_names_an_unreadable_file(archive_dir, tmp_path, capsys):
@@ -585,6 +626,19 @@ def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
     # The changed plan no longer lands on the slow layer's prediction either.
     assert failed == {"correction_law", "ll_terminal"}
+
+
+def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
+    # fast.csv names no held input: verify repeats the slow `ubar` over the
+    # period, so one slow cell reaches every check that reads the held input.
+    names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
+    assert not [name for name in names if name.startswith("ubar")]
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
+    failed = {c.name for c in verify_archive(bad).checks if not c.passed}
+    assert failed == {"input_composition", "correction_law", "ll_terminal",
+                      "disturbance_record"}
 
 
 def test_plans_hit_the_terminal_target(archive_dir):
