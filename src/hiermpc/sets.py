@@ -123,7 +123,6 @@ def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6) -> RPIApproximation:
                 raise NotContractive(f"||F^{s}||_2 = {q:.6g} did not contract "
                                      f"within {_RPI_MAX_POWER} powers")
             break
-    q = float(np.linalg.norm(power, 2))
     radius = partial * w.radius / (1.0 - q)
     radius = max(radius, w.radius / (1.0 - norm_F))
     gap = radius * (1.0 + tol) - (norm_F * radius + w.radius)

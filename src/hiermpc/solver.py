@@ -35,9 +35,12 @@ Consequences that the controllers rely on:
   * set constraints are satisfied to tol_primal at termination,
   * the iterate sequence is a deterministic function of the problem.
 
-The LP path is a two-phase tableau simplex with Bland's rule, then a
-constraint-pinning pass that selects the lexicographically smallest
-optimizer when the optimal face is not a single vertex.
+The LP path is a two-phase tableau simplex with Bland's rule whose run
+continues past the optimum to select the lexicographically smallest
+optimizer when the optimal face is not a single vertex: phase 2 minimizes
+x_0, x_1, ... in turn, each from the previous optimal basis, with every
+column of positive reduced cost blocked, which keeps each later objective
+on the optimal face of the earlier ones.
 """
 from __future__ import annotations
 
@@ -223,9 +226,6 @@ class EllipsoidConstraint:
             return 0.0
         # Report in distance units, consistent with the other families.
         return float(np.linalg.norm(v - self.project(v)))
-
-
-SetConstraint = BallConstraint | BoxConstraint | EllipsoidConstraint
 
 
 def _float_array(a, ndim: int) -> np.ndarray:
@@ -574,12 +574,20 @@ def solve_qp(problem: QuadraticProgram,
 # Linear programming
 
 
-def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
-                     tol: float = 1e-11):
-    """min c_min'y s.t. A_ub y <= b_ub, y >= 0; two-phase, Bland's rule.
+def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
+                     b_ub: np.ndarray, tol: float = 1e-11):
+    """Lexicographic min of objectives[0]'y, then objectives[1]'y, ...
+    s.t. A_ub y <= b_ub, y >= 0; two-phase, Bland's rule.
 
-    Returns (y, duals, objective) or raises UnboundedProblem; returns None
-    for an infeasible program.
+    Phase 1 runs once.  Phase 2 runs for each objective in turn, from the
+    previous optimal basis.  At an optimal basis every feasible y has
+    c'y = z* + sum_j r_j y_j with reduced costs r >= 0, so the optimal face
+    is {y feasible : y_j = 0 wherever r_j > 0}: after each objective the
+    columns with r_j > tol are blocked, and later objectives stay on it.
+
+    Returns (y, duals, pivots): the duals are the first objective's slack
+    reduced costs, and y is None for an infeasible program.  Raises
+    UnboundedProblem.
     """
     m, n = A_ub.shape
     A = A_ub.copy().astype(float)
@@ -608,8 +616,11 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
         else:
             basis[i] = n + i
     rhs = b.copy()
+    pivots = 0
 
-    def pivot(T, rhs, basis, row, col):
+    def pivot(row, col):
+        nonlocal pivots
+        pivots += 1
         piv = T[row, col]
         T[row] /= piv
         rhs[row] /= piv
@@ -623,14 +634,13 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
         basis[row] = col
 
     def run_phase(cost):
+        """Minimize cost over the unblocked columns; return the reduced costs."""
         while True:
-            # Reduced costs via the basic cost row.
-            cb = cost[basis]
-            reduced = cost - cb @ T
+            reduced = cost - cost[basis] @ T
             # Bland: the smallest index with a negative reduced cost.
             candidates = np.flatnonzero((reduced < -tol) & ~blocked)
             if not candidates.size:
-                return cb @ rhs
+                return reduced
             entering = candidates[0]
             pos = np.flatnonzero(T[:, entering] > tol)
             if not pos.size:
@@ -644,34 +654,36 @@ def _simplex_tableau(c_min: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
                             and (row < 0 or basis[i] < basis[row]))):
                     best = ratio
                     row = i
-            pivot(T, rhs, basis, row, entering)
+            pivot(row, entering)
 
     blocked = np.zeros(total, dtype=bool)
     if n_art:
         phase1 = np.zeros(total)
         phase1[art_cols] = 1.0
-        val = run_phase(phase1)
-        if val > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
-            return None
+        run_phase(phase1)
+        if phase1[basis] @ rhs > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
+            return None, None, pivots
         # Drive any artificial still basic out of the basis.
         for i in range(m):
             if basis[i] in art_cols:
                 for j in range(n + m):
                     if abs(T[i, j]) > tol:
-                        pivot(T, rhs, basis, i, j)
+                        pivot(i, j)
                         break
         blocked[art_cols] = True
 
-    cost = np.zeros(total)
-    cost[:n] = c_min
-    run_phase(cost)
+    duals = None
+    for c_min in objectives:
+        cost = np.zeros(total)
+        cost[:n] = c_min
+        reduced = run_phase(cost)
+        if duals is None:
+            duals = reduced[n:n + m] * slack_sign  # slack reduced costs = dual values
+        blocked |= reduced > tol
 
     y = np.zeros(total)
     y[basis] = rhs
-    cb = cost[basis]
-    reduced = cost - cb @ T
-    duals = reduced[n:n + m] * slack_sign  # slack reduced costs = dual values
-    return y[:n], duals, float(cost[:n] @ y[:n])
+    return y[:n], duals, pivots
 
 
 def solve_lp(c: np.ndarray, A_in: np.ndarray, b_in: np.ndarray,
@@ -679,8 +691,10 @@ def solve_lp(c: np.ndarray, A_in: np.ndarray, b_in: np.ndarray,
     """max c'x s.t. A_in x <= b_in, x >= lower_bounds.
 
     On a non-unique optimal face, the lexicographically smallest optimizer is
-    selected by re-solving with one coordinate pinned per pass.  Raises
-    UnboundedProblem when the objective is unbounded on the feasible set.
+    selected by continuing the same simplex run: x_0, x_1, ... are minimized
+    in turn over the optimal face, each from the previous optimal basis.
+    `iterations` counts the pivots of the run.  Raises UnboundedProblem when
+    the objective is unbounded on the feasible set.
     """
     c = np.asarray(c, dtype=float)
     A_in = np.atleast_2d(np.asarray(A_in, dtype=float))
@@ -690,40 +704,15 @@ def solve_lp(c: np.ndarray, A_in: np.ndarray, b_in: np.ndarray,
     if A_in.shape[1] != d or A_in.shape[0] != b_in.shape[0] or lb.shape[0] != d:
         raise DimensionMismatch("LP data dimensions inconsistent")
 
-    def solve_shifted(c_obj, A, b):
-        # y = x - lb >= 0
-        out = _simplex_tableau(-c_obj, A, b - A @ lb)
-        if out is None:
-            return None
-        y, duals, _ = out
-        return y + lb, duals
-
-    out = solve_shifted(c, A_in, b_in)
-    if out is None:
+    # y = x - lb >= 0; minimizing y_j minimizes x_j.
+    y, duals, pivots = _simplex_tableau([-c, *np.eye(d)], A_in, b_in - A_in @ lb)
+    if y is None:
         return SolveResult(np.full(d, np.nan), np.nan, Status.INFEASIBLE,
-                           np.nan, np.nan, 0)
-    x, duals = out
-
-    # Pin the objective, then minimize coordinates one at a time.  Pins are
-    # exact; roundoff-level violations are absorbed by the phase-1
-    # feasibility tolerance.
-    A_aug = np.vstack([A_in, -c[None, :]])
-    b_aug = np.concatenate([b_in, [-float(c @ x)]])
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = -1.0  # maximize -x_j == minimize x_j
-        out_j = solve_shifted(e, A_aug, b_aug)
-        if out_j is None:
-            break
-        xj = out_j[0]
-        pin = np.zeros(d)
-        pin[j] = 1.0
-        A_aug = np.vstack([A_aug, pin[None, :]])
-        b_aug = np.concatenate([b_aug, [xj[j]]])
-        x = xj
+                           np.nan, np.nan, pivots)
+    x = y + lb
     objective = float(c @ x)
 
     slack = b_in - A_in @ x
     primal = float(max(np.max(-slack, initial=0.0), np.max(lb - x, initial=0.0)))
     comp = float(np.max(np.abs(duals * slack), initial=0.0)) if duals.size else 0.0
-    return SolveResult(x, objective, Status.OPTIMAL, primal, comp, 1)
+    return SolveResult(x, objective, Status.OPTIMAL, primal, comp, pivots)

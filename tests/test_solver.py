@@ -53,22 +53,31 @@ def qp_oracle_one_ball(H, g, A_eq, b_eq, ball):
     return kkt_solve(mu)
 
 
-def lp_oracle_vertices(c, A_in, b_in, lb):
-    """Enumerate vertices of {A x <= b, x >= lb}; return the best objective."""
+def lp_oracle_vertices(c, A_in, b_in, lb, tol=1e-9):
+    """Enumerate vertices of {A x <= b, x >= lb}; return the best objective
+    and the lexicographically smallest vertex that attains it (to `tol`)."""
     d = c.shape[0]
     G = np.vstack([A_in, -np.eye(d)])
     h = np.concatenate([b_in, -lb])
-    best = None
+    vertices = []
     for rows in itertools.combinations(range(G.shape[0]), d):
         Gs = G[list(rows)]
         if abs(np.linalg.det(Gs)) < 1e-12:
             continue
         v = np.linalg.solve(Gs, h[list(rows)])
-        if np.all(G @ v <= h + 1e-9):
-            val = float(c @ v)
-            if best is None or val > best[0]:
-                best = (val, v)
-    return best
+        if np.all(G @ v <= h + tol):
+            vertices.append((float(c @ v), v))
+    if not vertices:
+        return None
+    best = max(val for val, _ in vertices)
+    optimal = [v for val, v in vertices if val >= best - tol * max(1.0, abs(best))]
+    lexmin = optimal[0]
+    for v in optimal[1:]:
+        # The first coordinate that differs by more than tol decides.
+        differ = np.flatnonzero(np.abs(v - lexmin) > tol)
+        if differ.size and v[differ[0]] < lexmin[differ[0]]:
+            lexmin = v
+    return best, lexmin
 
 
 def assert_projected_kkt(H, g, x, balls):
@@ -557,6 +566,9 @@ def test_lp_hand_example_with_tie_break():
     assert res.status is Status.OPTIMAL
     assert np.isclose(res.objective, 1.0, atol=1e-9)
     assert np.allclose(res.x, [0.0, 1.0], atol=1e-7)
+    # One pivot brings x in for the objective; with the slack's column
+    # blocked, one more swaps it for y while x_0 is minimized.
+    assert res.iterations == 2
 
 
 def test_lp_infeasible():
@@ -573,9 +585,13 @@ def test_lp_unbounded():
 
 
 def test_lp_random_against_vertex_oracle():
+    # A random objective has a unique optimal vertex; an objective parallel
+    # to a row, one with zero entries and c = 0 have a face of optima, on
+    # which the solver must return the lexicographically smallest vertex.
     rng = np.random.default_rng(12)
-    solved = 0
-    for trial in range(50):
+    kinds = ("random", "row", "zeros", "zero")
+    for trial in range(200):
+        kind = kinds[trial % len(kinds)]
         d = int(rng.integers(2, 5))
         m = int(rng.integers(1, 5))
         A = rng.normal(size=(m, d))
@@ -586,16 +602,20 @@ def test_lp_random_against_vertex_oracle():
         A_full = np.vstack([A, np.eye(d)])
         b_full = np.concatenate([b, x_feas + rng.uniform(1.0, 5.0, size=d)])
         c = rng.normal(size=d)
-        best = lp_oracle_vertices(c, A_full, b_full, lb)
-        assert best is not None
+        if kind == "row":
+            c = rng.uniform(0.5, 2.0) * A_full[rng.integers(m + d)]
+        elif kind == "zeros":
+            c[rng.permutation(d)[:int(rng.integers(1, d))]] = 0.0
+        elif kind == "zero":
+            c = np.zeros(d)
+        best, vertex = lp_oracle_vertices(c, A_full, b_full, lb)
         res = solve_lp(c, A_full, b_full, lb)
         assert res.status is Status.OPTIMAL
-        scale = max(1.0, abs(best[0]))
-        assert abs(res.objective - best[0]) <= 1e-8 * scale, f"trial {trial}"
+        scale = max(1.0, abs(best))
+        assert abs(res.objective - best) <= 1e-8 * scale, f"trial {trial}"
+        assert np.max(np.abs(res.x - vertex)) <= 1e-7, f"trial {trial} ({kind})"
         assert res.primal_residual <= 1e-9
         assert res.dual_residual <= 1e-8
-        solved += 1
-    assert solved == 50
 
 
 def test_lp_nonzero_lower_bounds():
