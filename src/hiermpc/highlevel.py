@@ -206,17 +206,29 @@ def tube_qp(design: HLDesign) -> TubeQP:
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
-    """Distance from the projected state to the set of admissible first
-    nominal states, with the status of the QP that computed it;
-    infeasibility means the distance exceeds the tube radius."""
-    d, n = qp.H.shape[0], qp.design.slow.n_states
-    x0 = np.arange(n)
-    H_gap = 1e-12 * np.eye(d)
-    H_gap[np.ix_(x0, x0)] += np.eye(n)
+    """Distance from the projected state to the first nominal states that
+    admit a plan, with the status of the QP that computed it; the distance
+    means something only when that status is OPTIMAL.
+
+    The QP minimizes 1/2 ||x_0 - x_proj||^2 under the tube QP's dynamics,
+    input balls and terminal ellipsoid, posed in units of its sets: the
+    input columns of the dynamics are scaled by the input radius and the x_N
+    columns by sqrt(level), so the sets are unit balls and a level-1
+    ellipsoid (a size of 0 holds that input or x_N at 0), and the QP needs
+    no regularizer.
+    """
+    d, x0 = qp.H.shape[0], qp.factors.layout[0]
+    scale = np.ones(d)
+    scale[qp.inputs.indices] = qp.inputs.radius
+    scale[qp.terminal.indices] = np.sqrt(qp.terminal.level)
+    H = np.zeros((d, d))
+    H[x0, x0] = 1.0
     g = np.zeros(d)
     g[x0] = -np.asarray(x_proj, dtype=float)
-    res = solve_qp(QuadraticProgram(H_gap, g, qp.A_eq, np.zeros(qp.A_eq.shape[0]),
-                                    (qp.inputs, qp.terminal)))
+    res = solve_qp(QuadraticProgram(
+        H, g, qp.A_eq * scale, qp.b_dyn,
+        (BallConstraint(qp.inputs.indices, 1.0),
+         EllipsoidConstraint(qp.terminal.indices, qp.terminal.shape, 1.0))))
     return float(np.linalg.norm(res.x[x0] - x_proj)), res.status
 
 
@@ -233,11 +245,13 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     is that same point, and it is returned with 0 iterations; otherwise the
     ball-formulation solve below runs as on any other tube.
 
-    Raises InfeasibleHL with a tube-gap diagnostic when no admissible plan
-    exists; on the first step the gap is always computed so the failure
-    report can say how far the start is from the feasible set.  The status
-    of the gap QP is reported beside the gap, since the gap is read from
-    that QP's last iterate whether or not it converged.
+    Raises InfeasibleHL when the solve does not end OPTIMAL.  When it ends
+    INFEASIBLE, and on the first step whatever the status, the diagnostics
+    carry `tube_gap_status`, the status of the `feasibility_gap` QP, and,
+    only if that is OPTIMAL, `tube_gap`: how far the projected state lies
+    from the first nominal states that admit a plan, to compare with
+    `tube_radius`.  INFEASIBLE itself still comes from `solve_qp`'s stall
+    heuristic, not from a certificate.
     """
     design, slow = qp.design, qp.design.slow
     n, m, N = slow.n_states, slow.n_inputs, design.horizon
@@ -263,7 +277,8 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
         }
         if first_step or res.status is Status.INFEASIBLE:
             gap, gap_status = feasibility_gap(qp, x_proj)
-            diagnostics["tube_gap"] = gap
+            if gap_status is Status.OPTIMAL:
+                diagnostics["tube_gap"] = gap
             diagnostics["tube_gap_status"] = gap_status.value
             diagnostics["tube_radius"] = design.tube.ball.radius
         raise InfeasibleHL(

@@ -53,10 +53,6 @@ class EllipsoidSet:
             raise EmptyResult(f"ellipsoid level must be finite and >= 0, got {self.level}")
         object.__setattr__(self, "shape", shape)
 
-    @property
-    def dim(self) -> int:
-        return self.shape.shape[0]
-
 
 @dataclass(frozen=True)
 class RPIApproximation:

@@ -11,7 +11,13 @@ all constraints, so scatters into the x-update and the residuals are single
 array operations, and each iteration projects once per constraint.  A
 `BallConstraint` whose `indices` have shape (k, s) is a family of k balls of
 one radius on the rows (the per-step input budgets of a horizon); it
-projects all rows in one vectorized call.
+projects all rows in one vectorized call.  The projection onto an
+`EllipsoidConstraint` y'Py <= level is y = (I + mu P)^{-1} v, with mu the
+root of the secular equation 1/sqrt(y'Py) = 1/sqrt(level) (More and
+Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), found by Newton in the
+eigenbasis of P from mu = 0: the left side is concave and increasing in mu,
+so the steps rise monotonically to the root without a bracket, and they stop
+when sqrt(y'Py) is within 1e-12 of sqrt(level), relatively, at any level.
 
 Before ADMM, every solve tries the empty active set (the guess of OSQP's
 solution polishing, tried first instead of last) through `equality_first`:
@@ -58,7 +64,8 @@ from .errors import DimensionMismatch, UnboundedProblem
 
 # ADMM over-relaxation factor.
 _OVER_RELAXATION = 1.6
-# The ellipsoid projection's Newton stop, relative to max(level, 1).
+# The ellipsoid projection's Newton stop: the relative error of sqrt(y'Py)
+# against sqrt(level).
 _NEWTON_TOL = 1e-12
 
 
@@ -148,12 +155,11 @@ class BoxConstraint:
 
 @dataclass(frozen=True)
 class EllipsoidConstraint:
-    """(x[indices] - center)' shape (x[indices] - center) <= level."""
+    """x[indices]' shape x[indices] <= level."""
 
     indices: np.ndarray
     shape: np.ndarray
     level: float
-    center: np.ndarray | None = None
     _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
     _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -172,57 +178,32 @@ class EllipsoidConstraint:
         object.__setattr__(self, "shape", P)
         object.__setattr__(self, "_eigvals", lam)
         object.__setattr__(self, "_eigvecs", V)
-        if self.center is not None:
-            c = np.asarray(self.center, dtype=float)
-            if c.shape != (idx.size,):
-                raise DimensionMismatch("ellipsoid center length must match index count")
-            object.__setattr__(self, "center", c)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        d = v if self.center is None else v - self.center
-        value = float(d @ self.shape @ d)
-        if value <= self.level:
+        if float(v @ self.shape @ v) <= self.level:
             return v
-        c = self.center if self.center is not None else np.zeros(self.indices.size)
         if self.level == 0.0:
-            return np.array(c, dtype=float)
-        # Projection solves y = (I + mu P)^{-1} d with mu > 0 the root of
-        # phi(mu) = y' P y - level, found by safeguarded Newton in the
-        # eigenbasis of P.
+            return np.zeros(self.indices.size)
+        # Newton on psi(mu) = 1/sqrt(y'Py) - 1/sqrt(level) with
+        # y = (I + mu P)^{-1} v, in the eigenbasis of P: psi is concave and
+        # increasing, so the steps from mu = 0 rise monotonically to its root.
         lam, V = self._eigvals, self._eigvecs
-        w = V.T @ d
-        lw2 = lam * w * w
-
-        def phi(mu):
-            denom = 1.0 + mu * lam
-            return float(np.sum(lw2 / (denom * denom))) - self.level
-
-        def dphi(mu):
-            denom = 1.0 + mu * lam
-            return float(-2.0 * np.sum(lam * lw2 / (denom * denom * denom)))
-
+        w = V.T @ v
+        root = math.sqrt(self.level)
         mu = 0.0
-        hi = 1.0 / lam[0]
-        while phi(hi) > 0:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            f = phi(mu)
-            if abs(f) <= _NEWTON_TOL * max(self.level, 1.0):
+        for _ in range(100):  # a bound for a NaN v, which never meets the stop
+            denom = 1.0 + mu * lam
+            y = w / denom
+            ly2 = lam * y * y
+            q = float(np.sum(ly2))
+            ratio = math.sqrt(q) / root
+            if ratio <= 1.0 + _NEWTON_TOL:
                 break
-            if f > 0:
-                lo = mu
-            else:
-                hi = mu
-            step_mu = mu - f / dphi(mu)
-            mu = step_mu if lo < step_mu < hi else 0.5 * (lo + hi)
-        y = (V @ (w / (1.0 + mu * lam)))
-        return c + y
+            mu += q * (ratio - 1.0) / float(np.sum(lam * ly2 / denom))  # -psi/psi'
+        return V @ y
 
     def violation(self, v: np.ndarray) -> float:
-        d = v if self.center is None else v - self.center
-        value = float(d @ self.shape @ d)
-        if value <= self.level:
+        if float(v @ self.shape @ v) <= self.level:
             return 0.0
         # Report in distance units, consistent with the other families.
         return float(np.linalg.norm(v - self.project(v)))
@@ -471,14 +452,12 @@ def solve_qp(problem: QuadraticProgram,
     was the answer; its x is then read-only.  A problem without sets whose
     KKT system is singular raises UnboundedProblem.
 
-    Infeasibility is declared when the iterate displacement settles on a
-    nonzero direction while residuals stay above 1e3*tol for 500 consecutive
-    iterations.  That is a stall heuristic, not a certificate, and it gives
-    false positives on feasible, ill-conditioned problems: the
-    `highlevel.feasibility_gap` QP of `test_solve_hl_infeasible_reports_gap`
-    is feasible at x = 0 and comes back INFEASIBLE.  Raises DimensionMismatch
-    when `problem.factors` were built for another H, A_eq or constraint
-    layout.
+    Infeasibility is declared when the set iterate z stops moving while the
+    primal residual stays above 1e3*tol_primal for 500 consecutive
+    iterations.  That is still a stall heuristic, not a certificate: a
+    feasible problem on which ADMM crawls can come back INFEASIBLE.  Raises
+    DimensionMismatch when `problem.factors` were built for another H, A_eq
+    or constraint layout.
     """
     d = problem.dim
     cons = problem.constraints
@@ -543,9 +522,9 @@ def solve_qp(problem: QuadraticProgram,
             status = Status.INFEASIBLE
             break
 
-        # Residual balancing; frozen while a stagnation streak is being
-        # measured so the divergence certificate is not perturbed.
-        if it % 25 == 0 and stall_count == 0:
+        # Residual balancing, also during a stall streak: a feasible problem
+        # whose z settles while x still converges needs rho to keep moving.
+        if it % 25 == 0:
             if primal > 10.0 * dual and dual > 0 and rho < 1e8 * rho_init:
                 rho *= 2.0
                 u /= 2.0

@@ -202,21 +202,6 @@ def build_thermal_model(cfg: BuildingConfig) -> InterconnectedModel:
     return assemble(tuple(subs), CouplingMap(tuple(blocks)))
 
 
-def dropped_input_coupling(cfg: BuildingConfig) -> float:
-    """Relative norm of the cross-apartment input blocks the partition drops."""
-    A_cont, B_cont, _, _ = heat_balance(cfg)
-    _, B_d = discretize(A_cont, B_cont, cfg.sample_time)
-    kept = np.zeros_like(B_d)
-    col = 0
-    for ai, apt in enumerate(cfg.apartments):
-        off = cfg.room_offset(ai)
-        m_i = sum(room.heater for room in apt.rooms)
-        kept[off:off + len(apt.rooms), col:col + m_i] = \
-            B_d[off:off + len(apt.rooms), col:col + m_i]
-        col += m_i
-    return float(np.linalg.norm(B_d - kept, 2) / np.linalg.norm(B_d, 2))
-
-
 def building_from_dict(data: dict) -> BuildingConfig:
     return from_json(BuildingConfig, data)
 

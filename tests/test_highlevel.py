@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
+from hiermpc import highlevel
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
 from hiermpc.harness import RunConfig, design_pipeline, run_closed_loop
@@ -167,22 +169,102 @@ def test_solve_hl_respects_constraints():
         assert np.linalg.norm(u) <= design.input_tight.radius + 1e-6
 
 
+FAR = np.array([500.0, 500.0])
+
+
+def tight_design(level: float = 1e-14, input_radius: float = 1e-6) -> HLDesign:
+    """A design with a tube of radius 1e-3, the given terminal level and
+    input radius, and A^N = 2.25e-5 I: no plan starts near FAR."""
+    _, _, _, design = make_design(np.random.default_rng(26))
+    return with_sets(design, BallSet(2, 1e-3), EllipsoidSet(design.P, level),
+                     BallSet(2, input_radius))
+
+
+def gap_oracle(design: HLDesign, x_proj: np.ndarray) -> float:
+    """Distance from x_proj, outside it, to X = {x_0 : A^N x_0 + sum_k S_k u_k
+    in the terminal ellipsoid, ||u_k|| <= input radius}, S_k = A^(N-1-k) B,
+    as the maximum over unit y of y'x_proj - sigma_X(y).  For an invertible
+    A^N, sigma_X(y) = sqrt(level z'P^-1 z) + radius sum_k ||S_k' z|| with
+    z = A^-N' y; on 2 states y is an angle, found on a grid and refined."""
+    slow, N = design.slow, design.horizon
+    z_of = np.linalg.inv(np.linalg.matrix_power(slow.A, N)).T
+    S = [np.linalg.matrix_power(slow.A, N - 1 - k) @ slow.B for k in range(N)]
+    P_inv = np.linalg.inv(design.P)
+
+    def negated(t):
+        y = np.array([np.cos(t), np.sin(t)])
+        z = z_of @ y
+        support = (np.sqrt(design.terminal.level * z @ P_inv @ z)
+                   + design.input_tight.radius
+                   * sum(np.linalg.norm(S_k.T @ z) for S_k in S))
+        return support - y @ x_proj
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 721)
+    t = grid[np.argmin([negated(t) for t in grid])]
+    best = minimize_scalar(negated, bounds=(t - 0.01, t + 0.01), method="bounded",
+                           options={"xatol": 1e-12})
+    return -best.fun
+
+
 def test_solve_hl_infeasible_reports_gap():
-    rng = np.random.default_rng(26)
-    model, red, slow, design = make_design(rng)
-    tight = with_sets(design, BallSet(2, 1e-3), EllipsoidSet(design.P, 1e-14),
-                      BallSet(2, 1e-6))
+    tight = tight_design()
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(tight), np.array([500.0, 500.0]), first_step=True)
-    assert "tube_gap" in err.value.diagnostics
-    assert "tube_gap_status" in err.value.diagnostics
-    assert err.value.diagnostics["tube_gap"] > tight.tube.ball.radius
+        solve_hl(tube_qp(tight), FAR, first_step=True)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["tube_gap_status"] == "optimal"
+    assert diagnostics["tube_gap"] > tight.tube.ball.radius
+    oracle = gap_oracle(tight, FAR)
+    assert abs(diagnostics["tube_gap"] - oracle) <= 1e-6 * oracle
+
+
+def test_solve_hl_reports_no_gap_from_an_unsolved_gap_qp(monkeypatch):
+    # The gap QP (the one solved without factors) stopped after 3
+    # iterations: its status is reported, its last iterate is not.
+    def gap_stops_early(problem, *args):
+        if problem.factors is None:
+            return solve_qp(problem, max_iters=3)
+        return solve_qp(problem, *args)
+
+    monkeypatch.setattr(highlevel, "solve_qp", gap_stops_early)
+    with pytest.raises(InfeasibleHL) as err:
+        solve_hl(tube_qp(tight_design()), FAR, first_step=True)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["status"] == "infeasible"
+    assert diagnostics["tube_gap_status"] == "max_iters"
+    assert "tube_gap" not in diagnostics
+
+
+@pytest.mark.parametrize("level", [1e-14, 1e-6])
+def test_feasibility_gap_without_input_authority(level):
+    # With input radius 0 the admissible x_0 are the ellipsoid
+    # (A^N x_0)'P(A^N x_0) <= level; the nearest point is x(mu) =
+    # (I + mu M)^-1 x_proj, M = A^N'PA^N, with mu found by root finding.
+    design = tight_design(level, 0.0)
+    gap, status = feasibility_gap(tube_qp(design), FAR)
+    A_N = np.linalg.matrix_power(design.slow.A, design.horizon)
+    M = A_N.T @ design.P @ A_N
+
+    def x_of(mu):
+        return np.linalg.solve(np.eye(2) + mu * M, FAR)
+
+    mu = brentq(lambda m: x_of(m) @ M @ x_of(m) - level, 0.0, 1e20, rtol=1e-15)
+    oracle = float(np.linalg.norm(x_of(mu) - FAR))
+    assert status is Status.OPTIMAL
+    assert abs(gap - oracle) <= 1e-6 * oracle
+
+
+def test_feasibility_gap_to_a_single_point():
+    # Level 0 and input radius 0 admit x_0 = 0 alone (A^N is invertible).
+    gap, status = feasibility_gap(tube_qp(tight_design(0.0, 0.0)), FAR)
+    assert status is Status.OPTIMAL
+    assert abs(gap - np.linalg.norm(FAR)) <= 1e-9 * np.linalg.norm(FAR)
 
 
 def test_feasibility_gap_zero_when_feasible():
     rng = np.random.default_rng(27)
     model, red, slow, design = make_design(rng)
-    gap, _ = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
+    gap, status = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
+    assert status is Status.OPTIMAL
     assert gap <= design.tube.ball.radius
 
 

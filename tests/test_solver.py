@@ -177,6 +177,27 @@ def test_qp_ellipsoid_constraint_matches_ball():
     assert np.allclose(res_b.x, res_e.x, atol=1e-6)
 
 
+@pytest.mark.parametrize("cond", [1.0, 1e4])
+@pytest.mark.parametrize("level", [1e-14, 1e-10, 1e-6, 1.0, 1e4])
+def test_ellipsoid_projection_is_exact_at_every_level(level, cond):
+    # The projection y of v onto y'Py <= level solves v - y = mu P y with
+    # mu >= 0 and y on the boundary, to roundoff, however small the level.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        P = Q @ np.diag(np.geomspace(1.0, cond, 4)) @ Q.T
+        ell = EllipsoidConstraint(np.arange(4), P, level)
+        v = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3)
+        if v @ P @ v <= level:
+            continue
+        y = ell.project(v)
+        assert abs(y @ P @ y / level - 1.0) <= 1e-10
+        Py = P @ y
+        mu = float(Py @ (v - y)) / float(Py @ Py)
+        assert mu >= 0.0
+        assert np.linalg.norm(v - y - mu * Py) <= 1e-10 * np.linalg.norm(v)
+
+
 def test_qp_general_ellipsoid_kkt():
     # min 1/2||x||^2 + g'x s.t. x'Px <= 1; KKT solved by oracle root find.
     rng = np.random.default_rng(8)

@@ -22,7 +22,6 @@ from hiermpc.thermal import (
     building_from_dict,
     default_building,
     discretize,
-    dropped_input_coupling,
     equilibrium_temperatures,
     heat_balance,
 )
@@ -95,6 +94,21 @@ def test_apartment_spectra_match_calibration():
         eig = np.sort(np.linalg.eigvals(sub.A).real)
         np.testing.assert_allclose(eig, np.sort(EIGENVALUE_TARGETS[i]),
                                    atol=1e-12)
+
+
+def dropped_input_coupling(cfg: BuildingConfig) -> float:
+    """Relative norm of the cross-apartment input blocks the partition drops."""
+    A_cont, B_cont, _, _ = heat_balance(cfg)
+    _, B_d = discretize(A_cont, B_cont, cfg.sample_time)
+    kept = np.zeros_like(B_d)
+    col = 0
+    for ai, apt in enumerate(cfg.apartments):
+        off = cfg.room_offset(ai)
+        m_i = sum(room.heater for room in apt.rooms)
+        kept[off:off + len(apt.rooms), col:col + m_i] = \
+            B_d[off:off + len(apt.rooms), col:col + m_i]
+        col += m_i
+    return float(np.linalg.norm(B_d - kept, 2) / np.linalg.norm(B_d, 2))
 
 
 def test_dropped_input_coupling_is_negligible():
