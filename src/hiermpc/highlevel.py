@@ -7,7 +7,7 @@ whose first nominal state is a free variable anchored to the projected
 plant state by the invariant-ball constraint.  A tube of radius 0 (no
 coupling, so no disturbance on the reduced model) is a single point: the
 robust MPC is then nominal MPC from the projected state, and each solve
-first tries the optimum with that point pinned by equality rows.
+first tries the exact optimum with that point pinned by equality rows.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
 from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
-                     QuadraticProgram, Status, equality_first, solve_qp)
+                     QuadraticProgram, Status, active_set_step, equality_first,
+                     solve_qp)
 
 
 @dataclass(frozen=True)
@@ -238,12 +239,18 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
              first_step: bool = False) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
-    On a point tube (`qp.pinned` set) the solve first tries the optimum of
-    the QP with x_0 = x_proj as equality rows and no set active
-    (`solver.equality_first`).  If that optimum lies inside the input balls
-    and the terminal ellipsoid it is the optimum of the tube QP, whose tube
-    is that same point, and it is returned with 0 iterations; otherwise the
-    ball-formulation solve below runs as on any other tube.
+    On a point tube (`qp.pinned` set) the solve first tries the exact
+    answers of the QP with x_0 = x_proj as equality rows, whose sets are the
+    input balls and the terminal ellipsoid: the optimum with no set active
+    (`solver.equality_first`, 0 iterations), then the active-set step
+    (`solver.active_set_step`, its Newton steps as iterations).  An optimum
+    that either one certifies is the optimum of the tube QP, whose tube is
+    that same point; if neither certifies, the ball-formulation solve below
+    runs as on any other tube, and ADMM never runs on the pinned QP.
+
+    `iterations` of the solution is 0 when the equality-only optimum
+    decided the tick, the active-set step's Newton steps when it did, and
+    ADMM's iterations otherwise.
 
     Raises InfeasibleHL when the solve does not end OPTIMAL.  When it ends
     INFEASIBLE, and on the first step whatever the status, the diagnostics
@@ -261,7 +268,9 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
         pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq,
                                   np.concatenate([qp.b_dyn, x_proj]),
                                   (qp.inputs, qp.terminal), qp.pinned)
-        res = equality_first(pinned, qp.pinned, tol_primal, tol_dual)
+        res = (equality_first(pinned, qp.pinned, tol_primal, tol_dual)
+               or active_set_step(pinned, qp.pinned, tol_primal, tol_dual,
+                                  max_iters))
     if res is None:
         tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
                               center=x_proj)

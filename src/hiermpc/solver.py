@@ -19,22 +19,30 @@ eigenbasis of P from mu = 0: the left side is concave and increasing in mu,
 so the steps rise monotonically to the root without a bracket, and they stop
 when sqrt(y'Py) is within 1e-12 of sqrt(level), relatively, at any level.
 
-Before ADMM, every solve tries the empty active set (the guess of OSQP's
-solution polishing, tried first instead of last) through `equality_first`:
-one solve on the rho = 0 factors, [[H, A_eq'], [A_eq, 0]], gives the
-optimum of the equality-only problem.  If it is finite, lies inside every
-set (violation exactly 0.0) and meets tol_primal on the equality residual
-and tol_dual on stationarity, the KKT conditions hold with zero set
-multipliers: it is returned as OPTIMAL with 0 iterations and a read-only x.
-Otherwise ADMM runs from x = 0.  `KKTFactors` keeps the last equality-only
-solve with its residuals and objective, keyed on the bytes of g and b_eq,
-so a controller whose g and b_eq stay the same from tick to tick (only a
-set's centre moves) solves that system once and then only checks the sets.
-A problem without sets whose equality-only solve is not finite (a singular
-KKT system) raises UnboundedProblem: there is no other solve to fall back
-on.  A caller that knows an equivalent problem with more equalities (a set
-that is a single point, written as equality rows) can call
-`equality_first` on that problem before `solve_qp`.
+Before ADMM, every solve tries two exact answers on the rho = 0 factors
+[[H, A_eq'], [A_eq, 0]] (the guess and the reduced KKT solve of OSQP's
+solution polishing, Stellato et al., Math. Prog. Comp. 2020, tried first
+instead of last).  `equality_first` tries the empty active set: one solve
+gives the optimum of the equality-only problem.  If it is finite, lies
+inside every set (violation exactly 0.0) and meets tol_primal on the
+equality residual and tol_dual on stationarity, the KKT conditions hold
+with zero set multipliers: it is returned as OPTIMAL with 0 iterations and
+a read-only x.  Otherwise `active_set_step` puts balls and ellipsoids on
+their boundary, one at a time from the most violated, and solves for their
+multipliers by Newton on the secular equations, each step a small dense
+system on the rho = 0 solves against the set coordinates
+(`KKTFactors.set_solves`, one solve per run); it returns OPTIMAL with its
+Newton steps as `iterations` only when the KKT conditions, recomputed from
+x and the multipliers, hold.  Otherwise ADMM runs from x = 0.  `KKTFactors`
+keeps the last equality-only solve with its residuals and objective, keyed
+on the bytes of g and b_eq, so a controller whose g and b_eq stay the same
+from tick to tick (only a set's centre moves) solves that system once and
+then only checks the sets.  A problem without sets whose equality-only
+solve is not finite (a singular KKT system) raises UnboundedProblem: there
+is no other solve to fall back on.  A caller that knows an equivalent
+problem with more equalities (a set that is a single point, written as
+equality rows) can try `equality_first` and `active_set_step` on that
+problem before `solve_qp`.
 Consequences that the controllers rely on:
 
   * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
@@ -58,15 +66,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgesv, dgetrs
 
 from .errors import DimensionMismatch, UnboundedProblem
 
 # ADMM over-relaxation factor.
 _OVER_RELAXATION = 1.6
 # The ellipsoid projection's Newton stop: the relative error of sqrt(y'Py)
-# against sqrt(level).
+# against sqrt(level); also the active-set step's, on every active row.
 _NEWTON_TOL = 1e-12
+# The active-set step's bounds: rounds (each adds a row), Newton steps in
+# all, and step halvings in one line search.
+_STEP_ROUNDS = 16
+_STEP_NEWTON = 50
+_STEP_HALVINGS = 30
 
 
 class Status(enum.Enum):
@@ -261,9 +274,12 @@ class QuadraticProgram:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """`x` is read-only when the equality-only optimum was the answer
-    (`iterations` 0): it is the solve kept by `KKTFactors`, shared by every
-    problem with the same g and b_eq."""
+    """`iterations` of a QP solve is 0 when the equality-only optimum was
+    the answer, and `x` is then read-only: it is the solve kept by
+    `KKTFactors`, shared by every problem with the same g and b_eq.  It is
+    the Newton steps of `active_set_step` when that step certified the
+    answer, and the ADMM iterations otherwise.  An LP solve counts simplex
+    pivots."""
 
     x: np.ndarray
     objective: float
@@ -292,6 +308,13 @@ def _kkt_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return dgetrs(lu, piv, rhs)[0]
 
 
+def _dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a^{-1} b by LAPACK gesv, without `np.linalg.solve`'s checks; None
+    when a is singular."""
+    x, info = dgesv(a, b)[2:]
+    return None if info else x
+
+
 def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
@@ -304,12 +327,13 @@ def _norm(v: np.ndarray) -> float:
 @dataclass(frozen=True)
 class EqualityOnly:
     """The rho = 0 solve of one (g, b_eq), as `KKTFactors` keeps it: the
-    equality-only optimum `x` (read-only), whether the whole solve, x and
-    the equality multipliers, is finite, and, only if it is, the largest
-    equality residual, the largest stationarity residual and the
-    objective."""
+    whole solution `sol` and its first part, the equality-only optimum `x`
+    (both read-only), whether `sol`, x and the equality multipliers, is
+    finite, and, only if it is, the largest equality residual, the largest
+    stationarity residual and the objective."""
 
     key: bytes
+    sol: np.ndarray
     x: np.ndarray
     finite: bool
     eq_res: float = math.nan
@@ -382,19 +406,32 @@ class KKTFactors:
         d = g.shape[0]
         r = 0 if b is None else b.shape[0]
         sol = _kkt_solve(self.factor(0.0), np.concatenate([-g, b]) if r else -g)
+        sol.flags.writeable = False
         x = sol[:d]
-        x.flags.writeable = False
         if not np.isfinite(sol).all():
-            last = EqualityOnly(key, x, False)
+            last = EqualityOnly(key, sol, x, False)
         else:
             eq_res = float(np.abs(problem.A_eq @ x - b).max()) if r else 0.0
             grad = problem.H @ x + g
             if r:
                 grad = grad + problem.A_eq.T @ sol[d:]
-            last = EqualityOnly(key, x, True, eq_res, float(np.abs(grad).max()),
+            last = EqualityOnly(key, sol, x, True, eq_res,
+                                float(np.abs(grad).max()),
                                 0.5 * float(x @ problem.H @ x) + float(g @ x))
         self._equality_only = last
         return last
+
+    @functools.cached_property
+    def set_solves(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, G): Z = K0^{-1} [S'; 0], the rho = 0 solves against the unit
+        vector of every set coordinate (columns in the flat layout `idx`),
+        and G = S Z, its rows at those coordinates.  One solve, on first
+        use."""
+        d, p = self.H.shape[0], self.idx.size
+        rhs = np.zeros((d + (0 if self.A_eq is None else self.A_eq.shape[0]), p))
+        rhs[self.idx, np.arange(p)] = 1.0
+        Z = _kkt_solve(self.factor(0.0), rhs)
+        return Z, Z[self.idx]
 
     @functools.cached_property
     def multiplier_map(self) -> np.ndarray:
@@ -443,14 +480,188 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
                        first.dual_res, 0)
 
 
+def _set_rows(cons, bounds):
+    """The rows of the active-set step: one per ball (a stacked family has
+    one per row) and one per ellipsoid.  Returns the row of each flat set
+    coordinate, each row's size (radius or sqrt(level)), the centres over
+    the flat coordinates and the metric M over them (the identity, with
+    each ellipsoid's shape as its block); None when a set is a box or has
+    size 0."""
+    rowid, sizes = [], []
+    centre = np.zeros(bounds[-1])
+    M = np.eye(bounds[-1])
+    for c, lo, hi in zip(cons, bounds[:-1], bounds[1:]):
+        if isinstance(c, BallConstraint) and c.radius > 0.0:
+            k = 1 if c.indices.ndim == 1 else c.indices.shape[0]
+            if c.center is not None:
+                centre[lo:hi] = c.center.ravel()
+            sizes += [c.radius] * k
+        elif isinstance(c, EllipsoidConstraint) and c.level > 0.0:
+            k = 1
+            M[lo:hi, lo:hi] = c.shape
+            sizes.append(math.sqrt(c.level))
+        else:
+            return None
+        rowid.append(np.repeat(np.arange(len(sizes) - k, len(sizes)),
+                               (hi - lo) // k))
+    return np.concatenate(rowid), np.array(sizes), centre, M
+
+
+def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
+                    tol_primal: float = 1e-8, tol_dual: float = 1e-8,
+                    max_iters: int = 50_000) -> SolveResult | None:
+    """The optimum of `problem` with a set of its balls and ellipsoids on
+    their boundary, if it certifies; for a problem that `equality_first`
+    did not solve.
+
+    The rows are the balls (one per row of a stacked family) and the
+    ellipsoids: y_j = x[S_j] - c_j, of size r_j (radius or sqrt(level)) in
+    the metric M_j (I, or the ellipsoid's shape).  With multipliers mu the
+    KKT system is (H + sum mu_j S_j'M_jS_j) x + A_eq'lam = -g + sum mu_j
+    S_j'M_j c_j, A_eq x = b_eq, and y_j'M_j y_j = r_j^2 on every row with
+    mu_j > 0.  On the cached rho = 0 factors of the rows W in play it is
+    x(mu) = x_eq - Z_W D y with (I + G_W D) y = y_0, D = diag(mu_j M_j), y_0
+    the rows at the equality-only optimum and Z, G from
+    `KKTFactors.set_solves`: a system of |W| multipliers.  Newton on the
+    secular equations psi_j = 1/sqrt(y_j'M_j y_j) - 1/r_j (as in the
+    ellipsoid projection) moves the rows with mu_j > 0 or outside, with at
+    least one step, until each is within the relative 1e-12 of its
+    boundary.  Every step keeps mu >= 0 and raises the concave dual
+    function, 1/2 y_0'D y - 1/2 sum mu_j r_j^2 up to a constant (Armijo
+    along the projection onto mu >= 0, on the dual Newton step where the
+    secular one does not ascend): a row whose multiplier reaches 0 inside
+    its set has left the active set.  W starts with the row the
+    equality-only optimum violates most, and each round that ends with a
+    row outside adds the most violated one, as in the dual active-set method
+    of Goldfarb and Idnani (Math. Prog. 27, 1983).
+
+    The answer is returned only when the KKT conditions, recomputed from
+    x, lam and mu, hold: the equality residual, every set's violation and
+    the relative distance of each row with mu_j > 0 to its boundary within
+    tol_primal, and stationarity within tol_dual.  Its `iterations` are the
+    Newton steps.  None, for ADMM to decide, on a box or a set of size 0, a
+    singular rho = 0 system, more than min(max_iters, 50) Newton steps in
+    all, 16 rounds, a step whose line search fails, or a certificate that
+    does not hold.
+    """
+    cons = problem.constraints
+    first = kkt.equality_only(problem)
+    rows = _set_rows(cons, kkt.bounds) if cons and first.finite else None
+    if rows is None:
+        return None
+    rowid, sizes, centre, M_all = rows
+    d, idx = problem.dim, kkt.idx
+
+    def ratios(x):
+        """sqrt(y_j'M_j y_j) / r_j of every row at x."""
+        y = x[idx] - centre
+        return np.sqrt(np.bincount(rowid, y * (M_all @ y),
+                                   minlength=sizes.size)) / sizes
+
+    ratio = ratios(first.x)
+    if not ratio.max() > 1.0:
+        return None
+    Z, G = kkt.set_solves
+    y0 = first.x[idx] - centre
+    in_play = np.zeros(sizes.size, dtype=bool)
+    in_play[np.argmax(ratio)] = True
+    mu = np.zeros(sizes.size)
+    budget = min(max_iters, _STEP_NEWTON)
+    steps = 0
+    for _ in range(_STEP_ROUNDS):
+        rows_w = np.flatnonzero(in_play)
+        k = rows_w.size
+        w = np.flatnonzero(in_play[rowid])
+        local = (np.cumsum(in_play) - 1)[rowid[w]]
+        r_w = sizes[rows_w]
+        r2 = r_w * r_w
+        M = M_all[np.ix_(w, w)]
+        G_w = G[np.ix_(w, w)]
+        rhs = np.column_stack([y0[w], G_w])
+
+        def dual(m):
+            """T = (I + G_w D)^-1 G_w, M y, y_j'M_j y_j and the dual value
+            at the multipliers m; None if the system is singular."""
+            sol = _dense_solve(np.eye(w.size) + G_w @ (m[local, None] * M), rhs)
+            if sol is None:
+                return None
+            My = M @ sol[:, 0]
+            q = np.bincount(local, sol[:, 0] * My, minlength=k)
+            return sol[:, 1:], My, q, 0.5 * (rhs[:, 0] @ (m[local] * My) - m @ r2)
+
+        m = mu[rows_w]
+        at = dual(m)
+        for it in range(budget - steps + 1):
+            if at is None:
+                return None
+            T, My, q, value = at
+            root = np.sqrt(q)
+            ratio = root / r_w
+            if not np.isfinite(ratio).all():
+                return None
+            free = (m > 0.0) | (ratio > 1.0)
+            if it and np.abs(ratio[free] - 1.0).max(initial=0.0) <= _NEWTON_TOL:
+                break
+            if it == budget - steps:
+                return None
+            Wm = np.zeros((w.size, k))
+            Wm[np.arange(w.size), local] = My
+            hess = Wm[:, free].T @ T @ Wm[:, free]  # minus the dual's Hessian
+            grad = 0.5 * (q - r2)[free]
+            step = _dense_solve(hess / (root[free] ** 3)[:, None],
+                                1.0 / r_w[free] - 1.0 / root[free])
+            if step is None or not grad @ step > 0.0:
+                step = _dense_solve(hess, grad)
+                if step is None:
+                    return None
+            floor = value - 1e-13 * (1.0 + abs(value))  # the value's roundoff
+            for _ in range(_STEP_HALVINGS):
+                trial = m.copy()
+                trial[free] = np.maximum(m[free] + step, 0.0)
+                at = dual(trial)
+                if at is None or at[3] >= floor + 1e-4 * (grad @ (trial - m)[free]):
+                    break
+                step = 0.5 * step
+            else:
+                return None
+            m = trial
+        steps += it
+        mu[rows_w] = m
+        full = first.sol - Z[:, w] @ (m[local] * My)
+        x = full[:d]
+        ratio = ratios(x)
+        outside = np.where(in_play, 0.0, ratio)
+        if outside.max() > 1.0:
+            in_play[np.argmax(outside)] = True
+            continue
+        # The certificate, from x, lam and mu alone.
+        y = x[idx[w]] - centre[w]
+        grad = problem.H @ x + problem.g + np.bincount(
+            idx[w], weights=m[local] * (M @ y), minlength=d)
+        eq_res = 0.0
+        if problem.A_eq is not None:
+            grad = grad + problem.A_eq.T @ full[d:]
+            eq_res = float(np.abs(problem.A_eq @ x - problem.b_eq).max())
+        primal = max(eq_res, max(c.violation(x[c.indices]) for c in cons))
+        dual_res = float(np.abs(grad).max())
+        gap = float(np.abs(ratio[mu > 0.0] - 1.0).max(initial=0.0))
+        if primal <= tol_primal and dual_res <= tol_dual and gap <= tol_primal:
+            obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
+            return SolveResult(x, obj, Status.OPTIMAL, primal, dual_res, steps)
+        return None
+    return None
+
+
 def solve_qp(problem: QuadraticProgram,
              tol_primal: float = 1e-8,
              tol_dual: float = 1e-8,
              max_iters: int = 50_000) -> SolveResult:
-    """`equality_first`, then ADMM; see module docstring for the splitting
-    and its guarantees.  `iterations` is 0 when the equality-only optimum
-    was the answer; its x is then read-only.  A problem without sets whose
-    KKT system is singular raises UnboundedProblem.
+    """`equality_first`, then `active_set_step`, then ADMM; see module
+    docstring for the splitting and its guarantees.  `iterations` is 0 when
+    the equality-only optimum was the answer (its x is then read-only), the
+    step's Newton steps when the step certified it, else ADMM's iterations.
+    A problem without sets whose KKT system is singular raises
+    UnboundedProblem.
 
     Infeasibility is declared when the set iterate z stops moving while the
     primal residual stays above 1e3*tol_primal for 500 consecutive
@@ -464,7 +675,8 @@ def solve_qp(problem: QuadraticProgram,
     kkt = problem.factors
     if kkt is None:
         kkt = KKTFactors(problem.H, problem.A_eq, [c.indices for c in cons])
-    first = equality_first(problem, kkt, tol_primal, tol_dual)
+    first = (equality_first(problem, kkt, tol_primal, tol_dual)
+             or active_set_step(problem, kkt, tol_primal, tol_dual, max_iters))
     if first is not None:
         return first
     r = 0 if problem.A_eq is None else problem.A_eq.shape[0]

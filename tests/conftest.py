@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from hiermpc import solver
@@ -12,3 +15,48 @@ def kkt_solves(monkeypatch):
     monkeypatch.setattr(solver, "_kkt_solve", lambda factor, rhs:
                         factors.append(factor) or kkt_solve(factor, rhs))
     return factors
+
+
+def _kkt_certificate(problem, x, tol):
+    """Re-derive a KKT certificate of `x` for `problem` from x alone: every
+    set holds to `tol`; the rows on their boundary (relative 1e-9) are the
+    active ones; least squares over A_eq' and the active rows' normals
+    S_j'M_j y_j gives explicit multipliers (lam, mu), whose stationarity
+    residual must be <= tol, with mu >= -tol; the equality residual must be
+    <= tol.  The inactive rows carry no multiplier, so complementarity holds
+    by construction.  Returns mu, one per active row."""
+    d = x.shape[0]
+    normals = []
+    for c in problem.constraints:
+        if isinstance(c, solver.EllipsoidConstraint):
+            y = x[c.indices]
+            rows = [(c.indices, c.shape @ y, math.sqrt(y @ c.shape @ y),
+                     math.sqrt(c.level))]
+        else:
+            idx = np.atleast_2d(c.indices)
+            centre = (np.zeros(idx.shape) if c.center is None
+                      else np.atleast_2d(c.center))
+            rows = [(i, x[i] - ctr, float(np.linalg.norm(x[i] - ctr)), c.radius)
+                    for i, ctr in zip(idx, centre)]
+        for ind, My, size, bound in rows:
+            assert size <= bound + tol, (size, bound)
+            if abs(size - bound) <= 1e-9 * bound:
+                col = np.zeros(d)
+                col[ind] = My
+                normals.append(col)
+    cols = [] if problem.A_eq is None else [problem.A_eq.T]
+    if problem.A_eq is not None:
+        assert np.max(np.abs(problem.A_eq @ x - problem.b_eq)) <= tol
+    basis = np.column_stack(cols + normals) if cols or normals else np.zeros((d, 0))
+    grad = problem.H @ x + problem.g
+    z = np.linalg.lstsq(basis, -grad, rcond=None)[0]
+    assert np.max(np.abs(basis @ z + grad)) <= tol
+    mu = z[basis.shape[1] - len(normals):]
+    assert np.all(mu >= -tol), mu
+    return mu
+
+
+@pytest.fixture
+def kkt_certificate():
+    """`_kkt_certificate`: the checker of an optimum's KKT conditions."""
+    return _kkt_certificate

@@ -190,7 +190,9 @@ def test_ball_formulation_solves_its_equality_only_system_once(
         model, bundle, short_cfg, monkeypatch, kkt_solves):
     # Over the 100 ticks of the default run the slow layer's g and b_eq
     # stay zero: its rho = 0 system is solved on the first tick that tries
-    # it, and every later tick only checks the sets.
+    # it, and every later tick only checks the sets.  The rho = 0 factors
+    # are used once more, for the set columns Z of the active-set step,
+    # built on the first tick that runs it and kept.
     qps = []
     monkeypatch.setattr(harness, "tube_qp",
                         lambda design: qps.append(tube_qp(design)) or qps[-1])
@@ -199,7 +201,7 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     (qp,) = qps
     iterations = arc.slow[:, arc.slow_cols.index("iterations")]
     assert np.sum(iterations == 0) >= 90
-    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 1
+    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 2
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
@@ -453,14 +455,14 @@ def test_design_constants_match_the_pinned_files(name):
 
 
 # Slow steps of the pinned traces: the first tick that takes the
-# equality-only optimum follows the ticks that run ADMM.
+# equality-only optimum follows the ticks that take the active-set step.
 PINNED_STEPS = {"coupled_n20": 5, "decoupled_n20": 3, "chain4_n40": 2}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STEPS))
 def test_short_traces_match_the_pinned_files(name, tmp_path):
-    """The first slow steps of each workload's run, from its ADMM ticks to
-    its first equality-only tick, match `fast.csv` and `slow.csv` pinned
+    """The first slow steps of each workload's run, from its active-set
+    ticks to its first equality-only tick, match `fast.csv` and `slow.csv` pinned
     under tests/data to 1e-9, and pass `verify_archive`."""
     cfg, building = _pinned_workload(name)
     cfg = dataclasses.replace(cfg, n_slow_steps=PINNED_STEPS[name])

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
 from hiermpc.solver import (BallConstraint, QuadraticProgram, Status,
-                            equality_first, solve_qp)
+                            active_set_step, equality_first, solve_qp)
 from hiermpc.thermal import build_thermal_model, default_building
 
 
@@ -207,10 +208,21 @@ def gap_oracle(design: HLDesign, x_proj: np.ndarray) -> float:
 
 
 def test_solve_hl_infeasible_reports_gap():
+    # The tube QP has no feasible point: the active-set step does not
+    # certify, and ADMM, which it falls back to, names the status.
     tight = tight_design()
+    qp = tube_qp(tight)
+    tube = BallConstraint(qp.factors.layout[0], tight.tube.ball.radius,
+                          center=FAR)
+    assert active_set_step(QuadraticProgram(
+        qp.H, qp.g, qp.A_eq, qp.b_dyn, (tube, qp.inputs, qp.terminal),
+        qp.factors), qp.factors) is None
+    start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(tight), FAR, first_step=True)
+        solve_hl(qp, FAR, first_step=True)
+    assert time.perf_counter() - start < 1.0
     diagnostics = err.value.diagnostics
+    assert diagnostics["status"] == "infeasible"
     assert diagnostics["tube_gap_status"] == "optimal"
     assert diagnostics["tube_gap"] > tight.tube.ball.radius
     oracle = gap_oracle(tight, FAR)
@@ -320,23 +332,59 @@ def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled):
     assert abs(sol.objective - ref.objective) <= 1e-7 * max(1.0, abs(ref.objective))
 
 
-def test_point_tube_binding_input_falls_back_to_the_ball_path(decoupled):
-    # A far start saturates the input balls: the pinned optimum is outside
-    # them, so the ball formulation is solved exactly as without the guess.
+def pinned_problem(qp, x_proj):
+    """The slow QP of a point tube with x_0 = x_proj as equality rows."""
+    return QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.pinned.A_eq,
+                            np.concatenate([np.zeros(qp.A_eq.shape[0]), x_proj]),
+                            (qp.inputs, qp.terminal), qp.pinned)
+
+
+def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
+                                                       kkt_certificate):
+    # A far start saturates input balls: the pinned optimum is outside them,
+    # and the active-set step on the pinned QP, not ADMM, finds the optimum,
+    # with a certificate that holds.  It is the ball path's optimum.
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
     n, N = qp.design.slow.n_states, qp.design.horizon
-    pinned = QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.pinned.A_eq,
-                              np.concatenate([np.zeros(qp.A_eq.shape[0]), x_proj]),
-                              (qp.inputs, qp.terminal), qp.pinned)
+    pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
+    step = active_set_step(pinned, qp.pinned)
+    assert step is not None and step.iterations > 0
+    kkt_certificate(pinned, step.x, 1e-8)
     sol = solve_hl(qp, x_proj)
+    assert sol.iterations == step.iterations
+    assert np.max(np.abs(sol.x_nominal - x_proj)) <= 1e-12
+    assert np.array_equal(sol.u_nominal_seq.ravel(), step.x[n * (N + 1):])
     ref = ball_path(qp, x_proj)
-    assert sol.iterations == ref.iterations > 0
-    assert np.array_equal(sol.x_nominal, ref.x[:n])
-    assert np.array_equal(sol.u_nominal_seq.ravel(), ref.x[n * (N + 1):])
-    assert sol.objective == ref.objective
+    assert ref.status is Status.OPTIMAL and ref.iterations > 0
+    assert np.max(np.abs(sol.x_nominal - ref.x[:n])) <= 1e-7
+    assert np.max(np.abs(sol.u_nominal_seq.ravel() - ref.x[n * (N + 1):])) <= 1e-7
+    assert abs(sol.objective - ref.objective) <= 1e-7 * abs(ref.objective)
+
+
+def test_point_tube_binding_input_falls_back_to_the_ball_path(decoupled):
+    # A start no plan can steer into the terminal set: the pinned QP is
+    # infeasible, the step does not certify, and the ball formulation is
+    # solved exactly as without the pinned guess, never ADMM on the pinned
+    # QP.  Its status and residuals are the error's diagnostics.
+    _, _, bundle = decoupled
+    qp = tube_qp(bundle.hl)
+    x_proj = 500.0 * np.ones(qp.design.slow.n_states)
+    pinned = pinned_problem(qp, x_proj)
+    assert equality_first(pinned, qp.pinned) is None
+    assert active_set_step(pinned, qp.pinned) is None
+    with pytest.raises(InfeasibleHL) as err:
+        solve_hl(qp, x_proj)
+    diagnostics = err.value.diagnostics
+    ref = ball_path(qp, x_proj)
+    assert diagnostics["status"] == ref.status.value == "infeasible"
+    assert diagnostics["iterations"] == ref.iterations
+    assert diagnostics["primal_residual"] == ref.primal_residual
+    assert diagnostics["dual_residual"] == ref.dual_residual
+    assert diagnostics["tube_gap_status"] == "optimal"
+    assert diagnostics["tube_gap"] > 0.0
 
 
 def test_tube_qp_pins_only_a_point_tube(decoupled):
@@ -353,7 +401,10 @@ def test_tube_qp_pins_only_a_point_tube(decoupled):
                                                    qp.terminal.indices.shape]
 
 
-def test_decoupled_run_leaves_admm_after_two_ticks(decoupled):
+def test_decoupled_run_takes_the_pinned_step_on_two_ticks(decoupled):
+    # Input balls bind on the first two ticks, which the active-set step on
+    # the pinned QP solves; the later ticks take the pinned equality-only
+    # optimum.  Every tick pins x_0 to the projected state.
     model, cfg, bundle = decoupled
     arc = run_closed_loop(model, dataclasses.replace(cfg, n_slow_steps=8),
                           bundle)
@@ -361,14 +412,14 @@ def test_decoupled_run_leaves_admm_after_two_ticks(decoupled):
     assert np.all(iterations[:2] > 0)
     assert np.all(iterations[2:] == 0)
     tube_err = arc.slow[:, arc.slow_cols.index("tube_error")]
-    assert np.max(tube_err[2:]) <= 1e-12
+    assert np.max(tube_err) <= 1e-12
 
 
-def test_kept_solve_with_a_moved_tube_runs_admm_as_fresh_factors(kkt_solves):
+def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     # The ball formulation's g and b_eq are zero on every tick: its
     # equality-only optimum (x = 0) is solved once and kept.  A tick whose
-    # tube centre is out of its reach falls back to ADMM, which runs as it
-    # does on a TubeQP that never kept anything.
+    # tube centre is out of its reach takes the active-set step, which runs
+    # from the kept solve as it does on a TubeQP that never kept anything.
     _, _, _, design = make_design(np.random.default_rng(31))
     qp = tube_qp(design)
     r, n = design.tube.ball.radius, design.slow.n_states
@@ -377,7 +428,9 @@ def test_kept_solve_with_a_moved_tube_runs_admm_as_fresh_factors(kkt_solves):
         assert near.iterations == 0 and not near.x_nominal.any()
     x_far = np.full(n, 1.0)
     sol = solve_hl(qp, x_far)
-    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 1
+    # Two uses of the rho = 0 factors: the kept equality-only solve, and
+    # the set columns Z that the step builds on its first run.
+    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 2
     ref = solve_hl(tube_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
     for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):

@@ -119,8 +119,9 @@ def test_solve_ll_infeasible_when_target_too_far():
 
 
 def test_solve_ll_names_the_iteration_limit():
-    # A binding budget needs ADMM; stopped after 3 iterations the QP is not
-    # solved, and the error says so instead of calling the target unreachable.
+    # A binding budget needs more than 3 Newton steps of the active-set
+    # step, so ADMM runs; stopped after 3 iterations the QP is not solved,
+    # and the error says so instead of calling the target unreachable.
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
     with pytest.raises(InfeasibleLL) as err:

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from hiermpc import solver
 from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
                             KKTFactors, QuadraticProgram, Status,
-                            equality_first, solve_lp, solve_qp)
+                            active_set_step, equality_first, solve_lp, solve_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +366,9 @@ def ll_shaped_instance(seed):
 
 
 def test_factor_cache_reuse_is_bitwise_identical(monkeypatch):
+    # The cache is ADMM's, one factorization per penalty: the active-set
+    # step, which solves these instances first, is switched off.
+    monkeypatch.setattr(solver, "active_set_step", lambda *args: None)
     H, A_eq, ball, rhs = ll_shaped_instance(0)
     shared = KKTFactors(H, A_eq, (ball.indices,))
     lu_factor = scipy.linalg.lu_factor
@@ -439,17 +443,21 @@ def test_equality_first_when_no_budget_binds(seed, which, slack):
     assert res.primal_residual <= 1e-8 and res.dual_residual <= 1e-8
 
 
-def test_equality_first_hair_outside_a_ball_runs_admm():
+def test_equality_first_hair_outside_a_ball_takes_the_active_set_step():
     # The unconstrained optimum (4, 0, -2, 2) lies 4e-12 outside the first
-    # ball, far inside tol_primal: it is not feasible, so ADMM decides.
+    # ball, far inside tol_primal: it is not feasible, so the active-set
+    # step decides, with at least one Newton step.
     H = np.diag([1.0, 2.0, 1.0, 0.5])
     g = np.array([-4.0, 0.0, 2.0, -1.0])
     b1 = BallConstraint(np.array([0, 1]), 4.0 * (1.0 - 1e-12))
     b2 = BallConstraint(np.array([2, 3]), 10.0)
     assert b1.violation(-g[:2] / np.diag(H)[:2]) > 0.0
-    res = solve_qp(QuadraticProgram(H, g, constraints=[b1, b2]))
+    prob = QuadraticProgram(H, g, constraints=[b1, b2])
+    res = solve_qp(prob)
     assert res.status is Status.OPTIMAL
     assert res.iterations > 0
+    assert_same_result(res, active_set_step(prob, KKTFactors(
+        H, None, (b1.indices, b2.indices))))
     assert_projected_kkt(H, g, res.x, (b1, b2))
 
 
@@ -573,6 +581,142 @@ def test_equality_first_hit_outside_a_moved_set_returns_none(kkt_solves):
     assert equality_first(QuadraticProgram(H, g, A_eq, b_eq, (far,), kkt),
                           kkt) is None
     assert len(kkt_solves) == 1
+
+
+# ---------------------------------------------------------------------------
+# The active-set step
+
+
+def admm_only(problem, monkeypatch, **kwargs):
+    """`solve_qp` with the active-set step switched off: what ADMM gives."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "active_set_step", lambda *args: None)
+        return solve_qp(problem, **kwargs)
+
+
+def random_step_qp(seed, family):
+    """A random strictly convex QP, with 0-2 equality rows, whose sets are
+    `family`: one ball and a second on other coordinates ("balls"), a
+    (k, s) stacked family ("stacked"), or an ellipsoid and a ball
+    ("ellipsoid").  A point 0.3 N(0, 1) lies strictly inside every set and
+    meets the equalities; the linear cost pulls the optimum out of them."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(5, 9))
+    M = rng.normal(size=(d, d))
+    H = M @ M.T + 0.5 * np.eye(d)
+    g = 4.0 * rng.normal(size=d)
+    x_feas = 0.3 * rng.normal(size=d)
+    r = int(rng.integers(0, 3))
+    A_eq = rng.normal(size=(r, d)) if r else None
+    b_eq = A_eq @ x_feas if r else None
+    perm = rng.permutation(d)
+
+    def ball(idx, centred):
+        centre = 0.2 * rng.normal(size=idx.shape) if centred else None
+        shift = x_feas[idx] - (0.0 if centre is None else centre)
+        radius = float(np.max(np.linalg.norm(np.atleast_2d(shift), axis=1)))
+        return BallConstraint(idx, radius + rng.uniform(0.05, 0.5), centre)
+
+    if family == "balls":
+        sets = (ball(np.sort(perm[:3]), True), ball(np.sort(perm[3:5]), False))
+    elif family == "stacked":
+        s = int(rng.integers(1, 3))
+        sets = (ball(perm[:2 * s].reshape(2, s) if d < 6 else
+                     perm[:(d // s) * s].reshape(-1, s), rng.uniform() < 0.5),)
+    else:
+        L = rng.normal(size=(3, 3))
+        P = L @ L.T + 0.3 * np.eye(3)
+        idx = np.sort(perm[:3])
+        level = float(x_feas[idx] @ P @ x_feas[idx]) * rng.uniform(1.2, 3.0)
+        sets = (EllipsoidConstraint(idx, P, level), ball(np.sort(perm[3:5]), True))
+    kkt = KKTFactors(H, A_eq, [c.indices for c in sets])
+    return QuadraticProgram(H, g, A_eq, b_eq, sets, kkt)
+
+
+@pytest.mark.parametrize("family", ["balls", "stacked", "ellipsoid"])
+def test_active_set_step_matches_admm_and_certifies(family, monkeypatch,
+                                                    kkt_certificate):
+    # On every seed whose sets bind, the step certifies its optimum, its
+    # certificate holds when re-derived from x alone, and ADMM run to 1e-10
+    # agrees; `solve_qp` returns the step's result.
+    binding = 0
+    for seed in range(25):
+        prob = random_step_qp(seed, family)
+        if equality_first(prob, prob.factors) is not None:
+            continue
+        binding += 1
+        res = active_set_step(prob, prob.factors)
+        assert res is not None and res.status is Status.OPTIMAL, seed
+        assert 0 < res.iterations <= 50
+        assert res.primal_residual <= 1e-8 and res.dual_residual <= 1e-8
+        kkt_certificate(prob, res.x, 1e-8)
+        ref = admm_only(prob, monkeypatch, tol_primal=1e-10, tol_dual=1e-10)
+        assert ref.status is Status.OPTIMAL, seed
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-6, seed
+        assert abs(res.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
+        assert_same_result(solve_qp(prob), res)
+    assert binding >= 20
+
+
+def two_balls(x_star, coupling, radii=(1.0, 1.0)):
+    """min 1/2 (x - x_star)'H(x - x_star), H = [[1, c], [c, 1]], with the
+    balls |x_0| <= radii[0] and |x_1| <= radii[1]."""
+    H = np.array([[1.0, coupling], [coupling, 1.0]])
+    sets = tuple(BallConstraint(np.array([i]), r) for i, r in enumerate(radii))
+    kkt = KKTFactors(H, None, [c.indices for c in sets])
+    return QuadraticProgram(H, -H @ np.asarray(x_star), constraints=sets,
+                            factors=kkt)
+
+
+def test_active_set_step_adds_a_set(kkt_certificate):
+    # The optimum (3, 0.5) leaves only |x_0| <= 1; with x_0 on its bound
+    # the coupling pushes x_1 to -1.3, so the second ball joins.
+    prob = two_balls([3.0, 0.5], -0.9)
+    res = active_set_step(prob, prob.factors)
+    assert res is not None
+    assert np.allclose(np.abs(res.x), 1.0, rtol=0, atol=1e-12)
+    assert kkt_certificate(prob, res.x, 1e-10).size == 2
+
+
+def test_active_set_step_drops_a_set(kkt_certificate):
+    # The optimum (2, -3.5) leaves |x_0| <= 1 most (ratio 2, against 1.75
+    # for |x_1| <= 2), so the first ball enters first; with x_0 = 1, x_1
+    # falls to -2.6 and the second joins; on both bounds the first one's
+    # multiplier would be -0.35, so it leaves: x = (0.65, -2), the first
+    # ball strictly inside.
+    prob = two_balls([2.0, -3.5], 0.9, (1.0, 2.0))
+    res = active_set_step(prob, prob.factors)
+    assert res is not None
+    assert np.allclose(res.x, [0.65, -2.0], rtol=0, atol=1e-12)
+    assert kkt_certificate(prob, res.x, 1e-10).size == 1
+
+
+@pytest.mark.parametrize("case", ["zero_radius", "singular", "max_iters"])
+def test_active_set_step_falls_back_to_admm(case, monkeypatch):
+    # A ball of radius 0, a singular rho = 0 system and a Newton budget too
+    # small for the step: it returns None, and `solve_qp` runs ADMM exactly
+    # as without the step.
+    max_iters = 50_000
+    if case == "zero_radius":
+        prob = QuadraticProgram(np.eye(2), np.array([-1.0, -1.0]),
+                                constraints=[BallConstraint(np.array([0]), 0.0)])
+    elif case == "singular":
+        prob = QuadraticProgram(np.zeros((2, 2)), np.array([-1.0, -1.0]),
+                                constraints=[BallConstraint(np.arange(2), 1.0)])
+    else:
+        prob = two_balls([3.0, 0.5], -0.9)
+        assert active_set_step(prob, prob.factors).iterations > 3
+        max_iters = 3
+    kkt = prob.factors or KKTFactors(prob.H, prob.A_eq,
+                                     [c.indices for c in prob.constraints])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        assert active_set_step(prob, kkt, max_iters=max_iters) is None
+    res = solve_qp(prob, max_iters=max_iters)
+    assert_same_result(res, admm_only(prob, monkeypatch, max_iters=max_iters))
+    assert res.iterations > 0
+    if case == "max_iters":
+        assert res.status is Status.MAX_ITERS and res.iterations == 3
 
 
 # ---------------------------------------------------------------------------
