@@ -62,13 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gamma1", type=float, help="correction-radius weight")
     p.add_argument("--gamma2", type=float, help="held-radius weight")
-    p.add_argument("--u-bar-floor", type=float, dest="u_bar_floor",
-                   help="reserved held-input radius")
     p.set_defaults(handler=_cmd_tune)
 
     p = sub.add_parser("simulate", help="closed-loop run, writes a trace archive")
     common(p)
-    p.add_argument("--steps", type=int, help="override the slow-step count")
     p.add_argument("--out", help="output directory")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -118,7 +115,7 @@ def _print_rows(rows):
         print(f"{name:<{name_w}}  {value:>{val_w}}  {threshold:<{thr_w}}  {verdict}")
 
 
-def _report_rows(report, x0_norm=None):
+def _report_rows(report, x0_norm):
     g = lambda v: f"{v:.6g}"
     rows = [
         ("open-loop contraction |A^N|", g(report.al_power_norm), "< 1",
@@ -139,9 +136,8 @@ def _report_rows(report, x0_norm=None):
          report.clauses["budget_inclusion"] else "violated", "per subsystem",
          report.clauses["budget_inclusion"]),
         ("feasible-start radius min lambda",
-         g(float(np.min(report.lambda_margins))),
-         "-" if x0_norm is None else f">= |x0| = {x0_norm:.6g}",
-         None if x0_norm is None else report.x0_bound_ok),
+         g(float(np.min(report.lambda_margins))), f">= |x0| = {x0_norm:.6g}",
+         report.x0_bound_ok),
         ("slow disturbance radius rho_w", g(report.rho_w), "(constant)", None),
         ("state increment radius rho_x", g(report.rho_x), "(constant)", None),
         ("projection defect norm", g(report.defect_norm), "(constant)", None),
@@ -207,7 +203,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_tune(args) -> int:
     cfg, _, model = _load_setup(args)
     cfg = dataclasses.replace(cfg, **{
-        name: getattr(args, name) for name in ("gamma1", "gamma2", "u_bar_floor")
+        name: getattr(args, name) for name in ("gamma1", "gamma2")
         if getattr(args, name) is not None})
     _, ll_gain, report = certify(model, cfg)
     alloc = report.radii
@@ -233,10 +229,6 @@ def _cmd_tune(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg, _, model = _load_setup(args)
-    if args.steps is not None:
-        if args.steps < 1:
-            raise _UsageError("--steps must be positive")
-        cfg = dataclasses.replace(cfg, n_slow_steps=args.steps)
     bundle = design_pipeline(model, cfg)
     archive = run_closed_loop(model, cfg, bundle)
     out = write_archive(archive, bundle, _out_dir(args))

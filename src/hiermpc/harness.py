@@ -63,19 +63,14 @@ class RunConfig:
     gamma2: float = 1.0
     u_bar_floor: float = 1.0
     x0: tuple[float, ...] = (-2.0,) * 10
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-    max_iters: int = 200_000
-    rpi_tol: float = 1e-6
     decoupled: bool = False
 
     def __post_init__(self):
-        for name in ("period", "horizon", "n_slow_steps", "max_iters"):
+        for name in ("period", "horizon", "n_slow_steps"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer, got {value!r}")
-        for name in ("q_slow", "r_slow", "q_fast", "r_fast", "tol_primal",
-                     "tol_dual", "rpi_tol"):
+        for name in ("q_slow", "r_slow", "q_fast", "r_fast"):
             value = float(getattr(self, name))
             if not 0 < value < math.inf:
                 raise ConfigInvalid(f"{name} must be finite and > 0, got {value!r}")
@@ -189,7 +184,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     gain = _stage("slow_gain",
                   lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
     w_ball = _stage("disturbance_set", lambda: BallSet(n_red, report.rho_w))
-    tube = _stage("tube", lambda: rpi_outer(gain.F_red, w_ball, cfg.rpi_tol))
+    tube = _stage("tube", lambda: rpi_outer(gain.F_red, w_ball))
     P = _stage("terminal_cost",
                lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
 
@@ -319,8 +314,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
         try:
-            sol = solve_hl(hl_qp, x_proj, cfg.tol_primal, cfg.tol_dual,
-                           cfg.max_iters, first_step=(k == 0))
+            sol = solve_hl(hl_qp, x_proj, first_step=(k == 0))
         except InfeasibleHL as exc:
             exc.diagnostics["slow_step"] = k
             raise
@@ -333,9 +327,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         duhat = fast["duhat"][rows]
         for i in range(M):
             try:
-                plan = solve_ll(ll_qps[i], x_bar_pred[red_slices[i]],
-                                xhat[N], cfg.tol_primal, cfg.tol_dual,
-                                cfg.max_iters)
+                plan = solve_ll(ll_qps[i], x_bar_pred[red_slices[i]], xhat[N])
             except InfeasibleLL as exc:
                 exc.diagnostics["slow_step"] = k
                 raise

@@ -112,10 +112,11 @@ def terminal_cost(F: np.ndarray, K: np.ndarray, Q: np.ndarray,
 class HLDesign:
     """The slow layer: a robust tube MPC designed on the reduced model.
 
-    It owns every slow-layer design quantity, each stored once: the lifted
-    reduced model, the tube feedback gain, the invariant tube (its ball is
-    the tube cross-section), the terminal cost and set, the tightened input
-    ball, the stage weights and the horizon.
+    It owns every slow-layer design quantity: the lifted reduced model, the
+    tube feedback gain, the invariant tube (its ball is the tube
+    cross-section), the terminal cost and set, the tightened input ball, the
+    stage weights and the horizon.  The terminal cost `P` is also the
+    terminal set's shape, and the gain's `F_red` is `slow.A + slow.B @ K`.
     """
 
     slow: SlowModel
@@ -234,8 +235,6 @@ def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
 
 
 def solve_hl(qp: TubeQP, x_proj: np.ndarray,
-             tol_primal: float = 1e-8, tol_dual: float = 1e-8,
-             max_iters: int = 50_000,
              first_step: bool = False) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
@@ -268,15 +267,14 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
         pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq,
                                   np.concatenate([qp.b_dyn, x_proj]),
                                   (qp.inputs, qp.terminal), qp.pinned)
-        res = (equality_first(pinned, qp.pinned, tol_primal, tol_dual)
-               or active_set_step(pinned, qp.pinned, tol_primal, tol_dual,
-                                  max_iters))
+        res = (equality_first(pinned, qp.pinned)
+               or active_set_step(pinned, qp.pinned))
     if res is None:
         tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
                               center=x_proj)
         prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
                                 (tube, qp.inputs, qp.terminal), qp.factors)
-        res = solve_qp(prob, tol_primal, tol_dual, max_iters)
+        res = solve_qp(prob)
     if res.status is not Status.OPTIMAL:
         diagnostics = {
             "status": res.status.value,

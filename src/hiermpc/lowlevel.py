@@ -113,10 +113,8 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks) -> LLGain:
 
 @dataclass(frozen=True)
 class DeltaPlan:
-    subsystem: int
     u_steps: np.ndarray        # (period, m_i) planned corrections
     states: np.ndarray         # (period+1, n_i) planned deviations, start 0
-    terminal_residual: float
     iterations: int
 
 
@@ -176,9 +174,7 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
-             aux_terminal: np.ndarray,
-             tol_primal: float = 1e-8, tol_dual: float = 1e-8,
-             max_iters: int = 50_000) -> DeltaPlan:
+             aux_terminal: np.ndarray) -> DeltaPlan:
     """Correction plan for subsystem `qp.subsystem` over one slow period.
 
     Decision: the per-step correction sequence; the planned deviation starts
@@ -187,19 +183,17 @@ def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
     auxiliary terminal is the full state), and each step stays inside the
     budget ball.
     """
-    i = qp.subsystem
     aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
     rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
     prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs,
                             (qp.budget,), qp.factors)
-    res = solve_qp(prob, tol_primal, tol_dual, max_iters)
+    res = solve_qp(prob)
     if res.status is not Status.OPTIMAL:
         raise _infeasible(qp, rhs, res)
     u_steps = res.x.reshape(qp.budget.indices.shape)
     states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
     states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
-    terminal_residual = float(np.abs(qp.beta @ states[-1] - rhs).max())
-    return DeltaPlan(i, u_steps, states, terminal_residual, res.iterations)
+    return DeltaPlan(u_steps, states, res.iterations)
 
 
 def _infeasible(qp: CorrectionQP, rhs: np.ndarray,

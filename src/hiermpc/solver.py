@@ -80,6 +80,9 @@ _NEWTON_TOL = 1e-12
 _STEP_ROUNDS = 16
 _STEP_NEWTON = 50
 _STEP_HALVINGS = 30
+# The simplex's zero: pivot entries, reduced costs and ratio ties within it
+# count as zero.
+_SIMPLEX_TOL = 1e-11
 
 
 class Status(enum.Enum):
@@ -766,7 +769,7 @@ def solve_qp(problem: QuadraticProgram,
 
 
 def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
-                     b_ub: np.ndarray, tol: float = 1e-11):
+                     b_ub: np.ndarray):
     """Lexicographic min of objectives[0]'y, then objectives[1]'y, ...
     s.t. A_ub y <= b_ub, y >= 0; two-phase, Bland's rule.
 
@@ -774,7 +777,8 @@ def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
     previous optimal basis.  At an optimal basis every feasible y has
     c'y = z* + sum_j r_j y_j with reduced costs r >= 0, so the optimal face
     is {y feasible : y_j = 0 wherever r_j > 0}: after each objective the
-    columns with r_j > tol are blocked, and later objectives stay on it.
+    columns with r_j > _SIMPLEX_TOL are blocked, and later objectives stay
+    on it.
 
     Returns (y, duals, pivots): the duals are the first objective's slack
     reduced costs, and y is None for an infeasible program.  Raises
@@ -829,19 +833,19 @@ def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
         while True:
             reduced = cost - cost[basis] @ T
             # Bland: the smallest index with a negative reduced cost.
-            candidates = np.flatnonzero((reduced < -tol) & ~blocked)
+            candidates = np.flatnonzero((reduced < -_SIMPLEX_TOL) & ~blocked)
             if not candidates.size:
                 return reduced
             entering = candidates[0]
-            pos = np.flatnonzero(T[:, entering] > tol)
+            pos = np.flatnonzero(T[:, entering] > _SIMPLEX_TOL)
             if not pos.size:
                 raise UnboundedProblem("objective unbounded below on the feasible set")
             row = -1
             best = np.inf
             for i, ratio in zip(pos.tolist(),
                                 (rhs[pos] / T[pos, entering]).tolist()):
-                if (ratio < best - tol
-                        or (abs(ratio - best) <= tol
+                if (ratio < best - _SIMPLEX_TOL
+                        or (abs(ratio - best) <= _SIMPLEX_TOL
                             and (row < 0 or basis[i] < basis[row]))):
                     best = ratio
                     row = i
@@ -858,7 +862,7 @@ def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
         for i in range(m):
             if basis[i] in art_cols:
                 for j in range(n + m):
-                    if abs(T[i, j]) > tol:
+                    if abs(T[i, j]) > _SIMPLEX_TOL:
                         pivot(i, j)
                         break
         blocked[art_cols] = True
@@ -870,7 +874,7 @@ def _simplex_tableau(objectives: list[np.ndarray], A_ub: np.ndarray,
         reduced = run_phase(cost)
         if duals is None:
             duals = reduced[n:n + m] * slack_sign  # slack reduced costs = dual values
-        blocked |= reduced > tol
+        blocked |= reduced > _SIMPLEX_TOL
 
     y = np.zeros(total)
     y[basis] = rhs

@@ -16,16 +16,19 @@ the certificate report, and `design.json` the rest of the design bundle: the
 reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
 cost and set, tightened inputs, weights, horizon) and the fast gain blocks
 with their weights and the spectral radius of the coupled fast closed loop.
-Each design quantity is stored once; what can be built from the stored ones
-(the collective A and B, the block-diagonal fast gain) is built by the
-constructors on load, never read, and the full-order closed loops (the fast
-A + B K, the lifted slow loop) are rebuilt where they are used.  JSON
-floats are written with repr.  CSV cells are written by `numpy.savetxt` as
-"%.17g": 17 significant digits, formatted by CPython's correctly rounded
-conversion, which `numpy.loadtxt` reads back to the same float64 bits
-(`-0.0` is written `-0`, `-2.0` is `-2`, infinities `inf`/`-inf`).  So
-every file except `metadata.json` is a pure function of the config;
-`metadata.json` records wall clock, the archive version (6) and the final
+Two slow-layer quantities are stored twice: the terminal cost `hl.P` is also
+the terminal ellipsoid's `hl.terminal.shape`, and the closed loop
+`hl.gain.F_red` is `slow.A + slow.B @ K`, bit for bit.  What can be built
+from the stored quantities otherwise (the collective A and B, the
+block-diagonal fast gain) is built by the constructors on load, never read,
+and the full-order closed loops (the fast A + B K, the lifted slow loop) are
+rebuilt where they are used.  JSON floats are written with repr.  CSV cells
+are written by `numpy.savetxt` as "%.17g": 17 significant digits, formatted
+by CPython's correctly rounded conversion, which `numpy.loadtxt` reads back
+to the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`,
+infinities `inf`/`-inf`).  So every file except `metadata.json` is a pure
+function of the config;
+`metadata.json` records wall clock, the archive version (7) and the final
 state, and is the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
@@ -56,7 +59,7 @@ from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
 from .lti import lifted_closed_loop, lifted_input_matrix, matrix_powers
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 6
+ARCHIVE_VERSION = 7
 FAST_SCHEMA = "hiermpc.trace.fast.v3"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",

@@ -7,6 +7,7 @@ import pytest
 
 from hiermpc import harness
 from hiermpc.cli import main
+from hiermpc.errors import ConfigInvalid
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -39,8 +40,8 @@ def test_analyze_decoupled_prints_zero_disturbance(capsys):
 
 
 @pytest.mark.parametrize("overrides, name", [
-    (["--u-bar-floor", "-100", "--gamma2", "-1"], "gamma2"),
-    (["--u-bar-floor", "-100"], "u_bar_floor"),
+    (["--gamma1", "1", "--gamma2", "-1"], "gamma2"),
+    (["--gamma1", "-1"], "gamma1"),
     (["--gamma1", "nan"], "gamma1"),
 ])
 def test_tune_overrides_are_validated(overrides, name, capsys):
@@ -65,10 +66,8 @@ def test_wrong_length_x0_rejected_before_design(command, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("r_fast", math.inf), ("q_slow", math.inf), ("rpi_tol", -1.0),
-    ("tol_primal", -1.0), ("max_iters", 0),
-])
+@pytest.mark.parametrize("key, value", [("r_fast", math.inf),
+                                        ("q_slow", math.inf)])
 def test_out_of_range_settings_rejected_before_design(key, value, tmp_path,
                                                       capsys):
     config = tmp_path / "bad.json"
@@ -79,6 +78,27 @@ def test_out_of_range_settings_rejected_before_design(key, value, tmp_path,
     assert captured.err.startswith("error: ") and key in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tol_primal", 1e-8), ("tol_dual", 1e-8), ("max_iters", 50_000),
+    ("rpi_tol", 1e-6),
+])
+def test_solver_settings_are_not_config_keys(key, value, tmp_path, capsys):
+    # The QP tolerances, the ADMM cap and the RPI series tolerance are the
+    # solver's and rpi_outer's own defaults, not run settings: a config that
+    # sets one, even to that default, is rejected before design, naming the
+    # key.
+    config = tmp_path / "solver.json"
+    config.write_text(json.dumps({"run": {key: value}}))
+    out = tmp_path / "out"
+    assert main(["design", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ConfigInvalid, match=key):
+        harness.config_from_dict({key: value})
 
 
 def test_analyze_runs_the_reduction_checks(monkeypatch, capsys):
@@ -135,7 +155,9 @@ def test_config_file_errors(tmp_path, capsys):
 def test_output_directory_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HIERMPC_OUT_DIR", str(tmp_path / "env_out"))
     monkeypatch.chdir(tmp_path)
-    assert main(["simulate", "--steps", "2"]) == 0
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"run": {"n_slow_steps": 2}}))
+    assert main(["simulate", "--config", str(config)]) == 0
     assert (tmp_path / "env_out" / "fast.csv").is_file()
     capsys.readouterr()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hiermpc import lowlevel
 from hiermpc.errors import InfeasibleLL
 from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
                               correction_prediction, correction_qp,
@@ -9,6 +10,7 @@ from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
+from hiermpc.solver import solve_qp
 
 
 def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
@@ -20,6 +22,13 @@ def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
     ]
     coupling = CouplingMap(((None, [[couple]]), ([[couple]], None)))
     return assemble(subs, coupling)
+
+
+def terminal_residual(qp, plan, x_bar_pred_i, aux_terminal):
+    """How far the plan's projected terminal deviation lands from the slow
+    layer's prediction gap x_bar_pred_i - beta_i aux_terminal[i]."""
+    gap = np.asarray(x_bar_pred_i) - qp.beta @ aux_terminal[qp.state_slice]
+    return float(np.abs(qp.beta @ plan.states[-1] - gap).max())
 
 
 def test_auxiliary_matrix_power_oracle():
@@ -84,11 +93,10 @@ def test_solve_ll_scalar_hand_kkt():
     u_hand = np.linalg.solve(D, cvec) * (rhs / (cvec @ np.linalg.solve(D, cvec)))
 
     aux_terminal = np.zeros(2)  # zero rollout: gap equals the target itself
-    plan = solve_ll(correction_qp(model, red, 0, BallSet(1, 100.0), [[q]], [[r]],
-                                  period=2),
-                    np.array([target]), aux_terminal)
+    qp = correction_qp(model, red, 0, BallSet(1, 100.0), [[q]], [[r]], period=2)
+    plan = solve_ll(qp, np.array([target]), aux_terminal)
     assert np.allclose(plan.u_steps.ravel(), u_hand, atol=1e-6)
-    assert plan.terminal_residual <= 1e-7
+    assert terminal_residual(qp, plan, [target], aux_terminal) <= 1e-7
 
 
 def test_solve_ll_budget_and_reset():
@@ -96,12 +104,12 @@ def test_solve_ll_budget_and_reset():
     model = scalar_pair(couple=0.05)
     red = reduce_model(model, [1, 1])
     budget = BallSet(1, 0.4)
-    plan = solve_ll(correction_qp(model, red, 1, budget, np.eye(1), [[10.0]],
-                                  period=8),
-                    np.array([0.5]), rng.normal(size=2))
+    qp = correction_qp(model, red, 1, budget, np.eye(1), [[10.0]], period=8)
+    aux_terminal = rng.normal(size=2)
+    plan = solve_ll(qp, np.array([0.5]), aux_terminal)
     assert np.allclose(plan.states[0], 0.0)
     assert all(np.linalg.norm(u) <= budget.radius + 1e-7 for u in plan.u_steps)
-    assert plan.terminal_residual <= 1e-7
+    assert terminal_residual(qp, plan, [0.5], aux_terminal) <= 1e-7
 
 
 def test_solve_ll_infeasible_when_target_too_far():
@@ -118,16 +126,18 @@ def test_solve_ll_infeasible_when_target_too_far():
     assert "status infeasible" in str(err.value)
 
 
-def test_solve_ll_names_the_iteration_limit():
+def test_solve_ll_names_the_iteration_limit(monkeypatch):
     # A binding budget needs more than 3 Newton steps of the active-set
     # step, so ADMM runs; stopped after 3 iterations the QP is not solved,
     # and the error says so instead of calling the target unreachable.
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
+    monkeypatch.setattr(lowlevel, "solve_qp",
+                        lambda problem: solve_qp(problem, max_iters=3))
     with pytest.raises(InfeasibleLL) as err:
         solve_ll(correction_qp(model, red, 0, BallSet(1, 0.3), np.eye(1),
                                np.eye(1), period=4),
-                 np.array([0.5]), np.zeros(2), max_iters=3)
+                 np.array([0.5]), np.zeros(2))
     assert err.value.diagnostics["status"] == "max_iters"
     assert "status max_iters after 3 iterations" in str(err.value)
     assert "unreachable" not in str(err.value)
