@@ -18,16 +18,17 @@ cost and set, tightened inputs, weights, horizon) and the fast gain blocks
 with their weights and the spectral radius of the coupled fast closed loop.
 Two slow-layer quantities are stored twice: the terminal cost `hl.P` is also
 the terminal ellipsoid's `hl.terminal.shape`, and the closed loop
-`hl.gain.F_red` is `slow.A + slow.B @ K`, bit for bit.  What can be built
+`hl.gain.F_red` is `slow.A + slow.B @ K`, bit for bit; `load_archive` checks
+both pairs and refuses a design.json whose twins differ.  What can be built
 from the stored quantities otherwise (the collective A and B, the
 block-diagonal fast gain) is built by the constructors on load, never read,
 and the full-order closed loops (the fast A + B K, the lifted slow loop) are
 rebuilt where they are used.  JSON floats are written with repr.  CSV cells
-are written by `numpy.savetxt` as "%.17g": 17 significant digits, formatted
-by CPython's correctly rounded conversion, which `numpy.loadtxt` reads back
-to the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`,
-infinities `inf`/`-inf`).  So every file except `metadata.json` is a pure
-function of the config;
+are the bytes `numpy.savetxt` writes with "%.17g", formatted one `%` per
+chunk of rows: 17 significant digits, formatted by CPython's correctly
+rounded conversion, which `numpy.loadtxt` reads back to the same float64
+bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities `inf`/`-inf`).  So
+every file except `metadata.json` is a pure function of the config;
 `metadata.json` records wall clock, the archive version (7) and the final
 state, and is the only file excluded from the determinism digest.
 
@@ -64,6 +65,9 @@ FAST_SCHEMA = "hiermpc.trace.fast.v3"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
+# Rows formatted by one `%` in `_write_csv`: few enough that the text of a
+# chunk stays small, enough that the per-chunk overhead does not count.
+_CSV_CHUNK_ROWS = 256
 
 
 def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
@@ -71,11 +75,19 @@ def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
 
 
 def _write_csv(path: Path, schema: str, columns, rows: np.ndarray) -> None:
+    """Write the header lines, then the rows exactly as
+    `np.savetxt(fh, rows, fmt="%.17g", delimiter=",")` would: the cells are
+    Python floats, formatted by the same CPython conversion."""
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(_csv_header(schema, len(columns), rows.shape[0]) + "\n")
         fh.write(",".join(columns) + "\n")
-        # One formatted line per row, streamed: no text of the whole block.
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        # One `%`-format per chunk of rows, streamed: no text of the whole
+        # block, only of one chunk.
+        for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.write((row_format * chunk.shape[0])
+                     % tuple(chunk.ravel().tolist()))
 
 
 def _read_csv(path: Path, schema: str, columns: tuple) -> np.ndarray:
@@ -169,6 +181,19 @@ def _final_state(metadata: dict, n_states: int) -> np.ndarray:
     return state
 
 
+def _check_design_twins(bundle: DesignBundle) -> None:
+    """The slow-layer quantities that design.json stores twice must agree
+    bit for bit, as the design writes them."""
+    hl = bundle.hl
+    for name, value, twin_name, twin in (
+            ("hl.P", hl.P, "hl.terminal.shape", hl.terminal.shape),
+            ("hl.gain.F_red", hl.gain.F_red, "hl.slow.A + hl.slow.B @ hl.gain.K",
+             hl.slow.A + hl.slow.B @ hl.gain.K)):
+        if not np.array_equal(value, twin):
+            raise ConfigInvalid(f"cannot read design.json: {name} differs "
+                                f"from {twin_name}")
+
+
 def load_archive(path) -> LoadedArchive:
     root = Path(path)
 
@@ -190,6 +215,7 @@ def load_archive(path) -> LoadedArchive:
     bundle = from_json(DesignBundle, {**read("design.json"),
                                       "model": read("model.json"),
                                       "report": read("certificate.json")})
+    _check_design_twins(bundle)
     model = bundle.model
     fast_cols = fast_columns(model.n_states, model.n_inputs)
     slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,

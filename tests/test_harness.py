@@ -1,6 +1,7 @@
 """Closed-loop harness and trace archive: run invariants, persistence
 round trips, bitwise determinism, and tamper detection."""
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -314,6 +315,36 @@ def test_csv_codec_writes_seventeen_significant_digits(tmp_path):
     assert got.tobytes() == rows.tobytes()
 
 
+_SAVETXT_EDGE_VALUES = np.array([
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+    2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max, -2.0,
+    0.1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=arrays(np.float64,
+                    st.tuples(st.sampled_from([0, 1, 255, 256, 257, 600]),
+                              st.integers(1, 7)),
+                    elements=st.floats(width=64)),
+       n_columns=st.integers(1, 7))
+@example(block=np.resize(_SAVETXT_EDGE_VALUES, (257, 13)), n_columns=12)
+@example(block=np.resize(_SAVETXT_EDGE_VALUES, (600, 12)), n_columns=12)
+@example(block=np.empty((0, 4)), n_columns=2)
+def test_csv_writer_matches_savetxt_bytewise(block, n_columns, tmp_path_factory):
+    """`_write_csv` writes its two header lines, then exactly the bytes of
+    `np.savetxt(fmt="%.17g", delimiter=",")`, across its chunk boundaries and
+    for a column slice that is not contiguous, as `write_archive` passes."""
+    rows = block[:, :n_columns]
+    columns = tuple(f"c{j}" for j in range(rows.shape[1]))
+    path = tmp_path_factory.mktemp("csv") / "block.csv"
+    _write_csv(path, "test.v1", columns, rows)
+    expected = io.StringIO()
+    expected.write(f"# schema=test.v1 columns={len(columns)} "
+                   f"rows={rows.shape[0]}\n" + ",".join(columns) + "\n")
+    np.savetxt(expected, rows, fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_archive_bitwise_determinism(model, bundle, tmp_path):
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4)
     dirs = []
@@ -522,6 +553,33 @@ def test_verify_names_a_missing_key(archive_dir, tmp_path, capsys, name, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"{owner}: missing key '{key}'" in err
+
+
+def _double_terminal_cost(design):
+    design["hl"]["P"][0][0] *= 2
+
+
+def _move_slow_closed_loop(design):
+    design["hl"]["gain"]["F_red"][0][0] += 0.1
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_double_terminal_cost, "hl.P"),
+    (_move_slow_closed_loop, "hl.gain.F_red"),
+])
+def test_verify_refuses_design_twins_that_differ(archive_dir, tmp_path, capsys,
+                                                 damage, field):
+    """design.json stores the terminal cost and the slow closed loop twice;
+    a copy that no longer equals its twin is refused on load."""
+    bad = tmp_path / "twins"
+    shutil.copytree(archive_dir, bad)
+    design = json.loads((bad / "design.json").read_text())
+    damage(design)
+    (bad / "design.json").write_text(json.dumps(design))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read design.json")
+    assert f"{field} differs" in err
 
 
 def _drop_final_state(meta):
