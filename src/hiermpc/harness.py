@@ -184,9 +184,10 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     gain = _stage("slow_gain",
                   lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
     w_ball = _stage("disturbance_set", lambda: BallSet(n_red, report.rho_w))
-    tube = _stage("tube", lambda: rpi_outer(gain.F_red, w_ball))
+    F_slow = slow.closed_loop(gain.K)
+    tube = _stage("tube", lambda: rpi_outer(F_slow, w_ball))
     P = _stage("terminal_cost",
-               lambda: terminal_cost(gain.F_red, gain.K, Q_slow, R_slow))
+               lambda: terminal_cost(F_slow, gain.K, Q_slow, R_slow))
 
     def _input_tightening():
         # The held-input plan lives in one collective ball; the inscribed
@@ -201,9 +202,9 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     input_tight = _stage("input_tightening", _input_tightening)
     terminal = _stage("terminal_set",
-                      lambda: terminal_set(gain.F_red, P, gain.K, input_tight))
+                      lambda: terminal_set(F_slow, P, gain.K, input_tight))
 
-    hl = HLDesign(slow, gain, tube, P, terminal, input_tight, Q_slow, R_slow,
+    hl = HLDesign(slow, gain, tube, terminal, input_tight, Q_slow, R_slow,
                   cfg.horizon)
     return DesignBundle(model, reduced, hl, ll_gain, *_fast_weights(model, cfg),
                         report)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignFailed, InfeasibleHL
+from .errors import DesignFailed, DimensionMismatch, InfeasibleHL
 from .gains import DETUNING_ROUNDS, dlqr, dlyap
 from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
 from .reduction import ReducedModel
@@ -33,6 +33,13 @@ class SlowModel:
     B: np.ndarray
     period: int
 
+    def __post_init__(self):
+        n = self.A.shape[0]
+        if self.A.shape != (n, n) or self.B.ndim != 2 or self.B.shape[0] != n:
+            raise DimensionMismatch(
+                f"SlowModel.A {self.A.shape} must be square and SlowModel.B "
+                f"{self.B.shape} must have one row per state")
+
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
@@ -40,6 +47,10 @@ class SlowModel:
     @property
     def n_inputs(self) -> int:
         return self.B.shape[1]
+
+    def closed_loop(self, K: np.ndarray) -> np.ndarray:
+        """A + B K: the slow loop under the tube feedback u = K x."""
+        return self.A + self.B @ K
 
 
 def lift(reduced: ReducedModel, period: int) -> SlowModel:
@@ -53,12 +64,13 @@ def lift(reduced: ReducedModel, period: int) -> SlowModel:
 
 @dataclass(frozen=True)
 class GainDesign:
-    """Slow feedback u = K x on the reduced model.  The full lifted closed
-    loop A^period + (sum A^j B) K beta is not kept: it is rebuilt from the
-    model wherever it is needed, and rho_full is its spectral radius."""
+    """Slow feedback u = K x on the reduced model.  Neither closed loop is
+    kept: the reduced one is `SlowModel.closed_loop(K)`, with spectral
+    radius rho_red, and the full lifted one A^period + (sum A^j B) K beta is
+    rebuilt from the model wherever it is needed, with spectral radius
+    rho_full."""
 
     K: np.ndarray
-    F_red: np.ndarray
     rho_red: float
     rho_full: float
     rounds: int
@@ -84,15 +96,14 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
         rho_red = float(np.max(np.abs(np.linalg.eigvals(slow.A))))
         if rho_red >= 1.0:
             raise DesignFailed("zero input authority and unstable slow dynamics")
-        return GainDesign(K, slow.A.copy(), rho_red, full_loop_radius(K), 0)
+        return GainDesign(K, rho_red, full_loop_radius(K), 0)
 
     for rounds in range(1, DETUNING_ROUNDS + 1):
         K, _ = dlqr(slow.A, slow.B, Q, R_cur)
-        F_red = slow.A + slow.B @ K
-        rho_red = float(np.max(np.abs(np.linalg.eigvals(F_red))))
+        rho_red = float(np.max(np.abs(np.linalg.eigvals(slow.closed_loop(K)))))
         rho_full = full_loop_radius(K)
         if rho_red < 1.0 and rho_full < 1.0:
-            return GainDesign(K, F_red, rho_red, rho_full, rounds)
+            return GainDesign(K, rho_red, rho_full, rounds)
         R_cur = 4.0 * R_cur
     raise DesignFailed(
         f"no gain made both lifted loops Schur within {DETUNING_ROUNDS} "
@@ -114,20 +125,31 @@ class HLDesign:
 
     It owns every slow-layer design quantity: the lifted reduced model, the
     tube feedback gain, the invariant tube (its ball is the tube
-    cross-section), the terminal cost and set, the tightened input ball, the
-    stage weights and the horizon.  The terminal cost `P` is also the
-    terminal set's shape, and the gain's `F_red` is `slow.A + slow.B @ K`.
+    cross-section), the terminal set, the tightened input ball, the stage
+    weights and the horizon.  The terminal cost is the terminal set's
+    `shape`, and the tube dynamics are `slow.closed_loop(gain.K)`; neither
+    is a field of its own.  The gain and the terminal shape must fit the
+    slow model's state and input counts.
     """
 
     slow: SlowModel
     gain: GainDesign
     tube: RPIApproximation
-    P: np.ndarray
     terminal: EllipsoidSet
     input_tight: BallSet
     Q: np.ndarray
     R: np.ndarray
     horizon: int
+
+    def __post_init__(self):
+        n, m = self.slow.n_states, self.slow.n_inputs
+        for name, shape, expected in (
+                ("gain.K", self.gain.K.shape, (m, n)),
+                ("terminal.shape", self.terminal.shape.shape, (n, n))):
+            if shape != expected:
+                raise DimensionMismatch(
+                    f"HLDesign.{name} has shape {shape}; the slow model with "
+                    f"{n} states and {m} inputs needs {expected}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +203,7 @@ def tube_qp(design: HLDesign) -> TubeQP:
     for k in range(N):
         H[np.ix_(x_idx(k), x_idx(k))] = design.Q
         H[np.ix_(u_idx(k), u_idx(k))] = design.R
-    H[np.ix_(x_idx(N), x_idx(N))] = design.P
+    H[np.ix_(x_idx(N), x_idx(N))] = design.terminal.shape
     H = 2.0 * H + 1e-10 * np.eye(d)
 
     A_eq = np.zeros((n * N, d))

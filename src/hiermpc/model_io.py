@@ -7,7 +7,9 @@ field's type annotation, so every `__post_init__` check also runs on input
 read from disk.  A value is converted only when nothing is lost (a list to a
 tuple or a float array, a JSON integer to a float); an unknown key, a
 missing key without a default or a value of the wrong type raises
-ConfigInvalid naming the class and the key.
+ConfigInvalid naming the class and the key.  A value that already is an
+instance of the field's dataclass is kept as it is, so a reader can decode
+the parts of a composite from separate files and assemble it.
 
 Floats are written by `json` with Python's repr, the shortest decimal string
 that round-trips to the same binary value, so save/load is bit-stable.
@@ -48,6 +50,8 @@ def from_json(cls, data):
 
 def _decode(tp, value, where: str):
     if is_dataclass(tp):
+        if isinstance(value, tp):
+            return value
         if not isinstance(value, dict):
             raise ConfigInvalid(f"{where}: expected an object, got "
                                 f"{reprlib.repr(value)}")

@@ -11,7 +11,7 @@ construction, the property the upper layer's offset-free reasoning needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -28,13 +28,36 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Reduced collective model plus the projection beta (block diagonal)."""
+    """Reduced collective model plus the projection beta (block diagonal).
+
+    The block offsets are built from the retained orders, which must be
+    positive and sum to the size of A; B and beta need one row per
+    reduced state.
+    """
 
     A: np.ndarray
     B: np.ndarray
     beta: np.ndarray
     orders: tuple[int, ...]
-    offsets: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        n_red = self.A.shape[0]
+        if self.A.shape != (n_red, n_red):
+            raise DimensionMismatch(
+                f"ReducedModel.A must be square, got shape {self.A.shape}")
+        for name in ("B", "beta"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[0] != n_red:
+                raise DimensionMismatch(
+                    f"ReducedModel.{name} has shape {shape}; it needs one row "
+                    f"per reduced state ({n_red})")
+        if any(o < 1 for o in self.orders) or sum(self.orders) != n_red:
+            raise DimensionMismatch(
+                f"ReducedModel.orders {self.orders} must be positive and sum "
+                f"to the {n_red} reduced states")
+        offsets = np.concatenate([[0], np.cumsum(self.orders)])
+        object.__setattr__(self, "offsets", tuple(int(v) for v in offsets))
 
     @property
     def n_states(self) -> int:
@@ -123,8 +146,7 @@ def reduce_model(model: InterconnectedModel, orders) -> ReducedModel:
     if np.any(np.isclose(np.diag(A_red), 1.0, atol=1e-12)):
         raise SingularDCGain("a retained mode sits at 1; DC matching impossible")
     B_red = (np.eye(n_red) - A_red) @ beta @ dc_full
-    return ReducedModel(A_red, B_red, beta,
-                        orders, tuple(int(v) for v in offsets))
+    return ReducedModel(A_red, B_red, beta, orders)
 
 
 def dc_gain_residual(reduced: ReducedModel, model: InterconnectedModel) -> float:

@@ -8,7 +8,7 @@ ellipsoid, return certified approximations, never unsound ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,11 @@ class BallSet:
 
 @dataclass(frozen=True)
 class EllipsoidSet:
-    """Set {x : x' shape x <= level} with shape symmetric positive definite.
-
-    `degenerate` flags the level-zero set produced by a zero input budget.
-    """
+    """Set {x : x' shape x <= level} with shape symmetric positive definite;
+    level 0 is the origin alone."""
 
     shape: np.ndarray
     level: float
-    degenerate: bool = field(default=False)
 
     def __post_init__(self):
         shape = np.asarray(self.shape, dtype=float)
@@ -155,7 +152,7 @@ def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray,
         import warnings
 
         warnings.warn("zero input budget: terminal set degenerates to the origin")
-        return EllipsoidSet(P, 0.0, degenerate=True)
+        return EllipsoidSet(P, 0.0)
     # max ||Kx||^2 over x'Px <= 1 equals the largest generalized eigenvalue
     # of (K'K, P); scale so the max input norm hits the budget exactly.
     from scipy.linalg import eigh

@@ -14,23 +14,23 @@ The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
 reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
-cost and set, tightened inputs, weights, horizon) and the fast gain blocks
-with their weights and the spectral radius of the coupled fast closed loop.
-Two slow-layer quantities are stored twice: the terminal cost `hl.P` is also
-the terminal ellipsoid's `hl.terminal.shape`, and the closed loop
-`hl.gain.F_red` is `slow.A + slow.B @ K`, bit for bit; `load_archive` checks
-both pairs and refuses a design.json whose twins differ.  What can be built
-from the stored quantities otherwise (the collective A and B, the
-block-diagonal fast gain) is built by the constructors on load, never read,
-and the full-order closed loops (the fast A + B K, the lifted slow loop) are
-rebuilt where they are used.  JSON floats are written with repr.  CSV cells
-are the bytes `numpy.savetxt` writes with "%.17g", formatted one `%` per
-chunk of rows: 17 significant digits, formatted by CPython's correctly
-rounded conversion, which `numpy.loadtxt` reads back to the same float64
-bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities `inf`/`-inf`).  So
-every file except `metadata.json` is a pure function of the config;
-`metadata.json` records wall clock, the archive version (7) and the final
-state, and is the only file excluded from the determinism digest.
+set, tightened inputs, weights, horizon) and the fast gain blocks with their
+weights and the spectral radius of the coupled fast closed loop.  Each
+design quantity is stored once.  What can be built from the stored ones is
+built by the constructors on load, never read: the collective A and B, the
+reduction's block offsets (from its retained orders) and the block-diagonal
+fast gain.  The terminal cost is the terminal set's shape, and the closed
+loops (the slow A + B K, the fast A + B K, the lifted slow loop) are rebuilt
+where they are used.  The constructors check the sizes within each object
+and `load_archive` the sizes that tie the files together, so a damaged file
+is an error that names the file and the field.  JSON floats are written
+with repr.  CSV cells are the bytes `numpy.savetxt` writes with "%.17g",
+formatted one `%` per chunk of rows: 17 significant digits, formatted by
+CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
+the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
+`inf`/`-inf`).  So every file except `metadata.json` is a pure function of
+the config; `metadata.json` records wall clock, the archive version (8) and
+the final state, and is the only file excluded from the determinism digest.
 
 `verify_archive` re-derives every runtime invariant from the recorded data:
 state transitions against the model, input limits, correction budgets, the
@@ -53,14 +53,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import spectral_norms
-from .errors import ConfigInvalid
+from .analysis import CertificateReport, spectral_norms
+from .errors import ConfigInvalid, HierMPCError
 from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
                       config_digest, fast_columns, slow_columns)
-from .lti import lifted_closed_loop, lifted_input_matrix, matrix_powers
+from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
+                  matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 7
+ARCHIVE_VERSION = 8
 FAST_SCHEMA = "hiermpc.trace.fast.v3"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
@@ -181,41 +182,63 @@ def _final_state(metadata: dict, n_states: int) -> np.ndarray:
     return state
 
 
-def _check_design_twins(bundle: DesignBundle) -> None:
-    """The slow-layer quantities that design.json stores twice must agree
-    bit for bit, as the design writes them."""
-    hl = bundle.hl
-    for name, value, twin_name, twin in (
-            ("hl.P", hl.P, "hl.terminal.shape", hl.terminal.shape),
-            ("hl.gain.F_red", hl.gain.F_red, "hl.slow.A + hl.slow.B @ hl.gain.K",
-             hl.slow.A + hl.slow.B @ hl.gain.K)):
-        if not np.array_equal(value, twin):
-            raise ConfigInvalid(f"cannot read design.json: {name} differs "
-                                f"from {twin_name}")
+def _check_sizes(bundle: DesignBundle) -> None:
+    """The sizes that tie design.json and certificate.json to the model and
+    the reduction; each constructor has checked the sizes within itself."""
+    model, reduced, radii = bundle.model, bundle.reduced, bundle.radii
+    n_red, M = reduced.n_states, model.n_subsystems
+    for name, field, shape, expected in (
+            ("design.json", "reduced.orders", (len(reduced.orders),), (M,)),
+            ("design.json", "reduced.B", reduced.B.shape,
+             (n_red, model.n_inputs)),
+            ("design.json", "reduced.beta", reduced.beta.shape,
+             (n_red, model.n_states)),
+            ("design.json", "hl.slow.B", bundle.hl.slow.B.shape,
+             (n_red, model.n_inputs)),
+            ("design.json", "ll_gain.blocks",
+             tuple(K_i.shape for K_i in bundle.ll_gain.blocks),
+             tuple((sub.n_inputs, sub.n_states) for sub in model.subsystems)),
+            ("certificate.json", "radii.rho_delta_u_hat",
+             radii.rho_delta_u_hat.shape, (M,)),
+            ("certificate.json", "radii.rho_u_bar", radii.rho_u_bar.shape,
+             (M,))):
+        if shape != expected:
+            raise ConfigInvalid(f"cannot read {name}: {field} has shape "
+                                f"{shape}, expected {expected}")
 
 
 def load_archive(path) -> LoadedArchive:
+    """Read an archive; a file that cannot be read or does not fit the
+    others raises ConfigInvalid naming the file."""
     root = Path(path)
 
     def read(name):
         try:
-            return json.loads((root / name).read_text())
+            data = json.loads((root / name).read_text())
         except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read {name}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"cannot read {name}: expected an object, "
+                                f"got {reprlib.repr(data)}")
+        return data
+
+    def decode(name, cls, **parts):
+        data = {**read(name), **parts}
+        try:
+            return from_json(cls, data)
+        except HierMPCError as exc:
             raise ConfigInvalid(f"cannot read {name}: {exc}") from exc
 
     metadata = read("metadata.json")
-    if not isinstance(metadata, dict):
-        raise ConfigInvalid(f"cannot read metadata.json: expected an object, "
-                            f"got {reprlib.repr(metadata)}")
     version = metadata.get("archive_version")
     if version != ARCHIVE_VERSION:
         raise ConfigInvalid(f"{root}: archive_version {version!r} cannot be "
                             f"read; this package reads version {ARCHIVE_VERSION}")
-    config = from_json(RunConfig, read("config.json"))
-    bundle = from_json(DesignBundle, {**read("design.json"),
-                                      "model": read("model.json"),
-                                      "report": read("certificate.json")})
-    _check_design_twins(bundle)
+    config = decode("config.json", RunConfig)
+    bundle = decode("design.json", DesignBundle,
+                    model=decode("model.json", InterconnectedModel),
+                    report=decode("certificate.json", CertificateReport))
+    _check_sizes(bundle)
     model = bundle.model
     fast_cols = fast_columns(model.n_states, model.n_inputs)
     slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,

@@ -260,7 +260,8 @@ def test_design_dict_round_trip(bundle):
     data = json.loads(json.dumps(to_json(bundle)))
     again = from_json(DesignBundle, data)
     np.testing.assert_array_equal(again.hl.gain.K, bundle.hl.gain.K)
-    np.testing.assert_array_equal(again.hl.P, bundle.hl.P)
+    np.testing.assert_array_equal(again.hl.terminal.shape,
+                                  bundle.hl.terminal.shape)
     np.testing.assert_array_equal(again.ll_gain.K, bundle.ll_gain.K)
     assert again.hl.tube.ball.radius == bundle.hl.tube.ball.radius
     assert again.hl.terminal.level == bundle.hl.terminal.level
@@ -406,7 +407,13 @@ def test_design_json_stores_each_quantity_once(plant, tmp_path):
         return sum(node == target for node in nodes)
 
     gain = design.hl.gain
-    assert count(gain.K) == count(gain.F_red) == 1
+    assert count(gain.K) == count(design.hl.terminal.shape) == 1
+    # The slow closed loop, the terminal cost, the degenerate flag and the
+    # block offsets are derived, not stored.
+    assert count(design.hl.slow.closed_loop(gain.K)) == 0
+    assert not any(isinstance(node, dict) and not {
+        "P", "F_red", "degenerate", "offsets"}.isdisjoint(node)
+        for node in nodes)
     assert design.hl.tube.ball.radius > 0
     assert count(design.hl.tube.ball.radius) == 1
     assert not any(isinstance(node, dict) and ("F_full" in node or "R_final" in node)
@@ -534,7 +541,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 7" in err
+    assert "archive_version 5" in err and "version 8" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -555,31 +562,59 @@ def test_verify_names_a_missing_key(archive_dir, tmp_path, capsys, name, key,
     assert f"{owner}: missing key '{key}'" in err
 
 
-def _double_terminal_cost(design):
-    design["hl"]["P"][0][0] *= 2
+def test_loaded_design_rebuilds_the_derived_quantities(bundle, archive_dir):
+    """The block offsets, the terminal cost and the slow closed loop that
+    design.json does not store come back bit for bit on load."""
+    loaded = load_archive(archive_dir).bundle
+    assert loaded.reduced.offsets == bundle.reduced.offsets
+    assert loaded.hl.terminal.shape.tobytes() \
+        == bundle.hl.terminal.shape.tobytes()
+    assert loaded.hl.slow.closed_loop(loaded.hl.gain.K).tobytes() \
+        == bundle.hl.slow.closed_loop(bundle.hl.gain.K).tobytes()
 
 
-def _move_slow_closed_loop(design):
-    design["hl"]["gain"]["F_red"][0][0] += 0.1
+def _set(path, value):
+    """A damage that sets the value under the keys of `path` to `value`."""
+    def damage(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return damage
 
 
-@pytest.mark.parametrize("damage, field", [
-    (_double_terminal_cost, "hl.P"),
-    (_move_slow_closed_loop, "hl.gain.F_red"),
-])
-def test_verify_refuses_design_twins_that_differ(archive_dir, tmp_path, capsys,
-                                                 damage, field):
-    """design.json stores the terminal cost and the slow closed loop twice;
-    a copy that no longer equals its twin is refused on load."""
-    bad = tmp_path / "twins"
+@pytest.mark.parametrize("name, damage, field", [
+    ("design.json",
+     lambda d: d["reduced"].update(beta=d["reduced"]["beta"][:1]),
+     "ReducedModel.beta"),
+    ("design.json", _set(("reduced", "orders"), [2, 0]),
+     "ReducedModel.orders"),
+    ("design.json", _set(("reduced", "orders"), [-1, 3]),
+     "ReducedModel.orders"),
+    ("design.json", _set(("reduced", "offsets"), [0, 2, 2]),
+     "unknown key 'offsets'"),
+    ("design.json", _set(("hl", "gain", "K"), [[1.0, 2.0]]),
+     "HLDesign.gain.K"),
+    ("design.json", _set(("hl", "terminal", "shape"), np.eye(3).tolist()),
+     "HLDesign.terminal.shape"),
+    ("design.json", _set(("ll_gain", "blocks"), [[[1.0, 2.0]], [[1.0]]]),
+     "ll_gain.blocks"),
+    ("certificate.json", _set(("radii", "rho_delta_u_hat"), [1.0]),
+     "radii.rho_delta_u_hat"),
+], ids=["beta_row", "order_zero", "order_negative", "offsets", "slow_gain",
+        "terminal_shape", "fast_gain", "radii"])
+def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
+                                            name, damage, field):
+    """A design or certificate value of the wrong size makes `verify` exit 1
+    with an error that names the file and the field, not raise from numpy."""
+    bad = tmp_path / "damaged"
     shutil.copytree(archive_dir, bad)
-    design = json.loads((bad / "design.json").read_text())
-    damage(design)
-    (bad / "design.json").write_text(json.dumps(design))
+    data = json.loads((bad / name).read_text())
+    damage(data)
+    (bad / name).write_text(json.dumps(data))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read design.json")
-    assert f"{field} differs" in err
+    assert err.startswith(f"error: cannot read {name}: ")
+    assert field in err
 
 
 def _drop_final_state(meta):

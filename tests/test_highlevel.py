@@ -40,11 +40,12 @@ def make_design(rng, period=5, horizon=6, w_radius=0.01):
     Q = np.eye(2)
     R = 0.1 * np.eye(2)
     gd = design_gain(slow, model, red, Q, R)
-    tube = rpi_outer(gd.F_red, BallSet(2, w_radius))
-    P = terminal_cost(gd.F_red, gd.K, Q, R)
+    F = slow.closed_loop(gd.K)
+    tube = rpi_outer(F, BallSet(2, w_radius))
+    P = terminal_cost(F, gd.K, Q, R)
     u_tight = BallSet(2, 5.0 - float(np.linalg.norm(gd.K, 2)) * tube.ball.radius)
-    term = terminal_set(gd.F_red, P, gd.K, u_tight)
-    design = HLDesign(slow, gd, tube, P, term, u_tight, Q, R, horizon)
+    term = terminal_set(F, P, gd.K, u_tight)
+    design = HLDesign(slow, gd, tube, term, u_tight, Q, R, horizon)
     return model, red, slow, design
 
 
@@ -144,11 +145,12 @@ def test_solve_hl_dp_oracle_pinned_start():
     # terminal sets the objective must match the finite-horizon recursion.
     rng = np.random.default_rng(24)
     model, red, slow, design = make_design(rng)
-    loose = with_sets(design, BallSet(2, 0.0), EllipsoidSet(design.P, 1e12),
+    loose = with_sets(design, BallSet(2, 0.0),
+                      EllipsoidSet(design.terminal.shape, 1e12),
                       BallSet(2, 1e6))
     x_proj = np.array([0.4, -0.3])
     sol = solve_hl(tube_qp(loose), x_proj)
-    P = design.P.copy()
+    P = design.terminal.shape.copy()
     for _ in range(design.horizon):
         S = design.R + slow.B.T @ P @ slow.B
         P = (design.Q + slow.A.T @ P @ slow.A
@@ -177,7 +179,8 @@ def tight_design(level: float = 1e-14, input_radius: float = 1e-6) -> HLDesign:
     """A design with a tube of radius 1e-3, the given terminal level and
     input radius, and A^N = 2.25e-5 I: no plan starts near FAR."""
     _, _, _, design = make_design(np.random.default_rng(26))
-    return with_sets(design, BallSet(2, 1e-3), EllipsoidSet(design.P, level),
+    return with_sets(design, BallSet(2, 1e-3),
+                     EllipsoidSet(design.terminal.shape, level),
                      BallSet(2, input_radius))
 
 
@@ -190,7 +193,7 @@ def gap_oracle(design: HLDesign, x_proj: np.ndarray) -> float:
     slow, N = design.slow, design.horizon
     z_of = np.linalg.inv(np.linalg.matrix_power(slow.A, N)).T
     S = [np.linalg.matrix_power(slow.A, N - 1 - k) @ slow.B for k in range(N)]
-    P_inv = np.linalg.inv(design.P)
+    P_inv = np.linalg.inv(design.terminal.shape)
 
     def negated(t):
         y = np.array([np.cos(t), np.sin(t)])
@@ -254,7 +257,7 @@ def test_feasibility_gap_without_input_authority(level):
     design = tight_design(level, 0.0)
     gap, status = feasibility_gap(tube_qp(design), FAR)
     A_N = np.linalg.matrix_power(design.slow.A, design.horizon)
-    M = A_N.T @ design.P @ A_N
+    M = A_N.T @ design.terminal.shape @ A_N
 
     def x_of(mu):
         return np.linalg.solve(np.eye(2) + mu * M, FAR)

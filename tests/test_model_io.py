@@ -49,7 +49,8 @@ def test_wrong_types_and_unknown_keys_name_class_and_key(data, where):
 def test_missing_key_without_default_is_named():
     with pytest.raises(ConfigInvalid, match="BallSet: missing key 'radius'"):
         from_json(BallSet, {"dim": 2})
-    assert from_json(EllipsoidSet, {"shape": [[1.0]], "level": 1}).degenerate is False
+    # A key with a default may be left out.
+    assert from_json(RunConfig, {"period": 5}) == RunConfig(period=5)
 
 
 @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], [["a"]], [[None]],

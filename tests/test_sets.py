@@ -91,5 +91,5 @@ def test_terminal_set_zero_gain_capped():
 def test_terminal_set_zero_budget_degenerate():
     with pytest.warns(UserWarning):
         out = terminal_set(0.5 * np.eye(2), np.eye(2), np.ones((1, 2)), BallSet(1, 0.0))
-    assert out.level == 0.0 and out.degenerate
+    assert out.level == 0.0
 
