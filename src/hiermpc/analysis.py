@@ -10,7 +10,7 @@ norms are spectral; the powers, impulse responses and lifts come from `lti`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,7 +234,8 @@ class CertificateReport:
     al_power_norm: float
     sigma: np.ndarray
     chi: np.ndarray
-    lambda_margins: np.ndarray
+    # +inf where the projection defect is exactly 0: no start is too far.
+    lambda_margins: np.ndarray = field(metadata={"unbounded": True})
     rho_w: float
     rho_x: float
     delta_state_table: np.ndarray

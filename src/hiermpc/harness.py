@@ -7,12 +7,14 @@ gain, input-budget allocation, certificate constants; `hiermpc analyze` and
 gain, disturbance set, invariant tube, terminal cost and set).
 `run_closed_loop` then executes the slow loop around the full plant: one
 tube-tightened slow solve per tick, the shared constant-input auxiliary
-rollout, one correction plan per subsystem, and the tick's fast block of
-held input plus corrections.  The fast block is affine in the tick's start
-state, held input and planned corrections, so it is computed from maps
-built once per run, a few matrix products per tick, not stepped fast step by
-fast step.  Every quantity the runtime invariants need is recorded;
-persistence and re-verification live in `trace`.
+rollout, one solve of the stacked correction QP, which plans every
+subsystem's corrections in blocks that share nothing, and the tick's fast
+block of held input plus corrections.  The fast block is affine in the
+tick's start state, held input and planned corrections, so it is two
+products with maps built once per run (`fast_block_maps`), not stepped fast
+step by fast step nor subsystem by subsystem.  Every quantity the runtime
+invariants need is recorded; persistence and re-verification live in
+`trace`.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL,
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
                         tube_qp)
-from .lowlevel import LLGain, apply_correction, auxiliary_maps, \
+from .lowlevel import CorrectionQP, LLGain, apply_correction, auxiliary_maps, \
     correction_qp, coupling_error_map, design_ll_gain, simulate_auxiliary, \
     solve_ll
 from .lti import InterconnectedModel
@@ -134,7 +136,12 @@ def _stage(name: str, fn):
         raise DesignIncomplete(name, str(exc)) from exc
 
 
-def _fast_weights(model: InterconnectedModel, cfg: RunConfig) -> tuple:
+def slow_weights(cfg: RunConfig, n_red: int, m: int) -> tuple:
+    """State and input weights of the slow layer."""
+    return cfg.q_slow * np.eye(n_red), cfg.r_slow * np.eye(m)
+
+
+def fast_weights(model: InterconnectedModel, cfg: RunConfig) -> tuple:
     """Per-subsystem state and input weights of the fast layer."""
     return (tuple(cfg.q_fast * np.eye(sub.n_states) for sub in model.subsystems),
             tuple(cfg.r_fast * np.eye(sub.n_inputs) for sub in model.subsystems))
@@ -158,7 +165,7 @@ def certify(model: InterconnectedModel,
 
     reduced = _stage("reduction", _reduction)
     ll_gain = _stage("fast_gain",
-                     lambda: design_ll_gain(model, *_fast_weights(model, cfg)))
+                     lambda: design_ll_gain(model, *fast_weights(model, cfg)))
     radii = _stage("radii", lambda: tune_radii(
         model, reduced, ll_gain, cfg.period, cfg.gamma1, cfg.gamma2,
         cfg.u_bar_floor))
@@ -179,8 +186,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     slow = _stage("slow_gain", lambda: lift(reduced, cfg.period))
     n_red, m = slow.n_states, slow.n_inputs
-    Q_slow = cfg.q_slow * np.eye(n_red)
-    R_slow = cfg.r_slow * np.eye(m)
+    Q_slow, R_slow = slow_weights(cfg, n_red, m)
     gain = _stage("slow_gain",
                   lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
     w_ball = _stage("disturbance_set", lambda: BallSet(n_red, report.rho_w))
@@ -206,7 +212,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
     hl = HLDesign(slow, gain, tube, terminal, input_tight, Q_slow, R_slow,
                   cfg.horizon)
-    return DesignBundle(model, reduced, hl, ll_gain, *_fast_weights(model, cfg),
+    return DesignBundle(model, reduced, hl, ll_gain, *fast_weights(model, cfg),
                         report)
 
 
@@ -266,6 +272,35 @@ class TraceArchive:
 
 # ---------------------------------------------------------------- run loop
 
+def fast_block_maps(model: InterconnectedModel, bundle: DesignBundle,
+                    period: int) -> tuple[CorrectionQP, np.ndarray, np.ndarray]:
+    """The run-constant part of a tick below the slow solve: the stacked
+    correction QP and the two maps of the fast block from the tick's planned
+    corrections vec(duhat), (period, m) raveled row by row.
+
+    W, ((period+1) n, period m), gives the states at fast steps 0..period
+    less the auxiliary rollout: the plan rollouts plus the coupling error Xi
+    of `lowlevel.coupling_error_map`.  D, (period m, period m), gives the
+    applied corrections: `apply_correction` on the map's columns, the plan
+    step plus K times the coupling error, I + K Xi_{0..period-1}.  Xi is
+    built first, D is read from it, and `correction_qp` then adds each
+    subsystem's rollout into it in place, which makes it W.
+    """
+    n, d = model.n_states, period * model.n_inputs
+    W = coupling_error_map(model, bundle.ll_gain, period)
+    # Column c of the maps is the plan e_c: rows are fast steps as
+    # `apply_correction` takes them, and a column's plan states are zero.
+    # One expression, so that its temporaries are gone before the QP is
+    # built.
+    errors = W.reshape(period + 1, n, d)[:period].transpose(0, 2, 1)
+    D = apply_correction(np.eye(d).reshape(d, period, -1).transpose(1, 0, 2),
+                         np.broadcast_to(0.0, errors.shape), bundle.ll_gain,
+                         errors).transpose(0, 2, 1).reshape(d, d)
+    qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
+                       bundle.ll_Q, bundle.ll_R, period, W)
+    return qp, W, D
+
+
 def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                     bundle: DesignBundle | None = None) -> TraceArchive:
     """Execute the two-rate loop for `cfg.n_slow_steps` slow steps.
@@ -275,10 +310,9 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     data of each layer's QP that does not change between ticks, with its KKT
     factors, is built once here, before the first tick, and so are the maps
     of the fast block: the auxiliary rollout of `lowlevel.auxiliary_maps`
-    and the coupling error Xi of `lowlevel.coupling_error_map`.  A tick's
-    states are then the auxiliary rollout plus the stacked plan rollouts
-    plus Xi times the planned corrections, and its corrections one
-    `apply_correction` on the whole block.
+    and W and D of `fast_block_maps`.  A tick is then one slow solve, one
+    auxiliary rollout, one correction solve for all subsystems, states
+    xhat + W vec(duhat) and corrections D vec(duhat).
     """
     start = time.perf_counter()
     x = start_state(model, cfg)
@@ -288,6 +322,11 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     N, M = cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
     rho_u = model.input_radii()
+    hl_qp = tube_qp(hl)
+    aux_maps = auxiliary_maps(model, N)
+    # Built before the records, so that its temporaries and the records are
+    # never held at once.
+    ll_qp, W, D = fast_block_maps(model, bundle, N)
 
     f_cols = fast_columns(n, m) + tuple(f"margin{i}" for i in range(M))
     s_cols = slow_columns(reduced.n_states, m, cfg.horizon)
@@ -297,20 +336,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
             for prefix, width in (("x", n), ("duhat", m), ("du", m),
                                   ("u", m), ("margin", M))}
-    dxhat = np.empty((N + 1, n))  # the tick's stacked plan rollouts
-    in_slices = [model.input_slice(i) for i in range(M)]
-    state_slices = [model.state_slice(i) for i in range(M)]
-    red_slices = [reduced.block_slice(i) for i in range(M)]
     in_starts = np.asarray(model.input_offsets[:-1])
-
-    hl_qp = tube_qp(hl)
-    ll_qps = [correction_qp(model, reduced, i,
-                            BallSet(model.subsystems[i].n_inputs,
-                                    float(bundle.radii.rho_delta_u_hat[i])),
-                            bundle.ll_Q[i], bundle.ll_R[i], N)
-              for i in range(M)]
-    aux_maps = auxiliary_maps(model, N)
-    Xi = coupling_error_map(model, bundle.ll_gain, N)
 
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
@@ -322,24 +348,19 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         u_bar = sol.u_applied
         x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
         xhat = simulate_auxiliary(aux_maps, x, u_bar)
+        try:
+            plan = solve_ll(ll_qp, x_bar_pred, xhat[N])
+        except InfeasibleLL as exc:
+            exc.diagnostics["slow_step"] = k
+            raise
 
         # The tick's rows, written as column blocks.
         rows = slice(k * N, (k + 1) * N)
-        duhat = fast["duhat"][rows]
-        for i in range(M):
-            try:
-                plan = solve_ll(ll_qps[i], x_bar_pred[red_slices[i]], xhat[N])
-            except InfeasibleLL as exc:
-                exc.diagnostics["slow_step"] = k
-                raise
-            duhat[:, in_slices[i]] = plan.u_steps
-            dxhat[:, state_slices[i]] = plan.states
-
-        xs = xhat + dxhat + (Xi @ duhat.ravel()).reshape(N + 1, n)
+        fast["duhat"][rows] = plan.u_steps
+        duhat = plan.u_steps.ravel()
+        xs = xhat + (W @ duhat).reshape(N + 1, n)
         fast["x"][rows] = xs[:N]
-        du = fast["du"][rows] = apply_correction(duhat, dxhat[:N],
-                                                 bundle.ll_gain,
-                                                 xs[:N] - xhat[:N])
+        du = fast["du"][rows] = (D @ duhat).reshape(N, m)
         u = fast["u"][rows] = u_bar + du
         # Each subsystem's input norm per fast step, one segment sum each.
         fast["margin"][rows] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,

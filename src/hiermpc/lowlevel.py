@@ -1,21 +1,28 @@
 """Fast-rate decentralized correction layer.
 
-Between two slow ticks every subsystem independently plans a correction
-input sequence that steers its projected deviation onto the slow layer's
-one-step-ahead prediction (a hard terminal equality), then applies it with
-local feedback on the gap between measured and planned deviations.  All
-cross-subsystem information enters through the shared auxiliary simulation,
-which is reset to the measured state at every slow tick.
+Between two slow ticks every subsystem plans a correction input sequence
+that steers its projected deviation onto the slow layer's one-step-ahead
+prediction (a hard terminal equality), then applies it with local feedback
+on the gap between measured and planned deviations.  All cross-subsystem
+information enters through the shared auxiliary simulation, which is reset
+to the measured state at every slow tick.
 
-Everything a tick needs that does not depend on the tick is built once per
-run: the auxiliary rollout is one product with the stacked maps of
-`auxiliary_maps`, and each subsystem's `CorrectionQP` carries the constant
-QP data and KKT factors, so per tick only the terminal target changes (a
-plan whose budgets do not bind is one solve on the cached rho = 0 factors,
-through `solver.equality_first`).  `coupling_error_map` gives the fast
-loop's deviation from auxiliary plus plan rollout as a linear map of the
-planned corrections, which is what lets the harness run a whole fast block
-without stepping it.
+The M plans share no variable and no constraint: each subsystem plans
+against its own model, weights, target and budget.  `correction_qp` stacks
+them into one block-separable QP whose decision is the tick's (period, m)
+corrections, each block at its own subsystem's inputs and target rows, so
+the plans stay decentralized by construction while a tick makes one solve
+(`tests/test_lowlevel.py` checks the stacked plan against each subsystem's
+QP solved alone).  Everything a tick needs that does not depend on the tick
+is built once per run: the auxiliary rollout is one product with the
+stacked maps of `auxiliary_maps`, and the stacked QP carries the constant
+QP data and one set of KKT factors, so per tick only the terminal target
+changes (a plan whose budgets do not bind is one solve on the cached
+rho = 0 factors, through `solver.equality_first`).  `coupling_error_map`
+gives the fast loop's deviation from auxiliary plus plan rollout as a
+linear map of the planned corrections; with the plan rollouts that
+`correction_qp` adds into it, it is what lets the harness run a whole fast
+block without stepping it.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ from .errors import DesignFailed, DimensionMismatch, InfeasibleLL
 from .gains import DETUNING_ROUNDS, dlqr
 from .lti import InterconnectedModel, impulse_response, matrix_powers
 from .reduction import ReducedModel
-from .sets import BallSet
 from .solver import (BallConstraint, KKTFactors, QuadraticProgram, SolveResult,
                      Status, solve_qp)
 
@@ -113,8 +119,7 @@ def design_ll_gain(model: InterconnectedModel, Q_blocks, R_blocks) -> LLGain:
 
 @dataclass(frozen=True)
 class DeltaPlan:
-    u_steps: np.ndarray        # (period, m_i) planned corrections
-    states: np.ndarray         # (period+1, n_i) planned deviations, start 0
+    u_steps: np.ndarray        # (period, m) planned corrections, all subsystems
     iterations: int
 
 
@@ -132,78 +137,114 @@ def correction_prediction(A: np.ndarray, B: np.ndarray, period: int):
 
 @dataclass(frozen=True)
 class CorrectionQP:
-    """The part of subsystem i's correction QP that is fixed for a run.
+    """The M correction QPs of a run as one block-separable QP.
 
-    Per tick only the terminal target b_eq changes; the cost, the terminal
-    map, the per-step budget balls, the plan rollout and the KKT factors are
-    built once by `correction_qp`.
+    The decision is the tick's planned corrections, shape (period, m),
+    raveled row by row.  Subsystem i's cost H_i and terminal map
+    beta_i reach_i sit at its own (step, input) coordinates and its own
+    target rows, and its per-step budget balls are its own constraint, so
+    no block touches another subsystem's inputs or target.  Per tick only
+    the terminal target b_eq changes; everything here, with one set of KKT
+    factors, is built once by `correction_qp`.
     """
 
-    subsystem: int
-    rollout: np.ndarray        # [Gamma; reach]: inputs -> states 1..period
-    state_slice: slice         # subsystem i's states in the full state
-    beta: np.ndarray           # projection block beta_i
+    period: int
+    beta: np.ndarray           # the block-diagonal projection
     H: np.ndarray
     g: np.ndarray              # the zero linear cost, read-only
-    A_eq: np.ndarray           # beta_i times the period-step reachability row
-    budget: BallConstraint     # one ball per step, stacked (period, m_i)
+    A_eq: np.ndarray           # beta_i times subsystem i's reachability row
+    budgets: tuple[BallConstraint, ...]  # subsystem i's balls, (period, m_i)
+    target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
     factors: KKTFactors
 
 
-def correction_qp(model: InterconnectedModel, reduced: ReducedModel, i: int,
-                  budget: BallSet, Q_i: np.ndarray, R_i: np.ndarray,
-                  period: int) -> CorrectionQP:
-    """Build subsystem i's correction QP data for a slow period `period`."""
-    sub = model.subsystems[i]
-    m_i = sub.n_inputs
-    beta_i = reduced.beta_block(i, model)
-    Q_i = np.atleast_2d(np.asarray(Q_i, dtype=float))
-    R_i = np.atleast_2d(np.asarray(R_i, dtype=float))
-    Gamma, reach = correction_prediction(sub.A, sub.B, period)
-    Qbar = np.kron(np.eye(period - 1), Q_i)
-    Rbar = np.kron(np.eye(period), R_i)
-    H = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
-    steps = np.arange(period * m_i).reshape(period, m_i)
-    A_eq = beta_i @ reach
-    g = np.zeros(H.shape[0])
+def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
+                  Q_blocks, R_blocks, period: int,
+                  rollouts: np.ndarray) -> CorrectionQP:
+    """Build the stacked correction QP for a slow period `period`; subsystem
+    i has the per-step budget `budgets[i]` and the weights Q_blocks[i],
+    R_blocks[i].  Each subsystem's plan rollout [0; Gamma_i; reach_i], its
+    planned deviations at steps 0..period, is added in place into
+    `rollouts`, a ((period+1) n, period m) map of the planned corrections,
+    at its own states and inputs."""
+    n, m = model.n_states, model.n_inputs
+    d = period * m
+    H = np.zeros((d, d))
+    A_eq = np.zeros((reduced.n_states, d))
+    steps = np.arange(d).reshape(period, m)
+    plan_map = rollouts.reshape(period + 1, n, period, m)
+    balls, target_rows = [], []
+    for i, sub in enumerate(model.subsystems):
+        n_i, m_i = sub.n_states, sub.n_inputs
+        cols = steps[:, model.input_slice(i)]
+        at = cols.ravel()
+        Q_i = np.atleast_2d(np.asarray(Q_blocks[i], dtype=float))
+        R_i = np.atleast_2d(np.asarray(R_blocks[i], dtype=float))
+        Gamma, reach = correction_prediction(sub.A, sub.B, period)
+        # Gamma' diag(Q_i) Gamma + diag(R_i), one state block at a time.
+        H_i = Gamma.T @ (Q_i @ Gamma.reshape(period - 1, n_i, -1)).reshape(
+            Gamma.shape)
+        for j in range(period):
+            H_i[j * m_i:(j + 1) * m_i, j * m_i:(j + 1) * m_i] += R_i
+        H[np.ix_(at, at)] = 2.0 * H_i
+        rows = reduced.block_slice(i)
+        A_eq[rows, at] = reduced.beta_block(i, model) @ reach
+        plan_map[1:, model.state_slice(i), :, model.input_slice(i)] += \
+            np.vstack([Gamma, reach]).reshape(period, n_i, period, m_i)
+        balls.append(BallConstraint(cols, float(budgets[i])))
+        target_rows.append(rows)
+    g = np.zeros(d)
     g.flags.writeable = False
-    return CorrectionQP(i, np.vstack([Gamma, reach]), model.state_slice(i),
-                        beta_i, H, g, A_eq,
-                        BallConstraint(steps, budget.radius),
-                        KKTFactors(H, A_eq, (steps,)))
+    factors = KKTFactors(H, A_eq, [b.indices for b in balls])
+    # The rho = 0 factors every tick uses, factored now: a run builds this
+    # QP before its records, so the KKT matrix, a temporary as large as the
+    # factors, is never held next to them.
+    factors.factor(0.0)
+    return CorrectionQP(period, reduced.beta, H, g, A_eq, tuple(balls),
+                        tuple(target_rows), factors)
 
 
-def solve_ll(qp: CorrectionQP, x_bar_pred_i: np.ndarray,
+def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
              aux_terminal: np.ndarray) -> DeltaPlan:
-    """Correction plan for subsystem `qp.subsystem` over one slow period.
+    """Every subsystem's correction plan over one slow period, in one solve.
 
-    Decision: the per-step correction sequence; the planned deviation starts
-    at zero (slow-tick reset), its projection must land exactly on the slow
-    layer's prediction gap `x_bar_pred_i - beta_i aux_terminal[i]` (the
-    auxiliary terminal is the full state), and each step stays inside the
-    budget ball.
+    Decision: the per-step corrections; each subsystem's planned deviation
+    starts at zero (slow-tick reset), its projection must land exactly on
+    its rows of the slow layer's prediction gap `x_bar_pred - beta
+    aux_terminal` (the auxiliary terminal is the full state, beta is block
+    diagonal), and each of its steps stays inside its budget ball.  Only
+    when the stacked solve ends without OPTIMAL is each subsystem's block
+    solved alone, in order: the first that fails raises InfeasibleLL naming
+    it, and if none fails the plan is theirs.
     """
-    aux_term_i = np.asarray(aux_terminal, dtype=float)[qp.state_slice]
-    rhs = np.asarray(x_bar_pred_i, dtype=float) - qp.beta @ aux_term_i
-    prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs,
-                            (qp.budget,), qp.factors)
-    res = solve_qp(prob)
-    if res.status is not Status.OPTIMAL:
-        raise _infeasible(qp, rhs, res)
-    u_steps = res.x.reshape(qp.budget.indices.shape)
-    states = np.zeros((u_steps.shape[0] + 1, qp.beta.shape[1]))
-    states[1:] = (qp.rollout @ res.x).reshape(u_steps.shape[0], -1)
-    return DeltaPlan(u_steps, states, res.iterations)
+    rhs = (np.asarray(x_bar_pred, dtype=float)
+           - qp.beta @ np.asarray(aux_terminal, dtype=float))
+    res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs, qp.budgets,
+                                    qp.factors))
+    if res.status is Status.OPTIMAL:
+        return DeltaPlan(res.x.reshape(qp.period, -1), res.iterations)
+    x, iterations = np.empty(qp.g.shape[0]), res.iterations
+    for i, (ball, rows) in enumerate(zip(qp.budgets, qp.target_rows)):
+        at = ball.indices.ravel()
+        A_i, rhs_i = qp.A_eq[rows, at], rhs[rows]
+        own = BallConstraint(np.arange(at.size).reshape(ball.indices.shape),
+                             ball.radius)
+        res = solve_qp(QuadraticProgram(qp.H[np.ix_(at, at)], np.zeros(at.size),
+                                        A_i, rhs_i, (own,)))
+        iterations += res.iterations
+        if res.status is not Status.OPTIMAL:
+            raise _infeasible(i, A_i, ball.radius, rhs_i, res)
+        x[at] = res.x
+    return DeltaPlan(x.reshape(qp.period, -1), iterations)
 
 
-def _infeasible(qp: CorrectionQP, rhs: np.ndarray,
+def _infeasible(i: int, A_eq: np.ndarray, radius: float, rhs: np.ndarray,
                 res: SolveResult) -> InfeasibleLL:
-    """The error for a correction QP whose solve ended without OPTIMAL; the
+    """The error for subsystem i's correction QP, A_eq x = rhs within
+    per-step balls of `radius`, whose solve ended without OPTIMAL; the
     message names the solver status it ended with."""
-    i = qp.subsystem
     # Smallest-total-energy sequence hitting the target, for diagnosis.
-    min_norm = float(np.linalg.norm(np.linalg.pinv(qp.A_eq) @ rhs))
-    radius = qp.budget.radius
+    min_norm = float(np.linalg.norm(np.linalg.pinv(A_eq) @ rhs))
     cause = ("correction target unreachable within budget"
              if res.status is Status.INFEASIBLE else "correction QP not solved")
     return InfeasibleLL(

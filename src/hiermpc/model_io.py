@@ -6,8 +6,11 @@ the same data back by calling the constructor, converting each value by the
 field's type annotation, so every `__post_init__` check also runs on input
 read from disk.  A value is converted only when nothing is lost (a list to a
 tuple or a float array, a JSON integer to a float); an unknown key, a
-missing key without a default or a value of the wrong type raises
-ConfigInvalid naming the class and the key.  A value that already is an
+missing key without a default, a value of the wrong type or a number that
+is not finite raises ConfigInvalid naming the class and the key.  A float
+array must be finite as it is decoded, before a constructor can factor it;
+a float, once the constructor's own checks have run.  A field whose
+metadata sets `unbounded` may also hold +inf.  A value that already is an
 instance of the field's dataclass is kept as it is, so a reader can decode
 the parts of a composite from separate files and assemble it.
 
@@ -17,6 +20,7 @@ that round-trips to the same binary value, so save/load is bit-stable.
 from __future__ import annotations
 
 import functools
+import math
 import reprlib
 import types
 import typing
@@ -48,7 +52,37 @@ def from_json(cls, data):
     return _decode(cls, data, cls.__name__)
 
 
-def _decode(tp, value, where: str):
+def _refuse(value, where: str):
+    raise ConfigInvalid(f"{where}: expected finite numbers, got "
+                        f"{reprlib.repr(value)}")
+
+
+def _finite_array(arr: np.ndarray, where: str, unbounded: bool) -> np.ndarray:
+    """`arr` if every entry is finite (or +inf, where `unbounded`)."""
+    ok = np.isfinite(arr)
+    if unbounded:
+        ok |= arr == np.inf
+    if not ok.all():
+        _refuse(arr, where)
+    return arr
+
+
+def _finite_floats(value, where: str, unbounded: bool) -> None:
+    """Refuse a float, or a float in tuples and dicts, that is not finite
+    (or +inf, where `unbounded`); arrays were checked as they were
+    decoded."""
+    if type(value) is float:
+        if not (math.isfinite(value) or unbounded and value == math.inf):
+            _refuse(value, where)
+    elif isinstance(value, tuple):
+        for item in value:
+            _finite_floats(item, where, unbounded)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _finite_floats(item, where, unbounded)
+
+
+def _decode(tp, value, where: str, unbounded: bool = False):
     if is_dataclass(tp):
         if isinstance(value, tp):
             return value
@@ -64,28 +98,37 @@ def _decode(tp, value, where: str):
                     and f.default_factory is MISSING:
                 raise ConfigInvalid(f"{tp.__name__}: missing key {name!r}")
         hints = _field_types(tp)
-        return tp(**{key: _decode(hints[key], item, f"{tp.__name__}.{key}")
-                     for key, item in value.items()})
+        open_ended = {key: init[key].metadata.get("unbounded", False)
+                      for key in value}
+        args = {key: _decode(hints[key], item, f"{tp.__name__}.{key}",
+                             open_ended[key])
+                for key, item in value.items()}
+        obj = tp(**args)
+        for key, arg in args.items():
+            _finite_floats(arg, f"{tp.__name__}.{key}", open_ended[key])
+        return obj
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value, where)
+        return _decode(inner, value, where, unbounded)
     if origin is tuple and isinstance(value, list):
         if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], v, where) for v in value)
+            return tuple(_decode(args[0], v, where, unbounded) for v in value)
         if len(value) == len(args):
-            return tuple(_decode(a, v, where) for a, v in zip(args, value))
+            return tuple(_decode(a, v, where, unbounded)
+                         for a, v in zip(args, value))
     elif origin is dict and isinstance(value, dict):
-        return {k: _decode(args[1], v, where) for k, v in value.items()}
+        return {k: _decode(args[1], v, where, unbounded)
+                for k, v in value.items()}
     elif tp is np.ndarray and isinstance(value, list):
         try:
             arr = np.array(value)
         except ValueError:
             arr = None
         if arr is not None and arr.dtype.kind in "if":
-            return arr.astype(float)
+            return _finite_array(arr.astype(float), where, unbounded)
     elif tp is float and type(value) in (int, float):
         return float(value)
     elif tp in (int, bool, str) and type(value) is tp:

@@ -22,18 +22,21 @@ reduction's block offsets (from its retained orders) and the block-diagonal
 fast gain.  The terminal cost is the terminal set's shape, and the closed
 loops (the slow A + B K, the fast A + B K, the lifted slow loop) are rebuilt
 where they are used.  The constructors check the sizes within each object
-and `load_archive` the sizes that tie the files together, so a damaged file
-is an error that names the file and the field.  JSON floats are written
-with repr.  CSV cells are the bytes `numpy.savetxt` writes with "%.17g",
-formatted one `%` per chunk of rows: 17 significant digits, formatted by
+and `load_archive` the sizes that tie the files together, and the codec
+refuses numbers that are not finite, so a damaged file is an error that
+names the file and the field.  JSON floats are written with repr.  CSV
+cells are the bytes `numpy.savetxt` writes with "%.17g", formatted one `%`
+per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
 the config; `metadata.json` records wall clock, the archive version (8) and
 the final state, and is the only file excluded from the determinism digest.
 
-`verify_archive` re-derives every runtime invariant from the recorded data:
-state transitions against the model, input limits, correction budgets, the
+`verify_archive` compares the horizon, slow period and layer weights that
+`design.json` repeats with what `config.json` gives (`design_config`), and
+re-derives every runtime invariant from the recorded data: state
+transitions against the model, input limits, correction budgets, the
 fast correction law, each plan's terminal hit on the slow layer's prediction
 (`ll_terminal`), the slow-step disturbance bound, tube containment,
 nominal convergence, and the closed-loop norm-tail envelope, whose lifted
@@ -56,7 +59,8 @@ from . import __version__
 from .analysis import CertificateReport, spectral_norms
 from .errors import ConfigInvalid, HierMPCError
 from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
-                      config_digest, fast_columns, slow_columns)
+                      config_digest, fast_columns, fast_weights, slow_columns,
+                      slow_weights)
 from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
@@ -207,6 +211,31 @@ def _check_sizes(bundle: DesignBundle) -> None:
                                 f"{shape}, expected {expected}")
 
 
+def _config_copies_differ(bundle: DesignBundle, config: RunConfig) -> list:
+    """The values design.json repeats from config.json that are not, bit for
+    bit, the ones `design_pipeline` builds from it, each as `<field> is
+    <stored>, config.json gives <built>`."""
+    hl, model = bundle.hl, bundle.model
+    Q_slow, R_slow = slow_weights(config, hl.slow.n_states, model.n_inputs)
+    ll_Q, ll_R = fast_weights(model, config)
+    differ = []
+    for field, stored, built in (
+            ("hl.horizon", hl.horizon, config.horizon),
+            ("hl.slow.period", hl.slow.period, config.period),
+            ("hl.Q", (hl.Q,), (Q_slow,)), ("hl.R", (hl.R,), (R_slow,)),
+            ("ll_Q", bundle.ll_Q, ll_Q), ("ll_R", bundle.ll_R, ll_R)):
+        if isinstance(built, tuple):
+            same = len(stored) == len(built) and all(
+                a.shape == b.shape and np.array_equal(a, b)
+                for a, b in zip(stored, built))
+        else:
+            same = stored == built
+        if not same:
+            differ.append(f"{field} is {reprlib.repr(to_json(stored))}, "
+                          f"config.json gives {reprlib.repr(to_json(built))}")
+    return differ
+
+
 def load_archive(path) -> LoadedArchive:
     """Read an archive; a file that cannot be read or does not fit the
     others raises ConfigInvalid naming the file."""
@@ -331,6 +360,9 @@ def verify_archive(path) -> VerifyReport:
     # Stored hash vs the loaded config.
     hash_ok = arc.metadata.get("config_sha256") == config_digest(cfg)
     add("config_hash", 0.0 if hash_ok else 1.0, 0)
+    # design.json's copies of config.json values against the loaded config.
+    differ = _config_copies_differ(bundle, cfg)
+    add("design_config", float(len(differ)), 0, "; ".join(differ))
     if count_err:
         # The other checks align the records by slow step.
         return VerifyReport(tuple(checks))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiermpc import solver
+from hiermpc.lowlevel import correction_prediction
 
 
 @pytest.fixture
@@ -60,3 +61,24 @@ def _kkt_certificate(problem, x, tol):
 def kkt_certificate():
     """`_kkt_certificate`: the checker of an optimum's KKT conditions."""
     return _kkt_certificate
+
+
+def _own_correction_qp(model, reduced, i, radius, Q_i, R_i, period, rhs):
+    """Subsystem i's correction QP on its own, with the target `rhs`: the
+    QP a decentralized regulator would solve, its weights stacked by dense
+    Kronecker products, in its own coordinates (period, m_i)."""
+    sub = model.subsystems[i]
+    Q_i, R_i = np.atleast_2d(Q_i), np.atleast_2d(R_i)
+    Gamma, reach = correction_prediction(sub.A, sub.B, period)
+    H = 2.0 * (Gamma.T @ np.kron(np.eye(period - 1), Q_i) @ Gamma
+               + np.kron(np.eye(period), R_i))
+    steps = np.arange(period * sub.n_inputs).reshape(period, sub.n_inputs)
+    return solver.QuadraticProgram(
+        H, np.zeros(H.shape[0]), reduced.beta_block(i, model) @ reach,
+        np.asarray(rhs, dtype=float), (solver.BallConstraint(steps, radius),))
+
+
+@pytest.fixture
+def own_correction_qp():
+    """`_own_correction_qp`: one subsystem's correction QP, built alone."""
+    return _own_correction_qp

@@ -21,11 +21,11 @@ from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
                              config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
 from hiermpc.highlevel import solve_hl, tube_qp
-from hiermpc.lowlevel import correction_qp
-from hiermpc.lti import lifted_closed_loop
+from hiermpc.lowlevel import apply_correction, coupling_error_map
+from hiermpc.lti import CouplingMap, SubsystemModel, assemble, lifted_closed_loop
 from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
-from hiermpc.solver import QuadraticProgram, Status, solve_qp
+from hiermpc.solver import Status, solve_qp
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
 from hiermpc.trace import (_read_csv, _write_csv, archive_digest, load_archive,
@@ -113,23 +113,19 @@ def test_decoupled_disturbance_vanishes():
     assert np.max(np.abs(arc.slow_block("wbar", n_red))) <= 1e-12
 
 
-def per_subsystem_run(model, cfg, bundle):
+def per_subsystem_run(model, cfg, bundle, own_correction_qp):
     """Reference closed loop stepped fast step by fast step and subsystem by
     subsystem.  Below the slow solve it shares nothing with the affine tick
     of `run_closed_loop`: the auxiliary rollout is its own step recursion,
-    each plan comes from `solve_qp` on the subsystem's correction QP with
-    its states stepped under the subsystem's dynamics, and each fast step
-    applies one correction per subsystem and one plant step.  Returns the
+    each plan comes from `solve_qp` on the subsystem's own correction QP,
+    built alone, with its states stepped under the subsystem's dynamics,
+    and each fast step applies one correction per subsystem and one plant
+    step.  Returns the
     fast records and the final state."""
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     m = model.n_inputs
     rho_u = model.input_radii()
     hl_qp = tube_qp(bundle.hl)
-    ll_qps = [correction_qp(model, reduced, i,
-                            BallSet(model.subsystems[i].n_inputs,
-                                    float(bundle.radii.rho_delta_u_hat[i])),
-                            bundle.ll_Q[i], bundle.ll_R[i], N)
-              for i in range(M)]
     x = np.asarray(cfg.x0, dtype=float)
     rows = []
     for k in range(cfg.n_slow_steps):
@@ -141,11 +137,13 @@ def per_subsystem_run(model, cfg, bundle):
         for _ in range(N):
             aux.append(model.A @ aux[-1] + model.B @ u_bar)
         plans = []
-        for i, qp in enumerate(ll_qps):
+        for i in range(M):
             sub, sx = model.subsystems[i], model.state_slice(i)
-            rhs = x_bar_pred[reduced.block_slice(i)] - qp.beta @ aux[N][sx]
-            res = solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]),
-                                            qp.A_eq, rhs, (qp.budget,)))
+            rhs = (x_bar_pred[reduced.block_slice(i)]
+                   - reduced.beta_block(i, model) @ aux[N][sx])
+            res = solve_qp(own_correction_qp(
+                model, reduced, i, float(bundle.radii.rho_delta_u_hat[i]),
+                bundle.ll_Q[i], bundle.ll_R[i], N, rhs))
             assert res.status is Status.OPTIMAL
             u_steps = res.x.reshape(N, sub.n_inputs)
             states = [np.zeros(sub.n_states)]
@@ -169,17 +167,45 @@ def per_subsystem_run(model, cfg, bundle):
 
 
 @pytest.mark.parametrize("decoupled", [False, True])
-def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled):
+def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled,
+                                                          own_correction_qp):
     # The affine tick and the stepped oracle round differently; they agree
     # to the `correction_law` threshold.
     model = build_thermal_model(default_building(decoupled=decoupled))
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
     bundle = design_pipeline(model, cfg)
     arc = run_closed_loop(model, cfg, bundle)
-    fast, final_state = per_subsystem_run(model, cfg, bundle)
+    fast, final_state = per_subsystem_run(model, cfg, bundle, own_correction_qp)
     assert arc.fast.shape == fast.shape
     assert np.max(np.abs(arc.fast - fast)) <= 1e-12
     assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["coupled_n20", "chain4_n40"])
+def test_fast_block_maps_match_the_recursion_and_the_correction_law(name):
+    # W - Xi is the plan rollout: each subsystem's own recursion
+    # x+ = A_i x + B_i u from 0 on its own states and inputs.  D vec(duhat)
+    # is `apply_correction` on the plan with its states and the measured
+    # deviations xhat + W vec(duhat) - xhat.
+    cfg, building = _pinned_workload(name)
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    N, n, m = cfg.period, model.n_states, model.n_inputs
+    qp, W, D = harness.fast_block_maps(model, bundle, N)
+    assert W.shape == ((N + 1) * n, N * m) and D.shape == (N * m, N * m)
+    Xi = coupling_error_map(model, bundle.ll_gain, N)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        duhat = rng.normal(size=(N, m))
+        states = ((W - Xi) @ duhat.ravel()).reshape(N + 1, n)
+        assert np.array_equal(states[0], np.zeros(n))
+        for i, sub in enumerate(model.subsystems):
+            sx, su = model.state_slice(i), model.input_slice(i)
+            step = states[:N, sx] @ sub.A.T + duhat[:, su] @ sub.B.T
+            assert np.max(np.abs(states[1:, sx] - step)) <= 1e-12
+        measured = ((W @ duhat.ravel()).reshape(N + 1, n))[:N]
+        law = apply_correction(duhat, states[:N], bundle.ll_gain, measured)
+        assert np.max(np.abs((D @ duhat.ravel()).reshape(N, m) - law)) <= 1e-12
 
 
 def test_ball_formulation_solves_its_equality_only_system_once(
@@ -600,8 +626,13 @@ def _set(path, value):
      "ll_gain.blocks"),
     ("certificate.json", _set(("radii", "rho_delta_u_hat"), [1.0]),
      "radii.rho_delta_u_hat"),
+    ("design.json",
+     lambda d: d["hl"]["gain"].update(
+         K=[[math.nan] * len(row) for row in d["hl"]["gain"]["K"]]),
+     "GainDesign.K"),
+    ("certificate.json", _set(("rho_w",), math.inf), "CertificateReport.rho_w"),
 ], ids=["beta_row", "order_zero", "order_negative", "offsets", "slow_gain",
-        "terminal_shape", "fast_gain", "radii"])
+        "terminal_shape", "fast_gain", "radii", "slow_gain_nan", "rho_w_inf"])
 def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
                                             name, damage, field):
     """A design or certificate value of the wrong size makes `verify` exit 1
@@ -615,6 +646,47 @@ def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {name}: ")
     assert field in err
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_set(("hl", "horizon"), 3), "hl.horizon"),
+    (_set(("hl", "slow", "period"), 7), "hl.slow.period"),
+    (lambda d: d.update(ll_Q=[[[1.0]]]), "ll_Q"),
+], ids=["horizon", "period", "ll_Q"])
+def test_verify_names_a_design_copy_of_the_config_that_differs(
+        archive_dir, tmp_path, capsys, damage, field):
+    """design.json repeats the horizon, the slow period and the layer weights
+    of config.json; a copy that is not what `design_pipeline` builds from
+    config.json fails `design_config`, naming the field, and `verify` exits
+    1.  (The archive still loads: an edited config.json must reach
+    `config_hash`.)"""
+    bad = tmp_path / "edited"
+    shutil.copytree(archive_dir, bad)
+    data = json.loads((bad / "design.json").read_text())
+    damage(data)
+    (bad / "design.json").write_text(json.dumps(data))
+    (check,) = [c for c in verify_archive(bad).checks
+                if c.name == "design_config"]
+    assert not check.passed
+    assert check.detail.startswith(f"{field} is ")
+    assert "config.json gives" in check.detail
+    assert main(["verify", str(bad)]) == 1
+    assert "design_config" in capsys.readouterr().out
+
+
+def test_an_infinite_start_margin_is_read_back(tmp_path):
+    # Two decoupled scalar rooms: the projection defect is exactly 0, so the
+    # certificate's feasible-start margins are +inf, which its codec keeps.
+    subs = [SubsystemModel(A=[[a]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
+                           input_set=BallSet(1, 10.0)) for a in (0.5, 0.6)]
+    model = assemble(subs, CouplingMap(((None, [[0.0]]), ([[0.0]], None))))
+    cfg = dataclasses.replace(RunConfig(), x0=(1.0, 1.0), n_slow_steps=3)
+    bundle = design_pipeline(model, cfg)
+    assert np.all(bundle.report.lambda_margins == math.inf)
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path / "run")
+    assert np.all(load_archive(out).bundle.report.lambda_margins == math.inf)
+    assert verify_archive(out).passed
 
 
 def _drop_final_state(meta):

@@ -1,16 +1,26 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hiermpc import lowlevel
 from hiermpc.errors import InfeasibleLL
+from hiermpc.harness import RunConfig, config_from_dict, design_pipeline
 from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
                               correction_prediction, correction_qp,
                               design_ll_gain, simulate_auxiliary, solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
-from hiermpc.solver import solve_qp
+from hiermpc.solver import (QuadraticProgram, Status, active_set_step,
+                            equality_first, solve_qp)
+from hiermpc.thermal import (build_thermal_model, building_from_dict,
+                             default_building)
+
+CHAIN4 = Path(__file__).resolve().parents[1] / "perfbench" / "chain4_n40.json"
 
 
 def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
@@ -24,11 +34,28 @@ def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
     return assemble(subs, coupling)
 
 
-def terminal_residual(qp, plan, x_bar_pred_i, aux_terminal):
-    """How far the plan's projected terminal deviation lands from the slow
+def stacked_qp(model, red, budgets, Q_i, R_i, period):
+    """The stacked correction QP with the same weights for every subsystem,
+    and the plan rollout map `correction_qp` adds into a zero map."""
+    rollouts = np.zeros(((period + 1) * model.n_states, period * model.n_inputs))
+    M = model.n_subsystems
+    qp = correction_qp(model, red, budgets, [Q_i] * M, [R_i] * M, period,
+                       rollouts)
+    return qp, rollouts
+
+
+def plan_states(rollouts, plan, n):
+    """Every subsystem's planned deviations at steps 0..period, (period+1, n),
+    from the plan rollout map."""
+    return (rollouts @ plan.u_steps.ravel()).reshape(-1, n)
+
+
+def terminal_residual(model, red, i, states, x_bar_pred, aux_terminal):
+    """How far subsystem i's projected terminal deviation lands from the slow
     layer's prediction gap x_bar_pred_i - beta_i aux_terminal[i]."""
-    gap = np.asarray(x_bar_pred_i) - qp.beta @ aux_terminal[qp.state_slice]
-    return float(np.abs(qp.beta @ plan.states[-1] - gap).max())
+    beta_i, sx = red.beta_block(i, model), model.state_slice(i)
+    gap = np.asarray(x_bar_pred)[red.block_slice(i)] - beta_i @ aux_terminal[sx]
+    return float(np.abs(beta_i @ states[-1, sx] - gap).max())
 
 
 def test_auxiliary_matrix_power_oracle():
@@ -93,32 +120,37 @@ def test_solve_ll_scalar_hand_kkt():
     u_hand = np.linalg.solve(D, cvec) * (rhs / (cvec @ np.linalg.solve(D, cvec)))
 
     aux_terminal = np.zeros(2)  # zero rollout: gap equals the target itself
-    qp = correction_qp(model, red, 0, BallSet(1, 100.0), [[q]], [[r]], period=2)
-    plan = solve_ll(qp, np.array([target]), aux_terminal)
-    assert np.allclose(plan.u_steps.ravel(), u_hand, atol=1e-6)
-    assert terminal_residual(qp, plan, [target], aux_terminal) <= 1e-7
+    qp, rollouts = stacked_qp(model, red, [100.0, 100.0], [[q]], [[r]], 2)
+    x_bar_pred = np.array([target, 0.0])  # subsystem 1 has nothing to do
+    plan = solve_ll(qp, x_bar_pred, aux_terminal)
+    assert np.allclose(plan.u_steps[:, 0], u_hand, atol=1e-6)
+    assert np.array_equal(plan.u_steps[:, 1], np.zeros(2))
+    states = plan_states(rollouts, plan, 2)
+    assert terminal_residual(model, red, 0, states, x_bar_pred,
+                             aux_terminal) <= 1e-7
 
 
 def test_solve_ll_budget_and_reset():
     rng = np.random.default_rng(29)
     model = scalar_pair(couple=0.05)
     red = reduce_model(model, [1, 1])
-    budget = BallSet(1, 0.4)
-    qp = correction_qp(model, red, 1, budget, np.eye(1), [[10.0]], period=8)
+    qp, rollouts = stacked_qp(model, red, [0.4, 0.4], np.eye(1), [[10.0]], 8)
     aux_terminal = rng.normal(size=2)
-    plan = solve_ll(qp, np.array([0.5]), aux_terminal)
-    assert np.allclose(plan.states[0], 0.0)
-    assert all(np.linalg.norm(u) <= budget.radius + 1e-7 for u in plan.u_steps)
-    assert terminal_residual(qp, plan, [0.5], aux_terminal) <= 1e-7
+    x_bar_pred = np.array([red.beta[0] @ aux_terminal, 0.5])
+    plan = solve_ll(qp, x_bar_pred, aux_terminal)
+    states = plan_states(rollouts, plan, 2)
+    assert np.allclose(states[0], 0.0)
+    assert all(np.linalg.norm(u) <= 0.4 + 1e-7 for u in plan.u_steps[:, 1:])
+    assert terminal_residual(model, red, 1, states, x_bar_pred,
+                             aux_terminal) <= 1e-7
 
 
 def test_solve_ll_infeasible_when_target_too_far():
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
+    qp, _ = stacked_qp(model, red, [0.1, 0.1], np.eye(1), np.eye(1), 2)
     with pytest.raises(InfeasibleLL) as err:
-        solve_ll(correction_qp(model, red, 0, BallSet(1, 0.1), np.eye(1),
-                               np.eye(1), period=2),
-                 np.array([50.0]), np.zeros(2))
+        solve_ll(qp, np.array([50.0, 0.0]), np.zeros(2))
     assert err.value.subsystem == 0
     assert err.value.diagnostics["target_norm"] > 0
     assert err.value.diagnostics["status"] == "infeasible"
@@ -134,48 +166,49 @@ def test_solve_ll_names_the_iteration_limit(monkeypatch):
     red = reduce_model(model, [1, 1])
     monkeypatch.setattr(lowlevel, "solve_qp",
                         lambda problem: solve_qp(problem, max_iters=3))
+    qp, _ = stacked_qp(model, red, [0.3, 0.3], np.eye(1), np.eye(1), 4)
     with pytest.raises(InfeasibleLL) as err:
-        solve_ll(correction_qp(model, red, 0, BallSet(1, 0.3), np.eye(1),
-                               np.eye(1), period=4),
-                 np.array([0.5]), np.zeros(2))
+        solve_ll(qp, np.array([0.5, 0.0]), np.zeros(2))
     assert err.value.diagnostics["status"] == "max_iters"
     assert "status max_iters after 3 iterations" in str(err.value)
     assert "unreachable" not in str(err.value)
 
 
 def test_plan_states_follow_subsystem_dynamics():
-    # The plan's states come from one product with the stacked prediction
-    # maps; they are the subsystem's own recursion x+ = A_i x + B_i u.
+    # The plan rollout map `correction_qp` adds into gives each subsystem's
+    # own recursion x+ = A_i x + B_i u on its own columns.
     subs = [SubsystemModel(A=[[0.5, 0.1], [0.0, 0.6]], B=[[1.0, 0.0], [0.5, 1.0]],
                            E=[[1.0], [0.0]], C_z=[[1.0, 0.0]],
                            input_set=BallSet(2, 10.0)) for _ in range(2)]
     model = assemble(subs, CouplingMap(((None, [[0.05]]), ([[0.05]], None))))
     red = reduce_model(model, [1, 1])
     for budget, binds in ((10.0, False), (0.3, True)):
-        plan = solve_ll(correction_qp(model, red, 1, BallSet(2, budget), np.eye(2),
-                                      np.eye(2), period=7),
-                        np.array([0.4]), np.zeros(4))
+        qp, rollouts = stacked_qp(model, red, [budget, budget], np.eye(2),
+                                  np.eye(2), 7)
+        plan = solve_ll(qp, np.array([0.0, 0.4]), np.zeros(4))
         assert (plan.iterations > 0) is binds
-        assert plan.states.shape == (8, 2)
-        assert np.array_equal(plan.states[0], np.zeros(2))
-        sub = model.subsystems[1]
-        for j in range(7):
-            step = sub.A @ plan.states[j] + sub.B @ plan.u_steps[j]
-            assert np.max(np.abs(plan.states[j + 1] - step)) <= 1e-12
+        states = plan_states(rollouts, plan, 4)
+        assert states.shape == (8, 4)
+        assert np.array_equal(states[0], np.zeros(4))
+        for i, sub in enumerate(model.subsystems):
+            sx, su = model.state_slice(i), model.input_slice(i)
+            for j in range(7):
+                step = sub.A @ states[j, sx] + sub.B @ plan.u_steps[j, su]
+                assert np.max(np.abs(states[j + 1, sx] - step)) <= 1e-12
 
 
 def test_apply_correction_feedback_form():
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
-    plan = solve_ll(correction_qp(model, red, 0, BallSet(1, 10.0), np.eye(1),
-                                  np.eye(1), period=3),
-                    np.array([0.3]), np.zeros(2))
+    qp, rollouts = stacked_qp(model, red, [10.0, 10.0], np.eye(1), np.eye(1), 3)
+    plan = solve_ll(qp, np.array([0.3, 0.0]), np.zeros(2))
+    u_plan = plan.u_steps[:, :1]
+    x_plan = plan_states(rollouts, plan, 2)[:3, :1]
     K_i = np.array([[-0.4]])
     measured = np.array([[0.1], [0.25], [-0.2]])
-    out = apply_correction(plan.u_steps, plan.states[:3], LLGain((K_i,), 0.5, 1),
-                           measured)
+    out = apply_correction(u_plan, x_plan, LLGain((K_i,), 0.5, 1), measured)
     for j in range(3):
-        expected = plan.u_steps[j] + K_i @ (measured[j] - plan.states[j])
+        expected = u_plan[j] + K_i @ (measured[j] - x_plan[j])
         assert np.allclose(out[j], expected)
 
 
@@ -207,15 +240,112 @@ def test_decoupled_correction_reproduces_prediction():
     x0 = np.array([1.0, -1.0])
     u_bar = np.array([0.2, -0.1])
     aux_terminal = simulate_auxiliary(auxiliary_maps(model, period), x0, u_bar)[-1]
-    i = 0
-    beta_i = red.beta_block(i, model)
-    x_bar_pred = beta_i @ aux_terminal[model.state_slice(i)] + 0.15
-    plan = solve_ll(correction_qp(model, red, i, BallSet(1, 10.0), np.eye(1),
-                                  np.eye(1), period),
-                    x_bar_pred, aux_terminal)
+    x_bar_pred = red.beta @ aux_terminal + np.array([0.15, -0.05])
+    qp, _ = stacked_qp(model, red, [10.0, 10.0], np.eye(1), np.eye(1), period)
+    plan = solve_ll(qp, x_bar_pred, aux_terminal)
     x = x0.copy()
     for j in range(period):
-        u = u_bar.copy()
-        u[i] += plan.u_steps[j][0]
-        x = model.A @ x + model.B @ u
-    assert np.isclose(beta_i @ x[model.state_slice(i)], x_bar_pred, atol=1e-9)
+        x = model.A @ x + model.B @ (u_bar + plan.u_steps[j])
+    for i in range(2):
+        beta_i = red.beta_block(i, model)
+        assert np.isclose(beta_i @ x[model.state_slice(i)],
+                          x_bar_pred[red.block_slice(i)], atol=1e-9)
+
+
+@pytest.fixture(scope="module", params=["coupled_n20", "chain4_n40"])
+def workload_qp(request):
+    """A benchmark workload's model, design, slow period and stacked
+    correction QP."""
+    if request.param == "chain4_n40":
+        data = json.loads(CHAIN4.read_text())
+        cfg = config_from_dict(data["run"])
+        building = building_from_dict(data["building"])
+    else:
+        cfg, building = RunConfig(), default_building()
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    N, n, m = cfg.period, model.n_states, model.n_inputs
+    qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
+                       bundle.ll_Q, bundle.ll_R, N,
+                       np.zeros(((N + 1) * n, N * m)))
+    return model, bundle, N, qp
+
+
+def own_qps(workload_qp, own_correction_qp):
+    """Each subsystem's correction QP built alone, with a zero target, and
+    the largest |target| its budget reaches: budget times the sum over the
+    steps of the norm of its terminal map (one target row per subsystem)."""
+    model, bundle, N, _ = workload_qp
+    assert bundle.reduced.n_states == model.n_subsystems
+    qps, reach = [], []
+    for i in range(model.n_subsystems):
+        radius = float(bundle.radii.rho_delta_u_hat[i])
+        alone = own_correction_qp(model, bundle.reduced, i, radius,
+                                  bundle.ll_Q[i], bundle.ll_R[i], N, [0.0])
+        qps.append(alone)
+        steps = alone.A_eq.reshape(N, -1)
+        reach.append(radius * np.linalg.norm(steps, axis=1).sum())
+    return qps, np.array(reach)
+
+
+def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
+                                                         own_correction_qp):
+    # The stacked QP is block-separable: its plan is, block by block, the
+    # plan of each subsystem's own QP solved alone, whether budgets bind or
+    # not, and one subsystem's target does not move another's plan.  The
+    # active-set step's rounds and Newton steps are shared by the blocks in
+    # one solve: when several budgets bind hard at once they can run out,
+    # and ADMM then decides the stacked plan, to the solver's tolerance
+    # rather than exactly.
+    model, _, N, qp = workload_qp
+    alone, reach = own_qps(workload_qp, own_correction_qp)
+    zero = np.zeros(model.n_states)
+
+    def plan_matches_alone(target):
+        plan = solve_ll(qp, target, zero)
+        assert plan.u_steps.shape == (N, model.n_inputs)
+        stacked = QuadraticProgram(qp.H, qp.g, qp.A_eq, target, qp.budgets,
+                                   qp.factors)
+        exact = (equality_first(stacked, qp.factors)
+                 or active_set_step(stacked, qp.factors)) is not None
+        for i, own in enumerate(alone):
+            res = solve_qp(dataclasses.replace(own, b_eq=target[i:i + 1]))
+            assert res.status is Status.OPTIMAL
+            got = plan.u_steps[:, model.input_slice(i)]
+            gap = np.max(np.abs(got - res.x.reshape(got.shape)))
+            assert gap <= (1e-12 if exact else 1e-8 * qp.budgets[i].radius)
+        return plan, exact
+
+    rng = np.random.default_rng(21)
+    runs = [plan_matches_alone(rng.uniform(-0.9, 0.9, reach.size) * reach)
+            for _ in range(8)]
+    binds = [plan.iterations > 0 for plan, exact in runs if exact]
+    assert any(binds) and not all(binds)
+
+    # Only subsystem 1's budget binds.
+    target = 0.02 * reach
+    free, exact = plan_matches_alone(target)
+    assert free.iterations == 0 and exact
+    target[1] = 0.8 * reach[1]
+    bound, exact = plan_matches_alone(target)
+    assert bound.iterations > 0 and exact
+    u1 = bound.u_steps[:, model.input_slice(1)]
+    assert np.max(np.linalg.norm(u1, axis=1)) >= qp.budgets[1].radius * (1 - 1e-9)
+    others = np.ones(model.n_inputs, dtype=bool)
+    others[model.input_slice(1)] = False
+    assert np.array_equal(bound.u_steps[:, others], free.u_steps[:, others])
+
+
+def test_solve_ll_names_the_one_subsystem_out_of_budget(workload_qp,
+                                                        own_correction_qp):
+    model, _, _, qp = workload_qp
+    _, reach = own_qps(workload_qp, own_correction_qp)
+    target = 0.1 * reach
+    target[1] = 2.0 * reach[1]
+    with pytest.raises(InfeasibleLL) as err:
+        solve_ll(qp, target, np.zeros(model.n_states))
+    assert err.value.subsystem == 1
+    assert str(err.value).startswith("subsystem 1: correction target "
+                                     "unreachable within budget")
+    assert err.value.diagnostics["status"] == "infeasible"
+    assert np.isclose(err.value.diagnostics["target_norm"], target[1])

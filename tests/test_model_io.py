@@ -39,6 +39,8 @@ def test_json_int_becomes_float_and_lists_become_tuples():
     ({"retained_orders": [1, 1.5]}, "RunConfig.retained_orders"),
     ({"decoupled": 1}, "RunConfig.decoupled"),
     ({"typo_key": 1}, "'typo_key'"),
+    ({"x0": [1.0, float("nan")]}, "RunConfig.x0"),
+    ({"x0": [float("inf")]}, "RunConfig.x0"),
 ])
 def test_wrong_types_and_unknown_keys_name_class_and_key(data, where):
     with pytest.raises(ConfigInvalid, match="RunConfig") as exc_info:
@@ -89,3 +91,11 @@ def test_model_is_written_as_assemble_arguments(decoupled):
     assert again.state_offsets == model.state_offsets
     assert again.input_offsets == model.input_offsets
     assert isinstance(again, InterconnectedModel)
+
+
+@pytest.mark.parametrize("value", [[[float("nan")]], [[float("-inf")]],
+                                   [[1.0, float("inf")]]])
+def test_arrays_must_be_finite(value):
+    with pytest.raises(ConfigInvalid, match="EllipsoidSet.shape: expected "
+                                            "finite numbers"):
+        from_json(EllipsoidSet, {"shape": value, "level": 1.0})
