@@ -7,6 +7,14 @@ its projected reachability row (sigma), how the corrections of one
 subsystem leak into the input budget of another (the interaction matrix),
 and the resulting disturbance, input-leakage and state-tail radii.  All
 norms are spectral; the powers, impulse responses and lifts come from `lti`.
+
+The radius LP and the certificate read the same tables: kappa, sigma, the
+leakage norms ||L F^p A_c|| for the rows K_i S_i and beta, the unit
+step-norm table and A^N.  `certificate_tables` computes them once per design
+(`harness.certify` passes them to both); `tune_radii`,
+`certificate_constants` and `interaction_matrix` compute them themselves
+only when called without them, with the same bits either way.  On a plant
+without coupling, kappa and the projection defect are exactly 0.
 """
 from __future__ import annotations
 
@@ -24,35 +32,52 @@ from .solver import Status, solve_lp
 _SIGMA_FLOOR = 1e-12
 
 
+def _uncoupled(model: InterconnectedModel) -> bool:
+    """Every coupling block of A is exactly zero.  The rows of
+    `reduce_model`'s beta are then left eigenvectors of the diagonal blocks
+    and B_red = beta B, so the reduction commutes with the dynamics: kappa
+    and the projection defect are 0, and their formulas give roundoff."""
+    return not np.any(model.A - model.block_diagonal_A())
+
+
 def lifted_input_mismatch(model: InterconnectedModel, reduced: ReducedModel,
                           period: int) -> float:
     """kappa: norm of (held-input response of the reduced lift) minus the
-    projected held-input response of the full lift; zero when the reduction
-    commutes with the dynamics (decoupled modal case)."""
+    projected held-input response of the full lift; exactly 0.0 for a plant
+    without coupling (`_uncoupled`)."""
+    if _uncoupled(model):
+        return 0.0
     lift_red = lifted_input_matrix(reduced.A, reduced.B, period)
     lift_full = lifted_input_matrix(model.A, model.B, period)
     return float(np.linalg.norm(lift_red - reduced.beta @ lift_full, 2))
 
 
 def kappa_exponential_bound(model: InterconnectedModel, reduced: ReducedModel,
-                            period: int) -> float:
-    """Series-tail bound: kappa <= ||A_red^N|| ||G_red(1)|| + ||beta|| ||A^N|| ||G(1)||."""
+                            period: int, A_pow: np.ndarray | None = None) -> float:
+    """Series-tail bound: kappa <= ||A_red^N|| ||G_red(1)|| + ||beta|| ||A^N|| ||G(1)||.
+    `A_pow`, A^N, is computed when not given."""
+    if A_pow is None:
+        A_pow = np.linalg.matrix_power(model.A, period)
     g_red = np.linalg.solve(np.eye(reduced.n_states) - reduced.A, reduced.B)
     g_full = np.linalg.solve(np.eye(model.n_states) - model.A, model.B)
     t1 = float(np.linalg.norm(np.linalg.matrix_power(reduced.A, period), 2)
                * np.linalg.norm(g_red, 2))
-    t2 = float(np.linalg.norm(reduced.beta, 2)
-               * np.linalg.norm(np.linalg.matrix_power(model.A, period), 2)
+    t2 = float(np.linalg.norm(reduced.beta, 2) * np.linalg.norm(A_pow, 2)
                * np.linalg.norm(g_full, 2))
     return t1 + t2
 
 
 def projection_defect(model: InterconnectedModel, reduced: ReducedModel,
-                      period: int) -> np.ndarray:
+                      period: int, A_pow: np.ndarray | None = None) -> np.ndarray:
     """A_red^N beta - beta A^N: how far the projection fails to commute with
-    the N-step transition."""
+    the N-step transition; exactly 0 for a plant without coupling
+    (`_uncoupled`).  `A_pow`, A^N, is computed when not given."""
+    if _uncoupled(model):
+        return np.zeros_like(reduced.beta)
+    if A_pow is None:
+        A_pow = np.linalg.matrix_power(model.A, period)
     return (np.linalg.matrix_power(reduced.A, period) @ reduced.beta
-            - reduced.beta @ np.linalg.matrix_power(model.A, period))
+            - reduced.beta @ A_pow)
 
 
 def projected_reachability_sigma(model: InterconnectedModel, reduced: ReducedModel,
@@ -110,26 +135,60 @@ def delta_state_bounds(model: InterconnectedModel, rho_delta_u_hat: np.ndarray,
     return rho_delta_u_hat[:, None] * out
 
 
+@dataclass(frozen=True)
+class CertificateTables:
+    """What the radius LP and the certificate both read, computed once per
+    design by `certificate_tables`."""
+
+    kappa: float
+    sigma: np.ndarray
+    # Row l, column p: ||L_l F^p A_c||, rows K_i S_i (i < M), then beta.
+    leakage: np.ndarray
+    # delta_state_bounds at unit step budgets.
+    unit_steps: np.ndarray
+    A_pow: np.ndarray  # A^N
+
+
+def certificate_tables(model: InterconnectedModel, reduced: ReducedModel,
+                       ll_gain: LLGain, period: int) -> CertificateTables:
+    """Each table by the formula the certificate defines it with; raises
+    RankDeficient as `projected_reachability_sigma` does."""
+    M = model.n_subsystems
+    kappa = lifted_input_mismatch(model, reduced, period)
+    sigma = np.array([projected_reachability_sigma(model, reduced, period, i)
+                      for i in range(M)])
+    leakage = _leakage_norms(model, ll_gain, _feedback_maps(model, ll_gain)
+                             + [reduced.beta], period)
+    return CertificateTables(kappa, sigma, leakage,
+                             delta_state_bounds(model, np.ones(M), period),
+                             np.linalg.matrix_power(model.A, period))
+
+
 def interaction_matrix(model: InterconnectedModel, ll_gain: LLGain,
-                       period: int) -> np.ndarray:
+                       period: int, *,
+                       tables: CertificateTables | None = None) -> np.ndarray:
     """Lambda[i, j]: worst-case leakage of subsystem j's planned deviations
     into subsystem i's feedback correction, per unit of j's step budget."""
-    front = _leakage_norms(model, ll_gain, _feedback_maps(model, ll_gain), period)
-    inner = delta_state_bounds(model, np.ones(model.n_subsystems), period)
-    lam = np.zeros((model.n_subsystems,) * 2)
+    M = model.n_subsystems
+    if tables is None:
+        front = _leakage_norms(model, ll_gain, _feedback_maps(model, ll_gain),
+                               period)
+        inner = delta_state_bounds(model, np.ones(M), period)
+    else:
+        front, inner = tables.leakage[:M], tables.unit_steps
+    lam = np.zeros((M, M))
     for r in range(2, period):
         lam += front[:, period - r - 1, None] * inner[None, :, r - 1]
     return lam
 
 
-def _leakage_sums(model: InterconnectedModel, ll_gain: LLGain, left_maps,
-                  state_tbl: np.ndarray, period: int) -> np.ndarray:
-    """Row l, column j: sum_{r=2..j} ||L_l F^{j-r} A_c|| d(r-1), summed in
-    r order, where d is the collective deviation bound (root sum of squares
-    of the rows of `state_tbl`)."""
+def _leakage_sums(front: np.ndarray, state_tbl: np.ndarray,
+                  period: int) -> np.ndarray:
+    """Row l, column j: sum_{r=2..j} front[l, j-r] d(r-1), summed in r
+    order, where front[l, p] = ||L_l F^p A_c|| and d is the collective
+    deviation bound (root sum of squares of the rows of `state_tbl`)."""
     rss = np.sqrt(np.sum(state_tbl ** 2, axis=0))
-    front = _leakage_norms(model, ll_gain, left_maps, period)
-    out = np.zeros((len(left_maps), period + 1))
+    out = np.zeros((front.shape[0], period + 1))
     for r in range(2, period + 1):
         out[:, r:] += front[:, :period - r + 1] * rss[r - 1]
     return out
@@ -178,7 +237,8 @@ class RadiusAllocation:
 
 def tune_radii(model: InterconnectedModel, reduced: ReducedModel, ll_gain: LLGain,
                period: int, gamma1: float = 1.0, gamma2: float = 1.0,
-               u_bar_min: float | np.ndarray = 0.0) -> RadiusAllocation:
+               u_bar_min: float | np.ndarray = 0.0, *,
+               tables: CertificateTables | None = None) -> RadiusAllocation:
     """Allocate per-subsystem input budgets by linear programming.
 
     max gamma1 * sum(correction radii) + gamma2 * sum(held radii), subject to
@@ -195,10 +255,10 @@ def tune_radii(model: InterconnectedModel, reduced: ReducedModel, ll_gain: LLGai
     leave the slow layer nothing to steer with.
     """
     M = model.n_subsystems
-    kappa = lifted_input_mismatch(model, reduced, period)
-    sigma = np.array([projected_reachability_sigma(model, reduced, period, i)
-                      for i in range(M)])
-    lam = interaction_matrix(model, ll_gain, period)
+    if tables is None:
+        tables = certificate_tables(model, reduced, ll_gain, period)
+    kappa, sigma = tables.kappa, tables.sigma
+    lam = interaction_matrix(model, ll_gain, period, tables=tables)
     rho_u = model.input_radii()
     slack = 1e-9 * max(1.0, float(np.max(rho_u)))
     floor = np.broadcast_to(np.asarray(u_bar_min, dtype=float), (M,))
@@ -251,17 +311,19 @@ class CertificateReport:
 
 def certificate_constants(model: InterconnectedModel, reduced: ReducedModel,
                           ll_gain: LLGain, radii: RadiusAllocation, period: int,
-                          x0: np.ndarray | None = None) -> CertificateReport:
+                          x0: np.ndarray | None = None, *,
+                          tables: CertificateTables | None = None
+                          ) -> CertificateReport:
     M = model.n_subsystems
-    kappa = lifted_input_mismatch(model, reduced, period)
-    kappa_bnd = kappa_exponential_bound(model, reduced, period)
-    defect = projection_defect(model, reduced, period)
+    if tables is None:
+        tables = certificate_tables(model, reduced, ll_gain, period)
+    kappa, sigma, A_pow = tables.kappa, tables.sigma, tables.A_pow
+    kappa_bnd = kappa_exponential_bound(model, reduced, period, A_pow)
+    defect = projection_defect(model, reduced, period, A_pow)
     defect_norm = float(np.linalg.norm(defect, 2))
     reach_norm = float(np.linalg.norm(
         reachability_matrix(model.A, model.B, period), 2))
-    al_pow = float(np.linalg.norm(np.linalg.matrix_power(model.A, period), 2))
-    sigma = np.array([projected_reachability_sigma(model, reduced, period, i)
-                      for i in range(M)])
+    al_pow = float(np.linalg.norm(A_pow, 2))
     rho_du = radii.rho_delta_u_hat
     rho_ub_out = radii.rho_u_bar_outer
     rho_u = model.input_radii()
@@ -279,9 +341,8 @@ def certificate_constants(model: InterconnectedModel, reduced: ReducedModel,
         / np.where(denom > 0, denom, 1.0),
         np.inf)
 
-    state_tbl = delta_state_bounds(model, rho_du, period)
-    leak = _leakage_sums(model, ll_gain, _feedback_maps(model, ll_gain)
-                         + [reduced.beta], state_tbl, period)
+    state_tbl = rho_du[:, None] * tables.unit_steps
+    leak = _leakage_sums(tables.leakage, state_tbl, period)
     input_tbl, rho_w = leak[:M], float(leak[M, period])
     kd = correction_gain_norm(model, ll_gain, period)
     rho_x = kd * float(np.sqrt(period)) * float(np.sqrt(np.sum(rho_du ** 2)))

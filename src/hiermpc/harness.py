@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (CertificateReport, RadiusAllocation, certificate_constants,
-                       tune_radii)
+                       certificate_tables, tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
@@ -150,8 +150,10 @@ def fast_weights(model: InterconnectedModel, cfg: RunConfig) -> tuple:
 def certify(model: InterconnectedModel,
             cfg: RunConfig) -> tuple[ReducedModel, LLGain, CertificateReport]:
     """The certificate stages of the offline checklist, up to the constants
-    at the configured start.  Raises DesignIncomplete naming the first stage
-    that fails; the report's clauses are graded, not enforced."""
+    at the configured start.  The radius LP and the certificate read one set
+    of `certificate_tables`, computed once in the "radii" stage.  Raises
+    DesignIncomplete naming the first stage that fails; the report's
+    clauses are graded, not enforced."""
     x0 = start_state(model, cfg)
 
     def _reduction():
@@ -166,11 +168,16 @@ def certify(model: InterconnectedModel,
     reduced = _stage("reduction", _reduction)
     ll_gain = _stage("fast_gain",
                      lambda: design_ll_gain(model, *fast_weights(model, cfg)))
-    radii = _stage("radii", lambda: tune_radii(
-        model, reduced, ll_gain, cfg.period, cfg.gamma1, cfg.gamma2,
-        cfg.u_bar_floor))
+
+    def _radii():
+        tables = certificate_tables(model, reduced, ll_gain, cfg.period)
+        return tables, tune_radii(model, reduced, ll_gain, cfg.period,
+                                  cfg.gamma1, cfg.gamma2, cfg.u_bar_floor,
+                                  tables=tables)
+
+    tables, radii = _stage("radii", _radii)
     report = _stage("certificate", lambda: certificate_constants(
-        model, reduced, ll_gain, radii, cfg.period, x0=x0))
+        model, reduced, ll_gain, radii, cfg.period, x0=x0, tables=tables))
     return reduced, ll_gain, report
 
 

@@ -369,7 +369,8 @@ class KKTFactors:
         self.idx = np.concatenate([s.ravel() for s in self.layout]
                                   or [np.zeros(0, dtype=int)])
         self.bounds = np.cumsum([0] + [s.size for s in self.layout])
-        self.S_terms = np.diag(np.bincount(self.idx, minlength=d).astype(float))
+        # S'S is diagonal: how many constraints hold each coordinate.
+        self.counts = np.bincount(self.idx, minlength=d).astype(float)
         diag_scale = float(np.mean(np.abs(np.diag(self.H))))
         self.rho_init = diag_scale if diag_scale > 0 else 1.0
         self.by_rho = {}
@@ -386,7 +387,10 @@ class KKTFactors:
     def factor(self, rho: float):
         factor = self.by_rho.get(rho)
         if factor is None:
-            H_aug = self.H + rho * self.S_terms if self.layout else self.H
+            H_aug = self.H
+            if self.layout:
+                H_aug = H_aug.copy()
+                H_aug[np.diag_indices_from(H_aug)] += rho * self.counts
             with warnings.catch_warnings():
                 if rho == 0.0 and self.layout:
                     # Only a guess: when the sets are what make the problem

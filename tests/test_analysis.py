@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hiermpc import analysis
 from hiermpc.analysis import (
     CertificateReport,
     RadiusAllocation,
     certificate_constants,
+    certificate_tables,
     correction_gain_norm,
     delta_state_bounds,
     interaction_matrix,
@@ -26,6 +28,7 @@ from hiermpc.harness import RunConfig, certify, config_from_dict
 from hiermpc.lowlevel import correction_prediction, design_ll_gain
 from hiermpc.lti import (CouplingMap, SubsystemModel, assemble,
                          reachability_matrix)
+from hiermpc.model_io import to_json
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
@@ -68,11 +71,15 @@ def leakage_report(model, reduced, gain, rho, period):
 # ---------------------------------------------------------------- kappa
 
 def test_mismatch_zero_for_decoupled_modal_reduction():
+    # Exactly zero, not roundoff; the faintest coupling is not zeroed.
     model = make_pair(coupling=0.0)
     reduced = reduce_model(model, [1, 1])
+    faint = make_pair(coupling=1e-9)
+    faint_reduced = reduce_model(faint, [1, 1])
     for period in (1, 3, 7):
-        assert lifted_input_mismatch(model, reduced, period) < 1e-13
-        assert np.linalg.norm(projection_defect(model, reduced, period)) < 1e-13
+        assert lifted_input_mismatch(model, reduced, period) == 0.0
+        assert not np.any(projection_defect(model, reduced, period))
+        assert 0.0 < lifted_input_mismatch(faint, faint_reduced, period) < 1e-8
 
 
 def test_mismatch_matches_geometric_closed_form():
@@ -475,3 +482,37 @@ def test_sweep_improves_with_longer_periods():
     assert all(b < a for a, b in zip(contraction, contraction[1:]))
     for r in reports:
         assert r.kappa <= r.kappa_bound + 1e-14
+
+
+def _workload(name):
+    """Model and run config of a benchmark workload."""
+    if name == "chain4_n40":
+        data = json.loads(CHAIN4.read_text())
+        cfg, building = config_from_dict(data["run"]), building_from_dict(data["building"])
+    else:
+        cfg = RunConfig(decoupled=name == "decoupled_n20")
+        building = default_building(cfg.decoupled)
+    return build_thermal_model(building), cfg
+
+
+@pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
+def test_certify_reads_one_table_pass_with_the_same_bits(name, monkeypatch):
+    model, cfg = _workload(name)
+    calls = []
+    mismatch = analysis.lifted_input_mismatch
+    monkeypatch.setattr(analysis, "lifted_input_mismatch",
+                        lambda *args: calls.append(args) or mismatch(*args))
+    reduced, gain, report = certify(model, cfg)
+    assert len(calls) == 1
+    radii = tune_radii(model, reduced, gain, cfg.period, cfg.gamma1,
+                       cfg.gamma2, cfg.u_bar_floor)
+    alone = certificate_constants(model, reduced, gain, radii, cfg.period,
+                                  x0=np.asarray(cfg.x0))
+    assert to_json(report.radii) == to_json(radii)
+    assert to_json(report) == to_json(alone)
+    tables = certificate_tables(model, reduced, gain, cfg.period)
+    assert np.array_equal(interaction_matrix(model, gain, cfg.period),
+                          interaction_matrix(model, gain, cfg.period, tables=tables))
+    if cfg.decoupled:
+        assert report.kappa == 0.0 and report.defect_norm == 0.0
+        assert np.all(report.lambda_margins == np.inf)

@@ -391,6 +391,20 @@ def test_factor_cache_reuse_is_bitwise_identical(monkeypatch):
     assert shared_calls == len(shared.by_rho)
 
 
+def test_factor_adds_the_penalty_on_the_diagonal_as_the_dense_form_does():
+    # The balls hold every coordinate once; a second constraint holds 1, 2
+    # and 5 again, so S'S has a 2 there.
+    H, A_eq, ball, _ = ll_shaped_instance(2)
+    layout = (ball.indices, np.array([1, 2, 5]))
+    kkt = KKTFactors(H, A_eq, layout)
+    S_terms = np.diag(np.bincount(np.concatenate([s.ravel() for s in layout]),
+                                  minlength=H.shape[0]).astype(float))
+    for rho in (0.0, 0.37, 5.0):
+        lu, piv = kkt.factor(rho)
+        want_lu, want_piv = solver._kkt_factor(H + rho * S_terms, A_eq)
+        assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+
+
 def test_factor_cache_refuses_other_problem_data():
     H, A_eq, ball, rhs = ll_shaped_instance(1)
     g, b_eq = rhs[0]
