@@ -172,7 +172,7 @@ def _parse_periods(text: str) -> list[int]:
 def _cmd_analyze(args) -> int:
     periods = _parse_periods(args.sweep) if args.sweep else None
     cfg, _, model = _load_setup(args)
-    reduced, ll_gain, report = certify(model, cfg)
+    reduced, ll_gain, report, _ = certify(model, cfg)
     _print_rows(_report_rows(report, float(np.linalg.norm(cfg.x0))))
     ok = report.assumptions_ok and report.x0_bound_ok is not False
 
@@ -205,9 +205,9 @@ def _cmd_tune(args) -> int:
     cfg = dataclasses.replace(cfg, **{
         name: getattr(args, name) for name in ("gamma1", "gamma2")
         if getattr(args, name) is not None})
-    _, ll_gain, report = certify(model, cfg)
+    _, ll_gain, report, tables = certify(model, cfg)
     alloc = report.radii
-    lam_mat = interaction_matrix(model, ll_gain, cfg.period)
+    lam_mat = interaction_matrix(model, ll_gain, cfg.period, tables=tables)
     strict = alloc.rho_delta_u_hat \
         - (report.kappa / (np.sqrt(cfg.period) * report.sigma)) \
         * np.sum(alloc.rho_u_bar)

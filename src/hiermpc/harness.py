@@ -12,7 +12,9 @@ subsystem's corrections in blocks that share nothing, and the tick's fast
 block of held input plus corrections.  The fast block is affine in the
 tick's start state, held input and planned corrections, so it is two
 products with maps built once per run (`fast_block_maps`), not stepped fast
-step by fast step nor subsystem by subsystem.  Every quantity the runtime
+step by fast step nor subsystem by subsystem.  The maps are block-Toeplitz
+in (fast step, plan step), and are gathered from one lag response: the
+fast block's response to a unit plan step.  Every quantity the runtime
 invariants need is recorded; persistence and re-verification live in
 `trace`.
 """
@@ -26,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (CertificateReport, RadiusAllocation, certificate_constants,
-                       certificate_tables, tune_radii)
+from .analysis import (CertificateReport, CertificateTables, RadiusAllocation,
+                       certificate_constants, certificate_tables, tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
                         tube_qp)
 from .lowlevel import CorrectionQP, LLGain, apply_correction, auxiliary_maps, \
-    correction_qp, coupling_error_map, design_ll_gain, simulate_auxiliary, \
-    solve_ll
+    block_toeplitz, correction_qp, design_ll_gain, lag_response, \
+    simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
 from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
@@ -147,13 +149,13 @@ def fast_weights(model: InterconnectedModel, cfg: RunConfig) -> tuple:
             tuple(cfg.r_fast * np.eye(sub.n_inputs) for sub in model.subsystems))
 
 
-def certify(model: InterconnectedModel,
-            cfg: RunConfig) -> tuple[ReducedModel, LLGain, CertificateReport]:
+def certify(model: InterconnectedModel, cfg: RunConfig
+            ) -> tuple[ReducedModel, LLGain, CertificateReport, CertificateTables]:
     """The certificate stages of the offline checklist, up to the constants
     at the configured start.  The radius LP and the certificate read one set
-    of `certificate_tables`, computed once in the "radii" stage.  Raises
-    DesignIncomplete naming the first stage that fails; the report's
-    clauses are graded, not enforced."""
+    of `certificate_tables`, computed once in the "radii" stage and returned
+    for any other reader.  Raises DesignIncomplete naming the first stage
+    that fails; the report's clauses are graded, not enforced."""
     x0 = start_state(model, cfg)
 
     def _reduction():
@@ -178,14 +180,14 @@ def certify(model: InterconnectedModel,
     tables, radii = _stage("radii", _radii)
     report = _stage("certificate", lambda: certificate_constants(
         model, reduced, ll_gain, radii, cfg.period, x0=x0, tables=tables))
-    return reduced, ll_gain, report
+    return reduced, ll_gain, report, tables
 
 
 def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     """Run the offline checklist; raise DesignIncomplete naming the first
     failing stage so a misconfigured run is rejected before any simulation.
     The slow layer is designed only once `certify` has passed every clause."""
-    reduced, ll_gain, report = certify(model, cfg)
+    reduced, ll_gain, report, _ = certify(model, cfg)
     radii = report.radii
     if not report.assumptions_ok:
         failing = [k for k, ok in report.clauses.items() if not ok]
@@ -285,26 +287,29 @@ def fast_block_maps(model: InterconnectedModel, bundle: DesignBundle,
     correction QP and the two maps of the fast block from the tick's planned
     corrections vec(duhat), (period, m) raveled row by row.
 
-    W, ((period+1) n, period m), gives the states at fast steps 0..period
-    less the auxiliary rollout: the plan rollouts plus the coupling error Xi
-    of `lowlevel.coupling_error_map`.  D, (period m, period m), gives the
-    applied corrections: `apply_correction` on the map's columns, the plan
-    step plus K times the coupling error, I + K Xi_{0..period-1}.  Xi is
-    built first, D is read from it, and `correction_qp` then adds each
-    subsystem's rollout into it in place, which makes it W.
+    Both maps are block lower-triangular Toeplitz in (fast step, plan step),
+    gathered by `lowlevel.block_toeplitz` from one `lowlevel.lag_response`,
+    the response to a unit plan step at lag 0.  W, ((period+1) n, period m),
+    gives the states at fast steps 0..period less the auxiliary rollout: the
+    lag blocks are omega, plan rollout plus coupling error.  D, (period m,
+    period m), gives the applied corrections: its lag blocks are one
+    `apply_correction` on the lag responses, the unit plan at lag 0 with
+    its plan states dx and measured deviations omega, I + K e.  The QP's
+    plan predictions are gathered from dx.
     """
-    n, d = model.n_states, period * model.n_inputs
-    W = coupling_error_map(model, bundle.ll_gain, period)
-    # Column c of the maps is the plan e_c: rows are fast steps as
-    # `apply_correction` takes them, and a column's plan states are zero.
-    # One expression, so that its temporaries are gone before the QP is
-    # built.
-    errors = W.reshape(period + 1, n, d)[:period].transpose(0, 2, 1)
-    D = apply_correction(np.eye(d).reshape(d, period, -1).transpose(1, 0, 2),
-                         np.broadcast_to(0.0, errors.shape), bundle.ll_gain,
-                         errors).transpose(0, 2, 1).reshape(d, d)
+    m = model.n_inputs
+    dx, omega = lag_response(model, bundle.ll_gain, period)
+    W = block_toeplitz(omega, period + 1, period)
+    # `apply_correction` reads states along the last axis, so each lag block
+    # is transposed: row c is then input c's unit step, and the plan is the
+    # identity at lag 0.
+    unit = np.zeros((period, m, m))
+    unit[0] = np.eye(m)
+    du = apply_correction(unit, dx[:period].transpose(0, 2, 1), bundle.ll_gain,
+                          omega[:period].transpose(0, 2, 1))
+    D = block_toeplitz(du.transpose(0, 2, 1), period, period)
     qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
-                       bundle.ll_Q, bundle.ll_R, period, W)
+                       bundle.ll_Q, bundle.ll_R, period, dx)
     return qp, W, D
 
 

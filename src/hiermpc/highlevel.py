@@ -196,22 +196,21 @@ def tube_qp(design: HLDesign) -> TubeQP:
     def x_idx(k):
         return np.arange(k * n, (k + 1) * n)
 
-    def u_idx(k):
-        return np.arange(n * (N + 1) + k * m, n * (N + 1) + (k + 1) * m)
-
+    # One block slice per step: the stage costs Q and R on the diagonal,
+    # the dynamics row x_{k+1} - A x_k - B u_k.
     H = np.zeros((d, d))
-    for k in range(N):
-        H[np.ix_(x_idx(k), x_idx(k))] = design.Q
-        H[np.ix_(u_idx(k), u_idx(k))] = design.R
-    H[np.ix_(x_idx(N), x_idx(N))] = design.terminal.shape
-    H = 2.0 * H + 1e-10 * np.eye(d)
-
     A_eq = np.zeros((n * N, d))
     for k in range(N):
-        rows = slice(k * n, (k + 1) * n)
-        A_eq[rows, x_idx(k + 1)] = np.eye(n)
-        A_eq[rows, x_idx(k)] = -slow.A
-        A_eq[rows, u_idx(k)] = -slow.B
+        x, x_next = slice(k * n, (k + 1) * n), slice((k + 1) * n, (k + 2) * n)
+        u = slice(n * (N + 1) + k * m, n * (N + 1) + (k + 1) * m)
+        H[x, x] = design.Q
+        H[u, u] = design.R
+        A_eq[x, x_next] = np.eye(n)
+        A_eq[x, x] = -slow.A
+        A_eq[x, u] = -slow.B
+    x_end = slice(N * n, (N + 1) * n)
+    H[x_end, x_end] = design.terminal.shape
+    H = 2.0 * H + 1e-10 * np.eye(d)
 
     inputs = BallConstraint(np.arange(n * (N + 1), d).reshape(N, m),
                             design.input_tight.radius)
@@ -221,7 +220,7 @@ def tube_qp(design: HLDesign) -> TubeQP:
     pinned = None
     if design.tube.ball.radius == 0.0:
         pin = np.zeros((n, d))
-        pin[:, x_idx(0)] = np.eye(n)
+        pin[:, :n] = np.eye(n)
         pinned = KKTFactors(H, np.vstack([A_eq, pin]),
                             (inputs.indices, terminal.indices))
     g, b_dyn = np.zeros(d), np.zeros(n * N)

@@ -11,18 +11,23 @@ The M plans share no variable and no constraint: each subsystem plans
 against its own model, weights, target and budget.  `correction_qp` stacks
 them into one block-separable QP whose decision is the tick's (period, m)
 corrections, each block at its own subsystem's inputs and target rows, so
-the plans stay decentralized by construction while a tick makes one solve
-(`tests/test_lowlevel.py` checks the stacked plan against each subsystem's
-QP solved alone).  Everything a tick needs that does not depend on the tick
-is built once per run: the auxiliary rollout is one product with the
-stacked maps of `auxiliary_maps`, and the stacked QP carries the constant
-QP data and one set of KKT factors, so per tick only the terminal target
-changes (a plan whose budgets do not bind is one solve on the cached
-rho = 0 factors, through `solver.equality_first`).  `coupling_error_map`
-gives the fast loop's deviation from auxiliary plus plan rollout as a
-linear map of the planned corrections; with the plan rollouts that
-`correction_qp` adds into it, it is what lets the harness run a whole fast
-block without stepping it.
+the plans stay decentralized by construction while a tick whose budgets do
+not bind makes one solve (`tests/test_lowlevel.py` checks the stacked plan
+against each subsystem's QP solved alone).  Everything a tick needs that
+does not depend on the tick is built once per run: the auxiliary rollout is
+one product with the stacked maps of `auxiliary_maps`, and the stacked QP
+carries the constant QP data and one set of KKT factors, so per tick only
+the terminal target changes (a plan whose budgets do not bind is one solve
+on the cached rho = 0 factors, through `solver.equality_first`).
+
+The regulators are LTI within a slow period, so every map from a tick's
+planned corrections to its fast block is block lower-triangular Toeplitz
+in (fast step, plan step): block (j, l) depends only on the lag j - l.
+`lag_response` is the response to one unit plan step at lag 0, lags
+0..period, an O(period) recursion on n x m blocks: the plan rollout and
+the measured deviation from the auxiliary rollout.  `block_toeplitz`
+gathers a lag table into the map; the plan predictions of `correction_qp`
+and the harness's fast-block maps are such gathers.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from .gains import DETUNING_ROUNDS, dlqr
 from .lti import InterconnectedModel, impulse_response, matrix_powers
 from .reduction import ReducedModel
 from .solver import (BallConstraint, KKTFactors, QuadraticProgram, SolveResult,
-                     Status, solve_qp)
+                     Status, equality_first, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -123,16 +128,44 @@ class DeltaPlan:
     iterations: int
 
 
-def correction_prediction(A: np.ndarray, B: np.ndarray, period: int):
-    """Stacked prediction maps: states j=1..period-1 for the cost, the
-    period-step reachability row for the terminal equality.  Both are block
-    Toeplitz in the responses A^p B, p < period, each a power times B."""
-    n, m = B.shape
-    response = matrix_powers(A, period - 1) @ B
-    Gamma = np.zeros(((period - 1) * n, period * m))
-    for j in range(1, period):
-        Gamma[(j - 1) * n:j * n, :j * m] = np.hstack(response[j - 1::-1])
-    return Gamma, np.hstack(response[::-1])
+def lag_response(model: InterconnectedModel, gain: LLGain,
+                 period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fast block's response to a unit plan step at lag 0, at lags
+    p = 0..period: two (period+1, n, m) tables of n x m blocks, column c of
+    each the response to input c.
+
+    dx is the plan rollout, dx_1 = B and dx_{p+1} = A_d dx_p (A_d the
+    block-diagonal A; B is block-diagonal by construction).  omega is the
+    measured deviation from the auxiliary rollout, omega_p = dx_p + e_p:
+    with du = duhat + K e, the plant x+ = A x + B (u_held + du), the
+    auxiliary xhat+ = A xhat + B u_held and the plans dxhat+ = A_d dxhat +
+    B duhat, the coupling error e = x - xhat - dxhat steps as
+    e_{p+1} = (A + B K) e_p + (A - A_d) dx_p from e_0 = 0."""
+    n, m = model.n_states, model.n_inputs
+    A_d = model.block_diagonal_A()
+    F, leak = model.A + model.B @ gain.K, model.A - A_d
+    dx, e = np.zeros((2, period + 1, n, m))
+    dx[1] = model.B
+    for p in range(1, period):
+        dx[p + 1] = A_d @ dx[p]
+        e[p + 1] = F @ e[p] + leak @ dx[p]
+    return dx, dx + e
+
+
+def block_toeplitz(lags: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The block lower-triangular Toeplitz matrix of a (>= rows, r, c) lag
+    table, (rows r, cols c): block (j, l) is lags[j - l] for j >= l and zero
+    above.  A strided window over the zero-padded lags, copied once."""
+    _, r, c = lags.shape
+    # Row i of `flat` is row i of lags rows-1, ..., 1, 0 and then cols-1 zero
+    # blocks, side by side: the window of cols blocks from block rows-1-j is
+    # row i of block row j, contiguous.
+    flat = np.zeros((r, rows + cols - 1, c))
+    flat[:, :rows] = lags[rows - 1::-1].transpose(1, 0, 2)
+    window = np.lib.stride_tricks.sliding_window_view(
+        flat.reshape(r, -1), cols * c, axis=1)[:, ::c]
+    blocks = window[:, ::-1].transpose(1, 0, 2).copy()
+    return blocks.reshape(rows * r, cols * c)
 
 
 @dataclass(frozen=True)
@@ -160,37 +193,33 @@ class CorrectionQP:
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
                   Q_blocks, R_blocks, period: int,
-                  rollouts: np.ndarray) -> CorrectionQP:
+                  plan_lags: np.ndarray) -> CorrectionQP:
     """Build the stacked correction QP for a slow period `period`; subsystem
     i has the per-step budget `budgets[i]` and the weights Q_blocks[i],
-    R_blocks[i].  Each subsystem's plan rollout [0; Gamma_i; reach_i], its
-    planned deviations at steps 0..period, is added in place into
-    `rollouts`, a ((period+1) n, period m) map of the planned corrections,
-    at its own states and inputs."""
-    n, m = model.n_states, model.n_inputs
+    R_blocks[i].  `plan_lags` is the plan rollout dx of `lag_response`:
+    gathered by `block_toeplitz`, its diagonal block i is subsystem i's
+    planned deviations [0; Gamma_i; reach_i] at steps 0..period."""
+    m = model.n_inputs
     d = period * m
     H = np.zeros((d, d))
     A_eq = np.zeros((reduced.n_states, d))
     steps = np.arange(d).reshape(period, m)
-    plan_map = rollouts.reshape(period + 1, n, period, m)
     balls, target_rows = [], []
     for i, sub in enumerate(model.subsystems):
-        n_i, m_i = sub.n_states, sub.n_inputs
-        cols = steps[:, model.input_slice(i)]
+        n_i, su = sub.n_states, model.input_slice(i)
+        cols = steps[:, su]
         at = cols.ravel()
         Q_i = np.atleast_2d(np.asarray(Q_blocks[i], dtype=float))
         R_i = np.atleast_2d(np.asarray(R_blocks[i], dtype=float))
-        Gamma, reach = correction_prediction(sub.A, sub.B, period)
+        rollout = block_toeplitz(plan_lags[:, model.state_slice(i), su],
+                                 period + 1, period)
+        Gamma, reach = rollout[n_i:period * n_i], rollout[period * n_i:]
         # Gamma' diag(Q_i) Gamma + diag(R_i), one state block at a time.
         H_i = Gamma.T @ (Q_i @ Gamma.reshape(period - 1, n_i, -1)).reshape(
-            Gamma.shape)
-        for j in range(period):
-            H_i[j * m_i:(j + 1) * m_i, j * m_i:(j + 1) * m_i] += R_i
+            Gamma.shape) + np.kron(np.eye(period), R_i)
         H[np.ix_(at, at)] = 2.0 * H_i
         rows = reduced.block_slice(i)
         A_eq[rows, at] = reduced.beta_block(i, model) @ reach
-        plan_map[1:, model.state_slice(i), :, model.input_slice(i)] += \
-            np.vstack([Gamma, reach]).reshape(period, n_i, period, m_i)
         balls.append(BallConstraint(cols, float(budgets[i])))
         target_rows.append(rows)
     g = np.zeros(d)
@@ -206,24 +235,27 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
 
 def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
              aux_terminal: np.ndarray) -> DeltaPlan:
-    """Every subsystem's correction plan over one slow period, in one solve.
+    """Every subsystem's correction plan over one slow period.
 
     Decision: the per-step corrections; each subsystem's planned deviation
     starts at zero (slow-tick reset), its projection must land exactly on
     its rows of the slow layer's prediction gap `x_bar_pred - beta
     aux_terminal` (the auxiliary terminal is the full state, beta is block
-    diagonal), and each of its steps stays inside its budget ball.  Only
-    when the stacked solve ends without OPTIMAL is each subsystem's block
-    solved alone, in order: the first that fails raises InfeasibleLL naming
-    it, and if none fails the plan is theirs.
+    diagonal), and each of its steps stays inside its budget ball.  A tick
+    whose budgets do not bind is one solve of the stacked QP on its cached
+    rho = 0 factors (`solver.equality_first`, 0 iterations).  Otherwise
+    each subsystem's block is solved alone, in order, by `solve_qp`, so a
+    block whose optimum the active-set step certifies is exact whatever the
+    other blocks need: the first that fails raises InfeasibleLL naming it,
+    and if none fails the plan is theirs.
     """
     rhs = (np.asarray(x_bar_pred, dtype=float)
            - qp.beta @ np.asarray(aux_terminal, dtype=float))
-    res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs, qp.budgets,
-                                    qp.factors))
-    if res.status is Status.OPTIMAL:
-        return DeltaPlan(res.x.reshape(qp.period, -1), res.iterations)
-    x, iterations = np.empty(qp.g.shape[0]), res.iterations
+    res = equality_first(QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs,
+                                          qp.budgets, qp.factors), qp.factors)
+    if res is not None:
+        return DeltaPlan(res.x.reshape(qp.period, -1), 0)
+    x, iterations = np.empty(qp.g.shape[0]), 0
     for i, (ball, rows) in enumerate(zip(qp.budgets, qp.target_rows)):
         at = ball.indices.ravel()
         A_i, rhs_i = qp.A_eq[rows, at], rhs[rows]
@@ -256,28 +288,6 @@ def _infeasible(i: int, A_eq: np.ndarray, radius: float, rhs: np.ndarray,
                      "target_norm": float(np.linalg.norm(rhs)),
                      "budget": radius,
                      "least_norm_sequence": min_norm})
-
-
-def coupling_error_map(model: InterconnectedModel, gain: LLGain,
-                       period: int) -> np.ndarray:
-    """Xi: the fast loop's deviation e = x - xhat - dxhat from the auxiliary
-    plus plan rollout at fast steps 0..period, as a linear map of the
-    planned corrections duhat (period, m) raveled row by row.
-
-    With du = duhat + K e, the plant x+ = A x + B (u_held + du), the
-    auxiliary xhat+ = A xhat + B u_held and the plans dxhat+ = A_d dxhat +
-    B duhat (A_d the block-diagonal A; B is block-diagonal by construction),
-    e+ = (A + B K) e + (A - A_d) dxhat from e = 0."""
-    n, m = model.n_states, model.n_inputs
-    A_d = model.block_diagonal_A()
-    F, leak = model.A + model.B @ gain.K, model.A - A_d
-    dxhat = np.zeros((n, period * m))  # plan rollout map at step j
-    Xi = np.zeros((period + 1, n, period * m))
-    for j in range(period):
-        Xi[j + 1] = F @ Xi[j] + leak @ dxhat
-        dxhat = A_d @ dxhat
-        dxhat[:, j * m:(j + 1) * m] += model.B
-    return Xi.reshape(-1, period * m)
 
 
 def apply_correction(u_plan: np.ndarray, x_plan: np.ndarray, gain: LLGain,

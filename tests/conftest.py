@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hiermpc import solver
-from hiermpc.lowlevel import correction_prediction
 
 
 @pytest.fixture
@@ -63,13 +62,28 @@ def kkt_certificate():
     return _kkt_certificate
 
 
+def _stepped_prediction(A, B, period):
+    """One subsystem's plan predictions, stepped one fast step at a time:
+    column c is the rollout x+ = A x + B u from 0 of the unit plan e_c, the
+    (period, m) corrections raveled row by row.  Returns the states after
+    steps 1..period-1, stacked, and the state after step `period`."""
+    n, m = B.shape
+    units = np.eye(period * m).reshape(period, m, period * m)
+    x, states = np.zeros((n, period * m)), []
+    for u in units:
+        x = A @ x + B @ u
+        states.append(x)
+    return np.array(states[:-1]).reshape(-1, period * m), states[-1]
+
+
 def _own_correction_qp(model, reduced, i, radius, Q_i, R_i, period, rhs):
     """Subsystem i's correction QP on its own, with the target `rhs`: the
-    QP a decentralized regulator would solve, its weights stacked by dense
-    Kronecker products, in its own coordinates (period, m_i)."""
+    QP a decentralized regulator would solve, its predictions stepped fast
+    step by fast step and its weights stacked by dense Kronecker products,
+    in its own coordinates (period, m_i)."""
     sub = model.subsystems[i]
     Q_i, R_i = np.atleast_2d(Q_i), np.atleast_2d(R_i)
-    Gamma, reach = correction_prediction(sub.A, sub.B, period)
+    Gamma, reach = _stepped_prediction(sub.A, sub.B, period)
     H = 2.0 * (Gamma.T @ np.kron(np.eye(period - 1), Q_i) @ Gamma
                + np.kron(np.eye(period), R_i))
     steps = np.arange(period * sub.n_inputs).reshape(period, sub.n_inputs)

@@ -25,7 +25,7 @@ from hiermpc.analysis import (
 )
 from hiermpc.errors import InfeasibleTuning, RankDeficient
 from hiermpc.harness import RunConfig, certify, config_from_dict
-from hiermpc.lowlevel import correction_prediction, design_ll_gain
+from hiermpc.lowlevel import design_ll_gain, lag_response
 from hiermpc.lti import (CouplingMap, SubsystemModel, assemble,
                          reachability_matrix)
 from hiermpc.model_io import to_json
@@ -292,7 +292,7 @@ def _leakage_cases(case):
     else:
         cfg, building = RunConfig(), default_building()
     model = build_thermal_model(building)
-    reduced, gain, report = certify(model, cfg)
+    reduced, gain, report, _ = certify(model, cfg)
     return model, reduced, gain, report.radii, (cfg.period,)
 
 
@@ -347,11 +347,11 @@ def test_correction_gain_norm_matches_dense_map(case, period):
 @pytest.mark.parametrize("case", ["coupled", "thermal_n20", "chain4_n40"])
 def test_prediction_maps_keep_their_arithmetic(case):
     # Each map keeps one rounding convention, checked to the bit against
-    # explicit loops: the reachability row and the deviation bounds multiply
-    # A into the last term, the correction prediction multiplies powers of A
-    # into B.
-    model, _, _, _, periods = _leakage_cases(case)
+    # explicit loops: the reachability row, the deviation bounds and the
+    # plan rollout of `lag_response` multiply A into the last term.
+    model, _, gain, _, periods = _leakage_cases(case)
     rho = np.linspace(0.5, 1.5, model.n_subsystems)
+    A_d = model.block_diagonal_A()
     for period in sorted({1, 2, 7, *periods}):
         state_tbl = np.zeros((model.n_subsystems, period + 1))
         for i, sub in enumerate(model.subsystems):
@@ -363,19 +363,11 @@ def test_prediction_maps_keep_their_arithmetic(case):
             assert np.array_equal(reachability_matrix(A, B, period), np.hstack(blocks))
             state_tbl[i, 1:] = np.cumsum(
                 np.linalg.svd(np.array(blocks), compute_uv=False)[:, 0])
-
-            n, m = B.shape
-            powers = [np.eye(n)]
-            for _ in range(period):
-                powers.append(A @ powers[-1])
-            Gamma = np.zeros(((period - 1) * n, period * m))
-            for j in range(1, period):
-                for r in range(j):
-                    Gamma[(j - 1) * n:j * n, r * m:(r + 1) * m] = powers[j - 1 - r] @ B
-            reach = np.hstack([powers[period - 1 - r] @ B for r in range(period)])
-            got_Gamma, got_reach = correction_prediction(A, B, period)
-            assert np.array_equal(got_Gamma, Gamma)
-            assert np.array_equal(got_reach, reach)
+        plan, term = [np.zeros_like(model.B)], model.B
+        for _ in range(period):
+            plan.append(term)
+            term = A_d @ term
+        assert np.array_equal(lag_response(model, gain, period)[0], np.array(plan))
         assert np.array_equal(delta_state_bounds(model, rho, period),
                               rho[:, None] * state_tbl)
 
@@ -502,7 +494,7 @@ def test_certify_reads_one_table_pass_with_the_same_bits(name, monkeypatch):
     mismatch = analysis.lifted_input_mismatch
     monkeypatch.setattr(analysis, "lifted_input_mismatch",
                         lambda *args: calls.append(args) or mismatch(*args))
-    reduced, gain, report = certify(model, cfg)
+    reduced, gain, report, _ = certify(model, cfg)
     assert len(calls) == 1
     radii = tune_radii(model, reduced, gain, cfg.period, cfg.gamma1,
                        cfg.gamma2, cfg.u_bar_floor)

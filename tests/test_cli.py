@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hiermpc import harness
+from hiermpc import analysis, harness
 from hiermpc.cli import main
 from hiermpc.errors import ConfigInvalid
 
@@ -118,6 +118,23 @@ def test_analyze_runs_the_reduction_checks(monkeypatch, capsys):
 def test_tune_resubstitution_passes(capsys):
     assert main(["tune", "--gamma1", "1", "--gamma2", "1"]) == 0
     assert "re-substitution: pass" in capsys.readouterr().out
+
+
+def test_tune_computes_the_certificate_tables_once(monkeypatch, capsys):
+    # The interaction matrix `tune` prints reads the tables `certify`
+    # computed: one pass of the leakage norms and of the unit step-norm
+    # table, both made inside `certificate_tables`.
+    calls = []
+    for name in ("certificate_tables", "_leakage_norms", "delta_state_bounds"):
+        fn = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    monkeypatch.setattr(harness, "certificate_tables",
+                        analysis.certificate_tables)
+    assert main(["tune", "--gamma1", "1", "--gamma2", "1"]) == 0
+    assert sorted(calls) == ["_leakage_norms", "certificate_tables",
+                             "delta_state_bounds"]
+    capsys.readouterr()
 
 
 def test_design_writes_files_and_passes(tmp_path, capsys):

@@ -21,7 +21,6 @@ from hiermpc.harness import (DesignBundle, RunConfig, config_digest,
                              config_from_dict, config_to_dict, design_pipeline,
                              run_closed_loop)
 from hiermpc.highlevel import solve_hl, tube_qp
-from hiermpc.lowlevel import apply_correction, coupling_error_map
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble, lifted_closed_loop
 from hiermpc.model_io import from_json, to_json
 from hiermpc.sets import BallSet
@@ -181,31 +180,54 @@ def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled,
     assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["coupled_n20", "chain4_n40"])
+def stepped_fast_block(model, gain, duhat, x, u_bar):
+    """The fast-step oracle of one tick: the plant under the held input plus
+    the correction law, the auxiliary rollout and each subsystem's plan
+    rollout, stepped one fast step at a time from x.  Returns the plant less
+    the auxiliary rollout at steps 0..N and the applied corrections."""
+    m = model.n_inputs
+    aux, plan = x.copy(), np.zeros(model.n_states)
+    deviations, corrections = [x - aux], []
+    for j in range(duhat.shape[0]):
+        du = np.empty(m)
+        for i, sub in enumerate(model.subsystems):
+            sx, su = model.state_slice(i), model.input_slice(i)
+            du[su] = duhat[j, su] + gain.blocks[i] @ (x[sx] - aux[sx] - plan[sx])
+            plan[sx] = sub.A @ plan[sx] + sub.B @ duhat[j, su]
+        x = model.A @ x + model.B @ (u_bar + du)
+        aux = model.A @ aux + model.B @ u_bar
+        deviations.append(x - aux)
+        corrections.append(du)
+    return np.array(deviations), np.array(corrections)
+
+
+@pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
 def test_fast_block_maps_match_the_recursion_and_the_correction_law(name):
-    # W - Xi is the plan rollout: each subsystem's own recursion
-    # x+ = A_i x + B_i u from 0 on its own states and inputs.  D vec(duhat)
-    # is `apply_correction` on the plan with its states and the measured
-    # deviations xhat + W vec(duhat) - xhat.
+    # W vec(duhat) is the plant less the auxiliary rollout and D vec(duhat)
+    # the applied corrections of the fast-step oracle, from a random start
+    # and held input.  Both maps are block lower-triangular Toeplitz in
+    # (fast step, plan step): block (j, l) is block (j - l, 0), to the bit,
+    # and zero above the diagonal.
     cfg, building = _pinned_workload(name)
     model = build_thermal_model(building)
     bundle = design_pipeline(model, cfg)
     N, n, m = cfg.period, model.n_states, model.n_inputs
     qp, W, D = harness.fast_block_maps(model, bundle, N)
     assert W.shape == ((N + 1) * n, N * m) and D.shape == (N * m, N * m)
-    Xi = coupling_error_map(model, bundle.ll_gain, N)
     rng = np.random.default_rng(8)
     for _ in range(5):
         duhat = rng.normal(size=(N, m))
-        states = ((W - Xi) @ duhat.ravel()).reshape(N + 1, n)
-        assert np.array_equal(states[0], np.zeros(n))
-        for i, sub in enumerate(model.subsystems):
-            sx, su = model.state_slice(i), model.input_slice(i)
-            step = states[:N, sx] @ sub.A.T + duhat[:, su] @ sub.B.T
-            assert np.max(np.abs(states[1:, sx] - step)) <= 1e-12
-        measured = ((W @ duhat.ravel()).reshape(N + 1, n))[:N]
-        law = apply_correction(duhat, states[:N], bundle.ll_gain, measured)
-        assert np.max(np.abs((D @ duhat.ravel()).reshape(N, m) - law)) <= 1e-12
+        states, corrections = stepped_fast_block(
+            model, bundle.ll_gain, duhat, rng.normal(size=n), rng.normal(size=m))
+        assert np.max(np.abs((W @ duhat.ravel()).reshape(N + 1, n)
+                             - states)) <= 1e-12
+        assert np.max(np.abs((D @ duhat.ravel()).reshape(N, m)
+                             - corrections)) <= 1e-12
+    for maps, rows, r in ((W, N + 1, n), (D, N, m)):
+        blocks = maps.reshape(rows, r, N, m)
+        for l in range(N):
+            assert np.array_equal(blocks[l:, :, l], blocks[:rows - l, :, 0])
+            assert not np.any(blocks[:l, :, l])
 
 
 def test_ball_formulation_solves_its_equality_only_system_once(

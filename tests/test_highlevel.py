@@ -15,8 +15,8 @@ from hiermpc.highlevel import (GainDesign, HLDesign, SlowModel, design_gain,
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
-from hiermpc.solver import (BallConstraint, QuadraticProgram, Status,
-                            active_set_step, equality_first, solve_qp)
+from hiermpc.solver import (BallConstraint, KKTFactors, QuadraticProgram,
+                            Status, active_set_step, equality_first, solve_qp)
 from hiermpc.thermal import build_thermal_model, default_building
 
 
@@ -402,6 +402,54 @@ def test_tube_qp_pins_only_a_point_tube(decoupled):
     assert np.array_equal(qp.pinned.A_eq[-n:], np.eye(n, d))
     assert [s.shape for s in qp.pinned.layout] == [qp.inputs.indices.shape,
                                                    qp.terminal.indices.shape]
+
+
+def per_step_tube_data(design):
+    """H and A_eq of the slow QP, one np.ix_ gather per block: x_0..x_N,
+    then u_0..u_{N-1}."""
+    slow = design.slow
+    n, m, N = slow.n_states, slow.n_inputs, design.horizon
+    d = n * (N + 1) + m * N
+
+    def x_idx(k):
+        return np.arange(k * n, (k + 1) * n)
+
+    def u_idx(k):
+        return np.arange(n * (N + 1) + k * m, n * (N + 1) + (k + 1) * m)
+
+    H = np.zeros((d, d))
+    for k in range(N):
+        H[np.ix_(x_idx(k), x_idx(k))] = design.Q
+        H[np.ix_(u_idx(k), u_idx(k))] = design.R
+    H[np.ix_(x_idx(N), x_idx(N))] = design.terminal.shape
+    H = 2.0 * H + 1e-10 * np.eye(d)
+    A_eq = np.zeros((n * N, d))
+    for k in range(N):
+        rows = slice(k * n, (k + 1) * n)
+        A_eq[rows, x_idx(k + 1)] = np.eye(n)
+        A_eq[rows, x_idx(k)] = -slow.A
+        A_eq[rows, u_idx(k)] = -slow.B
+    return H, A_eq
+
+
+def test_tube_qp_data_and_factors_match_the_per_step_construction(decoupled):
+    # Bit for bit, on a ball tube and on the point tube with its pinned
+    # factors as well.
+    _, _, _, design = make_design(np.random.default_rng(29))
+    for design in (design, decoupled[2].hl):
+        qp = tube_qp(design)
+        H, A_eq = per_step_tube_data(design)
+        assert qp.H.tobytes() == H.tobytes()
+        assert qp.A_eq.tobytes() == A_eq.tobytes()
+        oracle = KKTFactors(H, A_eq, qp.factors.layout)
+        for got, want in zip(qp.factors.factor(0.0), oracle.factor(0.0)):
+            assert got.tobytes() == want.tobytes()
+        if qp.pinned is not None:
+            n = design.slow.n_states
+            pinned = KKTFactors(H, np.vstack([A_eq, np.eye(n, H.shape[0])]),
+                                qp.pinned.layout)
+            for got, want in zip(qp.pinned.factor(0.0), pinned.factor(0.0)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_decoupled_run_takes_the_pinned_step_on_two_ticks(decoupled):

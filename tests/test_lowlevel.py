@@ -10,13 +10,13 @@ from hiermpc import lowlevel
 from hiermpc.errors import InfeasibleLL
 from hiermpc.harness import RunConfig, config_from_dict, design_pipeline
 from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
-                              correction_prediction, correction_qp,
-                              design_ll_gain, simulate_auxiliary, solve_ll)
+                              block_toeplitz, correction_qp, design_ll_gain,
+                              lag_response, simulate_auxiliary, solve_ll)
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
-from hiermpc.solver import (QuadraticProgram, Status, active_set_step,
-                            equality_first, solve_qp)
+from hiermpc.solver import (KKTFactors, QuadraticProgram, Status,
+                            active_set_step, equality_first, solve_qp)
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
 
@@ -34,14 +34,21 @@ def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
     return assemble(subs, coupling)
 
 
+def plan_lags(model, period):
+    """The plan rollout of `lag_response`, which does not depend on the
+    gain: here a zero one."""
+    zero = LLGain(tuple(np.zeros((sub.n_inputs, sub.n_states))
+                        for sub in model.subsystems), 0.0, 0)
+    return lag_response(model, zero, period)[0]
+
+
 def stacked_qp(model, red, budgets, Q_i, R_i, period):
     """The stacked correction QP with the same weights for every subsystem,
-    and the plan rollout map `correction_qp` adds into a zero map."""
-    rollouts = np.zeros(((period + 1) * model.n_states, period * model.n_inputs))
+    and the plan rollout map gathered from the lag table it is built from."""
+    dx = plan_lags(model, period)
     M = model.n_subsystems
-    qp = correction_qp(model, red, budgets, [Q_i] * M, [R_i] * M, period,
-                       rollouts)
-    return qp, rollouts
+    qp = correction_qp(model, red, budgets, [Q_i] * M, [R_i] * M, period, dx)
+    return qp, block_toeplitz(dx, period + 1, period)
 
 
 def plan_states(rollouts, plan, n):
@@ -96,12 +103,12 @@ def test_design_ll_gain_detunes_under_coupling():
 
 
 def test_correction_prediction_layout():
-    A = np.array([[0.5]])
-    B = np.array([[2.0]])
-    Gamma, reach = correction_prediction(A, B, 3)
-    # states j=1,2 from inputs (u0,u1,u2); reach maps to state j=3.
-    assert np.allclose(Gamma, [[2.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
-    assert np.allclose(reach, [[0.5, 1.0, 2.0]])
+    # Subsystem 0 (A = 0.5, B = 2) over 3 steps: state 0 is zero, states
+    # j = 1, 2 (Gamma) and the reach row j = 3 from inputs (u0, u1, u2).
+    model = scalar_pair(a1=0.5, b1=2.0)
+    rollout = block_toeplitz(plan_lags(model, 3)[:, :1, :1], 4, 3)
+    assert np.array_equal(rollout, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                    [1.0, 2.0, 0.0], [0.5, 1.0, 2.0]])
 
 
 def test_solve_ll_scalar_hand_kkt():
@@ -175,8 +182,8 @@ def test_solve_ll_names_the_iteration_limit(monkeypatch):
 
 
 def test_plan_states_follow_subsystem_dynamics():
-    # The plan rollout map `correction_qp` adds into gives each subsystem's
-    # own recursion x+ = A_i x + B_i u on its own columns.
+    # The plan rollout map gathered from the lag table gives each
+    # subsystem's own recursion x+ = A_i x + B_i u on its own columns.
     subs = [SubsystemModel(A=[[0.5, 0.1], [0.0, 0.6]], B=[[1.0, 0.0], [0.5, 1.0]],
                            E=[[1.0], [0.0]], C_z=[[1.0, 0.0]],
                            input_set=BallSet(2, 10.0)) for _ in range(2)]
@@ -264,10 +271,9 @@ def workload_qp(request):
         cfg, building = RunConfig(), default_building()
     model = build_thermal_model(building)
     bundle = design_pipeline(model, cfg)
-    N, n, m = cfg.period, model.n_states, model.n_inputs
+    N = cfg.period
     qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
-                       bundle.ll_Q, bundle.ll_R, N,
-                       np.zeros(((N + 1) * n, N * m)))
+                       bundle.ll_Q, bundle.ll_R, N, plan_lags(model, N))
     return model, bundle, N, qp
 
 
@@ -292,11 +298,10 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
                                                          own_correction_qp):
     # The stacked QP is block-separable: its plan is, block by block, the
     # plan of each subsystem's own QP solved alone, whether budgets bind or
-    # not, and one subsystem's target does not move another's plan.  The
-    # active-set step's rounds and Newton steps are shared by the blocks in
-    # one solve: when several budgets bind hard at once they can run out,
-    # and ADMM then decides the stacked plan, to the solver's tolerance
-    # rather than exactly.
+    # not, and one subsystem's target does not move another's plan.  A
+    # block whose own QP the equality-only solve or the active-set step
+    # certifies matches it to 1e-12; one that needs ADMM alone matches to
+    # the solver's tolerance.
     model, _, N, qp = workload_qp
     alone, reach = own_qps(workload_qp, own_correction_qp)
     zero = np.zeros(model.n_states)
@@ -304,17 +309,18 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
     def plan_matches_alone(target):
         plan = solve_ll(qp, target, zero)
         assert plan.u_steps.shape == (N, model.n_inputs)
-        stacked = QuadraticProgram(qp.H, qp.g, qp.A_eq, target, qp.budgets,
-                                   qp.factors)
-        exact = (equality_first(stacked, qp.factors)
-                 or active_set_step(stacked, qp.factors)) is not None
+        exact = []
         for i, own in enumerate(alone):
-            res = solve_qp(dataclasses.replace(own, b_eq=target[i:i + 1]))
+            own = dataclasses.replace(own, b_eq=target[i:i + 1])
+            kkt = KKTFactors(own.H, own.A_eq, [c.indices for c in own.constraints])
+            exact.append((equality_first(own, kkt)
+                          or active_set_step(own, kkt)) is not None)
+            res = solve_qp(own)
             assert res.status is Status.OPTIMAL
             got = plan.u_steps[:, model.input_slice(i)]
             gap = np.max(np.abs(got - res.x.reshape(got.shape)))
-            assert gap <= (1e-12 if exact else 1e-8 * qp.budgets[i].radius)
-        return plan, exact
+            assert gap <= (1e-12 if exact[-1] else 1e-8 * qp.budgets[i].radius)
+        return plan, all(exact)
 
     rng = np.random.default_rng(21)
     runs = [plan_matches_alone(rng.uniform(-0.9, 0.9, reach.size) * reach)
@@ -322,18 +328,25 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
     binds = [plan.iterations > 0 for plan, exact in runs if exact]
     assert any(binds) and not all(binds)
 
-    # Only subsystem 1's budget binds.
+    # Only subsystem 1's budget binds: the other blocks are solved alone,
+    # and no target of subsystem 1's moves them.
     target = 0.02 * reach
     free, exact = plan_matches_alone(target)
     assert free.iterations == 0 and exact
-    target[1] = 0.8 * reach[1]
-    bound, exact = plan_matches_alone(target)
-    assert bound.iterations > 0 and exact
-    u1 = bound.u_steps[:, model.input_slice(1)]
-    assert np.max(np.linalg.norm(u1, axis=1)) >= qp.budgets[1].radius * (1 - 1e-9)
     others = np.ones(model.n_inputs, dtype=bool)
     others[model.input_slice(1)] = False
-    assert np.array_equal(bound.u_steps[:, others], free.u_steps[:, others])
+    plans = []
+    for share in (0.8, 0.85):
+        target[1] = share * reach[1]
+        bound, exact = plan_matches_alone(target)
+        assert bound.iterations > 0 and exact
+        u1 = bound.u_steps[:, model.input_slice(1)]
+        assert (np.max(np.linalg.norm(u1, axis=1))
+                >= qp.budgets[1].radius * (1 - 1e-9))
+        assert np.max(np.abs(bound.u_steps[:, others]
+                             - free.u_steps[:, others])) <= 1e-12
+        plans.append(bound.u_steps[:, others])
+    assert np.array_equal(*plans)
 
 
 def test_solve_ll_names_the_one_subsystem_out_of_budget(workload_qp,
