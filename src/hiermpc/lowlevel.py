@@ -18,7 +18,9 @@ does not depend on the tick is built once per run: the auxiliary rollout is
 one product with the stacked maps of `auxiliary_maps`, and the stacked QP
 carries the constant QP data and one set of KKT factors, so per tick only
 the terminal target changes (a plan whose budgets do not bind is one solve
-on the cached rho = 0 factors, through `solver.equality_first`).
+on the cached rho = 0 factors, through `solver.equality_first`).  It also
+carries each subsystem's QP alone with its own factors, built once and
+factored on first use, for the blocks of a tick whose budgets bind.
 
 The regulators are LTI within a slow period, so every map from a tick's
 planned corrections to its fast block is block lower-triangular Toeplitz
@@ -31,6 +33,7 @@ and the harness's fast-block maps are such gathers.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,17 +158,20 @@ def lag_response(model: InterconnectedModel, gain: LLGain,
 def block_toeplitz(lags: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The block lower-triangular Toeplitz matrix of a (>= rows, r, c) lag
     table, (rows r, cols c): block (j, l) is lags[j - l] for j >= l and zero
-    above.  A strided window over the zero-padded lags, copied once."""
+    above.  A strided window over the zero-padded lags, copied once: each
+    row of the result is one contiguous read, where a loop over the plan
+    steps writes c-wide columns across the whole matrix (several times
+    slower on the workloads' W)."""
     _, r, c = lags.shape
-    # Row i of `flat` is row i of lags rows-1, ..., 1, 0 and then cols-1 zero
-    # blocks, side by side: the window of cols blocks from block rows-1-j is
-    # row i of block row j, contiguous.
-    flat = np.zeros((r, rows + cols - 1, c))
-    flat[:, :rows] = lags[rows - 1::-1].transpose(1, 0, 2)
-    window = np.lib.stride_tricks.sliding_window_view(
-        flat.reshape(r, -1), cols * c, axis=1)[:, ::c]
-    blocks = window[:, ::-1].transpose(1, 0, 2).copy()
-    return blocks.reshape(rows * r, cols * c)
+    # line[a] is row a of the blocks of lags rows-1, ..., 1, 0 and then of
+    # cols-1 zero blocks, side by side: row a of block row j is the stretch
+    # of cols blocks that starts at block rows-1-j.
+    line = np.zeros((r, rows + cols - 1, c))
+    line[:, :rows] = lags[rows - 1::-1].transpose(1, 0, 2)
+    stretches = np.lib.stride_tricks.sliding_window_view(
+        line.reshape(r, -1), cols * c, axis=1)[:, ::c]  # (r, rows, cols c)
+    return stretches[:, ::-1].transpose(1, 0, 2).copy().reshape(rows * r,
+                                                                cols * c)
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,11 @@ class CorrectionQP:
     target rows, and its per-step budget balls are its own constraint, so
     no block touches another subsystem's inputs or target.  Per tick only
     the terminal target b_eq changes; everything here, with one set of KKT
-    factors, is built once by `correction_qp`.
+    factors, is built once by `correction_qp`.  So is each subsystem's QP
+    alone (`blocks`, with a zero target and its own KKT factors, factored
+    on the first tick that needs it), which a tick whose budgets bind
+    solves for each block whose balls the stacked equality-only plan
+    leaves.
     """
 
     period: int
@@ -189,6 +199,7 @@ class CorrectionQP:
     budgets: tuple[BallConstraint, ...]  # subsystem i's balls, (period, m_i)
     target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
     factors: KKTFactors
+    blocks: tuple[QuadraticProgram, ...]  # subsystem i's QP alone
 
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
@@ -204,7 +215,7 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
     H = np.zeros((d, d))
     A_eq = np.zeros((reduced.n_states, d))
     steps = np.arange(d).reshape(period, m)
-    balls, target_rows = [], []
+    balls, target_rows, blocks = [], [], []
     for i, sub in enumerate(model.subsystems):
         n_i, su = sub.n_states, model.input_slice(i)
         cols = steps[:, su]
@@ -215,13 +226,19 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
                                  period + 1, period)
         Gamma, reach = rollout[n_i:period * n_i], rollout[period * n_i:]
         # Gamma' diag(Q_i) Gamma + diag(R_i), one state block at a time.
-        H_i = Gamma.T @ (Q_i @ Gamma.reshape(period - 1, n_i, -1)).reshape(
-            Gamma.shape) + np.kron(np.eye(period), R_i)
-        H[np.ix_(at, at)] = 2.0 * H_i
+        H_i = 2.0 * (Gamma.T @ (Q_i @ Gamma.reshape(period - 1, n_i, -1))
+                     .reshape(Gamma.shape) + np.kron(np.eye(period), R_i))
+        H[np.ix_(at, at)] = H_i
         rows = reduced.block_slice(i)
-        A_eq[rows, at] = reduced.beta_block(i, model) @ reach
+        A_i = reduced.beta_block(i, model) @ reach
+        A_eq[rows, at] = A_i
         balls.append(BallConstraint(cols, float(budgets[i])))
         target_rows.append(rows)
+        own = BallConstraint(np.arange(at.size).reshape(cols.shape),
+                             float(budgets[i]))
+        blocks.append(QuadraticProgram(
+            H_i, np.zeros(at.size), A_i, np.zeros(A_i.shape[0]), (own,),
+            KKTFactors(H_i, A_i, [own.indices])))
     g = np.zeros(d)
     g.flags.writeable = False
     factors = KKTFactors(H, A_eq, [b.indices for b in balls])
@@ -230,7 +247,7 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
     # factors, is never held next to them.
     factors.factor(0.0)
     return CorrectionQP(period, reduced.beta, H, g, A_eq, tuple(balls),
-                        tuple(target_rows), factors)
+                        tuple(target_rows), factors, tuple(blocks))
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
@@ -243,30 +260,36 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
     aux_terminal` (the auxiliary terminal is the full state, beta is block
     diagonal), and each of its steps stays inside its budget ball.  A tick
     whose budgets do not bind is one solve of the stacked QP on its cached
-    rho = 0 factors (`solver.equality_first`, 0 iterations).  Otherwise
-    each subsystem's block is solved alone, in order, by `solve_qp`, so a
-    block whose optimum the active-set step certifies is exact whatever the
-    other blocks need: the first that fails raises InfeasibleLL naming it,
-    and if none fails the plan is theirs.
+    rho = 0 factors (`solver.equality_first`, 0 iterations).  Otherwise the
+    QP being block-separable, block i of that solve is subsystem i's own
+    equality-only optimum, so it stays subsystem i's plan wherever it keeps
+    to subsystem i's balls (unless the solve is not finite or misses
+    `equality_first`'s tolerances); each block that leaves them is solved
+    alone, in order, by `solve_qp` on its cached block QP, so a block whose
+    optimum the active-set step certifies is exact whatever the other
+    blocks need, and the blocks that do not bind are the bits of the
+    stacked solve.  The first block that fails raises InfeasibleLL naming
+    it.
     """
     rhs = (np.asarray(x_bar_pred, dtype=float)
            - qp.beta @ np.asarray(aux_terminal, dtype=float))
-    res = equality_first(QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs,
-                                          qp.budgets, qp.factors), qp.factors)
+    stacked = QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs, qp.budgets,
+                               qp.factors)
+    res = equality_first(stacked, qp.factors)
     if res is not None:
         return DeltaPlan(res.x.reshape(qp.period, -1), 0)
-    x, iterations = np.empty(qp.g.shape[0]), 0
-    for i, (ball, rows) in enumerate(zip(qp.budgets, qp.target_rows)):
-        at = ball.indices.ravel()
-        A_i, rhs_i = qp.A_eq[rows, at], rhs[rows]
-        own = BallConstraint(np.arange(at.size).reshape(ball.indices.shape),
-                             ball.radius)
-        res = solve_qp(QuadraticProgram(qp.H[np.ix_(at, at)], np.zeros(at.size),
-                                        A_i, rhs_i, (own,)))
+    first = qp.factors.equality_only(stacked)  # kept: no second solve
+    kept = first.finite and first.eq_res <= 1e-8 and first.dual_res <= 1e-8
+    x, iterations = first.x.copy(), 0
+    for i, (ball, rows, block) in enumerate(zip(qp.budgets, qp.target_rows,
+                                                qp.blocks)):
+        if kept and ball.violation(first.x[ball.indices]) == 0.0:
+            continue
+        res = solve_qp(dataclasses.replace(block, b_eq=rhs[rows]))
         iterations += res.iterations
         if res.status is not Status.OPTIMAL:
-            raise _infeasible(i, A_i, ball.radius, rhs_i, res)
-        x[at] = res.x
+            raise _infeasible(i, block.A_eq, ball.radius, rhs[rows], res)
+        x[ball.indices.ravel()] = res.x
     return DeltaPlan(x.reshape(qp.period, -1), iterations)
 
 

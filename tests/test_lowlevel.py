@@ -165,6 +165,28 @@ def test_solve_ll_infeasible_when_target_too_far():
     assert "status infeasible" in str(err.value)
 
 
+def test_binding_ticks_factor_each_binding_block_once(monkeypatch):
+    # Subsystem 0's budget binds on both ticks, subsystem 1's on neither:
+    # block 0's QP alone is factored on the first tick and reused on the
+    # second, block 1 is never solved alone and keeps its part of the
+    # stacked equality-only solve.
+    model = scalar_pair()
+    red = reduce_model(model, [1, 1])
+    qp, _ = stacked_qp(model, red, [0.3, 0.3], np.eye(1), np.eye(1), 4)
+    lu_factor, shapes = scipy.linalg.lu_factor, []
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a: shapes.append(a.shape) or lu_factor(a))
+    for target in (0.5, 0.45):
+        plan = solve_ll(qp, np.array([target, 0.01]), np.zeros(2))
+        assert plan.iterations > 0
+        assert np.max(np.linalg.norm(plan.u_steps[:, :1], axis=1)) >= 0.3 * (1 - 1e-9)
+    assert shapes == [(5, 5)]
+    assert qp.blocks[1].factors.by_rho == {}
+    free = solve_ll(qp, np.array([0.01, 0.01]), np.zeros(2))
+    assert free.iterations == 0
+    assert np.array_equal(plan.u_steps[:, 1], free.u_steps[:, 1])
+
+
 def test_solve_ll_names_the_iteration_limit(monkeypatch):
     # A binding budget needs more than 3 Newton steps of the active-set
     # step, so ADMM runs; stopped after 3 iterations the QP is not solved,
@@ -328,25 +350,19 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
     binds = [plan.iterations > 0 for plan, exact in runs if exact]
     assert any(binds) and not all(binds)
 
-    # Only subsystem 1's budget binds: the other blocks are solved alone,
-    # and no target of subsystem 1's moves them.
+    # Only subsystem 1's budget binds: the other blocks keep the bits of
+    # the free plan.
     target = 0.02 * reach
     free, exact = plan_matches_alone(target)
     assert free.iterations == 0 and exact
+    target[1] = 0.8 * reach[1]
+    bound, exact = plan_matches_alone(target)
+    assert bound.iterations > 0 and exact
+    u1 = bound.u_steps[:, model.input_slice(1)]
+    assert np.max(np.linalg.norm(u1, axis=1)) >= qp.budgets[1].radius * (1 - 1e-9)
     others = np.ones(model.n_inputs, dtype=bool)
     others[model.input_slice(1)] = False
-    plans = []
-    for share in (0.8, 0.85):
-        target[1] = share * reach[1]
-        bound, exact = plan_matches_alone(target)
-        assert bound.iterations > 0 and exact
-        u1 = bound.u_steps[:, model.input_slice(1)]
-        assert (np.max(np.linalg.norm(u1, axis=1))
-                >= qp.budgets[1].radius * (1 - 1e-9))
-        assert np.max(np.abs(bound.u_steps[:, others]
-                             - free.u_steps[:, others])) <= 1e-12
-        plans.append(bound.u_steps[:, others])
-    assert np.array_equal(*plans)
+    assert np.array_equal(bound.u_steps[:, others], free.u_steps[:, others])
 
 
 def test_solve_ll_names_the_one_subsystem_out_of_budget(workload_qp,
