@@ -9,14 +9,15 @@ gain, disturbance set, invariant tube, terminal cost and set).
 tube-tightened slow solve per tick, the shared constant-input auxiliary
 rollout, one solve of the stacked correction QP, which plans every
 subsystem's corrections in blocks that share nothing, and the tick's fast
-block of held input plus corrections.  The fast block is affine in the
-tick's start state, held input and planned corrections, so it is two
-products with maps built once per run (`fast_block_maps`), not stepped fast
-step by fast step nor subsystem by subsystem.  The maps are block-Toeplitz
-in (fast step, plan step), and are gathered from one lag response: the
-fast block's response to a unit plan step.  Every quantity the runtime
-invariants need is recorded; persistence and re-verification live in
-`trace`.
+block of held input plus corrections.  A tick whose sets bind in neither
+layer builds no QP: each layer's solve is one product with a map built once
+per run.  The fast block is affine in the tick's start state, held input
+and planned corrections, so it is two products with maps built once per
+run (`fast_block_maps`), not stepped fast step by fast step nor subsystem
+by subsystem.  The maps are block-Toeplitz in (fast step, plan step), and
+are gathered from one lag response: the fast block's response to a unit
+plan step.  Every quantity the runtime invariants need is recorded;
+persistence and re-verification live in `trace`.
 """
 from __future__ import annotations
 
@@ -330,7 +331,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     x = start_state(model, cfg)
     if bundle is None:
         bundle = design_pipeline(model, cfg)
-    reduced, hl, slow = bundle.reduced, bundle.hl, bundle.hl.slow
+    reduced, hl, lifted = bundle.reduced, bundle.hl, bundle.hl.slow
     N, M = cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
     rho_u = model.input_radii()
@@ -341,13 +342,26 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     ll_qp, W, D = fast_block_maps(model, bundle, N)
 
     f_cols = fast_columns(n, m) + tuple(f"margin{i}" for i in range(M))
-    s_cols = slow_columns(reduced.n_states, m, cfg.horizon)
+    n_red = reduced.n_states
+    s_cols = slow_columns(n_red, m, cfg.horizon)
     fast_rows = np.empty((cfg.n_slow_steps * N, len(f_cols)))
     slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
     # Column-block views of fast_rows; tick k fills rows k*N .. k*N + N-1.
     fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
             for prefix, width in (("x", n), ("duhat", m), ("du", m),
                                   ("u", m), ("margin", M))}
+    # Column-block views of slow_rows; tick k fills row k.  The plan's
+    # inputs useq0_0 .. are one block, and so are the four solve columns
+    # from `objective` on.
+    slow = {prefix: column_block(s_cols, slow_rows, prefix, width)
+            for prefix, width in (("xproj", n_red), ("xnom", n_red),
+                                  ("xnext", n_red), ("ubar", m),
+                                  ("useq0_", cfg.horizon * m),
+                                  ("wbar", n_red))}
+    solve = s_cols.index("objective")
+    slow["solve"] = slow_rows[:, solve:solve + 4]
+    slow_rows[:, s_cols.index("k")] = np.arange(cfg.n_slow_steps)
+    tube_err = slow_rows[:, s_cols.index("tube_error")]
     in_starts = np.asarray(model.input_offsets[:-1])
 
     for k in range(cfg.n_slow_steps):
@@ -358,7 +372,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
             exc.diagnostics["slow_step"] = k
             raise
         u_bar = sol.u_applied
-        x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
+        x_bar_pred = lifted.A @ x_proj + lifted.B @ u_bar
         xhat = simulate_auxiliary(aux_maps, x, u_bar)
         try:
             plan = solve_ll(ll_qp, x_bar_pred, xhat[N])
@@ -379,13 +393,15 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                                                axis=1))
 
         x = xs[N]
-        w_bar = reduced.beta @ x - x_bar_pred
-        tube_err = float(np.linalg.norm(x_proj - sol.x_nominal))
-        slow_rows[k] = np.concatenate(
-            [[k], x_proj, sol.x_nominal, sol.x_nominal_next, u_bar,
-             sol.u_nominal_seq.ravel(),
-             [sol.objective, float(sol.iterations), sol.primal_residual,
-              sol.dual_residual], w_bar, [tube_err]])
+        slow["xproj"][k] = x_proj
+        slow["xnom"][k] = sol.x_nominal
+        slow["xnext"][k] = sol.x_nominal_next
+        slow["ubar"][k] = u_bar
+        slow["useq0_"][k] = sol.u_nominal_seq.ravel()
+        slow["solve"][k] = (sol.objective, sol.iterations, sol.primal_residual,
+                            sol.dual_residual)
+        slow["wbar"][k] = reduced.beta @ x - x_bar_pred
+        tube_err[k] = np.linalg.norm(x_proj - sol.x_nominal)
 
     wall = time.perf_counter() - start
     return TraceArchive(cfg, f_cols, s_cols, fast_rows, slow_rows, x, wall)

@@ -8,6 +8,9 @@ plant state by the invariant-ball constraint.  A tube of radius 0 (no
 coupling, so no disturbance on the reduced model) is a single point: the
 robust MPC is then nominal MPC from the projected state, and each solve
 first tries the exact optimum with that point pinned by equality rows.
+The QP a tick tries first has an equality-only optimum linear in the
+tick's data, so a tick whose sets do not bind is one product with a map
+built once per run (`TubeQP.free`), accepted by `solver.free_optimum`.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
 from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
-                     QuadraticProgram, Status, active_set_step, equality_first,
-                     solve_qp)
+                     QuadraticProgram, Status, active_set_step, free_optimum,
+                     qp_objective, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,17 @@ class TubeQP:
     only for a tube of radius 0: the factors of the same QP with the tube
     ball written as the equality rows x_0 = x_proj, stacked under the
     dynamics, for the layout (inputs, terminal).
+
+    `free` is the equality-only optimum, with its multipliers, of the
+    formulation a tick tries first, as a map of the tick's data, built with
+    one rho = 0 solve.  On a point tube it is the pinned QP's solves
+    against the unit vectors of the rows x_0 = x_proj, (d + r, n): a
+    tick's optimum is free @ x_proj.  Otherwise the tick moves only the
+    tube centre, so the ball formulation's optimum is one vector, (d + r,),
+    the same on every tick, and so is all that `solver.free_optimum` checks
+    of it but the tube ball: `fixed` holds its equality residual,
+    stationarity and objective if the rule accepts it on the input balls
+    and the terminal set, and is None otherwise (and on a point tube).
     """
 
     design: HLDesign
@@ -186,6 +200,8 @@ class TubeQP:
     pinned: KKTFactors | None    # point tube only: layout (inputs, terminal)
     g: np.ndarray                 # the zero linear cost, read-only
     b_dyn: np.ndarray             # the dynamics' zero right-hand side, read-only
+    free: np.ndarray              # the first formulation's free map, read-only
+    fixed: tuple[float, float, float] | None  # ball formulation, see above
 
 
 def tube_qp(design: HLDesign) -> TubeQP:
@@ -217,15 +233,24 @@ def tube_qp(design: HLDesign) -> TubeQP:
     terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
                                    design.terminal.level)
     factors = KKTFactors(H, A_eq, (x_idx(0), inputs.indices, terminal.indices))
+    g, b_dyn = np.zeros(d), np.zeros(n * N)
+    g.flags.writeable = b_dyn.flags.writeable = False
     pinned = None
     if design.tube.ball.radius == 0.0:
         pin = np.zeros((n, d))
         pin[:, :n] = np.eye(n)
         pinned = KKTFactors(H, np.vstack([A_eq, pin]),
                             (inputs.indices, terminal.indices))
-    g, b_dyn = np.zeros(d), np.zeros(n * N)
-    g.flags.writeable = b_dyn.flags.writeable = False
-    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned, g, b_dyn)
+        rhs = np.zeros((d + n * (N + 1), n))
+        rhs[-n:] = np.eye(n)
+        free, fixed = pinned.equality_solve(rhs), None
+    else:
+        free = factors.equality_solve(np.concatenate([-g, b_dyn]))
+        residuals = free_optimum(free, H, g, A_eq, b_dyn, (inputs, terminal))
+        fixed = (None if residuals is None
+                 else (*residuals, qp_objective(H, g, free[:d])))
+    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned, g, b_dyn,
+                  free, fixed)
 
 
 def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
@@ -259,14 +284,21 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
              first_step: bool = False) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
-    On a point tube (`qp.pinned` set) the solve first tries the exact
-    answers of the QP with x_0 = x_proj as equality rows, whose sets are the
-    input balls and the terminal ellipsoid: the optimum with no set active
-    (`solver.equality_first`, 0 iterations), then the active-set step
-    (`solver.active_set_step`, its Newton steps as iterations).  An optimum
-    that either one certifies is the optimum of the tube QP, whose tube is
-    that same point; if neither certifies, the ball-formulation solve below
-    runs as on any other tube, and ADMM never runs on the pinned QP.
+    A tick first takes the equality-only optimum of the formulation it
+    tries first from the run-constant map `qp.free`, and returns it, with 0
+    iterations and its own residuals and objective, when the rule of
+    `solver.free_optimum` accepts it; no QP is built.  On a point tube
+    (`qp.pinned` set) that formulation is the QP with x_0 = x_proj as
+    equality rows, whose sets are the input balls and the terminal
+    ellipsoid, and its optimum is free @ x_proj.  Otherwise it is the ball
+    formulation, whose optimum is the same on every tick, so that only the
+    tube ball around x_proj is checked per tick (`qp.fixed` holds the
+    rest).  Any other tick hands the same solve to the exact path, with no
+    second solve: the active-set step on the pinned QP
+    (`solver.active_set_step`, its Newton steps as iterations), whose
+    optimum is that of the tube QP, whose tube is that same point, and
+    `solve_qp` on the ball formulation, which a point tube reaches only
+    when the step does not certify: ADMM never runs on the pinned QP.
 
     `iterations` of the solution is 0 when the equality-only optimum
     decided the tick, the active-set step's Newton steps when it did, and
@@ -280,22 +312,41 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     `tube_radius`.  INFEASIBLE itself still comes from `solve_qp`'s stall
     heuristic, not from a certificate.
     """
-    design, slow = qp.design, qp.design.slow
-    n, m, N = slow.n_states, slow.n_inputs, design.horizon
+    design = qp.design
     x_proj = np.asarray(x_proj, dtype=float)
-    res = None
-    if qp.pinned is not None:
-        pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq,
-                                  np.concatenate([qp.b_dyn, x_proj]),
-                                  (qp.inputs, qp.terminal), qp.pinned)
-        res = (equality_first(pinned, qp.pinned)
-               or active_set_step(pinned, qp.pinned))
-    if res is None:
-        tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
+    d = qp.H.shape[0]
+
+    def tube_ball():
+        return BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
                               center=x_proj)
-        prob = QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+
+    def ball_formulation(tube):
+        return QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
                                 (tube, qp.inputs, qp.terminal), qp.factors)
+
+    if qp.pinned is None:
+        tube = tube_ball()
+        if (qp.fixed is not None
+                and tube.violation(qp.free[tube.indices]) == 0.0):
+            eq_res, dual_res, objective = qp.fixed
+            return _solution(qp, x_proj, qp.free[:d], objective, 0, eq_res,
+                             dual_res)
+        prob = ball_formulation(tube)
+        qp.factors.equality_only(prob, qp.free)  # solve_qp starts from it
         res = solve_qp(prob)
+    else:
+        cons = (qp.inputs, qp.terminal)
+        b_eq, sol = np.concatenate([qp.b_dyn, x_proj]), qp.free @ x_proj
+        residuals = free_optimum(sol, qp.H, qp.g, qp.pinned.A_eq, b_eq, cons)
+        if residuals is not None:
+            x = sol[:d]
+            return _solution(qp, x_proj, x, qp_objective(qp.H, qp.g, x), 0,
+                             *residuals)
+        pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
+                                  qp.pinned)
+        qp.pinned.equality_only(pinned, sol)  # the step starts from it
+        res = (active_set_step(pinned, qp.pinned)
+               or solve_qp(ball_formulation(tube_ball())))
     if res.status is not Status.OPTIMAL:
         diagnostics = {
             "status": res.status.value,
@@ -312,9 +363,19 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)
-    x_nom = res.x[:n]
-    u_seq = res.x[n * (N + 1):].reshape(N, m)
+    return _solution(qp, x_proj, res.x, res.objective, res.iterations,
+                     res.primal_residual, res.dual_residual)
+
+
+def _solution(qp: TubeQP, x_proj: np.ndarray, x: np.ndarray, objective: float,
+              iterations: int, primal_residual: float,
+              dual_residual: float) -> HLSolution:
+    """The tick's solution from the slow QP's optimum x: the nominal plan
+    and the held input with the tube feedback on x_proj."""
+    design = qp.design
+    n, m, N = design.slow.n_states, design.slow.n_inputs, design.horizon
+    x_nom = x[:n]
+    u_seq = x[n * (N + 1):].reshape(N, m)
     u_applied = u_seq[0] + design.gain.K @ (x_proj - x_nom)
-    x_next = res.x[n:2 * n]
-    return HLSolution(x_nom, u_seq, u_applied, x_next, res.objective,
-                      res.iterations, res.primal_residual, res.dual_residual)
+    return HLSolution(x_nom, u_seq, u_applied, x[n:2 * n], objective,
+                      iterations, primal_residual, dual_residual)

@@ -12,15 +12,17 @@ against its own model, weights, target and budget.  `correction_qp` stacks
 them into one block-separable QP whose decision is the tick's (period, m)
 corrections, each block at its own subsystem's inputs and target rows, so
 the plans stay decentralized by construction while a tick whose budgets do
-not bind makes one solve (`tests/test_lowlevel.py` checks the stacked plan
-against each subsystem's QP solved alone).  Everything a tick needs that
-does not depend on the tick is built once per run: the auxiliary rollout is
-one product with the stacked maps of `auxiliary_maps`, and the stacked QP
-carries the constant QP data and one set of KKT factors, so per tick only
-the terminal target changes (a plan whose budgets do not bind is one solve
-on the cached rho = 0 factors, through `solver.equality_first`).  It also
-carries each subsystem's QP alone with its own factors, built once and
-factored on first use, for the blocks of a tick whose budgets bind.
+not bind is decided at once (`tests/test_lowlevel.py` checks the stacked
+plan against each subsystem's QP solved alone).  Everything a tick needs
+that does not depend on the tick is built once per run: the auxiliary
+rollout is one product with the stacked maps of `auxiliary_maps`, and the
+stacked QP carries the constant QP data and its free map, the rho = 0
+solves against the unit vectors of its target rows.  Per tick only the
+terminal target changes, so a plan whose budgets do not bind is one
+product with that map, accepted by `solver.free_optimum`: no QP is built.
+The stacked QP also carries each subsystem's QP alone with its own
+factors, built once and factored on first use, for the blocks of a tick
+whose budgets bind.
 
 The regulators are LTI within a slow period, so every map from a tick's
 planned corrections to its fast block is block lower-triangular Toeplitz
@@ -44,7 +46,7 @@ from .gains import DETUNING_ROUNDS, dlqr
 from .lti import InterconnectedModel, impulse_response, matrix_powers
 from .reduction import ReducedModel
 from .solver import (BallConstraint, KKTFactors, QuadraticProgram, SolveResult,
-                     Status, equality_first, solve_qp)
+                     Status, free_optimum, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -183,12 +185,15 @@ class CorrectionQP:
     beta_i reach_i sit at its own (step, input) coordinates and its own
     target rows, and its per-step budget balls are its own constraint, so
     no block touches another subsystem's inputs or target.  Per tick only
-    the terminal target b_eq changes; everything here, with one set of KKT
-    factors, is built once by `correction_qp`.  So is each subsystem's QP
-    alone (`blocks`, with a zero target and its own KKT factors, factored
-    on the first tick that needs it), which a tick whose budgets bind
-    solves for each block whose balls the stacked equality-only plan
-    leaves.
+    the terminal target b_eq changes, and g is zero: the equality-only
+    optimum with its multipliers is free @ b_eq, where `free`, (d + r, r),
+    is the rho = 0 solves against the unit vectors of the r target rows.
+    Everything here is built once by `correction_qp`, with one
+    factorization of the stacked KKT matrix, for `free`.  So is each
+    subsystem's QP alone (`blocks`, with a zero target and its own KKT
+    factors, factored on the first tick that needs it), which a tick whose
+    budgets bind solves for each block whose balls the stacked
+    equality-only plan leaves.
     """
 
     period: int
@@ -198,7 +203,7 @@ class CorrectionQP:
     A_eq: np.ndarray           # beta_i times subsystem i's reachability row
     budgets: tuple[BallConstraint, ...]  # subsystem i's balls, (period, m_i)
     target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
-    factors: KKTFactors
+    free: np.ndarray           # (d + r, r) rho = 0 solves, read-only
     blocks: tuple[QuadraticProgram, ...]  # subsystem i's QP alone
 
 
@@ -241,13 +246,12 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
             KKTFactors(H_i, A_i, [own.indices])))
     g = np.zeros(d)
     g.flags.writeable = False
-    factors = KKTFactors(H, A_eq, [b.indices for b in balls])
-    # The rho = 0 factors every tick uses, factored now: a run builds this
-    # QP before its records, so the KKT matrix, a temporary as large as the
-    # factors, is never held next to them.
-    factors.factor(0.0)
+    r = A_eq.shape[0]
+    rhs = np.zeros((d + r, r))
+    rhs[d:] = np.eye(r)
+    free = KKTFactors(H, A_eq, [b.indices for b in balls]).equality_solve(rhs)
     return CorrectionQP(period, reduced.beta, H, g, A_eq, tuple(balls),
-                        tuple(target_rows), factors, tuple(blocks))
+                        tuple(target_rows), free, tuple(blocks))
 
 
 def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
@@ -259,31 +263,31 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
     its rows of the slow layer's prediction gap `x_bar_pred - beta
     aux_terminal` (the auxiliary terminal is the full state, beta is block
     diagonal), and each of its steps stays inside its budget ball.  A tick
-    whose budgets do not bind is one solve of the stacked QP on its cached
-    rho = 0 factors (`solver.equality_first`, 0 iterations).  Otherwise the
-    QP being block-separable, block i of that solve is subsystem i's own
-    equality-only optimum, so it stays subsystem i's plan wherever it keeps
-    to subsystem i's balls (unless the solve is not finite or misses
-    `equality_first`'s tolerances); each block that leaves them is solved
-    alone, in order, by `solve_qp` on its cached block QP, so a block whose
-    optimum the active-set step certifies is exact whatever the other
-    blocks need, and the blocks that do not bind are the bits of the
-    stacked solve.  The first block that fails raises InfeasibleLL naming
-    it.
+    whose budgets do not bind is one product with the stacked QP's
+    run-constant map, `qp.free @ target`, accepted by
+    `solver.free_optimum` (0 iterations), with no QP built.  Otherwise the
+    same solve goes on to the exact path: the QP being block-separable,
+    block i of it is subsystem i's own equality-only optimum, so it stays
+    subsystem i's plan wherever it keeps to subsystem i's balls (unless
+    the solve is not finite or misses the rule's tolerances); each block
+    that leaves them is solved alone, in order, by `solve_qp` on its cached
+    block QP, so a block whose optimum the active-set step certifies is
+    exact whatever the other blocks need, and the blocks that do not bind
+    are the bits of the stacked solve.  The first block that fails raises
+    InfeasibleLL naming it.
     """
     rhs = (np.asarray(x_bar_pred, dtype=float)
            - qp.beta @ np.asarray(aux_terminal, dtype=float))
-    stacked = QuadraticProgram(qp.H, qp.g, qp.A_eq, rhs, qp.budgets,
-                               qp.factors)
-    res = equality_first(stacked, qp.factors)
-    if res is not None:
-        return DeltaPlan(res.x.reshape(qp.period, -1), 0)
-    first = qp.factors.equality_only(stacked)  # kept: no second solve
-    kept = first.finite and first.eq_res <= 1e-8 and first.dual_res <= 1e-8
-    x, iterations = first.x.copy(), 0
+    sol = qp.free @ rhs
+    d = qp.g.shape[0]
+    if free_optimum(sol, qp.H, qp.g, qp.A_eq, rhs, qp.budgets) is not None:
+        return DeltaPlan(sol[:d].reshape(qp.period, -1), 0)
+    # The rule without the balls: each block is then judged on its own.
+    kept = free_optimum(sol, qp.H, qp.g, qp.A_eq, rhs, ()) is not None
+    stacked, x, iterations = sol[:d], sol[:d].copy(), 0
     for i, (ball, rows, block) in enumerate(zip(qp.budgets, qp.target_rows,
                                                 qp.blocks)):
-        if kept and ball.violation(first.x[ball.indices]) == 0.0:
+        if kept and ball.violation(stacked[ball.indices]) == 0.0:
             continue
         res = solve_qp(dataclasses.replace(block, b_eq=rhs[rows]))
         iterations += res.iterations

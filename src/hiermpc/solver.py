@@ -23,21 +23,27 @@ Before ADMM, every solve tries two exact answers on the rho = 0 factors
 [[H, A_eq'], [A_eq, 0]] (the guess and the reduced KKT solve of OSQP's
 solution polishing, Stellato et al., Math. Prog. Comp. 2020, tried first
 instead of last).  `equality_first` tries the empty active set: one solve
-gives the optimum of the equality-only problem.  If it is finite, lies
-inside every set (violation exactly 0.0) and meets tol_primal on the
-equality residual and tol_dual on stationarity, the KKT conditions hold
-with zero set multipliers: it is returned as OPTIMAL with 0 iterations and
-a read-only x.  Otherwise `active_set_step` puts balls and ellipsoids on
+gives the optimum of the equality-only problem, and `free_optimum` is the
+one rule by which it is the answer: it is finite, lies inside every set
+(violation exactly 0.0) and meets tol_primal on the equality residual and
+tol_dual on stationarity, so the KKT conditions hold with zero set
+multipliers; it is returned as OPTIMAL with 0 iterations and a read-only
+x.  Otherwise `active_set_step` puts balls and ellipsoids on
 their boundary, one at a time from the most violated, and solves for their
 multipliers by Newton on the secular equations, each step a small dense
 system on the rho = 0 solves against the set coordinates
 (`KKTFactors.set_solves`, one solve per run); it returns OPTIMAL with its
 Newton steps as `iterations` only when the KKT conditions, recomputed from
 x and the multipliers, hold.  Otherwise ADMM runs from x = 0.  `KKTFactors`
-keeps the last equality-only solve with its residuals and objective, keyed
-on the bytes of g and b_eq, so a controller whose g and b_eq stay the same
-from tick to tick (only a set's centre moves) solves that system once and
-then only checks the sets.  A problem without sets whose equality-only
+keeps the last equality-only solve, keyed on the bytes of g and b_eq, so
+`equality_first` and `active_set_step` on one problem make one solve.  The
+equality-only optimum is linear in g and b_eq (the unconstrained region of
+explicit MPC, Bemporad et al., Automatica 38(1), 2002): a controller whose
+ticks change only some rows of b_eq solves against their unit vectors once
+(`KKTFactors.equality_solve`), and a tick's equality-only optimum is then
+one product with that map, accepted by `free_optimum`; a tick it does not
+accept hands that solve to the factors (`KKTFactors.equality_only`), and
+the exact path starts from it.  A problem without sets whose equality-only
 solve is not finite (a singular KKT system) raises UnboundedProblem: there
 is no other solve to fall back on.  A caller that knows an equivalent
 problem with more equalities (a set that is a single point, written as
@@ -327,21 +333,64 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def qp_objective(H: np.ndarray, g: np.ndarray, x: np.ndarray) -> float:
+    """1/2 x'Hx + g'x."""
+    return 0.5 * float(x @ H @ x) + float(g @ x)
+
+
+def equality_residuals(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
+                       A_eq: np.ndarray | None,
+                       b_eq: np.ndarray | None) -> tuple[float, float]:
+    """The largest equality residual |A_eq x - b_eq| (0.0 without
+    equalities) and the largest stationarity residual |H x + g + A_eq'lam|
+    of sol = (x, lam), a rho = 0 solve of min 1/2 x'Hx + g'x s.t. A_eq x =
+    b_eq."""
+    d = g.shape[0]
+    x = sol[:d]
+    grad = H @ x + g
+    if b_eq is None or not b_eq.shape[0]:
+        return 0.0, float(np.abs(grad).max())
+    return (float(np.abs(A_eq @ x - b_eq).max()),
+            float(np.abs(grad + A_eq.T @ sol[d:]).max()))
+
+
+def free_optimum(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
+                 A_eq: np.ndarray | None, b_eq: np.ndarray | None,
+                 constraints, tol_primal: float = 1e-8,
+                 tol_dual: float = 1e-8) -> tuple[float, float] | None:
+    """The residuals of `equality_residuals` if sol = (x, lam), the rho = 0
+    solve of min 1/2 x'Hx + g'x s.t. A_eq x = b_eq, x[S_c] in C_c for each
+    of `constraints`, is that QP's optimum with no set active; else None.
+
+    The one rule by which the equality-only optimum is the answer, for
+    `equality_first` and for a controller's tick solved by a map: `sol` is
+    finite, x lies inside every set (violation exactly 0.0; the sets are
+    checked in turn, up to the first violated one), the equality residual
+    is within tol_primal and stationarity within tol_dual.  The KKT
+    conditions then hold with zero set multipliers.  The residuals are
+    computed only once the sets hold.
+    """
+    if not np.isfinite(sol).all():
+        return None
+    x = sol[:g.shape[0]]
+    for c in constraints:
+        if c.violation(x[c.indices]) != 0.0:
+            return None
+    residuals = equality_residuals(sol, H, g, A_eq, b_eq)
+    if residuals[0] <= tol_primal and residuals[1] <= tol_dual:
+        return residuals
+    return None
+
+
 @dataclass(frozen=True)
 class EqualityOnly:
     """The rho = 0 solve of one (g, b_eq), as `KKTFactors` keeps it: the
-    whole solution `sol` and its first part, the equality-only optimum `x`
-    (both read-only), whether `sol`, x and the equality multipliers, is
-    finite, and, only if it is, the largest equality residual, the largest
-    stationarity residual and the objective."""
+    whole solution `sol` and its first part, the equality-only optimum `x`,
+    both read-only."""
 
     key: bytes
     sol: np.ndarray
     x: np.ndarray
-    finite: bool
-    eq_res: float = math.nan
-    dual_res: float = math.nan
-    objective: float = math.nan
 
 
 class KKTFactors:
@@ -355,8 +404,10 @@ class KKTFactors:
     (rho = 0 is the equality-only system of the first solve) and refuses a
     problem whose H, A_eq or layout differ from the record.  The last
     equality-only solve is kept as well (`equality_only`), keyed on the
-    bytes of g and b_eq: a controller whose g and b_eq do not change, and
-    whose sets do, solves and checks that system once.
+    bytes of g and b_eq, so the solvers tried in turn on one problem make
+    one solve.  `equality_solve` and `set_solves` are the rho = 0 solves
+    against given right-hand sides: a controller's free map and the
+    active-set step's set columns.
     """
 
     def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
@@ -400,32 +451,35 @@ class KKTFactors:
                 factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
         return factor
 
-    def equality_only(self, problem: QuadraticProgram) -> EqualityOnly:
+    def equality_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K0^{-1} rhs on the rho = 0 factors, K0 = [[H, A_eq'], [A_eq, 0]],
+        read-only: for the column [-g; b_eq] the equality-only optimum x
+        with its equality multipliers.  A controller whose ticks change
+        only some rows of b_eq, with g = 0, solves once against their unit
+        vectors; each tick's equality-only optimum is then that map times
+        the rows' values."""
+        sol = _kkt_solve(self.factor(0.0), rhs)
+        sol.flags.writeable = False
+        return sol
+
+    def equality_only(self, problem: QuadraticProgram,
+                      sol: np.ndarray | None = None) -> EqualityOnly:
         """The rho = 0 solve of `problem`, whose H and A_eq are those of the
         record.  The last one is kept: a problem with the same bytes of g
-        and b_eq gets it back without a solve.  Residuals and objective are
-        computed only for a finite solve."""
+        and b_eq gets it back without a solve.  A caller that has the solve
+        already, as a product with its map, passes it as `sol`: it is kept
+        in place of a solve, and made read-only."""
         g, b = problem.g, problem.b_eq
         key = g.tobytes() if b is None else g.tobytes() + b.tobytes()
         last = self._equality_only
-        if last is not None and last.key == key:
-            return last
-        d = g.shape[0]
-        r = 0 if b is None else b.shape[0]
-        sol = _kkt_solve(self.factor(0.0), np.concatenate([-g, b]) if r else -g)
-        sol.flags.writeable = False
-        x = sol[:d]
-        if not np.isfinite(sol).all():
-            last = EqualityOnly(key, sol, x, False)
+        if sol is None:
+            if last is not None and last.key == key:
+                return last
+            r = 0 if b is None else b.shape[0]
+            sol = self.equality_solve(np.concatenate([-g, b]) if r else -g)
         else:
-            eq_res = float(np.abs(problem.A_eq @ x - b).max()) if r else 0.0
-            grad = problem.H @ x + g
-            if r:
-                grad = grad + problem.A_eq.T @ sol[d:]
-            last = EqualityOnly(key, sol, x, True, eq_res,
-                                float(np.abs(grad).max()),
-                                0.5 * float(x @ problem.H @ x) + float(g @ x))
-        self._equality_only = last
+            sol.flags.writeable = False
+        last = self._equality_only = EqualityOnly(key, sol, sol[:g.shape[0]])
         return last
 
     @functools.cached_property
@@ -437,7 +491,7 @@ class KKTFactors:
         d, p = self.H.shape[0], self.idx.size
         rhs = np.zeros((d + (0 if self.A_eq is None else self.A_eq.shape[0]), p))
         rhs[self.idx, np.arange(p)] = 1.0
-        Z = _kkt_solve(self.factor(0.0), rhs)
+        Z = self.equality_solve(rhs)
         return Z, Z[self.idx]
 
     @functools.cached_property
@@ -455,36 +509,32 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
     One solve on the rho = 0 factors of `kkt`, [[H, A_eq'], [A_eq, 0]],
     gives the equality-only optimum and its multipliers; `kkt` keeps the
     last such solve (`KKTFactors.equality_only`), so a problem with the
-    g and b_eq of the previous call costs no solve, only the set checks.
+    g and b_eq of the previous call costs no solve, only the checks.
     Without sets the optimum is the answer, since there is nothing else to
-    try.  With sets it is returned only if it is finite, lies inside every
-    set (violation exactly 0.0; the sets are checked in turn, up to the
-    first violated one) and meets tol_primal on the equality residual and
-    tol_dual on stationarity: then the KKT conditions hold with zero set
-    multipliers.  The result has 0 iterations and a read-only x; None means
-    the sets matter.  Raises UnboundedProblem for a problem without sets
-    whose solve is not finite (a singular KKT system), and
-    DimensionMismatch when `kkt` was built for another H, A_eq or
-    constraint layout.
+    try.  With sets it is returned only if `free_optimum` accepts it.  The
+    result has 0 iterations and a read-only x; None means the sets matter.
+    Raises UnboundedProblem for a problem without sets whose solve is not
+    finite (a singular KKT system), and DimensionMismatch when `kkt` was
+    built for another H, A_eq or constraint layout.
     """
     kkt.check(problem)
+    H, g, A_eq, b_eq = problem.H, problem.g, problem.A_eq, problem.b_eq
     cons = problem.constraints
     first = kkt.equality_only(problem)
-    if not first.finite:
-        if cons:
+    if cons:
+        residuals = free_optimum(first.sol, H, g, A_eq, b_eq, cons, tol_primal,
+                                 tol_dual)
+        if residuals is None:
             return None
+    elif np.isfinite(first.sol).all():
+        residuals = equality_residuals(first.sol, H, g, A_eq, b_eq)
+    else:
         raise UnboundedProblem(
             "the equality-only KKT system [[H, A_eq'], [A_eq, 0]] is singular "
             "(H is not positive definite on the null space of A_eq, or A_eq "
             "has dependent rows) and the QP has no set to bound it")
-    x = first.x
-    for c in cons:
-        if c.violation(x[c.indices]) != 0.0:
-            return None
-    if cons and not (first.eq_res <= tol_primal and first.dual_res <= tol_dual):
-        return None
-    return SolveResult(x, first.objective, Status.OPTIMAL, first.eq_res,
-                       first.dual_res, 0)
+    return SolveResult(first.x, qp_objective(H, g, first.x), Status.OPTIMAL,
+                       *residuals, 0)
 
 
 def _set_rows(cons, bounds):
@@ -553,7 +603,8 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
     """
     cons = problem.constraints
     first = kkt.equality_only(problem)
-    rows = _set_rows(cons, kkt.bounds) if cons and first.finite else None
+    rows = (_set_rows(cons, kkt.bounds)
+            if cons and np.isfinite(first.sol).all() else None)
     if rows is None:
         return None
     rowid, sizes, centre, M_all = rows
@@ -653,8 +704,8 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
         dual_res = float(np.abs(grad).max())
         gap = float(np.abs(ratio[mu > 0.0] - 1.0).max(initial=0.0))
         if primal <= tol_primal and dual_res <= tol_dual and gap <= tol_primal:
-            obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
-            return SolveResult(x, obj, Status.OPTIMAL, primal, dual_res, steps)
+            return SolveResult(x, qp_objective(problem.H, problem.g, x),
+                               Status.OPTIMAL, primal, dual_res, steps)
         return None
     return None
 
@@ -753,7 +804,7 @@ def solve_qp(problem: QuadraticProgram,
                 u *= 2.0
                 factor = kkt.factor(rho)
 
-    obj = 0.5 * float(x @ problem.H @ x) + float(problem.g @ x)
+    obj = qp_objective(problem.H, problem.g, x)
     set_violation = max(c.violation(x[c.indices]) for c in cons)
     eq_violation = (float(np.abs(problem.A_eq @ x - problem.b_eq).max())
                     if r else 0.0)

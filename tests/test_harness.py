@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hiermpc import harness
+from hiermpc import harness, highlevel, lowlevel, solver
 from hiermpc.analysis import CertificateReport
 from hiermpc.cli import main
 from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
@@ -230,13 +230,120 @@ def test_fast_block_maps_match_the_recursion_and_the_correction_law(name):
             assert not np.any(blocks[:l, :, l])
 
 
+@pytest.fixture(scope="module",
+                params=["coupled_n20", "decoupled_n20", "chain4_n40"])
+def workload_qps(request):
+    """A workload's slow QP (pinned on decoupled_n20) and stacked
+    correction QP, as `run_closed_loop` builds them, with the largest
+    |target| each subsystem's budget reaches: budget times the sum over
+    the steps of the norm of its target row."""
+    cfg, building = _pinned_workload(request.param)
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    ll_qp = harness.fast_block_maps(model, bundle, cfg.period)[0]
+    reach = np.array([ball.radius * np.linalg.norm(
+        ll_qp.A_eq[rows][:, ball.indices], axis=-1).sum()
+        for ball, rows in zip(ll_qp.budgets, ll_qp.target_rows)])
+    return tube_qp(bundle.hl), ll_qp, reach
+
+
+class ExactPath(Exception):
+    """Raised by the stand-ins of the exact path: the tick was not free."""
+
+
+def exact_path(*args, **kwargs):
+    raise ExactPath
+
+
+def free_tick(solve, *args):
+    """The tick's solution if the free path decides it, else None: the
+    exact path (`active_set_step`, `solve_qp`) is replaced by `exact_path`
+    in the module that solves the tick."""
+    module = highlevel if solve is solve_hl else lowlevel
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("active_set_step", "solve_qp"):
+            if hasattr(module, name):
+                mp.setattr(module, name, exact_path)
+        try:
+            return solve(*args)
+        except ExactPath:
+            return None
+
+
+def assert_same_plan(got, want):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale, (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+@example(seed=1, exponent=-3.0)
+@example(seed=1, exponent=3.0)
+def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
+    # The free path of each layer, a product with its run-constant map,
+    # decides a tick exactly when `equality_first` decides the equivalent
+    # QP, built afresh; their plans agree to 1e-12 of the largest entry,
+    # and the slow tick records the residuals and objective of its own
+    # solve.  The tick data run from well inside to well outside the tube,
+    # the terminal set (the slow projected state, up to 1e3 times the tube
+    # radius, or 1e3 on a point tube) and the budgets (each subsystem's
+    # target, from 1e-3 to 1e3 times its reach).
+    qp, ll_qp, reach = workload_qps
+    rng = np.random.default_rng(seed)
+    n, N = qp.design.slow.n_states, qp.design.horizon
+    radius = qp.design.tube.ball.radius
+    direction = rng.normal(size=n)
+    x_proj = (radius or 1.0) * 10.0 ** exponent * direction / np.linalg.norm(
+        direction)
+    tube = solver.BallConstraint(qp.factors.layout[0], radius, center=x_proj)
+    if qp.pinned is None:
+        ref = solver.QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+                                      (tube, qp.inputs, qp.terminal))
+        sol = qp.free
+    else:
+        ref = solver.QuadraticProgram(
+            qp.H, qp.g, qp.pinned.A_eq, np.concatenate([qp.b_dyn, x_proj]),
+            (qp.inputs, qp.terminal))
+        sol = qp.free @ x_proj
+    want = solver.equality_first(ref, solver.KKTFactors(
+        ref.H, ref.A_eq, [c.indices for c in ref.constraints]))
+    got = free_tick(solve_hl, qp, x_proj)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.iterations == 0
+        assert_same_plan(np.concatenate([got.x_nominal, got.x_nominal_next,
+                                         got.u_nominal_seq.ravel()]),
+                         np.concatenate([want.x[:2 * n],
+                                         want.x[n * (N + 1):]]))
+        x = sol[:qp.H.shape[0]]
+        assert (got.primal_residual, got.dual_residual) == \
+            solver.equality_residuals(sol, ref.H, ref.g, ref.A_eq, ref.b_eq)
+        assert got.objective == solver.qp_objective(ref.H, ref.g, x)
+
+    target = reach * 10.0 ** rng.uniform(-3.0, exponent, reach.size) \
+        * rng.choice([-1.0, 1.0], reach.size)
+    aux_terminal = np.zeros(ll_qp.beta.shape[1])
+    ref = solver.QuadraticProgram(ll_qp.H, ll_qp.g, ll_qp.A_eq, target,
+                                  ll_qp.budgets)
+    want = solver.equality_first(ref, solver.KKTFactors(
+        ref.H, ref.A_eq, [c.indices for c in ref.constraints]))
+    got = free_tick(lowlevel.solve_ll, ll_qp, target, aux_terminal)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.iterations == 0
+        assert_same_plan(got.u_steps.ravel(), want.x)
+
+
 def test_ball_formulation_solves_its_equality_only_system_once(
         model, bundle, short_cfg, monkeypatch, kkt_solves):
     # Over the 100 ticks of the default run the slow layer's g and b_eq
-    # stay zero: its rho = 0 system is solved on the first tick that tries
-    # it, and every later tick only checks the sets.  The rho = 0 factors
-    # are used once more, for the set columns Z of the active-set step,
-    # built on the first tick that runs it and kept.
+    # stay zero: its equality-only optimum is one vector, solved when the
+    # run builds the slow QP, and every tick only checks the tube ball.
+    # The rho = 0 factors are used once more, for the set columns Z of the
+    # active-set step, built on the first tick that runs it and kept.  The
+    # correction layer's map is one more solve, when the run builds it.  No
+    # tick makes a rho = 0 solve of its own: a free tick is a product with
+    # a map, and the others start the exact path from that product.
     qps = []
     monkeypatch.setattr(harness, "tube_qp",
                         lambda design: qps.append(tube_qp(design)) or qps[-1])
@@ -244,8 +351,9 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     arc = run_closed_loop(model, cfg, bundle)
     (qp,) = qps
     iterations = arc.slow[:, arc.slow_cols.index("iterations")]
-    assert np.sum(iterations == 0) >= 90
-    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 2
+    assert np.sum(iterations == 0) >= 90 and np.any(iterations > 0)
+    slow = qp.factors.by_rho[0.0]
+    assert [f is slow for f in kkt_solves] == [True, False, True]
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):

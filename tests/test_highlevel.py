@@ -343,20 +343,33 @@ def pinned_problem(qp, x_proj):
 
 
 def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
-                                                       kkt_certificate):
+                                                       kkt_certificate,
+                                                       kkt_solves):
     # A far start saturates input balls: the pinned optimum is outside them,
     # and the active-set step on the pinned QP, not ADMM, finds the optimum,
-    # with a certificate that holds.  It is the ball path's optimum.
+    # with a certificate that holds.  It is the ball path's optimum.  The
+    # tick hands its own equality-only solve, the free map's product, to
+    # the step, with no rho = 0 solve of its own (the one it makes is the
+    # step's set columns): its plan is the step's from that solve, to the
+    # bit, and the step's from a fresh rho = 0 solve to roundoff.
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
     n, N = qp.design.slow.n_states, qp.design.horizon
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
+    fresh = active_set_step(pinned, qp.pinned)
+    qp.pinned.equality_only(pinned, qp.free @ x_proj)
     step = active_set_step(pinned, qp.pinned)
     assert step is not None and step.iterations > 0
     kkt_certificate(pinned, step.x, 1e-8)
-    sol = solve_hl(qp, x_proj)
+    assert step.iterations == fresh.iterations
+    assert np.max(np.abs(step.x - fresh.x)) <= 1e-12 * np.max(np.abs(fresh.x))
+    tick_qp = tube_qp(bundle.hl)
+    before = len(kkt_solves)
+    sol = solve_hl(tick_qp, x_proj)
+    assert [f is tick_qp.pinned.by_rho[0.0]
+            for f in kkt_solves[before:]] == [True]
     assert sol.iterations == step.iterations
     assert np.max(np.abs(sol.x_nominal - x_proj)) <= 1e-12
     assert np.array_equal(sol.u_nominal_seq.ravel(), step.x[n * (N + 1):])
@@ -468,9 +481,10 @@ def test_decoupled_run_takes_the_pinned_step_on_two_ticks(decoupled):
 
 def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     # The ball formulation's g and b_eq are zero on every tick: its
-    # equality-only optimum (x = 0) is solved once and kept.  A tick whose
-    # tube centre is out of its reach takes the active-set step, which runs
-    # from the kept solve as it does on a TubeQP that never kept anything.
+    # equality-only optimum (x = 0) is solved once, when `tube_qp` builds
+    # the QP.  A tick whose tube centre is out of its reach takes the
+    # active-set step, which runs from that solve as it does on a fresh
+    # TubeQP.
     _, _, _, design = make_design(np.random.default_rng(31))
     qp = tube_qp(design)
     r, n = design.tube.ball.radius, design.slow.n_states
@@ -479,8 +493,9 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
         assert near.iterations == 0 and not near.x_nominal.any()
     x_far = np.full(n, 1.0)
     sol = solve_hl(qp, x_far)
-    # Two uses of the rho = 0 factors: the kept equality-only solve, and
-    # the set columns Z that the step builds on its first run.
+    # Two uses of the rho = 0 factors: the equality-only solve of
+    # `tube_qp`, and the set columns Z that the step builds on its first
+    # run.
     assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 2
     ref = solve_hl(tube_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
