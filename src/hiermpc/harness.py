@@ -5,19 +5,21 @@ fast naming the first unmet item: first `certify` (order reduction, fast
 gain, input-budget allocation, certificate constants; `hiermpc analyze` and
 `tune` run it too), then, once every clause passes, the slow layer (slow
 gain, disturbance set, invariant tube, terminal cost and set).
-`run_closed_loop` then executes the slow loop around the full plant: one
-tube-tightened slow solve per tick, the shared constant-input auxiliary
-rollout, one solve of the stacked correction QP, which plans every
-subsystem's corrections in blocks that share nothing, and the tick's fast
-block of held input plus corrections.  A tick whose sets bind in neither
-layer builds no QP: each layer's solve is one product with a map built once
-per run.  The fast block is affine in the tick's start state, held input
-and planned corrections, so it is two products with maps built once per
-run (`fast_block_maps`), not stepped fast step by fast step nor subsystem
-by subsystem.  The maps are block-Toeplitz in (fast step, plan step), and
-are gathered from one lag response: the fast block's response to a unit
-plan step.  Every quantity the runtime invariants need is recorded;
-persistence and re-verification live in `trace`.
+`run_closed_loop` then executes the slow loop around the full plant.  A
+tick computes only what the next tick reads: one tube-tightened slow solve,
+the terminal state of the shared constant-input auxiliary rollout, one
+solve of the stacked correction QP, which plans every subsystem's
+corrections in blocks that share nothing, and the plant state at the end
+of the period.  A tick whose sets bind in neither layer builds no QP: each
+layer's solve is one product with a map built once per run.  The fast
+block is affine in the tick's start state, held input and planned
+corrections, so the fast records of every tick are built after the loop,
+in a few batched products with maps built once per run (`fast_block_maps`),
+not stepped fast step by fast step nor subsystem by subsystem.  The maps
+are block-Toeplitz in (fast step, plan step), and are gathered from one lag
+response: the fast block's response to a unit plan step.  Every quantity
+the runtime invariants need is recorded; persistence and re-verification
+live in `trace`.
 """
 from __future__ import annotations
 
@@ -35,9 +37,9 @@ from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL,
     InfeasibleLL
 from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
                         tube_qp)
-from .lowlevel import CorrectionQP, LLGain, apply_correction, auxiliary_maps, \
-    block_toeplitz, correction_qp, design_ll_gain, lag_response, \
-    simulate_auxiliary, solve_ll
+from .lowlevel import AuxiliaryMaps, CorrectionQP, LLGain, apply_correction, \
+    auxiliary_maps, block_toeplitz, correction_qp, design_ll_gain, \
+    lag_response, simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
 from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
@@ -256,9 +258,10 @@ def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
 
 
 def column_block(cols: tuple, rows: np.ndarray, prefix: str, count: int) -> np.ndarray:
-    """View of the `count` columns of `rows` named prefix0, prefix1, ..."""
+    """View of the `count` columns (last axis) of `rows` named prefix0,
+    prefix1, ..."""
     start = cols.index(f"{prefix}0")
-    return rows[:, start:start + count]
+    return rows[..., start:start + count]
 
 
 @dataclass(frozen=True)
@@ -314,40 +317,55 @@ def fast_block_maps(model: InterconnectedModel, bundle: DesignBundle,
     return qp, W, D
 
 
+# Ticks whose fast records one batched product builds: the product's
+# temporaries stay a small part of the records.
+RECORD_CHUNK = 16
+
+
 def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                     bundle: DesignBundle | None = None) -> TraceArchive:
     """Execute the two-rate loop for `cfg.n_slow_steps` slow steps.
 
     Any slow- or fast-layer infeasibility aborts the run with the slow-step
-    index attached to the exception diagnostics; nothing is clipped.  The
-    data of each layer's QP that does not change between ticks, with its KKT
-    factors, is built once here, before the first tick, and so are the maps
-    of the fast block: the auxiliary rollout of `lowlevel.auxiliary_maps`
-    and W and D of `fast_block_maps`.  A tick is then one slow solve, one
-    auxiliary rollout, one correction solve for all subsystems, states
-    xhat + W vec(duhat) and corrections D vec(duhat).
+    index attached to the exception diagnostics; nothing is clipped, and no
+    trace is returned.  The data of each layer's QP that does not change
+    between ticks, with its KKT factors, is built once here, before the
+    first tick, and so are the maps of the fast block: the auxiliary
+    rollout of `lowlevel.auxiliary_maps` and W and D of `fast_block_maps`.
+    A tick computes only what the next tick reads: one slow solve, the
+    auxiliary terminal state xhat_N (`simulate_auxiliary` on the maps' last
+    block row), one correction solve for all subsystems, whose plan is
+    recorded as it is, and the next boundary state xhat_N + W_N vec(duhat),
+    with W_N the last block row of W.  After the loop the fast records of
+    every tick are built from its boundary state, held input and plan, in
+    batched products over the other block rows, `RECORD_CHUNK` ticks at a
+    time: states Phi x + Psi ubar + W vec(duhat), corrections D vec(duhat),
+    inputs ubar + du and the input margins.
     """
     start = time.perf_counter()
     x = start_state(model, cfg)
     if bundle is None:
         bundle = design_pipeline(model, cfg)
     reduced, hl, lifted = bundle.reduced, bundle.hl, bundle.hl.slow
-    N, M = cfg.period, model.n_subsystems
+    K, N, M = cfg.n_slow_steps, cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
-    rho_u = model.input_radii()
     hl_qp = tube_qp(hl)
-    aux_maps = auxiliary_maps(model, N)
+    aux = auxiliary_maps(model, N)
+    terminal = AuxiliaryMaps(aux.Phi[N * n:], aux.Psi[N * n:])
     # Built before the records, so that its temporaries and the records are
     # never held at once.
     ll_qp, W, D = fast_block_maps(model, bundle, N)
+    W_N = W[N * n:]
 
     f_cols = fast_columns(n, m) + tuple(f"margin{i}" for i in range(M))
     n_red = reduced.n_states
     s_cols = slow_columns(n_red, m, cfg.horizon)
-    fast_rows = np.empty((cfg.n_slow_steps * N, len(f_cols)))
-    slow_rows = np.empty((cfg.n_slow_steps, len(s_cols)))
-    # Column-block views of fast_rows; tick k fills rows k*N .. k*N + N-1.
-    fast = {prefix: column_block(f_cols, fast_rows, prefix, width)
+    fast_rows = np.empty((K * N, len(f_cols)))
+    slow_rows = np.empty((K, len(s_cols)))
+    # Column-block views of fast_rows by tick: tick k's rows k*N .. k*N + N-1
+    # are fast[prefix][k].
+    ticks = fast_rows.reshape(K, N, -1)
+    fast = {prefix: column_block(f_cols, ticks, prefix, width)
             for prefix, width in (("x", n), ("duhat", m), ("du", m),
                                   ("u", m), ("margin", M))}
     # Column-block views of slow_rows; tick k fills row k.  The plan's
@@ -360,11 +378,10 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                                   ("wbar", n_red))}
     solve = s_cols.index("objective")
     slow["solve"] = slow_rows[:, solve:solve + 4]
-    slow_rows[:, s_cols.index("k")] = np.arange(cfg.n_slow_steps)
+    slow_rows[:, s_cols.index("k")] = np.arange(K)
     tube_err = slow_rows[:, s_cols.index("tube_error")]
-    in_starts = np.asarray(model.input_offsets[:-1])
 
-    for k in range(cfg.n_slow_steps):
+    for k in range(K):
         x_proj = reduced.beta @ x
         try:
             sol = solve_hl(hl_qp, x_proj, first_step=(k == 0))
@@ -373,26 +390,16 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
             raise
         u_bar = sol.u_applied
         x_bar_pred = lifted.A @ x_proj + lifted.B @ u_bar
-        xhat = simulate_auxiliary(aux_maps, x, u_bar)
+        (xhat_N,) = simulate_auxiliary(terminal, x, u_bar)
         try:
-            plan = solve_ll(ll_qp, x_bar_pred, xhat[N])
+            plan = solve_ll(ll_qp, x_bar_pred, xhat_N)
         except InfeasibleLL as exc:
             exc.diagnostics["slow_step"] = k
             raise
 
-        # The tick's rows, written as column blocks.
-        rows = slice(k * N, (k + 1) * N)
-        fast["duhat"][rows] = plan.u_steps
-        duhat = plan.u_steps.ravel()
-        xs = xhat + (W @ duhat).reshape(N + 1, n)
-        fast["x"][rows] = xs[:N]
-        du = fast["du"][rows] = (D @ duhat).reshape(N, m)
-        u = fast["u"][rows] = u_bar + du
-        # Each subsystem's input norm per fast step, one segment sum each.
-        fast["margin"][rows] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,
-                                                               axis=1))
-
-        x = xs[N]
+        fast["x"][k, 0] = x
+        fast["duhat"][k] = plan.u_steps
+        x = xhat_N + W_N @ plan.u_steps.ravel()
         slow["xproj"][k] = x_proj
         slow["xnom"][k] = sol.x_nominal
         slow["xnext"][k] = sol.x_nominal_next
@@ -402,6 +409,31 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                             sol.dual_residual)
         slow["wbar"][k] = reduced.beta @ x - x_bar_pred
         tube_err[k] = np.linalg.norm(x_proj - sol.x_nominal)
+
+    # The fast records.  Fast step 0 of a tick is its boundary state, written
+    # by the tick; steps 1..N-1 are one product each with the other block
+    # rows of the maps, on a chunk of ticks side by side as columns.  (With
+    # the ticks as rows, BLAS would pack all of W for the product and touch
+    # that much more of its buffer.)  The QPs are released first, so that
+    # the chunks' temporaries take the place of their data rather than add
+    # to it.
+    del hl_qp, ll_qp
+    Phi, Psi, W_steps = (a[n:N * n] for a in (aux.Phi, aux.Psi, W))
+    rho_u = model.input_radii()
+    in_starts = np.asarray(model.input_offsets[:-1])
+    for first in range(0, K, RECORD_CHUNK):
+        ks = slice(first, min(first + RECORD_CHUNK, K))
+        u_bar = slow["ubar"][ks]
+        duhat = fast["duhat"][ks].reshape(-1, N * m).T
+        xs = Phi @ fast["x"][ks, 0].T
+        xs += Psi @ u_bar.T
+        xs += W_steps @ duhat
+        fast["x"][ks, 1:] = xs.T.reshape(len(u_bar), N - 1, n)
+        du = fast["du"][ks] = (D @ duhat).T.reshape(-1, N, m)
+        u = fast["u"][ks] = u_bar[:, None] + du
+        # Each subsystem's input norm per fast step, one segment sum.
+        fast["margin"][ks] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,
+                                                             axis=2))
 
     wall = time.perf_counter() - start
     return TraceArchive(cfg, f_cols, s_cols, fast_rows, slow_rows, x, wall)

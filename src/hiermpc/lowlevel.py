@@ -14,12 +14,15 @@ corrections, each block at its own subsystem's inputs and target rows, so
 the plans stay decentralized by construction while a tick whose budgets do
 not bind is decided at once (`tests/test_lowlevel.py` checks the stacked
 plan against each subsystem's QP solved alone).  Everything a tick needs
-that does not depend on the tick is built once per run: the auxiliary
-rollout is one product with the stacked maps of `auxiliary_maps`, and the
-stacked QP carries the constant QP data and its free map, the rho = 0
-solves against the unit vectors of its target rows.  Per tick only the
-terminal target changes, so a plan whose budgets do not bind is one
-product with that map, accepted by `solver.free_optimum`: no QP is built.
+that does not depend on the tick is built once per run: the stacked maps
+of the auxiliary rollout, `auxiliary_maps`, of which a tick reads only the
+last block row (the terminal state its target needs; the harness builds the
+other states of every tick after the loop), and the stacked QP with the
+constant QP data and its free map, the rho = 0 solves against the unit
+vectors of its target rows.  Per tick only the terminal target changes, so
+a plan whose budgets do not bind is one product with that map, accepted by
+`solver.free_optimum`'s rule with the budgets checked in one reduction: no
+QP is built.
 The stacked QP also carries each subsystem's QP alone with its own
 factors, built once and factored on first use, for the blocks of a tick
 whose budgets bind.
@@ -69,8 +72,10 @@ def auxiliary_maps(model: InterconnectedModel, period: int) -> AuxiliaryMaps:
 
 def simulate_auxiliary(maps: AuxiliaryMaps, x_start: np.ndarray,
                        u_held: np.ndarray) -> np.ndarray:
-    """Centralized constant-input rollout from a slow-tick measurement:
-    states 0..period, shape (period+1, n)."""
+    """Centralized constant-input rollout from a slow-tick measurement: the
+    states of the maps' block rows, shape (rows, n); states 0..period on the
+    maps of `auxiliary_maps`, the terminal state alone on their last block
+    row."""
     x_start = np.asarray(x_start, dtype=float)
     u_held = np.asarray(u_held, dtype=float)
     n, m = maps.Phi.shape[1], maps.Psi.shape[1]
@@ -184,11 +189,13 @@ class CorrectionQP:
     raveled row by row.  Subsystem i's cost H_i and terminal map
     beta_i reach_i sit at its own (step, input) coordinates and its own
     target rows, and its per-step budget balls are its own constraint, so
-    no block touches another subsystem's inputs or target.  Per tick only
-    the terminal target b_eq changes, and g is zero: the equality-only
-    optimum with its multipliers is free @ b_eq, where `free`, (d + r, r),
-    is the rho = 0 solves against the unit vectors of the r target rows.
-    Everything here is built once by `correction_qp`, with one
+    no block touches another subsystem's inputs or target.  When every
+    subsystem has `width` inputs, subsystem i's balls are the i-th run of
+    `width` columns of the plan, so `within_budgets` checks them all in one
+    reduction.  Per tick only the terminal target b_eq changes, and g is
+    zero: the equality-only optimum with its multipliers is free @ b_eq,
+    where `free`, (d + r, r), is the rho = 0 solves against the unit
+    vectors of the r target rows.  Everything here is built once by `correction_qp`, with one
     factorization of the stacked KKT matrix, for `free`.  So is each
     subsystem's QP alone (`blocks`, with a zero target and its own KKT
     factors, factored on the first tick that needs it), which a tick whose
@@ -202,9 +209,26 @@ class CorrectionQP:
     g: np.ndarray              # the zero linear cost, read-only
     A_eq: np.ndarray           # beta_i times subsystem i's reachability row
     budgets: tuple[BallConstraint, ...]  # subsystem i's balls, (period, m_i)
+    radii: np.ndarray          # subsystem i's budget, (M,)
+    width: int                 # inputs per subsystem; 0 if they differ
     target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
     free: np.ndarray           # (d + r, r) rho = 0 solves, read-only
     blocks: tuple[QuadraticProgram, ...]  # subsystem i's QP alone
+
+    def within_budgets(self, plan: np.ndarray) -> np.ndarray:
+        """Whether each subsystem's steps of a finite (period, m) plan keep
+        to its budget, (M,): each ball's `violation` == 0.0.  With a common
+        width, every step's squared norms come from one reduction over the
+        plan's runs of `width` inputs, summed in the order `violation` sums
+        them (a segment sum, `np.add.reduceat`, adds the first square to
+        the sum of the rest, which can differ in the last bit from three
+        inputs on); the root of the largest is compared with the radius."""
+        if not self.width:
+            return np.array([b.violation(plan.ravel()[b.indices]) == 0.0
+                             for b in self.budgets])
+        sq = np.add.reduce((plan * plan).reshape(len(plan), -1, self.width),
+                           axis=-1)
+        return np.sqrt(sq.max(axis=0)) <= self.radii
 
 
 def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
@@ -246,11 +270,14 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
             KKTFactors(H_i, A_i, [own.indices])))
     g = np.zeros(d)
     g.flags.writeable = False
+    widths = {sub.n_inputs for sub in model.subsystems}
     r = A_eq.shape[0]
     rhs = np.zeros((d + r, r))
     rhs[d:] = np.eye(r)
     free = KKTFactors(H, A_eq, [b.indices for b in balls]).equality_solve(rhs)
     return CorrectionQP(period, reduced.beta, H, g, A_eq, tuple(balls),
+                        np.array([b.radius for b in balls]),
+                        widths.pop() if len(widths) == 1 else 0,
                         tuple(target_rows), free, tuple(blocks))
 
 
@@ -264,8 +291,9 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
     aux_terminal` (the auxiliary terminal is the full state, beta is block
     diagonal), and each of its steps stays inside its budget ball.  A tick
     whose budgets do not bind is one product with the stacked QP's
-    run-constant map, `qp.free @ target`, accepted by
-    `solver.free_optimum` (0 iterations), with no QP built.  Otherwise the
+    run-constant map, `qp.free @ target`, accepted by the rule of
+    `solver.free_optimum` (0 iterations), with no QP built: the residuals
+    there, the budgets by `qp.within_budgets`.  Otherwise the
     same solve goes on to the exact path: the QP being block-separable,
     block i of it is subsystem i's own equality-only optimum, so it stays
     subsystem i's plan wherever it keeps to subsystem i's balls (unless
@@ -279,15 +307,17 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
     rhs = (np.asarray(x_bar_pred, dtype=float)
            - qp.beta @ np.asarray(aux_terminal, dtype=float))
     sol = qp.free @ rhs
-    d = qp.g.shape[0]
-    if free_optimum(sol, qp.H, qp.g, qp.A_eq, rhs, qp.budgets) is not None:
-        return DeltaPlan(sol[:d].reshape(qp.period, -1), 0)
-    # The rule without the balls: each block is then judged on its own.
+    stacked = sol[:qp.g.shape[0]].reshape(qp.period, -1)
+    # The rule without the balls, then each block on its own balls.
     kept = free_optimum(sol, qp.H, qp.g, qp.A_eq, rhs, ()) is not None
-    stacked, x, iterations = sol[:d], sol[:d].copy(), 0
+    inside = qp.within_budgets(stacked) if kept else np.zeros(qp.radii.size,
+                                                              dtype=bool)
+    if inside.all():
+        return DeltaPlan(stacked, 0)
+    x, iterations = stacked.ravel().copy(), 0
     for i, (ball, rows, block) in enumerate(zip(qp.budgets, qp.target_rows,
                                                 qp.blocks)):
-        if kept and ball.violation(stacked[ball.indices]) == 0.0:
+        if inside[i]:
             continue
         res = solve_qp(dataclasses.replace(block, b_eq=rhs[rows]))
         iterations += res.iterations

@@ -230,6 +230,56 @@ def test_fast_block_maps_match_the_recursion_and_the_correction_law(name):
             assert not np.any(blocks[:l, :, l])
 
 
+@pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
+def test_fast_records_built_after_the_loop_match_each_tick(name, monkeypatch):
+    # A tick computes only the auxiliary terminal state, one state row, and
+    # the next boundary state; the fast records of all ticks are built after
+    # the loop.  Each tick's block, recomputed alone from its boundary state,
+    # held input and plan with the full maps (states xhat + W vec(duhat) at
+    # fast steps 0..N, the last the next tick's boundary state, corrections
+    # D vec(duhat), inputs and margins), matches them to 1e-13 of its
+    # largest entry, and fast step 0 of each tick is its boundary state, to
+    # the bit.
+    cfg, building = _pinned_workload(name)
+    cfg = dataclasses.replace(cfg, n_slow_steps=3)
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    calls = []
+
+    def recorded(maps, x_start, u_held):
+        states = lowlevel.simulate_auxiliary(maps, x_start, u_held)
+        calls.append((x_start.copy(), u_held.copy(), states.shape))
+        return states
+
+    monkeypatch.setattr(harness, "simulate_auxiliary", recorded)
+    arc = run_closed_loop(model, cfg, bundle)
+    N, n, m = cfg.period, model.n_states, model.n_inputs
+    assert [shape for *_, shape in calls] == [(1, n)] * cfg.n_slow_steps
+    aux = lowlevel.auxiliary_maps(model, N)
+    _, W, D = harness.fast_block_maps(model, bundle, N)
+    ubar = arc.slow_block("ubar", m)
+    starts = [x_start for x_start, *_ in calls[1:]] + [arc.final_state]
+    for k, (x_start, u_held, _) in enumerate(calls):
+        rows = slice(k * N, (k + 1) * N)
+        x = arc.fast_block("x", n)[rows]
+        assert np.array_equal(x[0], x_start)
+        assert np.array_equal(u_held, ubar[k])
+        duhat = arc.fast_block("duhat", m)[rows].ravel()
+        states = (lowlevel.simulate_auxiliary(aux, x_start, u_held)
+                  + (W @ duhat).reshape(N + 1, n))
+        du = (D @ duhat).reshape(N, m)
+        u = ubar[k] + du
+        margins = model.input_radii() - np.array(
+            [np.linalg.norm(u[:, model.input_slice(i)], axis=1)
+             for i in range(model.n_subsystems)]).T
+        for got, want in ((np.vstack([x, starts[k]]), states),
+                          (arc.fast_block("du", m)[rows], du),
+                          (arc.fast_block("u", m)[rows], u),
+                          (arc.fast_block("margin", model.n_subsystems)[rows],
+                           margins)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.fixture(scope="module",
                 params=["coupled_n20", "decoupled_n20", "chain4_n40"])
 def workload_qps(request):

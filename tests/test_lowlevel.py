@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermpc import lowlevel
 from hiermpc.errors import InfeasibleLL
@@ -378,3 +381,36 @@ def test_solve_ll_names_the_one_subsystem_out_of_budget(workload_qp,
                                      "unreachable within budget")
     assert err.value.diagnostics["status"] == "infeasible"
     assert np.isclose(err.value.diagnostics["target_norm"], target[1])
+
+
+@pytest.mark.parametrize("widths", [(3, 1, 2), (1, 1, 1), (3, 3, 3), (9, 9, 9)])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-150.0, 150.0))
+def test_within_budgets_decides_as_each_ball(widths, seed, exponent):
+    # The budget check of the free tick decides each family as its ball's
+    # `violation` does, with one input or several per subsystem, the same
+    # count for all or not, and with each radius one ulp below, at or one
+    # ulp above the family's largest step norm, at any scale.
+    rng = np.random.default_rng(seed)
+    subs = [SubsystemModel(A=[[0.5]], B=[rng.uniform(0.2, 1.0, w)],
+                           E=[[1.0]], C_z=[[1.0]], input_set=BallSet(w, 10.0))
+            for w in widths]
+    model = assemble(subs, CouplingMap(((None, [[0.1]], None),
+                                        ([[0.1]], None, [[0.1]]),
+                                        (None, [[0.1]], None))))
+    qp = correction_qp(model, reduce_model(model, [1, 1, 1]), [1.0] * 3,
+                       [np.eye(1)] * 3, [np.eye(sub.n_inputs) for sub in subs],
+                       5, plan_lags(model, 5))
+    assert qp.width == (widths[0] if len(set(widths)) == 1 else 0)
+    plan = rng.normal(size=(5, model.n_inputs)) * 10.0 ** exponent
+    plan[rng.random(plan.shape) < 0.2] = 0.0
+    radii = []
+    for ball in qp.budgets:
+        v = plan.ravel()[ball.indices]
+        norm = math.sqrt(float(np.add.reduce(v * v, axis=-1).max()))
+        radii.append(np.nextafter(norm, rng.choice([0.0, norm, math.inf])))
+    balls = tuple(dataclasses.replace(b, radius=float(r))
+                  for b, r in zip(qp.budgets, radii))
+    qp = dataclasses.replace(qp, budgets=balls, radii=np.array(radii))
+    assert qp.within_budgets(plan).tolist() == [
+        b.violation(plan.ravel()[b.indices]) == 0.0 for b in balls]
