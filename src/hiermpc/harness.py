@@ -4,7 +4,8 @@
 fast naming the first unmet item: first `certify` (order reduction, fast
 gain, input-budget allocation, certificate constants; `hiermpc analyze` and
 `tune` run it too), then, once every clause passes, the slow layer (slow
-gain, disturbance set, invariant tube, terminal cost and set).
+model, whose horizon power must be invertible, slow gain, disturbance set,
+invariant tube, terminal cost and set).
 `run_closed_loop` then executes the slow loop around the full plant.  A
 tick computes only what the next tick reads: one tube-tightened slow solve,
 the terminal state of the shared constant-input auxiliary rollout, one
@@ -35,8 +36,8 @@ from .analysis import (CertificateReport, CertificateTables, RadiusAllocation,
                        certificate_constants, certificate_tables, tune_radii)
 from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL, \
     InfeasibleLL
-from .highlevel import (HLDesign, design_gain, lift, solve_hl, terminal_cost,
-                        tube_qp)
+from .highlevel import (HLDesign, design_gain, horizon_inverse, lift, solve_hl,
+                        terminal_cost, tube_qp)
 from .lowlevel import AuxiliaryMaps, CorrectionQP, LLGain, apply_correction, \
     auxiliary_maps, block_toeplitz, correction_qp, design_ll_gain, \
     lag_response, simulate_auxiliary, solve_ll
@@ -197,6 +198,7 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
         raise DesignIncomplete("certificate", f"certificate clauses failed: {failing}")
 
     slow = _stage("slow_gain", lambda: lift(reduced, cfg.period))
+    _stage("slow_horizon", lambda: horizon_inverse(slow, cfg.horizon))
     n_red, m = slow.n_states, slow.n_inputs
     Q_slow, R_slow = slow_weights(cfg, n_red, m)
     gain = _stage("slow_gain",
@@ -384,16 +386,12 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     for k in range(K):
         x_proj = reduced.beta @ x
         try:
-            sol = solve_hl(hl_qp, x_proj, first_step=(k == 0))
-        except InfeasibleHL as exc:
-            exc.diagnostics["slow_step"] = k
-            raise
-        u_bar = sol.u_applied
-        x_bar_pred = lifted.A @ x_proj + lifted.B @ u_bar
-        (xhat_N,) = simulate_auxiliary(terminal, x, u_bar)
-        try:
+            sol = solve_hl(hl_qp, x_proj)
+            u_bar = sol.u_applied
+            x_bar_pred = lifted.A @ x_proj + lifted.B @ u_bar
+            (xhat_N,) = simulate_auxiliary(terminal, x, u_bar)
             plan = solve_ll(ll_qp, x_bar_pred, xhat_N)
-        except InfeasibleLL as exc:
+        except (InfeasibleHL, InfeasibleLL) as exc:
             exc.diagnostics["slow_step"] = k
             raise
 

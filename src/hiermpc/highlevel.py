@@ -11,6 +11,8 @@ first tries the exact optimum with that point pinned by equality rows.
 The QP a tick tries first has an equality-only optimum linear in the
 tick's data, so a tick whose sets do not bind is one product with a map
 built once per run (`TubeQP.free`), accepted by `solver.free_optimum`.
+A failed solve brackets how far the projected state lies from the states
+that admit a plan (`feasibility_gap`).
 """
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ import numpy as np
 
 from .errors import DesignFailed, DimensionMismatch, InfeasibleHL
 from .gains import DETUNING_ROUNDS, dlqr, dlyap
-from .lti import InterconnectedModel, lifted_closed_loop, lifted_input_matrix
+from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
+                  reachability_matrix)
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
-from .solver import (BallConstraint, EllipsoidConstraint, KKTFactors,
-                     QuadraticProgram, Status, active_set_step, free_optimum,
-                     qp_objective, solve_qp)
+from .solver import (BallConstraint, DistanceBracket, EllipsoidConstraint,
+                     KKTFactors, QuadraticProgram, Status, active_set_step,
+                     free_optimum, minkowski_distance, qp_objective, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -253,35 +256,41 @@ def tube_qp(design: HLDesign) -> TubeQP:
                   free, fixed)
 
 
-def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> tuple[float, Status]:
-    """Distance from the projected state to the first nominal states that
-    admit a plan, with the status of the QP that computed it; the distance
-    means something only when that status is OPTIMAL.
-
-    The QP minimizes 1/2 ||x_0 - x_proj||^2 under the tube QP's dynamics,
-    input balls and terminal ellipsoid, posed in units of its sets: the
-    input columns of the dynamics are scaled by the input radius and the x_N
-    columns by sqrt(level), so the sets are unit balls and a level-1
-    ellipsoid (a size of 0 holds that input or x_N at 0), and the QP needs
-    no regularizer.
-    """
-    d, x0 = qp.H.shape[0], qp.factors.layout[0]
-    scale = np.ones(d)
-    scale[qp.inputs.indices] = qp.inputs.radius
-    scale[qp.terminal.indices] = np.sqrt(qp.terminal.level)
-    H = np.zeros((d, d))
-    H[x0, x0] = 1.0
-    g = np.zeros(d)
-    g[x0] = -np.asarray(x_proj, dtype=float)
-    res = solve_qp(QuadraticProgram(
-        H, g, qp.A_eq * scale, qp.b_dyn,
-        (BallConstraint(qp.inputs.indices, 1.0),
-         EllipsoidConstraint(qp.terminal.indices, qp.terminal.shape, 1.0))))
-    return float(np.linalg.norm(res.x[x0] - x_proj)), res.status
+def horizon_inverse(slow: SlowModel, horizon: int) -> np.ndarray:
+    """A_slow^-horizon; DesignFailed unless it exists to working precision,
+    with the Skeel condition number || |A^-N| |A^N| ||_inf at most 1e12
+    (not the normwise one: a diagonal A^N has 1 at any spread)."""
+    A_N = np.linalg.matrix_power(slow.A, horizon)
+    try:
+        A_inv = np.linalg.inv(A_N)
+        skeel = float(np.max(np.abs(A_inv) @ np.abs(A_N).sum(axis=1)))
+    except np.linalg.LinAlgError:
+        skeel = np.inf
+    if not skeel <= 1e12:
+        raise DesignFailed(f"A_slow^{horizon} is singular to working "
+                           f"precision (Skeel condition number {skeel:.3g})")
+    return A_inv
 
 
-def solve_hl(qp: TubeQP, x_proj: np.ndarray,
-             first_step: bool = False) -> HLSolution:
+def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> DistanceBracket:
+    """`solver.minkowski_distance` from x_proj to the first nominal states
+    that admit a plan, X = {x_0 : A^N x_0 + sum_k S_k u_k in the terminal
+    ellipsoid, ||u_k|| <= r}, S_k = A^(N-1-k) B: X = sum_j G_j B with G_0 =
+    sqrt(level) A^-N chol(P^-1) and G_k = r A^-N S_k (`horizon_inverse`).
+    The tube QP is infeasible exactly when the distance exceeds the tube
+    radius."""
+    slow, N = qp.design.slow, qp.design.horizon
+    n, m = slow.n_states, slow.n_inputs
+    L = np.linalg.cholesky(np.linalg.inv(qp.terminal.shape))
+    sizes = np.repeat([np.sqrt(qp.terminal.level), qp.inputs.radius],
+                      [n, N * m])
+    G = horizon_inverse(slow, N) @ np.hstack(
+        [L, reachability_matrix(slow.A, slow.B, N)]) * sizes
+    return minkowski_distance(x_proj, G, np.repeat(np.arange(N + 1),
+                                                   [n] + [m] * N))
+
+
+def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
     A tick first takes the equality-only optimum of the formulation it
@@ -293,8 +302,8 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     ellipsoid, and its optimum is free @ x_proj.  Otherwise it is the ball
     formulation, whose optimum is the same on every tick, so that only the
     tube ball around x_proj is checked per tick (`qp.fixed` holds the
-    rest).  Any other tick hands the same solve to the exact path, with no
-    second solve: the active-set step on the pinned QP
+    rest).  Any other tick passes the same solve as the start of the exact
+    path, with no second solve: the active-set step on the pinned QP
     (`solver.active_set_step`, its Newton steps as iterations), whose
     optimum is that of the tube QP, whose tube is that same point, and
     `solve_qp` on the ball formulation, which a point tube reaches only
@@ -304,13 +313,10 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
     decided the tick, the active-set step's Newton steps when it did, and
     ADMM's iterations otherwise.
 
-    Raises InfeasibleHL when the solve does not end OPTIMAL.  When it ends
-    INFEASIBLE, and on the first step whatever the status, the diagnostics
-    carry `tube_gap_status`, the status of the `feasibility_gap` QP, and,
-    only if that is OPTIMAL, `tube_gap`: how far the projected state lies
-    from the first nominal states that admit a plan, to compare with
-    `tube_radius`.  INFEASIBLE itself still comes from `solve_qp`'s stall
-    heuristic, not from a certificate.
+    Raises InfeasibleHL when the solve does not end OPTIMAL.  The
+    diagnostics name the status and carry the `feasibility_gap` of x_proj:
+    `tube_gap_bracket` (lower, upper), `tube_gap` (the lower bound),
+    `tube_gap_dual` (the dual point) and `tube_radius`.
     """
     design = qp.design
     x_proj = np.asarray(x_proj, dtype=float)
@@ -331,9 +337,7 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
             eq_res, dual_res, objective = qp.fixed
             return _solution(qp, x_proj, qp.free[:d], objective, 0, eq_res,
                              dual_res)
-        prob = ball_formulation(tube)
-        qp.factors.equality_only(prob, qp.free)  # solve_qp starts from it
-        res = solve_qp(prob)
+        res = solve_qp(ball_formulation(tube), start=qp.free)
     else:
         cons = (qp.inputs, qp.terminal)
         b_eq, sol = np.concatenate([qp.b_dyn, x_proj]), qp.free @ x_proj
@@ -344,22 +348,16 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray,
                              *residuals)
         pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
                                   qp.pinned)
-        qp.pinned.equality_only(pinned, sol)  # the step starts from it
-        res = (active_set_step(pinned, qp.pinned)
+        res = (active_set_step(pinned, qp.pinned, start=sol)
                or solve_qp(ball_formulation(tube_ball())))
     if res.status is not Status.OPTIMAL:
-        diagnostics = {
-            "status": res.status.value,
-            "iterations": res.iterations,
-            "primal_residual": res.primal_residual,
-            "dual_residual": res.dual_residual,
-        }
-        if first_step or res.status is Status.INFEASIBLE:
-            gap, gap_status = feasibility_gap(qp, x_proj)
-            if gap_status is Status.OPTIMAL:
-                diagnostics["tube_gap"] = gap
-            diagnostics["tube_gap_status"] = gap_status.value
-            diagnostics["tube_radius"] = design.tube.ball.radius
+        gap = feasibility_gap(qp, x_proj)
+        diagnostics = {"status": res.status.value, "iterations": res.iterations,
+                       "primal_residual": res.primal_residual,
+                       "dual_residual": res.dual_residual, "tube_gap": gap.lower,
+                       "tube_gap_bracket": [gap.lower, gap.upper],
+                       "tube_gap_dual": gap.w.tolist(),
+                       "tube_radius": design.tube.ball.radius}
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)

@@ -302,7 +302,8 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
     block QP, so a block whose optimum the active-set step certifies is
     exact whatever the other blocks need, and the blocks that do not bind
     are the bits of the stacked solve.  The first block that fails raises
-    InfeasibleLL naming it.
+    InfeasibleLL naming it, with the certified target gap when its solve
+    ends INFEASIBLE.
     """
     rhs = (np.asarray(x_bar_pred, dtype=float)
            - qp.beta @ np.asarray(aux_terminal, dtype=float))
@@ -322,29 +323,30 @@ def solve_ll(qp: CorrectionQP, x_bar_pred: np.ndarray,
         res = solve_qp(dataclasses.replace(block, b_eq=rhs[rows]))
         iterations += res.iterations
         if res.status is not Status.OPTIMAL:
-            raise _infeasible(i, block.A_eq, ball.radius, rhs[rows], res)
+            raise _infeasible(i, ball.radius, rhs[rows], res)
         x[ball.indices.ravel()] = res.x
     return DeltaPlan(x.reshape(qp.period, -1), iterations)
 
 
-def _infeasible(i: int, A_eq: np.ndarray, radius: float, rhs: np.ndarray,
+def _infeasible(i: int, radius: float, rhs: np.ndarray,
                 res: SolveResult) -> InfeasibleLL:
-    """The error for subsystem i's correction QP, A_eq x = rhs within
-    per-step balls of `radius`, whose solve ended without OPTIMAL; the
-    message names the solver status it ended with."""
-    # Smallest-total-energy sequence hitting the target, for diagnosis.
-    min_norm = float(np.linalg.norm(np.linalg.pinv(A_eq) @ rhs))
-    cause = ("correction target unreachable within budget"
-             if res.status is Status.INFEASIBLE else "correction QP not solved")
+    """The error for subsystem i's correction QP, target `rhs` within
+    per-step balls of `radius`, whose solve ended `res`, not OPTIMAL.  Every
+    variable of a block QP is in a ball, so the certificate of an
+    INFEASIBLE solve brackets the target's distance from the budget's reach,
+    in target units: `target_gap` is its lower bound."""
+    diagnostics = {"status": res.status.value,
+                   "target_norm": float(np.linalg.norm(rhs)), "budget": radius}
+    cause = "correction QP not solved"
+    if res.status is Status.INFEASIBLE:
+        gap = res.certificate
+        diagnostics.update(target_gap=gap.lower,
+                           target_gap_bracket=[gap.lower, gap.upper])
+        cause = f"correction target unreachable within budget by {gap.lower:.6g}"
     return InfeasibleLL(
         f"subsystem {i}: {cause} (solver status {res.status.value} after "
-        f"{res.iterations} iterations, |target|={np.linalg.norm(rhs):.6g}, "
-        f"per-step budget={radius:.6g}, least-norm sequence={min_norm:.6g})",
-        subsystem=i,
-        diagnostics={"status": res.status.value,
-                     "target_norm": float(np.linalg.norm(rhs)),
-                     "budget": radius,
-                     "least_norm_sequence": min_norm})
+        f"{res.iterations} iterations, |target|={diagnostics['target_norm']:.6g}, "
+        f"per-step budget={radius:.6g})", subsystem=i, diagnostics=diagnostics)
 
 
 def apply_correction(u_plan: np.ndarray, x_plan: np.ndarray, gain: LLGain,

@@ -1,66 +1,49 @@
-"""In-house convex solvers: operator-splitting QP and dense simplex LP.
+"""In-house convex solvers: QP by exact steps, then ADMM, and dense simplex LP.
 
-The QP path is ADMM with exact equality handling: equalities live inside the
-x-update KKT system, set memberships are enforced by Euclidean projection in
-the z-update.  The KKT matrix depends only on H, A_eq, the constraint index
-layout and the penalty rho, so it is factored once per penalty value per
-run, cached on the constant QP (`KKTFactors`); an iteration then costs one
-LAPACK triangular solve on the cached factors plus vector arithmetic.  The
-splitting state z, u is one flat vector over the concatenated index sets of
-all constraints, so scatters into the x-update and the residuals are single
-array operations, and each iteration projects once per constraint.  A
-`BallConstraint` whose `indices` have shape (k, s) is a family of k balls of
-one radius on the rows (the per-step input budgets of a horizon); it
-projects all rows in one vectorized call.  The projection onto an
-`EllipsoidConstraint` y'Py <= level is y = (I + mu P)^{-1} v, with mu the
-root of the secular equation 1/sqrt(y'Py) = 1/sqrt(level) (More and
-Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), found by Newton in the
-eigenbasis of P from mu = 0: the left side is concave and increasing in mu,
-so the steps rise monotonically to the root without a bracket, and they stop
-when sqrt(y'Py) is within 1e-12 of sqrt(level), relatively, at any level.
+`solve_qp` tries, in turn:
 
-Before ADMM, every solve tries two exact answers on the rho = 0 factors
-[[H, A_eq'], [A_eq, 0]] (the guess and the reduced KKT solve of OSQP's
-solution polishing, Stellato et al., Math. Prog. Comp. 2020, tried first
-instead of last).  `equality_first` tries the empty active set: one solve
-gives the optimum of the equality-only problem, and `free_optimum` is the
-one rule by which it is the answer: it is finite, lies inside every set
-(violation exactly 0.0) and meets tol_primal on the equality residual and
-tol_dual on stationarity, so the KKT conditions hold with zero set
-multipliers; it is returned as OPTIMAL with 0 iterations and a read-only
-x.  Otherwise `active_set_step` puts balls and ellipsoids on
-their boundary, one at a time from the most violated, and solves for their
-multipliers by Newton on the secular equations, each step a small dense
-system on the rho = 0 solves against the set coordinates
-(`KKTFactors.set_solves`, one solve per run); it returns OPTIMAL with its
-Newton steps as `iterations` only when the KKT conditions, recomputed from
-x and the multipliers, hold.  Otherwise ADMM runs from x = 0.  `KKTFactors`
-keeps the last equality-only solve, keyed on the bytes of g and b_eq, so
-`equality_first` and `active_set_step` on one problem make one solve.  The
-equality-only optimum is linear in g and b_eq (the unconstrained region of
-explicit MPC, Bemporad et al., Automatica 38(1), 2002): a controller whose
-ticks change only some rows of b_eq solves against their unit vectors once
-(`KKTFactors.equality_solve`), and a tick's equality-only optimum is then
-one product with that map, accepted by `free_optimum`; a tick it does not
-accept hands that solve to the factors (`KKTFactors.equality_only`), and
-the exact path starts from it.  A problem without sets whose equality-only
-solve is not finite (a singular KKT system) raises UnboundedProblem: there
-is no other solve to fall back on.  A caller that knows an equivalent
-problem with more equalities (a set that is a single point, written as
-equality rows) can try `equality_first` and `active_set_step` on that
-problem before `solve_qp`.
-Consequences that the controllers rely on:
+1. `equality_first`: the equality-only optimum, one rho = 0 solve of
+   [[H, A_eq'], [A_eq, 0]] (made once per solve, or passed in as `start`),
+   returned with 0 iterations when `free_optimum` accepts it: finite,
+   inside every set (violation exactly 0.0), with the equality residual and
+   stationarity within tolerance.  That optimum is linear in g and b_eq
+   (the unconstrained region of explicit MPC, Bemporad et al., Automatica
+   38(1), 2002), so a controller builds a free map once
+   (`KKTFactors.equality_solve`) and passes a tick's product as `start`.
+2. `active_set_step`, from the same start: balls and ellipsoids put on
+   their boundary one at a time, their multipliers found by Newton on the
+   secular equations, returned only when the KKT conditions recomputed from
+   x and the multipliers hold (the reduced KKT solve of OSQP's polishing,
+   Stellato et al., Math. Prog. Comp. 2020, tried first).
+3. The infeasibility certificate: with the coordinates that no set holds
+   eliminated (`KKTFactors.equality_null`), the sets meet the equalities
+   exactly when a point t lies in a Minkowski sum of linear images of unit
+   balls; `minkowski_distance` brackets the distance by the support-function
+   dual, and a lower bound above 1e-12 ||t|| is returned as INFEASIBLE with
+   its dual point, from which the bound re-derives (ADMM's iterates give no
+   such certificate; Banjac et al., J. Optim. Theory Appl. 183, 2019).
+4. ADMM, which ends OPTIMAL or MAX_ITERS: the equalities inside the
+   x-update KKT system, factored once per penalty value per run on
+   `KKTFactors`; the sets enforced by projection in the z-update, over one
+   flat splitting state, a (k, s) `BallConstraint` as k balls at once.  The
+   ellipsoid projection y = (I + mu P)^{-1} v solves the secular equation
+   1/sqrt(y'Py) = 1/sqrt(level) (More and Sorensen, SIAM J. Sci. Stat.
+   Comput. 4(3), 1983) by Newton in P's eigenbasis from mu = 0, whose steps
+   rise monotonically to the root, to 1e-12 relative at any level.
 
-  * every returned iterate satisfies A_eq x = b_eq to linear-solver accuracy,
-  * set constraints are satisfied to tol_primal at termination,
-  * the iterate sequence is a deterministic function of the problem.
+A problem without sets whose equality-only solve is not finite raises
+UnboundedProblem.  A caller that knows an equivalent problem with more
+equalities (a set that is one point, written as equality rows) can try
+steps 1 and 2 on it first.  Every iterate returned OPTIMAL or MAX_ITERS
+meets A_eq x = b_eq to linear-solver accuracy, an OPTIMAL one meets the
+sets to tol_primal, and the iterates are a deterministic function of the
+problem.
 
 The LP path is a two-phase tableau simplex with Bland's rule whose run
-continues past the optimum to select the lexicographically smallest
-optimizer when the optimal face is not a single vertex: phase 2 minimizes
-x_0, x_1, ... in turn, each from the previous optimal basis, with every
-column of positive reduced cost blocked, which keeps each later objective
-on the optimal face of the earlier ones.
+continues past the optimum to the lexicographically smallest optimizer:
+phase 2 minimizes x_0, x_1, ... in turn, each from the previous optimal
+basis, with every column of positive reduced cost blocked, which keeps each
+later objective on the optimal face of the earlier ones.
 """
 from __future__ import annotations
 
@@ -68,7 +51,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -86,6 +69,10 @@ _NEWTON_TOL = 1e-12
 _STEP_ROUNDS = 16
 _STEP_NEWTON = 50
 _STEP_HALVINGS = 30
+# `minkowski_distance`'s relative stops and `solve_qp`'s rounding margin (a
+# lower bound above it times ||t|| certifies), and its Newton steps at most.
+_GAP_TOL = 1e-12
+_GAP_STEPS = 50
 # The simplex's zero: pivot entries, reduced costs and ratio ties within it
 # count as zero.
 _SIMPLEX_TOL = 1e-11
@@ -282,13 +269,24 @@ class QuadraticProgram:
 
 
 @dataclass(frozen=True)
+class DistanceBracket:
+    """lower <= dist(t, X) <= upper and the dual point w that gives both,
+    after `steps` Newton steps (`minkowski_distance`)."""
+
+    w: np.ndarray
+    lower: float
+    upper: float
+    steps: int
+
+
+@dataclass(frozen=True)
 class SolveResult:
     """`iterations` of a QP solve is 0 when the equality-only optimum was
-    the answer, and `x` is then read-only: it is the solve kept by
-    `KKTFactors`, shared by every problem with the same g and b_eq.  It is
-    the Newton steps of `active_set_step` when that step certified the
-    answer, and the ADMM iterations otherwise.  An LP solve counts simplex
-    pivots."""
+    the answer (`x` is then part of the start), else the Newton steps of
+    `active_set_step` or of the certificate, or ADMM's iterations.  An
+    INFEASIBLE QP result has NaN x, objective and dual residual, its
+    certified lower bound as primal residual, and its `certificate`.  An LP
+    solve counts simplex pivots."""
 
     x: np.ndarray
     objective: float
@@ -296,6 +294,7 @@ class SolveResult:
     primal_residual: float
     dual_residual: float
     iterations: int
+    certificate: DistanceBracket | None = None
 
 
 def _kkt_factor(H_aug: np.ndarray, A_eq: np.ndarray | None):
@@ -382,17 +381,6 @@ def free_optimum(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
     return None
 
 
-@dataclass(frozen=True)
-class EqualityOnly:
-    """The rho = 0 solve of one (g, b_eq), as `KKTFactors` keeps it: the
-    whole solution `sol` and its first part, the equality-only optimum `x`,
-    both read-only."""
-
-    key: bytes
-    sol: np.ndarray
-    x: np.ndarray
-
-
 class KKTFactors:
     """LU factors of the ADMM x-update KKT matrix of one constant QP.
 
@@ -402,12 +390,11 @@ class KKTFactors:
     solves the same QP every tick builds one `KKTFactors` and passes it with
     each problem; `solve_qp` factors once per penalty value it has not seen
     (rho = 0 is the equality-only system of the first solve) and refuses a
-    problem whose H, A_eq or layout differ from the record.  The last
-    equality-only solve is kept as well (`equality_only`), keyed on the
-    bytes of g and b_eq, so the solvers tried in turn on one problem make
-    one solve.  `equality_solve` and `set_solves` are the rho = 0 solves
-    against given right-hand sides: a controller's free map and the
-    active-set step's set columns.
+    problem whose H, A_eq or layout differ from the record.
+    `equality_solve` and `set_solves` are the rho = 0 solves against given
+    right-hand sides: a problem's start, a controller's free map and the
+    active-set step's set columns.  `equality_null` is the equality system
+    of the infeasibility certificate.
     """
 
     def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
@@ -425,7 +412,6 @@ class KKTFactors:
         diag_scale = float(np.mean(np.abs(np.diag(self.H))))
         self.rho_init = diag_scale if diag_scale > 0 else 1.0
         self.by_rho = {}
-        self._equality_only = None
 
     def check(self, problem: QuadraticProgram) -> None:
         cons = problem.constraints
@@ -462,26 +448,6 @@ class KKTFactors:
         sol.flags.writeable = False
         return sol
 
-    def equality_only(self, problem: QuadraticProgram,
-                      sol: np.ndarray | None = None) -> EqualityOnly:
-        """The rho = 0 solve of `problem`, whose H and A_eq are those of the
-        record.  The last one is kept: a problem with the same bytes of g
-        and b_eq gets it back without a solve.  A caller that has the solve
-        already, as a product with its map, passes it as `sol`: it is kept
-        in place of a solve, and made read-only."""
-        g, b = problem.g, problem.b_eq
-        key = g.tobytes() if b is None else g.tobytes() + b.tobytes()
-        last = self._equality_only
-        if sol is None:
-            if last is not None and last.key == key:
-                return last
-            r = 0 if b is None else b.shape[0]
-            sol = self.equality_solve(np.concatenate([-g, b]) if r else -g)
-        else:
-            sol.flags.writeable = False
-        last = self._equality_only = EqualityOnly(key, sol, sol[:g.shape[0]])
-        return last
-
     @functools.cached_property
     def set_solves(self) -> tuple[np.ndarray, np.ndarray]:
         """(Z, G): Z = K0^{-1} [S'; 0], the rho = 0 solves against the unit
@@ -495,65 +461,82 @@ class KKTFactors:
         return Z, Z[self.idx]
 
     @functools.cached_property
+    def equality_null(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(Z, ZA), Z an orthonormal basis of null(A_free'), A_free the
+        columns of A_eq that no set holds (Z = I if none), ZA = Z'A_eq at
+        the set coordinates: Z'b_eq = ZA x[idx] is A_eq x = b_eq with the
+        free coordinates eliminated.  None without equality rows, with a
+        coordinate in two sets, or with Z empty."""
+        if self.A_eq is None or self.counts.max(initial=0.0) > 1.0:
+            return None
+        free = self.counts == 0.0
+        Z = (scipy.linalg.null_space(self.A_eq[:, free].T) if free.any()
+             else np.eye(self.A_eq.shape[0]))
+        return (Z, Z.T @ self.A_eq[:, self.idx]) if Z.shape[1] else None
+
+    @functools.cached_property
     def multiplier_map(self) -> np.ndarray:
         """Least-squares operator of A_eq', pinv(A_eq'): the equality
         multipliers that best close a stationarity gap are map @ (-gap)."""
         return np.linalg.pinv(self.A_eq.T)
 
 
+def _equality_start(problem: QuadraticProgram, kkt: KKTFactors) -> np.ndarray:
+    """The rho = 0 solve of `problem` on `kkt`, read-only."""
+    g, b = problem.g, problem.b_eq
+    return kkt.equality_solve(-g if b is None else np.concatenate([-g, b]))
+
+
 def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
-                   tol_primal: float = 1e-8,
-                   tol_dual: float = 1e-8) -> SolveResult | None:
+                   tol_primal: float = 1e-8, tol_dual: float = 1e-8,
+                   start: np.ndarray | None = None) -> SolveResult | None:
     """The optimum of `problem` with no set active, if it is the optimum.
 
-    One solve on the rho = 0 factors of `kkt`, [[H, A_eq'], [A_eq, 0]],
-    gives the equality-only optimum and its multipliers; `kkt` keeps the
-    last such solve (`KKTFactors.equality_only`), so a problem with the
-    g and b_eq of the previous call costs no solve, only the checks.
-    Without sets the optimum is the answer, since there is nothing else to
-    try.  With sets it is returned only if `free_optimum` accepts it.  The
-    result has 0 iterations and a read-only x; None means the sets matter.
-    Raises UnboundedProblem for a problem without sets whose solve is not
-    finite (a singular KKT system), and DimensionMismatch when `kkt` was
-    built for another H, A_eq or constraint layout.
+    `start` is the rho = 0 solve of `problem` on `kkt`, the equality-only
+    optimum with its multipliers (made here if not given).  Without sets it
+    is the answer; with sets, only if `free_optimum` accepts it.  The result
+    has 0 iterations and x the first part of the start; None means the sets
+    matter.  Raises UnboundedProblem for a problem without sets whose solve
+    is not finite (a singular KKT system), and DimensionMismatch when `kkt`
+    was built for another H, A_eq or constraint layout.
     """
     kkt.check(problem)
     H, g, A_eq, b_eq = problem.H, problem.g, problem.A_eq, problem.b_eq
     cons = problem.constraints
-    first = kkt.equality_only(problem)
+    sol = _equality_start(problem, kkt) if start is None else start
     if cons:
-        residuals = free_optimum(first.sol, H, g, A_eq, b_eq, cons, tol_primal,
+        residuals = free_optimum(sol, H, g, A_eq, b_eq, cons, tol_primal,
                                  tol_dual)
         if residuals is None:
             return None
-    elif np.isfinite(first.sol).all():
-        residuals = equality_residuals(first.sol, H, g, A_eq, b_eq)
+    elif np.isfinite(sol).all():
+        residuals = equality_residuals(sol, H, g, A_eq, b_eq)
     else:
         raise UnboundedProblem(
             "the equality-only KKT system [[H, A_eq'], [A_eq, 0]] is singular "
             "(H is not positive definite on the null space of A_eq, or A_eq "
             "has dependent rows) and the QP has no set to bound it")
-    return SolveResult(first.x, qp_objective(H, g, first.x), Status.OPTIMAL,
-                       *residuals, 0)
+    x = sol[:g.shape[0]]
+    return SolveResult(x, qp_objective(H, g, x), Status.OPTIMAL, *residuals, 0)
 
 
 def _set_rows(cons, bounds):
-    """The rows of the active-set step: one per ball (a stacked family has
-    one per row) and one per ellipsoid.  Returns the row of each flat set
-    coordinate, each row's size (radius or sqrt(level)), the centres over
-    the flat coordinates and the metric M over them (the identity, with
-    each ellipsoid's shape as its block); None when a set is a box or has
-    size 0."""
+    """The rows of the active-set step and of the certificate: one per ball
+    (a stacked family has one per row) and one per ellipsoid.  Returns the
+    row of each flat set coordinate, each row's size (radius or
+    sqrt(level)), the centres over the flat coordinates and the metric M
+    over them (the identity, with each ellipsoid's shape as its block);
+    None when a set is a box."""
     rowid, sizes = [], []
     centre = np.zeros(bounds[-1])
     M = np.eye(bounds[-1])
     for c, lo, hi in zip(cons, bounds[:-1], bounds[1:]):
-        if isinstance(c, BallConstraint) and c.radius > 0.0:
+        if isinstance(c, BallConstraint):
             k = 1 if c.indices.ndim == 1 else c.indices.shape[0]
             if c.center is not None:
                 centre[lo:hi] = c.center.ravel()
             sizes += [c.radius] * k
-        elif isinstance(c, EllipsoidConstraint) and c.level > 0.0:
+        elif isinstance(c, EllipsoidConstraint):
             k = 1
             M[lo:hi, lo:hi] = c.shape
             sizes.append(math.sqrt(c.level))
@@ -566,10 +549,11 @@ def _set_rows(cons, bounds):
 
 def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
                     tol_primal: float = 1e-8, tol_dual: float = 1e-8,
-                    max_iters: int = 50_000) -> SolveResult | None:
+                    max_iters: int = 50_000,
+                    start: np.ndarray | None = None) -> SolveResult | None:
     """The optimum of `problem` with a set of its balls and ellipsoids on
     their boundary, if it certifies; for a problem that `equality_first`
-    did not solve.
+    did not solve, from the same `start` (made here without it).
 
     The rows are the balls (one per row of a stacked family) and the
     ellipsoids: y_j = x[S_j] - c_j, of size r_j (radius or sqrt(level)) in
@@ -596,16 +580,16 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
     x, lam and mu, hold: the equality residual, every set's violation and
     the relative distance of each row with mu_j > 0 to its boundary within
     tol_primal, and stationarity within tol_dual.  Its `iterations` are the
-    Newton steps.  None, for ADMM to decide, on a box or a set of size 0, a
-    singular rho = 0 system, more than min(max_iters, 50) Newton steps in
+    Newton steps.  None, for `solve_qp` to go on, on a box or a set of size
+    0, a singular rho = 0 system, more than min(max_iters, 50) Newton steps in
     all, 16 rounds, a step whose line search fails, or a certificate that
     does not hold.
     """
     cons = problem.constraints
-    first = kkt.equality_only(problem)
+    sol = _equality_start(problem, kkt) if start is None else start
     rows = (_set_rows(cons, kkt.bounds)
-            if cons and np.isfinite(first.sol).all() else None)
-    if rows is None:
+            if cons and np.isfinite(sol).all() else None)
+    if rows is None or not rows[1].all():
         return None
     rowid, sizes, centre, M_all = rows
     d, idx = problem.dim, kkt.idx
@@ -616,11 +600,11 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
         return np.sqrt(np.bincount(rowid, y * (M_all @ y),
                                    minlength=sizes.size)) / sizes
 
-    ratio = ratios(first.x)
+    ratio = ratios(sol[:d])
     if not ratio.max() > 1.0:
         return None
     Z, G = kkt.set_solves
-    y0 = first.x[idx] - centre
+    y0 = sol[idx] - centre
     in_play = np.zeros(sizes.size, dtype=bool)
     in_play[np.argmax(ratio)] = True
     mu = np.zeros(sizes.size)
@@ -685,7 +669,7 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
             m = trial
         steps += it
         mu[rows_w] = m
-        full = first.sol - Z[:, w] @ (m[local] * My)
+        full = sol - Z[:, w] @ (m[local] * My)
         x = full[:d]
         ratio = ratios(x)
         outside = np.where(in_play, 0.0, ratio)
@@ -710,33 +694,101 @@ def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
     return None
 
 
+def minkowski_distance(t: np.ndarray, G: np.ndarray,
+                       groups: np.ndarray) -> DistanceBracket:
+    """Bracket the distance from t to X = sum_j G_j B, B the unit ball, G_j
+    the columns of G in group j (numbered from 0): for t outside X it is the
+    maximum of h(y) = y't - sigma(y), sigma(y) = sum_j ||G_j'y||, over unit
+    y (Boyd and Vandenberghe, Convex Optimization, 2004, 8.1.3), at the
+    direction of the Moreau dual's minimizer t - proj_X(t).  Newton on that
+    dual, 1/2 ||w||^2 - w't + sigma(w), with ||w|| set to its best value h
+    on the ray of y is Newton for h on the sphere: (S + rho I) d = g, g = t
+    - p - h y, p = sum_j G_j G_j'y / ||G_j'y|| in X, S = sum_j G_j (I - v_j
+    v_j') G_j' / ||G_j'y||, v_j = G_j'y / ||G_j'y|| (groups with G_j'y = 0
+    left out), rho = max(h, ||g||): where h <= 0 the ray's best would be the
+    kink w = 0, and ||g|| damps the step.  From y = t / ||t||, an Armijo
+    search on h along y + d, normalized; lower = h(y), upper = ||t - p||.
+    Stops when upper - lower <= 1e-12 upper, when ||g|| <= 1e-12 ||t|| (t in
+    X), when the search fails, or after 50 steps; `w` is the last y."""
+    t = np.asarray(t, dtype=float)
+    E = np.equal.outer(groups, np.arange(groups.max(initial=-1) + 1)) * 1.0
+    norm_t = _norm(t)
+    if not norm_t:
+        return DistanceBracket(t.copy(), 0.0, 0.0, 0)
+
+    def at(y):
+        """h(y), G'y and the groups' norms ||G_j'y||."""
+        s = G.T @ y
+        nu = np.sqrt((s * s) @ E)
+        return float(y @ t - nu.sum()), s, nu
+
+    y = t / norm_t
+    h, s, nu = at(y)
+    for steps in range(_GAP_STEPS + 1):
+        inv = np.divide(1.0, nu, out=np.zeros_like(nu), where=nu > 0.0)
+        p = G @ (s * inv[groups])
+        upper, g = _norm(t - p), t - p - h * y
+        if (upper - h <= _GAP_TOL * upper or _norm(g) <= _GAP_TOL * norm_t
+                or steps == _GAP_STEPS):
+            break
+        R = (G * s) @ E * inv ** 1.5  # column j: G_j G_j'y / ||G_j'y||^1.5
+        d = np.linalg.solve((G * inv[groups]) @ G.T - R @ R.T
+                            + max(h, _norm(g)) * np.eye(t.size), g)
+        for _ in range(_STEP_HALVINGS):
+            trial = (y + d) / _norm(y + d)
+            after = at(trial)
+            if after[0] > h and after[0] >= h + 1e-4 * (g @ d):
+                break
+            d = 0.5 * d
+        else:
+            break
+        y, (h, s, nu) = trial, after
+    return DistanceBracket(y, h, upper, steps)
+
+
 def solve_qp(problem: QuadraticProgram,
              tol_primal: float = 1e-8,
              tol_dual: float = 1e-8,
-             max_iters: int = 50_000) -> SolveResult:
-    """`equality_first`, then `active_set_step`, then ADMM; see module
-    docstring for the splitting and its guarantees.  `iterations` is 0 when
-    the equality-only optimum was the answer (its x is then read-only), the
-    step's Newton steps when the step certified it, else ADMM's iterations.
-    A problem without sets whose KKT system is singular raises
-    UnboundedProblem.
+             max_iters: int = 50_000,
+             start: np.ndarray | None = None) -> SolveResult:
+    """`equality_first` and `active_set_step`, both from one rho = 0 solve
+    (`start`, if the caller has it), then the infeasibility certificate,
+    then ADMM (see the module docstring).  Raises UnboundedProblem for a
+    problem without sets whose KKT system is singular, DimensionMismatch
+    for one that `problem.factors` were not built for.
 
-    Infeasibility is declared when the set iterate z stops moving while the
-    primal residual stays above 1e3*tol_primal for 500 consecutive
-    iterations.  That is still a stall heuristic, not a certificate: a
-    feasible problem on which ADMM crawls can come back INFEASIBLE.  Raises
-    DimensionMismatch when `problem.factors` were built for another H, A_eq
-    or constraint layout.
+    INFEASIBLE means a certificate.  Set row j is x_j = c_j + size_j L_j u_j,
+    ||u_j|| <= 1, L_j L_j' = M_j^-1, so on the system of
+    `KKTFactors.equality_null` the sets meet b_eq exactly when t = Z'b_eq -
+    ZA c lies in the sum of the G_j B, G_j = ZA_j size_j L_j; the lower
+    bound of `minkowski_distance` exceeds 1e-12 ||t||.  The `certificate`
+    holds y = Z w, A_free'y = 0, from which the bound re-derives as (y'(b_eq
+    - sum_j A_j c_j) - sum_j sigma_j(A_j'y)) / ||y||, sigma_j the support
+    function of set j less its centre.
     """
     d = problem.dim
     cons = problem.constraints
     kkt = problem.factors
     if kkt is None:
         kkt = KKTFactors(problem.H, problem.A_eq, [c.indices for c in cons])
-    first = (equality_first(problem, kkt, tol_primal, tol_dual)
-             or active_set_step(problem, kkt, tol_primal, tol_dual, max_iters))
+    kkt.check(problem)
+    if start is None:
+        start = _equality_start(problem, kkt)
+    first = (equality_first(problem, kkt, tol_primal, tol_dual, start)
+             or active_set_step(problem, kkt, tol_primal, tol_dual, max_iters,
+                                start))
     if first is not None:
         return first
+    rows, null = _set_rows(cons, kkt.bounds), kkt.equality_null
+    if rows is not None and null is not None:
+        (rowid, sizes, centre, M), (Z, ZA) = rows, null
+        t = Z.T @ problem.b_eq - ZA @ centre
+        G = ZA @ (np.linalg.cholesky(np.linalg.inv(M)) * sizes[rowid])
+        gap = minkowski_distance(t, G, rowid)
+        if gap.lower > _GAP_TOL * _norm(t):
+            return SolveResult(np.full(d, np.nan), np.nan, Status.INFEASIBLE,
+                               gap.lower, np.nan, gap.steps,
+                               replace(gap, w=Z @ gap.w))
     r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
 
     rho = rho_init = kkt.rho_init
@@ -754,8 +806,6 @@ def solve_qp(problem: QuadraticProgram,
     u = np.zeros(idx.size)
 
     alpha = _OVER_RELAXATION
-    stall_count = 0
-    prev_disp = None
     status = Status.MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
@@ -779,21 +829,7 @@ def solve_qp(problem: QuadraticProgram,
             status = Status.OPTIMAL
             break
 
-        if it % 5 == 0:
-            if prev_disp is not None:
-                move = _norm(z - prev_disp)
-                if (move <= 1e-10 * (1.0 + _norm(z))
-                        and primal > 1e3 * tol_primal):
-                    stall_count += 5
-                else:
-                    stall_count = 0
-            prev_disp = z
-        if stall_count >= 500:
-            status = Status.INFEASIBLE
-            break
-
-        # Residual balancing, also during a stall streak: a feasible problem
-        # whose z settles while x still converges needs rho to keep moving.
+        # Residual balancing.
         if it % 25 == 0:
             if primal > 10.0 * dual and dual > 0 and rho < 1e8 * rho_init:
                 rho *= 2.0

@@ -62,6 +62,41 @@ def kkt_certificate():
     return _kkt_certificate
 
 
+def _infeasibility_bound(problem, certificate):
+    """Re-derive the lower bound of an INFEASIBLE result's certificate from
+    its dual point y alone: y must vanish on the columns of A_eq that no set
+    holds, and then every x with its sets' coordinates in the sets has
+    y'(b_eq - A_eq x) >= y'b_eq - sum over the sets of (y'A_j c_j +
+    sigma_j(A_j'y)), sigma_j the support function of the set less its
+    centre c_j: r ||v|| for a ball of radius r (each row of a stacked
+    family), sqrt(level v'P^-1 v) for an ellipsoid.  Returns that bound over
+    ||y||, computed here set by set."""
+    y = certificate.w
+    A, value = problem.A_eq, float(y @ problem.b_eq)
+    held = np.zeros(problem.dim, dtype=bool)
+    for c in problem.constraints:
+        held[c.indices.ravel()] = True
+        if isinstance(c, solver.EllipsoidConstraint):
+            v = A[:, c.indices].T @ y
+            value -= math.sqrt(c.level * v @ np.linalg.solve(c.shape, v))
+            continue
+        idx = np.atleast_2d(c.indices)
+        centre = (np.zeros(idx.shape) if c.center is None
+                  else np.atleast_2d(c.center))
+        for i, ctr in zip(idx, centre):
+            v = A[:, i].T @ y
+            value -= float(v @ ctr) + c.radius * float(np.linalg.norm(v))
+    scale = float(np.linalg.norm(A)) * float(np.linalg.norm(y))
+    assert np.max(np.abs(A[:, ~held].T @ y), initial=0.0) <= 1e-12 * scale
+    return value / float(np.linalg.norm(y))
+
+
+@pytest.fixture
+def infeasibility_bound():
+    """`_infeasibility_bound`: the checker of an infeasibility certificate."""
+    return _infeasibility_bound
+
+
 def _stepped_prediction(A, B, period):
     """One subsystem's plan predictions, stepped one fast step at a time:
     column c is the rollout x+ = A x + B u from 0 of the unit plan e_c, the

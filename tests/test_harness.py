@@ -129,7 +129,7 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp):
     rows = []
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
-        sol = solve_hl(hl_qp, x_proj, first_step=(k == 0))
+        sol = solve_hl(hl_qp, x_proj)
         u_bar = sol.u_applied
         x_bar_pred = slow.A @ x_proj + slow.B @ u_bar
         aux = [x]
@@ -439,6 +439,20 @@ def test_design_fails_fast_on_short_period(model, short_cfg):
         design_pipeline(model, cfg)
     assert exc_info.value.stage == "certificate"
     assert "open_loop_contraction" in str(exc_info.value)
+
+
+def test_design_fails_fast_on_a_deadbeat_slow_model():
+    # Scalar rooms with A = 0 lift to A_slow = 0: no A_slow^horizon to
+    # invert, so the first nominal states that admit a plan are no linear
+    # image of the sets, and design names the stage before the slow gain.
+    subs = [SubsystemModel(A=[[0.0]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
+                           input_set=BallSet(1, 10.0)) for _ in range(2)]
+    model = assemble(subs, CouplingMap(((None, [[0.01]]), ([[0.01]], None))))
+    cfg = dataclasses.replace(RunConfig(), x0=(0.1, 0.1), period=5)
+    with pytest.raises(DesignIncomplete) as exc_info:
+        design_pipeline(model, cfg)
+    assert exc_info.value.stage == "slow_horizon"
+    assert "A_slow^10 is singular to working precision" in str(exc_info.value)
 
 
 def test_design_fails_fast_on_drained_held_budget(model, short_cfg):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from hiermpc import highlevel
+from hiermpc import highlevel, solver
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
 from hiermpc.harness import RunConfig, design_pipeline, run_closed_loop
@@ -184,35 +184,48 @@ def tight_design(level: float = 1e-14, input_radius: float = 1e-6) -> HLDesign:
                      BallSet(2, input_radius))
 
 
+def support_terms(design: HLDesign):
+    """z_of = A^-N' and the S_k = A^(N-1-k) B of the design, k = 0..N-1."""
+    slow, N = design.slow, design.horizon
+    z_of = np.linalg.inv(np.linalg.matrix_power(slow.A, N)).T
+    return z_of, [np.linalg.matrix_power(slow.A, N - 1 - k) @ slow.B
+                  for k in range(N)]
+
+
 def gap_oracle(design: HLDesign, x_proj: np.ndarray) -> float:
     """Distance from x_proj, outside it, to X = {x_0 : A^N x_0 + sum_k S_k u_k
     in the terminal ellipsoid, ||u_k|| <= input radius}, S_k = A^(N-1-k) B,
     as the maximum over unit y of y'x_proj - sigma_X(y).  For an invertible
     A^N, sigma_X(y) = sqrt(level z'P^-1 z) + radius sum_k ||S_k' z|| with
-    z = A^-N' y; on 2 states y is an angle, found on a grid and refined."""
-    slow, N = design.slow, design.horizon
-    z_of = np.linalg.inv(np.linalg.matrix_power(slow.A, N)).T
-    S = [np.linalg.matrix_power(slow.A, N - 1 - k) @ slow.B for k in range(N)]
+    z = A^-N' y; on 2 states y is an angle, found on a grid and refined.
+    Inside X it is minus the distance to X's boundary."""
+    z_of, S = support_terms(design)
     P_inv = np.linalg.inv(design.terminal.shape)
 
     def negated(t):
-        y = np.array([np.cos(t), np.sin(t)])
-        z = z_of @ y
-        support = (np.sqrt(design.terminal.level * z @ P_inv @ z)
+        y = np.array([np.cos(t), np.sin(t)]).T
+        z = y @ z_of.T
+        support = (np.sqrt(design.terminal.level
+                           * np.einsum("...i,ij,...j", z, P_inv, z))
                    + design.input_tight.radius
-                   * sum(np.linalg.norm(S_k.T @ z) for S_k in S))
+                   * sum(np.linalg.norm(z @ S_k, axis=-1) for S_k in S))
         return support - y @ x_proj
 
     grid = np.linspace(0.0, 2.0 * np.pi, 721)
-    t = grid[np.argmin([negated(t) for t in grid])]
+    t = grid[np.argmin(negated(grid))]
     best = minimize_scalar(negated, bounds=(t - 0.01, t + 0.01), method="bounded",
                            options={"xatol": 1e-12})
-    return -best.fun
+    return -float(best.fun)
+
+
+def closed(bracket, rel=1e-12):
+    return bracket.upper - bracket.lower <= rel * bracket.upper
 
 
 def test_solve_hl_infeasible_reports_gap():
     # The tube QP has no feasible point: the active-set step does not
-    # certify, and ADMM, which it falls back to, names the status.
+    # certify, and the certificate of `solve_qp`, not ADMM, names the
+    # status; the diagnostics bracket the gap, closed on the oracle's.
     tight = tight_design()
     qp = tube_qp(tight)
     tube = BallConstraint(qp.factors.layout[0], tight.tube.ball.radius,
@@ -222,31 +235,32 @@ def test_solve_hl_infeasible_reports_gap():
         qp.factors), qp.factors) is None
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(qp, FAR, first_step=True)
-    assert time.perf_counter() - start < 1.0
+        solve_hl(qp, FAR)
+    assert time.perf_counter() - start < 0.1
     diagnostics = err.value.diagnostics
     assert diagnostics["status"] == "infeasible"
-    assert diagnostics["tube_gap_status"] == "optimal"
-    assert diagnostics["tube_gap"] > tight.tube.ball.radius
+    lower, upper = diagnostics["tube_gap_bracket"]
+    assert diagnostics["tube_gap"] == lower > tight.tube.ball.radius
+    assert upper - lower <= 1e-12 * upper
     oracle = gap_oracle(tight, FAR)
-    assert abs(diagnostics["tube_gap"] - oracle) <= 1e-6 * oracle
+    assert abs(lower - oracle) <= 1e-9 * oracle
 
 
-def test_solve_hl_reports_no_gap_from_an_unsolved_gap_qp(monkeypatch):
-    # The gap QP (the one solved without factors) stopped after 3
-    # iterations: its status is reported, its last iterate is not.
-    def gap_stops_early(problem, *args):
-        if problem.factors is None:
-            return solve_qp(problem, max_iters=3)
-        return solve_qp(problem, *args)
-
-    monkeypatch.setattr(highlevel, "solve_qp", gap_stops_early)
+def test_solve_hl_reports_the_gap_on_every_failure(monkeypatch):
+    # A start the tube QP admits, on a solve stopped after 3 ADMM
+    # iterations: the failure names MAX_ITERS and still carries the gap's
+    # bracket, whose lower bound is within the tube radius.
+    _, _, _, design = make_design(np.random.default_rng(31))
+    monkeypatch.setattr(solver, "active_set_step", lambda *args: None)
+    monkeypatch.setattr(highlevel, "solve_qp",
+                        lambda problem, **kw: solve_qp(problem, max_iters=3))
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(tight_design()), FAR, first_step=True)
+        solve_hl(tube_qp(design), np.full(design.slow.n_states, 1.0))
     diagnostics = err.value.diagnostics
-    assert diagnostics["status"] == "infeasible"
-    assert diagnostics["tube_gap_status"] == "max_iters"
-    assert "tube_gap" not in diagnostics
+    assert diagnostics["status"] == "max_iters" and diagnostics["iterations"] == 3
+    lower, upper = diagnostics["tube_gap_bracket"]
+    assert diagnostics["tube_gap"] == lower <= design.tube.ball.radius
+    assert upper >= lower
 
 
 @pytest.mark.parametrize("level", [1e-14, 1e-6])
@@ -255,7 +269,7 @@ def test_feasibility_gap_without_input_authority(level):
     # (A^N x_0)'P(A^N x_0) <= level; the nearest point is x(mu) =
     # (I + mu M)^-1 x_proj, M = A^N'PA^N, with mu found by root finding.
     design = tight_design(level, 0.0)
-    gap, status = feasibility_gap(tube_qp(design), FAR)
+    gap = feasibility_gap(tube_qp(design), FAR)
     A_N = np.linalg.matrix_power(design.slow.A, design.horizon)
     M = A_N.T @ design.terminal.shape @ A_N
 
@@ -264,23 +278,83 @@ def test_feasibility_gap_without_input_authority(level):
 
     mu = brentq(lambda m: x_of(m) @ M @ x_of(m) - level, 0.0, 1e20, rtol=1e-15)
     oracle = float(np.linalg.norm(x_of(mu) - FAR))
-    assert status is Status.OPTIMAL
-    assert abs(gap - oracle) <= 1e-6 * oracle
+    assert closed(gap)
+    assert abs(gap.lower - oracle) <= 1e-9 * oracle
 
 
 def test_feasibility_gap_to_a_single_point():
     # Level 0 and input radius 0 admit x_0 = 0 alone (A^N is invertible).
-    gap, status = feasibility_gap(tube_qp(tight_design(0.0, 0.0)), FAR)
-    assert status is Status.OPTIMAL
-    assert abs(gap - np.linalg.norm(FAR)) <= 1e-9 * np.linalg.norm(FAR)
+    gap = feasibility_gap(tube_qp(tight_design(0.0, 0.0)), FAR)
+    for bound in (gap.lower, gap.upper):
+        assert abs(bound - np.linalg.norm(FAR)) <= 1e-15 * np.linalg.norm(FAR)
 
 
 def test_feasibility_gap_zero_when_feasible():
     rng = np.random.default_rng(27)
     model, red, slow, design = make_design(rng)
-    gap, status = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
-    assert status is Status.OPTIMAL
-    assert gap <= design.tube.ball.radius
+    gap = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
+    assert gap.lower <= design.tube.ball.radius
+
+
+def test_feasibility_gap_certificate_re_derives_and_its_point_rolls_out():
+    # From the dual point w alone, with sigma_X written here: the lower
+    # bound is (w'x_proj - sigma_X(w)) / ||w||.  The maximizers of sigma_X
+    # at w give a plan, e = sqrt(level) P^-1 z / sqrt(z'P^-1 z) and u_k =
+    # -r S_k'z / ||S_k'z||, z = A^-N'w, from x_0 = A^-N (e - sum_k S_k u_k):
+    # rolled out step by step it keeps every input in its ball and ends
+    # in the terminal set, and ||x_0 - x_proj|| is the upper bound.
+    for level, radius in ((1e-14, 1e-6), (1e-6, 1e-4), (1e-2, 0.0)):
+        design = tight_design(level, radius)
+        gap = feasibility_gap(tube_qp(design), FAR)
+        z_of, S = support_terms(design)
+        P = design.terminal.shape
+        z = z_of @ gap.w
+        Pz = np.linalg.solve(P, z)
+        sigma = (np.sqrt(level * z @ Pz)
+                 + radius * sum(np.linalg.norm(S_k.T @ z) for S_k in S))
+        bound = (gap.w @ FAR - sigma) / np.linalg.norm(gap.w)
+        assert abs(bound - gap.lower) <= 1e-12 * np.linalg.norm(FAR)
+        e = np.sqrt(level) * Pz / np.sqrt(z @ Pz)
+        u = [-radius * S_k.T @ z / np.linalg.norm(S_k.T @ z) for S_k in S]
+        x = x0 = z_of.T @ (e - sum(S_k @ u_k for S_k, u_k in zip(S, u)))
+        for u_k in u:
+            assert np.linalg.norm(u_k) <= radius * (1 + 1e-12)
+            x = design.slow.A @ x + design.slow.B @ u_k
+        assert x @ P @ x <= level * (1 + 1e-9)
+        assert abs(np.linalg.norm(x0 - FAR) - gap.upper) <= 1e-12 * gap.upper
+
+
+def test_certificate_sweep_on_tight_designs():
+    # Levels 1e-14 .. 1e-2, input radii 0 .. 1e-2 and starts at log-uniform
+    # distances 1e-4 .. 1e4: `feasibility_gap` is the oracle's distance to
+    # 1e-9 wherever the start lies outside X (and no more than 0 inside),
+    # and `solve_qp` on the tube QP is INFEASIBLE exactly when that
+    # distance exceeds the tube radius.
+    rng = np.random.default_rng(32)
+    decisions = []
+    for level in (1e-14, 1e-10, 1e-6, 1e-2):
+        for radius in (0.0, 1e-6, 1e-4, 1e-2):
+            design = tight_design(level, radius)
+            qp = tube_qp(design)
+            r_tube = design.tube.ball.radius
+            for _ in range(3):
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                x_proj = (10.0 ** rng.uniform(-4.0, 4.0)
+                          * np.array([np.cos(angle), np.sin(angle)]))
+                oracle = gap_oracle(design, x_proj)
+                gap = feasibility_gap(qp, x_proj)
+                if oracle > 0.0:
+                    assert abs(gap.lower - oracle) <= 1e-9 * oracle
+                    assert closed(gap, 1e-9)
+                else:
+                    assert gap.lower <= 1e-9 * np.linalg.norm(x_proj)
+                tube = BallConstraint(qp.factors.layout[0], r_tube, center=x_proj)
+                res = solve_qp(QuadraticProgram(
+                    qp.H, qp.g, qp.A_eq, qp.b_dyn, (tube, qp.inputs, qp.terminal),
+                    qp.factors), max_iters=50)
+                decisions.append(oracle > r_tube)
+                assert (res.status is Status.INFEASIBLE) == decisions[-1]
+    assert 10 <= sum(decisions) <= len(decisions) - 10
 
 
 def test_tube_soak_recursive_feasibility():
@@ -348,10 +422,10 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     # A far start saturates input balls: the pinned optimum is outside them,
     # and the active-set step on the pinned QP, not ADMM, finds the optimum,
     # with a certificate that holds.  It is the ball path's optimum.  The
-    # tick hands its own equality-only solve, the free map's product, to
-    # the step, with no rho = 0 solve of its own (the one it makes is the
-    # step's set columns): its plan is the step's from that solve, to the
-    # bit, and the step's from a fresh rho = 0 solve to roundoff.
+    # tick passes its own equality-only solve, the free map's product, as
+    # the step's start, with no rho = 0 solve of its own (the one it makes
+    # is the step's set columns): its plan is the step's from that start,
+    # to the bit, and the step's from a fresh rho = 0 solve to roundoff.
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
@@ -359,8 +433,7 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
     fresh = active_set_step(pinned, qp.pinned)
-    qp.pinned.equality_only(pinned, qp.free @ x_proj)
-    step = active_set_step(pinned, qp.pinned)
+    step = active_set_step(pinned, qp.pinned, start=qp.free @ x_proj)
     assert step is not None and step.iterations > 0
     kkt_certificate(pinned, step.x, 1e-8)
     assert step.iterations == fresh.iterations
@@ -380,27 +453,40 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     assert abs(sol.objective - ref.objective) <= 1e-7 * abs(ref.objective)
 
 
-def test_point_tube_binding_input_falls_back_to_the_ball_path(decoupled):
+def test_point_tube_binding_input_falls_back_to_the_ball_path(
+        decoupled, infeasibility_bound):
     # A start no plan can steer into the terminal set: the pinned QP is
-    # infeasible, the step does not certify, and the ball formulation is
-    # solved exactly as without the pinned guess, never ADMM on the pinned
-    # QP.  Its status and residuals are the error's diagnostics.
+    # infeasible, the step does not certify, and the ball formulation, its
+    # tube a ball of radius 0, is solved as without the pinned guess: its
+    # certificate, which re-derives from its dual point alone, makes the
+    # error's status, iterations and residual, with no ADMM iteration.
+    # The gap of the diagnostics is the closed bracket around 292.2766079.
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 500.0 * np.ones(qp.design.slow.n_states)
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
     assert active_set_step(pinned, qp.pinned) is None
+    tick_qp = tube_qp(bundle.hl)
+    start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(qp, x_proj)
+        solve_hl(tick_qp, x_proj)
+    assert time.perf_counter() - start < 0.1
     diagnostics = err.value.diagnostics
     ref = ball_path(qp, x_proj)
+    cert = ref.certificate
     assert diagnostics["status"] == ref.status.value == "infeasible"
-    assert diagnostics["iterations"] == ref.iterations
-    assert diagnostics["primal_residual"] == ref.primal_residual
-    assert diagnostics["dual_residual"] == ref.dual_residual
-    assert diagnostics["tube_gap_status"] == "optimal"
-    assert diagnostics["tube_gap"] > 0.0
+    assert diagnostics["iterations"] == ref.iterations == cert.steps
+    assert diagnostics["primal_residual"] == ref.primal_residual == cert.lower
+    tube = BallConstraint(np.arange(qp.design.slow.n_states), 0.0, center=x_proj)
+    problem = QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+                               (tube, qp.inputs, qp.terminal))
+    assert abs(infeasibility_bound(problem, cert) - cert.lower) \
+        <= 1e-12 * np.linalg.norm(qp.A_eq) * np.linalg.norm(x_proj)
+    lower, upper = diagnostics["tube_gap_bracket"]
+    assert diagnostics["tube_gap"] == lower > 0.0
+    assert upper - lower <= 1e-12 * upper
+    assert abs(lower - 292.2766079) <= 1e-9 * lower
 
 
 def test_tube_qp_pins_only_a_point_tube(decoupled):

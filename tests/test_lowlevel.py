@@ -168,6 +168,27 @@ def test_solve_ll_infeasible_when_target_too_far():
     assert "status infeasible" in str(err.value)
 
 
+@pytest.mark.parametrize("period", [2, 4])
+def test_solve_ll_target_gap_is_the_closed_form(period):
+    # One target row per subsystem: the budget reaches the interval
+    # |t| <= budget sum_k |beta_i A_i^k B_i|, so the certified gap of a
+    # target outside it is |t| less that sum, as the error reports it.
+    model = scalar_pair()
+    red = reduce_model(model, [1, 1])
+    qp, _ = stacked_qp(model, red, [0.1, 0.1], np.eye(1), np.eye(1), period)
+    beta, sub = red.beta_block(0, model), model.subsystems[0]
+    reach = 0.1 * sum(abs((beta @ np.linalg.matrix_power(sub.A, k) @ sub.B).item())
+                      for k in range(period))
+    for target in (50.0, -3.0):
+        with pytest.raises(InfeasibleLL) as err:
+            solve_ll(qp, np.array([target, 0.0]), np.zeros(2))
+        diagnostics = err.value.diagnostics
+        lower, upper = diagnostics["target_gap_bracket"]
+        assert diagnostics["target_gap"] == lower
+        assert abs(lower - (abs(target) - reach)) <= 1e-12 * abs(target)
+        assert upper - lower <= 1e-12 * upper
+
+
 def test_binding_ticks_factor_each_binding_block_once(monkeypatch):
     # Subsystem 0's budget binds on both ticks, subsystem 1's on neither:
     # block 0's QP alone is factored on the first tick and reused on the

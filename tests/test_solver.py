@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,13 +230,18 @@ def test_qp_two_balls_projection_fixed_point():
     assert_projected_kkt(H, g, res.x, (b1, b2))
 
 
-def test_qp_infeasible_divergence_certificate():
-    # Equality pins x0 = 2 but the ball only allows ||x|| <= 1.
+def test_qp_infeasible_divergence_certificate(infeasibility_bound):
+    # Equality pins x0 = 2 but the ball only allows ||x|| <= 1: every point
+    # of the ball misses b_eq by at least 1, and the certificate says so.
     prob = QuadraticProgram(np.eye(2), np.zeros(2),
                             A_eq=np.array([[1.0, 0.0]]), b_eq=np.array([2.0]),
                             constraints=[BallConstraint(np.arange(2), 1.0)])
     res = solve_qp(prob, max_iters=20_000)
     assert res.status is Status.INFEASIBLE
+    cert = res.certificate
+    assert cert.lower == cert.upper == res.primal_residual == 1.0
+    assert infeasibility_bound(prob, cert) == 1.0
+    assert np.isnan(res.x).all() and np.isnan(res.objective)
 
 
 def test_qp_determinism():
@@ -545,28 +552,32 @@ def assert_same_result(res, ref):
         assert getattr(res, name) == getattr(ref, name), name
 
 
-def test_equality_first_keeps_its_last_solve(kkt_solves):
-    # Equal bytes of g and b_eq, in other arrays, make no second rho = 0
-    # solve, and the kept result is bitwise what fresh factors give.
+def test_equality_first_from_a_given_start_makes_no_solve(kkt_solves):
+    # The rho = 0 solve handed in as `start` is the one the exact path
+    # reads: no second solve, and the result is bitwise what a fresh solve
+    # gives, its x the start's read-only first part.
     H, A_eq, ball, rhs = ll_shaped_instance(3)
     g, b_eq = rhs[0]
     wide = BallConstraint(ball.indices, 1e6)
     kkt = KKTFactors(H, A_eq, (ball.indices,))
-    results = [equality_first(QuadraticProgram(H, g_, A_eq, b_, (wide,), kkt), kkt)
-               for g_, b_ in ((g, b_eq), (g.copy(), b_eq.copy()))]
+    prob = QuadraticProgram(H, g, A_eq, b_eq, (wide,), kkt)
+    start = kkt.equality_solve(np.concatenate([-g, b_eq]))
+    results = [equality_first(prob, kkt, start=start),
+               solve_qp(prob, start=start)]
     assert kkt_solves == [kkt.by_rho[0.0]]
     fresh = KKTFactors(H, A_eq, (ball.indices,))
     ref = equality_first(QuadraticProgram(H, g, A_eq, b_eq, (wide,), fresh), fresh)
     assert ref.iterations == 0
     for res in results:
         assert_same_result(res, ref)
-    # The kept x is shared by every hit: it is read-only.
-    assert results[1].x is results[0].x
+        assert res.x.base is start
     with pytest.raises(ValueError):
         results[0].x[0] = 1.0
 
 
 def test_equality_first_one_ulp_in_b_eq_misses(kkt_solves):
+    # Without a start every call makes its own solve, bitwise as fresh
+    # factors do, also for a b_eq one ulp away.
     H, A_eq, ball, rhs = ll_shaped_instance(4)
     g, b_eq = rhs[0]
     wide = BallConstraint(ball.indices, 1e6)
@@ -582,18 +593,19 @@ def test_equality_first_one_ulp_in_b_eq_misses(kkt_solves):
 
 
 def test_equality_first_hit_outside_a_moved_set_returns_none(kkt_solves):
-    # Same g and b_eq, a ball whose centre moved away from the kept
-    # optimum: no solve, and the sets decide.
+    # Same g and b_eq from one start, a ball whose centre moved away from
+    # its optimum: no second solve, and the sets decide.
     H, A_eq, ball, rhs = ll_shaped_instance(5)
     g, b_eq = rhs[0]
     kkt = KKTFactors(H, A_eq, (ball.indices,))
     x = kkt_oracle(H, g, A_eq, b_eq)
+    start = kkt.equality_solve(np.concatenate([-g, b_eq]))
     near = BallConstraint(ball.indices, 0.5, center=x[ball.indices])
     far = BallConstraint(ball.indices, 0.5, center=x[ball.indices] + 1.0)
     assert equality_first(QuadraticProgram(H, g, A_eq, b_eq, (near,), kkt),
-                          kkt) is not None
+                          kkt, start=start) is not None
     assert equality_first(QuadraticProgram(H, g, A_eq, b_eq, (far,), kkt),
-                          kkt) is None
+                          kkt, start=start) is None
     assert len(kkt_solves) == 1
 
 
@@ -731,6 +743,97 @@ def test_active_set_step_falls_back_to_admm(case, monkeypatch):
     assert res.iterations > 0
     if case == "max_iters":
         assert res.status is Status.MAX_ITERS and res.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# The infeasibility certificate
+
+
+FAMILIES = ("balls", "stacked", "ellipsoid", "point")
+
+
+def around_a_point(seed, family, slack):
+    """A random strictly convex QP whose sets hold x_feas, `slack` (>= 0)
+    inside their boundary, and whose equality rows (at most d) outnumber
+    the coordinates that no set holds, so that they restrict the sets: one
+    ball and a second on other coordinates ("balls"), a (2, s) stacked
+    family ("stacked"), an ellipsoid and a ball ("ellipsoid"), or a ball of
+    radius 0 at x_feas and a second ball ("point").  b_eq = A_eq x_feas.
+    Returns the problem, x_feas and Z, a basis of null(A_free')."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(5, 9))
+    M = rng.normal(size=(d, d))
+    H = M @ M.T + 0.5 * np.eye(d)
+    g = 4.0 * rng.normal(size=d)
+    x_feas = 0.3 * rng.normal(size=d)
+    perm = rng.permutation(d)
+
+    def ball(idx, centred):
+        centre = x_feas[idx] + 0.2 * rng.normal(size=idx.shape) if centred else None
+        shift = x_feas[idx] - (0.0 if centre is None else centre)
+        radius = float(np.max(np.linalg.norm(np.atleast_2d(shift), axis=1)))
+        return BallConstraint(idx, radius + slack, centre)
+
+    if family == "balls":
+        sets = (ball(np.sort(perm[:3]), True), ball(np.sort(perm[3:5]), False))
+    elif family == "stacked":
+        s = int(rng.integers(1, 3))
+        sets = (ball(perm[:2 * s].reshape(2, s), rng.uniform() < 0.5),)
+    elif family == "ellipsoid":
+        L = rng.normal(size=(3, 3))
+        P = L @ L.T + 0.3 * np.eye(3)
+        idx = np.sort(perm[:3])
+        level = (math.sqrt(float(x_feas[idx] @ P @ x_feas[idx])) + slack) ** 2
+        sets = (EllipsoidConstraint(idx, P, level), ball(np.sort(perm[3:5]), True))
+    else:
+        idx = np.sort(perm[:2])
+        sets = (BallConstraint(idx, 0.0, x_feas[idx]),
+                ball(np.sort(perm[2:5]), True))
+    held = np.zeros(d, dtype=bool)
+    for c in sets:
+        held[c.indices.ravel()] = True
+    A_eq = rng.normal(size=(min(int(np.sum(~held)) + int(rng.integers(1, 4)), d),
+                            d))
+    Z = scipy.linalg.null_space(A_eq[:, ~held].T)
+    kkt = KKTFactors(H, A_eq, [c.indices for c in sets])
+    return QuadraticProgram(H, g, A_eq, A_eq @ x_feas, sets, kkt), x_feas, Z
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_infeasible_qp_carries_a_certificate_that_re_derives(
+        family, infeasibility_bound):
+    # b_eq moved 100 along null(A_free') leaves the sets' reach: the result
+    # is INFEASIBLE, its bracket is closed, and the lower bound re-derived
+    # from the dual point alone, set by set, is the one it states.
+    for seed in range(10):
+        prob, _, Z = around_a_point(seed, family, 0.3)
+        u = np.random.default_rng(seed).normal(size=Z.shape[1])
+        far = dataclasses.replace(prob, b_eq=prob.b_eq + 100.0 * Z @ u
+                                  / np.linalg.norm(u))
+        res = solve_qp(far)
+        assert res.status is Status.INFEASIBLE, seed
+        cert = res.certificate
+        assert cert.upper - cert.lower <= 1e-12 * cert.upper, seed
+        assert res.primal_residual == cert.lower and res.iterations == cert.steps
+        bound = infeasibility_bound(far, cert)
+        assert bound > 0.0
+        assert abs(bound - cert.lower) <= 1e-12 * np.linalg.norm(far.b_eq), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES),
+       slack=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_qp_built_around_a_feasible_point_is_never_infeasible(seed, family,
+                                                             slack):
+    # With the active-set step switched off every binding problem reaches
+    # the certificate, also with x_feas on the boundary of its sets (slack
+    # 0) and a ball that is one point: it never certifies.
+    prob, x_feas, _ = around_a_point(seed, family, slack)
+    assert np.max(np.abs(prob.A_eq @ x_feas - prob.b_eq)) == 0.0
+    with mock.patch.object(solver, "active_set_step", lambda *args: None):
+        res = solve_qp(prob, max_iters=1)
+    assert res.status is not Status.INFEASIBLE
+    assert res.certificate is None
 
 
 # ---------------------------------------------------------------------------
