@@ -184,7 +184,7 @@ class TubeQP:
 
     `free` is the equality-only optimum, with its multipliers, of the
     formulation a tick tries first, as a map of the tick's data, built with
-    one rho = 0 solve.  On a point tube it is the pinned QP's solves
+    one K0 solve.  On a point tube it is the pinned QP's solves
     against the unit vectors of the rows x_0 = x_proj, (d + r, n): a
     tick's optimum is free @ x_proj.  Otherwise the tick moves only the
     tube centre, so the ball formulation's optimum is one vector, (d + r,),
@@ -303,15 +303,13 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     formulation, whose optimum is the same on every tick, so that only the
     tube ball around x_proj is checked per tick (`qp.fixed` holds the
     rest).  Any other tick passes the same solve as the start of the exact
-    path, with no second solve: the active-set step on the pinned QP
-    (`solver.active_set_step`, its Newton steps as iterations), whose
-    optimum is that of the tube QP, whose tube is that same point, and
-    `solve_qp` on the ball formulation, which a point tube reaches only
-    when the step does not certify: ADMM never runs on the pinned QP.
+    path, with no second solve: `solve_qp` on the ball formulation, or on a
+    point tube the active-set step on the pinned QP (whose optimum is that
+    of the tube QP, whose tube is that same point), and when it does not
+    certify, `solve_qp` on the pinned QP with no step, for its certificate.
 
     `iterations` of the solution is 0 when the equality-only optimum
-    decided the tick, the active-set step's Newton steps when it did, and
-    ADMM's iterations otherwise.
+    decided the tick, and the active-set step's Newton steps otherwise.
 
     Raises InfeasibleHL when the solve does not end OPTIMAL.  The
     diagnostics name the status and carry the `feasibility_gap` of x_proj:
@@ -321,23 +319,17 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     design = qp.design
     x_proj = np.asarray(x_proj, dtype=float)
     d = qp.H.shape[0]
-
-    def tube_ball():
-        return BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
-                              center=x_proj)
-
-    def ball_formulation(tube):
-        return QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
-                                (tube, qp.inputs, qp.terminal), qp.factors)
-
     if qp.pinned is None:
-        tube = tube_ball()
+        tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
+                              center=x_proj)
         if (qp.fixed is not None
                 and tube.violation(qp.free[tube.indices]) == 0.0):
             eq_res, dual_res, objective = qp.fixed
             return _solution(qp, x_proj, qp.free[:d], objective, 0, eq_res,
                              dual_res)
-        res = solve_qp(ball_formulation(tube), start=qp.free)
+        res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+                                        (tube, qp.inputs, qp.terminal),
+                                        qp.factors), start=qp.free)
     else:
         cons = (qp.inputs, qp.terminal)
         b_eq, sol = np.concatenate([qp.b_dyn, x_proj]), qp.free @ x_proj
@@ -348,8 +340,10 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
                              *residuals)
         pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
                                   qp.pinned)
-        res = (active_set_step(pinned, qp.pinned, start=sol)
-               or solve_qp(ball_formulation(tube_ball())))
+        res = active_set_step(pinned, qp.pinned, start=sol)
+        if res.status is not Status.OPTIMAL:
+            cert = solve_qp(pinned, max_iters=0, start=sol)
+            res = cert if cert.status is Status.INFEASIBLE else res
     if res.status is not Status.OPTIMAL:
         gap = feasibility_gap(qp, x_proj)
         diagnostics = {"status": res.status.value, "iterations": res.iterations,

@@ -18,7 +18,7 @@ that does not depend on the tick is built once per run: the stacked maps
 of the auxiliary rollout, `auxiliary_maps`, of which a tick reads only the
 last block row (the terminal state its target needs; the harness builds the
 other states of every tick after the loop), and the stacked QP with the
-constant QP data and its free map, the rho = 0 solves against the unit
+constant QP data and its free map, the K0 solves against the unit
 vectors of its target rows.  Per tick only the terminal target changes, so
 a plan whose budgets do not bind is one product with that map, accepted by
 `solver.free_optimum`'s rule with the budgets checked in one reduction: no
@@ -194,7 +194,7 @@ class CorrectionQP:
     `width` columns of the plan, so `within_budgets` checks them all in one
     reduction.  Per tick only the terminal target b_eq changes, and g is
     zero: the equality-only optimum with its multipliers is free @ b_eq,
-    where `free`, (d + r, r), is the rho = 0 solves against the unit
+    where `free`, (d + r, r), is the K0 solves against the unit
     vectors of the r target rows.  Everything here is built once by `correction_qp`, with one
     factorization of the stacked KKT matrix, for `free`.  So is each
     subsystem's QP alone (`blocks`, with a zero target and its own KKT
@@ -212,7 +212,7 @@ class CorrectionQP:
     radii: np.ndarray          # subsystem i's budget, (M,)
     width: int                 # inputs per subsystem; 0 if they differ
     target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
-    free: np.ndarray           # (d + r, r) rho = 0 solves, read-only
+    free: np.ndarray           # (d + r, r) K0 solves, read-only
     blocks: tuple[QuadraticProgram, ...]  # subsystem i's QP alone
 
     def within_budgets(self, plan: np.ndarray) -> np.ndarray:

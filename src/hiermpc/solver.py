@@ -1,43 +1,36 @@
-"""In-house convex solvers: QP by exact steps, then ADMM, and dense simplex LP.
+"""In-house convex solvers: QP by exact steps, and dense simplex LP.
 
 `solve_qp` tries, in turn:
 
-1. `equality_first`: the equality-only optimum, one rho = 0 solve of
-   [[H, A_eq'], [A_eq, 0]] (made once per solve, or passed in as `start`),
-   returned with 0 iterations when `free_optimum` accepts it: finite,
-   inside every set (violation exactly 0.0), with the equality residual and
-   stationarity within tolerance.  That optimum is linear in g and b_eq
-   (the unconstrained region of explicit MPC, Bemporad et al., Automatica
-   38(1), 2002), so a controller builds a free map once
+1. `equality_first`: the equality-only optimum, one solve of
+   K0 = [[H, A_eq'], [A_eq, 0]] (made once per solve, or passed in as
+   `start`), returned with 0 iterations when `free_optimum` accepts it:
+   finite, inside every set (violation exactly 0.0), with the equality
+   residual and stationarity within tolerance.  That optimum is linear in g
+   and b_eq (the unconstrained region of explicit MPC, Bemporad et al.,
+   Automatica 38(1), 2002), so a controller builds a free map once
    (`KKTFactors.equality_solve`) and passes a tick's product as `start`.
-2. `active_set_step`, from the same start: balls and ellipsoids put on
-   their boundary one at a time, their multipliers found by Newton on the
-   secular equations, returned only when the KKT conditions recomputed from
-   x and the multipliers hold (the reduced KKT solve of OSQP's polishing,
-   Stellato et al., Math. Prog. Comp. 2020, tried first).
+2. `active_set_step`, from the same start: the sets' rows put on their
+   boundary one at a time, a ball or ellipsoid row's multiplier found by
+   Newton on its secular equation, a box coordinate's or one-coordinate
+   ball's as that of an equality; returned only when the KKT conditions
+   recomputed from x and the multipliers hold.
 3. The infeasibility certificate: with the coordinates that no set holds
    eliminated (`KKTFactors.equality_null`), the sets meet the equalities
    exactly when a point t lies in a Minkowski sum of linear images of unit
    balls; `minkowski_distance` brackets the distance by the support-function
    dual, and a lower bound above 1e-12 ||t|| is returned as INFEASIBLE with
-   its dual point, from which the bound re-derives (ADMM's iterates give no
-   such certificate; Banjac et al., J. Optim. Theory Appl. 183, 2019).
-4. ADMM, which ends OPTIMAL or MAX_ITERS: the equalities inside the
-   x-update KKT system, factored once per penalty value per run on
-   `KKTFactors`; the sets enforced by projection in the z-update, over one
-   flat splitting state, a (k, s) `BallConstraint` as k balls at once.  The
-   ellipsoid projection y = (I + mu P)^{-1} v solves the secular equation
-   1/sqrt(y'Py) = 1/sqrt(level) (More and Sorensen, SIAM J. Sci. Stat.
-   Comput. 4(3), 1983) by Newton in P's eigenbasis from mu = 0, whose steps
-   rise monotonically to the root, to 1e-12 relative at any level.
+   its dual point, from which the bound re-derives (Banjac et al., J. Optim.
+   Theory Appl. 183, 2019).
 
-A problem without sets whose equality-only solve is not finite raises
-UnboundedProblem.  A caller that knows an equivalent problem with more
-equalities (a set that is one point, written as equality rows) can try
-steps 1 and 2 on it first.  Every iterate returned OPTIMAL or MAX_ITERS
-meets A_eq x = b_eq to linear-solver accuracy, an OPTIMAL one meets the
-sets to tol_primal, and the iterates are a deterministic function of the
-problem.
+A solve that none of them decides ends MAX_ITERS at once, with NaN x.  A
+problem without sets whose equality-only solve is not finite raises
+UnboundedProblem.  An OPTIMAL result meets A_eq x = b_eq to linear-solver
+accuracy and the sets to tol_primal, and every result is a deterministic
+function of the problem.  `EllipsoidConstraint.violation` is the distance
+to the exact projection, y = (I + mu P)^{-1} v with 1/sqrt(y'Py) =
+1/sqrt(level) (More and Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983),
+by Newton in P's eigenbasis from mu = 0, to 1e-12 relative at any level.
 
 The LP path is a two-phase tableau simplex with Bland's rule whose run
 continues past the optimum to the lexicographically smallest optimizer:
@@ -59,16 +52,16 @@ from scipy.linalg.lapack import dgesv, dgetrs
 
 from .errors import DimensionMismatch, UnboundedProblem
 
-# ADMM over-relaxation factor.
-_OVER_RELAXATION = 1.6
 # The ellipsoid projection's Newton stop: the relative error of sqrt(y'Py)
-# against sqrt(level); also the active-set step's, on every active row.
+# against sqrt(level); also the active-set step's, on every ball row.
 _NEWTON_TOL = 1e-12
-# The active-set step's bounds: rounds (each adds a row), Newton steps in
-# all, and step halvings in one line search.
-_STEP_ROUNDS = 16
+# The active-set step's bounds: Newton steps in all (this many plus two per
+# row) and step halvings in one line search.
 _STEP_NEWTON = 50
 _STEP_HALVINGS = 30
+# The held coordinates are dependent when an LU pivot of G_EE is at most
+# this times its largest diagonal entry; it also scales the regularization.
+_DEPENDENT = 1e-10
 # `minkowski_distance`'s relative stops and `solve_qp`'s rounding margin (a
 # lower bound above it times ||t|| certifies), and its Newton steps at most.
 _GAP_TOL = 1e-12
@@ -131,32 +124,34 @@ class BallConstraint:
 
     def violation(self, v: np.ndarray) -> float:
         """Largest distance of a row to its ball (the root of the largest
-        squared distance to the centre: the largest root, bit for bit)."""
+        squared distance to the centre: the largest root, bit for bit); NaN
+        when a row or its centre is NaN."""
         d = v if self.center is None else v - self.center
-        return max(0.0, math.sqrt(float(np.add.reduce(d * d, axis=-1).max()))
-                   - self.radius)
+        excess = math.sqrt(float(np.add.reduce(d * d, axis=-1).max())) - self.radius
+        return 0.0 if excess <= 0.0 else excess
 
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """lower <= x[indices] <= upper componentwise."""
+    """lower <= x[indices] <= upper componentwise; a bound may be infinite.
+    Each coordinate is a row of its own, as in a (k, 1) `BallConstraint`
+    family: `indices`, `lower` and `upper` have shape (s, 1)."""
 
     indices: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (idx.size,)).copy()
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (idx.size,)).copy()
+        idx = np.asarray(self.indices, dtype=int).reshape(-1, 1)
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float).reshape(-1, 1),
+                                  idx.shape).copy() for b in (self.lower, self.upper))
+        for name, bound, empty in (("lower", lo, np.inf), ("upper", hi, -np.inf)):
+            if np.isnan(bound).any() or (bound == empty).any():
+                raise DimensionMismatch(f"BoxConstraint.{name} is NaN or {empty:+}")
         if np.any(lo > hi):
-            raise DimensionMismatch("box lower bound exceeds upper bound")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(v, self.lower, self.upper)
+            raise DimensionMismatch("BoxConstraint.lower exceeds BoxConstraint.upper")
+        for name, value in (("indices", idx), ("lower", lo), ("upper", hi)):
+            object.__setattr__(self, name, value)
 
     def violation(self, v: np.ndarray) -> float:
         return float(np.max(np.maximum(self.lower - v, v - self.upper), initial=0.0))
@@ -181,8 +176,8 @@ class EllipsoidConstraint:
             raise DimensionMismatch(
                 f"ellipsoid level must be finite and >= 0, got {self.level}")
         lam, V = np.linalg.eigh(0.5 * (P + P.T))
-        if lam[0] <= 0:
-            raise DimensionMismatch("ellipsoid shape must be positive definite")
+        if not lam[0] > 0:  # also refuses a NaN shape
+            raise DimensionMismatch("EllipsoidConstraint.shape must be positive definite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "shape", P)
         object.__setattr__(self, "_eigvals", lam)
@@ -283,10 +278,11 @@ class DistanceBracket:
 class SolveResult:
     """`iterations` of a QP solve is 0 when the equality-only optimum was
     the answer (`x` is then part of the start), else the Newton steps of
-    `active_set_step` or of the certificate, or ADMM's iterations.  An
-    INFEASIBLE QP result has NaN x, objective and dual residual, its
-    certified lower bound as primal residual, and its `certificate`.  An LP
-    solve counts simplex pivots."""
+    `active_set_step` or of the certificate.  A QP result that is not
+    OPTIMAL has NaN x and objective: an INFEASIBLE one has NaN dual
+    residual, its certified lower bound as primal residual and its
+    `certificate`, a MAX_ITERS one NaN residuals.  An LP solve counts
+    simplex pivots."""
 
     x: np.ndarray
     objective: float
@@ -295,18 +291,6 @@ class SolveResult:
     dual_residual: float
     iterations: int
     certificate: DistanceBracket | None = None
-
-
-def _kkt_factor(H_aug: np.ndarray, A_eq: np.ndarray | None):
-    if A_eq is None:
-        return scipy.linalg.lu_factor(H_aug)
-    r = A_eq.shape[0]
-    d = H_aug.shape[0]
-    K = np.zeros((d + r, d + r))
-    K[:d, :d] = H_aug
-    K[:d, d:] = A_eq.T
-    K[d:, :d] = A_eq
-    return scipy.linalg.lu_factor(K)
 
 
 def _kkt_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -342,7 +326,7 @@ def equality_residuals(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
                        b_eq: np.ndarray | None) -> tuple[float, float]:
     """The largest equality residual |A_eq x - b_eq| (0.0 without
     equalities) and the largest stationarity residual |H x + g + A_eq'lam|
-    of sol = (x, lam), a rho = 0 solve of min 1/2 x'Hx + g'x s.t. A_eq x =
+    of sol = (x, lam), a K0 solve of min 1/2 x'Hx + g'x s.t. A_eq x =
     b_eq."""
     d = g.shape[0]
     x = sol[:d]
@@ -357,7 +341,7 @@ def free_optimum(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
                  A_eq: np.ndarray | None, b_eq: np.ndarray | None,
                  constraints, tol_primal: float = 1e-8,
                  tol_dual: float = 1e-8) -> tuple[float, float] | None:
-    """The residuals of `equality_residuals` if sol = (x, lam), the rho = 0
+    """The residuals of `equality_residuals` if sol = (x, lam), the K0
     solve of min 1/2 x'Hx + g'x s.t. A_eq x = b_eq, x[S_c] in C_c for each
     of `constraints`, is that QP's optimum with no set active; else None.
 
@@ -381,37 +365,30 @@ def free_optimum(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
     return None
 
 
-class KKTFactors:
-    """LU factors of the ADMM x-update KKT matrix of one constant QP.
 
-    The matrix [[H + rho S'S, A_eq'], [A_eq, 0]] depends on H, A_eq, the
-    constraint index layout (through S'S) and the penalty rho, but not on
-    g, b_eq or the constraint sets' radii and centres.  A controller that
-    solves the same QP every tick builds one `KKTFactors` and passes it with
-    each problem; `solve_qp` factors once per penalty value it has not seen
-    (rho = 0 is the equality-only system of the first solve) and refuses a
-    problem whose H, A_eq or layout differ from the record.
-    `equality_solve` and `set_solves` are the rho = 0 solves against given
-    right-hand sides: a problem's start, a controller's free map and the
-    active-set step's set columns.  `equality_null` is the equality system
-    of the infeasibility certificate.
+
+class KKTFactors:
+    """The equality-only KKT matrix K0 = [[H, A_eq'], [A_eq, 0]] of one
+    constant QP, factored once (`lu`, on first use), and its sets' layout.
+
+    K0 depends on H and A_eq, not on g, b_eq or the sets' sizes and
+    centres: a controller that solves the same QP every tick builds one
+    `KKTFactors` and passes it with each problem, and `solve_qp` refuses a
+    problem whose H, A_eq or constraint index layout differ.
+    `equality_solve` and `set_solves` are K0 solves against given
+    right-hand sides (a start, a free map, the step's set columns), `rows`
+    the step's rows and `equality_null` the certificate's equalities.
     """
 
     def __init__(self, H: np.ndarray, A_eq: np.ndarray | None, layout):
         self.H = np.atleast_2d(np.asarray(H, dtype=float))
         self.A_eq = None if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
         self.layout = tuple(np.asarray(s, dtype=int) for s in layout)
-        d = self.H.shape[0]
-        # Flat splitting state: constraint c owns z[bounds[c]:bounds[c + 1]],
+        # The flat set coordinates: constraint c owns idx[bounds[c]:bounds[c + 1]],
         # laid out like its (raveled) indices.
         self.idx = np.concatenate([s.ravel() for s in self.layout]
                                   or [np.zeros(0, dtype=int)])
         self.bounds = np.cumsum([0] + [s.size for s in self.layout])
-        # S'S is diagonal: how many constraints hold each coordinate.
-        self.counts = np.bincount(self.idx, minlength=d).astype(float)
-        diag_scale = float(np.mean(np.abs(np.diag(self.H))))
-        self.rho_init = diag_scale if diag_scale > 0 else 1.0
-        self.by_rho = {}
 
     def check(self, problem: QuadraticProgram) -> None:
         cons = problem.constraints
@@ -421,44 +398,56 @@ class KKTFactors:
             raise DimensionMismatch("KKT factors were built for another H, A_eq "
                                     "or constraint index layout")
 
-    def factor(self, rho: float):
-        factor = self.by_rho.get(rho)
-        if factor is None:
-            H_aug = self.H
+    @functools.cached_property
+    def lu(self):
+        with warnings.catch_warnings():
             if self.layout:
-                H_aug = H_aug.copy()
-                H_aug[np.diag_indices_from(H_aug)] += rho * self.counts
-            with warnings.catch_warnings():
-                if rho == 0.0 and self.layout:
-                    # Only a guess: when the sets are what make the problem
-                    # well posed, a singular system just sends the solve to
-                    # ADMM.
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                factor = self.by_rho[rho] = _kkt_factor(H_aug, self.A_eq)
-        return factor
+                # Only a guess: when the sets are what make the problem well
+                # posed, a singular K0 sends the active-set step to its
+                # shifted system.
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            if self.A_eq is None:
+                return scipy.linalg.lu_factor(self.H)
+            d, r = self.H.shape[0], self.A_eq.shape[0]
+            K = np.zeros((d + r, d + r))
+            K[:d, :d], K[:d, d:], K[d:, :d] = self.H, self.A_eq.T, self.A_eq
+            return scipy.linalg.lu_factor(K)
 
     def equality_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K0^{-1} rhs on the rho = 0 factors, K0 = [[H, A_eq'], [A_eq, 0]],
-        read-only: for the column [-g; b_eq] the equality-only optimum x
-        with its equality multipliers.  A controller whose ticks change
-        only some rows of b_eq, with g = 0, solves once against their unit
-        vectors; each tick's equality-only optimum is then that map times
-        the rows' values."""
-        sol = _kkt_solve(self.factor(0.0), rhs)
+        """K0^{-1} rhs, read-only: for the column [-g; b_eq] the
+        equality-only optimum x with its equality multipliers.  A controller
+        whose ticks change only some rows of b_eq, with g = 0, solves once
+        against their unit vectors; each tick's equality-only optimum is
+        then that map times the rows' values."""
+        sol = _kkt_solve(self.lu, rhs)
         sol.flags.writeable = False
         return sol
 
     @functools.cached_property
     def set_solves(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, G): Z = K0^{-1} [S'; 0], the rho = 0 solves against the unit
-        vector of every set coordinate (columns in the flat layout `idx`),
-        and G = S Z, its rows at those coordinates.  One solve, on first
-        use."""
+        """(Z, G): Z = K0^{-1} [S'; 0], the solves against the unit vector
+        of every set coordinate (columns in the flat layout `idx`), and
+        G = S Z, its rows at those coordinates.  One solve, on first use."""
         d, p = self.H.shape[0], self.idx.size
         rhs = np.zeros((d + (0 if self.A_eq is None else self.A_eq.shape[0]), p))
         rhs[self.idx, np.arange(p)] = 1.0
         Z = self.equality_solve(rhs)
         return Z, Z[self.idx]
+
+    @functools.cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The active-set step's rows, from the layout alone: a set whose
+        indices have shape (s,) is one row, one of shape (k, s) k rows (a
+        stacked ball family, or a box, whose indices are (s, 1)).  Returns
+        the row of each flat coordinate, the first row of each set (the row
+        count last), the first flat coordinate of each row, whether each
+        row is linear (holds one coordinate) and the linear rows."""
+        shapes = [s.shape if s.ndim == 2 else (1, s.size) for s in self.layout]
+        width = np.array([w for k, w in shapes for _ in range(k)], dtype=int)
+        linear = width == 1
+        return (np.repeat(np.arange(width.size), width),
+                np.cumsum([0] + [k for k, _ in shapes]), np.cumsum(width) - width,
+                linear, np.flatnonzero(linear))
 
     @functools.cached_property
     def equality_null(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -467,22 +456,17 @@ class KKTFactors:
         the set coordinates: Z'b_eq = ZA x[idx] is A_eq x = b_eq with the
         free coordinates eliminated.  None without equality rows, with a
         coordinate in two sets, or with Z empty."""
-        if self.A_eq is None or self.counts.max(initial=0.0) > 1.0:
+        counts = np.bincount(self.idx, minlength=self.H.shape[0])
+        if self.A_eq is None or counts.max(initial=0) > 1:
             return None
-        free = self.counts == 0.0
+        free = counts == 0
         Z = (scipy.linalg.null_space(self.A_eq[:, free].T) if free.any()
              else np.eye(self.A_eq.shape[0]))
         return (Z, Z.T @ self.A_eq[:, self.idx]) if Z.shape[1] else None
 
-    @functools.cached_property
-    def multiplier_map(self) -> np.ndarray:
-        """Least-squares operator of A_eq', pinv(A_eq'): the equality
-        multipliers that best close a stationarity gap are map @ (-gap)."""
-        return np.linalg.pinv(self.A_eq.T)
-
 
 def _equality_start(problem: QuadraticProgram, kkt: KKTFactors) -> np.ndarray:
-    """The rho = 0 solve of `problem` on `kkt`, read-only."""
+    """The K0 solve of `problem` on `kkt`, read-only."""
     g, b = problem.g, problem.b_eq
     return kkt.equality_solve(-g if b is None else np.concatenate([-g, b]))
 
@@ -492,7 +476,7 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
                    start: np.ndarray | None = None) -> SolveResult | None:
     """The optimum of `problem` with no set active, if it is the optimum.
 
-    `start` is the rho = 0 solve of `problem` on `kkt`, the equality-only
+    `start` is the K0 solve of `problem` on `kkt`, the equality-only
     optimum with its multipliers (made here if not given).  Without sets it
     is the answer; with sets, only if `free_optimum` accepts it.  The result
     has 0 iterations and x the first part of the start; None means the sets
@@ -520,178 +504,257 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
     return SolveResult(x, qp_objective(H, g, x), Status.OPTIMAL, *residuals, 0)
 
 
-def _set_rows(cons, bounds):
-    """The rows of the active-set step and of the certificate: one per ball
-    (a stacked family has one per row) and one per ellipsoid.  Returns the
-    row of each flat set coordinate, each row's size (radius or
-    sqrt(level)), the centres over the flat coordinates and the metric M
-    over them (the identity, with each ellipsoid's shape as its block);
-    None when a set is a box."""
-    rowid, sizes = [], []
-    centre = np.zeros(bounds[-1])
-    M = np.eye(bounds[-1])
-    for c, lo, hi in zip(cons, bounds[:-1], bounds[1:]):
-        if isinstance(c, BallConstraint):
-            k = 1 if c.indices.ndim == 1 else c.indices.shape[0]
-            if c.center is not None:
-                centre[lo:hi] = c.center.ravel()
-            sizes += [c.radius] * k
-        elif isinstance(c, EllipsoidConstraint):
-            k = 1
-            M[lo:hi, lo:hi] = c.shape
-            sizes.append(math.sqrt(c.level))
-        else:
-            return None
-        rowid.append(np.repeat(np.arange(len(sizes) - k, len(sizes)),
-                               (hi - lo) // k))
-    return np.concatenate(rowid), np.array(sizes), centre, M
+
+
+def _row_data(cons, kkt: KKTFactors):
+    """The rows of `KKTFactors.rows` in `cons`: each row's size (radius,
+    sqrt(level), a box coordinate's half-width, inf with an infinite bound),
+    each flat coordinate's centre (a box's midpoint, or 0), the metric M
+    over them (I, each ellipsoid's shape as its block) and the linear rows'
+    bounds lo, hi.  A one-coordinate ellipsoid is a ball of sqrt(level/P)."""
+    first, n, p = kkt.rows[1], kkt.rows[1][-1], kkt.idx.size
+    sizes, centre, M, (lo, hi) = np.empty(n), np.zeros(p), np.eye(p), np.zeros((2, n))
+    for c, a, b, r0, r1 in zip(cons, kkt.bounds, kkt.bounds[1:], first, first[1:]):
+        if isinstance(c, BoxConstraint):
+            lo[r0:r1], hi[r0:r1] = c.lower.ravel(), c.upper.ravel()
+            sizes[r0:r1] = half = 0.5 * (hi[r0:r1] - lo[r0:r1])  # never NaN
+            finite = np.isfinite(half)
+            centre[a:b] = np.where(finite, lo[r0:r1] + np.where(finite, half, 0.0), 0.0)
+        elif isinstance(c, EllipsoidConstraint) and b - a > 1:
+            M[a:b, a:b], sizes[r0:r1] = c.shape, math.sqrt(c.level)
+        else:  # a ball, or an ellipsoid of one coordinate
+            if isinstance(c, BallConstraint) and c.center is not None:
+                centre[a:b] = c.center.ravel()
+            sizes[r0:r1] = size = (c.radius if isinstance(c, BallConstraint)
+                                   else math.sqrt(c.level / c.shape[0, 0]))
+            if b - a == r1 - r0:  # one coordinate per row: linear rows
+                lo[r0:r1], hi[r0:r1] = centre[a:b] - size, centre[a:b] + size
+    return sizes, centre, M, lo, hi
+
+
+def _unsolved(d: int, steps: int) -> SolveResult:
+    """The MAX_ITERS result of a QP in d variables after `steps` Newton
+    steps."""
+    return SolveResult(np.full(d, np.nan), np.nan, Status.MAX_ITERS, np.nan,
+                       np.nan, steps)
 
 
 def active_set_step(problem: QuadraticProgram, kkt: KKTFactors,
                     tol_primal: float = 1e-8, tol_dual: float = 1e-8,
                     max_iters: int = 50_000,
-                    start: np.ndarray | None = None) -> SolveResult | None:
-    """The optimum of `problem` with a set of its balls and ellipsoids on
-    their boundary, if it certifies; for a problem that `equality_first`
-    did not solve, from the same `start` (made here without it).
+                    start: np.ndarray | None = None) -> SolveResult:
+    """The optimum of `problem` with some of its sets' rows on their
+    boundary, if it certifies; for a problem that `equality_first` did not
+    solve, from the same `start` (made here without it).
 
-    The rows are the balls (one per row of a stacked family) and the
-    ellipsoids: y_j = x[S_j] - c_j, of size r_j (radius or sqrt(level)) in
-    the metric M_j (I, or the ellipsoid's shape).  With multipliers mu the
-    KKT system is (H + sum mu_j S_j'M_jS_j) x + A_eq'lam = -g + sum mu_j
-    S_j'M_j c_j, A_eq x = b_eq, and y_j'M_j y_j = r_j^2 on every row with
-    mu_j > 0.  On the cached rho = 0 factors of the rows W in play it is
-    x(mu) = x_eq - Z_W D y with (I + G_W D) y = y_0, D = diag(mu_j M_j), y_0
-    the rows at the equality-only optimum and Z, G from
-    `KKTFactors.set_solves`: a system of |W| multipliers.  Newton on the
-    secular equations psi_j = 1/sqrt(y_j'M_j y_j) - 1/r_j (as in the
-    ellipsoid projection) moves the rows with mu_j > 0 or outside, with at
-    least one step, until each is within the relative 1e-12 of its
-    boundary.  Every step keeps mu >= 0 and raises the concave dual
-    function, 1/2 y_0'D y - 1/2 sum mu_j r_j^2 up to a constant (Armijo
-    along the projection onto mu >= 0, on the dual Newton step where the
-    secular one does not ascend): a row whose multiplier reaches 0 inside
-    its set has left the active set.  W starts with the row the
-    equality-only optimum violates most, and each round that ends with a
-    row outside adds the most violated one, as in the dual active-set method
-    of Goldfarb and Idnani (Math. Prog. 27, 1983).
+    The rows are those of `KKTFactors.rows`: y_j = x[S_j] - c_j, of size
+    r_j in the metric M_j (`_row_data`).  A ball row (a ball or ellipsoid
+    of two or more coordinates) has a multiplier mu_j >= 0: x(mu) = x_eq -
+    Z_W D y on the rows W in play, (I + G_W D) y = y_0, D = diag(mu_j M_j),
+    y_0 the rows at the equality-only optimum, Z and G from
+    `KKTFactors.set_solves`.  Newton on the secular equations psi_j =
+    1/sqrt(y_j'M_j y_j) - 1/r_j moves the rows with mu_j > 0 or outside
+    until each is within the relative 1e-12 of its boundary, every step
+    keeping mu >= 0 and raising the concave dual 1/2 y_0'D y - 1/2 sum mu_j
+    r_j^2 (Armijo along the projection onto mu >= 0).  A linear row (one
+    coordinate: a box coordinate, a one-coordinate ball) on its bound, and
+    every coordinate of a set of size 0, is an equality with a signed
+    multiplier: with these coordinates E held, the ball rows' system is the
+    one above on the Schur complement of G_EE.
 
-    The answer is returned only when the KKT conditions, recomputed from
-    x, lam and mu, hold: the equality residual, every set's violation and
-    the relative distance of each row with mu_j > 0 to its boundary within
-    tol_primal, and stationarity within tol_dual.  Its `iterations` are the
-    Newton steps.  None, for `solve_qp` to go on, on a box or a set of size
-    0, a singular rho = 0 system, more than min(max_iters, 50) Newton steps in
-    all, 16 rounds, a step whose line search fails, or a certificate that
-    does not hold.
+    Each round that ends with a row outside adds the most violated (by its
+    distance from its centre over its size; a linear row's 1 plus its
+    excess over its bounds per half-width, or per 1 with an infinite bound)
+    as in the dual active-set method of Goldfarb and Idnani (Math. Prog.
+    27, 1983).  As there, a linear row's multiplier keeps its sign: where
+    it would point into the set by more than tol_dual, the first row to
+    reach 0 on the line from the last round's multipliers leaves (their
+    ratio test; on held rows that the last one made dependent, the line
+    runs along the dependence, as their partial step).  When K0 is singular
+    (the start is not finite), the step runs on K0 + sigma S'MS over the
+    ball rows' coordinates (sigma the mean |diag H|, or 1), every ball row
+    in play from mu_j = sigma, with mu_j - sigma in D.
+
+    The answer is returned only when the KKT conditions recomputed from x,
+    lam and the multipliers hold: the equality residual, every set's
+    violation and the relative distance of each ball row with mu_j > 0 to
+    its boundary within tol_primal, and stationarity within tol_dual.  Its
+    `iterations` are the Newton steps, a round counting at least one;
+    otherwise the result is MAX_ITERS after them (`_unsolved`), at most
+    min(max_iters, 50 + 2 rows).
     """
-    cons = problem.constraints
+    cons, d = problem.constraints, problem.dim
     sol = _equality_start(problem, kkt) if start is None else start
-    rows = (_set_rows(cons, kkt.bounds)
-            if cons and np.isfinite(sol).all() else None)
-    if rows is None or not rows[1].all():
-        return None
-    rowid, sizes, centre, M_all = rows
-    d, idx = problem.dim, kkt.idx
+    rowid, first, lead, linear, lin = kkt.rows
+    n, idx = first[-1], kkt.idx
+    sizes, centre, M_all, lo, hi = _row_data(cons, kkt)
+    pinned = sizes == 0.0
+    scale = np.where(pinned | (sizes == np.inf), 1.0, sizes)
 
     def ratios(x):
-        """sqrt(y_j'M_j y_j) / r_j of every row at x."""
+        """Each row's ratio at x (see above)."""
         y = x[idx] - centre
-        return np.sqrt(np.bincount(rowid, y * (M_all @ y),
-                                   minlength=sizes.size)) / sizes
+        ratio = np.sqrt(np.bincount(rowid, y * (M_all @ y), minlength=n)) / scale
+        if lin.size:
+            v = x[idx[lead[lin]]]
+            ratio[lin] = 1.0 + np.maximum(v - hi[lin], lo[lin] - v) / scale[lin]
+        return ratio
 
-    ratio = ratios(sol[:d])
-    if not ratio.max() > 1.0:
-        return None
+    side = np.zeros(n)  # a linear row held at its upper (+1) or lower (-1) bound
+    prev = np.zeros(n)  # its multiplier at the last round whose signs held
+    mu, in_play = np.zeros(n), np.zeros(n, dtype=bool)
+    shift, steps = 0.0, 0
+    if not np.isfinite(sol).all():  # a singular K0, shifted (see above)
+        in_play = ~(linear | pinned)
+        b = np.flatnonzero(in_play[rowid])
+        shift = float(np.mean(np.abs(np.diag(problem.H)))) or 1.0
+        block = shift * M_all[np.ix_(b, b)]
+        H = problem.H.copy()
+        np.add.at(H, np.ix_(idx[b], idx[b]), block)
+        kkt = KKTFactors(H, problem.A_eq, kkt.layout)
+        sol = _equality_start(replace(problem, H=H, g=problem.g - np.bincount(
+            idx[b], block @ centre[b], minlength=d)), kkt)
+        mu[in_play] = shift
     Z, G = kkt.set_solves
-    y0 = sol[idx] - centre
-    in_play = np.zeros(sizes.size, dtype=bool)
-    in_play[np.argmax(ratio)] = True
-    mu = np.zeros(sizes.size)
-    budget = min(max_iters, _STEP_NEWTON)
-    steps = 0
-    for _ in range(_STEP_ROUNDS):
+    budget = min(max_iters, _STEP_NEWTON + 2 * n)
+    while steps < budget:
+        held = pinned | (side != 0.0)
+        E = np.flatnonzero(held[rowid]) if held.any() else idx[:0]
         rows_w = np.flatnonzero(in_play)
         k = rows_w.size
         w = np.flatnonzero(in_play[rowid])
         local = (np.cumsum(in_play) - 1)[rowid[w]]
-        r_w = sizes[rows_w]
-        r2 = r_w * r_w
-        M = M_all[np.ix_(w, w)]
-        G_w = G[np.ix_(w, w)]
-        rhs = np.column_stack([y0[w], G_w])
+        ww = np.ix_(w, w)
+        M, base, Z_w, G_w = M_all[ww], sol, Z[:, w], G[ww]
+        if E.size:  # E's multipliers are a - B f for the ball rows' forces f
+            r = rowid[E]
+            held_at = np.where(pinned[r], centre[E], np.where(side[r] > 0, hi[r], lo[r]))
+            G_E = G[np.ix_(E, E)]
+            rhs = np.column_stack([sol[idx[E]] - held_at, G[np.ix_(E, w)]])
+            lu, _, AB, info = dgesv(G_E, rhs)
+            scale_E = _DEPENDENT * np.diag(G_E)
+            if info or not np.abs(np.diag(lu)).min() > scale_E.max():
+                # Dependent held coordinates: regularized forces grow along the
+                # dependence, and the ratio test below acts as a partial step.
+                AB = _dense_solve(G_E + np.diag(scale_E), rhs)
+            if AB is None:
+                return _unsolved(d, steps)
+            a, B = AB[:, 0], AB[:, 1:]
+            base = sol - Z[:, E] @ a
+            Z_w = Z_w - Z[:, E] @ B
+            G_w = G_w - G[np.ix_(w, E)] @ B
+        m, force = mu[rows_w], np.zeros(w.size)
+        if k:
+            r_w = sizes[rows_w]
+            r2 = r_w * r_w
+            rhs = np.column_stack([base[idx[w]] - centre[w], G_w])
 
-        def dual(m):
-            """T = (I + G_w D)^-1 G_w, M y, y_j'M_j y_j and the dual value
-            at the multipliers m; None if the system is singular."""
-            sol = _dense_solve(np.eye(w.size) + G_w @ (m[local, None] * M), rhs)
-            if sol is None:
-                return None
-            My = M @ sol[:, 0]
-            q = np.bincount(local, sol[:, 0] * My, minlength=k)
-            return sol[:, 1:], My, q, 0.5 * (rhs[:, 0] @ (m[local] * My) - m @ r2)
-
-        m = mu[rows_w]
-        at = dual(m)
-        for it in range(budget - steps + 1):
-            if at is None:
-                return None
-            T, My, q, value = at
-            root = np.sqrt(q)
-            ratio = root / r_w
-            if not np.isfinite(ratio).all():
-                return None
-            free = (m > 0.0) | (ratio > 1.0)
-            if it and np.abs(ratio[free] - 1.0).max(initial=0.0) <= _NEWTON_TOL:
-                break
-            if it == budget - steps:
-                return None
-            Wm = np.zeros((w.size, k))
-            Wm[np.arange(w.size), local] = My
-            hess = Wm[:, free].T @ T @ Wm[:, free]  # minus the dual's Hessian
-            grad = 0.5 * (q - r2)[free]
-            step = _dense_solve(hess / (root[free] ** 3)[:, None],
-                                1.0 / r_w[free] - 1.0 / root[free])
-            if step is None or not grad @ step > 0.0:
-                step = _dense_solve(hess, grad)
-                if step is None:
+            def dual(m):
+                """T = (I + G_w D)^-1 G_w, M y, y_j'M_j y_j and the dual
+                value at the multipliers m; None if the system is singular."""
+                m_w = (m - shift)[local]
+                sol = _dense_solve(np.eye(w.size) + G_w @ (m_w[:, None] * M), rhs)
+                if sol is None:
                     return None
-            floor = value - 1e-13 * (1.0 + abs(value))  # the value's roundoff
-            for _ in range(_STEP_HALVINGS):
-                trial = m.copy()
-                trial[free] = np.maximum(m[free] + step, 0.0)
-                at = dual(trial)
-                if at is None or at[3] >= floor + 1e-4 * (grad @ (trial - m)[free]):
-                    break
-                step = 0.5 * step
-            else:
+                My = M @ sol[:, 0]
+                q = np.bincount(local, sol[:, 0] * My, minlength=k)
+                return sol[:, 1:], My, q, 0.5 * (rhs[:, 0] @ (m_w * My) - m @ r2)
+
+            def search(step):
+                """The first of step, step/2, ... that moves m and ascends."""
+                for _ in range(_STEP_HALVINGS):
+                    trial = m.copy()
+                    trial[free] = np.maximum(m[free] + step, 0.0)
+                    at = dual(trial)
+                    if at is None or ((trial != m).any() and at[3]
+                                      >= floor + 1e-4 * (grad @ (trial - m)[free])):
+                        return trial, at
+                    step = 0.5 * step
                 return None
-            m = trial
-        steps += it
-        mu[rows_w] = m
-        full = sol - Z[:, w] @ (m[local] * My)
+
+            at = dual(m)
+            for it in range(budget - steps + 1):
+                if at is None:
+                    return _unsolved(d, steps + it)
+                T, My, q, value = at
+                if it and E.size and np.min(side[rowid[E]] * (
+                        a - B @ ((m - shift)[local] * My))) < -tol_dual:
+                    break  # a held row's multiplier turned: it leaves below
+                root = np.sqrt(q)
+                ratio = root / r_w
+                if not np.isfinite(ratio).all():
+                    return _unsolved(d, steps + it)
+                free = (m > 0.0) | (ratio > 1.0)
+                if ((it or not free.any())
+                        and np.abs(ratio[free] - 1.0).max(initial=0.0) <= _NEWTON_TOL):
+                    break
+                if it == budget - steps:
+                    return _unsolved(d, steps + it)
+                Wm = np.zeros((w.size, k))
+                Wm[np.arange(w.size), local] = My
+                hess = Wm[:, free].T @ T @ Wm[:, free]  # minus the dual's Hessian
+                grad = 0.5 * (q - r2)[free]
+                step = _dense_solve(hess / (root[free] ** 3)[:, None],
+                                    1.0 / r_w[free] - 1.0 / root[free])
+                if step is None or not grad @ step > 0.0:
+                    step = _dense_solve(hess, grad)
+                    if step is None:
+                        return _unsolved(d, steps + it)
+                floor = value - 1e-13 * (1.0 + abs(value))  # the value's roundoff
+                found = search(step)
+                if found is None:
+                    # Nearly dependent rows make hess nearly singular: a
+                    # damped step, then the gradient scaled to mu's size.
+                    damped = _dense_solve(hess + 1e-4 * np.diag(np.diag(hess)), grad)
+                    found = ((damped is not None and search(damped))
+                             or search(grad * (max(1.0, m.max()) / np.abs(grad).max())))
+                if not found:
+                    return _unsolved(d, steps + it)
+                m, at = found
+            steps += max(it, 1)
+            mu[rows_w] = m
+            force = (m - shift)[local] * My
+        elif E.size:
+            steps += 1
+        full = base - Z_w @ force
         x = full[:d]
+        if E.size:
+            f_E = a - B @ force
+            signed = side[rowid[E]] * f_E
+            if signed.min() < -tol_dual:  # the ratio test
+                reach = np.maximum(side[rowid[E]] * prev[rowid[E]], 0.0)
+                tau = np.divide(reach, reach - signed, out=np.full(E.size, np.inf),
+                                where=signed < -tol_dual)
+                i = np.argmin(tau)
+                prev[rowid[E]] += tau[i] * (f_E - prev[rowid[E]])
+                side[rowid[E[i]]] = prev[rowid[E[i]]] = 0.0
+                continue
+            prev[rowid[E]] = f_E
         ratio = ratios(x)
-        outside = np.where(in_play, 0.0, ratio)
-        if outside.max() > 1.0:
-            in_play[np.argmax(outside)] = True
+        outside = np.where(in_play | held, 0.0, ratio)
+        if outside.max() > 1.0:  # the most violated row enters
+            j = np.argmax(outside)
+            in_play[j] = not linear[j]
+            side[j] = linear[j] * (1.0 if x[idx[lead[j]]] > hi[j] else -1.0)
             continue
-        # The certificate, from x, lam and mu alone.
+        # The certificate, from x, lam and the multipliers alone.
         y = x[idx[w]] - centre[w]
         grad = problem.H @ x + problem.g + np.bincount(
             idx[w], weights=m[local] * (M @ y), minlength=d)
+        if E.size:
+            grad = grad + np.bincount(idx[E], weights=f_E, minlength=d)
         eq_res = 0.0
         if problem.A_eq is not None:
             grad = grad + problem.A_eq.T @ full[d:]
             eq_res = float(np.abs(problem.A_eq @ x - problem.b_eq).max())
-        primal = max(eq_res, max(c.violation(x[c.indices]) for c in cons))
+        primal = float(np.max([eq_res] + [c.violation(x[c.indices]) for c in cons]))
         dual_res = float(np.abs(grad).max())
         gap = float(np.abs(ratio[mu > 0.0] - 1.0).max(initial=0.0))
         if primal <= tol_primal and dual_res <= tol_dual and gap <= tol_primal:
             return SolveResult(x, qp_objective(problem.H, problem.g, x),
                                Status.OPTIMAL, primal, dual_res, steps)
-        return None
-    return None
+        break
+    return _unsolved(d, steps)
 
 
 def minkowski_distance(t: np.ndarray, G: np.ndarray,
@@ -746,16 +809,19 @@ def minkowski_distance(t: np.ndarray, G: np.ndarray,
     return DistanceBracket(y, h, upper, steps)
 
 
+
+
 def solve_qp(problem: QuadraticProgram,
              tol_primal: float = 1e-8,
              tol_dual: float = 1e-8,
              max_iters: int = 50_000,
              start: np.ndarray | None = None) -> SolveResult:
-    """`equality_first` and `active_set_step`, both from one rho = 0 solve
-    (`start`, if the caller has it), then the infeasibility certificate,
-    then ADMM (see the module docstring).  Raises UnboundedProblem for a
-    problem without sets whose KKT system is singular, DimensionMismatch
-    for one that `problem.factors` were not built for.
+    """`equality_first` and `active_set_step`, both from one solve on K0
+    (`start`, if the caller has it), then the infeasibility certificate
+    (see the module docstring); a solve that none of them decides returns
+    the step's MAX_ITERS result.  Raises UnboundedProblem for a problem
+    without sets whose KKT system is singular, DimensionMismatch for one
+    that `problem.factors` were not built for.
 
     INFEASIBLE means a certificate.  Set row j is x_j = c_j + size_j L_j u_j,
     ||u_j|| <= 1, L_j L_j' = M_j^-1, so on the system of
@@ -764,9 +830,9 @@ def solve_qp(problem: QuadraticProgram,
     bound of `minkowski_distance` exceeds 1e-12 ||t||.  The `certificate`
     holds y = Z w, A_free'y = 0, from which the bound re-derives as (y'(b_eq
     - sum_j A_j c_j) - sum_j sigma_j(A_j'y)) / ||y||, sigma_j the support
-    function of set j less its centre.
+    function of set j less its centre.  A box coordinate is the ball at
+    its midpoint of its half-width: one with an infinite bound skips this.
     """
-    d = problem.dim
     cons = problem.constraints
     kkt = problem.factors
     if kkt is None:
@@ -774,85 +840,24 @@ def solve_qp(problem: QuadraticProgram,
     kkt.check(problem)
     if start is None:
         start = _equality_start(problem, kkt)
-    first = (equality_first(problem, kkt, tol_primal, tol_dual, start)
-             or active_set_step(problem, kkt, tol_primal, tol_dual, max_iters,
-                                start))
+    first = equality_first(problem, kkt, tol_primal, tol_dual, start)
     if first is not None:
         return first
-    rows, null = _set_rows(cons, kkt.bounds), kkt.equality_null
-    if rows is not None and null is not None:
-        (rowid, sizes, centre, M), (Z, ZA) = rows, null
+    step = active_set_step(problem, kkt, tol_primal, tol_dual, max_iters, start)
+    if step.status is Status.OPTIMAL:
+        return step
+    sizes, centre, M, _, _ = _row_data(cons, kkt)
+    null = kkt.equality_null
+    if null is not None and np.isfinite(sizes).all():
+        (Z, ZA), rowid = null, kkt.rows[0]
         t = Z.T @ problem.b_eq - ZA @ centre
         G = ZA @ (np.linalg.cholesky(np.linalg.inv(M)) * sizes[rowid])
         gap = minkowski_distance(t, G, rowid)
         if gap.lower > _GAP_TOL * _norm(t):
-            return SolveResult(np.full(d, np.nan), np.nan, Status.INFEASIBLE,
-                               gap.lower, np.nan, gap.steps,
+            return SolveResult(np.full(problem.dim, np.nan), np.nan,
+                               Status.INFEASIBLE, gap.lower, np.nan, gap.steps,
                                replace(gap, w=Z @ gap.w))
-    r = 0 if problem.A_eq is None else problem.A_eq.shape[0]
-
-    rho = rho_init = kkt.rho_init
-    idx = kkt.idx
-    parts = [(c.project, c.indices.shape, slice(lo, hi))
-             for c, lo, hi in zip(cons, kkt.bounds[:-1], kkt.bounds[1:])]
-    factor = kkt.factor(rho)
-    rhs = np.empty(d + r)
-    rhs_top = rhs[:d]
-    if r:
-        rhs[d:] = problem.b_eq
-
-    x = np.zeros(d)
-    z = x[idx]
-    u = np.zeros(idx.size)
-
-    alpha = _OVER_RELAXATION
-    status = Status.MAX_ITERS
-    it = 0
-    for it in range(1, max_iters + 1):
-        np.subtract(np.bincount(idx, weights=rho * (z - u), minlength=d),
-                    problem.g, out=rhs_top)
-        x = _kkt_solve(factor, rhs)[:d]
-
-        sx = x[idx]
-        h = alpha * sx + (1.0 - alpha) * z
-        v = h + u
-        z_new = np.empty_like(z)
-        for project, shape, part in parts:
-            z_new[part] = project(v[part].reshape(shape)).ravel()
-        u += h - z_new
-
-        primal = _norm(sx - z_new)
-        dual = rho * _norm(z_new - z)
-        z = z_new
-
-        if primal <= tol_primal and dual <= tol_dual:
-            status = Status.OPTIMAL
-            break
-
-        # Residual balancing.
-        if it % 25 == 0:
-            if primal > 10.0 * dual and dual > 0 and rho < 1e8 * rho_init:
-                rho *= 2.0
-                u /= 2.0
-                factor = kkt.factor(rho)
-            elif dual > 10.0 * primal and primal >= 0 and rho > 1e-8 * rho_init:
-                rho /= 2.0
-                u *= 2.0
-                factor = kkt.factor(rho)
-
-    obj = qp_objective(problem.H, problem.g, x)
-    set_violation = max(c.violation(x[c.indices]) for c in cons)
-    eq_violation = (float(np.abs(problem.A_eq @ x - problem.b_eq).max())
-                    if r else 0.0)
-    primal_res = max(set_violation, eq_violation)
-    grad = problem.H @ x + problem.g + np.bincount(idx, weights=rho * u, minlength=d)
-    if r:
-        # Recover equality multipliers by least squares on the stationarity gap.
-        grad = grad + problem.A_eq.T @ (kkt.multiplier_map @ -grad)
-    dual_res = float(np.abs(grad).max())
-    if status is Status.OPTIMAL and primal_res > 10 * tol_primal:
-        status = Status.MAX_ITERS
-    return SolveResult(x, obj, status, primal_res, dual_res, it)
+    return step
 
 
 # ---------------------------------------------------------------------------

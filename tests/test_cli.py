@@ -85,7 +85,7 @@ def test_out_of_range_settings_rejected_before_design(key, value, tmp_path,
     ("rpi_tol", 1e-6),
 ])
 def test_solver_settings_are_not_config_keys(key, value, tmp_path, capsys):
-    # The QP tolerances, the ADMM cap and the RPI series tolerance are the
+    # The QP tolerances, the Newton cap and the RPI series tolerance are the
     # solver's and rpi_outer's own defaults, not run settings: a config that
     # sets one, even to that default, is rejected before design, naming the
     # key.

@@ -389,10 +389,10 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     # Over the 100 ticks of the default run the slow layer's g and b_eq
     # stay zero: its equality-only optimum is one vector, solved when the
     # run builds the slow QP, and every tick only checks the tube ball.
-    # The rho = 0 factors are used once more, for the set columns Z of the
+    # The K0 factors are used once more, for the set columns Z of the
     # active-set step, built on the first tick that runs it and kept.  The
     # correction layer's map is one more solve, when the run builds it.  No
-    # tick makes a rho = 0 solve of its own: a free tick is a product with
+    # tick makes a K0 solve of its own: a free tick is a product with
     # a map, and the others start the exact path from that product.
     qps = []
     monkeypatch.setattr(harness, "tube_qp",
@@ -402,7 +402,7 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     (qp,) = qps
     iterations = arc.slow[:, arc.slow_cols.index("iterations")]
     assert np.sum(iterations == 0) >= 90 and np.any(iterations > 0)
-    slow = qp.factors.by_rho[0.0]
+    slow = qp.factors.lu
     assert [f is slow for f in kkt_solves] == [True, False, True]
 
 

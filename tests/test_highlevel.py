@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from hiermpc import highlevel, solver
+from hiermpc import highlevel
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
 from hiermpc.harness import RunConfig, design_pipeline, run_closed_loop
@@ -224,15 +224,15 @@ def closed(bracket, rel=1e-12):
 
 def test_solve_hl_infeasible_reports_gap():
     # The tube QP has no feasible point: the active-set step does not
-    # certify, and the certificate of `solve_qp`, not ADMM, names the
-    # status; the diagnostics bracket the gap, closed on the oracle's.
+    # certify, and the certificate of `solve_qp` names the status; the
+    # diagnostics bracket the gap, closed on the oracle's.
     tight = tight_design()
     qp = tube_qp(tight)
     tube = BallConstraint(qp.factors.layout[0], tight.tube.ball.radius,
                           center=FAR)
     assert active_set_step(QuadraticProgram(
         qp.H, qp.g, qp.A_eq, qp.b_dyn, (tube, qp.inputs, qp.terminal),
-        qp.factors), qp.factors) is None
+        qp.factors), qp.factors).status is Status.MAX_ITERS
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
         solve_hl(qp, FAR)
@@ -247,20 +247,35 @@ def test_solve_hl_infeasible_reports_gap():
 
 
 def test_solve_hl_reports_the_gap_on_every_failure(monkeypatch):
-    # A start the tube QP admits, on a solve stopped after 3 ADMM
-    # iterations: the failure names MAX_ITERS and still carries the gap's
-    # bracket, whose lower bound is within the tube radius.
+    # A start the tube QP admits, on a solve stopped after one Newton step
+    # of the active-set step: the failure names MAX_ITERS and still carries
+    # the gap's bracket, whose lower bound is within the tube radius.
     _, _, _, design = make_design(np.random.default_rng(31))
-    monkeypatch.setattr(solver, "active_set_step", lambda *args: None)
     monkeypatch.setattr(highlevel, "solve_qp",
-                        lambda problem, **kw: solve_qp(problem, max_iters=3))
+                        lambda problem, **kw: solve_qp(problem, max_iters=1))
     with pytest.raises(InfeasibleHL) as err:
         solve_hl(tube_qp(design), np.full(design.slow.n_states, 1.0))
     diagnostics = err.value.diagnostics
-    assert diagnostics["status"] == "max_iters" and diagnostics["iterations"] == 3
+    assert diagnostics["status"] == "max_iters" and diagnostics["iterations"] == 1
     lower, upper = diagnostics["tube_gap_bracket"]
     assert diagnostics["tube_gap"] == lower <= design.tube.ball.radius
     assert upper >= lower
+
+
+@pytest.mark.parametrize("tube", ["ball", "point"])
+def test_solve_hl_refuses_a_nan_state(tube, decoupled):
+    # A NaN projected state lies in no tube ball and pins nothing: the free
+    # map does not decide the tick, the exact path ends MAX_ITERS at once,
+    # and the error says so.
+    design = (make_design(np.random.default_rng(29))[3] if tube == "ball"
+              else decoupled[2].hl)
+    x_proj = np.zeros(design.slow.n_states)
+    x_proj[0] = np.nan
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleHL) as err:
+        solve_hl(tube_qp(design), x_proj)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.diagnostics["status"] == "max_iters"
 
 
 @pytest.mark.parametrize("level", [1e-14, 1e-6])
@@ -420,12 +435,12 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
                                                        kkt_certificate,
                                                        kkt_solves):
     # A far start saturates input balls: the pinned optimum is outside them,
-    # and the active-set step on the pinned QP, not ADMM, finds the optimum,
-    # with a certificate that holds.  It is the ball path's optimum.  The
-    # tick passes its own equality-only solve, the free map's product, as
-    # the step's start, with no rho = 0 solve of its own (the one it makes
-    # is the step's set columns): its plan is the step's from that start,
-    # to the bit, and the step's from a fresh rho = 0 solve to roundoff.
+    # and the active-set step on the pinned QP finds the optimum, with a
+    # certificate that holds.  It is the ball path's optimum.  The tick
+    # passes its own equality-only solve, the free map's product, as the
+    # step's start, with no K0 solve of its own (the one it makes is the
+    # step's set columns): its plan is the step's from that start, to the
+    # bit, and the step's from a fresh K0 solve to roundoff.
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
@@ -441,7 +456,7 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     tick_qp = tube_qp(bundle.hl)
     before = len(kkt_solves)
     sol = solve_hl(tick_qp, x_proj)
-    assert [f is tick_qp.pinned.by_rho[0.0]
+    assert [f is tick_qp.pinned.lu
             for f in kkt_solves[before:]] == [True]
     assert sol.iterations == step.iterations
     assert np.max(np.abs(sol.x_nominal - x_proj)) <= 1e-12
@@ -456,33 +471,30 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
 def test_point_tube_binding_input_falls_back_to_the_ball_path(
         decoupled, infeasibility_bound):
     # A start no plan can steer into the terminal set: the pinned QP is
-    # infeasible, the step does not certify, and the ball formulation, its
-    # tube a ball of radius 0, is solved as without the pinned guess: its
-    # certificate, which re-derives from its dual point alone, makes the
-    # error's status, iterations and residual, with no ADMM iteration.
-    # The gap of the diagnostics is the closed bracket around 292.2766079.
+    # infeasible, the step does not certify, and `solve_qp` on the pinned
+    # QP itself gives the certificate, which re-derives from its dual point
+    # alone and makes the error's status, iterations and residual.  The
+    # gap of the diagnostics is the closed bracket around 292.2766079.
+    # (The name is from the ball formulation this fallback once solved.)
     _, _, bundle = decoupled
     qp = tube_qp(bundle.hl)
     x_proj = 500.0 * np.ones(qp.design.slow.n_states)
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
-    assert active_set_step(pinned, qp.pinned) is None
+    assert active_set_step(pinned, qp.pinned).status is Status.MAX_ITERS
     tick_qp = tube_qp(bundle.hl)
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
         solve_hl(tick_qp, x_proj)
     assert time.perf_counter() - start < 0.1
     diagnostics = err.value.diagnostics
-    ref = ball_path(qp, x_proj)
+    ref = solve_qp(pinned)
     cert = ref.certificate
     assert diagnostics["status"] == ref.status.value == "infeasible"
     assert diagnostics["iterations"] == ref.iterations == cert.steps
     assert diagnostics["primal_residual"] == ref.primal_residual == cert.lower
-    tube = BallConstraint(np.arange(qp.design.slow.n_states), 0.0, center=x_proj)
-    problem = QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
-                               (tube, qp.inputs, qp.terminal))
-    assert abs(infeasibility_bound(problem, cert) - cert.lower) \
-        <= 1e-12 * np.linalg.norm(qp.A_eq) * np.linalg.norm(x_proj)
+    assert abs(infeasibility_bound(pinned, cert) - cert.lower) \
+        <= 1e-12 * np.linalg.norm(pinned.A_eq) * np.linalg.norm(x_proj)
     lower, upper = diagnostics["tube_gap_bracket"]
     assert diagnostics["tube_gap"] == lower > 0.0
     assert upper - lower <= 1e-12 * upper
@@ -541,13 +553,13 @@ def test_tube_qp_data_and_factors_match_the_per_step_construction(decoupled):
         assert qp.H.tobytes() == H.tobytes()
         assert qp.A_eq.tobytes() == A_eq.tobytes()
         oracle = KKTFactors(H, A_eq, qp.factors.layout)
-        for got, want in zip(qp.factors.factor(0.0), oracle.factor(0.0)):
+        for got, want in zip(qp.factors.lu, oracle.lu):
             assert got.tobytes() == want.tobytes()
         if qp.pinned is not None:
             n = design.slow.n_states
             pinned = KKTFactors(H, np.vstack([A_eq, np.eye(n, H.shape[0])]),
                                 qp.pinned.layout)
-            for got, want in zip(qp.pinned.factor(0.0), pinned.factor(0.0)):
+            for got, want in zip(qp.pinned.lu, pinned.lu):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -579,10 +591,10 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
         assert near.iterations == 0 and not near.x_nominal.any()
     x_far = np.full(n, 1.0)
     sol = solve_hl(qp, x_far)
-    # Two uses of the rho = 0 factors: the equality-only solve of
+    # Two uses of K0's factors: the equality-only solve of
     # `tube_qp`, and the set columns Z that the step builds on its first
     # run.
-    assert sum(f is qp.factors.by_rho[0.0] for f in kkt_solves) == 2
+    assert sum(f is qp.factors.lu for f in kkt_solves) == 2
     ref = solve_hl(tube_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
     for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):

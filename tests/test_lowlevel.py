@@ -18,8 +18,7 @@ from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
 from hiermpc.lti import CouplingMap, SubsystemModel, assemble
 from hiermpc.reduction import reduce_model
 from hiermpc.sets import BallSet
-from hiermpc.solver import (KKTFactors, QuadraticProgram, Status,
-                            active_set_step, equality_first, solve_qp)
+from hiermpc.solver import Status, solve_qp
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
 
@@ -205,25 +204,25 @@ def test_binding_ticks_factor_each_binding_block_once(monkeypatch):
         assert plan.iterations > 0
         assert np.max(np.linalg.norm(plan.u_steps[:, :1], axis=1)) >= 0.3 * (1 - 1e-9)
     assert shapes == [(5, 5)]
-    assert qp.blocks[1].factors.by_rho == {}
+    assert "lu" not in vars(qp.blocks[1].factors)
     free = solve_ll(qp, np.array([0.01, 0.01]), np.zeros(2))
     assert free.iterations == 0
     assert np.array_equal(plan.u_steps[:, 1], free.u_steps[:, 1])
 
 
 def test_solve_ll_names_the_iteration_limit(monkeypatch):
-    # A binding budget needs more than 3 Newton steps of the active-set
-    # step, so ADMM runs; stopped after 3 iterations the QP is not solved,
-    # and the error says so instead of calling the target unreachable.
+    # A binding budget needs more than one Newton step of the active-set
+    # step; stopped after one the QP is not solved, and the error says so
+    # instead of calling the target unreachable.
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
     monkeypatch.setattr(lowlevel, "solve_qp",
-                        lambda problem: solve_qp(problem, max_iters=3))
+                        lambda problem: solve_qp(problem, max_iters=1))
     qp, _ = stacked_qp(model, red, [0.3, 0.3], np.eye(1), np.eye(1), 4)
     with pytest.raises(InfeasibleLL) as err:
         solve_ll(qp, np.array([0.5, 0.0]), np.zeros(2))
     assert err.value.diagnostics["status"] == "max_iters"
-    assert "status max_iters after 3 iterations" in str(err.value)
+    assert "status max_iters after 1 iterations" in str(err.value)
     assert "unreachable" not in str(err.value)
 
 
@@ -344,10 +343,9 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
                                                          own_correction_qp):
     # The stacked QP is block-separable: its plan is, block by block, the
     # plan of each subsystem's own QP solved alone, whether budgets bind or
-    # not, and one subsystem's target does not move another's plan.  A
-    # block whose own QP the equality-only solve or the active-set step
-    # certifies matches it to 1e-12; one that needs ADMM alone matches to
-    # the solver's tolerance.
+    # not, and one subsystem's target does not move another's plan.  Every
+    # block's own QP is solved exactly, by the equality-only solve or the
+    # active-set step, and the block matches it to 1e-12.
     model, _, N, qp = workload_qp
     alone, reach = own_qps(workload_qp, own_correction_qp)
     zero = np.zeros(model.n_states)
@@ -355,33 +353,26 @@ def test_stacked_plan_equals_each_subsystem_solved_alone(workload_qp,
     def plan_matches_alone(target):
         plan = solve_ll(qp, target, zero)
         assert plan.u_steps.shape == (N, model.n_inputs)
-        exact = []
         for i, own in enumerate(alone):
-            own = dataclasses.replace(own, b_eq=target[i:i + 1])
-            kkt = KKTFactors(own.H, own.A_eq, [c.indices for c in own.constraints])
-            exact.append((equality_first(own, kkt)
-                          or active_set_step(own, kkt)) is not None)
-            res = solve_qp(own)
+            res = solve_qp(dataclasses.replace(own, b_eq=target[i:i + 1]))
             assert res.status is Status.OPTIMAL
             got = plan.u_steps[:, model.input_slice(i)]
-            gap = np.max(np.abs(got - res.x.reshape(got.shape)))
-            assert gap <= (1e-12 if exact[-1] else 1e-8 * qp.budgets[i].radius)
-        return plan, all(exact)
+            assert np.max(np.abs(got - res.x.reshape(got.shape))) <= 1e-12
+        return plan
 
     rng = np.random.default_rng(21)
-    runs = [plan_matches_alone(rng.uniform(-0.9, 0.9, reach.size) * reach)
-            for _ in range(8)]
-    binds = [plan.iterations > 0 for plan, exact in runs if exact]
+    binds = [plan_matches_alone(rng.uniform(-0.9, 0.9, reach.size)
+                                * reach).iterations > 0 for _ in range(8)]
     assert any(binds) and not all(binds)
 
     # Only subsystem 1's budget binds: the other blocks keep the bits of
     # the free plan.
     target = 0.02 * reach
-    free, exact = plan_matches_alone(target)
-    assert free.iterations == 0 and exact
+    free = plan_matches_alone(target)
+    assert free.iterations == 0
     target[1] = 0.8 * reach[1]
-    bound, exact = plan_matches_alone(target)
-    assert bound.iterations > 0 and exact
+    bound = plan_matches_alone(target)
+    assert bound.iterations > 0
     u1 = bound.u_steps[:, model.input_slice(1)]
     assert np.max(np.linalg.norm(u1, axis=1)) >= qp.budgets[1].radius * (1 - 1e-9)
     others = np.ones(model.n_inputs, dtype=bool)

@@ -9,13 +9,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from hiermpc import solver
 from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
                             KKTFactors, QuadraticProgram, Status,
-                            active_set_step, equality_first, solve_lp, solve_qp)
+                            active_set_step, equality_first, free_optimum,
+                            solve_lp, solve_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,56 @@ def test_qp_box_constraint():
     assert np.isclose(res.x[0], 1.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_a_ball"])
+def test_box_qps_match_slsqp(beside):
+    # Boxes with half-infinite bounds and 0-2 equality rows through a point
+    # inside every set, alone or beside a ball: each QP ends OPTIMAL within
+    # 1e-8 of its KKT conditions, most of them from the active-set step,
+    # and SLSQP agrees on the optimal value to 1e-6.
+    rng = np.random.default_rng(17)
+    stepped = 0
+    for trial in range(30):
+        d = int(rng.integers(3, 8))
+        M = rng.normal(size=(d, d))
+        H = M @ M.T + 0.5 * np.eye(d)
+        g = 4.0 * rng.normal(size=d)
+        x_feas = 0.3 * rng.normal(size=d)
+        r = int(rng.integers(0, 3))
+        A_eq = rng.normal(size=(r, d)) if r else None
+        b_eq = A_eq @ x_feas if r else None
+        k = d - 2 if beside else d
+        lower = x_feas[:k] - rng.uniform(0.05, 0.5, k)
+        upper = x_feas[:k] + rng.uniform(0.05, 0.5, k)
+        one_sided = rng.uniform(size=k)
+        lower[one_sided < 0.25] = -np.inf
+        upper[one_sided > 0.75] = np.inf
+        sets = [BoxConstraint(np.arange(k), lower, upper)]
+        if beside:
+            sets.append(BallConstraint(np.arange(k, d),
+                                       float(np.linalg.norm(x_feas[k:])) + 0.1))
+        prob = QuadraticProgram(H, g, A_eq, b_eq, sets)
+        res = solve_qp(prob)
+        assert res.status is Status.OPTIMAL, trial
+        assert res.primal_residual <= 1e-8 and res.dual_residual <= 1e-8
+        stepped += res.iterations > 0
+        ref = slsqp_objective(prob)
+        assert abs(res.objective - ref) <= 1e-6 * max(1.0, abs(ref)), trial
+    assert stepped >= 25
+
+
+def test_infeasible_box_carries_a_certificate():
+    # x in [-1, 1]^2 with x_0 + x_1 = 5: A_eq x ranges over [-2, 2], 3 short
+    # of b_eq.  The step gives up, and the certificate, which takes each
+    # box coordinate as the ball at its midpoint of its half-width,
+    # brackets that distance.
+    prob = QuadraticProgram(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                            np.array([5.0]), [BoxConstraint(np.arange(2), -1.0, 1.0)])
+    res = solve_qp(prob)
+    assert res.status is Status.INFEASIBLE
+    cert = res.certificate
+    assert abs(cert.lower - 3.0) <= 1e-12 and cert.upper - cert.lower <= 1e-12 * 3.0
+
+
 def test_qp_ellipsoid_constraint_matches_ball():
     # Ellipsoid with shape I and level rho^2 is the ball of radius rho.
     rng = np.random.default_rng(7)
@@ -264,7 +315,37 @@ def test_set_constraints_reject_a_bad_radius_or_level(size):
     with pytest.raises(DimensionMismatch):
         EllipsoidConstraint(np.arange(2), np.eye(2), size)
     box = BoxConstraint(np.arange(2), -np.inf, np.inf)
-    assert np.array_equal(box.project(np.array([-3.0, 4.0])), [-3.0, 4.0])
+    assert box.violation(np.array([[-3.0], [4.0]])) == 0.0
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: BoxConstraint(np.arange(2), [0.0, math.nan], 1.0), "BoxConstraint.lower"),
+    (lambda: BoxConstraint(np.arange(2), 0.0, [math.nan, 1.0]), "BoxConstraint.upper"),
+    (lambda: BoxConstraint(np.arange(2), math.inf, math.inf), "BoxConstraint.lower"),
+    (lambda: BoxConstraint(np.arange(2), -math.inf, -math.inf), "BoxConstraint.upper"),
+    (lambda: BoxConstraint(np.arange(2), 1.0, 0.0), "BoxConstraint.lower"),
+    (lambda: EllipsoidConstraint(np.arange(2), [[math.nan, 0.0], [0.0, 1.0]], 1.0),
+     "EllipsoidConstraint.shape"),
+])
+def test_set_constraints_refuse_data_that_means_nothing(make, field):
+    # A NaN bound, an empty box and a NaN shape are refused, naming the
+    # class and the field.
+    with pytest.raises(DimensionMismatch, match=field):
+        make()
+
+
+def test_a_ball_with_a_nan_centre_holds_no_point():
+    # The excess over the radius propagates NaN: nothing is inside, so the
+    # equality-only optimum (3, 0) is not the answer, and no step
+    # certifies one.
+    ball = BallConstraint(np.arange(2), 1.0, center=np.array([math.nan, 0.0]))
+    assert math.isnan(ball.violation(np.array([3.0, 0.0])))
+    prob = QuadraticProgram(np.eye(2), np.array([-3.0, 0.0]), constraints=[ball])
+    assert free_optimum(np.array([3.0, 0.0]), prob.H, prob.g, None, None,
+                        prob.constraints) is None
+    res = solve_qp(prob)
+    assert res.status is Status.MAX_ITERS
+    assert np.isnan(res.x).all() and math.isnan(res.objective)
 
 
 def test_qp_scaling_invariance():
@@ -358,8 +439,8 @@ def test_qp_stacked_budget_balls_match_single_balls():
 
 def ll_shaped_instance(seed):
     """Lower-layer shape (two terminal equality rows, one budget ball per
-    step) with 20 right-hand sides (g, b_eq); the budget is tight enough
-    that residual balancing moves rho."""
+    step) with 20 right-hand sides (g, b_eq); the budget binds on some of
+    them."""
     rng = np.random.default_rng(seed)
     k, s = 6, 2
     d = k * s
@@ -370,46 +451,6 @@ def ll_shaped_instance(seed):
     rhs = [(rng.normal(size=d), A_eq @ (0.4 * rng.uniform(-1.0, 1.0, size=d)))
            for _ in range(20)]
     return H, A_eq, BallConstraint(steps, 0.5), rhs
-
-
-def test_factor_cache_reuse_is_bitwise_identical(monkeypatch):
-    # The cache is ADMM's, one factorization per penalty: the active-set
-    # step, which solves these instances first, is switched off.
-    monkeypatch.setattr(solver, "active_set_step", lambda *args: None)
-    H, A_eq, ball, rhs = ll_shaped_instance(0)
-    shared = KKTFactors(H, A_eq, (ball.indices,))
-    lu_factor = scipy.linalg.lu_factor
-    calls = []
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda a: calls.append(a.shape) or lu_factor(a))
-    shared_calls = 0
-    for g, b_eq in rhs:
-        before = len(calls)
-        res_shared = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (ball,), shared))
-        shared_calls += len(calls) - before
-        res_fresh = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (ball,)))
-        assert np.array_equal(res_shared.x, res_fresh.x)
-        for name in ("status", "iterations", "objective", "primal_residual",
-                     "dual_residual"):
-            assert getattr(res_shared, name) == getattr(res_fresh, name), name
-    # Residual balancing visited several penalties; each was factored once,
-    # as was the equality-only system (rho = 0) of the first solve.
-    assert len([rho for rho in shared.by_rho if rho > 0]) >= 2
-    assert shared_calls == len(shared.by_rho)
-
-
-def test_factor_adds_the_penalty_on_the_diagonal_as_the_dense_form_does():
-    # The balls hold every coordinate once; a second constraint holds 1, 2
-    # and 5 again, so S'S has a 2 there.
-    H, A_eq, ball, _ = ll_shaped_instance(2)
-    layout = (ball.indices, np.array([1, 2, 5]))
-    kkt = KKTFactors(H, A_eq, layout)
-    S_terms = np.diag(np.bincount(np.concatenate([s.ravel() for s in layout]),
-                                  minlength=H.shape[0]).astype(float))
-    for rho in (0.0, 0.37, 5.0):
-        lu, piv = kkt.factor(rho)
-        want_lu, want_piv = solver._kkt_factor(H + rho * S_terms, A_eq)
-        assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
 
 
 def test_factor_cache_refuses_other_problem_data():
@@ -451,7 +492,7 @@ def kkt_oracle(H, g, A_eq, b_eq):
        slack=st.floats(1.0 + 1e-6, 1e3))
 def test_equality_first_when_no_budget_binds(seed, which, slack):
     # Budgets wider than every step of the equality-only optimum: no set is
-    # active, so one KKT solve is the answer, with no ADMM iteration.
+    # active, so one KKT solve is the answer, with no Newton step.
     H, A_eq, ball, rhs = ll_shaped_instance(seed)
     g, b_eq = rhs[which]
     oracle = kkt_oracle(H, g, A_eq, b_eq)
@@ -484,9 +525,10 @@ def test_equality_first_hair_outside_a_ball_takes_the_active_set_step():
 
 @pytest.mark.parametrize("case", ["ball", "ellipsoid", "ball_with_equality"])
 def test_equality_first_singular_system_falls_back_silently(case):
-    # H = 0: the rho = 0 KKT matrix is singular and its solve is not
-    # finite; ADMM, whose matrix carries rho on the constrained
-    # coordinates, solves the problem, and nothing warns on the way.
+    # H = 0: K0 is singular and its solve is not finite; the active-set
+    # step's shifted system, which carries sigma on the ball's coordinates,
+    # solves the problem with every ball row in play, and nothing warns on
+    # the way.
     if case == "ball_with_equality":
         H, g = np.zeros((3, 3)), np.array([0.0, -1.0, -1.0])
         A_eq, b_eq = np.array([[1.0, 0.0, 0.0]]), np.array([0.5])
@@ -501,7 +543,7 @@ def test_equality_first_singular_system_falls_back_silently(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solve_qp(QuadraticProgram(H, g, A_eq, b_eq, (con,), kkt))
-        lu, piv = kkt.by_rho[0.0]
+        lu, piv = kkt.lu
         assert np.any(np.diag(lu) == 0.0)
         rhs = -g if A_eq is None else np.concatenate([-g, b_eq])
         assert not np.isfinite(scipy.linalg.lu_solve((lu, piv), rhs,
@@ -524,8 +566,8 @@ def test_equality_first_factors_rho_zero_once(monkeypatch):
         for g, b_eq in rhs:
             iterations.append(solve_qp(QuadraticProgram(
                 H, g, A_eq, b_eq, (ball,), kkt)).iterations)
-        assert 0.0 in kkt.by_rho
-    # Both branches were taken, and each cache factored rho = 0 once.
+        assert "lu" in vars(kkt)
+    # Both branches were taken, and each cache factored K0 once.
     assert 0 in iterations and max(iterations) > 0
     assert sum(np.array_equal(a, K0) for a in matrices) == 2
 
@@ -549,11 +591,12 @@ def assert_same_result(res, ref):
     assert res.x.tobytes() == ref.x.tobytes()
     for name in ("status", "iterations", "objective", "primal_residual",
                  "dual_residual"):
-        assert getattr(res, name) == getattr(ref, name), name
+        got, want = getattr(res, name), getattr(ref, name)
+        assert got == want or got != got and want != want, name
 
 
 def test_equality_first_from_a_given_start_makes_no_solve(kkt_solves):
-    # The rho = 0 solve handed in as `start` is the one the exact path
+    # The K0 solve handed in as `start` is the one the exact path
     # reads: no second solve, and the result is bitwise what a fresh solve
     # gives, its x the start's read-only first part.
     H, A_eq, ball, rhs = ll_shaped_instance(3)
@@ -564,7 +607,7 @@ def test_equality_first_from_a_given_start_makes_no_solve(kkt_solves):
     start = kkt.equality_solve(np.concatenate([-g, b_eq]))
     results = [equality_first(prob, kkt, start=start),
                solve_qp(prob, start=start)]
-    assert kkt_solves == [kkt.by_rho[0.0]]
+    assert kkt_solves == [kkt.lu]
     fresh = KKTFactors(H, A_eq, (ball.indices,))
     ref = equality_first(QuadraticProgram(H, g, A_eq, b_eq, (wide,), fresh), fresh)
     assert ref.iterations == 0
@@ -589,7 +632,7 @@ def test_equality_first_one_ulp_in_b_eq_misses(kkt_solves):
         fresh = KKTFactors(H, A_eq, (ball.indices,))
         assert_same_result(res, equality_first(
             QuadraticProgram(H, g, A_eq, b_, (wide,), fresh), fresh))
-    assert sum(f is kkt.by_rho[0.0] for f in kkt_solves) == 2
+    assert sum(f is kkt.lu for f in kkt_solves) == 2
 
 
 def test_equality_first_hit_outside_a_moved_set_returns_none(kkt_solves):
@@ -613,11 +656,47 @@ def test_equality_first_hit_outside_a_moved_set_returns_none(kkt_solves):
 # The active-set step
 
 
-def admm_only(problem, monkeypatch, **kwargs):
-    """`solve_qp` with the active-set step switched off: what ADMM gives."""
-    with monkeypatch.context() as m:
-        m.setattr(solver, "active_set_step", lambda *args: None)
-        return solve_qp(problem, **kwargs)
+def slsqp_objective(problem):
+    """The optimal value of `problem` by `scipy.optimize.minimize` (SLSQP)
+    from 0, each ball row and ellipsoid as one smooth inequality, each box
+    as bounds; its point meets the constraints to 1e-9."""
+    d = problem.dim
+    bounds = [(None, None)] * d
+    cons = []
+
+    def row(i, shape, centre, level):
+        """level - (x[i] - centre)' shape (x[i] - centre) >= 0."""
+        def jac(x):
+            out = np.zeros(d)
+            out[i] = -2.0 * shape @ (x[i] - centre)
+            return out
+        cons.append({"type": "ineq", "jac": jac, "fun": lambda x: level - (
+            x[i] - centre) @ shape @ (x[i] - centre)})
+
+    for c in problem.constraints:
+        if isinstance(c, BoxConstraint):
+            for i, lo, hi in zip(c.indices.ravel(), c.lower.ravel(), c.upper.ravel()):
+                bounds[i] = (None if lo == -np.inf else lo, None if hi == np.inf else hi)
+        elif isinstance(c, EllipsoidConstraint):
+            row(c.indices, c.shape, 0.0, c.level)
+        else:
+            centre = (np.zeros(c.indices.shape) if c.center is None else c.center)
+            for i, ctr in zip(np.atleast_2d(c.indices), np.atleast_2d(centre)):
+                row(i, np.eye(i.size), ctr, c.radius ** 2)
+    if problem.A_eq is not None:
+        cons.append({"type": "eq", "fun": lambda x: problem.A_eq @ x - problem.b_eq,
+                     "jac": lambda x: problem.A_eq})
+    res = minimize(lambda x: 0.5 * x @ problem.H @ x + problem.g @ x,
+                   np.zeros(problem.dim), jac=lambda x: problem.H @ x + problem.g,
+                   bounds=bounds, constraints=cons, method="SLSQP",
+                   options={"ftol": 1e-12, "maxiter": 1000})
+    # Status 8 is a line search that cannot descend, as at an optimum
+    # known to roundoff; its point must still meet the constraints.
+    assert res.success or res.status == 8, res.message
+    for c in cons:
+        assert c["fun"](res.x) >= -1e-9 if c["type"] == "ineq" else (
+            np.max(np.abs(c["fun"](res.x))) <= 1e-9)
+    return float(res.fun)
 
 
 def random_step_qp(seed, family):
@@ -660,11 +739,11 @@ def random_step_qp(seed, family):
 
 
 @pytest.mark.parametrize("family", ["balls", "stacked", "ellipsoid"])
-def test_active_set_step_matches_admm_and_certifies(family, monkeypatch,
-                                                    kkt_certificate):
+def test_active_set_step_matches_admm_and_certifies(family, kkt_certificate):
     # On every seed whose sets bind, the step certifies its optimum, its
-    # certificate holds when re-derived from x alone, and ADMM run to 1e-10
-    # agrees; `solve_qp` returns the step's result.
+    # certificate holds when re-derived from x alone, and SLSQP agrees on
+    # the optimal value to 1e-6; `solve_qp` returns the step's result.  (The
+    # name is from the reference the step was first checked against.)
     binding = 0
     for seed in range(25):
         prob = random_step_qp(seed, family)
@@ -676,10 +755,8 @@ def test_active_set_step_matches_admm_and_certifies(family, monkeypatch,
         assert 0 < res.iterations <= 50
         assert res.primal_residual <= 1e-8 and res.dual_residual <= 1e-8
         kkt_certificate(prob, res.x, 1e-8)
-        ref = admm_only(prob, monkeypatch, tol_primal=1e-10, tol_dual=1e-10)
-        assert ref.status is Status.OPTIMAL, seed
-        assert np.max(np.abs(res.x - ref.x)) <= 1e-6, seed
-        assert abs(res.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
+        ref = slsqp_objective(prob)
+        assert abs(res.objective - ref) <= 1e-6 * max(1.0, abs(ref)), seed
         assert_same_result(solve_qp(prob), res)
     assert binding >= 20
 
@@ -718,31 +795,37 @@ def test_active_set_step_drops_a_set(kkt_certificate):
 
 
 @pytest.mark.parametrize("case", ["zero_radius", "singular", "max_iters"])
-def test_active_set_step_falls_back_to_admm(case, monkeypatch):
-    # A ball of radius 0, a singular rho = 0 system and a Newton budget too
-    # small for the step: it returns None, and `solve_qp` runs ADMM exactly
-    # as without the step.
+def test_active_set_step_falls_back_to_admm(case):
+    # The cases the step once left to another method: a ball of radius 0,
+    # whose coordinate it holds as an equality, and a singular K0, which it
+    # shifts, end OPTIMAL from the step, exactly at the optimum; `solve_qp`
+    # returns the step's result.  A Newton budget too small for the step
+    # ends MAX_ITERS after that many steps, with NaN x and objective.
     max_iters = 50_000
     if case == "zero_radius":
         prob = QuadraticProgram(np.eye(2), np.array([-1.0, -1.0]),
                                 constraints=[BallConstraint(np.array([0]), 0.0)])
+        expected = np.array([0.0, 1.0])
     elif case == "singular":
         prob = QuadraticProgram(np.zeros((2, 2)), np.array([-1.0, -1.0]),
                                 constraints=[BallConstraint(np.arange(2), 1.0)])
+        expected = np.full(2, np.sqrt(0.5))
     else:
-        prob = two_balls([3.0, 0.5], -0.9)
+        prob = random_step_qp(0, "balls")
         assert active_set_step(prob, prob.factors).iterations > 3
         max_iters = 3
     kkt = prob.factors or KKTFactors(prob.H, prob.A_eq,
                                      [c.indices for c in prob.constraints])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        assert active_set_step(prob, kkt, max_iters=max_iters) is None
+    step = active_set_step(prob, kkt, max_iters=max_iters)
     res = solve_qp(prob, max_iters=max_iters)
-    assert_same_result(res, admm_only(prob, monkeypatch, max_iters=max_iters))
+    assert_same_result(res, step)
     assert res.iterations > 0
     if case == "max_iters":
         assert res.status is Status.MAX_ITERS and res.iterations == 3
+        assert np.isnan(res.x).all() and math.isnan(res.objective)
+    else:
+        assert res.status is Status.OPTIMAL
+        assert np.max(np.abs(res.x - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +913,9 @@ def test_qp_built_around_a_feasible_point_is_never_infeasible(seed, family,
     # 0) and a ball that is one point: it never certifies.
     prob, x_feas, _ = around_a_point(seed, family, slack)
     assert np.max(np.abs(prob.A_eq @ x_feas - prob.b_eq)) == 0.0
-    with mock.patch.object(solver, "active_set_step", lambda *args: None):
-        res = solve_qp(prob, max_iters=1)
+    with mock.patch.object(solver, "active_set_step",
+                           lambda problem, *args: solver._unsolved(problem.dim, 0)):
+        res = solve_qp(prob)
     assert res.status is not Status.INFEASIBLE
     assert res.certificate is None
 
