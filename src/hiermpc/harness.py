@@ -233,16 +233,15 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 # ------------------------------------------------------------- trace layout
 
 def fast_columns(n: int, m: int) -> tuple:
-    """The fast blocks an archive stores: the states `x`, the planned and
-    applied corrections `duhat`, `du` and the plant input `u`.  The held
-    input `ubar` is stored once, in the slow columns: on the fast rows it is
-    the slow step's `ubar` repeated over the period.  The in-memory trace of
-    `run_closed_loop` appends the input margins `margin`, which are not
-    stored."""
+    """The fast blocks an archive stores: the states `x` and the planned and
+    applied corrections `duhat` and `du`.  The held input `ubar` is stored
+    once, in the slow columns: on the fast rows it is the slow step's `ubar`
+    repeated over the period.  The in-memory trace of `run_closed_loop`
+    appends the plant input `u` = ubar + du and the input margins `margin`,
+    which are not stored."""
     cols = [f"x{i}" for i in range(n)]
     cols += [f"duhat{i}" for i in range(m)]
     cols += [f"du{i}" for i in range(m)]
-    cols += [f"u{i}" for i in range(m)]
     return tuple(cols)
 
 
@@ -359,7 +358,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     ll_qp, W, D = fast_block_maps(model, bundle, N)
     W_N = W[N * n:]
 
-    f_cols = fast_columns(n, m) + tuple(f"margin{i}" for i in range(M))
+    f_cols = fast_columns(n, m) + tuple(f"u{i}" for i in range(m)) \
+        + tuple(f"margin{i}" for i in range(M))
     n_red = reduced.n_states
     s_cols = slow_columns(n_red, m, cfg.horizon)
     fast_rows = np.empty((K * N, len(f_cols)))

@@ -3,12 +3,13 @@
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
 `fast.csv` stores the fast blocks of `harness.fast_columns`: the states
-`x`, the planned corrections `duhat`, the applied corrections `du` and the
-plant input `u`.  Each value is stored once: the held input `ubar` is in
-`slow.csv` only, and `verify_archive` repeats it over the period.  The
-in-memory `TraceArchive` also holds the input margins `margin`, a function
-of `u` and the input limits, which is not stored.  The auxiliary rollout
-`xhat` and the plan rollouts `dxhat` are recorded nowhere; the
+`x`, the planned corrections `duhat` and the applied corrections `du`.
+Each value is stored once: the held input `ubar` is in `slow.csv` only, and
+`verify_archive` repeats it over the period and rebuilds the plant input
+`u` as ubar + du, the same float64 sum `run_closed_loop` computes.  The
+in-memory `TraceArchive` also holds `u` and the input margins `margin`, a
+function of `u` and the input limits, which are not stored.  The auxiliary
+rollout `xhat` and the plan rollouts `dxhat` are recorded nowhere; the
 `correction_law` and `ll_terminal` checks re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
 codec: `model.json` the subsystems and the coupling map, `certificate.json`
@@ -30,17 +31,20 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (8) and
+the config; `metadata.json` records wall clock, the archive version (9) and
 the final state, and is the only file excluded from the determinism digest.
 
 `verify_archive` compares the horizon, slow period and layer weights that
 `design.json` repeats with what `config.json` gives (`design_config`), and
 re-derives every runtime invariant from the recorded data: state
-transitions against the model, input limits, correction budgets, the
-fast correction law, each plan's terminal hit on the slow layer's prediction
-(`ll_terminal`), the slow-step disturbance bound, tube containment,
-nominal convergence, and the closed-loop norm-tail envelope, whose lifted
-closed loop `lti.lifted_closed_loop` rebuilds from the model and slow gain.
+transitions against the model under the rebuilt input, input limits,
+correction budgets, the fast correction law, each plan's terminal hit on
+the slow layer's prediction (`ll_terminal`), the slow-step disturbance
+bound, tube containment, nominal convergence, and the closed-loop norm-tail
+envelope, whose lifted closed loop `lti.lifted_closed_loop` rebuilds from
+the model and slow gain.
+Each bound check (`input_limits`, `correction_budgets`, `disturbance_bound`,
+`tube_containment`) says in its detail how much of its bound the run used.
 """
 from __future__ import annotations
 
@@ -65,8 +69,8 @@ from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 8
-FAST_SCHEMA = "hiermpc.trace.fast.v3"
+ARCHIVE_VERSION = 9
+FAST_SCHEMA = "hiermpc.trace.fast.v4"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
@@ -330,6 +334,15 @@ def _rollouts(A: np.ndarray, start: np.ndarray,
     return states
 
 
+def _used(label: str, norms: np.ndarray, bound) -> str:
+    """The detail of a bound check: the largest fraction of its bound (one
+    per column of `norms`) a norm used.  A bound of 0, as the decoupled
+    plant's rho_w and point tube, reads inf for any nonzero norm."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        used = np.max(np.where(norms > 0, norms / bound, 0.0))
+    return f"{label}: {used:.6g}"
+
+
 def verify_archive(path) -> VerifyReport:
     """Re-check every runtime invariant of a stored run from first
     principles: nothing recorded is trusted except the raw states, inputs
@@ -368,32 +381,31 @@ def verify_archive(path) -> VerifyReport:
         return VerifyReport(tuple(checks))
 
     x = column_block(arc.fast_cols, arc.fast, "x", n)
-    u = column_block(arc.fast_cols, arc.fast, "u", m)
-    # The held input is stored once, per slow step; each fast step holds it.
+    # The held input is stored once, per slow step; each fast step holds it,
+    # and the plant input is the held input plus the applied correction.
     ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
     ubar_f = np.repeat(ubar_s, N, axis=0)
     du = column_block(arc.fast_cols, arc.fast, "du", m)
     duhat = column_block(arc.fast_cols, arc.fast, "duhat", m)
+    u = ubar_f + du
     states_next = np.vstack([x[1:], arc.final_state[None, :]])
 
     # Every recorded transition must be reproduced by the model.
     residual = states_next - x @ model.A.T - u @ model.B.T
     add("transition_residual", float(np.max(np.abs(residual))), 1e-9)
 
-    # Input composition and hard limits.
-    comp = float(np.max(np.abs(u - ubar_f - du)))
-    add("input_composition", comp, 1e-12)
-    rho_u = model.input_radii()
-    worst_margin = min(
-        float(np.min(rho_u[i] - np.linalg.norm(
-            u[:, model.input_slice(i)], axis=1))) for i in range(M))
-    add("input_limits", worst_margin, -1e-9, larger_ok=True)
+    # Hard input limits.
+    def subsystem_norms(v):
+        return np.column_stack([np.linalg.norm(v[:, model.input_slice(i)],
+                                               axis=1) for i in range(M)])
+    rho_u, u_norms = model.input_radii(), subsystem_norms(u)
+    add("input_limits", float(np.min(rho_u - u_norms)), -1e-9, larger_ok=True,
+        detail=_used("max |u_i| / rho_u_i", u_norms, rho_u))
 
     # Planned corrections inside their allocated budgets.
-    budget_excess = max(
-        float(np.max(np.linalg.norm(duhat[:, model.input_slice(i)], axis=1)
-                     - bundle.radii.rho_delta_u_hat[i])) for i in range(M))
-    add("correction_budgets", budget_excess, 1e-8)
+    budgets, duhat_norms = bundle.radii.rho_delta_u_hat, subsystem_norms(duhat)
+    add("correction_budgets", float(np.max(duhat_norms - budgets)), 1e-8,
+        detail=_used("max |duhat_i| / budget_i", duhat_norms, budgets))
 
     # The fast correction law du = duhat + K_i (x - xhat - dxhat), with the
     # auxiliary rollout xhat (from each boundary state under the held input)
@@ -432,16 +444,18 @@ def verify_archive(path) -> VerifyReport:
     w_meas = proj[1:] - proj[:-1] @ slow.A.T - ubar_s @ slow.B.T
     w_rec = column_block(arc.slow_cols, arc.slow, "wbar", n_red)
     add("disturbance_record", float(np.max(np.abs(w_meas - w_rec))), 1e-9)
-    add("disturbance_bound",
-        float(np.max(np.linalg.norm(w_meas, axis=1))),
-        bundle.report.rho_w + 1e-12)
+    w_norms = np.linalg.norm(w_meas, axis=1)
+    add("disturbance_bound", float(np.max(w_norms)),
+        bundle.report.rho_w + 1e-12,
+        detail=_used("max |wbar| / rho_w", w_norms, bundle.report.rho_w))
 
     # Projection consistency and tube containment at every slow tick.
     add("projection_record", float(np.max(np.abs(proj[:-1] - xproj_rec))), 1e-12)
     xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
     tube_err = np.linalg.norm(xproj_rec - xnom, axis=1)
-    add("tube_containment", float(np.max(tube_err)),
-        bundle.hl.tube.ball.radius + 1e-7)
+    radius = bundle.hl.tube.ball.radius
+    add("tube_containment", float(np.max(tube_err)), radius + 1e-7,
+        detail=_used("max error / tube radius", tube_err, radius))
 
     # Nominal plan internally consistent: xnext = A xnom + B useq[0].
     xnext = column_block(arc.slow_cols, arc.slow, "xnext", n_red)

@@ -490,7 +490,7 @@ def test_design_dict_round_trip(bundle):
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
     n, m = model.n_states, model.n_inputs
-    widths = {"x": n, "duhat": m, "du": m, "u": m}
+    widths = {"x": n, "duhat": m, "du": m}
     loaded = load_archive(archive_dir)
     assert loaded.config == archive.config
     assert loaded.fast_cols == tuple(f"{prefix}{i}" for prefix, width
@@ -756,7 +756,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 8" in err
+    assert "archive_version 5" in err and "version 9" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -960,14 +960,38 @@ def _tamper_csv_cell(path, column, row, delta):
 
 
 def test_tampered_input_detected(archive_dir, tmp_path):
+    # The plant input is rebuilt as ubar + du, so a changed applied
+    # correction moves the input that the transitions are checked under.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
-    _tamper_csv_cell(bad / "fast.csv", "u0", 7, 1e-3)
-    report = verify_archive(bad)
-    assert not report.passed
-    failed = {c.name for c in report.checks if not c.passed}
-    assert "transition_residual" in failed
-    assert "input_composition" in failed
+    _tamper_csv_cell(bad / "fast.csv", "du0", 7, 1e-3)
+    failed = {c.name for c in verify_archive(bad).checks if not c.passed}
+    assert failed == {"transition_residual", "correction_law"}
+
+
+def test_plant_input_is_rebuilt_bit_for_bit(model, archive, archive_dir):
+    # fast.csv names no plant input `u` and no held input `ubar`; the input
+    # ubar + du rebuilt from the loaded archive is the in-memory `u`.
+    names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
+    assert not [name for name in names if name.startswith("u")]
+    m, N = model.n_inputs, archive.config.period
+    loaded = load_archive(archive_dir)
+    ubar = np.repeat(harness.column_block(loaded.slow_cols, loaded.slow,
+                                          "ubar", m), N, axis=0)
+    u = ubar + harness.column_block(loaded.fast_cols, loaded.fast, "du", m)
+    assert u.tobytes() == archive.fast_block("u", m).tobytes()
+
+
+def test_bound_checks_report_the_used_fraction(archive_dir):
+    # Each bound check's detail ends in the largest fraction of its bound
+    # the run used.  The tube binds at the start, where the slow layer puts
+    # the nominal on the tube's edge: its fraction is 1 up to rounding.
+    checks = {c.name: c for c in verify_archive(archive_dir).checks}
+    used = {name: float(checks[name].detail.rsplit(": ", 1)[1])
+            for name in ("disturbance_bound", "tube_containment",
+                         "correction_budgets", "input_limits")}
+    assert used.pop("tube_containment") == pytest.approx(1.0, abs=1e-12)
+    assert all(0.0 < fraction < 1.0 for fraction in used.values()), used
 
 
 def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
@@ -980,15 +1004,13 @@ def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
 
 
 def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
-    # fast.csv names no held input: verify repeats the slow `ubar` over the
-    # period, so one slow cell reaches every check that reads the held input.
-    names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
-    assert not [name for name in names if name.startswith("ubar")]
+    # verify repeats the slow `ubar` over the period, so one slow cell
+    # reaches every check that reads the held input.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"input_composition", "correction_law", "ll_terminal",
+    assert failed == {"transition_residual", "correction_law", "ll_terminal",
                       "disturbance_record"}
 
 

@@ -739,11 +739,10 @@ def random_step_qp(seed, family):
 
 
 @pytest.mark.parametrize("family", ["balls", "stacked", "ellipsoid"])
-def test_active_set_step_matches_admm_and_certifies(family, kkt_certificate):
+def test_active_set_step_matches_slsqp_and_certifies(family, kkt_certificate):
     # On every seed whose sets bind, the step certifies its optimum, its
     # certificate holds when re-derived from x alone, and SLSQP agrees on
-    # the optimal value to 1e-6; `solve_qp` returns the step's result.  (The
-    # name is from the reference the step was first checked against.)
+    # the optimal value to 1e-6; `solve_qp` returns the step's result.
     binding = 0
     for seed in range(25):
         prob = random_step_qp(seed, family)
@@ -795,7 +794,7 @@ def test_active_set_step_drops_a_set(kkt_certificate):
 
 
 @pytest.mark.parametrize("case", ["zero_radius", "singular", "max_iters"])
-def test_active_set_step_falls_back_to_admm(case):
+def test_active_set_step_ends_optimal_or_max_iters(case):
     # The cases the step once left to another method: a ball of radius 0,
     # whose coordinate it holds as an equality, and a singular K0, which it
     # shifts, end OPTIMAL from the step, exactly at the optimum; `solve_qp`
