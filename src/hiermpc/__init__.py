@@ -3,8 +3,9 @@
 Layers:
     lti        interconnected discrete-time models
     reduction  modal order reduction with DC-gain matching
-    sets       ball/ellipsoid calculus, RPI and terminal sets
-    solver     in-house QP (exact active-set step, certificate) / simplex LP
+    sets       one ball and one ellipsoid class, RPI and terminal sets
+    solver     in-house QP on those sets (exact active-set step,
+               certificate) / simplex LP
     highlevel  slow-rate reduced-order tube controller
     lowlevel   fast-rate decentralized correction controllers
     analysis   small-gain constants, radius tuning, certificates

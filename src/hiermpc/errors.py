@@ -21,10 +21,6 @@ class NotContractive(HierMPCError):
     pass
 
 
-class EmptyResult(HierMPCError):
-    """A set with a negative radius or level, which would be empty."""
-
-
 class ComplexDominantMode(HierMPCError):
     pass
 

@@ -90,7 +90,10 @@ class RunConfig:
         if not orders or any(o < 1 for o in orders):
             raise ConfigInvalid(f"retained_orders must be positive, got {orders}")
         object.__setattr__(self, "retained_orders", orders)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        x0 = tuple(float(v) for v in self.x0)
+        if not all(map(math.isfinite, x0)):
+            raise ConfigInvalid(f"RunConfig.x0 must be finite, got {x0}")
+        object.__setattr__(self, "x0", x0)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

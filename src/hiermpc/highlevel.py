@@ -16,7 +16,7 @@ that admit a plan (`feasibility_gap`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   reachability_matrix)
 from .reduction import ReducedModel
 from .sets import BallSet, EllipsoidSet, RPIApproximation
-from .solver import (BallConstraint, DistanceBracket, EllipsoidConstraint,
-                     KKTFactors, QuadraticProgram, Status, active_set_step,
+from .solver import (DistanceBracket, KKTFactors, QuadraticProgram, Status,
                      free_optimum, minkowski_distance, qp_objective, solve_qp)
 
 
@@ -135,7 +134,7 @@ class HLDesign:
     weights and the horizon.  The terminal cost is the terminal set's
     `shape`, and the tube dynamics are `slow.closed_loop(gain.K)`; neither
     is a field of its own.  The gain and the terminal shape must fit the
-    slow model's state and input counts.
+    slow model's state and input counts, and the balls lie at the origin.
     """
 
     slow: SlowModel
@@ -156,6 +155,9 @@ class HLDesign:
                 raise DimensionMismatch(
                     f"HLDesign.{name} has shape {shape}; the slow model with "
                     f"{n} states and {m} inputs needs {expected}")
+        if self.tube.ball.center is not None or self.input_tight.center is not None:
+            raise DimensionMismatch("HLDesign.tube.ball and HLDesign.input_tight "
+                                    "must be centred at the origin")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class TubeQP:
 
     Decision vector: nominal states x_0..x_N, then inputs u_0..u_{N-1}.  Per
     tick only the centre of the tube ball around x_0 changes; cost, dynamics
-    equalities, the stacked input balls, the terminal ellipsoid and the KKT
+    equalities, the design's sets placed on the decision vector and the KKT
     factors of the slow solve are built once by `tube_qp`.  `pinned` is set
     only for a tube of radius 0: the factors of the same QP with the tube
     ball written as the equality rows x_0 = x_proj, stacked under the
@@ -197,8 +199,9 @@ class TubeQP:
     design: HLDesign
     H: np.ndarray
     A_eq: np.ndarray
-    inputs: BallConstraint        # one ball per step, stacked (N, m)
-    terminal: EllipsoidConstraint
+    tube: BallSet                 # at x_0, centred at the origin
+    inputs: BallSet               # one ball per step, stacked (N, m)
+    terminal: EllipsoidSet        # at x_N
     factors: KKTFactors           # for the layout (tube, inputs, terminal)
     pinned: KKTFactors | None    # point tube only: layout (inputs, terminal)
     g: np.ndarray                 # the zero linear cost, read-only
@@ -231,15 +234,15 @@ def tube_qp(design: HLDesign) -> TubeQP:
     H[x_end, x_end] = design.terminal.shape
     H = 2.0 * H + 1e-10 * np.eye(d)
 
-    inputs = BallConstraint(np.arange(n * (N + 1), d).reshape(N, m),
-                            design.input_tight.radius)
-    terminal = EllipsoidConstraint(x_idx(N), design.terminal.shape,
-                                   design.terminal.level)
-    factors = KKTFactors(H, A_eq, (x_idx(0), inputs.indices, terminal.indices))
+    tube = replace(design.tube.ball, indices=x_idx(0))
+    inputs = replace(design.input_tight,
+                     indices=np.arange(n * (N + 1), d).reshape(N, m))
+    terminal = replace(design.terminal, indices=x_idx(N))
+    factors = KKTFactors(H, A_eq, (tube.indices, inputs.indices, terminal.indices))
     g, b_dyn = np.zeros(d), np.zeros(n * N)
     g.flags.writeable = b_dyn.flags.writeable = False
     pinned = None
-    if design.tube.ball.radius == 0.0:
+    if tube.radius == 0.0:
         pin = np.zeros((n, d))
         pin[:, :n] = np.eye(n)
         pinned = KKTFactors(H, np.vstack([A_eq, pin]),
@@ -252,8 +255,8 @@ def tube_qp(design: HLDesign) -> TubeQP:
         residuals = free_optimum(free, H, g, A_eq, b_dyn, (inputs, terminal))
         fixed = (None if residuals is None
                  else (*residuals, qp_objective(H, g, free[:d])))
-    return TubeQP(design, H, A_eq, inputs, terminal, factors, pinned, g, b_dyn,
-                  free, fixed)
+    return TubeQP(design, H, A_eq, tube, inputs, terminal, factors, pinned, g,
+                  b_dyn, free, fixed)
 
 
 def horizon_inverse(slow: SlowModel, horizon: int) -> np.ndarray:
@@ -304,9 +307,9 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     tube ball around x_proj is checked per tick (`qp.fixed` holds the
     rest).  Any other tick passes the same solve as the start of the exact
     path, with no second solve: `solve_qp` on the ball formulation, or on a
-    point tube the active-set step on the pinned QP (whose optimum is that
-    of the tube QP, whose tube is that same point), and when it does not
-    certify, `solve_qp` on the pinned QP with no step, for its certificate.
+    point tube on the pinned QP (whose optimum is that of the tube QP, whose
+    tube is that same point).  Its equality-first try declines as the free
+    rule did, so the active-set step decides the tick, or the certificate.
 
     `iterations` of the solution is 0 when the equality-only optimum
     decided the tick, and the active-set step's Newton steps otherwise.
@@ -316,17 +319,17 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     `tube_gap_bracket` (lower, upper), `tube_gap` (the lower bound),
     `tube_gap_dual` (the dual point) and `tube_radius`.
     """
-    design = qp.design
     x_proj = np.asarray(x_proj, dtype=float)
     d = qp.H.shape[0]
     if qp.pinned is None:
-        tube = BallConstraint(qp.factors.layout[0], design.tube.ball.radius,
-                              center=x_proj)
+        # The tube ball around x_proj holds x_0 exactly when the ball at the
+        # origin holds x_0 - x_proj, the difference its violation takes.
         if (qp.fixed is not None
-                and tube.violation(qp.free[tube.indices]) == 0.0):
+                and qp.tube.violation(qp.free[qp.tube.indices] - x_proj) == 0.0):
             eq_res, dual_res, objective = qp.fixed
             return _solution(qp, x_proj, qp.free[:d], objective, 0, eq_res,
                              dual_res)
+        tube = replace(qp.tube, center=x_proj)
         res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
                                         (tube, qp.inputs, qp.terminal),
                                         qp.factors), start=qp.free)
@@ -338,12 +341,8 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
             x = sol[:d]
             return _solution(qp, x_proj, x, qp_objective(qp.H, qp.g, x), 0,
                              *residuals)
-        pinned = QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
-                                  qp.pinned)
-        res = active_set_step(pinned, qp.pinned, start=sol)
-        if res.status is not Status.OPTIMAL:
-            cert = solve_qp(pinned, max_iters=0, start=sol)
-            res = cert if cert.status is Status.INFEASIBLE else res
+        res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
+                                        qp.pinned), start=sol)
     if res.status is not Status.OPTIMAL:
         gap = feasibility_gap(qp, x_proj)
         diagnostics = {"status": res.status.value, "iterations": res.iterations,
@@ -351,7 +350,7 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
                        "dual_residual": res.dual_residual, "tube_gap": gap.lower,
                        "tube_gap_bracket": [gap.lower, gap.upper],
                        "tube_gap_dual": gap.w.tolist(),
-                       "tube_radius": design.tube.ball.radius}
+                       "tube_radius": qp.tube.radius}
         raise InfeasibleHL(
             f"slow-layer problem not solved ({res.status.value}); "
             f"diagnostics: {diagnostics}", diagnostics)

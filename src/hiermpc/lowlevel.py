@@ -48,8 +48,9 @@ from .errors import DesignFailed, DimensionMismatch, InfeasibleLL
 from .gains import DETUNING_ROUNDS, dlqr
 from .lti import InterconnectedModel, impulse_response, matrix_powers
 from .reduction import ReducedModel
-from .solver import (BallConstraint, KKTFactors, QuadraticProgram, SolveResult,
-                     Status, free_optimum, solve_qp)
+from .sets import BallSet
+from .solver import (KKTFactors, QuadraticProgram, SolveResult, Status,
+                     free_optimum, solve_qp)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class CorrectionQP:
     H: np.ndarray
     g: np.ndarray              # the zero linear cost, read-only
     A_eq: np.ndarray           # beta_i times subsystem i's reachability row
-    budgets: tuple[BallConstraint, ...]  # subsystem i's balls, (period, m_i)
+    budgets: tuple[BallSet, ...]  # subsystem i's balls, (period, m_i)
     radii: np.ndarray          # subsystem i's budget, (M,)
     width: int                 # inputs per subsystem; 0 if they differ
     target_rows: tuple[slice, ...]       # subsystem i's rows of A_eq
@@ -261,10 +262,9 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
         rows = reduced.block_slice(i)
         A_i = reduced.beta_block(i, model) @ reach
         A_eq[rows, at] = A_i
-        balls.append(BallConstraint(cols, float(budgets[i])))
+        balls.append(BallSet(cols, float(budgets[i])))
         target_rows.append(rows)
-        own = BallConstraint(np.arange(at.size).reshape(cols.shape),
-                             float(budgets[i]))
+        own = BallSet(np.arange(at.size).reshape(cols.shape), float(budgets[i]))
         blocks.append(QuadraticProgram(
             H_i, np.zeros(at.size), A_i, np.zeros(A_i.shape[0]), (own,),
             KKTFactors(H_i, A_i, [own.indices])))

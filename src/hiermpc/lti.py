@@ -44,9 +44,10 @@ class SubsystemModel:
         B = _as_matrix(self.B, rows=n, name="B")
         E = _as_matrix(self.E, rows=n, name="E")
         C_z = _as_matrix(self.C_z, cols=n, name="C_z")
-        if self.input_set.dim != B.shape[1]:
-            raise DimensionMismatch(
-                f"input set dimension {self.input_set.dim} != input count {B.shape[1]}")
+        m = self.input_set.indices.size
+        if m != B.shape[1] or self.input_set.center is not None:
+            raise DimensionMismatch(f"SubsystemModel.input_set must be a ball at the "
+                                    f"origin of dimension {B.shape[1]}, got {m}")
         for attr, value in (("A", A), ("B", B), ("E", E), ("C_z", C_z)):
             object.__setattr__(self, attr, value)
 

@@ -1,11 +1,12 @@
 """One JSON codec for the package's frozen dataclasses.
 
 `to_json` writes a dataclass as its constructor (`init`) fields: arrays and
-tuples become lists, nested dataclasses become objects.  `from_json` reads
-the same data back by calling the constructor, converting each value by the
-field's type annotation, so every `__post_init__` check also runs on input
-read from disk.  A value is converted only when nothing is lost (a list to a
-tuple or a float array, a JSON integer to a float); an unknown key, a
+tuples become lists (of integers for an integer array, a set's indices),
+nested dataclasses become objects.  `from_json` reads the same data back by
+calling the constructor, converting each value by the field's type
+annotation, so every `__post_init__` check also runs on input read from
+disk.  A value is converted only when nothing is lost (a list to a tuple or
+a float array, a JSON integer to a float); an unknown key, a
 missing key without a default, a value of the wrong type or a number that
 is not finite raises ConfigInvalid naming the class and the key.  A float
 array must be finite as it is decoded, before a constructor can factor it;
@@ -39,7 +40,8 @@ def to_json(obj):
     if is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.init}
     if isinstance(obj, np.ndarray):
-        return np.asarray(obj, dtype=float).tolist()
+        return (obj if obj.dtype.kind in "iu"
+                else np.asarray(obj, dtype=float)).tolist()
     if isinstance(obj, (tuple, list)):
         return [to_json(v) for v in obj]
     if isinstance(obj, dict):

@@ -1,54 +1,163 @@
 """Norm-ball and ellipsoidal set calculus.
 
-All robust-invariance bookkeeping in this package runs on two set families:
-Euclidean balls (disturbance sets, input sets, tube cross-sections) and
-origin-centered ellipsoids (terminal sets).  The two constructions here, the
-outer robust positively invariant ball and the input-admissible terminal
-ellipsoid, return certified approximations, never unsound ones.
+All robust-invariance bookkeeping in this package runs on two set families,
+one class each, shared by the design and the QPs of `solver`: Euclidean balls
+(`BallSet`: disturbance, input and tube sets, correction budgets) and
+origin-centred ellipsoids (`EllipsoidSet`: terminal sets).  A set lives on
+the coordinates `indices` of a vector (an integer n is 0..n-1), and a QP
+places a design set with `dataclasses.replace`.  Each family checks its
+data in one place, raising DimensionMismatch that names class and field.
+`EllipsoidSet.violation` is the distance to the exact projection, y = (I +
+mu P)^{-1} v with 1/sqrt(y'Py) = 1/sqrt(level) (More and Sorensen, SIAM J.
+Sci. Stat. Comput. 4(3), 1983), by Newton in P's eigenbasis from mu = 0, to
+1e-12 relative at any level.  The outer robust positively invariant ball
+and the input-admissible terminal ellipsoid built here are certified
+approximations, never unsound ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyResult, NotContractive
+from .errors import DimensionMismatch, NotContractive
+
+# The ellipsoid projection's Newton stop: the relative error of sqrt(y'Py)
+# against sqrt(level); also `solver.active_set_step`'s, on every ball row.
+_NEWTON_TOL = 1e-12
+
+
+def _indices(value, owner: str) -> np.ndarray:
+    """`value` as an array of whole numbers >= 0, at least one; an integer n
+    is 0..n-1.  An integer array is taken as it is, without the check for
+    whole numbers."""
+    idx = (np.arange(value) if isinstance(value, (int, np.integer))
+           else np.asarray(value))
+    if idx.dtype.kind not in "iu":
+        whole = (idx.dtype.kind == "f" and np.isfinite(idx).all()
+                 and (idx == np.floor(idx)).all())
+        idx = idx.astype(int) if whole else None
+    if idx is None or not idx.size or idx.min() < 0:
+        raise DimensionMismatch(f"{owner}.indices must be whole numbers >= 0, "
+                                f"at least one, got {value!r}")
+    return idx
+
+
+def _check_size(value: float, where: str) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise DimensionMismatch(f"{where} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
 class BallSet:
-    """Euclidean ball of given radius centered at the origin."""
+    """||x[indices] - center|| <= radius, the radius finite and >= 0.
 
-    dim: int
+    `indices` of shape (s,) is one ball; of shape (k, s) it is k balls of the
+    same radius, one per row, with `center` None (the origin) or of the same
+    shape.  `project` and `violation` take values shaped like `indices`.
+    """
+
+    indices: np.ndarray
     radius: float
+    center: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch(f"ball dimension must be positive, got {self.dim}")
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise EmptyResult(f"ball radius must be finite and >= 0, got {self.radius}")
+        idx = _indices(self.indices, "BallSet")
+        if idx.ndim not in (1, 2):
+            raise DimensionMismatch("BallSet.indices must have shape (s,) or (k, s)")
+        object.__setattr__(self, "indices", idx)
+        if self.center is not None:
+            c = np.asarray(self.center, dtype=float)
+            if c.shape != idx.shape:
+                raise DimensionMismatch("BallSet.center shape must match the indices")
+            object.__setattr__(self, "center", c)
+        _check_size(self.radius, "BallSet.radius")
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        d = v if self.center is None else v - self.center
+        sq = np.add.reduce(d * d, axis=-1, keepdims=True)
+        # The root of the largest squared norm is the largest row norm (a
+        # NaN row, never outside, is passed over as the comparison would).
+        largest = math.sqrt(float(np.fmax.reduce(sq, axis=None)))
+        if not largest > self.radius:
+            return v
+        c = self.center if self.center is not None else 0.0
+        if v.ndim == 1:
+            return c + d * (self.radius / largest)
+        norm = np.sqrt(sq)
+        # Rows outside have norm > radius >= 0; the others, whose scale is
+        # not used, get radius / radius, or 0 on a ball of radius 0.
+        scale = (self.radius / np.maximum(norm, self.radius) if self.radius
+                 else 0.0)
+        return np.where(norm > self.radius, c + d * scale, v)
+
+    def violation(self, v: np.ndarray) -> float:
+        """Largest distance of a row to its ball (the root of the largest
+        squared distance to the centre: the largest root, bit for bit); NaN
+        when a row or its centre is NaN."""
+        d = v if self.center is None else v - self.center
+        excess = math.sqrt(float(np.add.reduce(d * d, axis=-1).max())) - self.radius
+        return 0.0 if excess <= 0.0 else excess
 
 
 @dataclass(frozen=True)
 class EllipsoidSet:
-    """Set {x : x' shape x <= level} with shape symmetric positive definite;
-    level 0 is the origin alone."""
+    """x[indices]' shape x[indices] <= level, the level finite and >= 0 (0
+    is the origin alone) and the shape symmetric to 1e-10 relative and
+    positive definite in its symmetric part, which x'Px reads."""
 
+    indices: np.ndarray
     shape: np.ndarray
     level: float
+    _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = np.asarray(self.shape, dtype=float)
-        if shape.ndim != 2 or shape.shape[0] != shape.shape[1]:
-            raise DimensionMismatch("ellipsoid shape matrix must be square")
-        if not np.allclose(shape, shape.T, atol=1e-10):
-            raise DimensionMismatch("ellipsoid shape matrix must be symmetric")
-        eigvals = np.linalg.eigvalsh(shape)
-        if eigvals[0] <= 0:
-            raise DimensionMismatch("ellipsoid shape matrix must be positive definite")
-        if not np.isfinite(self.level) or self.level < 0:
-            raise EmptyResult(f"ellipsoid level must be finite and >= 0, got {self.level}")
-        object.__setattr__(self, "shape", shape)
+        idx = _indices(self.indices, "EllipsoidSet")
+        P = np.atleast_2d(np.asarray(self.shape, dtype=float))
+        if idx.ndim != 1 or P.shape != (idx.size, idx.size):
+            raise DimensionMismatch(
+                f"EllipsoidSet.shape has shape {P.shape}; indices of shape "
+                f"{idx.shape} need a square matrix of their size")
+        if not np.abs(P - P.T).max() <= 1e-10 * np.abs(P).max():
+            raise DimensionMismatch("EllipsoidSet.shape must be finite and symmetric")
+        lam, V = np.linalg.eigh(0.5 * (P + P.T))
+        if not lam[0] > 0:
+            raise DimensionMismatch("EllipsoidSet.shape must be positive definite")
+        _check_size(self.level, "EllipsoidSet.level")
+        for name, value in (("indices", idx), ("shape", P), ("_eigvals", lam),
+                            ("_eigvecs", V)):
+            object.__setattr__(self, name, value)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        if float(v @ self.shape @ v) <= self.level:
+            return v
+        if self.level == 0.0:
+            return np.zeros(self.indices.size)
+        # Newton on psi(mu) = 1/sqrt(y'Py) - 1/sqrt(level) with
+        # y = (I + mu P)^{-1} v, in the eigenbasis of P: psi is concave and
+        # increasing, so the steps from mu = 0 rise monotonically to its root.
+        lam, V = self._eigvals, self._eigvecs
+        w = V.T @ v
+        root = math.sqrt(self.level)
+        mu = 0.0
+        for _ in range(100):  # a bound for a NaN v, which never meets the stop
+            denom = 1.0 + mu * lam
+            y = w / denom
+            ly2 = lam * y * y
+            q = float(np.sum(ly2))
+            ratio = math.sqrt(q) / root
+            if ratio <= 1.0 + _NEWTON_TOL:
+                break
+            mu += q * (ratio - 1.0) / float(np.sum(lam * ly2 / denom))  # -psi/psi'
+        return V @ y
+
+    def violation(self, v: np.ndarray) -> float:
+        if float(v @ self.shape @ v) <= self.level:
+            return 0.0
+        # Report in distance units, consistent with the other families.
+        return float(np.linalg.norm(v - self.project(v)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +196,7 @@ def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6) -> RPIApproximation:
     lands below that exact one-step fixed point.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    if F.shape[0] != F.shape[1] or F.shape[0] != w.dim:
+    if F.shape[0] != F.shape[1] or F.shape[0] != w.indices.size:
         raise DimensionMismatch("F must be square and match the disturbance dimension")
     rho_spectral = float(np.max(np.abs(np.linalg.eigvals(F))))
     if rho_spectral >= 1.0:
@@ -122,7 +231,7 @@ def rpi_outer(F: np.ndarray, w: BallSet, tol: float = 1e-6) -> RPIApproximation:
     if gap < 0:
         raise NotContractive(
             f"invariance certificate violated by {-gap:.3e}; construction unsound")
-    return RPIApproximation(BallSet(w.dim, radius), s, q, gap)
+    return RPIApproximation(BallSet(w.indices, radius), s, q, gap)
 
 
 def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray,
@@ -138,7 +247,7 @@ def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray,
     n = P.shape[0]
     if F.shape != (n, n) or K.shape[1] != n:
         raise DimensionMismatch("F, P, K dimensions inconsistent")
-    if K.shape[0] != u_budget.dim:
+    if K.shape[0] != u_budget.indices.size:
         raise DimensionMismatch("gain output dimension must match the input budget")
     rho_F = float(np.max(np.abs(np.linalg.eigvals(F))))
     if rho_F >= 1.0:
@@ -147,16 +256,16 @@ def terminal_set(F: np.ndarray, P: np.ndarray, K: np.ndarray,
     gram = K.T @ K
     if float(np.linalg.norm(gram, 2)) <= 1e-14:
         # Zero gain: any level is input-admissible, cap it.
-        return EllipsoidSet(P, _TERMINAL_LEVEL_CAP)
+        return EllipsoidSet(n, P, _TERMINAL_LEVEL_CAP)
     if u_budget.radius == 0.0:
         import warnings
 
         warnings.warn("zero input budget: terminal set degenerates to the origin")
-        return EllipsoidSet(P, 0.0)
+        return EllipsoidSet(n, P, 0.0)
     # max ||Kx||^2 over x'Px <= 1 equals the largest generalized eigenvalue
     # of (K'K, P); scale so the max input norm hits the budget exactly.
     from scipy.linalg import eigh
 
     lam_max = float(eigh(gram, P, eigvals_only=True)[-1])
     alpha = min(u_budget.radius ** 2 / lam_max, _TERMINAL_LEVEL_CAP)
-    return EllipsoidSet(P, alpha)
+    return EllipsoidSet(n, P, alpha)

@@ -27,10 +27,8 @@ A solve that none of them decides ends MAX_ITERS at once, with NaN x.  A
 problem without sets whose equality-only solve is not finite raises
 UnboundedProblem.  An OPTIMAL result meets A_eq x = b_eq to linear-solver
 accuracy and the sets to tol_primal, and every result is a deterministic
-function of the problem.  `EllipsoidConstraint.violation` is the distance
-to the exact projection, y = (I + mu P)^{-1} v with 1/sqrt(y'Py) =
-1/sqrt(level) (More and Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983),
-by Newton in P's eigenbasis from mu = 0, to 1e-12 relative at any level.
+function of the problem.  The ball and ellipsoid sets are the design's
+classes of `sets`; `BoxConstraint` is the QPs' own.
 
 The LP path is a two-phase tableau simplex with Bland's rule whose run
 continues past the optimum to the lexicographically smallest optimizer:
@@ -51,10 +49,9 @@ import scipy.linalg
 from scipy.linalg.lapack import dgesv, dgetrs
 
 from .errors import DimensionMismatch, UnboundedProblem
+from .sets import (_NEWTON_TOL, BallSet as BallConstraint,
+                   EllipsoidSet as EllipsoidConstraint)
 
-# The ellipsoid projection's Newton stop: the relative error of sqrt(y'Py)
-# against sqrt(level); also the active-set step's, on every ball row.
-_NEWTON_TOL = 1e-12
 # The active-set step's bounds: Newton steps in all (this many plus two per
 # row) and step halvings in one line search.
 _STEP_NEWTON = 50
@@ -75,60 +72,6 @@ class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     MAX_ITERS = "max_iters"
-
-
-@dataclass(frozen=True)
-class BallConstraint:
-    """||x[indices] - center|| <= radius.
-
-    `indices` of shape (s,) is one ball; of shape (k, s) it is k balls of the
-    same radius, one per row, with `center` None or of the same shape.
-    `project` and `violation` take values shaped like `indices`.
-    """
-
-    indices: np.ndarray
-    radius: float
-    center: np.ndarray | None = None
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        if idx.ndim not in (1, 2):
-            raise DimensionMismatch("ball indices must have shape (s,) or (k, s)")
-        object.__setattr__(self, "indices", idx)
-        if self.center is not None:
-            c = np.asarray(self.center, dtype=float)
-            if c.shape != idx.shape:
-                raise DimensionMismatch("ball center shape must match the indices")
-            object.__setattr__(self, "center", c)
-        if not math.isfinite(self.radius) or self.radius < 0:
-            raise DimensionMismatch(
-                f"ball radius must be finite and >= 0, got {self.radius}")
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        d = v if self.center is None else v - self.center
-        sq = np.add.reduce(d * d, axis=-1, keepdims=True)
-        # The root of the largest squared norm is the largest row norm (a
-        # NaN row, never outside, is passed over as the comparison would).
-        largest = math.sqrt(float(np.fmax.reduce(sq, axis=None)))
-        if not largest > self.radius:
-            return v
-        c = self.center if self.center is not None else 0.0
-        if v.ndim == 1:
-            return c + d * (self.radius / largest)
-        norm = np.sqrt(sq)
-        # Rows outside have norm > radius >= 0; the others, whose scale is
-        # not used, get radius / radius, or 0 on a ball of radius 0.
-        scale = (self.radius / np.maximum(norm, self.radius) if self.radius
-                 else 0.0)
-        return np.where(norm > self.radius, c + d * scale, v)
-
-    def violation(self, v: np.ndarray) -> float:
-        """Largest distance of a row to its ball (the root of the largest
-        squared distance to the centre: the largest root, bit for bit); NaN
-        when a row or its centre is NaN."""
-        d = v if self.center is None else v - self.center
-        excess = math.sqrt(float(np.add.reduce(d * d, axis=-1).max())) - self.radius
-        return 0.0 if excess <= 0.0 else excess
 
 
 @dataclass(frozen=True)
@@ -155,62 +98,6 @@ class BoxConstraint:
 
     def violation(self, v: np.ndarray) -> float:
         return float(np.max(np.maximum(self.lower - v, v - self.upper), initial=0.0))
-
-
-@dataclass(frozen=True)
-class EllipsoidConstraint:
-    """x[indices]' shape x[indices] <= level."""
-
-    indices: np.ndarray
-    shape: np.ndarray
-    level: float
-    _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
-    _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        P = np.atleast_2d(np.asarray(self.shape, dtype=float))
-        if P.shape != (idx.size, idx.size):
-            raise DimensionMismatch("ellipsoid shape must match index count")
-        if not math.isfinite(self.level) or self.level < 0:
-            raise DimensionMismatch(
-                f"ellipsoid level must be finite and >= 0, got {self.level}")
-        lam, V = np.linalg.eigh(0.5 * (P + P.T))
-        if not lam[0] > 0:  # also refuses a NaN shape
-            raise DimensionMismatch("EllipsoidConstraint.shape must be positive definite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "shape", P)
-        object.__setattr__(self, "_eigvals", lam)
-        object.__setattr__(self, "_eigvecs", V)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if float(v @ self.shape @ v) <= self.level:
-            return v
-        if self.level == 0.0:
-            return np.zeros(self.indices.size)
-        # Newton on psi(mu) = 1/sqrt(y'Py) - 1/sqrt(level) with
-        # y = (I + mu P)^{-1} v, in the eigenbasis of P: psi is concave and
-        # increasing, so the steps from mu = 0 rise monotonically to its root.
-        lam, V = self._eigvals, self._eigvecs
-        w = V.T @ v
-        root = math.sqrt(self.level)
-        mu = 0.0
-        for _ in range(100):  # a bound for a NaN v, which never meets the stop
-            denom = 1.0 + mu * lam
-            y = w / denom
-            ly2 = lam * y * y
-            q = float(np.sum(ly2))
-            ratio = math.sqrt(q) / root
-            if ratio <= 1.0 + _NEWTON_TOL:
-                break
-            mu += q * (ratio - 1.0) / float(np.sum(lam * ly2 / denom))  # -psi/psi'
-        return V @ y
-
-    def violation(self, v: np.ndarray) -> float:
-        if float(v @ self.shape @ v) <= self.level:
-            return 0.0
-        # Report in distance units, consistent with the other families.
-        return float(np.linalg.norm(v - self.project(v)))
 
 
 def _float_array(a, ndim: int) -> np.ndarray:

@@ -16,8 +16,9 @@ codec: `model.json` the subsystems and the coupling map, `certificate.json`
 the certificate report, and `design.json` the rest of the design bundle: the
 reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
 set, tightened inputs, weights, horizon) and the fast gain blocks with their
-weights and the spectral radius of the coupled fast closed loop.  Each
-design quantity is stored once.  What can be built from the stored ones is
+weights and the spectral radius of the coupled fast closed loop.  A set is
+written by its indices, with its radius and centre or its shape and level.
+Each design quantity is stored once.  What can be built from the stored ones is
 built by the constructors on load, never read: the collective A and B, the
 reduction's block offsets (from its retained orders) and the block-diagonal
 fast gain.  The terminal cost is the terminal set's shape, and the closed
@@ -31,7 +32,7 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (9) and
+the config; `metadata.json` records wall clock, the archive version (10) and
 the final state, and is the only file excluded from the determinism digest.
 
 `verify_archive` compares the horizon, slow period and layer weights that
@@ -69,7 +70,7 @@ from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 9
+ARCHIVE_VERSION = 10
 FAST_SCHEMA = "hiermpc.trace.fast.v4"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",

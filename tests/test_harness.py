@@ -89,6 +89,14 @@ def test_config_rejects_non_finite_budget_weights(name, value):
         RunConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_a_non_finite_start(value):
+    # A NaN start would pass the design and end the run as a slow-layer
+    # solve that names no cause.
+    with pytest.raises(ConfigInvalid, match="x0"):
+        RunConfig(x0=(value,) + (-2.0,) * 9)
+
+
 @pytest.mark.parametrize("name, value", [("q_fast", 0.0), ("r_slow", -1.0),
                                          ("u_bar_floor", -100.0)])
 def test_config_rejects_out_of_range_settings(name, value):
@@ -756,7 +764,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 9" in err
+    assert "archive_version 5" in err and "version 10" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -810,7 +818,7 @@ def _set(path, value):
     ("design.json", _set(("hl", "gain", "K"), [[1.0, 2.0]]),
      "HLDesign.gain.K"),
     ("design.json", _set(("hl", "terminal", "shape"), np.eye(3).tolist()),
-     "HLDesign.terminal.shape"),
+     "EllipsoidSet.shape"),
     ("design.json", _set(("ll_gain", "blocks"), [[[1.0, 2.0]], [[1.0]]]),
      "ll_gain.blocks"),
     ("certificate.json", _set(("radii", "rho_delta_u_hat"), [1.0]),
@@ -820,12 +828,29 @@ def _set(path, value):
          K=[[math.nan] * len(row) for row in d["hl"]["gain"]["K"]]),
      "GainDesign.K"),
     ("certificate.json", _set(("rho_w",), math.inf), "CertificateReport.rho_w"),
+    # x'Px reads the symmetric part, whose eigenvalue -5e-3 makes the set
+    # unbounded, though the lower triangle is positive definite.
+    ("design.json", _set(("hl", "terminal", "shape"),
+                         [[1000.000001, 1000.01], [1000.0, 1000.000001]]),
+     "EllipsoidSet.shape"),
+    ("design.json", _set(("hl", "tube", "ball", "indices"), [0.5, 1.0]),
+     "BallSet.indices"),
+    ("design.json", _set(("hl", "input_tight", "indices"), [-1, 0]),
+     "BallSet.indices"),
+    # The design's balls lie at the origin: a centre would be ignored.
+    ("design.json", _set(("hl", "input_tight", "center"), [1.0, 0.0]),
+     "HLDesign.input_tight"),
+    ("model.json", lambda d: d["subsystems"][0]["input_set"].update(center=[1.0]),
+     "SubsystemModel.input_set"),
 ], ids=["beta_row", "order_zero", "order_negative", "offsets", "slow_gain",
-        "terminal_shape", "fast_gain", "radii", "slow_gain_nan", "rho_w_inf"])
+        "terminal_shape", "fast_gain", "radii", "slow_gain_nan", "rho_w_inf",
+        "terminal_indefinite", "tube_indices_fraction", "input_indices_negative",
+        "input_centre", "model_input_centre"])
 def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
                                             name, damage, field):
-    """A design or certificate value of the wrong size makes `verify` exit 1
-    with an error that names the file and the field, not raise from numpy."""
+    """A design, model or certificate value of the wrong size, or a set that
+    is not one, makes `verify` exit 1 with an error that names the file and
+    the field, not raise from numpy."""
     bad = tmp_path / "damaged"
     shutil.copytree(archive_dir, bad)
     data = json.loads((bad / name).read_text())

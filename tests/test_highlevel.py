@@ -146,7 +146,7 @@ def test_solve_hl_dp_oracle_pinned_start():
     rng = np.random.default_rng(24)
     model, red, slow, design = make_design(rng)
     loose = with_sets(design, BallSet(2, 0.0),
-                      EllipsoidSet(design.terminal.shape, 1e12),
+                      EllipsoidSet(2, design.terminal.shape, 1e12),
                       BallSet(2, 1e6))
     x_proj = np.array([0.4, -0.3])
     sol = solve_hl(tube_qp(loose), x_proj)
@@ -180,7 +180,7 @@ def tight_design(level: float = 1e-14, input_radius: float = 1e-6) -> HLDesign:
     input radius, and A^N = 2.25e-5 I: no plan starts near FAR."""
     _, _, _, design = make_design(np.random.default_rng(26))
     return with_sets(design, BallSet(2, 1e-3),
-                     EllipsoidSet(design.terminal.shape, level),
+                     EllipsoidSet(2, design.terminal.shape, level),
                      BallSet(2, input_radius))
 
 

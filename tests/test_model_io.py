@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiermpc.analysis import RadiusAllocation
-from hiermpc.errors import ConfigInvalid, DimensionMismatch, EmptyResult
+from hiermpc.errors import ConfigInvalid, DimensionMismatch
 from hiermpc.harness import RunConfig
 from hiermpc.lti import CouplingMap, InterconnectedModel
 from hiermpc.model_io import from_json, to_json
@@ -50,7 +50,7 @@ def test_wrong_types_and_unknown_keys_name_class_and_key(data, where):
 
 def test_missing_key_without_default_is_named():
     with pytest.raises(ConfigInvalid, match="BallSet: missing key 'radius'"):
-        from_json(BallSet, {"dim": 2})
+        from_json(BallSet, {"indices": [0, 1]})
     # A key with a default may be left out.
     assert from_json(RunConfig, {"period": 5}) == RunConfig(period=5)
 
@@ -59,7 +59,8 @@ def test_missing_key_without_default_is_named():
                                    [[True]], 1.0, {"0": 1.0}])
 def test_arrays_accept_only_rectangular_numbers(value):
     with pytest.raises(ConfigInvalid, match="EllipsoidSet.shape"):
-        from_json(EllipsoidSet, {"shape": value, "level": 1.0})
+        from_json(EllipsoidSet, {"indices": [0, 1], "shape": value,
+                                  "level": 1.0})
 
 
 def test_none_only_where_annotated_optional():
@@ -67,17 +68,46 @@ def test_none_only_where_annotated_optional():
     assert grid.block(0, 0) is None
     np.testing.assert_array_equal(grid.block(0, 1), [[1.0]])
     with pytest.raises(ConfigInvalid, match="BallSet.radius"):
-        from_json(BallSet, {"dim": 2, "radius": None})
+        from_json(BallSet, {"indices": [0, 1], "radius": None})
 
 
 def test_constructor_checks_run_on_decoded_input():
-    with pytest.raises(EmptyResult):
-        from_json(BallSet, {"dim": 2, "radius": -1.0})
+    with pytest.raises(DimensionMismatch, match="BallSet.radius"):
+        from_json(BallSet, {"indices": [0, 1], "radius": -1.0})
     for level in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(EmptyResult):
-            from_json(EllipsoidSet, {"shape": [[1.0]], "level": level})
-    with pytest.raises(DimensionMismatch):
-        from_json(EllipsoidSet, {"shape": [[1.0, 2.0], [0.0, 1.0]], "level": 1.0})
+        with pytest.raises(DimensionMismatch, match="EllipsoidSet.level"):
+            from_json(EllipsoidSet, {"indices": [0], "shape": [[1.0]],
+                                     "level": level})
+    with pytest.raises(DimensionMismatch, match="EllipsoidSet.shape"):
+        from_json(EllipsoidSet, {"indices": [0, 1],
+                                 "shape": [[1.0, 2.0], [0.0, 1.0]], "level": 1.0})
+
+
+def test_a_shape_indefinite_in_its_symmetric_part_is_refused():
+    # Symmetric to 1e-5 relative and with a positive definite lower
+    # triangle, but x'Px reads the symmetric part, whose eigenvalue -5e-3
+    # gives x'Px = -9998 at x = (1000, -1000): the set is unbounded.
+    shape = [[1000.000001, 1000.01], [1000.0, 1000.000001]]
+    with pytest.raises(DimensionMismatch, match="EllipsoidSet.shape"):
+        from_json(EllipsoidSet, {"indices": [0, 1], "shape": shape, "level": 1.0})
+
+
+@pytest.mark.parametrize("indices", [[0.5, 1.0], [-1.0, 0.0], [-1, 0]])
+def test_set_indices_are_read_as_whole_numbers_at_least_zero(indices):
+    with pytest.raises(DimensionMismatch, match="BallSet.indices"):
+        from_json(BallSet, {"indices": indices, "radius": 1.0})
+    with pytest.raises(DimensionMismatch, match="EllipsoidSet.indices"):
+        from_json(EllipsoidSet, {"indices": indices, "shape": np.eye(2).tolist(),
+                                 "level": 1.0})
+
+
+def test_a_set_is_written_by_its_indices():
+    ball = BallSet(2, 0.5)
+    data = to_json(ball)
+    assert data == {"indices": [0, 1], "radius": 0.5, "center": None}
+    again = from_json(BallSet, json.loads(json.dumps(data)))
+    assert again.indices.dtype.kind == "i"
+    np.testing.assert_array_equal(again.indices, ball.indices)
 
 
 @pytest.mark.parametrize("decoupled", [False, True])
@@ -98,4 +128,5 @@ def test_model_is_written_as_assemble_arguments(decoupled):
 def test_arrays_must_be_finite(value):
     with pytest.raises(ConfigInvalid, match="EllipsoidSet.shape: expected "
                                             "finite numbers"):
-        from_json(EllipsoidSet, {"shape": value, "level": 1.0})
+        from_json(EllipsoidSet, {"indices": [0, 1], "shape": value,
+                                  "level": 1.0})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hiermpc.errors import NotContractive
-from hiermpc.sets import BallSet, rpi_outer, terminal_set
+from hiermpc.errors import DimensionMismatch, NotContractive
+from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
 
 
 def test_rpi_outer_scalar_geometric():
@@ -93,3 +93,38 @@ def test_terminal_set_zero_budget_degenerate():
         out = terminal_set(0.5 * np.eye(2), np.eye(2), np.ones((1, 2)), BallSet(1, 0.0))
     assert out.level == 0.0
 
+
+
+def test_an_integer_is_the_first_coordinates():
+    # BallSet(dim, radius) is the ball on coordinates 0..dim-1.
+    np.testing.assert_array_equal(BallSet(3, 1.0).indices, [0, 1, 2])
+    np.testing.assert_array_equal(EllipsoidSet(np.int64(2), np.eye(2), 1.0).indices,
+                                  [0, 1])
+    # Whole numbers given as floats become integers.
+    idx = BallSet(np.array([[0.0, 1.0], [4.0, 5.0]]), 1.0).indices
+    assert idx.dtype.kind == "i"
+    np.testing.assert_array_equal(idx, [[0, 1], [4, 5]])
+
+
+@pytest.mark.parametrize("indices", [[0.5, 1.0], [np.nan, 1.0], [np.inf],
+                                     [-1, 0], np.array([[0, -2]]), [],
+                                     [True, False], 0, -3])
+def test_set_indices_must_be_whole_numbers_at_least_zero(indices):
+    with pytest.raises(DimensionMismatch, match="BallSet.indices"):
+        BallSet(indices, 1.0)
+    with pytest.raises(DimensionMismatch, match="EllipsoidSet.indices"):
+        EllipsoidSet(indices, np.eye(2), 1.0)
+
+
+@pytest.mark.parametrize("shape, why", [
+    ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "has shape"),
+    ([[1.0, 1e-6], [0.0, 1.0]], "symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ([[1000.000001, 1000.01], [1000.0, 1000.000001]], "symmetric"),
+    # Symmetric to 3e-11 and definite in its lower triangle (eigenvalue
+    # 1e-11), but its symmetric part, which x'Px reads, has -5e-12.
+    ([[1.0, 1.0 + 2e-11], [1.0 - 1e-11, 1.0]], "positive definite"),
+])
+def test_ellipsoid_shape_is_square_symmetric_and_definite(shape, why):
+    with pytest.raises(DimensionMismatch, match=f"EllipsoidSet.shape.*{why}"):
+        EllipsoidSet(2, shape, 1.0)

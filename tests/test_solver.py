@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
-from hiermpc import solver
+from hiermpc import sets, solver
 from hiermpc.errors import DimensionMismatch, UnboundedProblem
 from hiermpc.solver import (BallConstraint, BoxConstraint, EllipsoidConstraint,
                             KKTFactors, QuadraticProgram, Status,
@@ -325,13 +325,20 @@ def test_set_constraints_reject_a_bad_radius_or_level(size):
     (lambda: BoxConstraint(np.arange(2), -math.inf, -math.inf), "BoxConstraint.upper"),
     (lambda: BoxConstraint(np.arange(2), 1.0, 0.0), "BoxConstraint.lower"),
     (lambda: EllipsoidConstraint(np.arange(2), [[math.nan, 0.0], [0.0, 1.0]], 1.0),
-     "EllipsoidConstraint.shape"),
+     "EllipsoidSet.shape"),
 ])
 def test_set_constraints_refuse_data_that_means_nothing(make, field):
     # A NaN bound, an empty box and a NaN shape are refused, naming the
     # class and the field.
     with pytest.raises(DimensionMismatch, match=field):
         make()
+
+
+def test_the_qp_sets_are_the_design_classes():
+    # One class per set family: a QP takes the sets the design builds.
+    assert BallConstraint is sets.BallSet
+    assert EllipsoidConstraint is sets.EllipsoidSet
+    assert solver.BallConstraint.project is sets.BallSet.project
 
 
 def test_a_ball_with_a_nan_centre_holds_no_point():
