@@ -226,8 +226,6 @@ class RadiusAllocation:
     rho_delta_u_hat: np.ndarray
     rho_u_bar: np.ndarray
     objective: float
-    gamma1: float
-    gamma2: float
     slack: float
 
     @property
@@ -279,7 +277,7 @@ def tune_radii(model: InterconnectedModel, reduced: ReducedModel, ll_gain: LLGai
             f"no budget split satisfies the strict small-gain inequality{extra}; "
             "increase the slow period or the input limits")
     return RadiusAllocation(res.x[:M].copy(), res.x[M:].copy(),
-                            float(res.objective), gamma1, gamma2, slack)
+                            float(res.objective), slack)
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def _report_rows(report, x0_norm):
 def _cmd_design(args) -> int:
     cfg, _, model = _load_setup(args)
     bundle = design_pipeline(model, cfg)
-    out = write_design(bundle, cfg, _out_dir(args))
+    out = write_design(bundle, _out_dir(args))
     print(f"design complete: reduction, slow gain ({bundle.hl.gain.rounds} "
           f"round(s)), fast gain ({bundle.ll_gain.rounds} round(s)), radii, "
           f"certificate, disturbance set, tube, terminal cost and set")

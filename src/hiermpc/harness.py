@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,19 +114,33 @@ def config_digest(cfg: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class DesignBundle:
-    """Output of the offline checklist; everything the online loop consumes."""
+    """Output of the offline checklist; everything the online loop consumes.
 
+    `config` is the run config the design was built from, and the only
+    record of its settings: the slow period, the horizon and both layers'
+    weights are read from it (`slow_weights`, `fast_weights`), not kept in
+    the design parts."""
+
+    config: RunConfig
     model: InterconnectedModel
     reduced: ReducedModel
     hl: HLDesign
     ll_gain: LLGain
-    ll_Q: tuple[np.ndarray, ...]
-    ll_R: tuple[np.ndarray, ...]
     report: CertificateReport
 
     @property
     def radii(self) -> RadiusAllocation:
         return self.report.radii
+
+
+def check_same_design(cfg: RunConfig, bundle: DesignBundle) -> None:
+    """ConfigInvalid naming the fields, other than `n_slow_steps`, in which
+    `cfg` differs from the config `bundle` was designed from."""
+    differ = [f.name for f in fields(RunConfig) if f.name != "n_slow_steps"
+              and getattr(cfg, f.name) != getattr(bundle.config, f.name)]
+    if differ:
+        raise ConfigInvalid(f"the run config differs from the design's in "
+                            f"{', '.join(differ)}; design the bundle from it")
 
 
 def start_state(model: InterconnectedModel, cfg: RunConfig) -> np.ndarray:
@@ -205,7 +219,8 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     n_red, m = slow.n_states, slow.n_inputs
     Q_slow, R_slow = slow_weights(cfg, n_red, m)
     gain = _stage("slow_gain",
-                  lambda: design_gain(slow, model, reduced, Q_slow, R_slow))
+                  lambda: design_gain(slow, model, reduced, Q_slow, R_slow,
+                                      cfg.period))
     w_ball = _stage("disturbance_set", lambda: BallSet(n_red, report.rho_w))
     F_slow = slow.closed_loop(gain.K)
     tube = _stage("tube", lambda: rpi_outer(F_slow, w_ball))
@@ -227,10 +242,8 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
     terminal = _stage("terminal_set",
                       lambda: terminal_set(F_slow, P, gain.K, input_tight))
 
-    hl = HLDesign(slow, gain, tube, terminal, input_tight, Q_slow, R_slow,
-                  cfg.horizon)
-    return DesignBundle(model, reduced, hl, ll_gain, *fast_weights(model, cfg),
-                        report)
+    hl = HLDesign(slow, gain, tube, terminal, input_tight)
+    return DesignBundle(cfg, model, reduced, hl, ll_gain, report)
 
 
 # ------------------------------------------------------------- trace layout
@@ -317,7 +330,7 @@ def fast_block_maps(model: InterconnectedModel, bundle: DesignBundle,
                           omega[:period].transpose(0, 2, 1))
     D = block_toeplitz(du.transpose(0, 2, 1), period, period)
     qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
-                       bundle.ll_Q, bundle.ll_R, period, dx)
+                       *fast_weights(model, bundle.config), period, dx)
     return qp, W, D
 
 
@@ -330,12 +343,15 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                     bundle: DesignBundle | None = None) -> TraceArchive:
     """Execute the two-rate loop for `cfg.n_slow_steps` slow steps.
 
-    Any slow- or fast-layer infeasibility aborts the run with the slow-step
-    index attached to the exception diagnostics; nothing is clipped, and no
-    trace is returned.  The data of each layer's QP that does not change
-    between ticks, with its KKT factors, is built once here, before the
-    first tick, and so are the maps of the fast block: the auxiliary
-    rollout of `lowlevel.auxiliary_maps` and W and D of `fast_block_maps`.
+    A given `bundle` must have been designed from `cfg`: a config that
+    differs from `bundle.config` in any field but `n_slow_steps` raises
+    ConfigInvalid naming the fields.  Any slow- or fast-layer infeasibility
+    aborts the run with the slow-step index attached to the exception
+    diagnostics; nothing is clipped, and no trace is returned.  The data of
+    each layer's QP that does not change between ticks, with its KKT
+    factors, is built once here, before the first tick, and so are the maps
+    of the fast block: the auxiliary rollout of `lowlevel.auxiliary_maps`
+    and W and D of `fast_block_maps`.
     A tick computes only what the next tick reads: one slow solve, the
     auxiliary terminal state xhat_N (`simulate_auxiliary` on the maps' last
     block row), one correction solve for all subsystems, whose plan is
@@ -350,10 +366,12 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     x = start_state(model, cfg)
     if bundle is None:
         bundle = design_pipeline(model, cfg)
+    check_same_design(cfg, bundle)
     reduced, hl, lifted = bundle.reduced, bundle.hl, bundle.hl.slow
     K, N, M = cfg.n_slow_steps, cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs
-    hl_qp = tube_qp(hl)
+    n_red = reduced.n_states
+    hl_qp = tube_qp(hl, *slow_weights(cfg, n_red, m), cfg.horizon)
     aux = auxiliary_maps(model, N)
     terminal = AuxiliaryMaps(aux.Phi[N * n:], aux.Psi[N * n:])
     # Built before the records, so that its temporaries and the records are
@@ -363,7 +381,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
     f_cols = fast_columns(n, m) + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"margin{i}" for i in range(M))
-    n_red = reduced.n_states
     s_cols = slow_columns(n_red, m, cfg.horizon)
     fast_rows = np.empty((K * N, len(f_cols)))
     slow_rows = np.empty((K, len(s_cols)))

@@ -36,7 +36,6 @@ class SlowModel:
 
     A: np.ndarray
     B: np.ndarray
-    period: int
 
     def __post_init__(self):
         n = self.A.shape[0]
@@ -63,8 +62,7 @@ def lift(reduced: ReducedModel, period: int) -> SlowModel:
     if period < 1:
         raise DesignFailed(f"period must be >= 1, got {period}")
     A_slow = np.linalg.matrix_power(reduced.A, period)
-    return SlowModel(A_slow, lifted_input_matrix(reduced.A, reduced.B, period),
-                     period)
+    return SlowModel(A_slow, lifted_input_matrix(reduced.A, reduced.B, period))
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class GainDesign:
 
 
 def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedModel,
-                Q: np.ndarray, R: np.ndarray) -> GainDesign:
+                Q: np.ndarray, R: np.ndarray, period: int) -> GainDesign:
     """Riccati gain on the lifted reduced pair, detuned until the full lifted
     closed loop A^period + (sum A^j B) K beta is Schur as well.
 
@@ -94,7 +92,7 @@ def design_gain(slow: SlowModel, model: InterconnectedModel, reduced: ReducedMod
 
     def full_loop_radius(K):
         return float(np.max(np.abs(np.linalg.eigvals(lifted_closed_loop(
-            model.A, model.B, K, reduced.beta, slow.period)))))
+            model.A, model.B, K, reduced.beta, period)))))
 
     if float(np.max(np.abs(slow.B))) <= 1e-14:
         K = np.zeros((slow.n_inputs, slow.n_states))
@@ -128,13 +126,15 @@ def terminal_cost(F: np.ndarray, K: np.ndarray, Q: np.ndarray,
 class HLDesign:
     """The slow layer: a robust tube MPC designed on the reduced model.
 
-    It owns every slow-layer design quantity: the lifted reduced model, the
+    It holds what the design stages compute: the lifted reduced model, the
     tube feedback gain, the invariant tube (its ball is the tube
-    cross-section), the terminal set, the tightened input ball, the stage
-    weights and the horizon.  The terminal cost is the terminal set's
-    `shape`, and the tube dynamics are `slow.closed_loop(gain.K)`; neither
-    is a field of its own.  The gain and the terminal shape must fit the
-    slow model's state and input counts, and the balls lie at the origin.
+    cross-section), the terminal set and the tightened input ball.  The
+    settings they were computed from (slow period, stage weights, horizon)
+    are the design's `RunConfig`, not fields here.  The terminal cost is
+    the terminal set's `shape`, and the tube dynamics are
+    `slow.closed_loop(gain.K)`; neither is a field of its own.  The gain
+    and the terminal shape must fit the slow model's state and input
+    counts, and the balls lie at the origin.
     """
 
     slow: SlowModel
@@ -142,9 +142,6 @@ class HLDesign:
     tube: RPIApproximation
     terminal: EllipsoidSet
     input_tight: BallSet
-    Q: np.ndarray
-    R: np.ndarray
-    horizon: int
 
     def __post_init__(self):
         n, m = self.slow.n_states, self.slow.n_inputs
@@ -197,6 +194,7 @@ class TubeQP:
     """
 
     design: HLDesign
+    horizon: int                  # N, the number of plan steps
     H: np.ndarray
     A_eq: np.ndarray
     tube: BallSet                 # at x_0, centred at the origin
@@ -210,9 +208,12 @@ class TubeQP:
     fixed: tuple[float, float, float] | None  # ball formulation, see above
 
 
-def tube_qp(design: HLDesign) -> TubeQP:
+def tube_qp(design: HLDesign, Q: np.ndarray, R: np.ndarray,
+            horizon: int) -> TubeQP:
+    """The run-constant slow QP of `design` with stage weights Q and R over
+    `horizon` steps."""
     slow = design.slow
-    n, m, N = slow.n_states, slow.n_inputs, design.horizon
+    n, m, N = slow.n_states, slow.n_inputs, horizon
     d = n * (N + 1) + m * N
 
     def x_idx(k):
@@ -225,8 +226,8 @@ def tube_qp(design: HLDesign) -> TubeQP:
     for k in range(N):
         x, x_next = slice(k * n, (k + 1) * n), slice((k + 1) * n, (k + 2) * n)
         u = slice(n * (N + 1) + k * m, n * (N + 1) + (k + 1) * m)
-        H[x, x] = design.Q
-        H[u, u] = design.R
+        H[x, x] = Q
+        H[u, u] = R
         A_eq[x, x_next] = np.eye(n)
         A_eq[x, x] = -slow.A
         A_eq[x, u] = -slow.B
@@ -255,8 +256,8 @@ def tube_qp(design: HLDesign) -> TubeQP:
         residuals = free_optimum(free, H, g, A_eq, b_dyn, (inputs, terminal))
         fixed = (None if residuals is None
                  else (*residuals, qp_objective(H, g, free[:d])))
-    return TubeQP(design, H, A_eq, tube, inputs, terminal, factors, pinned, g,
-                  b_dyn, free, fixed)
+    return TubeQP(design, N, H, A_eq, tube, inputs, terminal, factors, pinned,
+                  g, b_dyn, free, fixed)
 
 
 def horizon_inverse(slow: SlowModel, horizon: int) -> np.ndarray:
@@ -282,7 +283,7 @@ def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> DistanceBracket:
     sqrt(level) A^-N chol(P^-1) and G_k = r A^-N S_k (`horizon_inverse`).
     The tube QP is infeasible exactly when the distance exceeds the tube
     radius."""
-    slow, N = qp.design.slow, qp.design.horizon
+    slow, N = qp.design.slow, qp.horizon
     n, m = slow.n_states, slow.n_inputs
     L = np.linalg.cholesky(np.linalg.inv(qp.terminal.shape))
     sizes = np.repeat([np.sqrt(qp.terminal.level), qp.inputs.radius],
@@ -364,7 +365,7 @@ def _solution(qp: TubeQP, x_proj: np.ndarray, x: np.ndarray, objective: float,
     """The tick's solution from the slow QP's optimum x: the nominal plan
     and the held input with the tube feedback on x_proj."""
     design = qp.design
-    n, m, N = design.slow.n_states, design.slow.n_inputs, design.horizon
+    n, m, N = design.slow.n_states, design.slow.n_inputs, qp.horizon
     x_nom = x[:n]
     u_seq = x[n * (N + 1):].reshape(N, m)
     u_applied = u_seq[0] + design.gain.K @ (x_proj - x_nom)

@@ -252,8 +252,6 @@ def free_optimum(sol: np.ndarray, H: np.ndarray, g: np.ndarray,
     return None
 
 
-
-
 class KKTFactors:
     """The equality-only KKT matrix K0 = [[H, A_eq'], [A_eq, 0]] of one
     constant QP, factored once (`lu`, on first use), and its sets' layout.
@@ -389,8 +387,6 @@ def equality_first(problem: QuadraticProgram, kkt: KKTFactors,
             "has dependent rows) and the QP has no set to bound it")
     x = sol[:g.shape[0]]
     return SolveResult(x, qp_objective(H, g, x), Status.OPTIMAL, *residuals, 0)
-
-
 
 
 def _row_data(cons, kkt: KKTFactors):
@@ -694,8 +690,6 @@ def minkowski_distance(t: np.ndarray, G: np.ndarray,
             break
         y, (h, s, nu) = trial, after
     return DistanceBracket(y, h, upper, steps)
-
-
 
 
 def solve_qp(problem: QuadraticProgram,

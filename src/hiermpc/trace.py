@@ -12,38 +12,41 @@ function of `u` and the input limits, which are not stored.  The auxiliary
 rollout `xhat` and the plan rollouts `dxhat` are recorded nowhere; the
 `correction_law` and `ll_terminal` checks re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
-codec: `model.json` the subsystems and the coupling map, `certificate.json`
-the certificate report, and `design.json` the rest of the design bundle: the
-reduction, the slow layer (`HLDesign`: lifted model, gain, tube, terminal
-set, tightened inputs, weights, horizon) and the fast gain blocks with their
-weights and the spectral radius of the coupled fast closed loop.  A set is
-written by its indices, with its radius and centre or its shape and level.
-Each design quantity is stored once.  What can be built from the stored ones is
-built by the constructors on load, never read: the collective A and B, the
-reduction's block offsets (from its retained orders) and the block-diagonal
-fast gain.  The terminal cost is the terminal set's shape, and the closed
-loops (the slow A + B K, the fast A + B K, the lifted slow loop) are rebuilt
-where they are used.  The constructors check the sizes within each object
-and `load_archive` the sizes that tie the files together, and the codec
-refuses numbers that are not finite, so a damaged file is an error that
-names the file and the field.  JSON floats are written with repr.  CSV
+codec, one part of the design bundle each: `config.json` the run config
+(the design's settings, with the run's number of slow steps),
+`model.json` the subsystems and the coupling map, `certificate.json` the
+certificate report, and `design.json` the rest: the reduction, the slow
+layer (`HLDesign`: lifted model, gain, tube, terminal set, tightened
+inputs) and the fast gain blocks with the spectral radius of the coupled
+fast closed loop.  A set is written by its indices, with its radius and
+centre or its shape and level.  Each design quantity and each setting is
+stored once: the slow period, the horizon and the layer weights are read
+from `config.json` alone, so an edited `config.json` fails `config_hash`.
+What can be built from the stored ones is built by the constructors on
+load, never read: the collective A and B, the reduction's block offsets
+(from its retained orders) and the block-diagonal fast gain.  The terminal
+cost is the terminal set's shape, and the closed loops (the slow A + B K,
+the fast A + B K, the lifted slow loop) are rebuilt where they are used.
+The constructors check the sizes within each object and `load_archive` the
+sizes that tie the files together, and the codec refuses numbers that are
+not finite, so a damaged file is an error that names the file and the
+field.  JSON floats are written with repr.  CSV
 cells are the bytes `numpy.savetxt` writes with "%.17g", formatted one `%`
 per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (10) and
-the final state, and is the only file excluded from the determinism digest.
+the config; `metadata.json` records wall clock, the archive version (11),
+the config's digest and the final state, and is the only file excluded
+from the determinism digest.
 
-`verify_archive` compares the horizon, slow period and layer weights that
-`design.json` repeats with what `config.json` gives (`design_config`), and
-re-derives every runtime invariant from the recorded data: state
-transitions against the model under the rebuilt input, input limits,
-correction budgets, the fast correction law, each plan's terminal hit on
-the slow layer's prediction (`ll_terminal`), the slow-step disturbance
-bound, tube containment, nominal convergence, and the closed-loop norm-tail
-envelope, whose lifted closed loop `lti.lifted_closed_loop` rebuilds from
-the model and slow gain.
+`verify_archive` re-derives every runtime invariant from the recorded
+data: state transitions against the model under the rebuilt input, input
+limits, correction budgets, the fast correction law, each plan's terminal
+hit on the slow layer's prediction (`ll_terminal`), the slow-step
+disturbance bound, tube containment, nominal convergence, and the
+closed-loop norm-tail envelope, whose lifted closed loop
+`lti.lifted_closed_loop` rebuilds from the model and slow gain.
 Each bound check (`input_limits`, `correction_budgets`, `disturbance_bound`,
 `tube_containment`) says in its detail how much of its bound the run used.
 """
@@ -55,7 +58,7 @@ import os
 import reprlib
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +66,14 @@ import numpy as np
 from . import __version__
 from .analysis import CertificateReport, spectral_norms
 from .errors import ConfigInvalid, HierMPCError
-from .harness import (DesignBundle, RunConfig, TraceArchive, column_block,
-                      config_digest, fast_columns, fast_weights, slow_columns,
-                      slow_weights)
+from .harness import (DesignBundle, RunConfig, TraceArchive,
+                      check_same_design, column_block, config_digest,
+                      fast_columns, slow_columns)
 from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 10
+ARCHIVE_VERSION = 11
 FAST_SCHEMA = "hiermpc.trace.fast.v4"
 SLOW_SCHEMA = "hiermpc.trace.slow.v1"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
@@ -132,13 +135,13 @@ def _read_csv(path: Path, schema: str, columns: tuple) -> np.ndarray:
     return rows
 
 
-def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
+def write_design(bundle: DesignBundle, out_dir) -> Path:
     """Write model.json, config.json, design.json and certificate.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     design = to_json(bundle)
     for name, data in (("model.json", design.pop("model")),
-                       ("config.json", to_json(cfg)),
+                       ("config.json", design.pop("config")),
                        ("certificate.json", design.pop("report")),
                        ("design.json", design)):
         (out / name).write_text(json.dumps(data, indent=1))
@@ -146,7 +149,11 @@ def write_design(bundle: DesignBundle, cfg: RunConfig, out_dir) -> Path:
 
 
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
-    out = write_design(bundle, archive.config, out_dir)
+    """Write the run's archive.  The bundle must be the run's design: a run
+    config that differs from `bundle.config` in any field but
+    `n_slow_steps` raises ConfigInvalid naming the fields."""
+    check_same_design(archive.config, bundle)
+    out = write_design(replace(bundle, config=archive.config), out_dir)
     columns = fast_columns(bundle.model.n_states, bundle.model.n_inputs)
     _write_csv(out / "fast.csv", FAST_SCHEMA, columns,
                archive.fast[:, :len(columns)])
@@ -158,8 +165,6 @@ def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
         "wall_clock_s": archive.wall_clock,
         "created_unix": time.time(),
         "final_state": to_json(archive.final_state),
-        "n_slow_steps": archive.config.n_slow_steps,
-        "period": archive.config.period,
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=1))
     return out
@@ -167,7 +172,6 @@ def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
 
 @dataclass(frozen=True)
 class LoadedArchive:
-    config: RunConfig
     bundle: DesignBundle
     fast_cols: tuple
     slow_cols: tuple
@@ -216,31 +220,6 @@ def _check_sizes(bundle: DesignBundle) -> None:
                                 f"{shape}, expected {expected}")
 
 
-def _config_copies_differ(bundle: DesignBundle, config: RunConfig) -> list:
-    """The values design.json repeats from config.json that are not, bit for
-    bit, the ones `design_pipeline` builds from it, each as `<field> is
-    <stored>, config.json gives <built>`."""
-    hl, model = bundle.hl, bundle.model
-    Q_slow, R_slow = slow_weights(config, hl.slow.n_states, model.n_inputs)
-    ll_Q, ll_R = fast_weights(model, config)
-    differ = []
-    for field, stored, built in (
-            ("hl.horizon", hl.horizon, config.horizon),
-            ("hl.slow.period", hl.slow.period, config.period),
-            ("hl.Q", (hl.Q,), (Q_slow,)), ("hl.R", (hl.R,), (R_slow,)),
-            ("ll_Q", bundle.ll_Q, ll_Q), ("ll_R", bundle.ll_R, ll_R)):
-        if isinstance(built, tuple):
-            same = len(stored) == len(built) and all(
-                a.shape == b.shape and np.array_equal(a, b)
-                for a, b in zip(stored, built))
-        else:
-            same = stored == built
-        if not same:
-            differ.append(f"{field} is {reprlib.repr(to_json(stored))}, "
-                          f"config.json gives {reprlib.repr(to_json(built))}")
-    return differ
-
-
 def load_archive(path) -> LoadedArchive:
     """Read an archive; a file that cannot be read or does not fit the
     others raises ConfigInvalid naming the file."""
@@ -268,18 +247,18 @@ def load_archive(path) -> LoadedArchive:
     if version != ARCHIVE_VERSION:
         raise ConfigInvalid(f"{root}: archive_version {version!r} cannot be "
                             f"read; this package reads version {ARCHIVE_VERSION}")
-    config = decode("config.json", RunConfig)
     bundle = decode("design.json", DesignBundle,
+                    config=decode("config.json", RunConfig),
                     model=decode("model.json", InterconnectedModel),
                     report=decode("certificate.json", CertificateReport))
     _check_sizes(bundle)
     model = bundle.model
     fast_cols = fast_columns(model.n_states, model.n_inputs)
     slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,
-                             config.horizon)
+                             bundle.config.horizon)
     fast = _read_csv(root / "fast.csv", FAST_SCHEMA, fast_cols)
     slow = _read_csv(root / "slow.csv", SLOW_SCHEMA, slow_cols)
-    return LoadedArchive(config, bundle, fast_cols, slow_cols, fast, slow,
+    return LoadedArchive(bundle, fast_cols, slow_cols, fast, slow,
                          metadata, _final_state(metadata, model.n_states))
 
 
@@ -354,7 +333,8 @@ def verify_archive(path) -> VerifyReport:
     runs of the certified scenario length; archives cut short before the
     nominal settles fail `nominal_convergence` by construction."""
     arc = load_archive(path)
-    bundle, cfg = arc.bundle, arc.config
+    bundle = arc.bundle
+    cfg = bundle.config
     model = bundle.model
     n, m, M = model.n_states, model.n_inputs, model.n_subsystems
     N, n_red = cfg.period, bundle.reduced.n_states
@@ -374,9 +354,6 @@ def verify_archive(path) -> VerifyReport:
     # Stored hash vs the loaded config.
     hash_ok = arc.metadata.get("config_sha256") == config_digest(cfg)
     add("config_hash", 0.0 if hash_ok else 1.0, 0)
-    # design.json's copies of config.json values against the loaded config.
-    differ = _config_copies_differ(bundle, cfg)
-    add("design_config", float(len(differ)), 0, "; ".join(differ))
     if count_err:
         # The other checks align the records by slow step.
         return VerifyReport(tuple(checks))

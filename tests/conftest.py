@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hiermpc import solver
+from hiermpc.harness import slow_weights
+from hiermpc.highlevel import tube_qp
 
 
 @pytest.fixture
@@ -131,3 +133,17 @@ def _own_correction_qp(model, reduced, i, radius, Q_i, R_i, period, rhs):
 def own_correction_qp():
     """`_own_correction_qp`: one subsystem's correction QP, built alone."""
     return _own_correction_qp
+
+
+def _slow_qp(bundle):
+    """The slow QP of a design bundle as `run_closed_loop` builds it, with
+    the weights and the horizon of the bundle's config."""
+    cfg = bundle.config
+    weights = slow_weights(cfg, bundle.reduced.n_states, bundle.model.n_inputs)
+    return tube_qp(bundle.hl, *weights, cfg.horizon)
+
+
+@pytest.fixture(scope="session")
+def slow_qp():
+    """`_slow_qp`: a design bundle's slow QP."""
+    return _slow_qp

@@ -64,7 +64,7 @@ def leakage_report(model, reduced, gain, rho, period):
     """The certificate for correction radii `rho`: its `delta_input_table`
     and `rho_w` are the input-leakage table and the disturbance radius."""
     radii = RadiusAllocation(np.asarray(rho, dtype=float), np.ones(len(rho)),
-                             0.0, 1.0, 1.0, 0.0)
+                             0.0, 0.0)
     return certificate_constants(model, reduced, gain, radii, period)
 
 
@@ -283,7 +283,7 @@ def _leakage_cases(case):
         model = make_pair(coupling=0.0 if case == "decoupled" else 0.08,
                           n_i=1 if case == "scalar" else 2)
         radii = RadiusAllocation(np.array([0.9, 0.4]), np.array([1.0, 1.5]),
-                                 0.0, 1.0, 1.0, 0.0)
+                                 0.0, 0.0)
         return (model, reduce_model(model, [1, 1]), ll_gain_for(model), radii,
                 (1, 2, 3, 7))
     if case == "chain4_n40":

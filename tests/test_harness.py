@@ -120,7 +120,7 @@ def test_decoupled_disturbance_vanishes():
     assert np.max(np.abs(arc.slow_block("wbar", n_red))) <= 1e-12
 
 
-def per_subsystem_run(model, cfg, bundle, own_correction_qp):
+def per_subsystem_run(model, cfg, bundle, own_correction_qp, slow_qp):
     """Reference closed loop stepped fast step by fast step and subsystem by
     subsystem.  Below the slow solve it shares nothing with the affine tick
     of `run_closed_loop`: the auxiliary rollout is its own step recursion,
@@ -132,7 +132,8 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp):
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     m = model.n_inputs
     rho_u = model.input_radii()
-    hl_qp = tube_qp(bundle.hl)
+    hl_qp = slow_qp(bundle)
+    Q, R = harness.fast_weights(model, cfg)
     x = np.asarray(cfg.x0, dtype=float)
     rows = []
     for k in range(cfg.n_slow_steps):
@@ -150,7 +151,7 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp):
                    - reduced.beta_block(i, model) @ aux[N][sx])
             res = solve_qp(own_correction_qp(
                 model, reduced, i, float(bundle.radii.rho_delta_u_hat[i]),
-                bundle.ll_Q[i], bundle.ll_R[i], N, rhs))
+                Q[i], R[i], N, rhs))
             assert res.status is Status.OPTIMAL
             u_steps = res.x.reshape(N, sub.n_inputs)
             states = [np.zeros(sub.n_states)]
@@ -175,14 +176,16 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp):
 
 @pytest.mark.parametrize("decoupled", [False, True])
 def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled,
-                                                          own_correction_qp):
+                                                          own_correction_qp,
+                                                          slow_qp):
     # The affine tick and the stepped oracle round differently; they agree
     # to the `correction_law` threshold.
     model = build_thermal_model(default_building(decoupled=decoupled))
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
     bundle = design_pipeline(model, cfg)
     arc = run_closed_loop(model, cfg, bundle)
-    fast, final_state = per_subsystem_run(model, cfg, bundle, own_correction_qp)
+    fast, final_state = per_subsystem_run(model, cfg, bundle, own_correction_qp,
+                                          slow_qp)
     assert arc.fast.shape == fast.shape
     assert np.max(np.abs(arc.fast - fast)) <= 1e-12
     assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
@@ -290,7 +293,7 @@ def test_fast_records_built_after_the_loop_match_each_tick(name, monkeypatch):
 
 @pytest.fixture(scope="module",
                 params=["coupled_n20", "decoupled_n20", "chain4_n40"])
-def workload_qps(request):
+def workload_qps(request, slow_qp):
     """A workload's slow QP (pinned on decoupled_n20) and stacked
     correction QP, as `run_closed_loop` builds them, with the largest
     |target| each subsystem's budget reaches: budget times the sum over
@@ -302,7 +305,7 @@ def workload_qps(request):
     reach = np.array([ball.radius * np.linalg.norm(
         ll_qp.A_eq[rows][:, ball.indices], axis=-1).sum()
         for ball, rows in zip(ll_qp.budgets, ll_qp.target_rows)])
-    return tube_qp(bundle.hl), ll_qp, reach
+    return slow_qp(bundle), ll_qp, reach
 
 
 class ExactPath(Exception):
@@ -348,7 +351,7 @@ def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
     # target, from 1e-3 to 1e3 times its reach).
     qp, ll_qp, reach = workload_qps
     rng = np.random.default_rng(seed)
-    n, N = qp.design.slow.n_states, qp.design.horizon
+    n, N = qp.design.slow.n_states, qp.horizon
     radius = qp.design.tube.ball.radius
     direction = rng.normal(size=n)
     x_proj = (radius or 1.0) * 10.0 ** exponent * direction / np.linalg.norm(
@@ -404,7 +407,7 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     # a map, and the others start the exact path from that product.
     qps = []
     monkeypatch.setattr(harness, "tube_qp",
-                        lambda design: qps.append(tube_qp(design)) or qps[-1])
+                        lambda *args: qps.append(tube_qp(*args)) or qps[-1])
     cfg = dataclasses.replace(short_cfg, n_slow_steps=100)
     arc = run_closed_loop(model, cfg, bundle)
     (qp,) = qps
@@ -420,6 +423,35 @@ def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
         run_closed_loop(model, cfg, bundle)
     with pytest.raises(ConfigInvalid, match="x0"):
         design_pipeline(model, cfg)
+
+
+@pytest.mark.parametrize("field, value", [("gamma1", 1.0), ("horizon", 5)])
+def test_a_bundle_runs_only_under_the_config_it_was_designed_from(
+        model, bundle, short_cfg, archive, tmp_path, field, value):
+    """A run config that differs from the bundle's in a design setting is
+    refused by the run and by the writer, which name the field: the archive
+    would otherwise pair a certificate with settings it does not hold for."""
+    cfg = dataclasses.replace(short_cfg, **{field: value})
+    with pytest.raises(ConfigInvalid, match=field):
+        run_closed_loop(model, cfg, bundle)
+    with pytest.raises(ConfigInvalid, match=field):
+        write_archive(dataclasses.replace(archive, config=cfg), bundle,
+                      tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bundle_runs_for_any_number_of_slow_steps(model, bundle, short_cfg,
+                                                    tmp_path):
+    # The number of slow steps is the run's, not the design's: the archive
+    # records the run's config, and its design is the bundle's.
+    cfg = dataclasses.replace(short_cfg, n_slow_steps=3)
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path / "run")
+    loaded = load_archive(out).bundle
+    assert loaded.config == cfg and bundle.config == short_cfg
+    assert loaded.hl.gain.K.tobytes() == bundle.hl.gain.K.tobytes()
+    passed = {c.name for c in verify_archive(out).checks if c.passed}
+    assert {"record_counts", "config_hash", "correction_law"} <= passed
 
 
 def test_infeasible_start_reports_slow_step(model, bundle, short_cfg):
@@ -500,7 +532,7 @@ def test_archive_round_trip_and_verify(model, archive, archive_dir):
     n, m = model.n_states, model.n_inputs
     widths = {"x": n, "duhat": m, "du": m}
     loaded = load_archive(archive_dir)
-    assert loaded.config == archive.config
+    assert loaded.bundle.config == archive.config
     assert loaded.fast_cols == tuple(f"{prefix}{i}" for prefix, width
                                      in widths.items() for i in range(width))
     recorded = np.hstack([archive.fast_block(prefix, width)
@@ -600,7 +632,7 @@ def test_loaded_archive_re_encodes_to_the_same_bytes(decoupled, tmp_path):
     blocks = json.loads((written / "model.json").read_text())["coupling"]["blocks"]
     assert all(blk is None for row in blocks for blk in row) == decoupled
     loaded = load_archive(written)
-    again = write_design(loaded.bundle, loaded.config, tmp_path / "again")
+    again = write_design(loaded.bundle, tmp_path / "again")
     for name in ("model.json", "config.json", "design.json", "certificate.json"):
         assert (again / name).read_bytes() == (written / name).read_bytes(), name
 
@@ -702,7 +734,8 @@ def test_design_constants_match_the_pinned_files(name):
     writes them, match the files pinned under tests/data."""
     cfg, building = _pinned_workload(name)
     design = to_json(design_pipeline(build_thermal_model(building), cfg))
-    design.pop("model")
+    for part in ("config", "model"):
+        design.pop(part)
     report = design.pop("report")
     pinned = json.loads((DATA / name / "certificate.json").read_text())
     _assert_close(report, pinned, "certificate")
@@ -764,7 +797,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 10" in err
+    assert "archive_version 5" in err and "version 11" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -842,10 +875,12 @@ def _set(path, value):
      "HLDesign.input_tight"),
     ("model.json", lambda d: d["subsystems"][0]["input_set"].update(center=[1.0]),
      "SubsystemModel.input_set"),
+    # The horizon is config.json's alone: a copy in design.json is refused.
+    ("design.json", _set(("hl", "horizon"), 10), "unknown key 'horizon'"),
 ], ids=["beta_row", "order_zero", "order_negative", "offsets", "slow_gain",
         "terminal_shape", "fast_gain", "radii", "slow_gain_nan", "rho_w_inf",
         "terminal_indefinite", "tube_indices_fraction", "input_indices_negative",
-        "input_centre", "model_input_centre"])
+        "input_centre", "model_input_centre", "horizon_copy"])
 def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
                                             name, damage, field):
     """A design, model or certificate value of the wrong size, or a set that
@@ -860,32 +895,6 @@ def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {name}: ")
     assert field in err
-
-
-@pytest.mark.parametrize("damage, field", [
-    (_set(("hl", "horizon"), 3), "hl.horizon"),
-    (_set(("hl", "slow", "period"), 7), "hl.slow.period"),
-    (lambda d: d.update(ll_Q=[[[1.0]]]), "ll_Q"),
-], ids=["horizon", "period", "ll_Q"])
-def test_verify_names_a_design_copy_of_the_config_that_differs(
-        archive_dir, tmp_path, capsys, damage, field):
-    """design.json repeats the horizon, the slow period and the layer weights
-    of config.json; a copy that is not what `design_pipeline` builds from
-    config.json fails `design_config`, naming the field, and `verify` exits
-    1.  (The archive still loads: an edited config.json must reach
-    `config_hash`.)"""
-    bad = tmp_path / "edited"
-    shutil.copytree(archive_dir, bad)
-    data = json.loads((bad / "design.json").read_text())
-    damage(data)
-    (bad / "design.json").write_text(json.dumps(data))
-    (check,) = [c for c in verify_archive(bad).checks
-                if c.name == "design_config"]
-    assert not check.passed
-    assert check.detail.startswith(f"{field} is ")
-    assert "config.json gives" in check.detail
-    assert main(["verify", str(bad)]) == 1
-    assert "design_config" in capsys.readouterr().out
 
 
 def test_an_infinite_start_margin_is_read_back(tmp_path):

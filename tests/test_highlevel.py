@@ -8,7 +8,8 @@ from scipy.optimize import brentq, minimize_scalar
 from hiermpc import highlevel
 from hiermpc.errors import InfeasibleHL
 from hiermpc.gains import dlyap
-from hiermpc.harness import RunConfig, design_pipeline, run_closed_loop
+from hiermpc.harness import (RunConfig, design_pipeline, run_closed_loop,
+                             slow_weights)
 from hiermpc.highlevel import (GainDesign, HLDesign, SlowModel, design_gain,
                                feasibility_gap, lift, solve_hl, terminal_cost,
                                tube_qp)
@@ -18,6 +19,14 @@ from hiermpc.sets import BallSet, EllipsoidSet, rpi_outer, terminal_set
 from hiermpc.solver import (BallConstraint, KKTFactors, QuadraticProgram,
                             Status, active_set_step, equality_first, solve_qp)
 from hiermpc.thermal import build_thermal_model, default_building
+
+# The stage weights and the horizon of `make_design`'s slow QP.
+Q, R, HORIZON = np.eye(2), 0.1 * np.eye(2), 6
+
+
+def design_qp(design: HLDesign):
+    """The slow QP of a `make_design` design."""
+    return tube_qp(design, Q, R, HORIZON)
 
 
 def make_model(rng, couple=0.02):
@@ -33,19 +42,17 @@ def make_model(rng, couple=0.02):
     return assemble(subs, CouplingMap(((None, L), (L.T, None))))
 
 
-def make_design(rng, period=5, horizon=6, w_radius=0.01):
+def make_design(rng, period=5, w_radius=0.01):
     model = make_model(rng)
     red = reduce_model(model, [1, 1])
     slow = lift(red, period)
-    Q = np.eye(2)
-    R = 0.1 * np.eye(2)
-    gd = design_gain(slow, model, red, Q, R)
+    gd = design_gain(slow, model, red, Q, R, period)
     F = slow.closed_loop(gd.K)
     tube = rpi_outer(F, BallSet(2, w_radius))
     P = terminal_cost(F, gd.K, Q, R)
     u_tight = BallSet(2, 5.0 - float(np.linalg.norm(gd.K, 2)) * tube.ball.radius)
     term = terminal_set(F, P, gd.K, u_tight)
-    design = HLDesign(slow, gd, tube, term, u_tight, Q, R, horizon)
+    design = HLDesign(slow, gd, tube, term, u_tight)
     return model, red, slow, design
 
 
@@ -64,7 +71,7 @@ def run_tube_soak(design: HLDesign, x_proj0: np.ndarray,
     recursive feasibility."""
     rng = np.random.default_rng(seed)
     slow = design.slow
-    qp = tube_qp(design)
+    qp = design_qp(design)
     x = np.asarray(x_proj0, dtype=float)
     errors = []
     for _ in range(n_steps):
@@ -107,7 +114,7 @@ def test_design_gain_both_loops_schur():
     model = make_model(rng)
     red = reduce_model(model, [1, 1])
     slow = lift(red, 5)
-    gd = design_gain(slow, model, red, np.eye(2), 0.1 * np.eye(2))
+    gd = design_gain(slow, model, red, np.eye(2), 0.1 * np.eye(2), 5)
     assert gd.rho_red < 1.0
     assert gd.rho_full < 1.0
     assert gd.rounds >= 1
@@ -117,11 +124,11 @@ def test_design_gain_zero_input_matrix():
     class Dummy:
         pass
 
-    slow = SlowModel(np.diag([0.5, 0.4]), np.zeros((2, 2)), 4)
+    slow = SlowModel(np.diag([0.5, 0.4]), np.zeros((2, 2)))
     rng = np.random.default_rng(22)
     model = make_model(rng)
     red = reduce_model(model, [1, 1])
-    gd = design_gain(slow, model, red, np.eye(2), np.eye(2))
+    gd = design_gain(slow, model, red, np.eye(2), np.eye(2), 4)
     assert np.allclose(gd.K, 0.0)
     assert gd.rho_red < 1.0
 
@@ -149,11 +156,11 @@ def test_solve_hl_dp_oracle_pinned_start():
                       EllipsoidSet(2, design.terminal.shape, 1e12),
                       BallSet(2, 1e6))
     x_proj = np.array([0.4, -0.3])
-    sol = solve_hl(tube_qp(loose), x_proj)
+    sol = solve_hl(design_qp(loose), x_proj)
     P = design.terminal.shape.copy()
-    for _ in range(design.horizon):
-        S = design.R + slow.B.T @ P @ slow.B
-        P = (design.Q + slow.A.T @ P @ slow.A
+    for _ in range(HORIZON):
+        S = R + slow.B.T @ P @ slow.B
+        P = (Q + slow.A.T @ P @ slow.A
              - slow.A.T @ P @ slow.B @ np.linalg.solve(S, slow.B.T @ P @ slow.A))
     oracle = float(x_proj @ P @ x_proj)
     assert abs(sol.objective - oracle) <= 1e-6 * max(1.0, oracle)
@@ -166,7 +173,7 @@ def test_solve_hl_respects_constraints():
     rng = np.random.default_rng(25)
     model, red, slow, design = make_design(rng)
     x_proj = np.array([0.5, 0.5])
-    sol = solve_hl(tube_qp(design), x_proj)
+    sol = solve_hl(design_qp(design), x_proj)
     assert np.linalg.norm(x_proj - sol.x_nominal) <= design.tube.ball.radius + 1e-6
     for u in sol.u_nominal_seq:
         assert np.linalg.norm(u) <= design.input_tight.radius + 1e-6
@@ -186,7 +193,7 @@ def tight_design(level: float = 1e-14, input_radius: float = 1e-6) -> HLDesign:
 
 def support_terms(design: HLDesign):
     """z_of = A^-N' and the S_k = A^(N-1-k) B of the design, k = 0..N-1."""
-    slow, N = design.slow, design.horizon
+    slow, N = design.slow, HORIZON
     z_of = np.linalg.inv(np.linalg.matrix_power(slow.A, N)).T
     return z_of, [np.linalg.matrix_power(slow.A, N - 1 - k) @ slow.B
                   for k in range(N)]
@@ -227,7 +234,7 @@ def test_solve_hl_infeasible_reports_gap():
     # certify, and the certificate of `solve_qp` names the status; the
     # diagnostics bracket the gap, closed on the oracle's.
     tight = tight_design()
-    qp = tube_qp(tight)
+    qp = design_qp(tight)
     tube = BallConstraint(qp.factors.layout[0], tight.tube.ball.radius,
                           center=FAR)
     assert active_set_step(QuadraticProgram(
@@ -254,7 +261,7 @@ def test_solve_hl_reports_the_gap_on_every_failure(monkeypatch):
     monkeypatch.setattr(highlevel, "solve_qp",
                         lambda problem, **kw: solve_qp(problem, max_iters=1))
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(design), np.full(design.slow.n_states, 1.0))
+        solve_hl(design_qp(design), np.full(design.slow.n_states, 1.0))
     diagnostics = err.value.diagnostics
     assert diagnostics["status"] == "max_iters" and diagnostics["iterations"] == 1
     lower, upper = diagnostics["tube_gap_bracket"]
@@ -263,17 +270,17 @@ def test_solve_hl_reports_the_gap_on_every_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("tube", ["ball", "point"])
-def test_solve_hl_refuses_a_nan_state(tube, decoupled):
+def test_solve_hl_refuses_a_nan_state(tube, decoupled, slow_qp):
     # A NaN projected state lies in no tube ball and pins nothing: the free
     # map does not decide the tick, the exact path ends MAX_ITERS at once,
     # and the error says so.
-    design = (make_design(np.random.default_rng(29))[3] if tube == "ball"
-              else decoupled[2].hl)
-    x_proj = np.zeros(design.slow.n_states)
+    qp = (design_qp(make_design(np.random.default_rng(29))[3]) if tube == "ball"
+          else slow_qp(decoupled[2]))
+    x_proj = np.zeros(qp.design.slow.n_states)
     x_proj[0] = np.nan
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
-        solve_hl(tube_qp(design), x_proj)
+        solve_hl(qp, x_proj)
     assert time.perf_counter() - start < 0.1
     assert err.value.diagnostics["status"] == "max_iters"
 
@@ -284,8 +291,8 @@ def test_feasibility_gap_without_input_authority(level):
     # (A^N x_0)'P(A^N x_0) <= level; the nearest point is x(mu) =
     # (I + mu M)^-1 x_proj, M = A^N'PA^N, with mu found by root finding.
     design = tight_design(level, 0.0)
-    gap = feasibility_gap(tube_qp(design), FAR)
-    A_N = np.linalg.matrix_power(design.slow.A, design.horizon)
+    gap = feasibility_gap(design_qp(design), FAR)
+    A_N = np.linalg.matrix_power(design.slow.A, HORIZON)
     M = A_N.T @ design.terminal.shape @ A_N
 
     def x_of(mu):
@@ -299,7 +306,7 @@ def test_feasibility_gap_without_input_authority(level):
 
 def test_feasibility_gap_to_a_single_point():
     # Level 0 and input radius 0 admit x_0 = 0 alone (A^N is invertible).
-    gap = feasibility_gap(tube_qp(tight_design(0.0, 0.0)), FAR)
+    gap = feasibility_gap(design_qp(tight_design(0.0, 0.0)), FAR)
     for bound in (gap.lower, gap.upper):
         assert abs(bound - np.linalg.norm(FAR)) <= 1e-15 * np.linalg.norm(FAR)
 
@@ -307,7 +314,7 @@ def test_feasibility_gap_to_a_single_point():
 def test_feasibility_gap_zero_when_feasible():
     rng = np.random.default_rng(27)
     model, red, slow, design = make_design(rng)
-    gap = feasibility_gap(tube_qp(design), np.array([0.2, -0.1]))
+    gap = feasibility_gap(design_qp(design), np.array([0.2, -0.1]))
     assert gap.lower <= design.tube.ball.radius
 
 
@@ -320,7 +327,7 @@ def test_feasibility_gap_certificate_re_derives_and_its_point_rolls_out():
     # in the terminal set, and ||x_0 - x_proj|| is the upper bound.
     for level, radius in ((1e-14, 1e-6), (1e-6, 1e-4), (1e-2, 0.0)):
         design = tight_design(level, radius)
-        gap = feasibility_gap(tube_qp(design), FAR)
+        gap = feasibility_gap(design_qp(design), FAR)
         z_of, S = support_terms(design)
         P = design.terminal.shape
         z = z_of @ gap.w
@@ -350,7 +357,7 @@ def test_certificate_sweep_on_tight_designs():
     for level in (1e-14, 1e-10, 1e-6, 1e-2):
         for radius in (0.0, 1e-6, 1e-4, 1e-2):
             design = tight_design(level, radius)
-            qp = tube_qp(design)
+            qp = design_qp(design)
             r_tube = design.tube.ball.radius
             for _ in range(3):
                 angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -407,18 +414,18 @@ def ball_path(qp, x_proj):
                                      (tube, qp.inputs, qp.terminal), qp.factors))
 
 
-def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled):
+def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled, slow_qp):
     # Inactive input balls and terminal set: one KKT solve with x_0 pinned.
     _, _, bundle = decoupled
     assert bundle.hl.tube.ball.radius == 0.0
-    qp = tube_qp(bundle.hl)
+    qp = slow_qp(bundle)
     x_proj = np.array([0.6, -0.4])
     sol = solve_hl(qp, x_proj)
     assert sol.iterations == 0
     assert np.linalg.norm(sol.x_nominal - x_proj) <= 1e-12
     ref = ball_path(qp, x_proj)
     assert ref.status is Status.OPTIMAL and ref.iterations > 0
-    n, N = qp.design.slow.n_states, qp.design.horizon
+    n, N = qp.design.slow.n_states, qp.horizon
     assert np.max(np.abs(sol.x_nominal - ref.x[:n])) <= 1e-7
     assert np.max(np.abs(sol.u_nominal_seq.ravel() - ref.x[n * (N + 1):])) <= 1e-7
     assert abs(sol.objective - ref.objective) <= 1e-7 * max(1.0, abs(ref.objective))
@@ -431,7 +438,7 @@ def pinned_problem(qp, x_proj):
                             (qp.inputs, qp.terminal), qp.pinned)
 
 
-def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
+def test_point_tube_binding_input_takes_the_pinned_step(decoupled, slow_qp,
                                                        kkt_certificate,
                                                        kkt_solves):
     # A far start saturates input balls: the pinned optimum is outside them,
@@ -442,9 +449,9 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     # step's set columns): its plan is the step's from that start, to the
     # bit, and the step's from a fresh K0 solve to roundoff.
     _, _, bundle = decoupled
-    qp = tube_qp(bundle.hl)
+    qp = slow_qp(bundle)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
-    n, N = qp.design.slow.n_states, qp.design.horizon
+    n, N = qp.design.slow.n_states, qp.horizon
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
     fresh = active_set_step(pinned, qp.pinned)
@@ -453,7 +460,7 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
     kkt_certificate(pinned, step.x, 1e-8)
     assert step.iterations == fresh.iterations
     assert np.max(np.abs(step.x - fresh.x)) <= 1e-12 * np.max(np.abs(fresh.x))
-    tick_qp = tube_qp(bundle.hl)
+    tick_qp = slow_qp(bundle)
     before = len(kkt_solves)
     sol = solve_hl(tick_qp, x_proj)
     assert [f is tick_qp.pinned.lu
@@ -469,7 +476,7 @@ def test_point_tube_binding_input_takes_the_pinned_step(decoupled,
 
 
 def test_point_tube_binding_input_falls_back_to_the_ball_path(
-        decoupled, infeasibility_bound):
+        decoupled, slow_qp, infeasibility_bound):
     # A start no plan can steer into the terminal set: the pinned QP is
     # infeasible, the step does not certify, and `solve_qp` on the pinned
     # QP itself gives the certificate, which re-derives from its dual point
@@ -477,12 +484,12 @@ def test_point_tube_binding_input_falls_back_to_the_ball_path(
     # gap of the diagnostics is the closed bracket around 292.2766079.
     # (The name is from the ball formulation this fallback once solved.)
     _, _, bundle = decoupled
-    qp = tube_qp(bundle.hl)
+    qp = slow_qp(bundle)
     x_proj = 500.0 * np.ones(qp.design.slow.n_states)
     pinned = pinned_problem(qp, x_proj)
     assert equality_first(pinned, qp.pinned) is None
     assert active_set_step(pinned, qp.pinned).status is Status.MAX_ITERS
-    tick_qp = tube_qp(bundle.hl)
+    tick_qp = slow_qp(bundle)
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
         solve_hl(tick_qp, x_proj)
@@ -501,12 +508,12 @@ def test_point_tube_binding_input_falls_back_to_the_ball_path(
     assert abs(lower - 292.2766079) <= 1e-9 * lower
 
 
-def test_tube_qp_pins_only_a_point_tube(decoupled):
+def test_tube_qp_pins_only_a_point_tube(decoupled, slow_qp):
     rng = np.random.default_rng(29)
     _, _, _, design = make_design(rng)
     assert design.tube.ball.radius > 0.0
-    assert tube_qp(design).pinned is None
-    qp = tube_qp(decoupled[2].hl)
+    assert design_qp(design).pinned is None
+    qp = slow_qp(decoupled[2])
     n, d = qp.design.slow.n_states, qp.H.shape[0]
     assert qp.pinned.A_eq.shape == (qp.A_eq.shape[0] + n, d)
     assert np.array_equal(qp.pinned.A_eq[:-n], qp.A_eq)
@@ -515,11 +522,11 @@ def test_tube_qp_pins_only_a_point_tube(decoupled):
                                                    qp.terminal.indices.shape]
 
 
-def per_step_tube_data(design):
-    """H and A_eq of the slow QP, one np.ix_ gather per block: x_0..x_N,
-    then u_0..u_{N-1}."""
+def per_step_tube_data(design, Q, R, N):
+    """H and A_eq of the slow QP with stage weights Q and R over N steps,
+    one np.ix_ gather per block: x_0..x_N, then u_0..u_{N-1}."""
     slow = design.slow
-    n, m, N = slow.n_states, slow.n_inputs, design.horizon
+    n, m = slow.n_states, slow.n_inputs
     d = n * (N + 1) + m * N
 
     def x_idx(k):
@@ -530,8 +537,8 @@ def per_step_tube_data(design):
 
     H = np.zeros((d, d))
     for k in range(N):
-        H[np.ix_(x_idx(k), x_idx(k))] = design.Q
-        H[np.ix_(u_idx(k), u_idx(k))] = design.R
+        H[np.ix_(x_idx(k), x_idx(k))] = Q
+        H[np.ix_(u_idx(k), u_idx(k))] = R
     H[np.ix_(x_idx(N), x_idx(N))] = design.terminal.shape
     H = 2.0 * H + 1e-10 * np.eye(d)
     A_eq = np.zeros((n * N, d))
@@ -546,10 +553,13 @@ def per_step_tube_data(design):
 def test_tube_qp_data_and_factors_match_the_per_step_construction(decoupled):
     # Bit for bit, on a ball tube and on the point tube with its pinned
     # factors as well.
-    _, _, _, design = make_design(np.random.default_rng(29))
-    for design in (design, decoupled[2].hl):
-        qp = tube_qp(design)
-        H, A_eq = per_step_tube_data(design)
+    _, cfg, bundle = decoupled
+    n_red, m = bundle.reduced.n_states, bundle.model.n_inputs
+    for design, weights, N in (
+            (make_design(np.random.default_rng(29))[3], (Q, R), HORIZON),
+            (bundle.hl, slow_weights(cfg, n_red, m), cfg.horizon)):
+        qp = tube_qp(design, *weights, N)
+        H, A_eq = per_step_tube_data(design, *weights, N)
         assert qp.H.tobytes() == H.tobytes()
         assert qp.A_eq.tobytes() == A_eq.tobytes()
         oracle = KKTFactors(H, A_eq, qp.factors.layout)
@@ -584,7 +594,7 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     # active-set step, which runs from that solve as it does on a fresh
     # TubeQP.
     _, _, _, design = make_design(np.random.default_rng(31))
-    qp = tube_qp(design)
+    qp = design_qp(design)
     r, n = design.tube.ball.radius, design.slow.n_states
     for scale in (0.5, -0.25):
         near = solve_hl(qp, scale * r * np.eye(n)[0])
@@ -595,7 +605,7 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     # `tube_qp`, and the set columns Z that the step builds on its first
     # run.
     assert sum(f is qp.factors.lu for f in kkt_solves) == 2
-    ref = solve_hl(tube_qp(design), x_far)
+    ref = solve_hl(design_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
     for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):
         assert np.array_equal(getattr(sol, name), getattr(ref, name)), name

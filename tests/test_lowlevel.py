@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from hiermpc import lowlevel
 from hiermpc.errors import InfeasibleLL
-from hiermpc.harness import RunConfig, config_from_dict, design_pipeline
+from hiermpc.harness import (RunConfig, config_from_dict, design_pipeline,
+                             fast_weights)
 from hiermpc.lowlevel import (LLGain, apply_correction, auxiliary_maps,
                               block_toeplitz, correction_qp, design_ll_gain,
                               lag_response, simulate_auxiliary, solve_ll)
@@ -318,7 +319,7 @@ def workload_qp(request):
     bundle = design_pipeline(model, cfg)
     N = cfg.period
     qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
-                       bundle.ll_Q, bundle.ll_R, N, plan_lags(model, N))
+                       *fast_weights(model, cfg), N, plan_lags(model, N))
     return model, bundle, N, qp
 
 
@@ -329,10 +330,11 @@ def own_qps(workload_qp, own_correction_qp):
     model, bundle, N, _ = workload_qp
     assert bundle.reduced.n_states == model.n_subsystems
     qps, reach = [], []
+    Q, R = fast_weights(model, bundle.config)
     for i in range(model.n_subsystems):
         radius = float(bundle.radii.rho_delta_u_hat[i])
         alone = own_correction_qp(model, bundle.reduced, i, radius,
-                                  bundle.ll_Q[i], bundle.ll_R[i], N, [0.0])
+                                  Q[i], R[i], N, [0.0])
         qps.append(alone)
         steps = alone.A_eq.reshape(N, -1)
         reach.append(radius * np.linalg.norm(steps, axis=1).sum())

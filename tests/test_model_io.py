@@ -25,7 +25,7 @@ def test_json_int_becomes_float_and_lists_become_tuples():
     assert cfg.retained_orders == (1, 2)
     alloc = from_json(RadiusAllocation, {
         "rho_delta_u_hat": [1, 2], "rho_u_bar": [0.5, 0.25], "objective": 3,
-        "gamma1": 1.0, "gamma2": 1.0, "slack": 0.0})
+        "slack": 0.0})
     assert alloc.rho_delta_u_hat.dtype == float
     np.testing.assert_array_equal(alloc.rho_delta_u_hat, [1.0, 2.0])
 
