@@ -143,6 +143,27 @@ def check_same_design(cfg: RunConfig, bundle: DesignBundle) -> None:
                             f"{', '.join(differ)}; design the bundle from it")
 
 
+def check_same_plant(model: InterconnectedModel, bundle: DesignBundle) -> None:
+    """ConfigInvalid naming the parts of `model.json` in which `model`
+    differs, in size or in bits, from the plant `bundle` was designed on,
+    the plant its archive records.  The same object passes at once; else
+    each part's JSON text is compared, which keeps every bit of a float."""
+    if model is bundle.model:
+        return
+    ours, design = to_json(model), to_json(bundle.model)
+    if len(ours["subsystems"]) != len(design["subsystems"]):
+        differ = ["the number of subsystems"]
+    else:
+        differ = [f"subsystems[{i}].{key}" for i, (a, b) in
+                  enumerate(zip(ours["subsystems"], design["subsystems"]))
+                  for key in a if json.dumps(a[key]) != json.dumps(b[key])]
+        if json.dumps(ours["coupling"]) != json.dumps(design["coupling"]):
+            differ.append("coupling")
+    if differ:
+        raise ConfigInvalid(f"the plant differs from the design's in "
+                            f"{', '.join(differ)}; design the bundle on it")
+
+
 def start_state(model: InterconnectedModel, cfg: RunConfig) -> np.ndarray:
     """The configured start state, checked against the plant's state count."""
     x = np.asarray(cfg.x0, dtype=float)
@@ -343,9 +364,10 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                     bundle: DesignBundle | None = None) -> TraceArchive:
     """Execute the two-rate loop for `cfg.n_slow_steps` slow steps.
 
-    A given `bundle` must have been designed from `cfg`: a config that
-    differs from `bundle.config` in any field but `n_slow_steps` raises
-    ConfigInvalid naming the fields.  Any slow- or fast-layer infeasibility
+    A given `bundle` must have been designed from `cfg` on `model`: a
+    config that differs from `bundle.config` in any field but
+    `n_slow_steps`, or a plant that differs from `bundle.model` in size or
+    bits, raises ConfigInvalid naming what differs.  Any slow- or fast-layer infeasibility
     aborts the run with the slow-step index attached to the exception
     diagnostics; nothing is clipped, and no trace is returned.  The data of
     each layer's QP that does not change between ticks, with its KKT
@@ -367,6 +389,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     if bundle is None:
         bundle = design_pipeline(model, cfg)
     check_same_design(cfg, bundle)
+    check_same_plant(model, bundle)
     reduced, hl, lifted = bundle.reduced, bundle.hl, bundle.hl.slow
     K, N, M = cfg.n_slow_steps, cfg.period, model.n_subsystems
     n, m = model.n_states, model.n_inputs

@@ -18,14 +18,15 @@ that does not depend on the tick is built once per run: the stacked maps
 of the auxiliary rollout, `auxiliary_maps`, of which a tick reads only the
 last block row (the terminal state its target needs; the harness builds the
 other states of every tick after the loop), and the stacked QP with the
-constant QP data and its free map, the K0 solves against the unit
-vectors of its target rows.  Per tick only the terminal target changes, so
+constant QP data, each subsystem's QP alone and the free map.  Each block
+is factored once, with the run: its factors give its columns of the free
+map, the K0 solves against the unit vectors of its target rows, and its
+exact path, for the ticks whose budgets bind.  No stacked KKT matrix is
+factored, so the map's bits do not depend on how the LU of a large matrix
+is split over BLAS threads.  Per tick only the terminal target changes, so
 a plan whose budgets do not bind is one product with that map, accepted by
 `solver.free_optimum`'s rule with the budgets checked in one reduction: no
 QP is built.
-The stacked QP also carries each subsystem's QP alone with its own
-factors, built once and factored on first use, for the blocks of a tick
-whose budgets bind.
 
 The regulators are LTI within a slow period, so every map from a tick's
 planned corrections to its fast block is block lower-triangular Toeplitz
@@ -195,13 +196,14 @@ class CorrectionQP:
     `width` columns of the plan, so `within_budgets` checks them all in one
     reduction.  Per tick only the terminal target b_eq changes, and g is
     zero: the equality-only optimum with its multipliers is free @ b_eq,
-    where `free`, (d + r, r), is the K0 solves against the unit
-    vectors of the r target rows.  Everything here is built once by `correction_qp`, with one
-    factorization of the stacked KKT matrix, for `free`.  So is each
-    subsystem's QP alone (`blocks`, with a zero target and its own KKT
-    factors, factored on the first tick that needs it), which a tick whose
-    budgets bind solves for each block whose balls the stacked
-    equality-only plan leaves.
+    where `free`, (d + r, r), is the K0 solves against the unit vectors of
+    the r target rows.  Everything here is built once by `correction_qp`,
+    with one factorization per block: each subsystem's QP alone (`blocks`,
+    with a zero target and its own KKT factors) is factored when it is
+    built, and its K0 solves against the unit vectors of its own target
+    rows are its columns of `free`, at its inputs and multiplier rows; the
+    rest of `free` is zero.  A tick whose budgets bind solves, on the same
+    factors, each block whose balls the stacked equality-only plan leaves.
     """
 
     period: int
@@ -242,8 +244,8 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
     planned deviations [0; Gamma_i; reach_i] at steps 0..period."""
     m = model.n_inputs
     d = period * m
-    H = np.zeros((d, d))
-    A_eq = np.zeros((reduced.n_states, d))
+    r = reduced.n_states
+    H, A_eq, free = np.zeros((d, d)), np.zeros((r, d)), np.zeros((d + r, r))
     steps = np.arange(d).reshape(period, m)
     balls, target_rows, blocks = [], [], []
     for i, sub in enumerate(model.subsystems):
@@ -268,13 +270,15 @@ def correction_qp(model: InterconnectedModel, reduced: ReducedModel, budgets,
         blocks.append(QuadraticProgram(
             H_i, np.zeros(at.size), A_i, np.zeros(A_i.shape[0]), (own,),
             KKTFactors(H_i, A_i, [own.indices])))
+        # Block i's columns of `free`: its K0 solves against the unit
+        # vectors of its target rows, at its inputs and multiplier rows.
+        r_i = A_i.shape[0]
+        sol = blocks[-1].factors.equality_solve(
+            np.eye(at.size + r_i, r_i, -at.size))
+        free[at, rows], free[d:][rows, rows] = sol[:at.size], sol[at.size:]
     g = np.zeros(d)
-    g.flags.writeable = False
+    g.flags.writeable = free.flags.writeable = False
     widths = {sub.n_inputs for sub in model.subsystems}
-    r = A_eq.shape[0]
-    rhs = np.zeros((d + r, r))
-    rhs[d:] = np.eye(r)
-    free = KKTFactors(H, A_eq, [b.indices for b in balls]).equality_solve(rhs)
     return CorrectionQP(period, reduced.beta, H, g, A_eq, tuple(balls),
                         np.array([b.radius for b in balls]),
                         widths.pop() if len(widths) == 1 else 0,

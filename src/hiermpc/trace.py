@@ -49,6 +49,12 @@ closed-loop norm-tail envelope, whose lifted closed loop
 `lti.lifted_closed_loop` rebuilds from the model and slow gain.
 Each bound check (`input_limits`, `correction_budgets`, `disturbance_bound`,
 `tube_containment`) says in its detail how much of its bound the run used.
+`correction_law` is scale-aware: the closed loop applied the D map of
+`harness.fast_block_maps` and verify rebuilds the law from the states, so
+each row's |du - law| is compared with eps times the size of the law's
+terms there, at most `LAW_ROUNDOFF` times; its detail gives the absolute
+worst.  A damaged model or gain whose closed-loop powers overflow fails
+`tail_envelope` as a non-finite envelope, by name.
 """
 from __future__ import annotations
 
@@ -81,6 +87,12 @@ _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
 # Rows formatted by one `%` in `_write_csv`: few enough that the text of a
 # chunk stays small, enough that the per-chunk overhead does not count.
 _CSV_CHUNK_ROWS = 256
+# The correction_law check compares |du - law| on each row with eps times
+# the size of the law's terms there.  Correct runs stay below 2 (the three
+# benchmark plants and a decoupled run with |K_i| = 373); a tampered cell
+# is orders of magnitude above.
+LAW_ROUNDOFF = 16.0
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def _csv_header(schema: str, n_columns: int, n_rows: int) -> str:
@@ -396,23 +408,33 @@ def verify_archive(path) -> VerifyReport:
     reduced, slow = bundle.reduced, bundle.hl.slow
     xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
     x_bar_pred = xproj_rec @ slow.A.T + ubar_s @ slow.B.T
-    law = np.empty_like(du)
+    law, scale = np.empty_like(du), np.abs(duhat)
     terminal_miss = 0.0
     for i, (sub, K_i) in enumerate(zip(model.subsystems,
                                        bundle.ll_gain.blocks)):
         si, ui = model.state_slice(i), model.input_slice(i)
         dxhat = _rollouts(sub.A, np.zeros((K_steps, sub.n_states)),
                           (duhat[:, ui] @ sub.B.T).reshape(K_steps, N, -1))
+        fast_dxhat = dxhat[:, :N].reshape(-1, sub.n_states)
         law[:, ui] = duhat[:, ui] + (
-            x[:, si] - fast_xhat[:, si]
-            - dxhat[:, :N].reshape(-1, sub.n_states)) @ K_i.T
+            x[:, si] - fast_xhat[:, si] - fast_dxhat) @ K_i.T
+        # The size of the law's terms on each row: |duhat| + rowsum|K_i|
+        # times the subsystem's largest |x| + |xhat| + |dxhat| there, laid
+        # out by column, where the max over a row's few states is one pass.
+        size = np.add(np.abs(x[:, si], order="F"), np.abs(fast_xhat[:, si])
+                      + np.abs(fast_dxhat), order="F").max(axis=1)
+        scale[:, ui] += size[:, None] * np.abs(K_i).sum(axis=1)
         # Each plan's projected terminal deviation lands on the slow layer's
         # prediction gap: beta_i dxhat_N = x_bar_pred_i - beta_i xhat_N.
         beta_i = reduced.beta_block(i, model)
         gap = x_bar_pred[:, reduced.block_slice(i)] - xhat[:, N, si] @ beta_i.T
         terminal_miss = max(terminal_miss, float(np.max(np.abs(
             dxhat[:, N] @ beta_i.T - gap))))
-    add("correction_law", float(np.max(np.abs(du - law))), 1e-12)
+    # The closed loop applied the D map, verify rebuilds the law from the
+    # states: the two round differently, by a few eps of the terms' size.
+    miss = np.abs(du - law)
+    add("correction_law", float(np.max(miss / (_EPS * scale + _TINY))),
+        LAW_ROUNDOFF, detail=f"max |du - law|: {np.max(miss):.6g}")
     add("ll_terminal", terminal_miss, 1e-9)
 
     # Slow-step disturbance: recompute from boundary states and held inputs.
@@ -456,7 +478,12 @@ def verify_archive(path) -> VerifyReport:
     K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
     F = lifted_closed_loop(model.A, model.B, K, beta, N)
-    pow_norms = spectral_norms(matrix_powers(F, K_steps))
+    # A damaged model or gain can make the powers overflow, where the SVD
+    # does not converge: such a power's norm is inf, which fails the check.
+    powers = matrix_powers(F, K_steps)
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    pow_norms = np.full(K_steps + 1, np.inf)
+    pow_norms[finite] = spectral_norms(powers[finite])
     forcing = np.linalg.norm(
         (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \
         + bundle.report.rho_x
@@ -468,12 +495,16 @@ def verify_archive(path) -> VerifyReport:
         env = pow_norms[k] * x0_norm
         if k:
             env += float(np.dot(pow_norms[k - 1::-1][:k], forcing[:k]))
+        if not np.isfinite(env):
+            worst_gap, detail = np.inf, f"the envelope is not finite at k = {k}"
+            break
         gap = float(np.linalg.norm(xk[k]) - env)
         worst_gap = max(worst_gap, gap)
         if k:
             slack = min(slack, float(-gap / env))
-    add("tail_envelope", worst_gap, 1e-9,
-        detail=f"state norm minus envelope; smallest relative slack over "
-               f"k >= 1: {slack:.6g}")
+    else:
+        detail = (f"state norm minus envelope; smallest relative slack over "
+                  f"k >= 1: {slack:.6g}")
+    add("tail_envelope", worst_gap, 1e-9, detail)
 
     return VerifyReport(tuple(checks))

@@ -402,19 +402,25 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     # run builds the slow QP, and every tick only checks the tube ball.
     # The K0 factors are used once more, for the set columns Z of the
     # active-set step, built on the first tick that runs it and kept.  The
-    # correction layer's map is one more solve, when the run builds it.  No
-    # tick makes a K0 solve of its own: a free tick is a product with
-    # a map, and the others start the exact path from that product.
-    qps = []
+    # correction layer's map is one more solve per block, with the block's
+    # own factors, when the run builds it.  No tick makes a K0 solve of its
+    # own: a free tick is a product with a map, and the others start the
+    # exact path from that product.
+    qps, ll_qps = [], []
+    correction_qp = harness.correction_qp
     monkeypatch.setattr(harness, "tube_qp",
                         lambda *args: qps.append(tube_qp(*args)) or qps[-1])
+    monkeypatch.setattr(harness, "correction_qp", lambda *args:
+                        ll_qps.append(correction_qp(*args)) or ll_qps[-1])
     cfg = dataclasses.replace(short_cfg, n_slow_steps=100)
     arc = run_closed_loop(model, cfg, bundle)
-    (qp,) = qps
+    (qp,), (ll_qp,) = qps, ll_qps
     iterations = arc.slow[:, arc.slow_cols.index("iterations")]
     assert np.sum(iterations == 0) >= 90 and np.any(iterations > 0)
-    slow = qp.factors.lu
-    assert [f is slow for f in kkt_solves] == [True, False, True]
+    slow, (block0, block1) = qp.factors.lu, [b.factors.lu for b in ll_qp.blocks]
+    assert len(kkt_solves) == 4
+    assert all(f is want for f, want in
+               zip(kkt_solves, [slow, block0, block1, slow]))
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
@@ -452,6 +458,23 @@ def test_a_bundle_runs_for_any_number_of_slow_steps(model, bundle, short_cfg,
     assert loaded.hl.gain.K.tobytes() == bundle.hl.gain.K.tobytes()
     passed = {c.name for c in verify_archive(out).checks if c.passed}
     assert {"record_counts", "config_hash", "correction_law"} <= passed
+
+
+def test_a_bundle_runs_only_on_the_plant_it_was_designed_on(model, bundle,
+                                                           short_cfg, archive):
+    """A plant that differs from the bundle's is refused, naming the parts
+    that differ: the archive records the bundle's plant, so a run on another
+    would fail its own transitions.  An equal plant built again from the
+    same building runs, to the bit."""
+    building = default_building()
+    doubled = dataclasses.replace(
+        building, conductance_shared=2.0 * building.conductance_shared)
+    with pytest.raises(ConfigInvalid, match=r"differs .* in .*coupling"):
+        run_closed_loop(build_thermal_model(doubled), short_cfg, bundle)
+    again = build_thermal_model(building)
+    assert again is not model
+    arc = run_closed_loop(again, short_cfg, bundle)
+    assert arc.fast.tobytes() == archive.fast.tobytes()
 
 
 def test_infeasible_start_reports_slow_step(model, bundle, short_cfg):
@@ -1046,6 +1069,45 @@ def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
     assert failed == {"transition_residual", "correction_law", "ll_terminal",
                       "disturbance_record"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
+                                                   capsys):
+    # One 1e300 entry of the model makes the lifted closed loop's powers
+    # overflow, where the SVD of their norms does not converge: verify
+    # fails the transitions and a non-finite envelope by name, and raises
+    # nothing.
+    bad = tmp_path / "huge"
+    shutil.copytree(archive_dir, bad)
+    data = json.loads((bad / "model.json").read_text())
+    data["subsystems"][0]["A"][0][0] = 1e300
+    (bad / "model.json").write_text(json.dumps(data))
+    checks = {c.name: c for c in verify_archive(bad).checks}
+    assert not checks["transition_residual"].passed
+    envelope = checks["tail_envelope"]
+    assert not envelope.passed and envelope.worst == math.inf
+    assert envelope.detail == "the envelope is not finite at k = 1"
+    assert main(["verify", str(bad)]) == 1
+    assert "\ntail_envelope " in capsys.readouterr().out
+
+
+def test_correction_law_passes_a_high_gain_run(tmp_path):
+    # The decoupled plant with a cheap fast input: |K_i| is in the hundreds,
+    # so the law rebuilt from the states and the D map the loop applied
+    # differ by more than 1e-12 in absolute terms, yet by a few eps of the
+    # law's terms, row by row.
+    cfg = RunConfig(decoupled=True, q_fast=1e3, r_fast=1e-3, x0=(-10.0,) * 10)
+    model = build_thermal_model(default_building(decoupled=True))
+    bundle = design_pipeline(model, cfg)
+    assert max(np.linalg.norm(K, 2) for K in bundle.ll_gain.blocks) > 300
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path / "run")
+    report = verify_archive(out)
+    assert report.passed, report.table()
+    (law,) = [c for c in report.checks if c.name == "correction_law"]
+    assert float(law.detail.rsplit(": ", 1)[1]) > 1e-12
 
 
 def test_plans_hit_the_terminal_target(archive_dir):

@@ -37,6 +37,13 @@ def scalar_pair(a1=0.5, a2=0.6, couple=0.0, b1=1.0, b2=1.0):
     return assemble(subs, coupling)
 
 
+def two_state_pair():
+    subs = [SubsystemModel(A=[[0.5, 0.1], [0.0, 0.6]], B=[[1.0, 0.0], [0.5, 1.0]],
+                           E=[[1.0], [0.0]], C_z=[[1.0, 0.0]],
+                           input_set=BallSet(2, 10.0)) for _ in range(2)]
+    return assemble(subs, CouplingMap(((None, [[0.05]]), ([[0.05]], None))))
+
+
 def plan_lags(model, period):
     """The plan rollout of `lag_response`, which does not depend on the
     gain: here a zero one."""
@@ -189,26 +196,52 @@ def test_solve_ll_target_gap_is_the_closed_form(period):
         assert upper - lower <= 1e-12 * upper
 
 
-def test_binding_ticks_factor_each_binding_block_once(monkeypatch):
-    # Subsystem 0's budget binds on both ticks, subsystem 1's on neither:
-    # block 0's QP alone is factored on the first tick and reused on the
-    # second, block 1 is never solved alone and keeps its part of the
-    # stacked equality-only solve.
+def test_binding_ticks_factor_nothing(monkeypatch):
+    # Every block's QP alone is factored once, when the QP is built, for its
+    # columns of the free map.  Subsystem 0's budget binds on both ticks and
+    # neither tick factors anything; block 1 is never solved alone and
+    # keeps its part of the stacked equality-only solve.
     model = scalar_pair()
     red = reduce_model(model, [1, 1])
-    qp, _ = stacked_qp(model, red, [0.3, 0.3], np.eye(1), np.eye(1), 4)
     lu_factor, shapes = scipy.linalg.lu_factor, []
     monkeypatch.setattr(scipy.linalg, "lu_factor",
                         lambda a: shapes.append(a.shape) or lu_factor(a))
+    qp, _ = stacked_qp(model, red, [0.3, 0.3], np.eye(1), np.eye(1), 4)
+    assert shapes == [(5, 5), (5, 5)]
     for target in (0.5, 0.45):
         plan = solve_ll(qp, np.array([target, 0.01]), np.zeros(2))
         assert plan.iterations > 0
         assert np.max(np.linalg.norm(plan.u_steps[:, :1], axis=1)) >= 0.3 * (1 - 1e-9)
-    assert shapes == [(5, 5)]
-    assert "lu" not in vars(qp.blocks[1].factors)
+    assert shapes == [(5, 5), (5, 5)]
     free = solve_ll(qp, np.array([0.01, 0.01]), np.zeros(2))
     assert free.iterations == 0
     assert np.array_equal(plan.u_steps[:, 1], free.u_steps[:, 1])
+
+
+def test_free_map_is_each_blocks_own_solve(workload_qp):
+    # Block i's columns of the free map are its own factors' K0 solves
+    # against the unit vectors of its target rows, to the bit, at its
+    # inputs and its multiplier rows; every other entry is an exact zero.
+    # Also with a block of two target rows.
+    model = two_state_pair()
+    small, _ = stacked_qp(model, reduce_model(model, [2, 1]), [5.0, 5.0],
+                          np.eye(2), np.eye(2), 3)
+    for model, qp in ((workload_qp[0], workload_qp[3]), (model, small)):
+        d = qp.g.size
+        rest = qp.free.copy()
+        steps = np.arange(d).reshape(qp.period, -1)
+        for i, (block, rows) in enumerate(zip(qp.blocks, qp.target_rows)):
+            at = steps[:, model.input_slice(i)].ravel()
+            r_i = rows.stop - rows.start
+            unit = np.zeros((at.size + r_i, r_i))
+            unit[at.size:] = np.eye(r_i)
+            sol = block.factors.equality_solve(unit)
+            assert qp.free[at, rows].tobytes() == sol[:at.size].tobytes()
+            assert qp.free[d:][rows, rows].tobytes() == sol[at.size:].tobytes()
+            rest[at, rows] = rest[d:][rows, rows] = np.nan
+        assert np.all((rest == 0.0) | np.isnan(rest))
+        assert not np.any(np.signbit(rest))
+    assert small.target_rows[0] == slice(0, 2)
 
 
 def test_solve_ll_names_the_iteration_limit(monkeypatch):
@@ -230,10 +263,7 @@ def test_solve_ll_names_the_iteration_limit(monkeypatch):
 def test_plan_states_follow_subsystem_dynamics():
     # The plan rollout map gathered from the lag table gives each
     # subsystem's own recursion x+ = A_i x + B_i u on its own columns.
-    subs = [SubsystemModel(A=[[0.5, 0.1], [0.0, 0.6]], B=[[1.0, 0.0], [0.5, 1.0]],
-                           E=[[1.0], [0.0]], C_z=[[1.0, 0.0]],
-                           input_set=BallSet(2, 10.0)) for _ in range(2)]
-    model = assemble(subs, CouplingMap(((None, [[0.05]]), ([[0.05]], None))))
+    model = two_state_pair()
     red = reduce_model(model, [1, 1])
     for budget, binds in ((10.0, False), (0.3, True)):
         qp, rollouts = stacked_qp(model, red, [budget, budget], np.eye(2),
