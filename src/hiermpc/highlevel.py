@@ -4,15 +4,15 @@ The reduced model is lifted to the slow clock (one slow step = `period` fast
 steps), a disturbance-rejecting gain is designed against both the reduced
 and the full lifted loop, and each slow step solves a tube-tightened QP
 whose first nominal state is a free variable anchored to the projected
-plant state by the invariant-ball constraint.  A tube of radius 0 (no
-coupling, so no disturbance on the reduced model) is a single point: the
-robust MPC is then nominal MPC from the projected state, and each solve
-first tries the exact optimum with that point pinned by equality rows.
-The QP a tick tries first has an equality-only optimum linear in the
-tick's data, so a tick whose sets do not bind is one product with a map
-built once per run (`TubeQP.free`), accepted by `solver.free_optimum`.
-A failed solve brackets how far the projected state lies from the states
-that admit a plan (`feasibility_gap`).
+plant state by the invariant-ball constraint.  It is one QP with one set
+of KKT factors.  Its cost and equalities carry no tick data, so its
+equality-only optimum is x = 0, which decides a tick whose tube ball holds
+it.  A tube of radius 0 (no coupling, so no disturbance on the reduced
+model) is a single point, whose coordinates the active-set step holds as
+equality rows: the optimum with x_0 held at the projected state and no
+other set active is a linear map of that state (`TubeQP.held`), built once
+per run from the same factors.  A failed solve brackets how far the
+projected state lies from the states that admit a plan (`feasibility_gap`).
 """
 from __future__ import annotations
 
@@ -176,21 +176,14 @@ class TubeQP:
     Decision vector: nominal states x_0..x_N, then inputs u_0..u_{N-1}.  Per
     tick only the centre of the tube ball around x_0 changes; cost, dynamics
     equalities, the design's sets placed on the decision vector and the KKT
-    factors of the slow solve are built once by `tube_qp`.  `pinned` is set
-    only for a tube of radius 0: the factors of the same QP with the tube
-    ball written as the equality rows x_0 = x_proj, stacked under the
-    dynamics, for the layout (inputs, terminal).
+    factors of the slow solve are built once by `tube_qp`.
 
-    `free` is the equality-only optimum, with its multipliers, of the
-    formulation a tick tries first, as a map of the tick's data, built with
-    one K0 solve.  On a point tube it is the pinned QP's solves
-    against the unit vectors of the rows x_0 = x_proj, (d + r, n): a
-    tick's optimum is free @ x_proj.  Otherwise the tick moves only the
-    tube centre, so the ball formulation's optimum is one vector, (d + r,),
-    the same on every tick, and so is all that `solver.free_optimum` checks
-    of it but the tube ball: `fixed` holds its equality residual,
-    stationarity and objective if the rule accepts it on the input balls
-    and the terminal set, and is None otherwise (and on a point tube).
+    `held` is set only for a tube of radius 0: the optimum with x_0 held at
+    x_proj and no other set active, (x, dynamics multipliers, tube
+    multipliers) = held @ x_proj (Goldfarb and Idnani's held rows, in the
+    unconstrained region of explicit MPC).  With (Z, G) the factors'
+    `set_solves` and F = G[:n, :n]^-1 it is [Z[:, :n] F; -F], checked by
+    `solver.free_optimum` against `A_held`, A_eq over the rows x_0 = x_proj.
     """
 
     design: HLDesign
@@ -201,11 +194,10 @@ class TubeQP:
     inputs: BallSet               # one ball per step, stacked (N, m)
     terminal: EllipsoidSet        # at x_N
     factors: KKTFactors           # for the layout (tube, inputs, terminal)
-    pinned: KKTFactors | None    # point tube only: layout (inputs, terminal)
     g: np.ndarray                 # the zero linear cost, read-only
     b_dyn: np.ndarray             # the dynamics' zero right-hand side, read-only
-    free: np.ndarray              # the first formulation's free map, read-only
-    fixed: tuple[float, float, float] | None  # ball formulation, see above
+    held: np.ndarray | None       # point tube only: the held map, (d + r + n, n)
+    A_held: np.ndarray | None     # point tube only: A_eq over x_0 = x_proj
 
 
 def tube_qp(design: HLDesign, Q: np.ndarray, R: np.ndarray,
@@ -242,22 +234,13 @@ def tube_qp(design: HLDesign, Q: np.ndarray, R: np.ndarray,
     factors = KKTFactors(H, A_eq, (tube.indices, inputs.indices, terminal.indices))
     g, b_dyn = np.zeros(d), np.zeros(n * N)
     g.flags.writeable = b_dyn.flags.writeable = False
-    pinned = None
+    held = A_held = None
     if tube.radius == 0.0:
-        pin = np.zeros((n, d))
-        pin[:, :n] = np.eye(n)
-        pinned = KKTFactors(H, np.vstack([A_eq, pin]),
-                            (inputs.indices, terminal.indices))
-        rhs = np.zeros((d + n * (N + 1), n))
-        rhs[-n:] = np.eye(n)
-        free, fixed = pinned.equality_solve(rhs), None
-    else:
-        free = factors.equality_solve(np.concatenate([-g, b_dyn]))
-        residuals = free_optimum(free, H, g, A_eq, b_dyn, (inputs, terminal))
-        fixed = (None if residuals is None
-                 else (*residuals, qp_objective(H, g, free[:d])))
-    return TubeQP(design, N, H, A_eq, tube, inputs, terminal, factors, pinned,
-                  g, b_dyn, free, fixed)
+        Z, G = factors.set_solves
+        F = np.linalg.inv(G[:n, :n])
+        held, A_held = np.vstack([Z[:, :n] @ F, -F]), np.vstack([A_eq, np.eye(n, d)])
+    return TubeQP(design, N, H, A_eq, tube, inputs, terminal, factors, g, b_dyn,
+                  held, A_held)
 
 
 def horizon_inverse(slow: SlowModel, horizon: int) -> np.ndarray:
@@ -297,23 +280,20 @@ def feasibility_gap(qp: TubeQP, x_proj: np.ndarray) -> DistanceBracket:
 def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     """One slow-step tube MPC solve from the projected plant state.
 
-    A tick first takes the equality-only optimum of the formulation it
-    tries first from the run-constant map `qp.free`, and returns it, with 0
+    A tick first tries the equality-only optimum and returns it, with 0
     iterations and its own residuals and objective, when the rule of
-    `solver.free_optimum` accepts it; no QP is built.  On a point tube
-    (`qp.pinned` set) that formulation is the QP with x_0 = x_proj as
-    equality rows, whose sets are the input balls and the terminal
-    ellipsoid, and its optimum is free @ x_proj.  Otherwise it is the ball
-    formulation, whose optimum is the same on every tick, so that only the
-    tube ball around x_proj is checked per tick (`qp.fixed` holds the
-    rest).  Any other tick passes the same solve as the start of the exact
-    path, with no second solve: `solve_qp` on the ball formulation, or on a
-    point tube on the pinned QP (whose optimum is that of the tube QP, whose
-    tube is that same point).  Its equality-first try declines as the free
-    rule did, so the active-set step decides the tick, or the certificate.
+    `solver.free_optimum` accepts it; no QP is built.  On a ball tube that
+    optimum is x = 0 on every tick, inside the input balls and the terminal
+    set, with zero residuals and objective, so only the tube ball around
+    x_proj is checked.  On a point tube it is `qp.held @ x_proj`, with x_0
+    held at x_proj.  Any other tick makes one `solve_qp` call on the ball
+    formulation with the tube centred at x_proj, from the zero equality-only
+    optimum: the active-set step decides the tick (on a point tube with the
+    tube's coordinates held from its first round), or the certificate.
 
     `iterations` of the solution is 0 when the equality-only optimum
-    decided the tick, and the active-set step's Newton steps otherwise.
+    decided the tick, and the active-set step's Newton steps otherwise; a
+    round with only held rows counts one.
 
     Raises InfeasibleHL when the solve does not end OPTIMAL.  The
     diagnostics name the status and carry the `feasibility_gap` of x_proj:
@@ -322,28 +302,24 @@ def solve_hl(qp: TubeQP, x_proj: np.ndarray) -> HLSolution:
     """
     x_proj = np.asarray(x_proj, dtype=float)
     d = qp.H.shape[0]
-    if qp.pinned is None:
-        # The tube ball around x_proj holds x_0 exactly when the ball at the
-        # origin holds x_0 - x_proj, the difference its violation takes.
-        if (qp.fixed is not None
-                and qp.tube.violation(qp.free[qp.tube.indices] - x_proj) == 0.0):
-            eq_res, dual_res, objective = qp.fixed
-            return _solution(qp, x_proj, qp.free[:d], objective, 0, eq_res,
-                             dual_res)
-        tube = replace(qp.tube, center=x_proj)
-        res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
-                                        (tube, qp.inputs, qp.terminal),
-                                        qp.factors), start=qp.free)
+    if qp.held is None:
+        # The tube ball around x_proj holds x_0 = 0 exactly when the ball at
+        # the origin holds -x_proj.
+        if qp.tube.violation(-x_proj) == 0.0:
+            return _solution(qp, x_proj, np.zeros(d), 0.0, 0, 0.0, 0.0)
     else:
-        cons = (qp.inputs, qp.terminal)
-        b_eq, sol = np.concatenate([qp.b_dyn, x_proj]), qp.free @ x_proj
-        residuals = free_optimum(sol, qp.H, qp.g, qp.pinned.A_eq, b_eq, cons)
+        sol = qp.held @ x_proj
+        residuals = free_optimum(sol, qp.H, qp.g, qp.A_held,
+                                 np.concatenate([qp.b_dyn, x_proj]),
+                                 (qp.inputs, qp.terminal))
         if residuals is not None:
             x = sol[:d]
             return _solution(qp, x_proj, x, qp_objective(qp.H, qp.g, x), 0,
                              *residuals)
-        res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.pinned.A_eq, b_eq, cons,
-                                        qp.pinned), start=sol)
+    tube = replace(qp.tube, center=x_proj)
+    res = solve_qp(QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+                                    (tube, qp.inputs, qp.terminal), qp.factors),
+                   start=np.zeros(d + qp.b_dyn.size))
     if res.status is not Status.OPTIMAL:
         gap = feasibility_gap(qp, x_proj)
         diagnostics = {"status": res.status.value, "iterations": res.iterations,

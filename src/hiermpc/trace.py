@@ -54,7 +54,7 @@ Each bound check (`input_limits`, `correction_budgets`, `disturbance_bound`,
 each row's |du - law| is compared with eps times the size of the law's
 terms there, at most `LAW_ROUNDOFF` times; its detail gives the absolute
 worst.  A damaged model or gain whose closed-loop powers overflow fails
-`tail_envelope` as a non-finite envelope, by name.
+`tail_envelope` as a non-finite envelope, by name, with no numpy warning.
 """
 from __future__ import annotations
 
@@ -330,11 +330,11 @@ def _used(label: str, norms: np.ndarray, bound) -> str:
     """The detail of a bound check: the largest fraction of its bound (one
     per column of `norms`) a norm used.  A bound of 0, as the decoupled
     plant's rho_w and point tube, reads inf for any nonzero norm."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        used = np.max(np.where(norms > 0, norms / bound, 0.0))
+    used = np.max(np.where(norms > 0, norms / bound, 0.0))
     return f"{label}: {used:.6g}"
 
 
+@np.errstate(all="ignore")
 def verify_archive(path) -> VerifyReport:
     """Re-check every runtime invariant of a stored run from first
     principles: nothing recorded is trusted except the raw states, inputs
@@ -343,7 +343,10 @@ def verify_archive(path) -> VerifyReport:
 
     The convergence checks (nominal settling, norm-tail envelope) hold for
     runs of the certified scenario length; archives cut short before the
-    nominal settles fail `nominal_convergence` by construction."""
+    nominal settles fail `nominal_convergence` by construction.  A damaged
+    archive can overflow the re-derivations: numpy's floating-point
+    warnings are off here, and a NaN or inf worst fails its check by
+    name."""
     arc = load_archive(path)
     bundle = arc.bundle
     cfg = bundle.config

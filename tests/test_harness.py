@@ -341,14 +341,15 @@ def assert_same_plan(got, want):
 @example(seed=1, exponent=-3.0)
 @example(seed=1, exponent=3.0)
 def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
-    # The free path of each layer, a product with its run-constant map,
-    # decides a tick exactly when `equality_first` decides the equivalent
-    # QP, built afresh; their plans agree to 1e-12 of the largest entry,
-    # and the slow tick records the residuals and objective of its own
-    # solve.  The tick data run from well inside to well outside the tube,
-    # the terminal set (the slow projected state, up to 1e3 times the tube
-    # radius, or 1e3 on a point tube) and the budgets (each subsystem's
-    # target, from 1e-3 to 1e3 times its reach).
+    # The free path of each layer decides a tick exactly when
+    # `equality_first` decides the equivalent QP, built afresh; their plans
+    # agree to 1e-12 of the largest entry, and the slow tick records the
+    # residuals and objective of its own solve: x = 0 on a ball tube, the
+    # held map's product on a point tube, whose equivalent QP has the rows
+    # x_0 = x_proj under the dynamics.  The tick data run from well inside
+    # to well outside the tube, the terminal set (the slow projected state,
+    # up to 1e3 times the tube radius, or 1e3 on a point tube) and the
+    # budgets (each subsystem's target, from 1e-3 to 1e3 times its reach).
     qp, ll_qp, reach = workload_qps
     rng = np.random.default_rng(seed)
     n, N = qp.design.slow.n_states, qp.horizon
@@ -356,16 +357,17 @@ def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
     direction = rng.normal(size=n)
     x_proj = (radius or 1.0) * 10.0 ** exponent * direction / np.linalg.norm(
         direction)
+    d = qp.H.shape[0]
     tube = solver.BallConstraint(qp.factors.layout[0], radius, center=x_proj)
-    if qp.pinned is None:
+    if qp.held is None:
         ref = solver.QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
                                       (tube, qp.inputs, qp.terminal))
-        sol = qp.free
+        sol = np.zeros(d + qp.A_eq.shape[0])
     else:
         ref = solver.QuadraticProgram(
-            qp.H, qp.g, qp.pinned.A_eq, np.concatenate([qp.b_dyn, x_proj]),
-            (qp.inputs, qp.terminal))
-        sol = qp.free @ x_proj
+            qp.H, qp.g, np.vstack([qp.A_eq, np.eye(n, d)]),
+            np.concatenate([qp.b_dyn, x_proj]), (qp.inputs, qp.terminal))
+        sol = qp.held @ x_proj
     want = solver.equality_first(ref, solver.KKTFactors(
         ref.H, ref.A_eq, [c.indices for c in ref.constraints]))
     got = free_tick(solve_hl, qp, x_proj)
@@ -376,7 +378,7 @@ def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
                                          got.u_nominal_seq.ravel()]),
                          np.concatenate([want.x[:2 * n],
                                          want.x[n * (N + 1):]]))
-        x = sol[:qp.H.shape[0]]
+        x = sol[:d]
         assert (got.primal_residual, got.dual_residual) == \
             solver.equality_residuals(sol, ref.H, ref.g, ref.A_eq, ref.b_eq)
         assert got.objective == solver.qp_objective(ref.H, ref.g, x)
@@ -395,17 +397,16 @@ def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
         assert_same_plan(got.u_steps.ravel(), want.x)
 
 
-def test_ball_formulation_solves_its_equality_only_system_once(
+def test_ball_formulation_never_solves_its_equality_only_system(
         model, bundle, short_cfg, monkeypatch, kkt_solves):
     # Over the 100 ticks of the default run the slow layer's g and b_eq
-    # stay zero: its equality-only optimum is one vector, solved when the
-    # run builds the slow QP, and every tick only checks the tube ball.
-    # The K0 factors are used once more, for the set columns Z of the
-    # active-set step, built on the first tick that runs it and kept.  The
-    # correction layer's map is one more solve per block, with the block's
-    # own factors, when the run builds it.  No tick makes a K0 solve of its
-    # own: a free tick is a product with a map, and the others start the
-    # exact path from that product.
+    # stay zero: its equality-only optimum is x = 0, never solved, and
+    # every free tick only checks the tube ball.  The K0 factors are used
+    # once, for the set columns Z of the active-set step, built on the
+    # first tick that runs it and kept.  The correction layer's map is one
+    # solve per block, with the block's own factors, when the run builds
+    # it.  No tick makes a K0 solve of its own: a free tick is a product
+    # with a map (or x = 0), and the others start the exact path from it.
     qps, ll_qps = [], []
     correction_qp = harness.correction_qp
     monkeypatch.setattr(harness, "tube_qp",
@@ -418,9 +419,32 @@ def test_ball_formulation_solves_its_equality_only_system_once(
     iterations = arc.slow[:, arc.slow_cols.index("iterations")]
     assert np.sum(iterations == 0) >= 90 and np.any(iterations > 0)
     slow, (block0, block1) = qp.factors.lu, [b.factors.lu for b in ll_qp.blocks]
-    assert len(kkt_solves) == 4
+    assert len(kkt_solves) == 3
     assert all(f is want for f, want in
-               zip(kkt_solves, [slow, block0, block1, slow]))
+               zip(kkt_solves, [block0, block1, slow]))
+
+
+def test_free_ball_tick_is_the_zero_plan(bundle, slow_qp):
+    # A ball tube's free tick returns x = 0: +0.0 plan entries and
+    # objective, bit for bit the plan part of the K0 solve against the zero
+    # g and b_eq, with zero residuals, and the tube feedback on x_proj as
+    # the applied input.
+    qp = slow_qp(bundle)
+    assert qp.held is None
+    n, N, d = qp.design.slow.n_states, qp.horizon, qp.H.shape[0]
+    solved = qp.factors.equality_solve(np.concatenate([-qp.g, qp.b_dyn]))[:d]
+    x_proj = 0.5 * qp.tube.radius * np.eye(n)[0]
+    sol = solve_hl(qp, x_proj)
+    assert sol.iterations == 0
+    plan = np.concatenate([sol.x_nominal, sol.x_nominal_next,
+                           sol.u_nominal_seq.ravel()])
+    assert plan.tobytes() == np.concatenate(
+        [solved[:2 * n], solved[n * (N + 1):]]).tobytes()
+    assert plan.tobytes() == np.zeros(plan.size).tobytes()
+    assert (sol.objective, sol.primal_residual, sol.dual_residual) == (0.0,) * 3
+    assert not np.signbit([sol.objective, sol.primal_residual,
+                           sol.dual_residual]).any()
+    assert sol.u_applied.tobytes() == (qp.design.gain.K @ x_proj).tobytes()
 
 
 def test_x0_length_mismatch_rejected(model, bundle, short_cfg):
@@ -1071,26 +1095,37 @@ def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
                       "disturbance_record"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
                                                    capsys):
-    # One 1e300 entry of the model makes the lifted closed loop's powers
+    # One +-1e300 entry of the model, in a subsystem's A or in a coupling
+    # block, makes the rollouts and the lifted closed loop's powers
     # overflow, where the SVD of their norms does not converge: verify
     # fails the transitions and a non-finite envelope by name, and raises
-    # nothing.
-    bad = tmp_path / "huge"
-    shutil.copytree(archive_dir, bad)
-    data = json.loads((bad / "model.json").read_text())
-    data["subsystems"][0]["A"][0][0] = 1e300
-    (bad / "model.json").write_text(json.dumps(data))
-    checks = {c.name: c for c in verify_archive(bad).checks}
-    assert not checks["transition_residual"].passed
-    envelope = checks["tail_envelope"]
-    assert not envelope.passed and envelope.worst == math.inf
-    assert envelope.detail == "the envelope is not finite at k = 1"
-    assert main(["verify", str(bad)]) == 1
-    assert "\ntail_envelope " in capsys.readouterr().out
+    # nothing, not even a numpy warning (warnings are errors here), and the
+    # CLI writes nothing to stderr.
+    for name, (*path, key, value), failed in (
+            ("huge", ("subsystems", 0, "A", 0, 0, 1e300),
+             {"transition_residual", "correction_law", "ll_terminal",
+              "tail_envelope"}),
+            ("coupling", ("coupling", "blocks", 0, 1, 0, 0, -1e300),
+             {"transition_residual", "correction_law", "tail_envelope"})):
+        bad = tmp_path / name
+        shutil.copytree(archive_dir, bad)
+        data = json.loads((bad / "model.json").read_text())
+        entry = data
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        (bad / "model.json").write_text(json.dumps(data))
+        checks = {c.name: c for c in verify_archive(bad).checks}
+        assert {c for c, check in checks.items() if not check.passed} == failed
+        envelope = checks["tail_envelope"]
+        assert envelope.worst == math.inf
+        assert envelope.detail == "the envelope is not finite at k = 1"
+        assert main(["verify", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert "\ntail_envelope " in out and err == ""
 
 
 def test_correction_law_passes_a_high_gain_run(tmp_path):

@@ -392,7 +392,7 @@ def test_tube_soak_recursive_feasibility():
 
 
 # ---------------------------------------------------------------------------
-# Point tube: the pinned-start guess
+# Point tube: the held map
 
 
 @pytest.fixture(scope="module")
@@ -404,18 +404,31 @@ def decoupled():
     return model, cfg, design_pipeline(model, cfg)
 
 
-def ball_path(qp, x_proj):
-    """The slow QP with its point tube as a ball of radius 0, solved by
-    `solve_qp` as on any other tube."""
-    tube = BallConstraint(np.arange(qp.design.slow.n_states),
-                          qp.design.tube.ball.radius, center=x_proj)
-    return solve_qp(QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.A_eq,
-                                     np.zeros(qp.A_eq.shape[0]),
-                                     (tube, qp.inputs, qp.terminal), qp.factors))
+def ball_problem(qp, x_proj):
+    """The slow QP with its tube ball centred at x_proj, on the run's
+    factors: the one formulation `solve_hl` solves on any tube."""
+    return QuadraticProgram(qp.H, qp.g, qp.A_eq, qp.b_dyn,
+                            (dataclasses.replace(qp.tube, center=x_proj),
+                             qp.inputs, qp.terminal), qp.factors)
+
+
+def held_problem(qp, x_proj):
+    """The slow QP of a point tube with x_0 = x_proj written as equality
+    rows, built afresh: the QP whose KKT conditions hold at the ball
+    formulation's optimum, with the tube's multipliers as those rows'."""
+    n, d = qp.design.slow.n_states, qp.H.shape[0]
+    return QuadraticProgram(qp.H, np.zeros(d), np.vstack([qp.A_eq, np.eye(n, d)]),
+                            np.concatenate([np.zeros(qp.A_eq.shape[0]), x_proj]),
+                            (qp.inputs, qp.terminal))
+
+
+def zero_start(qp):
+    """The ball formulation's equality-only optimum: g and b_eq are zero."""
+    return np.zeros(qp.H.shape[0] + qp.A_eq.shape[0])
 
 
 def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled, slow_qp):
-    # Inactive input balls and terminal set: one KKT solve with x_0 pinned.
+    # Inactive input balls and terminal set: one product with the held map.
     _, _, bundle = decoupled
     assert bundle.hl.tube.ball.radius == 0.0
     qp = slow_qp(bundle)
@@ -423,7 +436,7 @@ def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled, slow_qp):
     sol = solve_hl(qp, x_proj)
     assert sol.iterations == 0
     assert np.linalg.norm(sol.x_nominal - x_proj) <= 1e-12
-    ref = ball_path(qp, x_proj)
+    ref = solve_qp(ball_problem(qp, x_proj))
     assert ref.status is Status.OPTIMAL and ref.iterations > 0
     n, N = qp.design.slow.n_states, qp.horizon
     assert np.max(np.abs(sol.x_nominal - ref.x[:n])) <= 1e-7
@@ -431,77 +444,91 @@ def test_point_tube_pinned_guess_is_the_ball_optimum(decoupled, slow_qp):
     assert abs(sol.objective - ref.objective) <= 1e-7 * max(1.0, abs(ref.objective))
 
 
-def pinned_problem(qp, x_proj):
-    """The slow QP of a point tube with x_0 = x_proj as equality rows."""
-    return QuadraticProgram(qp.H, np.zeros(qp.H.shape[0]), qp.pinned.A_eq,
-                            np.concatenate([np.zeros(qp.A_eq.shape[0]), x_proj]),
-                            (qp.inputs, qp.terminal), qp.pinned)
+def test_held_map_tick_is_the_active_set_step_on_the_ball_formulation(
+        decoupled, slow_qp, kkt_certificate):
+    # A free tick of the point tube is the active-set step's answer on the
+    # ball formulation, whose one round holds the tube's coordinates and
+    # finds every other set inactive: one Newton step, and the same plan
+    # and objective to 1e-12 relative, with the KKT conditions of the QP
+    # with x_0 = x_proj as equality rows.
+    _, _, bundle = decoupled
+    qp = slow_qp(bundle)
+    n, N = qp.design.slow.n_states, qp.horizon
+    for x_proj in (np.array([0.6, -0.4]), np.array([-0.5, 0.3]),
+                   np.array([1e-3, 2e-3])):
+        sol = solve_hl(qp, x_proj)
+        assert sol.iterations == 0
+        step = active_set_step(ball_problem(qp, x_proj), qp.factors,
+                               start=zero_start(qp))
+        assert step.status is Status.OPTIMAL and step.iterations == 1
+        got = np.concatenate([sol.x_nominal, sol.x_nominal_next,
+                              sol.u_nominal_seq.ravel()])
+        want = np.concatenate([step.x[:2 * n], step.x[n * (N + 1):]])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(sol.objective - step.objective) <= 1e-12 * step.objective
+        kkt_certificate(held_problem(qp, x_proj), step.x, 1e-8)
 
 
-def test_point_tube_binding_input_takes_the_pinned_step(decoupled, slow_qp,
-                                                       kkt_certificate,
-                                                       kkt_solves):
-    # A far start saturates input balls: the pinned optimum is outside them,
-    # and the active-set step on the pinned QP finds the optimum, with a
-    # certificate that holds.  It is the ball path's optimum.  The tick
-    # passes its own equality-only solve, the free map's product, as the
-    # step's start, with no K0 solve of its own (the one it makes is the
-    # step's set columns): its plan is the step's from that start, to the
-    # bit, and the step's from a fresh K0 solve to roundoff.
+def test_point_tube_binding_input_takes_the_held_step(decoupled, slow_qp,
+                                                     kkt_certificate,
+                                                     kkt_solves):
+    # A far start saturates input balls: the held map's optimum is outside
+    # them, and the active-set step on the ball formulation finds the
+    # optimum, with the tube's coordinates held and a certificate that
+    # holds.  The tick starts the step from the zero equality-only optimum,
+    # with no K0 solve of its own (the held map's set columns, which the
+    # step reads, were solved when `tube_qp` built the QP): its plan is the
+    # step's from that start, to the bit, and the step's from a fresh K0
+    # solve to roundoff.
     _, _, bundle = decoupled
     qp = slow_qp(bundle)
     x_proj = 50.0 * np.ones(qp.design.slow.n_states)
     n, N = qp.design.slow.n_states, qp.horizon
-    pinned = pinned_problem(qp, x_proj)
-    assert equality_first(pinned, qp.pinned) is None
-    fresh = active_set_step(pinned, qp.pinned)
-    step = active_set_step(pinned, qp.pinned, start=qp.free @ x_proj)
-    assert step is not None and step.iterations > 0
-    kkt_certificate(pinned, step.x, 1e-8)
+    problem = ball_problem(qp, x_proj)
+    assert equality_first(problem, qp.factors) is None
+    fresh = active_set_step(problem, qp.factors)
+    step = active_set_step(problem, qp.factors, start=zero_start(qp))
+    assert step.status is Status.OPTIMAL and step.iterations > 1
+    kkt_certificate(held_problem(qp, x_proj), step.x, 1e-8)
     assert step.iterations == fresh.iterations
     assert np.max(np.abs(step.x - fresh.x)) <= 1e-12 * np.max(np.abs(fresh.x))
-    tick_qp = slow_qp(bundle)
     before = len(kkt_solves)
+    tick_qp = slow_qp(bundle)
+    assert [f is tick_qp.factors.lu for f in kkt_solves[before:]] == [True]
     sol = solve_hl(tick_qp, x_proj)
-    assert [f is tick_qp.pinned.lu
-            for f in kkt_solves[before:]] == [True]
+    assert len(kkt_solves) == before + 1
     assert sol.iterations == step.iterations
     assert np.max(np.abs(sol.x_nominal - x_proj)) <= 1e-12
     assert np.array_equal(sol.u_nominal_seq.ravel(), step.x[n * (N + 1):])
-    ref = ball_path(qp, x_proj)
-    assert ref.status is Status.OPTIMAL and ref.iterations > 0
-    assert np.max(np.abs(sol.x_nominal - ref.x[:n])) <= 1e-7
-    assert np.max(np.abs(sol.u_nominal_seq.ravel() - ref.x[n * (N + 1):])) <= 1e-7
-    assert abs(sol.objective - ref.objective) <= 1e-7 * abs(ref.objective)
+    assert sol.objective == step.objective
 
 
 def test_point_tube_binding_input_falls_back_to_the_ball_path(
         decoupled, slow_qp, infeasibility_bound):
-    # A start no plan can steer into the terminal set: the pinned QP is
-    # infeasible, the step does not certify, and `solve_qp` on the pinned
-    # QP itself gives the certificate, which re-derives from its dual point
-    # alone and makes the error's status, iterations and residual.  The
-    # gap of the diagnostics is the closed bracket around 292.2766079.
-    # (The name is from the ball formulation this fallback once solved.)
+    # A start no plan can steer into the terminal set: the ball formulation
+    # with the tube held is infeasible, the step does not certify, and
+    # `solve_qp` on it gives the certificate, which re-derives from its dual
+    # point alone and makes the error's status, iterations and residual.
+    # The gap of the diagnostics is the closed bracket around 292.2766079.
     _, _, bundle = decoupled
     qp = slow_qp(bundle)
     x_proj = 500.0 * np.ones(qp.design.slow.n_states)
-    pinned = pinned_problem(qp, x_proj)
-    assert equality_first(pinned, qp.pinned) is None
-    assert active_set_step(pinned, qp.pinned).status is Status.MAX_ITERS
+    problem = ball_problem(qp, x_proj)
+    assert equality_first(problem, qp.factors) is None
+    assert active_set_step(problem, qp.factors).status is Status.MAX_ITERS
     tick_qp = slow_qp(bundle)
     start = time.perf_counter()
     with pytest.raises(InfeasibleHL) as err:
         solve_hl(tick_qp, x_proj)
     assert time.perf_counter() - start < 0.1
     diagnostics = err.value.diagnostics
-    ref = solve_qp(pinned)
+    ref = solve_qp(problem)
     cert = ref.certificate
     assert diagnostics["status"] == ref.status.value == "infeasible"
     assert diagnostics["iterations"] == ref.iterations == cert.steps
     assert diagnostics["primal_residual"] == ref.primal_residual == cert.lower
-    assert abs(infeasibility_bound(pinned, cert) - cert.lower) \
-        <= 1e-12 * np.linalg.norm(pinned.A_eq) * np.linalg.norm(x_proj)
+    assert abs(infeasibility_bound(problem, cert) - cert.lower) \
+        <= 1e-12 * np.linalg.norm(problem.A_eq) * np.linalg.norm(x_proj)
     lower, upper = diagnostics["tube_gap_bracket"]
     assert diagnostics["tube_gap"] == lower > 0.0
     assert upper - lower <= 1e-12 * upper
@@ -509,17 +536,27 @@ def test_point_tube_binding_input_falls_back_to_the_ball_path(
 
 
 def test_tube_qp_pins_only_a_point_tube(decoupled, slow_qp):
+    # Only a tube of radius 0 gets the held map, and the rows x_0 = x_proj
+    # its free tick is checked against.  The map, built from the ball
+    # formulation's own factors, is the equality-only optimum with its
+    # multipliers of the QP with those rows stacked under the dynamics, to
+    # roundoff.
     rng = np.random.default_rng(29)
     _, _, _, design = make_design(rng)
     assert design.tube.ball.radius > 0.0
-    assert design_qp(design).pinned is None
+    ball_qp = design_qp(design)
+    assert ball_qp.held is None and ball_qp.A_held is None
     qp = slow_qp(decoupled[2])
-    n, d = qp.design.slow.n_states, qp.H.shape[0]
-    assert qp.pinned.A_eq.shape == (qp.A_eq.shape[0] + n, d)
-    assert np.array_equal(qp.pinned.A_eq[:-n], qp.A_eq)
-    assert np.array_equal(qp.pinned.A_eq[-n:], np.eye(n, d))
-    assert [s.shape for s in qp.pinned.layout] == [qp.inputs.indices.shape,
-                                                   qp.terminal.indices.shape]
+    n, d, r = qp.design.slow.n_states, qp.H.shape[0], qp.A_eq.shape[0]
+    assert qp.A_held.shape == (r + n, d)
+    assert np.array_equal(qp.A_held[:-n], qp.A_eq)
+    assert np.array_equal(qp.A_held[-n:], np.eye(n, d))
+    rhs = np.zeros((d + r + n, n))
+    rhs[-n:] = np.eye(n)
+    oracle = KKTFactors(qp.H, qp.A_held,
+                        (qp.inputs.indices, qp.terminal.indices)).equality_solve(rhs)
+    assert qp.held.shape == oracle.shape
+    assert np.max(np.abs(qp.held - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def per_step_tube_data(design, Q, R, N):
@@ -551,8 +588,8 @@ def per_step_tube_data(design, Q, R, N):
 
 
 def test_tube_qp_data_and_factors_match_the_per_step_construction(decoupled):
-    # Bit for bit, on a ball tube and on the point tube with its pinned
-    # factors as well.
+    # Bit for bit, on a ball tube and on the point tube with its rows
+    # x_0 = x_proj as well: both tubes have the one formulation's factors.
     _, cfg, bundle = decoupled
     n_red, m = bundle.reduced.n_states, bundle.model.n_inputs
     for design, weights, N in (
@@ -565,18 +602,15 @@ def test_tube_qp_data_and_factors_match_the_per_step_construction(decoupled):
         oracle = KKTFactors(H, A_eq, qp.factors.layout)
         for got, want in zip(qp.factors.lu, oracle.lu):
             assert got.tobytes() == want.tobytes()
-        if qp.pinned is not None:
-            n = design.slow.n_states
-            pinned = KKTFactors(H, np.vstack([A_eq, np.eye(n, H.shape[0])]),
-                                qp.pinned.layout)
-            for got, want in zip(qp.pinned.lu, pinned.lu):
-                assert got.tobytes() == want.tobytes()
+        if qp.A_held is not None:
+            held = np.vstack([A_eq, np.eye(design.slow.n_states, H.shape[0])])
+            assert qp.A_held.tobytes() == held.tobytes()
 
 
 def test_decoupled_run_takes_the_pinned_step_on_two_ticks(decoupled):
     # Input balls bind on the first two ticks, which the active-set step on
-    # the pinned QP solves; the later ticks take the pinned equality-only
-    # optimum.  Every tick pins x_0 to the projected state.
+    # the ball formulation solves with the tube held; the later ticks take
+    # the held map's optimum.  Every tick pins x_0 to the projected state.
     model, cfg, bundle = decoupled
     arc = run_closed_loop(model, dataclasses.replace(cfg, n_slow_steps=8),
                           bundle)
@@ -589,10 +623,9 @@ def test_decoupled_run_takes_the_pinned_step_on_two_ticks(decoupled):
 
 def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     # The ball formulation's g and b_eq are zero on every tick: its
-    # equality-only optimum (x = 0) is solved once, when `tube_qp` builds
-    # the QP.  A tick whose tube centre is out of its reach takes the
-    # active-set step, which runs from that solve as it does on a fresh
-    # TubeQP.
+    # equality-only optimum is x = 0, never solved.  A tick whose tube
+    # centre is out of its reach takes the active-set step, which runs from
+    # that zero as it does on a fresh TubeQP.
     _, _, _, design = make_design(np.random.default_rng(31))
     qp = design_qp(design)
     r, n = design.tube.ball.radius, design.slow.n_states
@@ -601,10 +634,9 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
         assert near.iterations == 0 and not near.x_nominal.any()
     x_far = np.full(n, 1.0)
     sol = solve_hl(qp, x_far)
-    # Two uses of K0's factors: the equality-only solve of
-    # `tube_qp`, and the set columns Z that the step builds on its first
-    # run.
-    assert sum(f is qp.factors.lu for f in kkt_solves) == 2
+    # One use of K0's factors: the set columns Z that the step builds on
+    # its first run.
+    assert sum(f is qp.factors.lu for f in kkt_solves) == 1
     ref = solve_hl(design_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
     for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):
