@@ -18,9 +18,9 @@ corrections, so the fast records of every tick are built after the loop,
 in a few batched products with maps built once per run (`fast_block_maps`),
 not stepped fast step by fast step nor subsystem by subsystem.  The maps
 are block-Toeplitz in (fast step, plan step), and are gathered from one lag
-response: the fast block's response to a unit plan step.  Every quantity
-the runtime invariants need is recorded; persistence and re-verification
-live in `trace`.
+response: the fast block's response to a unit plan step.  The trace
+records the states and each layer's decisions, from which the runtime
+invariants are checked; persistence and re-verification live in `trace`.
 """
 from __future__ import annotations
 
@@ -283,15 +283,19 @@ def fast_columns(n: int, m: int) -> tuple:
 
 
 def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
-    cols = ["k"]
-    cols += [f"xproj{i}" for i in range(n_red)]
-    cols += [f"xnom{i}" for i in range(n_red)]
+    """The slow blocks an archive stores: what the slow layer decided at
+    each tick, the nominal state `xnom` and its successor `xnext`, the held
+    input `ubar`, the nominal input sequence `useq`, and the solve's
+    objective, iteration count and residuals.  What follows from the states
+    is not stored: the projection beta x of each boundary state, and the
+    disturbance `wbar` = beta x+ - (A beta x + B ubar) of the slow model.
+    The in-memory trace of `run_closed_loop` appends `wbar`, which is not
+    stored."""
+    cols = [f"xnom{i}" for i in range(n_red)]
     cols += [f"xnext{i}" for i in range(n_red)]
     cols += [f"ubar{i}" for i in range(m)]
     cols += [f"useq{s}_{i}" for s in range(horizon) for i in range(m)]
     cols += ["objective", "iterations", "primal_residual", "dual_residual"]
-    cols += [f"wbar{i}" for i in range(n_red)]
-    cols += ["tube_error"]
     return tuple(cols)
 
 
@@ -404,7 +408,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
 
     f_cols = fast_columns(n, m) + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"margin{i}" for i in range(M))
-    s_cols = slow_columns(n_red, m, cfg.horizon)
+    s_cols = slow_columns(n_red, m, cfg.horizon) \
+        + tuple(f"wbar{i}" for i in range(n_red))
     fast_rows = np.empty((K * N, len(f_cols)))
     slow_rows = np.empty((K, len(s_cols)))
     # Column-block views of fast_rows by tick: tick k's rows k*N .. k*N + N-1
@@ -417,14 +422,11 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     # inputs useq0_0 .. are one block, and so are the four solve columns
     # from `objective` on.
     slow = {prefix: column_block(s_cols, slow_rows, prefix, width)
-            for prefix, width in (("xproj", n_red), ("xnom", n_red),
-                                  ("xnext", n_red), ("ubar", m),
-                                  ("useq0_", cfg.horizon * m),
+            for prefix, width in (("xnom", n_red), ("xnext", n_red),
+                                  ("ubar", m), ("useq0_", cfg.horizon * m),
                                   ("wbar", n_red))}
     solve = s_cols.index("objective")
     slow["solve"] = slow_rows[:, solve:solve + 4]
-    slow_rows[:, s_cols.index("k")] = np.arange(K)
-    tube_err = slow_rows[:, s_cols.index("tube_error")]
 
     for k in range(K):
         x_proj = reduced.beta @ x
@@ -441,7 +443,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         fast["x"][k, 0] = x
         fast["duhat"][k] = plan.u_steps
         x = xhat_N + W_N @ plan.u_steps.ravel()
-        slow["xproj"][k] = x_proj
         slow["xnom"][k] = sol.x_nominal
         slow["xnext"][k] = sol.x_nominal_next
         slow["ubar"][k] = u_bar
@@ -449,7 +450,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         slow["solve"][k] = (sol.objective, sol.iterations, sol.primal_residual,
                             sol.dual_residual)
         slow["wbar"][k] = reduced.beta @ x - x_bar_pred
-        tube_err[k] = np.linalg.norm(x_proj - sol.x_nominal)
 
     # The fast records.  Fast step 0 of a tick is its boundary state, written
     # by the tick; steps 1..N-1 are one product each with the other block

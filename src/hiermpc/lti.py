@@ -86,7 +86,7 @@ class CouplingMap:
                 raise DimensionMismatch("coupling blocks must form a square grid")
         for i in range(m):
             blk = rows[i][i]
-            if blk is not None and float(np.max(np.abs(blk))) > 0.0:
+            if blk is not None and np.any(blk):
                 raise NonzeroSelfCoupling(f"self-coupling block ({i},{i}) must be zero")
         object.__setattr__(self, "blocks", rows)
 
@@ -132,8 +132,6 @@ class InterconnectedModel:
             A[si, si] = sub.A
             B[si, input_offsets[i]:input_offsets[i + 1]] = sub.B
             for j, other in enumerate(subsystems):
-                if j == i:
-                    continue
                 blk = self.coupling.block(i, j)
                 if blk is None:
                     continue
@@ -141,8 +139,9 @@ class InterconnectedModel:
                     raise DimensionMismatch(
                         f"coupling block ({i},{j}) has shape {blk.shape}, expected "
                         f"({sub.n_coupling_in},{other.n_coupling_out})")
-                sj = slice(state_offsets[j], state_offsets[j + 1])
-                A[si, sj] = sub.E @ blk @ other.C_z
+                if j != i:
+                    sj = slice(state_offsets[j], state_offsets[j + 1])
+                    A[si, sj] = sub.E @ blk @ other.C_z
         for attr, value in (("subsystems", subsystems), ("A", A), ("B", B),
                             ("state_offsets", tuple(int(v) for v in state_offsets)),
                             ("input_offsets", tuple(int(v) for v in input_offsets))):

@@ -8,7 +8,14 @@ Each value is stored once: the held input `ubar` is in `slow.csv` only, and
 `verify_archive` repeats it over the period and rebuilds the plant input
 `u` as ubar + du, the same float64 sum `run_closed_loop` computes.  The
 in-memory `TraceArchive` also holds `u` and the input margins `margin`, a
-function of `u` and the input limits, which are not stored.  The auxiliary
+function of `u` and the input limits, which are not stored.  `slow.csv`
+stores the slow blocks of `harness.slow_columns`, what the slow layer
+decided at each tick: the nominal state and its successor, the held input,
+the nominal input sequence and the solve's objective, iteration count and
+residuals.  The projection beta x of each boundary state and the slow
+disturbance `wbar` follow from the states and are stored nowhere;
+`verify_archive` derives both from the fast states and the final state,
+and the in-memory trace appends `wbar` to its slow block.  The auxiliary
 rollout `xhat` and the plan rollouts `dxhat` are recorded nowhere; the
 `correction_law` and `ll_terminal` checks re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
@@ -36,9 +43,9 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (11),
-the config's digest and the final state, and is the only file excluded
-from the determinism digest.
+the config; `metadata.json` records wall clock, the archive version (12),
+the config's digest and the final state, and of it the determinism digest
+covers the final state alone.
 
 `verify_archive` re-derives every runtime invariant from the recorded
 data: state transitions against the model under the rebuilt input, input
@@ -79,9 +86,9 @@ from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 11
+ARCHIVE_VERSION = 12
 FAST_SCHEMA = "hiermpc.trace.fast.v4"
-SLOW_SCHEMA = "hiermpc.trace.slow.v1"
+SLOW_SCHEMA = "hiermpc.trace.slow.v2"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
 # Rows formatted by one `%` in `_write_csv`: few enough that the text of a
@@ -160,16 +167,27 @@ def write_design(bundle: DesignBundle, out_dir) -> Path:
     return out
 
 
+def _record_blocks(bundle: DesignBundle) -> tuple:
+    """(file, schema, stored columns) of the fast and the slow records."""
+    model = bundle.model
+    return (("fast.csv", FAST_SCHEMA,
+             fast_columns(model.n_states, model.n_inputs)),
+            ("slow.csv", SLOW_SCHEMA,
+             slow_columns(bundle.reduced.n_states, model.n_inputs,
+                          bundle.config.horizon)))
+
+
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
     """Write the run's archive.  The bundle must be the run's design: a run
     config that differs from `bundle.config` in any field but
-    `n_slow_steps` raises ConfigInvalid naming the fields."""
+    `n_slow_steps` raises ConfigInvalid naming the fields.  Each record
+    block is written up to its stored columns; the in-memory blocks append
+    the values that are not stored."""
     check_same_design(archive.config, bundle)
     out = write_design(replace(bundle, config=archive.config), out_dir)
-    columns = fast_columns(bundle.model.n_states, bundle.model.n_inputs)
-    _write_csv(out / "fast.csv", FAST_SCHEMA, columns,
-               archive.fast[:, :len(columns)])
-    _write_csv(out / "slow.csv", SLOW_SCHEMA, archive.slow_cols, archive.slow)
+    for (name, schema, columns), rows in zip(_record_blocks(bundle),
+                                             (archive.fast, archive.slow)):
+        _write_csv(out / name, schema, columns, rows[:, :len(columns)])
     meta = {
         "archive_version": ARCHIVE_VERSION,
         "package_version": __version__,
@@ -264,23 +282,25 @@ def load_archive(path) -> LoadedArchive:
                     model=decode("model.json", InterconnectedModel),
                     report=decode("certificate.json", CertificateReport))
     _check_sizes(bundle)
-    model = bundle.model
-    fast_cols = fast_columns(model.n_states, model.n_inputs)
-    slow_cols = slow_columns(bundle.reduced.n_states, model.n_inputs,
-                             bundle.config.horizon)
-    fast = _read_csv(root / "fast.csv", FAST_SCHEMA, fast_cols)
-    slow = _read_csv(root / "slow.csv", SLOW_SCHEMA, slow_cols)
-    return LoadedArchive(bundle, fast_cols, slow_cols, fast, slow,
-                         metadata, _final_state(metadata, model.n_states))
+    (fast_cols, fast), (slow_cols, slow) = (
+        (columns, _read_csv(root / name, schema, columns))
+        for name, schema, columns in _record_blocks(bundle))
+    return LoadedArchive(bundle, fast_cols, slow_cols, fast, slow, metadata,
+                         _final_state(metadata, bundle.model.n_states))
 
 
 def archive_digest(path) -> str:
-    """sha256 over every deterministic archive file; excludes metadata.json."""
+    """sha256 over every deterministic archive file and the final state;
+    of metadata.json, which also records wall-clock times, only the final
+    state is covered."""
     root = Path(path)
     digest = hashlib.sha256()
     for name in _DETERMINISTIC_FILES:
         digest.update(name.encode())
         digest.update((root / name).read_bytes())
+    metadata = json.loads((root / "metadata.json").read_text())
+    digest.update(b"final_state")
+    digest.update(json.dumps(metadata["final_state"]).encode())
     return digest.hexdigest()
 
 
@@ -408,9 +428,12 @@ def verify_archive(path) -> VerifyReport:
     xhat = _rollouts(model.A, x[::N],
                      (ubar_f @ model.B.T).reshape(K_steps, N, n))
     fast_xhat = xhat[:, :N].reshape(-1, n)
+    # The slow boundary states, their projections beta x (what the slow
+    # layer solved from at each tick) and its prediction of the next one.
     reduced, slow = bundle.reduced, bundle.hl.slow
-    xproj_rec = column_block(arc.slow_cols, arc.slow, "xproj", n_red)
-    x_bar_pred = xproj_rec @ slow.A.T + ubar_s @ slow.B.T
+    xk = np.vstack([x[::N], arc.final_state[None, :]])
+    proj = xk @ reduced.beta.T
+    x_bar_pred = proj[:-1] @ slow.A.T + ubar_s @ slow.B.T
     law, scale = np.empty_like(du), np.abs(duhat)
     terminal_miss = 0.0
     for i, (sub, K_i) in enumerate(zip(model.subsystems,
@@ -440,22 +463,15 @@ def verify_archive(path) -> VerifyReport:
         LAW_ROUNDOFF, detail=f"max |du - law|: {np.max(miss):.6g}")
     add("ll_terminal", terminal_miss, 1e-9)
 
-    # Slow-step disturbance: recompute from boundary states and held inputs.
-    beta = reduced.beta
-    xk = np.vstack([x[::N], arc.final_state[None, :]])  # slow boundary states
-    proj = xk @ beta.T
-    w_meas = proj[1:] - proj[:-1] @ slow.A.T - ubar_s @ slow.B.T
-    w_rec = column_block(arc.slow_cols, arc.slow, "wbar", n_red)
-    add("disturbance_record", float(np.max(np.abs(w_meas - w_rec))), 1e-9)
-    w_norms = np.linalg.norm(w_meas, axis=1)
+    # Slow-step disturbance: the next projection less its prediction.
+    w_norms = np.linalg.norm(proj[1:] - x_bar_pred, axis=1)
     add("disturbance_bound", float(np.max(w_norms)),
         bundle.report.rho_w + 1e-12,
         detail=_used("max |wbar| / rho_w", w_norms, bundle.report.rho_w))
 
-    # Projection consistency and tube containment at every slow tick.
-    add("projection_record", float(np.max(np.abs(proj[:-1] - xproj_rec))), 1e-12)
+    # Tube containment of the projection at every slow tick.
     xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
-    tube_err = np.linalg.norm(xproj_rec - xnom, axis=1)
+    tube_err = np.linalg.norm(proj[:-1] - xnom, axis=1)
     radius = bundle.hl.tube.ball.radius
     add("tube_containment", float(np.max(tube_err)), radius + 1e-7,
         detail=_used("max error / tube radius", tube_err, radius))
@@ -480,7 +496,7 @@ def verify_archive(path) -> VerifyReport:
     # and the certified correction radius.
     K = bundle.hl.gain.K
     B_lift = lifted_input_matrix(model.A, model.B, N)
-    F = lifted_closed_loop(model.A, model.B, K, beta, N)
+    F = lifted_closed_loop(model.A, model.B, K, reduced.beta, N)
     # A damaged model or gain can make the powers overflow, where the SVD
     # does not converge: such a power's norm is inf, which fails the check.
     powers = matrix_powers(F, K_steps)

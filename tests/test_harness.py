@@ -585,7 +585,10 @@ def test_archive_round_trip_and_verify(model, archive, archive_dir):
     recorded = np.hstack([archive.fast_block(prefix, width)
                           for prefix, width in widths.items()])
     assert loaded.fast.tobytes() == recorded.tobytes()
-    assert loaded.slow.tobytes() == archive.slow.tobytes()
+    # The in-memory slow block appends `wbar`, which is not stored.
+    assert archive.slow_cols[:len(loaded.slow_cols)] == loaded.slow_cols
+    assert loaded.slow.tobytes() == \
+        archive.slow[:, :len(loaded.slow_cols)].tobytes()
     np.testing.assert_array_equal(loaded.final_state, archive.final_state)
     report = verify_archive(archive_dir)
     assert report.passed, report.table()
@@ -825,6 +828,25 @@ def test_short_traces_match_the_pinned_files(name, tmp_path):
         assert failing == []
 
 
+def test_slow_csv_stores_only_the_slow_columns(bundle, archive_dir):
+    # The projection, the disturbance and the tube error follow from the
+    # states; slow.csv keeps what the slow layer decided.
+    names = (archive_dir / "slow.csv").read_text().splitlines()[1].split(",")
+    assert tuple(names) == harness.slow_columns(
+        bundle.reduced.n_states, bundle.model.n_inputs, bundle.config.horizon)
+    assert not [name for name in names if name == "k" or name.startswith(
+        ("xproj", "wbar", "tube_error"))]
+
+
+def test_digest_covers_the_final_state(archive_dir, tmp_path):
+    bad = tmp_path / "moved"
+    shutil.copytree(archive_dir, bad)
+    meta = json.loads((bad / "metadata.json").read_text())
+    meta["final_state"][0] += 1e-12
+    (bad / "metadata.json").write_text(json.dumps(meta, indent=1))
+    assert archive_digest(bad) != archive_digest(archive_dir)
+
+
 def test_tail_envelope_reports_its_slack(archive_dir):
     # The worst gap is attained at k = 0, where the envelope is |x_0|; the
     # relative slack over the later slow steps says how close the run came.
@@ -844,7 +866,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 11" in err
+    assert "archive_version 5" in err and "version 12" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -924,10 +946,16 @@ def _set(path, value):
      "SubsystemModel.input_set"),
     # The horizon is config.json's alone: a copy in design.json is refused.
     ("design.json", _set(("hl", "horizon"), 10), "unknown key 'horizon'"),
+    # An empty self-coupling block is zero, but not of the block's shape.
+    ("model.json", _set(("coupling", "blocks", 0, 0), []),
+     "coupling block (0,0) has shape (1, 0), expected (5,5)"),
+    ("model.json", _set(("coupling", "blocks", 0, 0), [[]]),
+     "coupling block (0,0) has shape (1, 0), expected (5,5)"),
 ], ids=["beta_row", "order_zero", "order_negative", "offsets", "slow_gain",
         "terminal_shape", "fast_gain", "radii", "slow_gain_nan", "rho_w_inf",
         "terminal_indefinite", "tube_indices_fraction", "input_indices_negative",
-        "input_centre", "model_input_centre", "horizon_copy"])
+        "input_centre", "model_input_centre", "horizon_copy",
+        "self_coupling_empty", "self_coupling_empty_row"])
 def test_verify_names_a_damaged_design_file(archive_dir, tmp_path, capsys,
                                             name, damage, field):
     """A design, model or certificate value of the wrong size, or a set that
@@ -1084,6 +1112,37 @@ def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
     assert failed == {"correction_law", "ll_terminal"}
 
 
+def test_in_memory_disturbance_is_the_measured_one(model, archive,
+                                                   archive_dir):
+    # The in-memory `wbar` is the disturbance verify measures from the
+    # stored states: the next projection less the slow prediction.
+    loaded = load_archive(archive_dir)
+    N, reduced, slow = (archive.config.period, loaded.bundle.reduced,
+                        loaded.bundle.hl.slow)
+    x = harness.column_block(loaded.fast_cols, loaded.fast, "x",
+                             model.n_states)
+    proj = np.vstack([x[::N], loaded.final_state]) @ reduced.beta.T
+    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar",
+                                model.n_inputs)
+    w_meas = proj[1:] - (proj[:-1] @ slow.A.T + ubar @ slow.B.T)
+    wbar = archive.slow_block("wbar", reduced.n_states)
+    assert np.max(np.abs(wbar - w_meas)) <= 1e-12
+    (check,) = [c for c in verify_archive(archive_dir).checks
+                if c.name == "disturbance_bound"]
+    assert check.worst == pytest.approx(
+        float(np.max(np.linalg.norm(wbar, axis=1))), rel=0, abs=1e-12)
+
+
+def test_tampered_nominal_leaves_the_tube(archive_dir, tmp_path):
+    # The tube is measured around the projection of the stored states: a
+    # nominal moved off the tube's edge at the start leaves it.
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "slow.csv", "xnom0", 0, 1e-3)
+    failed = {c.name for c in verify_archive(bad).checks if not c.passed}
+    assert failed == {"tube_containment", "nominal_plan_residual"}
+
+
 def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
     # verify repeats the slow `ubar` over the period, so one slow cell
     # reaches every check that reads the held input.
@@ -1091,8 +1150,7 @@ def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"transition_residual", "correction_law", "ll_terminal",
-                      "disturbance_record"}
+    assert failed == {"transition_residual", "correction_law", "ll_terminal"}
 
 
 @pytest.mark.filterwarnings("error")

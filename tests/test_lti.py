@@ -7,15 +7,14 @@ from hiermpc.lti import (CouplingMap, SubsystemModel, assemble,
 from hiermpc.sets import BallSet
 
 
+def scalar_subsystems(a11=0.5, a22=0.6):
+    return [SubsystemModel(A=[[a]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
+                           input_set=BallSet(1, 1.0)) for a in (a11, a22)]
+
+
 def two_by_two_pair(a11=0.5, a22=0.6, couple=0.1):
-    subs = [
-        SubsystemModel(A=[[a11]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
-                       input_set=BallSet(1, 1.0)),
-        SubsystemModel(A=[[a22]], B=[[1.0]], E=[[1.0]], C_z=[[1.0]],
-                       input_set=BallSet(1, 1.0)),
-    ]
     coupling = CouplingMap(((None, [[couple]]), ([[couple]], None)))
-    return assemble(subs, coupling)
+    return assemble(scalar_subsystems(a11, a22), coupling)
 
 
 def test_assemble_two_scalar_subsystems():
@@ -29,6 +28,22 @@ def test_assemble_two_scalar_subsystems():
 def test_self_coupling_rejected():
     with pytest.raises(NonzeroSelfCoupling):
         CouplingMap((([[0.2]], [[0.1]]), ([[0.1]], None)))
+
+
+@pytest.mark.parametrize("block", [[], [[]]])
+def test_empty_self_coupling_block_is_refused_by_its_shape(block):
+    # An empty block has no nonzero entry, so the map takes it; the model
+    # checks every block's shape, the diagonal's too.
+    coupling = CouplingMap(((block, [[0.1]]), ([[0.1]], None)))
+    with pytest.raises(DimensionMismatch,
+                       match=r"coupling block \(0,0\) has shape \(1, 0\)"):
+        assemble(scalar_subsystems(), coupling)
+
+
+def test_zero_self_coupling_block_of_its_shape_is_taken():
+    zero = assemble(scalar_subsystems(),
+                    CouplingMap((([[0.0]], [[0.1]]), ([[0.1]], None))))
+    assert zero.A.tobytes() == two_by_two_pair().A.tobytes()
 
 
 def test_assemble_dimension_mismatch():
