@@ -269,29 +269,28 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 
 # ------------------------------------------------------------- trace layout
 
-def fast_columns(n: int, m: int) -> tuple:
-    """The fast blocks an archive stores: the states `x` and the planned and
-    applied corrections `duhat` and `du`.  The held input `ubar` is stored
-    once, in the slow columns: on the fast rows it is the slow step's `ubar`
-    repeated over the period.  The in-memory trace of `run_closed_loop`
-    appends the plant input `u` = ubar + du and the input margins `margin`,
-    which are not stored."""
+def fast_columns(m: int) -> tuple:
+    """The fast blocks an archive stores: the planned and applied
+    corrections `duhat` and `du`.  The states are stored once, at the slow
+    ticks, in the slow columns, and so is the held input `ubar`: within a
+    period the fast states follow from the tick's state, the held input and
+    the applied corrections.  The in-memory trace of `run_closed_loop`
+    appends the states `x`, the plant input `u` = ubar + du and the input
+    margins `margin`, which are not stored."""
+    return tuple(f"{prefix}{i}" for prefix in ("duhat", "du") for i in range(m))
+
+
+def slow_columns(n: int, n_red: int, m: int, horizon: int) -> tuple:
+    """The slow blocks an archive stores: the plant state `x` at each tick,
+    and what the slow layer decided there, the nominal state `xnom` and its
+    successor `xnext`, the held input `ubar`, the nominal input sequence
+    `useq`, and the solve's objective, iteration count and residuals.  What
+    follows from the states is not stored: the projection beta x of each
+    tick's state, and the disturbance `wbar` = beta x+ - (A beta x + B ubar)
+    of the slow model.  The in-memory trace of `run_closed_loop` appends
+    `wbar`, which is not stored."""
     cols = [f"x{i}" for i in range(n)]
-    cols += [f"duhat{i}" for i in range(m)]
-    cols += [f"du{i}" for i in range(m)]
-    return tuple(cols)
-
-
-def slow_columns(n_red: int, m: int, horizon: int) -> tuple:
-    """The slow blocks an archive stores: what the slow layer decided at
-    each tick, the nominal state `xnom` and its successor `xnext`, the held
-    input `ubar`, the nominal input sequence `useq`, and the solve's
-    objective, iteration count and residuals.  What follows from the states
-    is not stored: the projection beta x of each boundary state, and the
-    disturbance `wbar` = beta x+ - (A beta x + B ubar) of the slow model.
-    The in-memory trace of `run_closed_loop` appends `wbar`, which is not
-    stored."""
-    cols = [f"xnom{i}" for i in range(n_red)]
+    cols += [f"xnom{i}" for i in range(n_red)]
     cols += [f"xnext{i}" for i in range(n_red)]
     cols += [f"ubar{i}" for i in range(m)]
     cols += [f"useq{s}_{i}" for s in range(horizon) for i in range(m)]
@@ -406,9 +405,10 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     ll_qp, W, D = fast_block_maps(model, bundle, N)
     W_N = W[N * n:]
 
-    f_cols = fast_columns(n, m) + tuple(f"u{i}" for i in range(m)) \
+    f_cols = fast_columns(m) + tuple(f"x{i}" for i in range(n)) \
+        + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"margin{i}" for i in range(M))
-    s_cols = slow_columns(n_red, m, cfg.horizon) \
+    s_cols = slow_columns(n, n_red, m, cfg.horizon) \
         + tuple(f"wbar{i}" for i in range(n_red))
     fast_rows = np.empty((K * N, len(f_cols)))
     slow_rows = np.empty((K, len(s_cols)))
@@ -422,7 +422,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     # inputs useq0_0 .. are one block, and so are the four solve columns
     # from `objective` on.
     slow = {prefix: column_block(s_cols, slow_rows, prefix, width)
-            for prefix, width in (("xnom", n_red), ("xnext", n_red),
+            for prefix, width in (("x", n), ("xnom", n_red), ("xnext", n_red),
                                   ("ubar", m), ("useq0_", cfg.horizon * m),
                                   ("wbar", n_red))}
     solve = s_cols.index("objective")
@@ -440,7 +440,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
             exc.diagnostics["slow_step"] = k
             raise
 
-        fast["x"][k, 0] = x
+        slow["x"][k] = x
         fast["duhat"][k] = plan.u_steps
         x = xhat_N + W_N @ plan.u_steps.ravel()
         slow["xnom"][k] = sol.x_nominal
@@ -451,8 +451,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
                             sol.dual_residual)
         slow["wbar"][k] = reduced.beta @ x - x_bar_pred
 
-    # The fast records.  Fast step 0 of a tick is its boundary state, written
-    # by the tick; steps 1..N-1 are one product each with the other block
+    # The fast records.  Fast step 0 of a tick is its boundary state, the
+    # tick's slow `x`; steps 1..N-1 are one product each with the other block
     # rows of the maps, on a chunk of ticks side by side as columns.  (With
     # the ticks as rows, BLAS would pack all of W for the product and touch
     # that much more of its buffer.)  The QPs are released first, so that
@@ -466,7 +466,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         ks = slice(first, min(first + RECORD_CHUNK, K))
         u_bar = slow["ubar"][ks]
         duhat = fast["duhat"][ks].reshape(-1, N * m).T
-        xs = Phi @ fast["x"][ks, 0].T
+        x_ticks = fast["x"][ks, 0] = slow["x"][ks]
+        xs = Phi @ x_ticks.T
         xs += Psi @ u_bar.T
         xs += W_steps @ duhat
         fast["x"][ks, 1:] = xs.T.reshape(len(u_bar), N - 1, n)

@@ -2,20 +2,24 @@
 
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
-`fast.csv` stores the fast blocks of `harness.fast_columns`: the states
-`x`, the planned corrections `duhat` and the applied corrections `du`.
-Each value is stored once: the held input `ubar` is in `slow.csv` only, and
-`verify_archive` repeats it over the period and rebuilds the plant input
-`u` as ubar + du, the same float64 sum `run_closed_loop` computes.  The
-in-memory `TraceArchive` also holds `u` and the input margins `margin`, a
-function of `u` and the input limits, which are not stored.  `slow.csv`
-stores the slow blocks of `harness.slow_columns`, what the slow layer
-decided at each tick: the nominal state and its successor, the held input,
-the nominal input sequence and the solve's objective, iteration count and
-residuals.  The projection beta x of each boundary state and the slow
-disturbance `wbar` follow from the states and are stored nowhere;
-`verify_archive` derives both from the fast states and the final state,
-and the in-memory trace appends `wbar` to its slow block.  The auxiliary
+`fast.csv` stores the fast blocks of `harness.fast_columns`: the planned
+corrections `duhat` and the applied corrections `du`.  Each value is
+stored once.  Within a period the plant's states follow from the tick's
+state, the held input and the applied corrections, so the states are
+stored at the slow ticks only, in `slow.csv`, and so is the held input
+`ubar`.  `verify_archive` repeats `ubar` over the period, rebuilds the
+plant input `u` as ubar + du, the same float64 sum `run_closed_loop`
+computes, and rolls the fast states out from each tick's state under it.
+The in-memory `TraceArchive` also holds the fast states `x`, `u` and the
+input margins `margin`, a function of `u` and the input limits, which are
+not stored.  `slow.csv` stores the slow blocks of `harness.slow_columns`:
+the plant state `x` at each tick and what the slow layer decided there,
+the nominal state and its successor, the held input, the nominal input
+sequence and the solve's objective, iteration count and residuals.  The
+projection beta x of each tick's state and the slow disturbance `wbar`
+follow from the states and are stored nowhere; `verify_archive` derives
+both from the tick states and the final state, and the in-memory trace
+appends `wbar` to its slow block.  The auxiliary
 rollout `xhat` and the plan rollouts `dxhat` are recorded nowhere; the
 `correction_law` and `ll_terminal` checks re-derive both.
 The four JSON files hold constructor arguments written by the `model_io`
@@ -43,14 +47,17 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (12),
+the config; `metadata.json` records wall clock, the archive version (13),
 the config's digest and the final state, and of it the determinism digest
 covers the final state alone.
 
 `verify_archive` re-derives every runtime invariant from the recorded
-data: state transitions against the model under the rebuilt input, input
-limits, correction budgets, the fast correction law, each plan's terminal
-hit on the slow layer's prediction (`ll_terminal`), the slow-step
+data: the first tick's state against the config's start
+(`initial_state`), each period's rollout under the rebuilt input against
+the next tick's state (`transition_residual`, which names the slow step of
+its worst residual), input limits, correction budgets, the fast correction
+law, each plan's terminal hit on the slow layer's prediction
+(`ll_terminal`), the slow-step
 disturbance bound, tube containment, nominal convergence, and the
 closed-loop norm-tail envelope, whose lifted closed loop
 `lti.lifted_closed_loop` rebuilds from the model and slow gain.
@@ -81,14 +88,14 @@ from .analysis import CertificateReport, spectral_norms
 from .errors import ConfigInvalid, HierMPCError
 from .harness import (DesignBundle, RunConfig, TraceArchive,
                       check_same_design, column_block, config_digest,
-                      fast_columns, slow_columns)
+                      fast_columns, slow_columns, start_state)
 from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 12
-FAST_SCHEMA = "hiermpc.trace.fast.v4"
-SLOW_SCHEMA = "hiermpc.trace.slow.v2"
+ARCHIVE_VERSION = 13
+FAST_SCHEMA = "hiermpc.trace.fast.v5"
+SLOW_SCHEMA = "hiermpc.trace.slow.v3"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
 # Rows formatted by one `%` in `_write_csv`: few enough that the text of a
@@ -170,11 +177,10 @@ def write_design(bundle: DesignBundle, out_dir) -> Path:
 def _record_blocks(bundle: DesignBundle) -> tuple:
     """(file, schema, stored columns) of the fast and the slow records."""
     model = bundle.model
-    return (("fast.csv", FAST_SCHEMA,
-             fast_columns(model.n_states, model.n_inputs)),
+    return (("fast.csv", FAST_SCHEMA, fast_columns(model.n_inputs)),
             ("slow.csv", SLOW_SCHEMA,
-             slow_columns(bundle.reduced.n_states, model.n_inputs,
-                          bundle.config.horizon)))
+             slow_columns(model.n_states, bundle.reduced.n_states,
+                          model.n_inputs, bundle.config.horizon)))
 
 
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
@@ -393,19 +399,30 @@ def verify_archive(path) -> VerifyReport:
         # The other checks align the records by slow step.
         return VerifyReport(tuple(checks))
 
-    x = column_block(arc.fast_cols, arc.fast, "x", n)
-    # The held input is stored once, per slow step; each fast step holds it,
-    # and the plant input is the held input plus the applied correction.
+    # The states are stored once, at the slow ticks.  The held input is
+    # stored once, per slow step; each fast step holds it, and the plant
+    # input is the held input plus the applied correction.  The fast states
+    # are rolled out from each tick's state under that input.
+    K_steps = cfg.n_slow_steps
+    x_b = column_block(arc.slow_cols, arc.slow, "x", n)
     ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
     ubar_f = np.repeat(ubar_s, N, axis=0)
     du = column_block(arc.fast_cols, arc.fast, "du", m)
     duhat = column_block(arc.fast_cols, arc.fast, "duhat", m)
     u = ubar_f + du
-    states_next = np.vstack([x[1:], arc.final_state[None, :]])
+    roll = _rollouts(model.A, x_b, (u @ model.B.T).reshape(K_steps, N, n))
+    x = roll[:, :N].reshape(-1, n)
+    xk = np.vstack([x_b, arc.final_state[None, :]])
 
-    # Every recorded transition must be reproduced by the model.
-    residual = states_next - x @ model.A.T - u @ model.B.T
-    add("transition_residual", float(np.max(np.abs(residual))), 1e-9)
+    # The run starts from the configured state.
+    x0_err = np.abs(x_b[0] - start_state(model, cfg))
+    add("initial_state", float(np.max(x0_err)), 0)
+
+    # Each period's rollout must end on the next tick's stored state.
+    residual = np.max(np.abs(roll[:, N] - xk[1:]), axis=1)
+    worst = int(np.argmax(residual))
+    add("transition_residual", float(residual[worst]), 1e-9,
+        f"worst at slow step {worst}")
 
     # Hard input limits.
     def subsystem_norms(v):
@@ -424,14 +441,12 @@ def verify_archive(path) -> VerifyReport:
     # auxiliary rollout xhat (from each boundary state under the held input)
     # and each subsystem's plan rollout dxhat (of duhat, from 0) rebuilt here,
     # one step past the period for the terminal check below.
-    K_steps = cfg.n_slow_steps
-    xhat = _rollouts(model.A, x[::N],
+    xhat = _rollouts(model.A, x_b,
                      (ubar_f @ model.B.T).reshape(K_steps, N, n))
     fast_xhat = xhat[:, :N].reshape(-1, n)
     # The slow boundary states, their projections beta x (what the slow
     # layer solved from at each tick) and its prediction of the next one.
     reduced, slow = bundle.reduced, bundle.hl.slow
-    xk = np.vstack([x[::N], arc.final_state[None, :]])
     proj = xk @ reduced.beta.T
     x_bar_pred = proj[:-1] @ slow.A.T + ubar_s @ slow.B.T
     law, scale = np.empty_like(du), np.abs(duhat)

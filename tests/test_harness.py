@@ -127,8 +127,9 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp, slow_qp):
     each plan comes from `solve_qp` on the subsystem's own correction QP,
     built alone, with its states stepped under the subsystem's dynamics,
     and each fast step applies one correction per subsystem and one plant
-    step.  Returns the
-    fast records and the final state."""
+    step.  Returns the fast records, in the in-memory column order of
+    `run_closed_loop` (the stored corrections, then the states, inputs and
+    margins), and the final state."""
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     m = model.n_inputs
     rho_u = model.input_radii()
@@ -169,7 +170,7 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp, slow_qp):
             u = u_bar + du
             margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
                        for i in range(M)]
-            rows.append(np.concatenate([x, duhat, du, u, margins]))
+            rows.append(np.concatenate([duhat, du, x, u, margins]))
             x = model.A @ x + model.B @ u
     return np.array(rows), x
 
@@ -576,19 +577,18 @@ def test_design_dict_round_trip(bundle):
 
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
-    n, m = model.n_states, model.n_inputs
-    widths = {"x": n, "duhat": m, "du": m}
+    # Each record block is stored up to its stored columns: the in-memory
+    # fast block appends `x`, `u` and `margin`, the slow block `wbar`.
     loaded = load_archive(archive_dir)
     assert loaded.bundle.config == archive.config
-    assert loaded.fast_cols == tuple(f"{prefix}{i}" for prefix, width
-                                     in widths.items() for i in range(width))
-    recorded = np.hstack([archive.fast_block(prefix, width)
-                          for prefix, width in widths.items()])
-    assert loaded.fast.tobytes() == recorded.tobytes()
-    # The in-memory slow block appends `wbar`, which is not stored.
-    assert archive.slow_cols[:len(loaded.slow_cols)] == loaded.slow_cols
-    assert loaded.slow.tobytes() == \
-        archive.slow[:, :len(loaded.slow_cols)].tobytes()
+    assert loaded.fast_cols == tuple(
+        f"{prefix}{i}" for prefix in ("duhat", "du")
+        for i in range(model.n_inputs))
+    for cols, rows, stored_cols, stored in (
+            (archive.fast_cols, archive.fast, loaded.fast_cols, loaded.fast),
+            (archive.slow_cols, archive.slow, loaded.slow_cols, loaded.slow)):
+        assert cols[:len(stored_cols)] == stored_cols
+        assert stored.tobytes() == rows[:, :len(stored_cols)].tobytes()
     np.testing.assert_array_equal(loaded.final_state, archive.final_state)
     report = verify_archive(archive_dir)
     assert report.passed, report.table()
@@ -830,12 +830,49 @@ def test_short_traces_match_the_pinned_files(name, tmp_path):
 
 def test_slow_csv_stores_only_the_slow_columns(bundle, archive_dir):
     # The projection, the disturbance and the tube error follow from the
-    # states; slow.csv keeps what the slow layer decided.
+    # states; slow.csv keeps the tick's state and what the slow layer
+    # decided.
     names = (archive_dir / "slow.csv").read_text().splitlines()[1].split(",")
+    model = bundle.model
     assert tuple(names) == harness.slow_columns(
-        bundle.reduced.n_states, bundle.model.n_inputs, bundle.config.horizon)
+        model.n_states, bundle.reduced.n_states, model.n_inputs,
+        bundle.config.horizon)
     assert not [name for name in names if name == "k" or name.startswith(
         ("xproj", "wbar", "tube_error"))]
+
+
+def test_fast_csv_stores_only_the_corrections(model, archive_dir):
+    # The fast states follow from the tick's state, the held input and the
+    # applied corrections: fast.csv names no state.
+    names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
+    assert tuple(names) == harness.fast_columns(model.n_inputs)
+    assert not [name for name in names if name.startswith("x")]
+
+
+def test_tick_states_are_the_in_memory_fast_states(model, archive):
+    # The slow `x` block is the fast states at the ticks, bit for bit.
+    N, n = archive.config.period, model.n_states
+    assert archive.slow_block("x", n).tobytes() == \
+        np.ascontiguousarray(archive.fast_block("x", n)[::N]).tobytes()
+
+
+def test_rolled_out_states_are_the_in_memory_ones(model, archive,
+                                                  archive_dir):
+    # The fast states rolled out from the loaded archive (each tick's state
+    # under ubar + du) are the closed loop's, up to rounding.
+    loaded = load_archive(archive_dir)
+    N, n, m = archive.config.period, model.n_states, model.n_inputs
+    x = harness.column_block(loaded.slow_cols, loaded.slow, "x", n)
+    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar", m)
+    du = harness.column_block(loaded.fast_cols, loaded.fast, "du", m)
+    states = []
+    for k in range(archive.config.n_slow_steps):
+        state = x[k]
+        for j in range(N):
+            states.append(state)
+            state = model.A @ state + model.B @ (ubar[k] + du[k * N + j])
+    assert np.max(np.abs(np.array(states) - archive.fast_block("x", n))) \
+        <= 1e-14
 
 
 def test_digest_covers_the_final_state(archive_dir, tmp_path):
@@ -866,7 +903,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 12" in err
+    assert "archive_version 5" in err and "version 13" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -1117,11 +1154,10 @@ def test_in_memory_disturbance_is_the_measured_one(model, archive,
     # The in-memory `wbar` is the disturbance verify measures from the
     # stored states: the next projection less the slow prediction.
     loaded = load_archive(archive_dir)
-    N, reduced, slow = (archive.config.period, loaded.bundle.reduced,
-                        loaded.bundle.hl.slow)
-    x = harness.column_block(loaded.fast_cols, loaded.fast, "x",
+    reduced, slow = loaded.bundle.reduced, loaded.bundle.hl.slow
+    x = harness.column_block(loaded.slow_cols, loaded.slow, "x",
                              model.n_states)
-    proj = np.vstack([x[::N], loaded.final_state]) @ reduced.beta.T
+    proj = np.vstack([x, loaded.final_state]) @ reduced.beta.T
     ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar",
                                 model.n_inputs)
     w_meas = proj[1:] - (proj[:-1] @ slow.A.T + ubar @ slow.B.T)
@@ -1131,6 +1167,52 @@ def test_in_memory_disturbance_is_the_measured_one(model, archive,
                 if c.name == "disturbance_bound"]
     assert check.worst == pytest.approx(
         float(np.max(np.linalg.norm(wbar, axis=1))), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("row, failed", [
+    (0, {"initial_state", "transition_residual", "ll_terminal"}),
+    (6, {"transition_residual", "ll_terminal"})])
+def test_tampered_tick_state_breaks_the_transitions(archive_dir, tmp_path, row,
+                                                    failed):
+    # The fast states are rolled out from each tick's stored state, and each
+    # rollout must end on the next one: an edited tick state breaks the
+    # period that ends on it, which the residual's detail names.  On row 0
+    # it is also not the configured start.
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "slow.csv", "x0", row, 1e-3)
+    checks = {c.name: c for c in verify_archive(bad).checks}
+    assert {name for name, c in checks.items() if not c.passed} == failed
+    assert checks["transition_residual"].detail == \
+        f"worst at slow step {max(row - 1, 0)}"
+
+
+def test_a_trace_from_another_start_fails_the_initial_state(model, bundle,
+                                                             archive_dir,
+                                                             tmp_path):
+    # A start of the same norm gives the same design and certificate, so a
+    # trace spliced in from it passes every check but the start's.
+    x0 = np.array([-1.0, -3.0] * 5)
+    x0 *= np.linalg.norm(bundle.config.x0) / np.linalg.norm(x0)
+    cfg = dataclasses.replace(bundle.config, x0=tuple(x0))
+    other_bundle = design_pipeline(model, cfg)
+    other = write_archive(run_closed_loop(model, cfg, other_bundle),
+                          other_bundle, tmp_path / "other")
+    for name in ("design.json", "certificate.json"):
+        assert (other / name).read_bytes() == (archive_dir / name).read_bytes()
+    spliced = tmp_path / "spliced"
+    shutil.copytree(archive_dir, spliced)
+    for name in ("fast.csv", "slow.csv"):
+        shutil.copy(other / name, spliced / name)
+    meta = json.loads((spliced / "metadata.json").read_text())
+    meta["final_state"] = json.loads(
+        (other / "metadata.json").read_text())["final_state"]
+    (spliced / "metadata.json").write_text(json.dumps(meta, indent=1))
+    checks = {c.name: c for c in verify_archive(spliced).checks}
+    assert [name for name, c in checks.items() if not c.passed] == \
+        ["initial_state"]
+    assert checks["initial_state"].worst == \
+        float(np.max(np.abs(x0 - np.asarray(bundle.config.x0))))
 
 
 def test_tampered_nominal_leaves_the_tube(archive_dir, tmp_path):
@@ -1145,12 +1227,14 @@ def test_tampered_nominal_leaves_the_tube(archive_dir, tmp_path):
 
 def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
     # verify repeats the slow `ubar` over the period, so one slow cell
-    # reaches every check that reads the held input.
+    # reaches every check that reads the held input.  The fast states and
+    # the auxiliary rollout are rolled out from the same tick state under
+    # the same held input, so the law on x - xhat - dxhat cannot see it.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"transition_residual", "correction_law", "ll_terminal"}
+    assert failed == {"transition_residual", "ll_terminal"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -1191,7 +1275,7 @@ def test_correction_law_passes_a_high_gain_run(tmp_path):
     # so the law rebuilt from the states and the D map the loop applied
     # differ by more than 1e-12 in absolute terms, yet by a few eps of the
     # law's terms, row by row.
-    cfg = RunConfig(decoupled=True, q_fast=1e3, r_fast=1e-3, x0=(-10.0,) * 10)
+    cfg = RunConfig(decoupled=True, q_fast=1e3, r_fast=1e-3, x0=(-30.0,) * 10)
     model = build_thermal_model(default_building(decoupled=True))
     bundle = design_pipeline(model, cfg)
     assert max(np.linalg.norm(K, 2) for K in bundle.ll_gain.blocks) > 300
