@@ -270,14 +270,16 @@ def design_pipeline(model: InterconnectedModel, cfg: RunConfig) -> DesignBundle:
 # ------------------------------------------------------------- trace layout
 
 def fast_columns(m: int) -> tuple:
-    """The fast blocks an archive stores: the planned and applied
-    corrections `duhat` and `du`.  The states are stored once, at the slow
-    ticks, in the slow columns, and so is the held input `ubar`: within a
-    period the fast states follow from the tick's state, the held input and
-    the applied corrections.  The in-memory trace of `run_closed_loop`
-    appends the states `x`, the plant input `u` = ubar + du and the input
-    margins `margin`, which are not stored."""
-    return tuple(f"{prefix}{i}" for prefix in ("duhat", "du") for i in range(m))
+    """The fast block an archive stores: the correction layer's decision,
+    the planned corrections `duhat`.  The applied corrections follow from
+    it by the regulator's law du = duhat + K_i (x - xhat - dxhat), once the
+    tick's state and held input are fixed, and the states follow from the
+    tick's state, the held input and the applied corrections; so the states
+    are stored once, at the slow ticks, in the slow columns, and so is the
+    held input `ubar`.  The in-memory trace of `run_closed_loop` appends the
+    applied corrections `du`, the states `x`, the plant input `u` = ubar +
+    du and the input margins `margin`, which are not stored."""
+    return tuple(f"duhat{i}" for i in range(m))
 
 
 def slow_columns(n: int, n_red: int, m: int, horizon: int) -> tuple:
@@ -405,9 +407,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     ll_qp, W, D = fast_block_maps(model, bundle, N)
     W_N = W[N * n:]
 
-    f_cols = fast_columns(m) + tuple(f"x{i}" for i in range(n)) \
-        + tuple(f"u{i}" for i in range(m)) \
-        + tuple(f"margin{i}" for i in range(M))
+    f_cols = fast_columns(m) + tuple(f"{prefix}{i}" for prefix, width in (
+        ("du", m), ("x", n), ("u", m), ("margin", M)) for i in range(width))
     s_cols = slow_columns(n, n_red, m, cfg.horizon) \
         + tuple(f"wbar{i}" for i in range(n_red))
     fast_rows = np.empty((K * N, len(f_cols)))

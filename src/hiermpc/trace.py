@@ -2,26 +2,28 @@
 
 An archive directory holds one CSV per rate (`fast.csv`, `slow.csv`), the
 model, the run config, the design, the certificate, and a metadata file.
-`fast.csv` stores the fast blocks of `harness.fast_columns`: the planned
-corrections `duhat` and the applied corrections `du`.  Each value is
-stored once.  Within a period the plant's states follow from the tick's
-state, the held input and the applied corrections, so the states are
-stored at the slow ticks only, in `slow.csv`, and so is the held input
-`ubar`.  `verify_archive` repeats `ubar` over the period, rebuilds the
-plant input `u` as ubar + du, the same float64 sum `run_closed_loop`
-computes, and rolls the fast states out from each tick's state under it.
-The in-memory `TraceArchive` also holds the fast states `x`, `u` and the
-input margins `margin`, a function of `u` and the input limits, which are
-not stored.  `slow.csv` stores the slow blocks of `harness.slow_columns`:
-the plant state `x` at each tick and what the slow layer decided there,
-the nominal state and its successor, the held input, the nominal input
+`fast.csv` stores the fast block of `harness.fast_columns`: the correction
+layer's decision, the planned corrections `duhat`.  Each value is stored
+once.  Once a tick's plan is fixed, the regulator's law du = duhat + K_i
+(x - xhat - dxhat) sets each applied correction, and within a period the
+plant's states follow from the tick's state, the held input and the
+applied corrections; so the states are stored at the slow ticks only, in
+`slow.csv`, and so is the held input `ubar`.  `verify_archive` rebuilds
+each period from its tick's state, from the design constants alone (never
+from the controller's W or D maps): the auxiliary rollout `xhat` under
+`ubar`, the plan rollout `dxhat` of `duhat` under each subsystem's own
+dynamics, and the closed loop, each of whose fast steps applies the law
+and then the plant step under ubar + du.  The in-memory `TraceArchive`
+also holds `du`, the fast states `x`, the plant input `u` and the input
+margins `margin`, a function of `u` and the input limits, which are not
+stored.  `slow.csv` stores the slow blocks of `harness.slow_columns`: the
+plant state `x` at each tick and what the slow layer decided there, the
+nominal state and its successor, the held input, the nominal input
 sequence and the solve's objective, iteration count and residuals.  The
 projection beta x of each tick's state and the slow disturbance `wbar`
 follow from the states and are stored nowhere; `verify_archive` derives
 both from the tick states and the final state, and the in-memory trace
-appends `wbar` to its slow block.  The auxiliary
-rollout `xhat` and the plan rollouts `dxhat` are recorded nowhere; the
-`correction_law` and `ll_terminal` checks re-derive both.
+appends `wbar` to its slow block.
 The four JSON files hold constructor arguments written by the `model_io`
 codec, one part of the design bundle each: `config.json` the run config
 (the design's settings, with the run's number of slow steps),
@@ -47,28 +49,31 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (13),
+the config; `metadata.json` records wall clock, the archive version (14),
 the config's digest and the final state, and of it the determinism digest
 covers the final state alone.
 
 `verify_archive` re-derives every runtime invariant from the recorded
 data: the first tick's state against the config's start
-(`initial_state`), each period's rollout under the rebuilt input against
-the next tick's state (`transition_residual`, which names the slow step of
-its worst residual), input limits, correction budgets, the fast correction
-law, each plan's terminal hit on the slow layer's prediction
-(`ll_terminal`), the slow-step
-disturbance bound, tube containment, nominal convergence, and the
-closed-loop norm-tail envelope, whose lifted closed loop
-`lti.lifted_closed_loop` rebuilds from the model and slow gain.
-Each bound check (`input_limits`, `correction_budgets`, `disturbance_bound`,
-`tube_containment`) says in its detail how much of its bound the run used.
-`correction_law` is scale-aware: the closed loop applied the D map of
-`harness.fast_block_maps` and verify rebuilds the law from the states, so
-each row's |du - law| is compared with eps times the size of the law's
-terms there, at most `LAW_ROUNDOFF` times; its detail gives the absolute
-worst.  A damaged model or gain whose closed-loop powers overflow fails
-`tail_envelope` as a non-finite envelope, by name, with no numpy warning.
+(`initial_state`), each period's closed loop against the next tick's
+state (`transition_residual`), input limits, correction budgets, each
+plan's terminal hit on the slow layer's prediction (`ll_terminal`), the
+slow-step disturbance bound, tube containment, the slow plan (its first
+step against the stored successor, `nominal_plan_residual`; its inputs,
+terminal state and objective, `nominal_plan`), nominal convergence, and
+the closed-loop norm-tail envelope, whose lifted closed loop
+`lti.lifted_closed_loop` rebuilds from the model and slow gain.  The slow
+solve's iteration count and residuals are solver diagnostics, which no
+check reads.  Each bound check (`input_limits`, `correction_budgets`,
+`disturbance_bound`, `tube_containment`) says in its detail how much of its
+bound the run used.  `transition_residual` is scale-aware: the closed loop
+computed each tick's state through the D and W maps of
+`harness.fast_block_maps` and verify steps the law and the plant, so each
+residual is compared with eps times a magnitude rollout of the terms the
+period summed, at most `TRANSITION_ROUNDOFF` times; its detail gives the
+absolute worst, the ratio and the slow step of the worst.  A damaged model
+or gain whose closed-loop powers overflow fails `tail_envelope` as a
+non-finite envelope, by name, with no numpy warning.
 """
 from __future__ import annotations
 
@@ -88,24 +93,24 @@ from .analysis import CertificateReport, spectral_norms
 from .errors import ConfigInvalid, HierMPCError
 from .harness import (DesignBundle, RunConfig, TraceArchive,
                       check_same_design, column_block, config_digest,
-                      fast_columns, slow_columns, start_state)
+                      fast_columns, slow_columns, slow_weights, start_state)
 from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 13
-FAST_SCHEMA = "hiermpc.trace.fast.v5"
+ARCHIVE_VERSION = 14
+FAST_SCHEMA = "hiermpc.trace.fast.v6"
 SLOW_SCHEMA = "hiermpc.trace.slow.v3"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
 # Rows formatted by one `%` in `_write_csv`: few enough that the text of a
 # chunk stays small, enough that the per-chunk overhead does not count.
 _CSV_CHUNK_ROWS = 256
-# The correction_law check compares |du - law| on each row with eps times
-# the size of the law's terms there.  Correct runs stay below 2 (the three
-# benchmark plants and a decoupled run with |K_i| = 373); a tampered cell
-# is orders of magnitude above.
-LAW_ROUNDOFF = 16.0
+# The transition_residual check compares each period's residual with eps
+# times the size of the terms its closed loop summed.  Correct runs stay
+# below 1 (the three benchmark plants and decoupled runs with |K_i| = 373);
+# a 1e-9 edit of one planned correction is far above.
+TRANSITION_ROUNDOFF = 16.0
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
@@ -342,14 +347,36 @@ class VerifyReport:
 
 def _rollouts(A: np.ndarray, start: np.ndarray,
               forcing: np.ndarray) -> np.ndarray:
-    """States 0..N of s+ = A s + forcing[:, j] from `start`, one rollout
-    per slow step: start (K, n), forcing (K, N, n); returns (K, N + 1, n)."""
-    K_steps, N, n = forcing.shape
-    states = np.empty((K_steps, N + 1, n))
-    states[:, 0] = start
-    for j in range(1, N + 1):
-        states[:, j] = states[:, j - 1] @ A.T + forcing[:, j - 1]
+    """States 0..N of s+ = A s + forcing[j] from `start`, one rollout per
+    slow step, step-major: start (K, n), forcing (N, K, n); returns
+    (N + 1, K, n), whose step j is the contiguous block [j]."""
+    states = np.empty((forcing.shape[0] + 1,) + start.shape)
+    states[0] = start
+    for j, push in enumerate(forcing):
+        states[j + 1] = states[j] @ A.T + push
     return states
+
+
+def _periods(bundle: DesignBundle, x_b: np.ndarray, ubar: np.ndarray,
+             duhat: np.ndarray) -> tuple:
+    """Each period of a run rebuilt from its tick's state x_b (K, n), held
+    input ubar (K, m) and plan duhat (N, K, m, step-major), from the design
+    constants alone: the auxiliary rollout xhat under the held input, the
+    plan rollout dxhat of duhat from 0 under each subsystem's own dynamics,
+    and the closed loop x, each of whose fast steps applies the regulator's
+    law du = duhat + K_i (x - xhat - dxhat), then x+ = A x + B (ubar + du).
+    Returns xhat, dxhat and x, (N + 1, K, n), and du, (N, K, m)."""
+    model, N = bundle.model, duhat.shape[0]
+    A, B = model.A, model.B
+    xhat = _rollouts(A, x_b, np.broadcast_to(ubar @ B.T, (N,) + x_b.shape))
+    dxhat = _rollouts(model.block_diagonal_A(), np.zeros_like(x_b),
+                      duhat @ B.T)
+    x, du = np.empty_like(xhat), np.empty(duhat.shape)
+    x[0] = x_b
+    for j in range(N):
+        du[j] = duhat[j] + bundle.ll_gain @ (x[j] - xhat[j] - dxhat[j])
+        x[j + 1] = x[j] @ A.T + (ubar + du[j]) @ B.T
+    return xhat, dxhat, x, du
 
 
 def _used(label: str, norms: np.ndarray, bound) -> str:
@@ -363,9 +390,9 @@ def _used(label: str, norms: np.ndarray, bound) -> str:
 @np.errstate(all="ignore")
 def verify_archive(path) -> VerifyReport:
     """Re-check every runtime invariant of a stored run from first
-    principles: nothing recorded is trusted except the raw states, inputs
-    and the design constants, all of which are recomputed against each
-    other.
+    principles: nothing recorded is trusted except the states, the two
+    layers' decisions and the design constants, all of which are
+    recomputed against each other.
 
     The convergence checks (nominal settling, norm-tail envelope) hold for
     runs of the certified scenario length; archives cut short before the
@@ -399,29 +426,44 @@ def verify_archive(path) -> VerifyReport:
         # The other checks align the records by slow step.
         return VerifyReport(tuple(checks))
 
-    # The states are stored once, at the slow ticks.  The held input is
-    # stored once, per slow step; each fast step holds it, and the plant
-    # input is the held input plus the applied correction.  The fast states
-    # are rolled out from each tick's state under that input.
-    K_steps = cfg.n_slow_steps
+    # The states are stored once, at the slow ticks, and the held input once
+    # per slow step; fast.csv stores the correction layer's plan duhat, read
+    # here step-major: duhat[j] holds fast step j of every period.
+    K_steps, A, B = cfg.n_slow_steps, model.A, model.B
     x_b = column_block(arc.slow_cols, arc.slow, "x", n)
-    ubar_s = column_block(arc.slow_cols, arc.slow, "ubar", m)
-    ubar_f = np.repeat(ubar_s, N, axis=0)
-    du = column_block(arc.fast_cols, arc.fast, "du", m)
-    duhat = column_block(arc.fast_cols, arc.fast, "duhat", m)
-    u = ubar_f + du
-    roll = _rollouts(model.A, x_b, (u @ model.B.T).reshape(K_steps, N, n))
-    x = roll[:, :N].reshape(-1, n)
+    ubar = column_block(arc.slow_cols, arc.slow, "ubar", m)
+    duhat = column_block(arc.fast_cols, arc.fast, "duhat", m).reshape(
+        K_steps, N, m).transpose(1, 0, 2)
     xk = np.vstack([x_b, arc.final_state[None, :]])
 
     # The run starts from the configured state.
     x0_err = np.abs(x_b[0] - start_state(model, cfg))
     add("initial_state", float(np.max(x0_err)), 0)
 
-    # Each period's rollout must end on the next tick's stored state.
-    residual = np.max(np.abs(roll[:, N] - xk[1:]), axis=1)
-    worst = int(np.argmax(residual))
-    add("transition_residual", float(residual[worst]), 1e-9,
+    # Each period rebuilt from its tick's state, one step past the period
+    # for the terminal check below.
+    xhat, dxhat, x, du = _periods(bundle, x_b, ubar, duhat)
+    u = (ubar + du).reshape(-1, m)
+
+    # Each period's closed loop must end on the next tick's stored state, up
+    # to the rounding of the two ways of computing it.  The magnitude
+    # rollout T+ = |A| (T + |x|) + |B| (|ubar| + |du| + |duhat|
+    # + |K| (|x| + |xhat| + |dxhat|)), from 0, bounds the size of the terms
+    # the closed loop summed, so each residual is compared with eps times
+    # T_N + |x+|, at most TRANSITION_ROUNDOFF times.
+    abs_A, abs_B = np.abs(A.T), np.abs(B.T)
+    abs_K, abs_ubar = np.abs(bundle.ll_gain.K.T), np.abs(ubar)
+    T_N = np.zeros_like(x_b)
+    for j in range(N):
+        ax = np.abs(x[j])
+        T_N = (T_N + ax) @ abs_A + (
+            abs_ubar + np.abs(du[j]) + np.abs(duhat[j])
+            + (ax + np.abs(xhat[j]) + np.abs(dxhat[j])) @ abs_K) @ abs_B
+    residual = np.abs(x[N] - xk[1:])
+    ratio = np.max(residual / (_EPS * (T_N + np.abs(xk[1:])) + _TINY), axis=1)
+    worst = int(np.argmax(ratio))
+    add("transition_residual", float(ratio[worst]), TRANSITION_ROUNDOFF,
+        f"max |residual|: {np.max(residual):.6g}, ratio {ratio[worst]:.6g}, "
         f"worst at slow step {worst}")
 
     # Hard input limits.
@@ -433,50 +475,25 @@ def verify_archive(path) -> VerifyReport:
         detail=_used("max |u_i| / rho_u_i", u_norms, rho_u))
 
     # Planned corrections inside their allocated budgets.
-    budgets, duhat_norms = bundle.radii.rho_delta_u_hat, subsystem_norms(duhat)
+    budgets = bundle.radii.rho_delta_u_hat
+    duhat_norms = subsystem_norms(duhat.reshape(-1, m))
     add("correction_budgets", float(np.max(duhat_norms - budgets)), 1e-8,
         detail=_used("max |duhat_i| / budget_i", duhat_norms, budgets))
 
-    # The fast correction law du = duhat + K_i (x - xhat - dxhat), with the
-    # auxiliary rollout xhat (from each boundary state under the held input)
-    # and each subsystem's plan rollout dxhat (of duhat, from 0) rebuilt here,
-    # one step past the period for the terminal check below.
-    xhat = _rollouts(model.A, x_b,
-                     (ubar_f @ model.B.T).reshape(K_steps, N, n))
-    fast_xhat = xhat[:, :N].reshape(-1, n)
-    # The slow boundary states, their projections beta x (what the slow
-    # layer solved from at each tick) and its prediction of the next one.
-    reduced, slow = bundle.reduced, bundle.hl.slow
+    # Each plan's projected terminal deviation lands on the slow layer's
+    # prediction gap: beta_i dxhat_N = x_bar_pred_i - beta_i xhat_N, with the
+    # projections beta x of the slow boundary states (what the slow layer
+    # solved from at each tick) and its prediction of the next one.
+    reduced, hl, slow = bundle.reduced, bundle.hl, bundle.hl.slow
     proj = xk @ reduced.beta.T
-    x_bar_pred = proj[:-1] @ slow.A.T + ubar_s @ slow.B.T
-    law, scale = np.empty_like(du), np.abs(duhat)
-    terminal_miss = 0.0
-    for i, (sub, K_i) in enumerate(zip(model.subsystems,
-                                       bundle.ll_gain.blocks)):
-        si, ui = model.state_slice(i), model.input_slice(i)
-        dxhat = _rollouts(sub.A, np.zeros((K_steps, sub.n_states)),
-                          (duhat[:, ui] @ sub.B.T).reshape(K_steps, N, -1))
-        fast_dxhat = dxhat[:, :N].reshape(-1, sub.n_states)
-        law[:, ui] = duhat[:, ui] + (
-            x[:, si] - fast_xhat[:, si] - fast_dxhat) @ K_i.T
-        # The size of the law's terms on each row: |duhat| + rowsum|K_i|
-        # times the subsystem's largest |x| + |xhat| + |dxhat| there, laid
-        # out by column, where the max over a row's few states is one pass.
-        size = np.add(np.abs(x[:, si], order="F"), np.abs(fast_xhat[:, si])
-                      + np.abs(fast_dxhat), order="F").max(axis=1)
-        scale[:, ui] += size[:, None] * np.abs(K_i).sum(axis=1)
-        # Each plan's projected terminal deviation lands on the slow layer's
-        # prediction gap: beta_i dxhat_N = x_bar_pred_i - beta_i xhat_N.
-        beta_i = reduced.beta_block(i, model)
-        gap = x_bar_pred[:, reduced.block_slice(i)] - xhat[:, N, si] @ beta_i.T
-        terminal_miss = max(terminal_miss, float(np.max(np.abs(
-            dxhat[:, N] @ beta_i.T - gap))))
-    # The closed loop applied the D map, verify rebuilds the law from the
-    # states: the two round differently, by a few eps of the terms' size.
-    miss = np.abs(du - law)
-    add("correction_law", float(np.max(miss / (_EPS * scale + _TINY))),
-        LAW_ROUNDOFF, detail=f"max |du - law|: {np.max(miss):.6g}")
-    add("ll_terminal", terminal_miss, 1e-9)
+    x_bar_pred = proj[:-1] @ slow.A.T + ubar @ slow.B.T
+    # np.max keeps a NaN miss, which fails the check.
+    misses = []
+    for i in range(M):
+        si, beta_i = model.state_slice(i), reduced.beta_block(i, model)
+        gap = x_bar_pred[:, reduced.block_slice(i)] - xhat[N, :, si] @ beta_i.T
+        misses.append(np.max(np.abs(dxhat[N, :, si] @ beta_i.T - gap)))
+    add("ll_terminal", float(np.max(misses)), 1e-9)
 
     # Slow-step disturbance: the next projection less its prediction.
     w_norms = np.linalg.norm(proj[1:] - x_bar_pred, axis=1)
@@ -487,15 +504,44 @@ def verify_archive(path) -> VerifyReport:
     # Tube containment of the projection at every slow tick.
     xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
     tube_err = np.linalg.norm(proj[:-1] - xnom, axis=1)
-    radius = bundle.hl.tube.ball.radius
+    radius = hl.tube.ball.radius
     add("tube_containment", float(np.max(tube_err)), radius + 1e-7,
         detail=_used("max error / tube radius", tube_err, radius))
 
-    # Nominal plan internally consistent: xnext = A xnom + B useq[0].
+    # The slow layer's plan, rolled over the horizon from the nominal under
+    # its inputs: its first step is the stored successor
+    # (`nominal_plan_residual`), and (`nominal_plan`) its inputs lie in the
+    # tightened ball, its last state in the terminal set, and its cost is the
+    # stored objective as `highlevel.tube_qp` defines it, the stage and
+    # terminal costs plus 0.5e-10 |z|^2 over the decision vector z, each to
+    # 1e-9 relative.
+    horizon = cfg.horizon
+    useq = column_block(arc.slow_cols, arc.slow, "useq0_", horizon * m)
+    useq = useq.reshape(K_steps, horizon, m).transpose(1, 0, 2)
+    plan = _rollouts(slow.A, xnom, useq @ slow.B.T)
     xnext = column_block(arc.slow_cols, arc.slow, "xnext", n_red)
-    useq0 = column_block(arc.slow_cols, arc.slow, "useq0_", m)
-    plan_res = xnext - xnom @ slow.A.T - useq0 @ slow.B.T
-    add("nominal_plan_residual", float(np.max(np.abs(plan_res))), 1e-7)
+    add("nominal_plan_residual", float(np.max(np.abs(xnext - plan[1]))),
+        1e-7)
+    Q, R = slow_weights(cfg, n_red, m)
+    P, level = hl.terminal.shape, hl.terminal.level
+    x_end = plan[horizon]
+    end_form = np.sum((x_end @ P) * x_end, axis=1)
+    cost = (np.sum((plan[:horizon] @ Q) * plan[:horizon], axis=(0, 2))
+            + np.sum((useq @ R) * useq, axis=(0, 2)) + end_form
+            + 0.5e-10 * (np.sum(plan * plan, axis=(0, 2))
+                         + np.sum(useq * useq, axis=(0, 2))))
+    objective = arc.slow[:, arc.slow_cols.index("objective")]
+    in_radius = hl.input_tight.radius
+    parts = np.column_stack([
+        np.maximum(np.max(np.linalg.norm(useq, axis=2), axis=0) - in_radius,
+                   0.0) / in_radius,
+        np.maximum(end_form - level, 0.0) / level,
+        np.abs(objective - cost) / (np.abs(cost) + _TINY)])
+    per_tick = np.max(parts, axis=1)
+    worst = int(np.argmax(per_tick))
+    add("nominal_plan", float(per_tick[worst]), 1e-9,
+        "relative excess of inputs {:.3g}, terminal {:.3g}, objective {:.3g}; "
+        "worst at slow step {}".format(*np.max(parts, axis=0), worst))
 
     # Nominal convergence to the origin within the run.  Meaningful for
     # archives covering the certified scenario length; an exploratory run cut
@@ -510,8 +556,8 @@ def verify_archive(path) -> VerifyReport:
     # builds it (`lti.lifted_closed_loop`), forced by the nominal feedforward
     # and the certified correction radius.
     K = bundle.hl.gain.K
-    B_lift = lifted_input_matrix(model.A, model.B, N)
-    F = lifted_closed_loop(model.A, model.B, K, reduced.beta, N)
+    B_lift = lifted_input_matrix(A, B, N)
+    F = lifted_closed_loop(A, B, K, reduced.beta, N)
     # A damaged model or gain can make the powers overflow, where the SVD
     # does not converge: such a power's norm is inf, which fails the check.
     powers = matrix_powers(F, K_steps)
@@ -519,7 +565,7 @@ def verify_archive(path) -> VerifyReport:
     pow_norms = np.full(K_steps + 1, np.inf)
     pow_norms[finite] = spectral_norms(powers[finite])
     forcing = np.linalg.norm(
-        (useq0 - xnom @ K.T) @ B_lift.T, axis=1) \
+        (useq[0] - xnom @ K.T) @ B_lift.T, axis=1) \
         + bundle.report.rho_x
     # At k = 0 the envelope is exactly |x_0|, so the worst gap is never below
     # 0; how close the run came is the relative slack over the later steps.

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from hiermpc.sets import BallSet
 from hiermpc.solver import Status, solve_qp
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
-from hiermpc.trace import (_read_csv, _write_csv, archive_digest, load_archive,
+from hiermpc.trace import (TRANSITION_ROUNDOFF, _periods, _read_csv,
+                           _write_csv, archive_digest, load_archive,
                            verify_archive, write_archive, write_design)
 
 
@@ -180,7 +182,7 @@ def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled,
                                                           own_correction_qp,
                                                           slow_qp):
     # The affine tick and the stepped oracle round differently; they agree
-    # to the `correction_law` threshold.
+    # to roundoff.
     model = build_thermal_model(default_building(decoupled=decoupled))
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
     bundle = design_pipeline(model, cfg)
@@ -482,7 +484,7 @@ def test_a_bundle_runs_for_any_number_of_slow_steps(model, bundle, short_cfg,
     assert loaded.config == cfg and bundle.config == short_cfg
     assert loaded.hl.gain.K.tobytes() == bundle.hl.gain.K.tobytes()
     passed = {c.name for c in verify_archive(out).checks if c.passed}
-    assert {"record_counts", "config_hash", "correction_law"} <= passed
+    assert {"record_counts", "config_hash", "transition_residual"} <= passed
 
 
 def test_a_bundle_runs_only_on_the_plant_it_was_designed_on(model, bundle,
@@ -578,12 +580,11 @@ def test_design_dict_round_trip(bundle):
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
     # Each record block is stored up to its stored columns: the in-memory
-    # fast block appends `x`, `u` and `margin`, the slow block `wbar`.
+    # fast block appends `du`, `x`, `u` and `margin`, the slow block `wbar`.
     loaded = load_archive(archive_dir)
     assert loaded.bundle.config == archive.config
-    assert loaded.fast_cols == tuple(
-        f"{prefix}{i}" for prefix in ("duhat", "du")
-        for i in range(model.n_inputs))
+    assert loaded.fast_cols == tuple(f"duhat{i}"
+                                     for i in range(model.n_inputs))
     for cols, rows, stored_cols, stored in (
             (archive.fast_cols, archive.fast, loaded.fast_cols, loaded.fast),
             (archive.slow_cols, archive.slow, loaded.slow_cols, loaded.slow)):
@@ -592,7 +593,7 @@ def test_archive_round_trip_and_verify(model, archive, archive_dir):
     np.testing.assert_array_equal(loaded.final_state, archive.final_state)
     report = verify_archive(archive_dir)
     assert report.passed, report.table()
-    assert "correction_law" in {c.name for c in report.checks}
+    assert "transition_residual" in {c.name for c in report.checks}
 
 
 _EDGE_VALUES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308,
@@ -842,11 +843,14 @@ def test_slow_csv_stores_only_the_slow_columns(bundle, archive_dir):
 
 
 def test_fast_csv_stores_only_the_corrections(model, archive_dir):
-    # The fast states follow from the tick's state, the held input and the
-    # applied corrections: fast.csv names no state.
+    # The applied corrections follow from the plan by the regulator's law,
+    # and the fast states from the tick's state, the held input and the
+    # applied corrections: fast.csv names no applied correction and no
+    # state.
     names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
     assert tuple(names) == harness.fast_columns(model.n_inputs)
-    assert not [name for name in names if name.startswith("x")]
+    assert not [name for name in names
+                if name.startswith("x") or name.rstrip("0123456789") == "du"]
 
 
 def test_tick_states_are_the_in_memory_fast_states(model, archive):
@@ -856,22 +860,27 @@ def test_tick_states_are_the_in_memory_fast_states(model, archive):
         np.ascontiguousarray(archive.fast_block("x", n)[::N]).tobytes()
 
 
+def rebuilt_fast_block(loaded):
+    """verify's rebuild of every period of a loaded archive (`_periods`),
+    in fast-row order: the held input of each fast step, the states and the
+    applied corrections."""
+    model, N = loaded.bundle.model, loaded.bundle.config.period
+    n, m = model.n_states, model.n_inputs
+    x_b = harness.column_block(loaded.slow_cols, loaded.slow, "x", n)
+    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar", m)
+    duhat = loaded.fast.reshape(len(x_b), N, m).transpose(1, 0, 2)
+    _, _, x, du = _periods(loaded.bundle, x_b, ubar, duhat)
+    return (np.repeat(ubar, N, axis=0), x[:N].transpose(1, 0, 2).reshape(-1, n),
+            du.transpose(1, 0, 2).reshape(-1, m))
+
+
 def test_rolled_out_states_are_the_in_memory_ones(model, archive,
                                                   archive_dir):
-    # The fast states rolled out from the loaded archive (each tick's state
-    # under ubar + du) are the closed loop's, up to rounding.
-    loaded = load_archive(archive_dir)
-    N, n, m = archive.config.period, model.n_states, model.n_inputs
-    x = harness.column_block(loaded.slow_cols, loaded.slow, "x", n)
-    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar", m)
-    du = harness.column_block(loaded.fast_cols, loaded.fast, "du", m)
-    states = []
-    for k in range(archive.config.n_slow_steps):
-        state = x[k]
-        for j in range(N):
-            states.append(state)
-            state = model.A @ state + model.B @ (ubar[k] + du[k * N + j])
-    assert np.max(np.abs(np.array(states) - archive.fast_block("x", n))) \
+    # The fast states that verify rolls out from the loaded archive (each
+    # tick's state under the held input and the law on the plan) are the
+    # closed loop's, up to rounding.
+    _, x, _ = rebuilt_fast_block(load_archive(archive_dir))
+    assert np.max(np.abs(x - archive.fast_block("x", model.n_states))) \
         <= 1e-14
 
 
@@ -903,7 +912,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 13" in err
+    assert "archive_version 5" in err and "version 14" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -1080,7 +1089,9 @@ def _foreign_schema(text):
 
 
 def _renamed_column(text):
-    return text.replace(",du0,", ",dv0,", 1)
+    renamed = text.replace("duhat0", "dvhat0", 1)
+    assert renamed != text
+    return renamed
 
 
 @pytest.mark.parametrize("damage", [_cut_mid_line, _cut_at_line_boundary,
@@ -1106,26 +1117,28 @@ def _tamper_csv_cell(path, column, row, delta):
 
 
 def test_tampered_input_detected(archive_dir, tmp_path):
-    # The plant input is rebuilt as ubar + du, so a changed applied
-    # correction moves the input that the transitions are checked under.
+    # The plant input is rebuilt as ubar + du, with du the law on the plan,
+    # so a changed planned correction moves the input that the transitions
+    # are checked under; the changed plan no longer lands on the slow
+    # layer's prediction either.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
-    _tamper_csv_cell(bad / "fast.csv", "du0", 7, 1e-3)
+    _tamper_csv_cell(bad / "fast.csv", "duhat0", 7, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"transition_residual", "correction_law"}
+    assert failed == {"transition_residual", "ll_terminal"}
 
 
-def test_plant_input_is_rebuilt_bit_for_bit(model, archive, archive_dir):
+def test_plant_input_is_rebuilt_to_roundoff(model, archive, archive_dir):
     # fast.csv names no plant input `u` and no held input `ubar`; the input
-    # ubar + du rebuilt from the loaded archive is the in-memory `u`.
+    # ubar + du that verify rebuilds from the loaded archive is the
+    # in-memory `u` up to rounding, not bit for bit: verify applies the law
+    # step by step, the closed loop the D map of `fast_block_maps`.
     names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
     assert not [name for name in names if name.startswith("u")]
-    m, N = model.n_inputs, archive.config.period
-    loaded = load_archive(archive_dir)
-    ubar = np.repeat(harness.column_block(loaded.slow_cols, loaded.slow,
-                                          "ubar", m), N, axis=0)
-    u = ubar + harness.column_block(loaded.fast_cols, loaded.fast, "du", m)
-    assert u.tobytes() == archive.fast_block("u", m).tobytes()
+    ubar, _, du = rebuilt_fast_block(load_archive(archive_dir))
+    m = model.n_inputs
+    assert np.max(np.abs(du - archive.fast_block("du", m))) <= 1e-14
+    assert np.max(np.abs(ubar + du - archive.fast_block("u", m))) <= 1e-14
 
 
 def test_bound_checks_report_the_used_fraction(archive_dir):
@@ -1140,13 +1153,40 @@ def test_bound_checks_report_the_used_fraction(archive_dir):
     assert all(0.0 < fraction < 1.0 for fraction in used.values()), used
 
 
-def test_tampered_plan_breaks_the_correction_law(archive_dir, tmp_path):
+def test_tampered_plan_breaks_the_transitions(archive_dir, tmp_path):
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "fast.csv", "duhat1", 7, 1e-6)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
     # The changed plan no longer lands on the slow layer's prediction either.
-    assert failed == {"correction_law", "ll_terminal"}
+    assert failed == {"transition_residual", "ll_terminal"}
+
+
+def _transition_detail(check):
+    """(absolute worst residual, ratio, slow step of the worst) of a
+    `transition_residual` detail."""
+    match = re.fullmatch(r"max \|residual\|: (\S+), ratio (\S+), "
+                         r"worst at slow step (\d+)", check.detail)
+    return float(match[1]), float(match[2]), int(match[3])
+
+
+def test_a_tiny_plan_edit_breaks_the_transitions(archive_dir, tmp_path):
+    # A 1e-9 edit of one planned correction, at fast step 1 of the middle
+    # tick, moves the next tick's state by ~1e-12: far below an absolute
+    # 1e-9 threshold, yet hundreds of times the roundoff of the terms the
+    # period summed.
+    archive_cfg = load_archive(archive_dir).bundle.config
+    tick = archive_cfg.n_slow_steps // 2
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "fast.csv", "duhat0", tick * archive_cfg.period + 1,
+                     1e-9)
+    checks = {c.name: c for c in verify_archive(bad).checks}
+    assert {name for name, c in checks.items() if not c.passed} == \
+        {"transition_residual"}
+    residual, ratio, step = _transition_detail(checks["transition_residual"])
+    assert step == tick and residual < 1e-11
+    assert ratio > 100 * TRANSITION_ROUNDOFF
 
 
 def test_in_memory_disturbance_is_the_measured_one(model, archive,
@@ -1183,8 +1223,8 @@ def test_tampered_tick_state_breaks_the_transitions(archive_dir, tmp_path, row,
     _tamper_csv_cell(bad / "slow.csv", "x0", row, 1e-3)
     checks = {c.name: c for c in verify_archive(bad).checks}
     assert {name for name, c in checks.items() if not c.passed} == failed
-    assert checks["transition_residual"].detail == \
-        f"worst at slow step {max(row - 1, 0)}"
+    assert _transition_detail(checks["transition_residual"])[2] == \
+        max(row - 1, 0)
 
 
 def test_a_trace_from_another_start_fails_the_initial_state(model, bundle,
@@ -1222,14 +1262,38 @@ def test_tampered_nominal_leaves_the_tube(archive_dir, tmp_path):
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "xnom0", 0, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"tube_containment", "nominal_plan_residual"}
+    assert failed == {"tube_containment", "nominal_plan_residual",
+                      "nominal_plan"}
+
+
+@pytest.mark.parametrize("column, delta, part", [
+    ("objective", 1e3, "objective"), ("useq5_0", 10.0, "inputs")])
+def test_tampered_slow_plan_fails_the_plan_check(archive_dir, tmp_path,
+                                                 column, delta, part):
+    # The slow plan is checked, not trusted: verify rolls the nominal over
+    # the horizon under the stored inputs, and the objective must be the
+    # plan's cost and every input inside the tightened ball.  The detail
+    # names the relative excess of each part and the slow step of the worst.
+    bad = tmp_path / "tampered"
+    shutil.copytree(archive_dir, bad)
+    _tamper_csv_cell(bad / "slow.csv", column, 0, delta)
+    checks = {c.name: c for c in verify_archive(bad).checks}
+    assert {name for name, c in checks.items() if not c.passed} == \
+        {"nominal_plan"}
+    match = re.fullmatch(r"relative excess of inputs (\S+), terminal (\S+), "
+                         r"objective (\S+); worst at slow step (\d+)",
+                         checks["nominal_plan"].detail)
+    excess = dict(zip(("inputs", "terminal", "objective"),
+                      map(float, match.groups()[:3])))
+    assert excess[part] == pytest.approx(checks["nominal_plan"].worst,
+                                         rel=1e-2)
+    assert excess[part] > 0.1 and match[4] == "0"
 
 
 def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
     # verify repeats the slow `ubar` over the period, so one slow cell
-    # reaches every check that reads the held input.  The fast states and
-    # the auxiliary rollout are rolled out from the same tick state under
-    # the same held input, so the law on x - xhat - dxhat cannot see it.
+    # reaches every check that reads the held input: the period's closed
+    # loop and the slow layer's prediction its plan must land on.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
@@ -1243,15 +1307,16 @@ def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
     # One +-1e300 entry of the model, in a subsystem's A or in a coupling
     # block, makes the rollouts and the lifted closed loop's powers
     # overflow, where the SVD of their norms does not converge: verify
-    # fails the transitions and a non-finite envelope by name, and raises
-    # nothing, not even a numpy warning (warnings are errors here), and the
-    # CLI writes nothing to stderr.
-    for name, (*path, key, value), failed in (
-            ("huge", ("subsystems", 0, "A", 0, 0, 1e300),
-             {"transition_residual", "correction_law", "ll_terminal",
-              "tail_envelope"}),
-            ("coupling", ("coupling", "blocks", 0, 1, 0, 0, -1e300),
-             {"transition_residual", "correction_law", "tail_envelope"})):
+    # fails by name the transitions (a NaN ratio), the inputs the law
+    # derives from the overflowed states, the plans' terminal hit (a NaN
+    # miss) and a non-finite envelope, and raises nothing, not even a numpy
+    # warning (warnings are errors here), and the CLI writes nothing to
+    # stderr.
+    failed = {"transition_residual", "input_limits", "ll_terminal",
+              "tail_envelope"}
+    for name, (*path, key, value) in (
+            ("huge", ("subsystems", 0, "A", 0, 0, 1e300)),
+            ("coupling", ("coupling", "blocks", 0, 1, 0, 0, -1e300))):
         bad = tmp_path / name
         shutil.copytree(archive_dir, bad)
         data = json.loads((bad / "model.json").read_text())
@@ -1262,6 +1327,7 @@ def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
         (bad / "model.json").write_text(json.dumps(data))
         checks = {c.name: c for c in verify_archive(bad).checks}
         assert {c for c, check in checks.items() if not check.passed} == failed
+        assert math.isnan(checks["transition_residual"].worst)
         envelope = checks["tail_envelope"]
         assert envelope.worst == math.inf
         assert envelope.detail == "the envelope is not finite at k = 1"
@@ -1270,11 +1336,12 @@ def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
         assert "\ntail_envelope " in out and err == ""
 
 
-def test_correction_law_passes_a_high_gain_run(tmp_path):
+def test_high_gain_run_passes_the_scaled_transitions(tmp_path):
     # The decoupled plant with a cheap fast input: |K_i| is in the hundreds,
-    # so the law rebuilt from the states and the D map the loop applied
-    # differ by more than 1e-12 in absolute terms, yet by a few eps of the
-    # law's terms, row by row.
+    # so the transitions that verify steps through the law and those the
+    # loop computed through its maps differ by more than 1e-14 in absolute
+    # terms, yet by less than eps times the size of the terms each period
+    # summed.
     cfg = RunConfig(decoupled=True, q_fast=1e3, r_fast=1e-3, x0=(-30.0,) * 10)
     model = build_thermal_model(default_building(decoupled=True))
     bundle = design_pipeline(model, cfg)
@@ -1283,8 +1350,32 @@ def test_correction_law_passes_a_high_gain_run(tmp_path):
                         tmp_path / "run")
     report = verify_archive(out)
     assert report.passed, report.table()
-    (law,) = [c for c in report.checks if c.name == "correction_law"]
-    assert float(law.detail.rsplit(": ", 1)[1]) > 1e-12
+    (check,) = [c for c in report.checks if c.name == "transition_residual"]
+    residual, ratio, _ = _transition_detail(check)
+    assert residual > 1e-14 and ratio < 1.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(decoupled=st.booleans(),
+       weights=st.sampled_from([(1.0, 10.0), (1.0, 0.1), (1e3, 1e-3)]),
+       x0=st.lists(st.floats(-8.0, 8.0), min_size=10, max_size=10),
+       n_slow_steps=st.integers(1, 3))
+def test_correct_runs_pass_the_scaled_transitions(decoupled, weights, x0,
+                                                  n_slow_steps,
+                                                  tmp_path_factory):
+    # Short runs from random starts, on both plants and with fast gains up
+    # to |K_i| ~ 373: the transitions verify steps through the law stay
+    # below the roundoff factor on every one.
+    q_fast, r_fast = weights
+    cfg = RunConfig(decoupled=decoupled, q_fast=q_fast, r_fast=r_fast,
+                    x0=tuple(x0), n_slow_steps=n_slow_steps)
+    model = build_thermal_model(default_building(decoupled=decoupled))
+    bundle = design_pipeline(model, cfg)
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path_factory.mktemp("run") / "run")
+    (check,) = [c for c in verify_archive(out).checks
+                if c.name == "transition_residual"]
+    assert check.passed and check.worst < TRANSITION_ROUNDOFF, check.detail
 
 
 def test_plans_hit_the_terminal_target(archive_dir):
