@@ -11,16 +11,14 @@ tick computes only what the next tick reads: one tube-tightened slow solve,
 the terminal state of the shared constant-input auxiliary rollout, one
 solve of the stacked correction QP, which plans every subsystem's
 corrections in blocks that share nothing, and the plant state at the end
-of the period.  A tick whose sets bind in neither layer builds no QP: each
-layer's solve is one product with a map built once per run.  The fast
-block is affine in the tick's start state, held input and planned
-corrections, so the fast records of every tick are built after the loop,
-in a few batched products with maps built once per run (`fast_block_maps`),
-not stepped fast step by fast step nor subsystem by subsystem.  The maps
-are block-Toeplitz in (fast step, plan step), and are gathered from one lag
-response: the fast block's response to a unit plan step.  The trace
-records the states and each layer's decisions, from which the runtime
-invariants are checked; persistence and re-verification live in `trace`.
+of the period, one product with a map built once per run from the fast
+block's response to a unit plan step (`fast_block_maps`).  A tick whose
+sets bind in neither layer builds no QP: each layer's solve is one product
+with a map built once per run.  The trace records what an archive stores,
+the tick states, each layer's decisions and the final state; `TraceArchive`
+derives the rest on first read, the fast records by the one rollout of
+every period (`periods`), which `trace.verify_archive` checks the stored
+states against.  Persistence and re-verification live in `trace`.
 """
 from __future__ import annotations
 
@@ -29,6 +27,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +38,8 @@ from .errors import ConfigInvalid, DesignIncomplete, HierMPCError, InfeasibleHL,
 from .highlevel import (HLDesign, design_gain, horizon_inverse, lift, solve_hl,
                         terminal_cost, tube_qp)
 from .lowlevel import AuxiliaryMaps, CorrectionQP, LLGain, apply_correction, \
-    auxiliary_maps, block_toeplitz, correction_qp, design_ll_gain, \
-    lag_response, simulate_auxiliary, solve_ll
+    auxiliary_maps, correction_qp, design_ll_gain, lag_response, \
+    simulate_auxiliary, solve_ll
 from .lti import InterconnectedModel
 from .model_io import from_json, to_json
 from .reduction import ReducedModel, reduce_model, verify_reduction
@@ -276,9 +275,9 @@ def fast_columns(m: int) -> tuple:
     tick's state and held input are fixed, and the states follow from the
     tick's state, the held input and the applied corrections; so the states
     are stored once, at the slow ticks, in the slow columns, and so is the
-    held input `ubar`.  The in-memory trace of `run_closed_loop` appends the
-    applied corrections `du`, the states `x`, the plant input `u` = ubar +
-    du and the input margins `margin`, which are not stored."""
+    held input `ubar`.  `TraceArchive.fast_block` derives the applied
+    corrections `du`, the states `x`, the plant input `u` = ubar + du and
+    the input margins `margin` by `periods`."""
     return tuple(f"duhat{i}" for i in range(m))
 
 
@@ -289,8 +288,8 @@ def slow_columns(n: int, n_red: int, m: int, horizon: int) -> tuple:
     `useq`, and the solve's objective, iteration count and residuals.  What
     follows from the states is not stored: the projection beta x of each
     tick's state, and the disturbance `wbar` = beta x+ - (A beta x + B ubar)
-    of the slow model.  The in-memory trace of `run_closed_loop` appends
-    `wbar`, which is not stored."""
+    of the slow model, which `TraceArchive.slow_block` derives from the tick
+    states and the final state."""
     cols = [f"x{i}" for i in range(n)]
     cols += [f"xnom{i}" for i in range(n_red)]
     cols += [f"xnext{i}" for i in range(n_red)]
@@ -307,62 +306,159 @@ def column_block(cols: tuple, rows: np.ndarray, prefix: str, count: int) -> np.n
     return rows[..., start:start + count]
 
 
+def input_norms(model: InterconnectedModel, inputs: np.ndarray) -> np.ndarray:
+    """Each subsystem's input norm, one segment sum: (..., m) -> (..., M)."""
+    return np.sqrt(np.add.reduceat(inputs * inputs,
+                                   np.asarray(model.input_offsets[:-1]), axis=-1))
+
+
+def rollouts(A: np.ndarray, start: np.ndarray,
+             forcing: np.ndarray) -> np.ndarray:
+    """States 0..N of s+ = A s + forcing[j] from `start`, one rollout per
+    slow step, step-major: start (K, n), forcing (N, K, n); returns
+    (N + 1, K, n), whose step j is the contiguous block [j]."""
+    states = np.empty((forcing.shape[0] + 1,) + start.shape)
+    states[0] = start
+    for j, push in enumerate(forcing):
+        states[j + 1] = states[j] @ A.T + push
+    return states
+
+
+def periods(bundle: DesignBundle, x_b: np.ndarray, ubar: np.ndarray,
+            duhat: np.ndarray) -> tuple:
+    """Each period of a run rebuilt from its tick's state x_b (K, n), held
+    input ubar (K, m) and plan duhat (N, K, m, step-major), from the design
+    constants alone: the auxiliary rollout xhat under the held input, the
+    plan rollout dxhat of duhat from 0 under each subsystem's own dynamics,
+    and the closed loop x, each of whose fast steps applies the regulator's
+    law du = duhat + K_i (x - xhat - dxhat) (`apply_correction`), then
+    x+ = A x + B (ubar + du).  Returns xhat, dxhat and x, (N + 1, K, n), and
+    du, (N, K, m).
+
+    This is the one rollout of the fast block: `TraceArchive` derives its
+    fast records from it, and `trace.verify_archive` checks each period's
+    end against the next tick's state, which the loop computed by W_N."""
+    model, N = bundle.model, duhat.shape[0]
+    A, B = model.A, model.B
+    xhat = rollouts(A, x_b, np.broadcast_to(ubar @ B.T, (N,) + x_b.shape))
+    dxhat = rollouts(model.block_diagonal_A(), np.zeros_like(x_b), duhat @ B.T)
+    x, du = np.empty_like(xhat), np.empty(duhat.shape)
+    x[0] = x_b
+    for j in range(N):
+        du[j] = apply_correction(duhat[j], dxhat[j], bundle.ll_gain,
+                                 x[j] - xhat[j])
+        x[j + 1] = x[j] @ A.T + (ubar + du[j]) @ B.T
+    return xhat, dxhat, x, du
+
+
 @dataclass(frozen=True)
 class TraceArchive:
-    """One closed-loop run: per-rate records plus the design context."""
+    """One closed-loop run as its archive stores it: the run's config, its
+    design, the stored fast and slow blocks (`fast_columns`,
+    `slow_columns`), the final state, and the run's metadata (the wall
+    clock of `run_closed_loop`; all of metadata.json on `trace.load_archive`).
+    A run and its loaded archive hold the same bits.
+
+    What is not stored is derived from them on first read and kept: the
+    tick states with the final state (`ticks`), every period rolled out by
+    `periods` (`rollout`), from which `fast_block` gives `du`, `x`, `u` and
+    `margin`, and the slow projections and predictions (`slow_prediction`),
+    from which `slow_block` gives `wbar` without the fast rollout."""
 
     config: RunConfig
-    fast_cols: tuple
-    slow_cols: tuple
+    bundle: DesignBundle
     fast: np.ndarray
     slow: np.ndarray
     final_state: np.ndarray
-    wall_clock: float
+    metadata: dict
+
+    @property
+    def wall_clock(self) -> float:
+        return self.metadata["wall_clock_s"]
+
+    @cached_property
+    def fast_cols(self) -> tuple:
+        return fast_columns(self.bundle.model.n_inputs)
+
+    @cached_property
+    def slow_cols(self) -> tuple:
+        model = self.bundle.model
+        return slow_columns(model.n_states, self.bundle.reduced.n_states,
+                            model.n_inputs, self.config.horizon)
+
+    @property
+    def plan_steps(self) -> np.ndarray:
+        """The plans duhat step-major, (N, K, m): [j] is fast step j of
+        every period."""
+        return self.fast.reshape(-1, self.config.period,
+                                 self.bundle.model.n_inputs).transpose(1, 0, 2)
+
+    @cached_property
+    def ticks(self) -> np.ndarray:
+        """The plant state at each tick, then the final state, (K + 1, n)."""
+        return np.vstack([self.slow_block("x", self.bundle.model.n_states),
+                          self.final_state[None, :]])
+
+    @cached_property
+    def rollout(self) -> tuple:
+        """xhat, dxhat, x and du of every period, by `periods`."""
+        model = self.bundle.model
+        return periods(self.bundle, self.slow_block("x", model.n_states),
+                       self.slow_block("ubar", model.n_inputs), self.plan_steps)
+
+    @cached_property
+    def slow_prediction(self) -> tuple:
+        """The projection beta x of each tick's state and of the final
+        state, (K + 1, n_red), and the slow layer's prediction of each next
+        one, A beta x + B ubar, (K, n_red)."""
+        reduced, slow = self.bundle.reduced, self.bundle.hl.slow
+        proj = self.ticks @ reduced.beta.T
+        ubar = self.slow_block("ubar", self.bundle.model.n_inputs)
+        return proj, proj[:-1] @ slow.A.T + ubar @ slow.B.T
+
+    @cached_property
+    def _fast_records(self) -> dict:
+        """The fast blocks that are not stored, one row per fast step."""
+        model, N = self.bundle.model, self.config.period
+        _, _, x, du = self.rollout
+        u = self.slow_block("ubar", model.n_inputs) + du
+        margin = model.input_radii() - input_norms(model, u)
+        return {name: steps.transpose(1, 0, 2).reshape(-1, steps.shape[-1])
+                for name, steps in (("du", du), ("x", x[:N]), ("u", u),
+                                    ("margin", margin))}
 
     def fast_block(self, prefix: str, count: int) -> np.ndarray:
-        return column_block(self.fast_cols, self.fast, prefix, count)
+        if f"{prefix}0" in self.fast_cols:
+            return column_block(self.fast_cols, self.fast, prefix, count)
+        return self._fast_records[prefix][:, :count]
 
     def slow_block(self, prefix: str, count: int) -> np.ndarray:
+        if prefix == "wbar":
+            proj, prediction = self.slow_prediction
+            return (proj[1:] - prediction)[:, :count]
         return column_block(self.slow_cols, self.slow, prefix, count)
 
 
 # ---------------------------------------------------------------- run loop
 
 def fast_block_maps(model: InterconnectedModel, bundle: DesignBundle,
-                    period: int) -> tuple[CorrectionQP, np.ndarray, np.ndarray]:
+                    period: int) -> tuple[CorrectionQP, np.ndarray]:
     """The run-constant part of a tick below the slow solve: the stacked
-    correction QP and the two maps of the fast block from the tick's planned
-    corrections vec(duhat), (period, m) raveled row by row.
+    correction QP and W_N, (n, period m), the map from the tick's planned
+    corrections vec(duhat), (period, m) raveled row by row, to the state at
+    the period's end less the auxiliary rollout's.
 
-    Both maps are block lower-triangular Toeplitz in (fast step, plan step),
-    gathered by `lowlevel.block_toeplitz` from one `lowlevel.lag_response`,
-    the response to a unit plan step at lag 0.  W, ((period+1) n, period m),
-    gives the states at fast steps 0..period less the auxiliary rollout: the
-    lag blocks are omega, plan rollout plus coupling error.  D, (period m,
-    period m), gives the applied corrections: its lag blocks are one
-    `apply_correction` on the lag responses, the unit plan at lag 0 with
-    its plan states dx and measured deviations omega, I + K e.  The QP's
-    plan predictions are gathered from dx.
+    Both come from one `lowlevel.lag_response`, the response to a unit plan
+    step at lag 0: plan step l reaches the period's end at lag period - l,
+    so W_N is the measured deviations omega at lags period, ..., 1 side by
+    side, and the QP's plan predictions are gathered from the plan states
+    dx.
     """
-    m = model.n_inputs
     dx, omega = lag_response(model, bundle.ll_gain, period)
-    W = block_toeplitz(omega, period + 1, period)
-    # `apply_correction` reads states along the last axis, so each lag block
-    # is transposed: row c is then input c's unit step, and the plan is the
-    # identity at lag 0.
-    unit = np.zeros((period, m, m))
-    unit[0] = np.eye(m)
-    du = apply_correction(unit, dx[:period].transpose(0, 2, 1), bundle.ll_gain,
-                          omega[:period].transpose(0, 2, 1))
-    D = block_toeplitz(du.transpose(0, 2, 1), period, period)
+    W_N = omega[period:0:-1].transpose(1, 0, 2).reshape(model.n_states, -1)
     qp = correction_qp(model, bundle.reduced, bundle.radii.rho_delta_u_hat,
                        *fast_weights(model, bundle.config), period, dx)
-    return qp, W, D
-
-
-# Ticks whose fast records one batched product builds: the product's
-# temporaries stay a small part of the records.
-RECORD_CHUNK = 16
+    return qp, W_N
 
 
 def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
@@ -376,18 +472,16 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     aborts the run with the slow-step index attached to the exception
     diagnostics; nothing is clipped, and no trace is returned.  The data of
     each layer's QP that does not change between ticks, with its KKT
-    factors, is built once here, before the first tick, and so are the maps
-    of the fast block: the auxiliary rollout of `lowlevel.auxiliary_maps`
-    and W and D of `fast_block_maps`.
+    factors, is built once here, before the first tick, and so are the two
+    maps of the fast block a tick reads: the last block row of the
+    auxiliary rollout of `lowlevel.auxiliary_maps`, and W_N of
+    `fast_block_maps`.
     A tick computes only what the next tick reads: one slow solve, the
-    auxiliary terminal state xhat_N (`simulate_auxiliary` on the maps' last
-    block row), one correction solve for all subsystems, whose plan is
-    recorded as it is, and the next boundary state xhat_N + W_N vec(duhat),
-    with W_N the last block row of W.  After the loop the fast records of
-    every tick are built from its boundary state, held input and plan, in
-    batched products over the other block rows, `RECORD_CHUNK` ticks at a
-    time: states Phi x + Psi ubar + W vec(duhat), corrections D vec(duhat),
-    inputs ubar + du and the input margins.
+    auxiliary terminal state xhat_N (`simulate_auxiliary` on that row), one
+    correction solve for all subsystems, and the next boundary state
+    xhat_N + W_N vec(duhat).  The trace records only what the archive
+    stores: each tick's state and the slow layer's decisions there, each
+    tick's plan duhat, and the final state.
     """
     start = time.perf_counter()
     x = start_state(model, cfg)
@@ -396,36 +490,23 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     check_same_design(cfg, bundle)
     check_same_plant(model, bundle)
     reduced, hl, lifted = bundle.reduced, bundle.hl, bundle.hl.slow
-    K, N, M = cfg.n_slow_steps, cfg.period, model.n_subsystems
+    K, N = cfg.n_slow_steps, cfg.period
     n, m = model.n_states, model.n_inputs
     n_red = reduced.n_states
     hl_qp = tube_qp(hl, *slow_weights(cfg, n_red, m), cfg.horizon)
     aux = auxiliary_maps(model, N)
     terminal = AuxiliaryMaps(aux.Phi[N * n:], aux.Psi[N * n:])
-    # Built before the records, so that its temporaries and the records are
-    # never held at once.
-    ll_qp, W, D = fast_block_maps(model, bundle, N)
-    W_N = W[N * n:]
+    ll_qp, W_N = fast_block_maps(model, bundle, N)
 
-    f_cols = fast_columns(m) + tuple(f"{prefix}{i}" for prefix, width in (
-        ("du", m), ("x", n), ("u", m), ("margin", M)) for i in range(width))
-    s_cols = slow_columns(n, n_red, m, cfg.horizon) \
-        + tuple(f"wbar{i}" for i in range(n_red))
-    fast_rows = np.empty((K * N, len(f_cols)))
+    s_cols = slow_columns(n, n_red, m, cfg.horizon)
+    duhat = np.empty((K, N, m))
     slow_rows = np.empty((K, len(s_cols)))
-    # Column-block views of fast_rows by tick: tick k's rows k*N .. k*N + N-1
-    # are fast[prefix][k].
-    ticks = fast_rows.reshape(K, N, -1)
-    fast = {prefix: column_block(f_cols, ticks, prefix, width)
-            for prefix, width in (("x", n), ("duhat", m), ("du", m),
-                                  ("u", m), ("margin", M))}
     # Column-block views of slow_rows; tick k fills row k.  The plan's
     # inputs useq0_0 .. are one block, and so are the four solve columns
     # from `objective` on.
     slow = {prefix: column_block(s_cols, slow_rows, prefix, width)
             for prefix, width in (("x", n), ("xnom", n_red), ("xnext", n_red),
-                                  ("ubar", m), ("useq0_", cfg.horizon * m),
-                                  ("wbar", n_red))}
+                                  ("ubar", m), ("useq0_", cfg.horizon * m))}
     solve = s_cols.index("objective")
     slow["solve"] = slow_rows[:, solve:solve + 4]
 
@@ -442,7 +523,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
             raise
 
         slow["x"][k] = x
-        fast["duhat"][k] = plan.u_steps
+        duhat[k] = plan.u_steps
         x = xhat_N + W_N @ plan.u_steps.ravel()
         slow["xnom"][k] = sol.x_nominal
         slow["xnext"][k] = sol.x_nominal_next
@@ -450,33 +531,7 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         slow["useq0_"][k] = sol.u_nominal_seq.ravel()
         slow["solve"][k] = (sol.objective, sol.iterations, sol.primal_residual,
                             sol.dual_residual)
-        slow["wbar"][k] = reduced.beta @ x - x_bar_pred
-
-    # The fast records.  Fast step 0 of a tick is its boundary state, the
-    # tick's slow `x`; steps 1..N-1 are one product each with the other block
-    # rows of the maps, on a chunk of ticks side by side as columns.  (With
-    # the ticks as rows, BLAS would pack all of W for the product and touch
-    # that much more of its buffer.)  The QPs are released first, so that
-    # the chunks' temporaries take the place of their data rather than add
-    # to it.
-    del hl_qp, ll_qp
-    Phi, Psi, W_steps = (a[n:N * n] for a in (aux.Phi, aux.Psi, W))
-    rho_u = model.input_radii()
-    in_starts = np.asarray(model.input_offsets[:-1])
-    for first in range(0, K, RECORD_CHUNK):
-        ks = slice(first, min(first + RECORD_CHUNK, K))
-        u_bar = slow["ubar"][ks]
-        duhat = fast["duhat"][ks].reshape(-1, N * m).T
-        x_ticks = fast["x"][ks, 0] = slow["x"][ks]
-        xs = Phi @ x_ticks.T
-        xs += Psi @ u_bar.T
-        xs += W_steps @ duhat
-        fast["x"][ks, 1:] = xs.T.reshape(len(u_bar), N - 1, n)
-        du = fast["du"][ks] = (D @ duhat).T.reshape(-1, N, m)
-        u = fast["u"][ks] = u_bar[:, None] + du
-        # Each subsystem's input norm per fast step, one segment sum.
-        fast["margin"][ks] = rho_u - np.sqrt(np.add.reduceat(u * u, in_starts,
-                                                             axis=2))
 
     wall = time.perf_counter() - start
-    return TraceArchive(cfg, f_cols, s_cols, fast_rows, slow_rows, x, wall)
+    return TraceArchive(cfg, bundle, duhat.reshape(K * N, m), slow_rows, x,
+                        {"wall_clock_s": wall})

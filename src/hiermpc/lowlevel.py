@@ -16,8 +16,9 @@ not bind is decided at once (`tests/test_lowlevel.py` checks the stacked
 plan against each subsystem's QP solved alone).  Everything a tick needs
 that does not depend on the tick is built once per run: the stacked maps
 of the auxiliary rollout, `auxiliary_maps`, of which a tick reads only the
-last block row (the terminal state its target needs; the harness builds the
-other states of every tick after the loop), and the stacked QP with the
+last block row (the terminal state its target needs; the other states are
+rolled out from the trace by `harness.periods`, when read), and the stacked
+QP with the
 constant QP data, each subsystem's QP alone and the free map.  Each block
 is factored once, with the run: its factors give its columns of the free
 map, the K0 solves against the unit vectors of its target rows, and its
@@ -35,7 +36,8 @@ in (fast step, plan step): block (j, l) depends only on the lag j - l.
 0..period, an O(period) recursion on n x m blocks: the plan rollout and
 the measured deviation from the auxiliary rollout.  `block_toeplitz`
 gathers a lag table into the map; the plan predictions of `correction_qp`
-and the harness's fast-block maps are such gathers.
+are such a gather, and the harness's map W_N of the period's end state is
+its last block row.
 """
 from __future__ import annotations
 

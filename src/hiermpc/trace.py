@@ -8,22 +8,22 @@ once.  Once a tick's plan is fixed, the regulator's law du = duhat + K_i
 (x - xhat - dxhat) sets each applied correction, and within a period the
 plant's states follow from the tick's state, the held input and the
 applied corrections; so the states are stored at the slow ticks only, in
-`slow.csv`, and so is the held input `ubar`.  `verify_archive` rebuilds
-each period from its tick's state, from the design constants alone (never
-from the controller's W or D maps): the auxiliary rollout `xhat` under
-`ubar`, the plan rollout `dxhat` of `duhat` under each subsystem's own
-dynamics, and the closed loop, each of whose fast steps applies the law
-and then the plant step under ubar + du.  The in-memory `TraceArchive`
-also holds `du`, the fast states `x`, the plant input `u` and the input
-margins `margin`, a function of `u` and the input limits, which are not
-stored.  `slow.csv` stores the slow blocks of `harness.slow_columns`: the
-plant state `x` at each tick and what the slow layer decided there, the
-nominal state and its successor, the held input, the nominal input
-sequence and the solve's objective, iteration count and residuals.  The
-projection beta x of each tick's state and the slow disturbance `wbar`
-follow from the states and are stored nowhere; `verify_archive` derives
-both from the tick states and the final state, and the in-memory trace
-appends `wbar` to its slow block.
+`slow.csv`, and so is the held input `ubar`.  `slow.csv` stores the slow
+blocks of `harness.slow_columns`: the plant state `x` at each tick and what
+the slow layer decided there, the nominal state and its successor, the held
+input, the nominal input sequence and the solve's objective, iteration
+count and residuals.  A run and `load_archive` give the same record,
+`harness.TraceArchive`, which holds these blocks as they are stored and
+derives the rest on first read.  `harness.periods` rebuilds each period
+from its tick's state, from the design constants alone (never from the
+controller's maps): the auxiliary rollout `xhat` under `ubar`, the plan
+rollout `dxhat` of `duhat` under each subsystem's own dynamics, and the
+closed loop, each of whose fast steps applies the law and then the plant
+step under ubar + du.  That one rollout gives the applied corrections
+`du`, the fast states `x`, the plant input `u` and the input margins
+`margin`, and `verify_archive` checks it; the projection beta x of each
+tick's state and the slow disturbance `wbar` follow from the tick states
+and the final state alone.
 The four JSON files hold constructor arguments written by the `model_io`
 codec, one part of the design bundle each: `config.json` the run config
 (the design's settings, with the run's number of slow steps),
@@ -66,12 +66,12 @@ the closed-loop norm-tail envelope, whose lifted closed loop
 solve's iteration count and residuals are solver diagnostics, which no
 check reads.  Each bound check (`input_limits`, `correction_budgets`,
 `disturbance_bound`, `tube_containment`) says in its detail how much of its
-bound the run used.  `transition_residual` is scale-aware: the closed loop
-computed each tick's state through the D and W maps of
-`harness.fast_block_maps` and verify steps the law and the plant, so each
-residual is compared with eps times a magnitude rollout of the terms the
-period summed, at most `TRANSITION_ROUNDOFF` times; its detail gives the
-absolute worst, the ratio and the slow step of the worst.  A damaged model
+bound the run used, nan where a norm is NaN.  `transition_residual` is scale-aware: the closed loop
+computed each tick's state by the map W_N of `harness.fast_block_maps` and
+the rollout steps the law and the plant, so each residual is compared with
+eps times a magnitude rollout of the terms the period summed, at most
+`TRANSITION_ROUNDOFF` times; its detail gives the absolute worst, the ratio
+and the slow step of the worst.  A damaged model
 or gain whose closed-loop powers overflow fails `tail_envelope` as a
 non-finite envelope, by name, with no numpy warning.
 """
@@ -92,8 +92,9 @@ from . import __version__
 from .analysis import CertificateReport, spectral_norms
 from .errors import ConfigInvalid, HierMPCError
 from .harness import (DesignBundle, RunConfig, TraceArchive,
-                      check_same_design, column_block, config_digest,
-                      fast_columns, slow_columns, slow_weights, start_state)
+                      check_same_design, config_digest, fast_columns,
+                      input_norms, rollouts, slow_columns, slow_weights,
+                      start_state)
 from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
@@ -191,14 +192,12 @@ def _record_blocks(bundle: DesignBundle) -> tuple:
 def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
     """Write the run's archive.  The bundle must be the run's design: a run
     config that differs from `bundle.config` in any field but
-    `n_slow_steps` raises ConfigInvalid naming the fields.  Each record
-    block is written up to its stored columns; the in-memory blocks append
-    the values that are not stored."""
+    `n_slow_steps` raises ConfigInvalid naming the fields."""
     check_same_design(archive.config, bundle)
     out = write_design(replace(bundle, config=archive.config), out_dir)
     for (name, schema, columns), rows in zip(_record_blocks(bundle),
                                              (archive.fast, archive.slow)):
-        _write_csv(out / name, schema, columns, rows[:, :len(columns)])
+        _write_csv(out / name, schema, columns, rows)
     meta = {
         "archive_version": ARCHIVE_VERSION,
         "package_version": __version__,
@@ -209,17 +208,6 @@ def write_archive(archive: TraceArchive, bundle: DesignBundle, out_dir) -> Path:
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=1))
     return out
-
-
-@dataclass(frozen=True)
-class LoadedArchive:
-    bundle: DesignBundle
-    fast_cols: tuple
-    slow_cols: tuple
-    fast: np.ndarray
-    slow: np.ndarray
-    metadata: dict
-    final_state: np.ndarray
 
 
 def _final_state(metadata: dict, n_states: int) -> np.ndarray:
@@ -261,7 +249,7 @@ def _check_sizes(bundle: DesignBundle) -> None:
                                 f"{shape}, expected {expected}")
 
 
-def load_archive(path) -> LoadedArchive:
+def load_archive(path) -> TraceArchive:
     """Read an archive; a file that cannot be read or does not fit the
     others raises ConfigInvalid naming the file."""
     root = Path(path)
@@ -293,11 +281,10 @@ def load_archive(path) -> LoadedArchive:
                     model=decode("model.json", InterconnectedModel),
                     report=decode("certificate.json", CertificateReport))
     _check_sizes(bundle)
-    (fast_cols, fast), (slow_cols, slow) = (
-        (columns, _read_csv(root / name, schema, columns))
-        for name, schema, columns in _record_blocks(bundle))
-    return LoadedArchive(bundle, fast_cols, slow_cols, fast, slow, metadata,
-                         _final_state(metadata, bundle.model.n_states))
+    fast, slow = (_read_csv(root / name, schema, columns)
+                  for name, schema, columns in _record_blocks(bundle))
+    return TraceArchive(bundle.config, bundle, fast, slow,
+                        _final_state(metadata, bundle.model.n_states), metadata)
 
 
 def archive_digest(path) -> str:
@@ -345,46 +332,34 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _rollouts(A: np.ndarray, start: np.ndarray,
-              forcing: np.ndarray) -> np.ndarray:
-    """States 0..N of s+ = A s + forcing[j] from `start`, one rollout per
-    slow step, step-major: start (K, n), forcing (N, K, n); returns
-    (N + 1, K, n), whose step j is the contiguous block [j]."""
-    states = np.empty((forcing.shape[0] + 1,) + start.shape)
-    states[0] = start
-    for j, push in enumerate(forcing):
-        states[j + 1] = states[j] @ A.T + push
-    return states
-
-
-def _periods(bundle: DesignBundle, x_b: np.ndarray, ubar: np.ndarray,
-             duhat: np.ndarray) -> tuple:
-    """Each period of a run rebuilt from its tick's state x_b (K, n), held
-    input ubar (K, m) and plan duhat (N, K, m, step-major), from the design
-    constants alone: the auxiliary rollout xhat under the held input, the
-    plan rollout dxhat of duhat from 0 under each subsystem's own dynamics,
-    and the closed loop x, each of whose fast steps applies the regulator's
-    law du = duhat + K_i (x - xhat - dxhat), then x+ = A x + B (ubar + du).
-    Returns xhat, dxhat and x, (N + 1, K, n), and du, (N, K, m)."""
-    model, N = bundle.model, duhat.shape[0]
-    A, B = model.A, model.B
-    xhat = _rollouts(A, x_b, np.broadcast_to(ubar @ B.T, (N,) + x_b.shape))
-    dxhat = _rollouts(model.block_diagonal_A(), np.zeros_like(x_b),
-                      duhat @ B.T)
-    x, du = np.empty_like(xhat), np.empty(duhat.shape)
-    x[0] = x_b
-    for j in range(N):
-        du[j] = duhat[j] + bundle.ll_gain @ (x[j] - xhat[j] - dxhat[j])
-        x[j + 1] = x[j] @ A.T + (ubar + du[j]) @ B.T
-    return xhat, dxhat, x, du
-
-
 def _used(label: str, norms: np.ndarray, bound) -> str:
     """The detail of a bound check: the largest fraction of its bound (one
     per column of `norms`) a norm used.  A bound of 0, as the decoupled
-    plant's rho_w and point tube, reads inf for any nonzero norm."""
-    used = np.max(np.where(norms > 0, norms / bound, 0.0))
+    plant's rho_w and point tube, reads inf for any nonzero norm, and a NaN
+    norm reads nan."""
+    used = np.max(np.where(norms == 0, 0.0, norms / bound))
     return f"{label}: {used:.6g}"
+
+
+def _tail_envelope(x_norms: np.ndarray, pow_norms: np.ndarray,
+                   forcing: np.ndarray) -> tuple[float, float, str]:
+    """The `tail_envelope` check on the state norms at the slow ticks 0..K,
+    the norms of the lifted closed loop's powers 0..K and the forcing of
+    slow steps 0..K-1: the envelope env_k = p_k |x_0| + sum_{j<k} p_{k-1-j}
+    f_j, whose sum is the convolution (p * f)_{k-1}.  Returns the worst gap
+    |x_k| - env_k, the smallest relative slack -gap / env over k >= 1 and
+    the detail; an envelope that is not finite gives the gap inf, at the
+    first k where it is not."""
+    env = pow_norms * x_norms[0]
+    env[1:] += np.convolve(pow_norms, forcing)[:forcing.size]
+    bad = np.flatnonzero(~np.isfinite(env))
+    if bad.size:
+        return np.inf, np.nan, f"the envelope is not finite at k = {bad[0]}"
+    gaps = x_norms - env
+    slack = float(np.min(-gaps[1:] / env[1:]))
+    return float(np.max(gaps)), slack, (
+        f"state norm minus envelope; smallest relative slack over k >= 1: "
+        f"{slack:.6g}")
 
 
 @np.errstate(all="ignore")
@@ -401,8 +376,7 @@ def verify_archive(path) -> VerifyReport:
     warnings are off here, and a NaN or inf worst fails its check by
     name."""
     arc = load_archive(path)
-    bundle = arc.bundle
-    cfg = bundle.config
+    bundle, cfg = arc.bundle, arc.config
     model = bundle.model
     n, m, M = model.n_states, model.n_inputs, model.n_subsystems
     N, n_red = cfg.period, bundle.reduced.n_states
@@ -430,19 +404,18 @@ def verify_archive(path) -> VerifyReport:
     # per slow step; fast.csv stores the correction layer's plan duhat, read
     # here step-major: duhat[j] holds fast step j of every period.
     K_steps, A, B = cfg.n_slow_steps, model.A, model.B
-    x_b = column_block(arc.slow_cols, arc.slow, "x", n)
-    ubar = column_block(arc.slow_cols, arc.slow, "ubar", m)
-    duhat = column_block(arc.fast_cols, arc.fast, "duhat", m).reshape(
-        K_steps, N, m).transpose(1, 0, 2)
-    xk = np.vstack([x_b, arc.final_state[None, :]])
+    ubar = arc.slow_block("ubar", m)
+    duhat = arc.plan_steps
+    xk = arc.ticks
 
     # The run starts from the configured state.
-    x0_err = np.abs(x_b[0] - start_state(model, cfg))
+    x0_err = np.abs(xk[0] - start_state(model, cfg))
     add("initial_state", float(np.max(x0_err)), 0)
 
-    # Each period rebuilt from its tick's state, one step past the period
-    # for the terminal check below.
-    xhat, dxhat, x, du = _periods(bundle, x_b, ubar, duhat)
+    # Each period rebuilt from its tick's state (`harness.periods`, the
+    # rollout the archive's fast records come from), one step past the
+    # period for the terminal check below.
+    xhat, dxhat, x, du = arc.rollout
     u = (ubar + du).reshape(-1, m)
 
     # Each period's closed loop must end on the next tick's stored state, up
@@ -453,7 +426,7 @@ def verify_archive(path) -> VerifyReport:
     # T_N + |x+|, at most TRANSITION_ROUNDOFF times.
     abs_A, abs_B = np.abs(A.T), np.abs(B.T)
     abs_K, abs_ubar = np.abs(bundle.ll_gain.K.T), np.abs(ubar)
-    T_N = np.zeros_like(x_b)
+    T_N = np.zeros((K_steps, n))
     for j in range(N):
         ax = np.abs(x[j])
         T_N = (T_N + ax) @ abs_A + (
@@ -467,16 +440,13 @@ def verify_archive(path) -> VerifyReport:
         f"worst at slow step {worst}")
 
     # Hard input limits.
-    def subsystem_norms(v):
-        return np.column_stack([np.linalg.norm(v[:, model.input_slice(i)],
-                                               axis=1) for i in range(M)])
-    rho_u, u_norms = model.input_radii(), subsystem_norms(u)
+    rho_u, u_norms = model.input_radii(), input_norms(model, u)
     add("input_limits", float(np.min(rho_u - u_norms)), -1e-9, larger_ok=True,
         detail=_used("max |u_i| / rho_u_i", u_norms, rho_u))
 
     # Planned corrections inside their allocated budgets.
     budgets = bundle.radii.rho_delta_u_hat
-    duhat_norms = subsystem_norms(duhat.reshape(-1, m))
+    duhat_norms = input_norms(model, arc.fast)
     add("correction_budgets", float(np.max(duhat_norms - budgets)), 1e-8,
         detail=_used("max |duhat_i| / budget_i", duhat_norms, budgets))
 
@@ -485,8 +455,7 @@ def verify_archive(path) -> VerifyReport:
     # projections beta x of the slow boundary states (what the slow layer
     # solved from at each tick) and its prediction of the next one.
     reduced, hl, slow = bundle.reduced, bundle.hl, bundle.hl.slow
-    proj = xk @ reduced.beta.T
-    x_bar_pred = proj[:-1] @ slow.A.T + ubar @ slow.B.T
+    proj, x_bar_pred = arc.slow_prediction
     # np.max keeps a NaN miss, which fails the check.
     misses = []
     for i in range(M):
@@ -496,13 +465,13 @@ def verify_archive(path) -> VerifyReport:
     add("ll_terminal", float(np.max(misses)), 1e-9)
 
     # Slow-step disturbance: the next projection less its prediction.
-    w_norms = np.linalg.norm(proj[1:] - x_bar_pred, axis=1)
+    w_norms = np.linalg.norm(arc.slow_block("wbar", n_red), axis=1)
     add("disturbance_bound", float(np.max(w_norms)),
         bundle.report.rho_w + 1e-12,
         detail=_used("max |wbar| / rho_w", w_norms, bundle.report.rho_w))
 
     # Tube containment of the projection at every slow tick.
-    xnom = column_block(arc.slow_cols, arc.slow, "xnom", n_red)
+    xnom = arc.slow_block("xnom", n_red)
     tube_err = np.linalg.norm(proj[:-1] - xnom, axis=1)
     radius = hl.tube.ball.radius
     add("tube_containment", float(np.max(tube_err)), radius + 1e-7,
@@ -516,10 +485,10 @@ def verify_archive(path) -> VerifyReport:
     # terminal costs plus 0.5e-10 |z|^2 over the decision vector z, each to
     # 1e-9 relative.
     horizon = cfg.horizon
-    useq = column_block(arc.slow_cols, arc.slow, "useq0_", horizon * m)
+    useq = arc.slow_block("useq0_", horizon * m)
     useq = useq.reshape(K_steps, horizon, m).transpose(1, 0, 2)
-    plan = _rollouts(slow.A, xnom, useq @ slow.B.T)
-    xnext = column_block(arc.slow_cols, arc.slow, "xnext", n_red)
+    plan = rollouts(slow.A, xnom, useq @ slow.B.T)
+    xnext = arc.slow_block("xnext", n_red)
     add("nominal_plan_residual", float(np.max(np.abs(xnext - plan[1]))),
         1e-7)
     Q, R = slow_weights(cfg, n_red, m)
@@ -569,22 +538,8 @@ def verify_archive(path) -> VerifyReport:
         + bundle.report.rho_x
     # At k = 0 the envelope is exactly |x_0|, so the worst gap is never below
     # 0; how close the run came is the relative slack over the later steps.
-    x0_norm = float(np.linalg.norm(xk[0]))
-    worst_gap, slack = -np.inf, np.inf
-    for k in range(K_steps + 1):
-        env = pow_norms[k] * x0_norm
-        if k:
-            env += float(np.dot(pow_norms[k - 1::-1][:k], forcing[:k]))
-        if not np.isfinite(env):
-            worst_gap, detail = np.inf, f"the envelope is not finite at k = {k}"
-            break
-        gap = float(np.linalg.norm(xk[k]) - env)
-        worst_gap = max(worst_gap, gap)
-        if k:
-            slack = min(slack, float(-gap / env))
-    else:
-        detail = (f"state norm minus envelope; smallest relative slack over "
-                  f"k >= 1: {slack:.6g}")
+    worst_gap, _, detail = _tail_envelope(np.linalg.norm(xk, axis=1),
+                                          pow_norms, forcing)
     add("tail_envelope", worst_gap, 1e-9, detail)
 
     return VerifyReport(tuple(checks))

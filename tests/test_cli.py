@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -153,6 +154,22 @@ def test_simulate_then_verify_round_trip(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_simulate_reports_the_disturbance_without_the_fast_rollout(
+        tmp_path, capsys, monkeypatch):
+    # The slow disturbance follows from the tick states and the final state
+    # alone: simulate prints it without rolling out a fast step.
+    def no_rollout(*args):
+        raise AssertionError("the fast rollout ran")
+
+    monkeypatch.setattr(harness, "periods", no_rollout)
+    config = tmp_path / "case.json"
+    config.write_text(json.dumps({"run": {"n_slow_steps": 12}}))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert re.search(r"max \|w_bar\| = [0-9.e+-]+ \(bound ",
+                     capsys.readouterr().out)
 
 
 def test_config_file_errors(tmp_path, capsys):

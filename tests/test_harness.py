@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hiermpc import harness, highlevel, lowlevel, solver
+from hiermpc import harness, highlevel, lowlevel, solver, trace
 from hiermpc.analysis import CertificateReport
 from hiermpc.cli import main
 from hiermpc.errors import (ConfigInvalid, DesignIncomplete, InfeasibleHL)
@@ -28,9 +28,9 @@ from hiermpc.sets import BallSet
 from hiermpc.solver import Status, solve_qp
 from hiermpc.thermal import (build_thermal_model, building_from_dict,
                              default_building)
-from hiermpc.trace import (TRANSITION_ROUNDOFF, _periods, _read_csv,
-                           _write_csv, archive_digest, load_archive,
-                           verify_archive, write_archive, write_design)
+from hiermpc.trace import (TRANSITION_ROUNDOFF, _read_csv, _write_csv,
+                           archive_digest, load_archive, verify_archive,
+                           write_archive, write_design)
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +129,16 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp, slow_qp):
     each plan comes from `solve_qp` on the subsystem's own correction QP,
     built alone, with its states stepped under the subsystem's dynamics,
     and each fast step applies one correction per subsystem and one plant
-    step.  Returns the fast records, in the in-memory column order of
-    `run_closed_loop` (the stored corrections, then the states, inputs and
-    margins), and the final state."""
+    step.  Returns the fast records by name, one row per fast step (the
+    planned and the applied corrections `duhat` and `du`, the states `x`,
+    the inputs `u` and the margins `margin`), and the final state."""
     reduced, slow, N, M = bundle.reduced, bundle.hl.slow, cfg.period, model.n_subsystems
     m = model.n_inputs
     rho_u = model.input_radii()
     hl_qp = slow_qp(bundle)
     Q, R = harness.fast_weights(model, cfg)
     x = np.asarray(cfg.x0, dtype=float)
+    names = ("duhat", "du", "x", "u", "margin")
     rows = []
     for k in range(cfg.n_slow_steps):
         x_proj = reduced.beta @ x
@@ -172,36 +173,40 @@ def per_subsystem_run(model, cfg, bundle, own_correction_qp, slow_qp):
             u = u_bar + du
             margins = [rho_u[i] - np.linalg.norm(u[model.input_slice(i)])
                        for i in range(M)]
-            rows.append(np.concatenate([duhat, du, x, u, margins]))
+            rows.append((duhat, du, x, u, margins))
             x = model.A @ x + model.B @ u
-    return np.array(rows), x
+    return {name: np.array(block) for name, block in zip(names, zip(*rows))}, x
 
 
 @pytest.mark.parametrize("decoupled", [False, True])
 def test_stacked_fast_sub_loop_matches_per_subsystem_loop(decoupled,
                                                           own_correction_qp,
                                                           slow_qp):
-    # The affine tick and the stepped oracle round differently; they agree
-    # to roundoff.
+    # The affine tick, the rollout that derives the unstored records and
+    # the stepped oracle round differently; every record agrees to
+    # roundoff, by name.
     model = build_thermal_model(default_building(decoupled=decoupled))
     cfg = dataclasses.replace(RunConfig(), n_slow_steps=4, decoupled=decoupled)
     bundle = design_pipeline(model, cfg)
     arc = run_closed_loop(model, cfg, bundle)
-    fast, final_state = per_subsystem_run(model, cfg, bundle, own_correction_qp,
-                                          slow_qp)
-    assert arc.fast.shape == fast.shape
-    assert np.max(np.abs(arc.fast - fast)) <= 1e-12
+    records, final_state = per_subsystem_run(model, cfg, bundle,
+                                             own_correction_qp, slow_qp)
+    for name, want in records.items():
+        got = arc.fast_block(name, want.shape[1])
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
     assert np.max(np.abs(arc.final_state - final_state)) <= 1e-12
 
 
 def stepped_fast_block(model, gain, duhat, x, u_bar):
     """The fast-step oracle of one tick: the plant under the held input plus
     the correction law, the auxiliary rollout and each subsystem's plan
-    rollout, stepped one fast step at a time from x.  Returns the plant less
-    the auxiliary rollout at steps 0..N and the applied corrections."""
+    rollout, stepped one fast step at a time from x.  Returns the plant's
+    states and the plant less the auxiliary rollout at steps 0..N, and the
+    applied corrections."""
     m = model.n_inputs
     aux, plan = x.copy(), np.zeros(model.n_states)
-    deviations, corrections = [x - aux], []
+    states, deviations, corrections = [x], [x - aux], []
     for j in range(duhat.shape[0]):
         du = np.empty(m)
         for i, sub in enumerate(model.subsystems):
@@ -210,50 +215,41 @@ def stepped_fast_block(model, gain, duhat, x, u_bar):
             plan[sx] = sub.A @ plan[sx] + sub.B @ duhat[j, su]
         x = model.A @ x + model.B @ (u_bar + du)
         aux = model.A @ aux + model.B @ u_bar
+        states.append(x)
         deviations.append(x - aux)
         corrections.append(du)
-    return np.array(deviations), np.array(corrections)
+    return np.array(states), np.array(deviations), np.array(corrections)
 
 
 @pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
 def test_fast_block_maps_match_the_recursion_and_the_correction_law(name):
-    # W vec(duhat) is the plant less the auxiliary rollout and D vec(duhat)
-    # the applied corrections of the fast-step oracle, from a random start
-    # and held input.  Both maps are block lower-triangular Toeplitz in
-    # (fast step, plan step): block (j, l) is block (j - l, 0), to the bit,
-    # and zero above the diagonal.
+    # W_N vec(duhat) is the plant less the auxiliary rollout at the period's
+    # end, of the fast-step oracle that applies the correction law, from a
+    # random start and held input.  It is the last block row of the block
+    # lower-triangular Toeplitz matrix of the lag response, to the bit.
     cfg, building = _pinned_workload(name)
     model = build_thermal_model(building)
     bundle = design_pipeline(model, cfg)
     N, n, m = cfg.period, model.n_states, model.n_inputs
-    qp, W, D = harness.fast_block_maps(model, bundle, N)
-    assert W.shape == ((N + 1) * n, N * m) and D.shape == (N * m, N * m)
+    _, W_N = harness.fast_block_maps(model, bundle, N)
+    assert W_N.shape == (n, N * m)
     rng = np.random.default_rng(8)
     for _ in range(5):
         duhat = rng.normal(size=(N, m))
-        states, corrections = stepped_fast_block(
+        _, deviations, _ = stepped_fast_block(
             model, bundle.ll_gain, duhat, rng.normal(size=n), rng.normal(size=m))
-        assert np.max(np.abs((W @ duhat.ravel()).reshape(N + 1, n)
-                             - states)) <= 1e-12
-        assert np.max(np.abs((D @ duhat.ravel()).reshape(N, m)
-                             - corrections)) <= 1e-12
-    for maps, rows, r in ((W, N + 1, n), (D, N, m)):
-        blocks = maps.reshape(rows, r, N, m)
-        for l in range(N):
-            assert np.array_equal(blocks[l:, :, l], blocks[:rows - l, :, 0])
-            assert not np.any(blocks[:l, :, l])
+        assert np.max(np.abs(W_N @ duhat.ravel() - deviations[N])) <= 1e-12
+    omega = lowlevel.lag_response(model, bundle.ll_gain, N)[1]
+    assert np.array_equal(W_N, lowlevel.block_toeplitz(omega, N + 1, N)[N * n:])
 
 
 @pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
 def test_fast_records_built_after_the_loop_match_each_tick(name, monkeypatch):
     # A tick computes only the auxiliary terminal state, one state row, and
-    # the next boundary state; the fast records of all ticks are built after
-    # the loop.  Each tick's block, recomputed alone from its boundary state,
-    # held input and plan with the full maps (states xhat + W vec(duhat) at
-    # fast steps 0..N, the last the next tick's boundary state, corrections
-    # D vec(duhat), inputs and margins), matches them to 1e-13 of its
-    # largest entry, and fast step 0 of each tick is its boundary state, to
-    # the bit.
+    # the next boundary state xhat_N + W_N vec(duhat), which the trace
+    # records as the next tick's state (the last one as the final state),
+    # to the bit; the fast records are derived from the trace after the
+    # loop.
     cfg, building = _pinned_workload(name)
     cfg = dataclasses.replace(cfg, n_slow_steps=3)
     model = build_thermal_model(building)
@@ -262,36 +258,20 @@ def test_fast_records_built_after_the_loop_match_each_tick(name, monkeypatch):
 
     def recorded(maps, x_start, u_held):
         states = lowlevel.simulate_auxiliary(maps, x_start, u_held)
-        calls.append((x_start.copy(), u_held.copy(), states.shape))
+        calls.append((x_start.copy(), u_held.copy(), states.copy()))
         return states
 
     monkeypatch.setattr(harness, "simulate_auxiliary", recorded)
     arc = run_closed_loop(model, cfg, bundle)
     N, n, m = cfg.period, model.n_states, model.n_inputs
-    assert [shape for *_, shape in calls] == [(1, n)] * cfg.n_slow_steps
-    aux = lowlevel.auxiliary_maps(model, N)
-    _, W, D = harness.fast_block_maps(model, bundle, N)
+    assert [states.shape for *_, states in calls] == [(1, n)] * cfg.n_slow_steps
+    _, W_N = harness.fast_block_maps(model, bundle, N)
     ubar = arc.slow_block("ubar", m)
-    starts = [x_start for x_start, *_ in calls[1:]] + [arc.final_state]
-    for k, (x_start, u_held, _) in enumerate(calls):
-        rows = slice(k * N, (k + 1) * N)
-        x = arc.fast_block("x", n)[rows]
-        assert np.array_equal(x[0], x_start)
+    for k, (x_start, u_held, (xhat_N,)) in enumerate(calls):
+        assert np.array_equal(x_start, arc.ticks[k])
         assert np.array_equal(u_held, ubar[k])
-        duhat = arc.fast_block("duhat", m)[rows].ravel()
-        states = (lowlevel.simulate_auxiliary(aux, x_start, u_held)
-                  + (W @ duhat).reshape(N + 1, n))
-        du = (D @ duhat).reshape(N, m)
-        u = ubar[k] + du
-        margins = model.input_radii() - np.array(
-            [np.linalg.norm(u[:, model.input_slice(i)], axis=1)
-             for i in range(model.n_subsystems)]).T
-        for got, want in ((np.vstack([x, starts[k]]), states),
-                          (arc.fast_block("du", m)[rows], du),
-                          (arc.fast_block("u", m)[rows], u),
-                          (arc.fast_block("margin", model.n_subsystems)[rows],
-                           margins)):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        duhat = arc.fast_block("duhat", m)[k * N:(k + 1) * N].ravel()
+        assert np.array_equal(arc.ticks[k + 1], xhat_N + W_N @ duhat)
 
 
 @pytest.fixture(scope="module",
@@ -304,7 +284,7 @@ def workload_qps(request, slow_qp):
     cfg, building = _pinned_workload(request.param)
     model = build_thermal_model(building)
     bundle = design_pipeline(model, cfg)
-    ll_qp = harness.fast_block_maps(model, bundle, cfg.period)[0]
+    ll_qp, _ = harness.fast_block_maps(model, bundle, cfg.period)
     reach = np.array([ball.radius * np.linalg.norm(
         ll_qp.A_eq[rows][:, ball.indices], axis=-1).sum()
         for ball, rows in zip(ll_qp.budgets, ll_qp.target_rows)])
@@ -579,17 +559,15 @@ def test_design_dict_round_trip(bundle):
 
 
 def test_archive_round_trip_and_verify(model, archive, archive_dir):
-    # Each record block is stored up to its stored columns: the in-memory
-    # fast block appends `du`, `x`, `u` and `margin`, the slow block `wbar`.
+    # The trace holds only the stored blocks, and the archive stores them as
+    # they are.
     loaded = load_archive(archive_dir)
-    assert loaded.bundle.config == archive.config
-    assert loaded.fast_cols == tuple(f"duhat{i}"
-                                     for i in range(model.n_inputs))
-    for cols, rows, stored_cols, stored in (
-            (archive.fast_cols, archive.fast, loaded.fast_cols, loaded.fast),
-            (archive.slow_cols, archive.slow, loaded.slow_cols, loaded.slow)):
-        assert cols[:len(stored_cols)] == stored_cols
-        assert stored.tobytes() == rows[:, :len(stored_cols)].tobytes()
+    assert loaded.config == loaded.bundle.config == archive.config
+    assert loaded.fast_cols == archive.fast_cols == tuple(
+        f"duhat{i}" for i in range(model.n_inputs))
+    assert loaded.slow_cols == archive.slow_cols
+    for stored, rows in ((loaded.fast, archive.fast), (loaded.slow, archive.slow)):
+        assert stored.tobytes() == rows.tobytes()
     np.testing.assert_array_equal(loaded.final_state, archive.final_state)
     report = verify_archive(archive_dir)
     assert report.passed, report.table()
@@ -645,7 +623,7 @@ _SAVETXT_EDGE_VALUES = np.array([
 def test_csv_writer_matches_savetxt_bytewise(block, n_columns, tmp_path_factory):
     """`_write_csv` writes its two header lines, then exactly the bytes of
     `np.savetxt(fmt="%.17g", delimiter=",")`, across its chunk boundaries and
-    for a column slice that is not contiguous, as `write_archive` passes."""
+    for a column slice that is not contiguous."""
     rows = block[:, :n_columns]
     columns = tuple(f"c{j}" for j in range(rows.shape[1]))
     path = tmp_path_factory.mktemp("csv") / "block.csv"
@@ -860,28 +838,48 @@ def test_tick_states_are_the_in_memory_fast_states(model, archive):
         np.ascontiguousarray(archive.fast_block("x", n)[::N]).tobytes()
 
 
-def rebuilt_fast_block(loaded):
-    """verify's rebuild of every period of a loaded archive (`_periods`),
-    in fast-row order: the held input of each fast step, the states and the
-    applied corrections."""
-    model, N = loaded.bundle.model, loaded.bundle.config.period
-    n, m = model.n_states, model.n_inputs
-    x_b = harness.column_block(loaded.slow_cols, loaded.slow, "x", n)
-    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar", m)
-    duhat = loaded.fast.reshape(len(x_b), N, m).transpose(1, 0, 2)
-    _, _, x, du = _periods(loaded.bundle, x_b, ubar, duhat)
-    return (np.repeat(ubar, N, axis=0), x[:N].transpose(1, 0, 2).reshape(-1, n),
-            du.transpose(1, 0, 2).reshape(-1, m))
+def stepped_ticks(archive):
+    """The fast-step oracle of each tick of `archive`, from the tick's
+    state, held input and plan: (states 0..N, applied corrections) per
+    tick."""
+    model, N = archive.bundle.model, archive.config.period
+    m = model.n_inputs
+    duhat = archive.fast_block("duhat", m).reshape(-1, N, m)
+    ubar = archive.slow_block("ubar", m)
+    ticks = []
+    for plan, x, u_held in zip(duhat, archive.ticks, ubar):
+        states, _, corrections = stepped_fast_block(
+            model, archive.bundle.ll_gain, plan, x, u_held)
+        ticks.append((states, corrections))
+    return ticks
 
 
-def test_rolled_out_states_are_the_in_memory_ones(model, archive,
-                                                  archive_dir):
-    # The fast states that verify rolls out from the loaded archive (each
-    # tick's state under the held input and the law on the plan) are the
-    # closed loop's, up to rounding.
-    _, x, _ = rebuilt_fast_block(load_archive(archive_dir))
-    assert np.max(np.abs(x - archive.fast_block("x", model.n_states))) \
-        <= 1e-14
+def test_rolled_out_states_are_the_in_memory_ones(model, archive):
+    # The trace's fast states are rolled out from each tick's state, held
+    # input and plan (`harness.periods`).  The oracle stepped per subsystem
+    # from the same values gives them up to rounding, and ends each period
+    # on the next tick's state, which the loop computed by W_N.
+    N, n = archive.config.period, model.n_states
+    x = archive.fast_block("x", n).reshape(-1, N, n)
+    for k, (states, _) in enumerate(stepped_ticks(archive)):
+        assert np.max(np.abs(x[k] - states[:N])) <= 1e-14
+        assert np.max(np.abs(archive.ticks[k + 1] - states[N])) <= 1e-14
+
+
+def test_derived_records_of_a_run_and_of_its_archive_are_the_same_bits(
+        model, archive, archive_dir):
+    # A run and its loaded archive hold the same stored bits, and one
+    # rollout derives the rest from them.
+    loaded = load_archive(archive_dir)
+    for prefix, width in (("du", model.n_inputs), ("x", model.n_states),
+                          ("u", model.n_inputs), ("margin", model.n_subsystems)):
+        assert loaded.fast_block(prefix, width).tobytes() == \
+            archive.fast_block(prefix, width).tobytes(), prefix
+    n_red = archive.bundle.reduced.n_states
+    assert loaded.slow_block("wbar", n_red).tobytes() == \
+        archive.slow_block("wbar", n_red).tobytes()
+    for got, want in zip(loaded.rollout, archive.rollout):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_digest_covers_the_final_state(archive_dir, tmp_path):
@@ -1129,16 +1127,19 @@ def test_tampered_input_detected(archive_dir, tmp_path):
 
 
 def test_plant_input_is_rebuilt_to_roundoff(model, archive, archive_dir):
-    # fast.csv names no plant input `u` and no held input `ubar`; the input
-    # ubar + du that verify rebuilds from the loaded archive is the
-    # in-memory `u` up to rounding, not bit for bit: verify applies the law
-    # step by step, the closed loop the D map of `fast_block_maps`.
+    # fast.csv names no plant input `u` and no held input `ubar`; the trace
+    # rebuilds the applied corrections du by the law and the input as
+    # ubar + du, which the oracle stepped per subsystem gives up to
+    # rounding.
     names = (archive_dir / "fast.csv").read_text().splitlines()[1].split(",")
     assert not [name for name in names if name.startswith("u")]
-    ubar, _, du = rebuilt_fast_block(load_archive(archive_dir))
-    m = model.n_inputs
-    assert np.max(np.abs(du - archive.fast_block("du", m))) <= 1e-14
-    assert np.max(np.abs(ubar + du - archive.fast_block("u", m))) <= 1e-14
+    N, m = archive.config.period, model.n_inputs
+    du = archive.fast_block("du", m).reshape(-1, N, m)
+    u = archive.fast_block("u", m).reshape(-1, N, m)
+    ubar = archive.slow_block("ubar", m)
+    for k, (_, corrections) in enumerate(stepped_ticks(archive)):
+        assert np.max(np.abs(du[k] - corrections)) <= 1e-14
+        assert np.max(np.abs(u[k] - (ubar[k] + corrections))) <= 1e-14
 
 
 def test_bound_checks_report_the_used_fraction(archive_dir):
@@ -1334,6 +1335,66 @@ def test_verify_fails_an_overflowing_model_by_name(archive_dir, tmp_path,
         assert main(["verify", str(bad)]) == 1
         out, err = capsys.readouterr()
         assert "\ntail_envelope " in out and err == ""
+
+
+def test_a_nan_bound_check_reads_nan_in_its_detail(archive_dir, tmp_path):
+    # After one 1e300 entry of the model the inputs the law derives from the
+    # overflowed states are NaN: a bound check whose worst is NaN says so
+    # in its used fraction too, not the largest finite one.
+    bad = tmp_path / "huge"
+    shutil.copytree(archive_dir, bad)
+    data = json.loads((bad / "model.json").read_text())
+    data["subsystems"][0]["A"][0][0] = 1e300
+    (bad / "model.json").write_text(json.dumps(data))
+    nan_checks = [c for c in verify_archive(bad).checks if c.name in (
+        "input_limits", "correction_budgets", "disturbance_bound",
+        "tube_containment") and math.isnan(c.worst)]
+    assert [c.name for c in nan_checks] == ["input_limits"]
+    for check in nan_checks:
+        assert check.detail.rsplit(": ", 1)[1] == "nan", check.detail
+
+
+def old_tail_envelope(x_norms, pow_norms, forcing):
+    """The tail envelope's worst gap and smallest relative slack over
+    k >= 1, summed one slow step at a time as verify once did."""
+    worst_gap, slack = -np.inf, np.inf
+    for k in range(len(x_norms)):
+        env = pow_norms[k] * x_norms[0]
+        if k:
+            env += float(np.dot(pow_norms[k - 1::-1][:k], forcing[:k]))
+        gap = float(x_norms[k] - env)
+        worst_gap = max(worst_gap, gap)
+        if k:
+            slack = min(slack, float(-gap / env))
+    return worst_gap, slack
+
+
+@pytest.mark.parametrize("name", ["coupled_n20", "decoupled_n20", "chain4_n40"])
+def test_tail_envelope_is_the_stepwise_sum(name, monkeypatch, tmp_path):
+    # The envelope is one convolution of the power norms with the forcing;
+    # on each workload's run it gives the worst gap and the slack of the
+    # sum stepped slow step by slow step, to 1e-12 relative.
+    cfg, building = _pinned_workload(name)
+    model = build_thermal_model(building)
+    bundle = design_pipeline(model, cfg)
+    out = write_archive(run_closed_loop(model, cfg, bundle), bundle,
+                        tmp_path / name)
+    calls, envelope = [], trace._tail_envelope
+
+    def recorded(*args):
+        calls.append((args, envelope(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(trace, "_tail_envelope", recorded)
+    (check,) = [c for c in verify_archive(out).checks
+                if c.name == "tail_envelope"]
+    ((x_norms, pow_norms, forcing), (worst, slack, detail)), = calls
+    assert len(x_norms) == cfg.n_slow_steps + 1
+    assert (check.worst, check.detail) == (worst, detail)
+    old_worst, old_slack = old_tail_envelope(x_norms, pow_norms, forcing)
+    assert worst == pytest.approx(old_worst, rel=1e-12, abs=0)
+    assert slack == pytest.approx(old_slack, rel=1e-12, abs=0)
+    assert check.passed and 0.0 < slack < 1.0
 
 
 def test_high_gain_run_passes_the_scaled_transitions(tmp_path):
