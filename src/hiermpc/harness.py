@@ -274,26 +274,25 @@ def fast_columns(m: int) -> tuple:
     it by the regulator's law du = duhat + K_i (x - xhat - dxhat), once the
     tick's state and held input are fixed, and the states follow from the
     tick's state, the held input and the applied corrections; so the states
-    are stored once, at the slow ticks, in the slow columns, and so is the
-    held input `ubar`.  `TraceArchive.fast_block` derives the applied
-    corrections `du`, the states `x`, the plant input `u` = ubar + du and
-    the input margins `margin` by `periods`."""
+    are stored once, at the slow ticks, in the slow columns, and the held
+    input `ubar` follows from the slow layer's law.  `TraceArchive.fast_block`
+    derives the applied corrections `du`, the states `x`, the plant input
+    `u` = ubar + du and the input margins `margin` by `periods`."""
     return tuple(f"duhat{i}" for i in range(m))
 
 
 def slow_columns(n: int, n_red: int, m: int, horizon: int) -> tuple:
     """The slow blocks an archive stores: the plant state `x` at each tick,
-    and what the slow layer decided there, the nominal state `xnom` and its
-    successor `xnext`, the held input `ubar`, the nominal input sequence
-    `useq`, and the solve's objective, iteration count and residuals.  What
-    follows from the states is not stored: the projection beta x of each
-    tick's state, and the disturbance `wbar` = beta x+ - (A beta x + B ubar)
-    of the slow model, which `TraceArchive.slow_block` derives from the tick
-    states and the final state."""
+    and what the slow layer decided there, the nominal state `xnom`, the
+    nominal input sequence `useq`, and the solve's objective, iteration
+    count and residuals.  What follows from these is not stored: the
+    projection beta x of each tick's state, the held input `ubar` = useq0 +
+    K (beta x - xnom) by the slow layer's tube law with the design's gain
+    K, and the disturbance `wbar` = beta x+ - (A beta x + B ubar) of the
+    slow model, which `TraceArchive.slow_block` derives from the stored
+    blocks and the final state."""
     cols = [f"x{i}" for i in range(n)]
     cols += [f"xnom{i}" for i in range(n_red)]
-    cols += [f"xnext{i}" for i in range(n_red)]
-    cols += [f"ubar{i}" for i in range(m)]
     cols += [f"useq{s}_{i}" for s in range(horizon) for i in range(m)]
     cols += ["objective", "iterations", "primal_residual", "dual_residual"]
     return tuple(cols)
@@ -360,10 +359,14 @@ class TraceArchive:
     A run and its loaded archive hold the same bits.
 
     What is not stored is derived from them on first read and kept: the
-    tick states with the final state (`ticks`), every period rolled out by
-    `periods` (`rollout`), from which `fast_block` gives `du`, `x`, `u` and
-    `margin`, and the slow projections and predictions (`slow_prediction`),
-    from which `slow_block` gives `wbar` without the fast rollout."""
+    tick states with the final state (`ticks`), the slow projections, held
+    inputs and predictions (`slow_prediction`), from which `slow_block`
+    gives `ubar` and `wbar` without the fast rollout, and every period
+    rolled out by `periods` under those held inputs (`rollout`), from which
+    `fast_block` gives `du`, `x`, `u` and `margin`.  The held input is
+    derived once, by the slow layer's tube law ubar = useq0 + K (beta x -
+    xnom) from the stored tick states, nominals and first plan inputs and
+    the design's gain, and every reader reads that one value."""
 
     config: RunConfig
     bundle: DesignBundle
@@ -409,12 +412,14 @@ class TraceArchive:
     @cached_property
     def slow_prediction(self) -> tuple:
         """The projection beta x of each tick's state and of the final
-        state, (K + 1, n_red), and the slow layer's prediction of each next
-        one, A beta x + B ubar, (K, n_red)."""
-        reduced, slow = self.bundle.reduced, self.bundle.hl.slow
+        state, (K + 1, n_red), the held input of each slow step by the tube
+        law, ubar = useq0 + K (beta x - xnom), (K, m), and the slow layer's
+        prediction of each next projection, A beta x + B ubar, (K, n_red)."""
+        reduced, hl = self.bundle.reduced, self.bundle.hl
         proj = self.ticks @ reduced.beta.T
-        ubar = self.slow_block("ubar", self.bundle.model.n_inputs)
-        return proj, proj[:-1] @ slow.A.T + ubar @ slow.B.T
+        ubar = self.slow_block("useq0_", self.bundle.model.n_inputs) + (
+            proj[:-1] - self.slow_block("xnom", reduced.n_states)) @ hl.gain.K.T
+        return proj, ubar, proj[:-1] @ hl.slow.A.T + ubar @ hl.slow.B.T
 
     @cached_property
     def _fast_records(self) -> dict:
@@ -433,8 +438,10 @@ class TraceArchive:
         return self._fast_records[prefix][:, :count]
 
     def slow_block(self, prefix: str, count: int) -> np.ndarray:
+        if prefix == "ubar":
+            return self.slow_prediction[1][:, :count]
         if prefix == "wbar":
-            proj, prediction = self.slow_prediction
+            proj, _, prediction = self.slow_prediction
             return (proj[1:] - prediction)[:, :count]
         return column_block(self.slow_cols, self.slow, prefix, count)
 
@@ -505,8 +512,8 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
     # inputs useq0_0 .. are one block, and so are the four solve columns
     # from `objective` on.
     slow = {prefix: column_block(s_cols, slow_rows, prefix, width)
-            for prefix, width in (("x", n), ("xnom", n_red), ("xnext", n_red),
-                                  ("ubar", m), ("useq0_", cfg.horizon * m))}
+            for prefix, width in (("x", n), ("xnom", n_red),
+                                  ("useq0_", cfg.horizon * m))}
     solve = s_cols.index("objective")
     slow["solve"] = slow_rows[:, solve:solve + 4]
 
@@ -526,8 +533,6 @@ def run_closed_loop(model: InterconnectedModel, cfg: RunConfig,
         duhat[k] = plan.u_steps
         x = xhat_N + W_N @ plan.u_steps.ravel()
         slow["xnom"][k] = sol.x_nominal
-        slow["xnext"][k] = sol.x_nominal_next
-        slow["ubar"][k] = u_bar
         slow["useq0_"][k] = sol.u_nominal_seq.ravel()
         slow["solve"][k] = (sol.objective, sol.iterations, sol.primal_residual,
                             sol.dual_residual)

@@ -162,7 +162,6 @@ class HLSolution:
     x_nominal: np.ndarray
     u_nominal_seq: np.ndarray
     u_applied: np.ndarray
-    x_nominal_next: np.ndarray
     objective: float
     iterations: int
     primal_residual: float
@@ -339,11 +338,14 @@ def _solution(qp: TubeQP, x_proj: np.ndarray, x: np.ndarray, objective: float,
               iterations: int, primal_residual: float,
               dual_residual: float) -> HLSolution:
     """The tick's solution from the slow QP's optimum x: the nominal plan
-    and the held input with the tube feedback on x_proj."""
+    and the held input by the tube law u_applied = u_0 + K (x_proj - x_0).
+    This is the law the loop applies; `harness.TraceArchive` applies it
+    again, batched, to an archive's stored states and plans, so a run whose
+    held inputs follow another law fails `transition_residual`."""
     design = qp.design
     n, m, N = design.slow.n_states, design.slow.n_inputs, qp.horizon
     x_nom = x[:n]
     u_seq = x[n * (N + 1):].reshape(N, m)
     u_applied = u_seq[0] + design.gain.K @ (x_proj - x_nom)
-    return HLSolution(x_nom, u_seq, u_applied, x[n:2 * n], objective,
-                      iterations, primal_residual, dual_residual)
+    return HLSolution(x_nom, u_seq, u_applied, objective, iterations,
+                      primal_residual, dual_residual)

@@ -8,13 +8,15 @@ once.  Once a tick's plan is fixed, the regulator's law du = duhat + K_i
 (x - xhat - dxhat) sets each applied correction, and within a period the
 plant's states follow from the tick's state, the held input and the
 applied corrections; so the states are stored at the slow ticks only, in
-`slow.csv`, and so is the held input `ubar`.  `slow.csv` stores the slow
-blocks of `harness.slow_columns`: the plant state `x` at each tick and what
-the slow layer decided there, the nominal state and its successor, the held
-input, the nominal input sequence and the solve's objective, iteration
-count and residuals.  A run and `load_archive` give the same record,
-`harness.TraceArchive`, which holds these blocks as they are stored and
-derives the rest on first read.  `harness.periods` rebuilds each period
+`slow.csv`.  `slow.csv` stores the slow blocks of `harness.slow_columns`:
+the plant state `x` at each tick and what the slow layer decided there, the
+nominal state `xnom`, the nominal input sequence `useq` and the solve's
+objective, iteration count and residuals.  The held input follows from the
+law: the slow layer holds ubar = useq0 + K (beta x - xnom) over the period,
+with the design's tube gain K, so it is not stored.  A run and
+`load_archive` give the same record, `harness.TraceArchive`, which holds
+these blocks as they are stored and derives the rest on first read, the
+held input by the law first.  `harness.periods` rebuilds each period
 from its tick's state, from the design constants alone (never from the
 controller's maps): the auxiliary rollout `xhat` under `ubar`, the plan
 rollout `dxhat` of `duhat` under each subsystem's own dynamics, and the
@@ -22,8 +24,8 @@ closed loop, each of whose fast steps applies the law and then the plant
 step under ubar + du.  That one rollout gives the applied corrections
 `du`, the fast states `x`, the plant input `u` and the input margins
 `margin`, and `verify_archive` checks it; the projection beta x of each
-tick's state and the slow disturbance `wbar` follow from the tick states
-and the final state alone.
+tick's state and the slow disturbance `wbar` follow from the tick states,
+the final state and the held input.
 The four JSON files hold constructor arguments written by the `model_io`
 codec, one part of the design bundle each: `config.json` the run config
 (the design's settings, with the run's number of slow steps),
@@ -49,30 +51,32 @@ per chunk of rows: 17 significant digits, formatted by
 CPython's correctly rounded conversion, which `numpy.loadtxt` reads back to
 the same float64 bits (`-0.0` is written `-0`, `-2.0` is `-2`, infinities
 `inf`/`-inf`).  So every file except `metadata.json` is a pure function of
-the config; `metadata.json` records wall clock, the archive version (14),
+the config; `metadata.json` records wall clock, the archive version (15),
 the config's digest and the final state, and of it the determinism digest
 covers the final state alone.
 
 `verify_archive` re-derives every runtime invariant from the recorded
 data: the first tick's state against the config's start
 (`initial_state`), each period's closed loop against the next tick's
-state (`transition_residual`), input limits, correction budgets, each
-plan's terminal hit on the slow layer's prediction (`ll_terminal`), the
-slow-step disturbance bound, tube containment, the slow plan (its first
-step against the stored successor, `nominal_plan_residual`; its inputs,
-terminal state and objective, `nominal_plan`), nominal convergence, and
-the closed-loop norm-tail envelope, whose lifted closed loop
-`lti.lifted_closed_loop` rebuilds from the model and slow gain.  The slow
-solve's iteration count and residuals are solver diagnostics, which no
-check reads.  Each bound check (`input_limits`, `correction_budgets`,
-`disturbance_bound`, `tube_containment`) says in its detail how much of its
-bound the run used, nan where a norm is NaN.  `transition_residual` is scale-aware: the closed loop
-computed each tick's state by the map W_N of `harness.fast_block_maps` and
-the rollout steps the law and the plant, so each residual is compared with
-eps times a magnitude rollout of the terms the period summed, at most
-`TRANSITION_ROUNDOFF` times; its detail gives the absolute worst, the ratio
-and the slow step of the worst.  A damaged model
-or gain whose closed-loop powers overflow fails `tail_envelope` as a
+state (`transition_residual`, under the held input the law gives), input
+limits, correction budgets, each plan's terminal hit on the slow layer's
+prediction (`ll_terminal`), the slow-step disturbance bound, tube
+containment, the slow plan (its inputs, terminal state and objective,
+`nominal_plan`), nominal convergence, and the closed-loop norm-tail
+envelope, whose lifted closed loop `lti.lifted_closed_loop` rebuilds from
+the model and slow gain.  The slow solve's iteration count and residuals
+are solver diagnostics, which no check reads.  Each bound check
+(`input_limits`, `correction_budgets`, `disturbance_bound`,
+`tube_containment`) says in its detail how much of its bound the run used,
+nan where a norm is NaN.  `transition_residual` is scale-aware: the closed
+loop computed each tick's state by the map W_N of
+`harness.fast_block_maps` and the rollout steps the law and the plant, so
+each residual is compared with eps times a magnitude rollout of the terms
+the period summed, the slow law's terms among them, at most
+`TRANSITION_ROUNDOFF` times, and a controller whose held inputs follow
+another law fails it; its detail gives the absolute worst, the ratio and
+the slow step of the worst.  A damaged model or gain whose closed-loop
+powers overflow fails `tail_envelope` as a
 non-finite envelope, by name, with no numpy warning.
 """
 from __future__ import annotations
@@ -99,9 +103,9 @@ from .lti import (InterconnectedModel, lifted_closed_loop, lifted_input_matrix,
                   matrix_powers)
 from .model_io import from_json, to_json
 
-ARCHIVE_VERSION = 14
+ARCHIVE_VERSION = 15
 FAST_SCHEMA = "hiermpc.trace.fast.v6"
-SLOW_SCHEMA = "hiermpc.trace.slow.v3"
+SLOW_SCHEMA = "hiermpc.trace.slow.v4"
 _DETERMINISTIC_FILES = ("model.json", "config.json", "design.json",
                         "certificate.json", "fast.csv", "slow.csv")
 # Rows formatted by one `%` in `_write_csv`: few enough that the text of a
@@ -400,11 +404,14 @@ def verify_archive(path) -> VerifyReport:
         # The other checks align the records by slow step.
         return VerifyReport(tuple(checks))
 
-    # The states are stored once, at the slow ticks, and the held input once
-    # per slow step; fast.csv stores the correction layer's plan duhat, read
-    # here step-major: duhat[j] holds fast step j of every period.
+    # The states are stored once, at the slow ticks; the held input ubar =
+    # useq0 + K (beta x - xnom) is derived by the tube law, with the
+    # projections and the slow predictions (`slow_prediction`); fast.csv
+    # stores the correction layer's plan duhat, read here step-major:
+    # duhat[j] holds fast step j of every period.
     K_steps, A, B = cfg.n_slow_steps, model.A, model.B
-    ubar = arc.slow_block("ubar", m)
+    proj, ubar, x_bar_pred = arc.slow_prediction
+    useq0, xnom = arc.slow_block("useq0_", m), arc.slow_block("xnom", n_red)
     duhat = arc.plan_steps
     xk = arc.ticks
 
@@ -423,9 +430,14 @@ def verify_archive(path) -> VerifyReport:
     # rollout T+ = |A| (T + |x|) + |B| (|ubar| + |du| + |duhat|
     # + |K| (|x| + |xhat| + |dxhat|)), from 0, bounds the size of the terms
     # the closed loop summed, so each residual is compared with eps times
-    # T_N + |x+|, at most TRANSITION_ROUNDOFF times.
+    # T_N + |x+|, at most TRANSITION_ROUNDOFF times.  The held input is the
+    # tube law's, which the loop and the archive round each their own way,
+    # so |ubar| counts the law's terms too: |useq0| + |K_slow| (|beta x|
+    # + |xnom|).
     abs_A, abs_B = np.abs(A.T), np.abs(B.T)
-    abs_K, abs_ubar = np.abs(bundle.ll_gain.K.T), np.abs(ubar)
+    abs_K = np.abs(bundle.ll_gain.K.T)
+    abs_ubar = np.abs(ubar) + np.abs(useq0) + (
+        np.abs(proj[:-1]) + np.abs(xnom)) @ np.abs(bundle.hl.gain.K.T)
     T_N = np.zeros((K_steps, n))
     for j in range(N):
         ax = np.abs(x[j])
@@ -455,13 +467,13 @@ def verify_archive(path) -> VerifyReport:
     # projections beta x of the slow boundary states (what the slow layer
     # solved from at each tick) and its prediction of the next one.
     reduced, hl, slow = bundle.reduced, bundle.hl, bundle.hl.slow
-    proj, x_bar_pred = arc.slow_prediction
     # np.max keeps a NaN miss, which fails the check.
     misses = []
     for i in range(M):
         si, beta_i = model.state_slice(i), reduced.beta_block(i, model)
         gap = x_bar_pred[:, reduced.block_slice(i)] - xhat[N, :, si] @ beta_i.T
         misses.append(np.max(np.abs(dxhat[N, :, si] @ beta_i.T - gap)))
+    # Absolute: the miss is the terminal equality's rounding, ~5e-16 |x_0|.
     add("ll_terminal", float(np.max(misses)), 1e-9)
 
     # Slow-step disturbance: the next projection less its prediction.
@@ -471,26 +483,20 @@ def verify_archive(path) -> VerifyReport:
         detail=_used("max |wbar| / rho_w", w_norms, bundle.report.rho_w))
 
     # Tube containment of the projection at every slow tick.
-    xnom = arc.slow_block("xnom", n_red)
     tube_err = np.linalg.norm(proj[:-1] - xnom, axis=1)
     radius = hl.tube.ball.radius
     add("tube_containment", float(np.max(tube_err)), radius + 1e-7,
         detail=_used("max error / tube radius", tube_err, radius))
 
     # The slow layer's plan, rolled over the horizon from the nominal under
-    # its inputs: its first step is the stored successor
-    # (`nominal_plan_residual`), and (`nominal_plan`) its inputs lie in the
-    # tightened ball, its last state in the terminal set, and its cost is the
-    # stored objective as `highlevel.tube_qp` defines it, the stage and
-    # terminal costs plus 0.5e-10 |z|^2 over the decision vector z, each to
-    # 1e-9 relative.
+    # its inputs: its inputs lie in the tightened ball, its last state in
+    # the terminal set, and its cost is the stored objective as
+    # `highlevel.tube_qp` defines it, the stage and terminal costs plus
+    # 0.5e-10 |z|^2 over the decision vector z, each to 1e-9 relative.
     horizon = cfg.horizon
     useq = arc.slow_block("useq0_", horizon * m)
     useq = useq.reshape(K_steps, horizon, m).transpose(1, 0, 2)
     plan = rollouts(slow.A, xnom, useq @ slow.B.T)
-    xnext = arc.slow_block("xnext", n_red)
-    add("nominal_plan_residual", float(np.max(np.abs(xnext - plan[1]))),
-        1e-7)
     Q, R = slow_weights(cfg, n_red, m)
     P, level = hl.terminal.shape, hl.terminal.level
     x_end = plan[horizon]

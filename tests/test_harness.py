@@ -266,10 +266,12 @@ def test_fast_records_built_after_the_loop_match_each_tick(name, monkeypatch):
     N, n, m = cfg.period, model.n_states, model.n_inputs
     assert [states.shape for *_, states in calls] == [(1, n)] * cfg.n_slow_steps
     _, W_N = harness.fast_block_maps(model, bundle, N)
+    # The trace derives the held input by the slow layer's law, batched over
+    # the ticks, so it meets the loop's to rounding, not bit for bit.
     ubar = arc.slow_block("ubar", m)
     for k, (x_start, u_held, (xhat_N,)) in enumerate(calls):
         assert np.array_equal(x_start, arc.ticks[k])
-        assert np.array_equal(u_held, ubar[k])
+        np.testing.assert_allclose(u_held, ubar[k], rtol=1e-15, atol=0)
         duhat = arc.fast_block("duhat", m)[k * N:(k + 1) * N].ravel()
         assert np.array_equal(arc.ticks[k + 1], xhat_N + W_N @ duhat)
 
@@ -357,10 +359,9 @@ def test_free_ticks_decide_as_equality_first(workload_qps, seed, exponent):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.iterations == 0
-        assert_same_plan(np.concatenate([got.x_nominal, got.x_nominal_next,
+        assert_same_plan(np.concatenate([got.x_nominal,
                                          got.u_nominal_seq.ravel()]),
-                         np.concatenate([want.x[:2 * n],
-                                         want.x[n * (N + 1):]]))
+                         np.concatenate([want.x[:n], want.x[n * (N + 1):]]))
         x = sol[:d]
         assert (got.primal_residual, got.dual_residual) == \
             solver.equality_residuals(sol, ref.H, ref.g, ref.A_eq, ref.b_eq)
@@ -419,10 +420,9 @@ def test_free_ball_tick_is_the_zero_plan(bundle, slow_qp):
     x_proj = 0.5 * qp.tube.radius * np.eye(n)[0]
     sol = solve_hl(qp, x_proj)
     assert sol.iterations == 0
-    plan = np.concatenate([sol.x_nominal, sol.x_nominal_next,
-                           sol.u_nominal_seq.ravel()])
+    plan = np.concatenate([sol.x_nominal, sol.u_nominal_seq.ravel()])
     assert plan.tobytes() == np.concatenate(
-        [solved[:2 * n], solved[n * (N + 1):]]).tobytes()
+        [solved[:n], solved[n * (N + 1):]]).tobytes()
     assert plan.tobytes() == np.zeros(plan.size).tobytes()
     assert (sol.objective, sol.primal_residual, sol.dual_residual) == (0.0,) * 3
     assert not np.signbit([sol.objective, sol.primal_residual,
@@ -807,17 +807,22 @@ def test_short_traces_match_the_pinned_files(name, tmp_path):
         assert failing == []
 
 
-def test_slow_csv_stores_only_the_slow_columns(bundle, archive_dir):
+def test_slow_csv_stores_only_the_decisions(bundle, archive_dir):
     # The projection, the disturbance and the tube error follow from the
-    # states; slow.csv keeps the tick's state and what the slow layer
-    # decided.
+    # states, the held input from the tick's state and the slow plan by the
+    # tube law, and the nominal's successor from the plan's first step:
+    # slow.csv keeps the tick's state, the nominal, the plan's inputs and
+    # the solve's diagnostics, and nothing else.
     names = (archive_dir / "slow.csv").read_text().splitlines()[1].split(",")
-    model = bundle.model
+    model, cfg, n_red = bundle.model, bundle.config, bundle.reduced.n_states
+    assert names == ([f"x{i}" for i in range(model.n_states)]
+                     + [f"xnom{i}" for i in range(n_red)]
+                     + [f"useq{s}_{i}" for s in range(cfg.horizon)
+                        for i in range(model.n_inputs)]
+                     + ["objective", "iterations", "primal_residual",
+                        "dual_residual"])
     assert tuple(names) == harness.slow_columns(
-        model.n_states, bundle.reduced.n_states, model.n_inputs,
-        bundle.config.horizon)
-    assert not [name for name in names if name == "k" or name.startswith(
-        ("xproj", "wbar", "tube_error"))]
+        model.n_states, n_red, model.n_inputs, cfg.horizon)
 
 
 def test_fast_csv_stores_only_the_corrections(model, archive_dir):
@@ -840,8 +845,8 @@ def test_tick_states_are_the_in_memory_fast_states(model, archive):
 
 def stepped_ticks(archive):
     """The fast-step oracle of each tick of `archive`, from the tick's
-    state, held input and plan: (states 0..N, applied corrections) per
-    tick."""
+    state, held input (the trace's, derived by the slow layer's law) and
+    plan: (states 0..N, applied corrections) per tick."""
     model, N = archive.bundle.model, archive.config.period
     m = model.n_inputs
     duhat = archive.fast_block("duhat", m).reshape(-1, N, m)
@@ -910,7 +915,7 @@ def test_verify_names_the_archive_version(archive_dir, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "archive_version 5" in err and "version 14" in err
+    assert "archive_version 5" in err and "version 15" in err
 
 
 @pytest.mark.parametrize("name, key, owner", [
@@ -1199,8 +1204,7 @@ def test_in_memory_disturbance_is_the_measured_one(model, archive,
     x = harness.column_block(loaded.slow_cols, loaded.slow, "x",
                              model.n_states)
     proj = np.vstack([x, loaded.final_state]) @ reduced.beta.T
-    ubar = harness.column_block(loaded.slow_cols, loaded.slow, "ubar",
-                                model.n_inputs)
+    ubar = loaded.slow_block("ubar", model.n_inputs)
     w_meas = proj[1:] - (proj[:-1] @ slow.A.T + ubar @ slow.B.T)
     wbar = archive.slow_block("wbar", reduced.n_states)
     assert np.max(np.abs(wbar - w_meas)) <= 1e-12
@@ -1258,13 +1262,16 @@ def test_a_trace_from_another_start_fails_the_initial_state(model, bundle,
 
 def test_tampered_nominal_leaves_the_tube(archive_dir, tmp_path):
     # The tube is measured around the projection of the stored states: a
-    # nominal moved off the tube's edge at the start leaves it.
+    # nominal moved off the tube's edge at the start leaves it.  The held
+    # input follows from the nominal by the tube law, so the period's closed
+    # loop and the prediction its plan lands on move too, and the plan's
+    # cost is no longer the stored objective.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
     _tamper_csv_cell(bad / "slow.csv", "xnom0", 0, 1e-3)
     failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"tube_containment", "nominal_plan_residual",
-                      "nominal_plan"}
+    assert failed == {"tube_containment", "transition_residual",
+                      "ll_terminal", "nominal_plan"}
 
 
 @pytest.mark.parametrize("column, delta, part", [
@@ -1292,14 +1299,44 @@ def test_tampered_slow_plan_fails_the_plan_check(archive_dir, tmp_path,
 
 
 def test_tampered_held_input_is_read_from_the_slow_trace(archive_dir, tmp_path):
-    # verify repeats the slow `ubar` over the period, so one slow cell
-    # reaches every check that reads the held input: the period's closed
-    # loop and the slow layer's prediction its plan must land on.
+    # slow.csv stores no held input: verify derives it by the tube law from
+    # the plan's first input and repeats it over the period, so one edited
+    # `useq0_0` cell reaches every check that reads the held input, the
+    # period's closed loop and the slow layer's prediction its plan must
+    # land on, and the plan's cost is no longer the stored objective.
     bad = tmp_path / "tampered"
     shutil.copytree(archive_dir, bad)
-    _tamper_csv_cell(bad / "slow.csv", "ubar0", 3, 1e-3)
-    failed = {c.name for c in verify_archive(bad).checks if not c.passed}
-    assert failed == {"transition_residual", "ll_terminal"}
+    _tamper_csv_cell(bad / "slow.csv", "useq0_0", 3, 1e-3)
+    checks = {c.name: c for c in verify_archive(bad).checks}
+    assert {name for name, c in checks.items() if not c.passed} == \
+        {"transition_residual", "ll_terminal", "nominal_plan"}
+    assert _transition_detail(checks["transition_residual"])[2] == 3
+
+
+@pytest.mark.parametrize("scale", [0, 0.5, 1.5])
+def test_a_controller_with_another_slow_law_fails_verify(model, short_cfg,
+                                                         bundle, scale,
+                                                         monkeypatch,
+                                                         tmp_path):
+    # A slow layer that scales its tube feedback K (beta x - xnom) holds
+    # inputs that no stored value contradicts: verify derives the held input
+    # by the design's law, and the periods rolled out under it miss the
+    # tick states the run reached, by orders of magnitude above roundoff.
+    solution = highlevel._solution
+
+    def scaled(qp, x_proj, *rest):
+        sol = solution(qp, x_proj, *rest)
+        u0 = sol.u_nominal_seq[0]
+        return dataclasses.replace(
+            sol, u_applied=u0 + scale * (sol.u_applied - u0))
+
+    monkeypatch.setattr(highlevel, "_solution", scaled)
+    arc = run_closed_loop(model, short_cfg, bundle)
+    monkeypatch.undo()
+    out = write_archive(arc, bundle, tmp_path / "run")
+    checks = {c.name: c for c in verify_archive(out).checks}
+    assert not checks["transition_residual"].passed
+    assert checks["transition_residual"].worst > 1e6 * TRANSITION_ROUNDOFF
 
 
 @pytest.mark.filterwarnings("error")
@@ -1414,6 +1451,10 @@ def test_high_gain_run_passes_the_scaled_transitions(tmp_path):
     (check,) = [c for c in report.checks if c.name == "transition_residual"]
     residual, ratio, _ = _transition_detail(check)
     assert residual > 1e-14 and ratio < 1.0
+    # The plans' terminal miss grows with the start, ~5e-16 |x0| here, far
+    # below ll_terminal's absolute 1e-9.
+    (check,) = [c for c in report.checks if c.name == "ll_terminal"]
+    assert check.worst <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

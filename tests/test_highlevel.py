@@ -461,9 +461,8 @@ def test_held_map_tick_is_the_active_set_step_on_the_ball_formulation(
         step = active_set_step(ball_problem(qp, x_proj), qp.factors,
                                start=zero_start(qp))
         assert step.status is Status.OPTIMAL and step.iterations == 1
-        got = np.concatenate([sol.x_nominal, sol.x_nominal_next,
-                              sol.u_nominal_seq.ravel()])
-        want = np.concatenate([step.x[:2 * n], step.x[n * (N + 1):]])
+        got = np.concatenate([sol.x_nominal, sol.u_nominal_seq.ravel()])
+        want = np.concatenate([step.x[:n], step.x[n * (N + 1):]])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert abs(sol.objective - step.objective) <= 1e-12 * step.objective
         kkt_certificate(held_problem(qp, x_proj), step.x, 1e-8)
@@ -642,6 +641,6 @@ def test_kept_solve_with_a_moved_tube_steps_as_fresh_factors(kkt_solves):
     assert sum(f is qp.factors.lu for f in kkt_solves) == 1
     ref = solve_hl(design_qp(design), x_far)
     assert sol.iterations == ref.iterations > 0
-    for name in ("x_nominal", "u_nominal_seq", "u_applied", "x_nominal_next"):
+    for name in ("x_nominal", "u_nominal_seq", "u_applied"):
         assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
     assert sol.objective == ref.objective
